@@ -39,12 +39,13 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// Block is one cache line. Token-coherence state (Section V: Token
-// Coherence, MOESI) is carried as a token count plus owner and dirty
-// flags; the classic MOESI letter is derived on demand.
+// Block is one cache line's data-array entry. Token-coherence state
+// (Section V: Token Coherence, MOESI) is carried as a token count plus
+// owner and dirty flags; the classic MOESI letter is derived on demand.
+// Validity lives in the cache's tag array, not here: a block is valid
+// exactly while its way's tag is nonzero.
 type Block struct {
 	Addr   mem.BlockAddr
-	Valid  bool
 	Tokens int
 	Owner  bool // holds the owner token (data-provider responsibility)
 	Dirty  bool
@@ -72,10 +73,11 @@ func (s State) String() string {
 }
 
 // StateOf derives the MOESI letter from token state given the total number
-// of tokens per block in the system.
+// of tokens per block in the system. An empty way is zeroed, so it derives
+// as Invalid like any token-less block.
 func StateOf(b *Block, totalTokens int) State {
 	switch {
-	case !b.Valid || b.Tokens == 0:
+	case b.Tokens == 0:
 		return Invalid
 	case b.Tokens == totalTokens && b.Dirty:
 		return Modified
@@ -100,9 +102,18 @@ type EvictInfo struct {
 
 // Cache is one set-associative cache. It is not safe for concurrent use;
 // the simulation engine is single-threaded by design.
+//
+// Tags and data are split the way hardware builds them: tags holds one
+// word per way (block address + 1, 0 = empty way), blocks the matching
+// data-array entries, and set s occupies [s*ways, (s+1)*ways) of both.
+// Lookup scans only the tag words — one 64-byte line for an 8-way set —
+// and touches the data array once, on a hit.
 type Cache struct {
 	cfg     Config
-	sets    [][]Block
+	tags    []mem.BlockAddr
+	blocks  []Block
+	ways    int
+	nSets   int
 	setMask uint64
 	tick    uint64
 
@@ -148,14 +159,12 @@ func New(cfg Config) *Cache {
 		panic(err)
 	}
 	nSets := cfg.SizeBytes / (cfg.Ways * cfg.BlockBytes)
-	sets := make([][]Block, nSets)
-	backing := make([]Block, nSets*cfg.Ways)
-	for i := range sets {
-		sets[i], backing = backing[:cfg.Ways], backing[cfg.Ways:]
-	}
 	return &Cache{
 		cfg:     cfg,
-		sets:    sets,
+		tags:    make([]mem.BlockAddr, nSets*cfg.Ways),
+		blocks:  make([]Block, nSets*cfg.Ways),
+		ways:    cfg.Ways,
+		nSets:   nSets,
 		setMask: uint64(nSets - 1),
 	}
 }
@@ -164,24 +173,25 @@ func New(cfg Config) *Cache {
 func (c *Cache) Config() Config { return c.cfg }
 
 // NumSets returns the number of sets.
-func (c *Cache) NumSets() int { return len(c.sets) }
+func (c *Cache) NumSets() int { return c.nSets }
 
 func (c *Cache) setIndex(a mem.BlockAddr) uint64 { return uint64(a) & c.setMask }
 
-// Lookup returns the block holding addr with nonzero validity, or nil.
-// It does not update LRU state; callers decide whether an access counts
-// as a use (snoop probes do not).
+// Lookup returns the valid block holding addr, or nil. It does not update
+// LRU state; callers decide whether an access counts as a use (snoop
+// probes do not).
 func (c *Cache) Lookup(a mem.BlockAddr) *Block {
 	s := c.setIndex(a)
-	set := c.sets[s]
-	for i := range set {
-		if set[i].Valid && set[i].Addr == a {
+	base := int(s) * c.ways
+	tag := a + 1
+	for i, t := range c.tags[base : base+c.ways] {
+		if t == tag {
 			if c.jn != nil {
 				// The caller may mutate the returned block in place, so the
 				// hit journals its set's pre-image.
 				c.jsave(s)
 			}
-			return &set[i]
+			return &c.blocks[base+i]
 		}
 	}
 	return nil
@@ -259,55 +269,72 @@ func (c *Cache) Insert(a mem.BlockAddr, vm mem.VMID) (b *Block, victim EvictInfo
 	if c.jn != nil {
 		c.jsave(s)
 	}
-	set := c.sets[s]
-	var slot *Block
-	for i := range set {
-		if set[i].Valid && set[i].Addr == a {
+	base := int(s) * c.ways
+	tag := a + 1
+	slot := -1
+	for i, t := range c.tags[base : base+c.ways] {
+		if t == tag {
 			panic(fmt.Sprintf("cache %s: double insert of block %d", c.cfg.Name, a))
 		}
-		if !set[i].Valid && slot == nil {
-			slot = &set[i]
+		if t == 0 && slot < 0 {
+			slot = base + i
 		}
 	}
-	if slot == nil {
-		slot = &set[0]
-		for i := 1; i < len(set); i++ {
-			if set[i].lru < slot.lru {
-				slot = &set[i]
+	if slot < 0 {
+		slot = base
+		for i := base + 1; i < base+c.ways; i++ {
+			if c.blocks[i].lru < c.blocks[slot].lru {
+				slot = i
 			}
 		}
-		victim = EvictInfo{Addr: slot.Addr, Tokens: slot.Tokens, Owner: slot.Owner, Dirty: slot.Dirty, VM: slot.VM}
+		victim = c.invalidateWay(slot)
 		evicted = true
-		// Clear the slot before firing callbacks so reentrant operations
-		// (e.g. a residence-triggered FlushVM) never see the victim as
-		// still valid.
-		*slot = Block{}
-		c.decResident(victim.VM)
-		if c.OnDrop != nil {
-			c.OnDrop(victim.Addr)
-		}
 	}
 	c.tick++
-	*slot = Block{Addr: a, Valid: true, VM: vm, lru: c.tick}
+	c.tags[slot] = tag
+	c.blocks[slot] = Block{Addr: a, VM: vm, lru: c.tick}
 	c.incResident(vm)
 	if c.OnInsert != nil {
 		c.OnInsert(a, vm)
 	}
-	return slot, victim, evicted
+	return &c.blocks[slot], victim, evicted
 }
 
 // Invalidate removes b from the cache (e.g. all tokens taken by a GETX)
 // and returns its final token state for the controller to forward.
 func (c *Cache) Invalidate(b *Block) EvictInfo {
-	if !b.Valid {
-		panic(fmt.Sprintf("cache %s: invalidate of invalid block", c.cfg.Name))
+	s := c.setIndex(b.Addr)
+	base := int(s) * c.ways
+	way := -1
+	for i := base; i < base+c.ways; i++ {
+		if &c.blocks[i] == b {
+			way = i
+			break
+		}
+	}
+	if way < 0 || c.tags[way] != b.Addr+1 {
+		invalidPanic(c.cfg.Name)
 	}
 	if c.jn != nil {
-		c.jsave(c.setIndex(b.Addr))
+		c.jsave(s)
 	}
+	return c.invalidateWay(way)
+}
+
+// invalidPanic is Invalidate's cold failure path: the block is not a valid
+// way of this cache.
+func invalidPanic(name string) {
+	panic(fmt.Sprintf("cache %s: invalidate of invalid block", name))
+}
+
+// invalidateWay empties valid way i and fires the drop callbacks. The
+// caller has journaled the way's set.
+func (c *Cache) invalidateWay(i int) EvictInfo {
+	b := &c.blocks[i]
 	info := EvictInfo{Addr: b.Addr, Tokens: b.Tokens, Owner: b.Owner, Dirty: b.Dirty, VM: b.VM}
 	// Clear before callbacks: a reentrant FlushVM from a residence trigger
-	// must not double-invalidate this block.
+	// must never see this block as still valid.
+	c.tags[i] = 0
 	*b = Block{}
 	c.decResident(info.VM)
 	if c.OnDrop != nil {
@@ -320,15 +347,12 @@ func (c *Cache) Invalidate(b *Block) EvictInfo {
 // states (used when the hypervisor marks a page RO-shared: dirty lines
 // must reach memory so it holds a clean copy).
 func (c *Cache) FlushPage(p mem.HostPage) []EvictInfo {
+	lo := mem.BlockInPage(p, 0) + 1
+	hi := mem.BlockInPage(p, mem.BlocksPerPage-1) + 1
 	var out []EvictInfo
-	lo := mem.BlockInPage(p, 0)
-	hi := mem.BlockInPage(p, mem.BlocksPerPage-1)
-	for s := range c.sets {
-		set := c.sets[s]
-		for i := range set {
-			if set[i].Valid && set[i].Addr >= lo && set[i].Addr <= hi {
-				out = append(out, c.Invalidate(&set[i]))
-			}
+	for i := range c.tags {
+		if t := c.tags[i]; t >= lo && t <= hi {
+			out = append(out, c.flushWay(i))
 		}
 	}
 	return out
@@ -338,15 +362,22 @@ func (c *Cache) FlushPage(p mem.HostPage) []EvictInfo {
 // alternative discussed in Section IV.B) and returns their states.
 func (c *Cache) FlushVM(vm mem.VMID) []EvictInfo {
 	var out []EvictInfo
-	for s := range c.sets {
-		set := c.sets[s]
-		for i := range set {
-			if set[i].Valid && set[i].VM == vm {
-				out = append(out, c.Invalidate(&set[i]))
-			}
+	for i := range c.tags {
+		if c.tags[i] != 0 && c.blocks[i].VM == vm {
+			out = append(out, c.flushWay(i))
 		}
 	}
 	return out
+}
+
+// flushWay journals way i's set and invalidates the way. Flushes walk the
+// ways in set order and re-test each as they reach it, because a drop
+// callback may already have emptied a later way.
+func (c *Cache) flushWay(i int) EvictInfo {
+	if c.jn != nil {
+		c.jsave(uint64(i / c.ways))
+	}
+	return c.invalidateWay(i)
 }
 
 // CorruptResidence adds delta to vm's residence counter without touching
@@ -376,12 +407,9 @@ func (c *Cache) ForEachValid(fn func(*Block)) {
 	if c.jn != nil {
 		c.jsaveAll()
 	}
-	for s := range c.sets {
-		set := c.sets[s]
-		for i := range set {
-			if set[i].Valid {
-				fn(&set[i])
-			}
+	for i := range c.tags {
+		if c.tags[i] != 0 {
+			fn(&c.blocks[i])
 		}
 	}
 }
@@ -389,6 +417,10 @@ func (c *Cache) ForEachValid(fn func(*Block)) {
 // CountValid returns the number of valid blocks (for tests/invariants).
 func (c *Cache) CountValid() int {
 	n := 0
-	c.ForEachValid(func(*Block) { n++ })
+	for _, t := range c.tags {
+		if t != 0 {
+			n++
+		}
+	}
 	return n
 }

@@ -29,7 +29,7 @@ func TestInsertLookup(t *testing.T) {
 	if ev {
 		t.Fatal("eviction from empty cache")
 	}
-	if b.Addr != 100 || !b.Valid || b.VM != 1 || b.Tokens != 0 {
+	if b.Addr != 100 || b.VM != 1 || b.Tokens != 0 {
 		t.Fatalf("inserted block wrong: %+v", b)
 	}
 	if got := c.Lookup(100); got != b {
@@ -140,13 +140,13 @@ func TestStateDerivation(t *testing.T) {
 		b    Block
 		want State
 	}{
-		{Block{Valid: false}, Invalid},
-		{Block{Valid: true, Tokens: 0}, Invalid},
-		{Block{Valid: true, Tokens: 1}, Shared},
-		{Block{Valid: true, Tokens: 3, Owner: true}, Owned},
-		{Block{Valid: true, Tokens: 3, Owner: true, Dirty: true}, Owned},
-		{Block{Valid: true, Tokens: T, Owner: true}, Exclusive},
-		{Block{Valid: true, Tokens: T, Owner: true, Dirty: true}, Modified},
+		{Block{}, Invalid},
+		{Block{Addr: 7, Tokens: 0}, Invalid},
+		{Block{Tokens: 1}, Shared},
+		{Block{Tokens: 3, Owner: true}, Owned},
+		{Block{Tokens: 3, Owner: true, Dirty: true}, Owned},
+		{Block{Tokens: T, Owner: true}, Exclusive},
+		{Block{Tokens: T, Owner: true, Dirty: true}, Modified},
 	}
 	for i, tc := range cases {
 		if got := StateOf(&tc.b, T); got != tc.want {

@@ -1,18 +1,20 @@
 package cache
 
+import "vsnoop/internal/mem"
+
 // Checkpointing for the optimistic (Time Warp) shard engine. Two regimes:
 //
-//   - Flat: Save bulk-copies every block. Simple, but O(cache size) per
-//     checkpoint — ruinous when epochs are a few dozen cycles wide and an
-//     epoch touches a handful of sets.
+//   - Flat: Save bulk-copies the tag and data arrays. Simple, but O(cache
+//     size) per checkpoint — ruinous when epochs are a few dozen cycles
+//     wide and an epoch touches a handful of sets.
 //
 //   - Journaled: the engine arms a copy-on-first-touch journal at the
 //     epoch-base checkpoint. Each mutating access records its set's
-//     pre-image once per checkpoint generation; Save is then just a mark in
-//     the journal (plus the small flat state: tick and the residence
-//     counter file), Restore unwinds pre-images newest-first down to the
-//     slot's mark, and Commit truncates everything. Cost is O(sets touched
-//     per epoch), not O(cache size).
+//     pre-image (tags and blocks) once per checkpoint generation; Save is
+//     then just a mark in the journal (plus the small flat state: tick and
+//     the residence counter file), Restore unwinds pre-images newest-first
+//     down to the slot's mark, and Commit truncates everything. Cost is
+//     O(sets touched per epoch), not O(cache size).
 //
 // Restoring to slot j by a backward walk is exact: the oldest journal
 // entry for a set at or above slot j's mark holds that set's value at the
@@ -25,17 +27,19 @@ package cache
 // across epochs, so steady-state checkpointing allocates only when the
 // per-epoch footprint grows past its high-water mark.
 type journal struct {
-	gen    uint64   // current checkpoint generation (bumped per Save/Restore/Commit)
-	setGen []uint64 // per set: generation whose journal already holds its pre-image
-	idx    []int32  // touched set index, in touch order
-	blocks []Block  // pre-image arena: entry e occupies [e*ways, (e+1)*ways)
+	gen    uint64          // current checkpoint generation (bumped per Save/Restore/Commit)
+	setGen []uint64        // per set: generation whose journal already holds its pre-image
+	idx    []int32         // touched set index, in touch order
+	tags   []mem.BlockAddr // tag pre-image arena: entry e occupies [e*ways, (e+1)*ways)
+	blocks []Block         // data pre-image arena, laid out like tags
 }
 
-// Snap is one checkpoint of a cache. Under the flat regime blocks holds a
-// full copy; under the journaled regime mark is the journal length at save
-// time and blocks stays empty. tick and the residence counter file are
-// always copied flat (they are a few words).
+// Snap is one checkpoint of a cache. Under the flat regime tags and blocks
+// hold full copies; under the journaled regime mark is the journal length
+// at save time and both stay empty. tick and the residence counter file
+// are always copied flat (they are a few words).
 type Snap struct {
+	tags     []mem.BlockAddr
 	blocks   []Block
 	mark     int
 	resident []int
@@ -46,7 +50,7 @@ type Snap struct {
 // run, on caches owned by an optimistic shard engine. Until the first Save
 // the journal stays disarmed and the mutation hooks cost one nil check.
 func (c *Cache) EnableJournal() {
-	c.jnStore = &journal{gen: 1, setGen: make([]uint64, len(c.sets))}
+	c.jnStore = &journal{gen: 1, setGen: make([]uint64, c.nSets)}
 }
 
 // jsave records set s's pre-image once per generation. Callers guard with
@@ -58,30 +62,31 @@ func (c *Cache) jsave(s uint64) {
 	}
 	j.setGen[s] = j.gen
 	j.idx = append(j.idx, int32(s))
-	j.blocks = append(j.blocks, c.sets[s]...)
+	lo, hi := int(s)*c.ways, (int(s)+1)*c.ways
+	j.tags = append(j.tags, c.tags[lo:hi]...)
+	j.blocks = append(j.blocks, c.blocks[lo:hi]...)
 }
 
 // jsaveAll records every set (bulk escape hatch for whole-cache walks that
 // hand out mutable blocks).
 func (c *Cache) jsaveAll() {
-	for s := range c.sets {
+	for s := 0; s < c.nSets; s++ {
 		c.jsave(uint64(s))
 	}
 }
 
 // Save checkpoints the cache into s: a journal mark when journaling is
-// enabled (arming the mutation hooks), a full block copy otherwise.
+// enabled (arming the mutation hooks), a full tag and block copy otherwise.
 func (c *Cache) Save(s *Snap) {
 	if j := c.jnStore; j != nil {
 		c.jn = j
 		s.mark = len(j.idx)
+		s.tags = s.tags[:0]
 		s.blocks = s.blocks[:0]
 		j.gen++
 	} else {
-		s.blocks = s.blocks[:0]
-		for _, set := range c.sets {
-			s.blocks = append(s.blocks, set...)
-		}
+		s.tags = append(s.tags[:0], c.tags...)
+		s.blocks = append(s.blocks[:0], c.blocks...)
 	}
 	s.resident = append(s.resident[:0], c.resident...)
 	s.tick = c.tick
@@ -95,20 +100,20 @@ func (c *Cache) Save(s *Snap) {
 // runs straight to the commit horizon, after which everything is final.
 func (c *Cache) Restore(s *Snap) {
 	if j := c.jnStore; j != nil {
-		ways := c.cfg.Ways
+		ways := c.ways
 		for e := len(j.idx) - 1; e >= s.mark; e-- {
-			copy(c.sets[j.idx[e]], j.blocks[e*ways:(e+1)*ways])
+			lo := int(j.idx[e]) * ways
+			copy(c.tags[lo:lo+ways], j.tags[e*ways:(e+1)*ways])
+			copy(c.blocks[lo:lo+ways], j.blocks[e*ways:(e+1)*ways])
 		}
 		j.idx = j.idx[:s.mark]
+		j.tags = j.tags[:s.mark*ways]
 		j.blocks = j.blocks[:s.mark*ways]
 		j.gen++
 		c.jn = nil
 	} else {
-		i := 0
-		for _, set := range c.sets {
-			copy(set, s.blocks[i:i+len(set)])
-			i += len(set)
-		}
+		copy(c.tags, s.tags)
+		copy(c.blocks, s.blocks)
 	}
 	c.resident = append(c.resident[:0], s.resident...)
 	c.tick = s.tick
@@ -119,6 +124,7 @@ func (c *Cache) Restore(s *Snap) {
 func (c *Cache) CommitSnap() {
 	if j := c.jnStore; j != nil {
 		j.idx = j.idx[:0]
+		j.tags = j.tags[:0]
 		j.blocks = j.blocks[:0]
 		j.gen++
 		c.jn = nil

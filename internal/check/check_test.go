@@ -107,6 +107,10 @@ func newRig(t *testing.T, n int, blackhole bool) *rig {
 	return r
 }
 
+// call is the completion handler the tests pass to Start: it runs the
+// func() carried as the transaction's argument.
+var call sim.HandlerFn = func(arg interface{}, _ uint64) { arg.(func())() }
+
 func (r *rig) conservation() check.Invariant {
 	return check.TokenConservation(r.p.TotalTokens, r.l2s, []*memctrl.Ctrl{r.mc}, r.led)
 }
@@ -117,10 +121,10 @@ func TestInvariantsHoldAfterTransactions(t *testing.T) {
 	// (one transaction per controller at a time).
 	addrs := []mem.BlockAddr{100, 228}
 	for _, a := range addrs {
-		r.ctrls[0].Start(a, 1, mem.PagePrivate, false, func() {})
-		r.ctrls[1].Start(a, 1, mem.PagePrivate, false, func() {})
+		r.ctrls[0].Start(a, 1, mem.PagePrivate, false, call, func() {})
+		r.ctrls[1].Start(a, 1, mem.PagePrivate, false, call, func() {})
 		r.eng.Run()
-		r.ctrls[2].Start(a, 1, mem.PagePrivate, true, func() {})
+		r.ctrls[2].Start(a, 1, mem.PagePrivate, true, call, func() {})
 		r.eng.Run()
 	}
 
@@ -146,7 +150,7 @@ func TestConservationDetectsForgedAndLostTokens(t *testing.T) {
 	}{{"forged", +1}, {"lost", -1}} {
 		t.Run(tc.name, func(t *testing.T) {
 			r := newRig(t, 4, false)
-			r.ctrls[0].Start(100, 1, mem.PagePrivate, true, func() {})
+			r.ctrls[0].Start(100, 1, mem.PagePrivate, true, call, func() {})
 			r.eng.Run()
 			b := r.l2s[0].Lookup(100)
 			if b == nil {
@@ -167,7 +171,7 @@ func TestConservationDetectsForgedAndLostTokens(t *testing.T) {
 func TestSingleWriterDetectsDoubleOwner(t *testing.T) {
 	r := newRig(t, 4, false)
 	// A write brings the owner token into l2s[0].
-	r.ctrls[0].Start(100, 1, mem.PagePrivate, true, func() {})
+	r.ctrls[0].Start(100, 1, mem.PagePrivate, true, call, func() {})
 	r.eng.Run()
 	// Forge a second owner copy in another cache.
 	b, _, _ := r.l2s[3].Insert(100, 1)
@@ -215,7 +219,7 @@ func TestSingleWriterDetectsWriterWithCompany(t *testing.T) {
 
 func TestTxnCompletionFlagsStuckTransaction(t *testing.T) {
 	r := newRig(t, 4, true) // black hole: requests route nowhere, MC is deaf
-	r.ctrls[0].Start(100, 1, mem.PagePrivate, false, func() {})
+	r.ctrls[0].Start(100, 1, mem.PagePrivate, false, call, func() {})
 	r.eng.RunUntil(20000)
 	inv := check.TxnCompletion(r.eng.Now, r.ctrls, 5000)
 	v := inv.Check()

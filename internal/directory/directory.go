@@ -113,6 +113,7 @@ type CacheCtrl struct {
 	Stats Stats
 
 	cur *txn
+	txn txn // backing storage for cur: cores are blocking, so one suffices
 }
 
 // Init prepares internal state; call once after fields are set.
@@ -122,7 +123,8 @@ type txn struct {
 	addr     mem.BlockAddr
 	vm       mem.VMID
 	write    bool
-	done     func()
+	doneFn   sim.HandlerFn
+	doneArg  interface{}
 	gotData  bool
 	needAcks int
 	gotAcks  int
@@ -136,12 +138,14 @@ func (c *CacheCtrl) home(a mem.BlockAddr) mesh.NodeID {
 	return c.Homes[uint64(a)%uint64(len(c.Homes))]
 }
 
-// Start begins a miss/upgrade transaction.
-func (c *CacheCtrl) Start(addr mem.BlockAddr, vm mem.VMID, write bool, done func()) {
+// Start begins a miss/upgrade transaction. Once it completes, fn(arg, 0)
+// runs after the fill latency (a prebound handler, as in token.CacheCtrl).
+func (c *CacheCtrl) Start(addr mem.BlockAddr, vm mem.VMID, write bool, fn sim.HandlerFn, arg interface{}) {
 	if c.cur != nil {
 		panic(fmt.Sprintf("directory: core %d busy", c.Core))
 	}
-	t := &txn{addr: addr, vm: vm, write: write, done: done}
+	c.txn = txn{addr: addr, vm: vm, write: write, doneFn: fn, doneArg: arg}
+	t := &c.txn
 	c.cur = t
 	c.Stats.Transactions++
 	if b := c.L2.Lookup(addr); b != nil && b.Tokens >= 1 {
@@ -237,9 +241,9 @@ func (c *CacheCtrl) finish(t *txn, b *cache.Block) {
 	c.L2.Touch(b)
 	c.Net.Send(c.Node, c.home(t.addr), c.P.CtrlBytes,
 		Msg{Kind: MsgUnblock, Addr: t.addr, Src: c.Node})
-	done := t.done
+	fn, arg := t.doneFn, t.doneArg
 	c.cur = nil
-	c.Eng.Schedule(c.P.FillLatency, done)
+	c.Eng.ScheduleFn(c.P.FillLatency, fn, arg, 0)
 }
 
 // handleFwdGetS: we own the block; send data to the requester, downgrade

@@ -47,10 +47,14 @@ func newHarness(t *testing.T, nCores int) *harness {
 
 func (h *harness) run() { h.eng.Run() }
 
+// call is the completion handler the tests pass to Start: it runs the
+// func() carried as the transaction's argument.
+var call sim.HandlerFn = func(arg interface{}, _ uint64) { arg.(func())() }
+
 func TestColdRead(t *testing.T) {
 	h := newHarness(t, 4)
 	done := false
-	h.ctrls[0].Start(100, 1, false, func() { done = true })
+	h.ctrls[0].Start(100, 1, false, call, func() { done = true })
 	h.run()
 	if !done {
 		t.Fatal("read never completed")
@@ -70,13 +74,13 @@ func TestColdRead(t *testing.T) {
 func TestWriteThenForwardedRead(t *testing.T) {
 	h := newHarness(t, 4)
 	step := 0
-	h.ctrls[0].Start(200, 1, true, func() { step = 1 })
+	h.ctrls[0].Start(200, 1, true, call, func() { step = 1 })
 	h.run()
 	if step != 1 || h.home.State(200) != "E" {
 		t.Fatalf("write failed: step=%d state=%s", step, h.home.State(200))
 	}
 	dram := h.home.Stats.DRAMReads
-	h.ctrls[1].Start(200, 1, false, func() { step = 2 })
+	h.ctrls[1].Start(200, 1, false, call, func() { step = 2 })
 	h.run()
 	if step != 2 {
 		t.Fatal("forwarded read never completed")
@@ -101,10 +105,10 @@ func TestWriteInvalidatesSharers(t *testing.T) {
 	h := newHarness(t, 4)
 	n := 0
 	for i := 0; i < 3; i++ {
-		h.ctrls[i].Start(300, 1, false, func() { n++ })
+		h.ctrls[i].Start(300, 1, false, call, func() { n++ })
 		h.run()
 	}
-	h.ctrls[3].Start(300, 1, true, func() { n++ })
+	h.ctrls[3].Start(300, 1, true, call, func() { n++ })
 	h.run()
 	if n != 4 {
 		t.Fatalf("completed = %d", n)
@@ -125,11 +129,11 @@ func TestWriteInvalidatesSharers(t *testing.T) {
 func TestUpgradeFromShared(t *testing.T) {
 	h := newHarness(t, 4)
 	steps := 0
-	h.ctrls[0].Start(400, 1, false, func() { steps++ })
+	h.ctrls[0].Start(400, 1, false, call, func() { steps++ })
 	h.run()
-	h.ctrls[1].Start(400, 1, false, func() { steps++ })
+	h.ctrls[1].Start(400, 1, false, call, func() { steps++ })
 	h.run()
-	h.ctrls[0].Start(400, 1, true, func() { steps++ })
+	h.ctrls[0].Start(400, 1, true, call, func() { steps++ })
 	h.run()
 	if steps != 3 {
 		t.Fatalf("steps = %d", steps)
@@ -146,8 +150,8 @@ func TestUpgradeFromShared(t *testing.T) {
 func TestConcurrentWritersSerialized(t *testing.T) {
 	h := newHarness(t, 4)
 	done := 0
-	h.ctrls[0].Start(500, 1, true, func() { done++ })
-	h.ctrls[1].Start(500, 1, true, func() { done++ })
+	h.ctrls[0].Start(500, 1, true, call, func() { done++ })
+	h.ctrls[1].Start(500, 1, true, call, func() { done++ })
 	h.run()
 	if done != 2 {
 		t.Fatalf("completed = %d, want 2 (home must serialize)", done)
@@ -170,7 +174,7 @@ func TestEvictionWriteback(t *testing.T) {
 	n := 0
 	for i := 0; i < 10; i++ {
 		a := mem.BlockAddr(i * 32)
-		h.ctrls[0].Start(a, 1, true, func() { n++ })
+		h.ctrls[0].Start(a, 1, true, call, func() { n++ })
 		h.run()
 	}
 	if n != 10 {
@@ -184,7 +188,7 @@ func TestEvictionWriteback(t *testing.T) {
 	}
 	// Evicted blocks must be re-readable (home state recovered).
 	done := false
-	h.ctrls[1].Start(0, 1, false, func() { done = true })
+	h.ctrls[1].Start(0, 1, false, call, func() { done = true })
 	h.run()
 	if !done {
 		t.Fatal("read of written-back block never completed")
@@ -212,7 +216,7 @@ func TestRandomStressNoDeadlock(t *testing.T) {
 				h.eng.Schedule(1, func() { issue(core) })
 				return
 			}
-			c.Start(a, mem.VMID(core/2), write, func() { issue(core) })
+			c.Start(a, mem.VMID(core/2), write, call, func() { issue(core) })
 		}
 		for core := 0; core < 8; core++ {
 			core := core
@@ -266,7 +270,7 @@ func TestDeterministicRuns(t *testing.T) {
 				h.eng.Schedule(1, func() { issue(core) })
 				return
 			}
-			c.Start(a, 1, write, func() { issue(core) })
+			c.Start(a, 1, write, call, func() { issue(core) })
 		}
 		issue(0)
 		h.eng.Schedule(3, func() { issue(1) })
@@ -285,7 +289,7 @@ func TestForwardRacesEviction(t *testing.T) {
 	// a forward is in flight; the requester must still complete.
 	h := newHarness(t, 2)
 	done := false
-	h.ctrls[0].Start(600, 1, true, func() { done = true })
+	h.ctrls[0].Start(600, 1, true, call, func() { done = true })
 	h.run()
 	if !done {
 		t.Fatal("setup write failed")
@@ -294,7 +298,7 @@ func TestForwardRacesEviction(t *testing.T) {
 	n := 0
 	for i := 1; i <= 8; i++ {
 		a := mem.BlockAddr(600 + i*32)
-		h.ctrls[0].Start(a, 1, true, func() { n++ })
+		h.ctrls[0].Start(a, 1, true, call, func() { n++ })
 		h.run()
 	}
 	if h.ctrls[0].L2.Lookup(600) != nil {
@@ -303,7 +307,7 @@ func TestForwardRacesEviction(t *testing.T) {
 	// The home may still believe core 0 owns it (WB processed) or not; a
 	// read from core 1 must complete either way.
 	got := false
-	h.ctrls[1].Start(600, 1, false, func() { got = true })
+	h.ctrls[1].Start(600, 1, false, call, func() { got = true })
 	h.run()
 	if !got {
 		t.Fatal("read after owner eviction never completed")
@@ -315,14 +319,14 @@ func TestOwnerReRequestAfterEviction(t *testing.T) {
 	// before its writeback is processed.
 	h := newHarness(t, 2)
 	done := 0
-	h.ctrls[0].Start(700, 1, true, func() { done++ })
+	h.ctrls[0].Start(700, 1, true, call, func() { done++ })
 	h.run()
 	for i := 1; i <= 8; i++ {
-		h.ctrls[0].Start(mem.BlockAddr(700+i*32), 1, true, func() { done++ })
+		h.ctrls[0].Start(mem.BlockAddr(700+i*32), 1, true, call, func() { done++ })
 		h.run()
 	}
 	// Re-request the evicted block.
-	h.ctrls[0].Start(700, 1, true, func() { done++ })
+	h.ctrls[0].Start(700, 1, true, call, func() { done++ })
 	h.run()
 	if done != 10 {
 		t.Fatalf("completed = %d, want 10", done)
@@ -338,12 +342,12 @@ func TestUpgradeRaceLosesCleanly(t *testing.T) {
 	// must re-acquire data (its S copy is invalidated mid-upgrade).
 	h := newHarness(t, 4)
 	n := 0
-	h.ctrls[0].Start(800, 1, false, func() { n++ })
+	h.ctrls[0].Start(800, 1, false, call, func() { n++ })
 	h.run()
-	h.ctrls[1].Start(800, 1, false, func() { n++ })
+	h.ctrls[1].Start(800, 1, false, call, func() { n++ })
 	h.run()
-	h.ctrls[0].Start(800, 1, true, func() { n++ })
-	h.ctrls[1].Start(800, 1, true, func() { n++ })
+	h.ctrls[0].Start(800, 1, true, call, func() { n++ })
+	h.ctrls[1].Start(800, 1, true, call, func() { n++ })
 	h.run()
 	if n != 4 {
 		t.Fatalf("completed = %d, want 4", n)

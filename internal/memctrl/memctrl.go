@@ -7,7 +7,6 @@ package memctrl
 
 import (
 	"fmt"
-	"sort"
 
 	"vsnoop/internal/mem"
 	"vsnoop/internal/mesh"
@@ -15,12 +14,22 @@ import (
 	"vsnoop/internal/token"
 )
 
-// line is the controller's per-block token account. Absent entries mean
-// "memory holds all tokens including the owner token" (the reset state).
+// line is the controller's 4-byte per-block token account. present=false
+// is the reset state: memory holds all tokens including the owner token.
 type line struct {
-	tokens int
-	owner  bool
+	tokens  int16
+	owner   bool
+	present bool
 }
+
+// The token table is dense: the block at table index i (see Ctrl.Interleave)
+// lives in chunk i>>chunkShift, allocated whole on its first touch, so a
+// line access is two slice indexes and walking the table visits blocks in
+// ascending address order.
+const (
+	chunkShift = 12
+	chunkLines = 1 << chunkShift
+)
 
 // persistentEntry tracks the active persistent requester and the queue of
 // waiters for one block.
@@ -55,12 +64,20 @@ type Ctrl struct {
 	// memory always sends data for RO-shared reads.
 	Oracle token.Oracle
 
+	// Interleave and Residue describe the blocks this controller homes:
+	// those with addr % Interleave == Residue, the cache controllers'
+	// HomeMC interleaving. Block addr sits at token-table index
+	// addr / Interleave. Zero Interleave means 1 (the controller homes
+	// every block).
+	Interleave uint64
+	Residue    uint64
+
 	Stats Stats
 
 	// Obs, if set, watches token custody changes (invariant checking).
 	Obs token.Observer
 
-	lines      map[mem.BlockAddr]*line
+	chunks     [][]line // the dense token table; a nil chunk is all reset state
 	persistent map[mem.BlockAddr]*persistentEntry
 
 	// jn is the armed checkpoint journal (nil outside a speculative epoch);
@@ -75,23 +92,60 @@ type Ctrl struct {
 
 // Init prepares internal state; call once after fields are set.
 func (m *Ctrl) Init() {
-	m.lines = make(map[mem.BlockAddr]*line)
+	if m.Interleave == 0 {
+		m.Interleave = 1
+	}
 	m.persistent = make(map[mem.BlockAddr]*persistentEntry)
 	m.sendFn = func(arg interface{}, u uint64) {
 		m.Net.Send(m.Node, mesh.NodeID(u>>32), int(uint32(u)), arg)
 	}
 }
 
+// index returns a's token-table index.
+func (m *Ctrl) index(a mem.BlockAddr) uint64 {
+	i := uint64(a) / m.Interleave
+	if i*m.Interleave+m.Residue != uint64(a) {
+		misroutedPanic(a)
+	}
+	return i
+}
+
+// misroutedPanic is index's cold failure path: a block reached a
+// controller that is not its home.
+func misroutedPanic(a mem.BlockAddr) {
+	panic(fmt.Sprintf("memctrl: block %d is not homed here", a))
+}
+
+// slot returns table entry i without materializing anything: nil when its
+// chunk was never touched.
+func (m *Ctrl) slot(i uint64) *line {
+	c := i >> chunkShift
+	if c >= uint64(len(m.chunks)) || m.chunks[c] == nil {
+		return nil
+	}
+	return &m.chunks[c][i&(chunkLines-1)]
+}
+
+// line returns a's token account, materializing it (and its chunk) on
+// first touch.
 func (m *Ctrl) line(a mem.BlockAddr) *line {
+	i := m.index(a)
+	l := m.slot(i)
+	if l == nil {
+		c := i >> chunkShift
+		for uint64(len(m.chunks)) <= c {
+			m.chunks = append(m.chunks, nil)
+		}
+		m.chunks[c] = make([]line, chunkLines)
+		l = &m.chunks[c][i&(chunkLines-1)]
+	}
 	if m.jn != nil {
 		// Every caller may mutate the returned line, so journal its
 		// pre-image (or its absence) first.
-		m.jLine(a)
+		m.jLine(i, l)
 	}
-	l, ok := m.lines[a]
-	if !ok {
-		l = &line{tokens: m.P.TotalTokens, owner: true}
-		m.lines[a] = l
+	if !l.present {
+		*l = line{tokens: int16(m.P.TotalTokens), owner: true, present: true}
 	}
 	return l
 }
@@ -100,7 +154,7 @@ func (m *Ctrl) line(a mem.BlockAddr) *line {
 // (for tests and invariant checks).
 func (m *Ctrl) Tokens(a mem.BlockAddr) (int, bool) {
 	l := m.line(a)
-	return l.tokens, l.owner
+	return int(l.tokens), l.owner
 }
 
 // Peek returns the token account for a block without allocating a line:
@@ -108,25 +162,23 @@ func (m *Ctrl) Tokens(a mem.BlockAddr) (int, bool) {
 // holds all tokens"). Invariant checkers must use Peek, not Tokens, so that
 // checking never perturbs controller state.
 func (m *Ctrl) Peek(a mem.BlockAddr) (tokens int, owner, present bool) {
-	l, ok := m.lines[a]
-	if !ok {
+	l := m.slot(m.index(a))
+	if l == nil || !l.present {
 		return 0, false, false
 	}
-	return l.tokens, l.owner, true
+	return int(l.tokens), l.owner, true
 }
 
 // ForEachLine calls fn for every materialized line in ascending block-addr
-// order. It runs off the hot path (invariant checkers, end-of-run dumps), so
-// the sort cost does not matter and callers get determinism for free.
+// order, which is the token table's own order.
 func (m *Ctrl) ForEachLine(fn func(a mem.BlockAddr, tokens int, owner bool)) {
-	addrs := make([]mem.BlockAddr, 0, len(m.lines))
-	for a := range m.lines {
-		addrs = append(addrs, a)
-	}
-	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
-	for _, a := range addrs {
-		l := m.lines[a]
-		fn(a, l.tokens, l.owner)
+	for c, chunk := range m.chunks {
+		for k := range chunk {
+			if l := &chunk[k]; l.present {
+				i := uint64(c)<<chunkShift | uint64(k)
+				fn(mem.BlockAddr(i*m.Interleave+m.Residue), int(l.tokens), l.owner)
+			}
+		}
 	}
 }
 
@@ -223,7 +275,7 @@ func (m *Ctrl) handleGetX(msg token.Msg) {
 	if l.tokens == 0 && !l.owner {
 		return
 	}
-	tok, owner := l.tokens, l.owner
+	tok, owner := int(l.tokens), l.owner
 	l.tokens, l.owner = 0, false
 	m.depart(msg.Addr, tok, owner)
 	if owner {
@@ -253,12 +305,13 @@ func (m *Ctrl) absorb(msg token.Msg) {
 	}
 	m.arrive(msg.Addr, msg.Tokens, msg.Owner)
 	l := m.line(msg.Addr)
-	l.tokens += msg.Tokens
-	l.owner = l.owner || msg.Owner
-	if l.tokens > m.P.TotalTokens {
+	n := int(l.tokens) + msg.Tokens
+	if n > m.P.TotalTokens {
 		panic(fmt.Sprintf("memctrl: token overflow at block %d (%d > %d)",
-			msg.Addr, l.tokens, m.P.TotalTokens))
+			msg.Addr, n, m.P.TotalTokens))
 	}
+	l.tokens = int16(n)
+	l.owner = l.owner || msg.Owner
 	if msg.Dirty {
 		m.Stats.DRAMWrites++
 	}
@@ -294,7 +347,7 @@ func (m *Ctrl) activate(p *persistentEntry, msg token.Msg) {
 	// Memory forwards its own tokens too.
 	l := m.line(msg.Addr)
 	if l.tokens > 0 || l.owner {
-		tok, owner := l.tokens, l.owner
+		tok, owner := int(l.tokens), l.owner
 		l.tokens, l.owner = 0, false
 		m.depart(msg.Addr, tok, owner)
 		if owner {

@@ -8,20 +8,23 @@ import (
 
 // Checkpointing for the optimistic (Time Warp) shard engine. Like the
 // cache (see internal/cache/snapshot.go), two regimes share one Snap type:
-// a flat flatten-the-maps copy, and a journaled copy-on-first-touch undo
-// log armed by Save and truncated by CommitSnap, which prices a checkpoint
-// at O(entries touched per epoch) instead of O(table size). The backward
-// unwind to a slot's mark is exact for the same first-touch argument.
+// a flat copy of every present token line plus the flattened persistent
+// map, and a journaled copy-on-first-touch undo log armed by Save and
+// truncated by CommitSnap, which prices a checkpoint at O(entries touched
+// per epoch) instead of O(table size). The backward unwind to a slot's
+// mark is exact for the same first-touch argument.
 
-// lineSave / persistSave are flattened map entries: flat-regime snapshots
-// hold one per table entry, journal entries one per first touch (had=false
-// marks a key absent at checkpoint time, i.e. created speculatively).
+// lineSave is one token-table entry: flat-regime snapshots hold one per
+// present line, journal entries one per first touch (a pre-image with
+// present=false marks a line materialized speculatively). Chunks are never
+// freed, so every saved index still has its chunk at Restore time.
 type lineSave struct {
-	addr mem.BlockAddr
-	had  bool
-	l    line
+	idx uint64
+	l   line
 }
 
+// persistSave is a flattened persistent-map entry (had=false marks a key
+// absent at checkpoint time, i.e. created speculatively).
 type persistSave struct {
 	addr    mem.BlockAddr
 	had     bool
@@ -31,9 +34,11 @@ type persistSave struct {
 }
 
 // mjournal is the copy-on-first-touch undo log over the two tables.
+// lineGen mirrors the token table chunk for chunk, so the once-per-
+// generation test is an index, not a hash.
 type mjournal struct {
 	gen     uint64
-	lineGen map[mem.BlockAddr]uint64
+	lineGen [][]uint64
 	persGen map[mem.BlockAddr]uint64
 	lines   []lineSave
 	persist []persistSave
@@ -41,11 +46,10 @@ type mjournal struct {
 
 // Snap is one checkpoint of a memory controller: the token accounts, the
 // persistent-request arbitration table, and the counters. Under the flat
-// regime the slices hold full flattened tables; under the journaled regime
-// they stay empty and the marks index the journal. The simulation never
-// observes map iteration order at runtime (ForEachLine sorts, and it only
-// runs at finalization), so a rebuild is indistinguishable from the
-// original.
+// regime the slices hold full copies; under the journaled regime they stay
+// empty and the marks index the journal. The simulation never observes map
+// iteration order, so rebuilding the persistent map from a flattened copy
+// is indistinguishable from the original.
 type Snap struct {
 	lines    []lineSave
 	persist  []persistSave
@@ -59,25 +63,29 @@ type Snap struct {
 func (m *Ctrl) EnableJournal() {
 	m.jnStore = &mjournal{
 		gen:     1,
-		lineGen: make(map[mem.BlockAddr]uint64),
 		persGen: make(map[mem.BlockAddr]uint64),
 	}
 }
 
-// jLine records addr's line pre-image once per generation. Guard with
+// jLine records line l (table index i) once per generation. Guard with
 // m.jn != nil.
-func (m *Ctrl) jLine(a mem.BlockAddr) {
+func (m *Ctrl) jLine(i uint64, l *line) {
 	j := m.jn
-	if j.lineGen[a] == j.gen {
+	c := i >> chunkShift
+	for uint64(len(j.lineGen)) <= c {
+		j.lineGen = append(j.lineGen, nil)
+	}
+	g := j.lineGen[c]
+	if g == nil {
+		g = make([]uint64, chunkLines)
+		j.lineGen[c] = g
+	}
+	k := i & (chunkLines - 1)
+	if g[k] == j.gen {
 		return
 	}
-	j.lineGen[a] = j.gen
-	e := lineSave{addr: a}
-	if l, ok := m.lines[a]; ok {
-		e.had = true
-		e.l = *l
-	}
-	j.lines = append(j.lines, e)
+	g[k] = j.gen
+	j.lines = append(j.lines, lineSave{idx: i, l: *l})
 }
 
 // jPersist records addr's persistent-entry pre-image once per generation,
@@ -98,7 +106,7 @@ func (m *Ctrl) jPersist(a mem.BlockAddr) {
 }
 
 // Save checkpoints the controller into s: journal marks when journaling is
-// enabled (arming the mutation hooks), flattened tables otherwise.
+// enabled (arming the mutation hooks), full copies otherwise.
 func (m *Ctrl) Save(s *Snap) {
 	if j := m.jnStore; j != nil {
 		m.jn = j
@@ -111,8 +119,12 @@ func (m *Ctrl) Save(s *Snap) {
 		return
 	}
 	s.lines = s.lines[:0]
-	for a, l := range m.lines { //lint:ordered flattened entries are rebuilt into a map on Restore; iteration order never reaches simulation state
-		s.lines = append(s.lines, lineSave{addr: a, had: true, l: *l})
+	for c, chunk := range m.chunks {
+		for k, l := range chunk {
+			if l.present {
+				s.lines = append(s.lines, lineSave{idx: uint64(c)<<chunkShift | uint64(k), l: l})
+			}
+		}
 	}
 	np := 0
 	for a, p := range m.persistent { //lint:ordered flattened entries are rebuilt into a map on Restore; iteration order never reaches simulation state
@@ -141,16 +153,12 @@ func (m *Ctrl) Save(s *Snap) {
 // Restore rewinds the controller to the state captured by Save: a backward
 // journal unwind down to the slot's marks when journaling is enabled (which
 // also disarms the hooks — the post-rollback replay runs straight to the
-// commit horizon), a full table rebuild otherwise.
+// commit horizon), a full table rewrite otherwise.
 func (m *Ctrl) Restore(s *Snap) {
 	if j := m.jnStore; j != nil {
 		for e := len(j.lines) - 1; e >= s.lineMark; e-- {
 			u := &j.lines[e]
-			if u.had {
-				*m.lines[u.addr] = u.l
-			} else {
-				delete(m.lines, u.addr)
-			}
+			*m.slot(u.idx) = u.l
 		}
 		j.lines = j.lines[:s.lineMark]
 		for e := len(j.persist) - 1; e >= s.persMark; e-- {
@@ -173,10 +181,11 @@ func (m *Ctrl) Restore(s *Snap) {
 		m.Stats = s.stats
 		return
 	}
-	clear(m.lines)
+	for _, chunk := range m.chunks {
+		clear(chunk)
+	}
 	for _, ls := range s.lines {
-		l := ls.l
-		m.lines[ls.addr] = &l
+		*m.slot(ls.idx) = ls.l
 	}
 	clear(m.persistent)
 	for _, ps := range s.persist {

@@ -8,6 +8,7 @@ package system
 
 import (
 	"fmt"
+	"math"
 
 	"vsnoop/internal/cache"
 	"vsnoop/internal/core"
@@ -181,6 +182,11 @@ func DefaultConfig() Config {
 func (c Config) Validate() error {
 	if c.Cores <= 0 || c.VMs <= 0 || c.VCPUsPerVM <= 0 {
 		return fmt.Errorf("system: non-positive core/VM counts")
+	}
+	if c.Cores+1 > math.MaxInt16 {
+		// A block has Cores+1 tokens, and the memory controllers count them
+		// in an int16 per block.
+		return fmt.Errorf("system: %d cores exceed the %d-token limit per block", c.Cores, math.MaxInt16)
 	}
 	if c.VMs*c.VCPUsPerVM > c.Cores {
 		return fmt.Errorf("system: %d vCPUs exceed %d cores (overcommit is not modeled, as in the paper)",

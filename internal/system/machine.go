@@ -49,13 +49,14 @@ func (cn *coreNode) busy() bool {
 	return cn.ctrl.Busy()
 }
 
-// start launches a coherence transaction on whichever protocol is wired.
-func (cn *coreNode) start(addr mem.BlockAddr, vm mem.VMID, pt mem.PageType, write bool, done func()) {
+// start launches a coherence transaction on whichever protocol is wired;
+// fn(arg, 0) fires on completion.
+func (cn *coreNode) start(addr mem.BlockAddr, vm mem.VMID, pt mem.PageType, write bool, fn sim.HandlerFn, arg interface{}) {
 	if cn.dctrl != nil {
-		cn.dctrl.Start(addr, vm, write, done)
+		cn.dctrl.Start(addr, vm, write, fn, arg)
 		return
 	}
-	cn.ctrl.Start(addr, vm, pt, write, done)
+	cn.ctrl.Start(addr, vm, pt, write, fn, arg)
 }
 
 // RefSource produces a vCPU's reference stream. workload.Generator is the
@@ -92,6 +93,18 @@ type vcpu struct {
 	done     bool
 	defFrom  int
 	defTo    int
+
+	// The open coherence transaction's inputs to missDone, set by execute
+	// when it starts one: start cycle, block, tag VM, write flag, and the
+	// core and domain it runs on (the vCPU may be relocated before it
+	// completes). They are plain fields so the optimistic engine's by-value
+	// vCPU checkpoint covers them.
+	txnStart sim.Cycle
+	txnAddr  mem.BlockAddr
+	txnVM    mem.VMID
+	txnWrite bool
+	txnCore  *coreNode
+	txnDom   *domain
 
 	// vix is this vCPU's index in m.vcpus — the column of the own/fwd
 	// ownership tables.
@@ -249,12 +262,14 @@ type Machine struct {
 	twLog      [][]arriveSave //vsnoop:owned table
 	shardState *machineState
 
-	// stepFn/resumeFn are the prebound event handlers for the two hottest
-	// schedulers (per-reference think-time step, delayed reference
-	// resumption); the vCPU rides in the event's arg, so neither allocates.
-	// The rest are the prebound handlers of the cross-shard protocols.
+	// stepFn/resumeFn/missDoneFn are the prebound event handlers for the
+	// hottest schedulers (per-reference think-time step, delayed reference
+	// resumption, coherence-miss completion); the vCPU rides in the event's
+	// arg, so none allocates. The rest are the prebound handlers of the
+	// cross-shard protocols.
 	stepFn        sim.HandlerFn
 	resumeFn      sim.HandlerFn
+	missDoneFn    sim.HandlerFn
 	drainFn       sim.HandlerFn
 	departFn      sim.HandlerFn
 	arriveFn      sim.HandlerFn
@@ -334,6 +349,7 @@ func New(cfg Config) (*Machine, error) {
 		}
 		m.issueRef(v, v.pending)
 	}
+	m.missDoneFn = func(arg interface{}, _ uint64) { m.missDone(arg.(*vcpu)) }
 	m.drainFn = func(arg interface{}, _ uint64) { m.drainWaiters(arg.(*coreNode)) }
 	m.departFn = m.handleDepart
 	m.arriveFn = m.handleArrive
@@ -537,8 +553,11 @@ func New(cfg Config) (*Machine, error) {
 				// of the partition, never of the shard interleaving.
 				oracle = domOracle{m: m, d: md}
 			}
+			// The controller homes the blocks the cache controllers'
+			// HomeMC interleaving sends it: addr % MCs == i.
 			mc := &memctrl.Ctrl{Eng: mcEng, Net: m.Net, Node: mcNodes[i], P: cfg.P,
-				AllCaches: coreNodes, Oracle: oracle}
+				AllCaches: coreNodes, Oracle: oracle,
+				Interleave: uint64(cfg.MCs), Residue: uint64(i)}
 			mc.Init()
 			m.Net.SetHandler(mcNodes[i], mc.Handle)
 			m.mcs = append(m.mcs, mc)
@@ -1266,25 +1285,32 @@ func (m *Machine) execute(v *vcpu, cn *coreNode, ref workload.Ref) {
 			m.classifyHolder(d, st, addr, v.id.VM)
 		}
 	}
-	start := d.eng.Now()
 	v.inTxn = true
-	cn.start(addr, tagVM, ptype, ref.Write, func() {
-		v.inTxn = false
-		st.MissLatency.Observe(float64(d.eng.Now() - start))
-		m.l1Fill(cn, addr, tagVM, ref.Write)
-		// Free waiting relocated vCPUs, then continue this stream.
-		if len(cn.waitq) > 0 {
-			d.eng.ScheduleFn(0, m.drainFn, cn, 0)
-		}
-		m.finish(v, 0)
-		if v.deferred {
-			// A cross-shard depart arrived mid-transaction: perform it now
-			// that the transaction closed. The step just scheduled above
-			// fires in this (old) domain and chases the vCPU to its new one.
-			v.deferred = false
-			m.departNow(v, v.defFrom, v.defTo)
-		}
-	})
+	v.txnStart, v.txnAddr, v.txnVM, v.txnWrite = d.eng.Now(), addr, tagVM, ref.Write
+	v.txnCore, v.txnDom = cn, d
+	cn.start(addr, tagVM, ptype, ref.Write, m.missDoneFn, v)
+}
+
+// missDone completes v's coherence transaction (the missDoneFn handler):
+// record the miss latency, fill the L1, release vCPUs parked on the core,
+// and continue the stream.
+func (m *Machine) missDone(v *vcpu) {
+	cn, d := v.txnCore, v.txnDom
+	v.inTxn = false
+	d.st.MissLatency.Observe(float64(d.eng.Now() - v.txnStart))
+	m.l1Fill(cn, v.txnAddr, v.txnVM, v.txnWrite)
+	// Free waiting relocated vCPUs, then continue this stream.
+	if len(cn.waitq) > 0 {
+		d.eng.ScheduleFn(0, m.drainFn, cn, 0)
+	}
+	m.finish(v, 0)
+	if v.deferred {
+		// A cross-shard depart arrived mid-transaction: perform it now
+		// that the transaction closed. The step just scheduled above
+		// fires in this (old) domain and chases the vCPU to its new one.
+		v.deferred = false
+		m.departNow(v, v.defFrom, v.defTo)
+	}
 }
 
 // l1Fill caches read data in the L1 (writes are no-allocate).

@@ -1,6 +1,8 @@
 package system
 
 import (
+	"math"
+	"strings"
 	"testing"
 
 	"vsnoop/internal/core"
@@ -41,6 +43,17 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 	cfg.Mesh.Width = 3
 	if _, err := New(cfg); err == nil {
 		t.Fatal("mesh/core mismatch accepted")
+	}
+	// A block's Cores+1 tokens must fit the memory controllers' int16
+	// token counts.
+	cfg = DefaultConfig()
+	cfg.Cores, cfg.Mesh.Width, cfg.Mesh.Height = math.MaxInt16, math.MaxInt16, 1
+	if err := cfg.Validate(); err == nil || !strings.Contains(err.Error(), "token limit") {
+		t.Fatalf("Cores+1 > MaxInt16 not rejected for its token count: %v", err)
+	}
+	cfg.Cores, cfg.Mesh.Width = math.MaxInt16-1, math.MaxInt16-1
+	if err := cfg.Validate(); err != nil && strings.Contains(err.Error(), "token limit") {
+		t.Fatalf("Cores+1 == MaxInt16 rejected: %v", err)
 	}
 }
 

@@ -21,7 +21,8 @@ type Txn struct {
 	TID     uint64
 	Issued  sim.Cycle
 
-	done       func()
+	doneFn     sim.HandlerFn
+	doneArg    interface{}
 	gotData    bool
 	persistent bool
 	completed  bool
@@ -128,14 +129,16 @@ func (c *CacheCtrl) HomeMC(a mem.BlockAddr) mesh.NodeID {
 	return c.MCNodes[uint64(a)%uint64(len(c.MCNodes))]
 }
 
-// Start begins a transaction for addr. done runs (after the fill latency)
-// once the request is satisfied. The caller must have established that
-// this is a genuine miss or upgrade (Busy must be false).
-func (c *CacheCtrl) Start(addr mem.BlockAddr, vm mem.VMID, page mem.PageType, write bool, done func()) {
+// Start begins a transaction for addr. Once the request is satisfied,
+// fn(arg, 0) runs after the fill latency: fn is a prebound handler and arg
+// carries the caller's per-transaction state, so a miss allocates no
+// completion closure. The caller must have established that this is a
+// genuine miss or upgrade (Busy must be false).
+func (c *CacheCtrl) Start(addr mem.BlockAddr, vm mem.VMID, page mem.PageType, write bool, fn sim.HandlerFn, arg interface{}) {
 	if c.cur != nil {
 		panic(fmt.Sprintf("token: core %d started txn while busy", c.Core))
 	}
-	c.txn = Txn{Addr: addr, VM: vm, Page: page, Write: write, done: done, Issued: c.Eng.Now()}
+	c.txn = Txn{Addr: addr, VM: vm, Page: page, Write: write, doneFn: fn, doneArg: arg, Issued: c.Eng.Now()}
 	t := &c.txn
 	c.cur = t
 	c.Stats.Transactions++
@@ -413,9 +416,9 @@ func (c *CacheCtrl) complete(t *Txn, b *cache.Block) {
 		c.Net.Send(c.Node, c.HomeMC(t.Addr), c.P.CtrlBytes,
 			Msg{Kind: MsgPersistentRelease, Addr: t.Addr, Src: c.Node})
 	}
-	done := t.done
+	fn, arg := t.doneFn, t.doneArg
 	c.cur = nil
-	c.Eng.Schedule(c.P.FillLatency, done)
+	c.Eng.ScheduleFn(c.P.FillLatency, fn, arg, 0)
 }
 
 // handleActivate services a persistent-request activation: forward every

@@ -24,7 +24,7 @@ func TestCompletionResetsWatchdog(t *testing.T) {
 		if i >= txns {
 			return
 		}
-		h.ctrls[i%16].Start(mem.BlockAddr(1000+i), 1, mem.PagePrivate, i%2 == 0, func() {
+		h.ctrls[i%16].Start(mem.BlockAddr(1000+i), 1, mem.PagePrivate, i%2 == 0, call, func() {
 			completed++
 			start(i + 1)
 		})

@@ -13,10 +13,10 @@ type persistSave struct {
 }
 
 // CtrlSnap is one checkpoint of a cache controller (optimistic shard
-// engine): the outstanding transaction (a value copy — the done closure it
-// carries was created before the checkpoint, so replay re-enters it with
-// its captured state restored by the owning layer's own snapshot), the TID
-// sequence, the counters, the RNG state, and the persistent-request table.
+// engine): the outstanding transaction (a value copy — its completion is a
+// prebound handler plus an argument pointer, and the owning layer's own
+// snapshot restores the state that argument points to), the TID sequence,
+// the counters, the RNG state, and the persistent-request table.
 type CtrlSnap struct {
 	txn     Txn
 	cur     bool // cur == &c.txn (cores are blocking: one backing Txn)

@@ -66,7 +66,7 @@ func TestStarvationFreedom(t *testing.T) {
 			}
 
 			done := false
-			h.ctrls[0].Start(100, 1, mem.PagePrivate, tc.write, func() { done = true })
+			h.ctrls[0].Start(100, 1, mem.PagePrivate, tc.write, call, func() { done = true })
 			h.run()
 
 			if !done {
@@ -111,7 +111,7 @@ func TestRetryBackoffGrows(t *testing.T) {
 		return mesh.FaultOutcome{}
 	}
 	done := false
-	h.ctrls[0].Start(100, 1, mem.PagePrivate, true, func() { done = true })
+	h.ctrls[0].Start(100, 1, mem.PagePrivate, true, call, func() { done = true })
 	h.run()
 	if !done {
 		t.Fatal("persistent path did not rescue the starved write")

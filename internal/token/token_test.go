@@ -24,6 +24,10 @@ func (r broadcastRouter) Route(info token.RouteInfo) []mesh.NodeID {
 	return out
 }
 
+// call is the completion handler the tests pass to Start: it runs the
+// func() carried as the transaction's argument.
+var call sim.HandlerFn = func(arg interface{}, _ uint64) { arg.(func())() }
+
 // emptyRouter filters everything out (forces retries/persistent fallback).
 type emptyRouter struct{}
 
@@ -37,7 +41,7 @@ type harness struct {
 	p     token.Params
 }
 
-func newHarness(t *testing.T, nCores int, router token.Router) *harness {
+func newHarness(t testing.TB, nCores int, router token.Router) *harness {
 	t.Helper()
 	eng := sim.NewEngine()
 	net := mesh.New(eng, mesh.DefaultConfig())
@@ -111,7 +115,7 @@ func (h *harness) checkConservation(t *testing.T, addrs []mem.BlockAddr) {
 func TestColdReadFromMemory(t *testing.T) {
 	h := newHarness(t, 4, nil)
 	done := false
-	h.ctrls[0].Start(100, 1, mem.PagePrivate, false, func() { done = true })
+	h.ctrls[0].Start(100, 1, mem.PagePrivate, false, call, func() { done = true })
 	h.run()
 	if !done {
 		t.Fatal("read never completed")
@@ -132,7 +136,7 @@ func TestColdReadFromMemory(t *testing.T) {
 func TestWriteThenReadCacheToCache(t *testing.T) {
 	h := newHarness(t, 4, nil)
 	phase := 0
-	h.ctrls[0].Start(200, 1, mem.PagePrivate, true, func() { phase = 1 })
+	h.ctrls[0].Start(200, 1, mem.PagePrivate, true, call, func() { phase = 1 })
 	h.run()
 	if phase != 1 {
 		t.Fatal("write never completed")
@@ -142,7 +146,7 @@ func TestWriteThenReadCacheToCache(t *testing.T) {
 		t.Fatalf("writer state = %v, want M", cache.StateOf(b0, h.p.TotalTokens))
 	}
 	dramBefore := h.mc.Stats.DRAMReads
-	h.ctrls[1].Start(200, 1, mem.PagePrivate, false, func() { phase = 2 })
+	h.ctrls[1].Start(200, 1, mem.PagePrivate, false, call, func() { phase = 2 })
 	h.run()
 	if phase != 2 {
 		t.Fatal("read never completed")
@@ -166,13 +170,13 @@ func TestGetXInvalidatesSharers(t *testing.T) {
 	h := newHarness(t, 4, nil)
 	n := 0
 	for i := 0; i < 3; i++ {
-		h.ctrls[i].Start(300, 1, mem.PagePrivate, false, func() { n++ })
+		h.ctrls[i].Start(300, 1, mem.PagePrivate, false, call, func() { n++ })
 		h.run()
 	}
 	if n != 3 {
 		t.Fatalf("reads completed = %d", n)
 	}
-	h.ctrls[3].Start(300, 1, mem.PagePrivate, true, func() { n++ })
+	h.ctrls[3].Start(300, 1, mem.PagePrivate, true, call, func() { n++ })
 	h.run()
 	if n != 4 {
 		t.Fatal("write never completed")
@@ -192,11 +196,11 @@ func TestGetXInvalidatesSharers(t *testing.T) {
 func TestWriteUpgradeFromShared(t *testing.T) {
 	h := newHarness(t, 4, nil)
 	steps := 0
-	h.ctrls[0].Start(400, 1, mem.PagePrivate, false, func() { steps++ })
+	h.ctrls[0].Start(400, 1, mem.PagePrivate, false, call, func() { steps++ })
 	h.run()
-	h.ctrls[1].Start(400, 1, mem.PagePrivate, false, func() { steps++ })
+	h.ctrls[1].Start(400, 1, mem.PagePrivate, false, call, func() { steps++ })
 	h.run()
-	h.ctrls[0].Start(400, 1, mem.PagePrivate, true, func() { steps++ })
+	h.ctrls[0].Start(400, 1, mem.PagePrivate, true, call, func() { steps++ })
 	h.run()
 	if steps != 3 {
 		t.Fatalf("steps = %d", steps)
@@ -220,7 +224,7 @@ func TestEvictionWritebackRestoresMemory(t *testing.T) {
 		a := mem.BlockAddr(i * 32) // same set
 		addrs = append(addrs, a)
 		done := false
-		h.ctrls[0].Start(a, 1, mem.PagePrivate, true, func() { done = true })
+		h.ctrls[0].Start(a, 1, mem.PagePrivate, true, call, func() { done = true })
 		h.run()
 		if !done {
 			t.Fatalf("write %d never completed", i)
@@ -241,13 +245,13 @@ func TestFilteredRouterFallsBackToBroadcast(t *testing.T) {
 	// back to broadcast after RetriesBeforeBroadcast attempts and finish.
 	h := newHarness(t, 4, emptyRouter{})
 	done := false
-	h.ctrls[0].Start(500, 1, mem.PagePrivate, true, func() { done = true })
+	h.ctrls[0].Start(500, 1, mem.PagePrivate, true, call, func() { done = true })
 	h.run()
 	if !done {
 		t.Fatal("setup write failed")
 	}
 	got := false
-	h.ctrls[1].Start(500, 2, mem.PagePrivate, true, func() { got = true })
+	h.ctrls[1].Start(500, 2, mem.PagePrivate, true, call, func() { got = true })
 	h.run()
 	if !got {
 		t.Fatal("filtered request never completed via broadcast fallback")
@@ -266,13 +270,13 @@ func TestPersistentRequestGuaranteesProgress(t *testing.T) {
 		c.P.RetriesBeforePersistent = 2
 	}
 	done := false
-	h.ctrls[0].Start(600, 1, mem.PagePrivate, true, func() { done = true })
+	h.ctrls[0].Start(600, 1, mem.PagePrivate, true, call, func() { done = true })
 	h.run()
 	if !done {
 		t.Fatal("setup write failed (memory responds even to empty dests)")
 	}
 	got := false
-	h.ctrls[1].Start(600, 2, mem.PagePrivate, true, func() { got = true })
+	h.ctrls[1].Start(600, 2, mem.PagePrivate, true, call, func() { got = true })
 	h.run()
 	if !got {
 		t.Fatal("persistent request did not complete")
@@ -289,8 +293,8 @@ func TestPersistentRequestGuaranteesProgress(t *testing.T) {
 func TestConcurrentWritersBothComplete(t *testing.T) {
 	h := newHarness(t, 4, nil)
 	done := 0
-	h.ctrls[0].Start(700, 1, mem.PagePrivate, true, func() { done++ })
-	h.ctrls[1].Start(700, 1, mem.PagePrivate, true, func() { done++ })
+	h.ctrls[0].Start(700, 1, mem.PagePrivate, true, call, func() { done++ })
+	h.ctrls[1].Start(700, 1, mem.PagePrivate, true, call, func() { done++ })
 	h.run()
 	if done != 2 {
 		t.Fatalf("completed = %d, want 2 (racing writers must both finish)", done)
@@ -302,7 +306,7 @@ func TestROSharedMemoryDirect(t *testing.T) {
 	// memory-direct: empty core destination set, memory supplies data.
 	h := newHarness(t, 4, emptyRouter{})
 	done := false
-	h.ctrls[0].Start(800, 1, mem.PageROShared, false, func() { done = true })
+	h.ctrls[0].Start(800, 1, mem.PageROShared, false, call, func() { done = true })
 	h.run()
 	if !done {
 		t.Fatal("memory-direct read did not complete")
@@ -329,7 +333,7 @@ func TestROSharedProviderSuppliesData(t *testing.T) {
 	h.mc.Oracle = fixedOracle(true)
 	// Seed core 0 with a provider copy.
 	setup := false
-	h.ctrls[0].Start(900, 1, mem.PageROShared, false, func() { setup = true })
+	h.ctrls[0].Start(900, 1, mem.PageROShared, false, call, func() { setup = true })
 	h.run()
 	if !setup {
 		t.Fatal("setup read failed")
@@ -338,7 +342,7 @@ func TestROSharedProviderSuppliesData(t *testing.T) {
 	b.Provider = true
 	dram := h.mc.Stats.DRAMReads
 	got := false
-	h.ctrls[1].Start(900, 2, mem.PageROShared, false, func() { got = true })
+	h.ctrls[1].Start(900, 2, mem.PageROShared, false, call, func() { got = true })
 	h.run()
 	if !got {
 		t.Fatal("provider-backed read did not complete")
@@ -383,7 +387,7 @@ func TestTokenConservationRandomProperty(t *testing.T) {
 				h.eng.Schedule(1, func() { issue(core) })
 				return
 			}
-			c.Start(a, mem.VMID(core/2), mem.PagePrivate, write, func() { issue(core) })
+			c.Start(a, mem.VMID(core/2), mem.PagePrivate, write, call, func() { issue(core) })
 		}
 		for core := 0; core < 8; core++ {
 			pending++
@@ -414,7 +418,7 @@ func TestDeterministicRuns(t *testing.T) {
 			}
 			count++
 			a := mem.BlockAddr(2000 + r.Intn(16))
-			h.ctrls[core].Start(a, 1, mem.PagePrivate, r.Bool(0.5), func() { issue(core) })
+			h.ctrls[core].Start(a, 1, mem.PagePrivate, r.Bool(0.5), call, func() { issue(core) })
 		}
 		issue(0)
 		h.eng.Schedule(3, func() { issue(1) })

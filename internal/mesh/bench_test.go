@@ -47,7 +47,7 @@ func BenchmarkSendContention(b *testing.B) {
 // TestSendZeroAllocSteadyState gates the send path's allocation behaviour:
 // with the dense link tables and the prebound delivery handler, routing a
 // contended message end to end (XY walk, link reservation, delivery event)
-// must not allocate once the event heap has reached steady state.
+// must not allocate once the event queue has reached steady state.
 func TestSendZeroAllocSteadyState(t *testing.T) {
 	eng, net, ids := benchNet(true)
 	for i := 0; i < 1024; i++ {

@@ -23,7 +23,7 @@ import (
 // being fixed at the worst-case mesh latency, and no shard ever waits for a
 // laggard unless the timestamp math forces it to.
 //
-// Why skipping every barrier cannot reorder an observable event: the heap
+// Why skipping every barrier cannot reorder an observable event: the queue
 // pop order of one shard is a strict total order on (cycle, domain-seq key),
 // a pure function of the event *set*. A deposit is pushed before its shard
 // executes past the deposit's timestamp (the EIT bound above), so each
@@ -48,7 +48,7 @@ import (
 // over three monotone/balanced global counters:
 //
 //   - deposited: incremented BEFORE each mailbox put;
-//   - drained:   incremented AFTER a drain's events are in the heap;
+//   - drained:   incremented AFTER a drain's events are in the queue;
 //   - busy:      the number of shards that may still execute or deposit.
 //     Starts at K; a shard decrements when it runs out of local events
 //     (after the round's deposits are counted) and increments when a
@@ -90,7 +90,7 @@ type shardSlot struct {
 
 // mailbox is one (src shard, dst shard) deposit channel: a spinlocked,
 // reusable flat slice. put appends under the lock; drain empties the whole
-// batch into the destination heap in one pass, keeping the backing array —
+// batch into the destination queue in one pass, keeping the backing array —
 // zero steady-state allocations (gated by TestMailboxZeroAllocSteadyState).
 // A growable slice (not a bounded ring) is deliberate: a producer must never
 // block on mailbox capacity while its consumer waits on the producer's EOT.
@@ -115,7 +115,7 @@ func (mb *mailbox) put(ev event) {
 	mb.lock.Store(0)
 }
 
-// drain pushes every deposited event into eng's heap and empties the box,
+// drain pushes every deposited event into eng's queue and empties the box,
 // returning the count. The cheap n probe makes empty boxes (the common case
 // when domains run independently) cost one atomic load and no lock; a put
 // racing past the probe is safe to miss — its timestamp is at or beyond the
@@ -132,7 +132,7 @@ func (mb *mailbox) drain(eng *Engine) int {
 	items := mb.items
 	k := len(items)
 	for i := range items {
-		eng.push(items[i])
+		eng.push(&items[i])
 		items[i] = event{} // release fn/arg references held by the array
 	}
 	mb.items = items[:0]

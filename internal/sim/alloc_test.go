@@ -3,17 +3,17 @@ package sim
 import "testing"
 
 // TestScheduleFnZeroAllocSteadyState is the allocation gate for the event
-// kernel: once the heap's backing array has reached its working-set size,
+// kernel: once the queue's node pool has reached its working-set size,
 // scheduling and firing prebound-handler events must not allocate at all.
-// The event lives inline in the heap slice and its state rides in (arg, u),
+// The event lives inline in the node pool and its state rides in (arg, u),
 // so the only allocation source would be a regression (interface boxing, a
-// closure, or heap growth) — exactly what this test exists to catch.
+// closure, or pool growth) — exactly what this test exists to catch.
 func TestScheduleFnZeroAllocSteadyState(t *testing.T) {
 	e := NewEngine()
 	fired := 0
 	fn := func(_ interface{}, u uint64) { fired++ }
 
-	// Pre-grow the heap's backing array to steady state.
+	// Pre-grow the node pool to steady state.
 	for i := 0; i < 1024; i++ {
 		e.ScheduleFn(Cycle(i&63), fn, nil, uint64(i))
 	}

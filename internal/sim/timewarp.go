@@ -55,7 +55,7 @@ import (
 //     cancellation protocol is needed. The next epoch's base is C.
 //
 // Why committed state is bit-identical to serial by construction: a shard's
-// heap pop order is a strict total order on (cycle, domain-seq key), a pure
+// queue pop order is a strict total order on (cycle, domain-seq key), a pure
 // function of the event set (see shard.go); the commit rule guarantees the
 // event set below C is exactly the serial one (all earlier cross-shard
 // deposits released and drained, none still staged); and replay after a
@@ -138,9 +138,10 @@ type twMsg struct {
 }
 
 // engSnap is a flat-slice checkpoint of one Engine: the clock, the
-// tie-break counters, the watchdog, and the whole event heap. Buffers are
-// reused across saves, so a steady-state checkpoint allocates nothing once
-// the ring has grown to the run's high-water mark.
+// tie-break counters, the watchdog, and every pending event as a flat
+// list (ring buckets and far heap alike). Buffers are reused across saves,
+// so a steady-state checkpoint allocates nothing once the checkpoint ring
+// has grown to the run's high-water mark.
 //
 //vsnoop:owned
 type engSnap struct {
@@ -157,22 +158,21 @@ type engSnap struct {
 func (e *Engine) saveSnap(s *engSnap) {
 	s.now, s.seq, s.fired, s.sinceProgress, s.curDom = e.now, e.seq, e.fired, e.sinceProgress, e.curDom
 	s.domSeq = append(s.domSeq[:0], e.domSeq...)
-	s.events = append(s.events[:0], e.events...)
+	s.events = e.appendPending(s.events[:0])
 }
 
 // restoreSnap rewinds the engine to s. Restoring fired keeps EventsFired
 // bit-identical to serial: discarded speculative events are uncounted and
-// the committed replay recounts each exactly once. Heap entries beyond the
-// restored length are zeroed first so the backing array drops its fn/arg
-// references.
+// the committed replay recounts each exactly once. The queue is cleared and
+// the saved events re-pushed: firing order depends only on (at, key), so
+// the rebuilt layout is unobservable.
 func (e *Engine) restoreSnap(s *engSnap) {
 	e.now, e.seq, e.fired, e.sinceProgress, e.curDom = s.now, s.seq, s.fired, s.sinceProgress, s.curDom
 	e.domSeq = append(e.domSeq[:0], s.domSeq...)
-	h := e.events
-	for i := len(s.events); i < len(h); i++ {
-		h[i] = event{}
+	e.resetQueue()
+	for i := range s.events {
+		e.push(&s.events[i])
 	}
-	e.events = append(h[:0], s.events...)
 }
 
 // twShard is one shard's optimistic state: the staging outbox, the

@@ -73,7 +73,7 @@ func TestMissTransactionAllocs(t *testing.T) {
 		h.run()
 		a++
 	}
-	miss() // grows the event heap and materializes the memory table chunk
+	miss() // grows the event queue and materializes the memory table chunk
 	const runs = 100
 	avg := testing.AllocsPerRun(runs, miss)
 	if done != runs+2 {

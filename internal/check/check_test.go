@@ -33,8 +33,8 @@ func TestLedgerBookkeeping(t *testing.T) {
 // broadcastRouter snoops every other core (TokenB baseline).
 type broadcastRouter struct{ all []mesh.NodeID }
 
-func (r broadcastRouter) Route(info token.RouteInfo) []mesh.NodeID {
-	out := make([]mesh.NodeID, 0, len(r.all)-1)
+func (r broadcastRouter) Route(info token.RouteInfo, buf []mesh.NodeID) []mesh.NodeID {
+	out := buf[:0]
 	for _, n := range r.all {
 		if n != info.CoreNode {
 			out = append(out, n)
@@ -47,7 +47,7 @@ func (r broadcastRouter) Route(info token.RouteInfo) []mesh.NodeID {
 // so a transaction can never complete (liveness-test rig).
 type blackholeRouter struct{}
 
-func (blackholeRouter) Route(token.RouteInfo) []mesh.NodeID { return nil }
+func (blackholeRouter) Route(_ token.RouteInfo, buf []mesh.NodeID) []mesh.NodeID { return buf[:0] }
 
 type rig struct {
 	eng   *sim.Engine

@@ -30,9 +30,10 @@ func benchFilter(policy Policy) *Filter {
 func BenchmarkRoutePrivate(b *testing.B) {
 	f := benchFilter(PolicyBase)
 	info := token.RouteInfo{VM: 1, Page: mem.PagePrivate, Requester: 4, CoreNode: 4}
+	buf := make([]mesh.NodeID, 0, 16)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if len(f.Route(info)) != 3 {
+		if len(f.Route(info, buf)) != 3 {
 			b.Fatal("unexpected destination count")
 		}
 	}
@@ -41,9 +42,10 @@ func BenchmarkRoutePrivate(b *testing.B) {
 func BenchmarkRouteBroadcast(b *testing.B) {
 	f := benchFilter(PolicyBroadcast)
 	info := token.RouteInfo{VM: 1, Page: mem.PagePrivate, Requester: 4, CoreNode: 4}
+	buf := make([]mesh.NodeID, 0, 16)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if len(f.Route(info)) != 15 {
+		if len(f.Route(info, buf)) != 15 {
 			b.Fatal("unexpected destination count")
 		}
 	}
@@ -56,10 +58,11 @@ func BenchmarkRouteCounterAug(b *testing.B) {
 	f.DegradationEnabled = true
 	f.SuspectVM(1, 1)
 	info := token.RouteInfo{VM: 1, Page: mem.PagePrivate, Requester: 4, CoreNode: 4}
+	buf := make([]mesh.NodeID, 0, 16)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if len(f.Route(info)) != 3 {
+		if len(f.Route(info, buf)) != 3 {
 			b.Fatal("unexpected destination count")
 		}
 	}
@@ -113,9 +116,10 @@ func TestHandleRelocateZeroAllocSteadyState(t *testing.T) {
 func TestRouteZeroAllocBroadcast(t *testing.T) {
 	f := benchFilter(PolicyBroadcast)
 	info := token.RouteInfo{VM: 1, Page: mem.PagePrivate, Requester: 4, CoreNode: 4}
+	buf := make([]mesh.NodeID, 0, 16)
 	avg := testing.AllocsPerRun(100, func() {
 		for i := 0; i < 64; i++ {
-			if len(f.Route(info)) != 15 {
+			if len(f.Route(info, buf)) != 15 {
 				t.Fatal("unexpected destination count")
 			}
 		}

@@ -118,7 +118,8 @@ type Filter struct {
 	pendAt   []sim.Cycle // len(coreNodes) slots per dense VM id
 
 	// allBut[i] is the precomputed broadcast destination set excluding core
-	// i (exact capacity: appending to it always copies).
+	// i. Route returns it shared and read-only (exact capacity: appending
+	// to it always copies).
 	allBut [][]mesh.NodeID
 
 	// caches[i] is core i's L2, consulted for residence counters
@@ -689,15 +690,16 @@ func containsNode(set []mesh.NodeID, n mesh.NodeID) bool {
 
 // Route implements token.Router: the destination set for one transaction
 // attempt, excluding the requester (which looks up its own cache anyway)
-// and excluding memory (the home controller is always addressed).
+// and excluding memory (the home controller is always addressed). Computed
+// sets are appended to buf[:0]; broadcast sets are the shared allBut.
 //vsnoop:hotpath
-func (f *Filter) Route(info token.RouteInfo) []mesh.NodeID {
+func (f *Filter) Route(info token.RouteInfo, buf []mesh.NodeID) []mesh.NodeID {
 	if f.cfg.Policy == PolicyBroadcast {
 		return f.allExcept(info.Requester)
 	}
 	switch info.Page {
 	case mem.PagePrivate:
-		return f.domainExcept(info.VM, info.Requester)
+		return f.domainExcept(buf, info.VM, info.Requester)
 	case mem.PageRWShared:
 		return f.allExcept(info.Requester)
 	case mem.PageROShared:
@@ -705,15 +707,22 @@ func (f *Filter) Route(info token.RouteInfo) []mesh.NodeID {
 		case ContentBroadcast:
 			return f.allExcept(info.Requester)
 		case ContentMemoryDirect:
-			return nil
+			return buf[:0]
 		case ContentIntraVM:
-			return f.domainExcept(info.VM, info.Requester)
+			return f.domainExcept(buf, info.VM, info.Requester)
 		case ContentFriendVM:
-			out := f.domainExcept(info.VM, info.Requester)
+			out := f.domainExcept(buf, info.VM, info.Requester)
 			if friend, ok := f.friends[info.VM]; ok {
-				for _, n := range f.mapExcept(friend, info.Requester) {
-					if !containsNode(out, n) {
-						out = append(out, n)
+				// The friend's map in ascending core order, minus the
+				// requester and the cores the VM's own set already holds.
+				for wi, word := range f.words(f.mapBits, friend) {
+					base := wi << 6
+					for word != 0 {
+						c := base + bits.TrailingZeros64(word)
+						word &= word - 1
+						if n := f.coreNodes[c]; c != info.Requester && !containsNode(out, n) {
+							out = append(out, n)
+						}
 					}
 				}
 			}
@@ -737,32 +746,32 @@ func (f *Filter) allExcept(requester int) []mesh.NodeID {
 // suspicion level 1, full broadcast at level 2. With degradation disabled
 // it is exactly mapExcept.
 //vsnoop:hotpath
-func (f *Filter) domainExcept(vm mem.VMID, requester int) []mesh.NodeID {
+func (f *Filter) domainExcept(buf []mesh.NodeID, vm mem.VMID, requester int) []mesh.NodeID {
 	if !f.DegradationEnabled {
-		return f.mapExcept(vm, requester)
+		return f.mapExcept(buf, vm, requester)
 	}
 	d := mem.DenseVM(vm)
 	if d >= len(f.slots) {
-		return f.mapExcept(vm, requester)
+		return f.mapExcept(buf, vm, requester)
 	}
 	s := &f.slots[d]
 	if s.level == 0 || f.slotNow(s) > s.until {
 		s.level = 0 // suspicion decayed
-		return f.mapExcept(vm, requester)
+		return f.mapExcept(buf, vm, requester)
 	}
 	if s.level >= 2 {
 		s.fallbackBroad++
 		return f.allExcept(requester)
 	}
 	s.fallbackAug++
-	return f.counterAugExcept(vm, s, requester)
+	return f.counterAugExcept(buf, vm, s, requester)
 }
 
-// counterAugExcept returns the map augmented with every core whose
-// residence counter says it still holds the VM's data — the level-1
+// counterAugExcept appends to buf[:0] the map augmented with every core
+// whose residence counter says it still holds the VM's data — the level-1
 // degradation set: cheap to compute, strictly safer than the map alone.
 //vsnoop:hotpath
-func (f *Filter) counterAugExcept(vm mem.VMID, s *vmSlot, requester int) []mesh.NodeID {
+func (f *Filter) counterAugExcept(buf []mesh.NodeID, vm mem.VMID, s *vmSlot, requester int) []mesh.NodeID {
 	if s.scratch == nil {
 		s.scratch = make([]uint64, f.nw)
 	}
@@ -772,25 +781,11 @@ func (f *Filter) counterAugExcept(vm mem.VMID, s *vmSlot, requester int) []mesh.
 	}
 	copy(w, f.words(f.mapBits, vm))
 	f.scanResident(vm, s, w)
-	n := popcount(w)
-	if testBit(w, requester) {
-		n--
-	}
-	return f.appendCores(make([]mesh.NodeID, 0, n), w, requester)
+	return f.appendCores(buf[:0], w, requester)
 }
 
+// mapExcept appends vm's map, minus the requester, to buf[:0].
 //vsnoop:hotpath
-func (f *Filter) mapExcept(vm mem.VMID, requester int) []mesh.NodeID {
-	w := f.words(f.mapBits, vm)
-	if w == nil {
-		return nil
-	}
-	n := popcount(w)
-	if testBit(w, requester) {
-		n--
-	}
-	if n == 0 {
-		return nil
-	}
-	return f.appendCores(make([]mesh.NodeID, 0, n), w, requester)
+func (f *Filter) mapExcept(buf []mesh.NodeID, vm mem.VMID, requester int) []mesh.NodeID {
+	return f.appendCores(buf[:0], f.words(f.mapBits, vm), requester)
 }

@@ -31,7 +31,7 @@ func place(f *Filter, vm mem.VMID, cores ...int) {
 }
 
 func route(f *Filter, vm mem.VMID, page mem.PageType, req int) []mesh.NodeID {
-	return f.Route(token.RouteInfo{VM: vm, Page: page, Requester: req, CoreNode: mesh.NodeID(req), Attempt: 1})
+	return f.Route(token.RouteInfo{VM: vm, Page: page, Requester: req, CoreNode: mesh.NodeID(req), Attempt: 1}, nil)
 }
 
 func TestBroadcastPolicySnoopsEveryone(t *testing.T) {

@@ -257,7 +257,7 @@ func (in *Injector) home(a mem.BlockAddr) mesh.NodeID {
 // hook classifies each injected message and rolls its fate. Non-coherence
 // payloads pass through untouched.
 func (in *Injector) hook(src, dst mesh.NodeID, bytes int, payload interface{}) mesh.FaultOutcome {
-	msg, ok := payload.(token.Msg)
+	msg, ok := payload.(*token.Msg)
 	if !ok {
 		return mesh.FaultOutcome{}
 	}

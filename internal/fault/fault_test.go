@@ -73,12 +73,12 @@ func TestPersistentMessagesExempt(t *testing.T) {
 	// message still arrives.
 	eng, net, ids, in := faultNet(t, &Plan{DropPct: 100}, 1)
 	got := map[token.Kind]int{}
-	net.SetHandler(ids[5], func(p interface{}) { got[p.(token.Msg).Kind]++ })
+	net.SetHandler(ids[5], func(p interface{}) { got[p.(*token.Msg).Kind]++ })
 	for _, k := range []token.Kind{
 		token.MsgGetS, token.MsgGetX,
 		token.MsgPersistentReq, token.MsgPersistentActivate, token.MsgPersistentRelease, token.MsgPersistentDeactivate,
 	} {
-		net.Send(ids[0], ids[5], 8, token.Msg{Kind: k, Addr: 64})
+		net.Send(ids[0], ids[5], 8, &token.Msg{Kind: k, Addr: 64})
 	}
 	eng.Run()
 	if got[token.MsgGetS] != 0 || got[token.MsgGetX] != 0 {
@@ -100,8 +100,8 @@ func TestTokenMessagesBounceHome(t *testing.T) {
 	atDst, atHome := 0, 0
 	net.SetHandler(ids[5], func(interface{}) { atDst++ })
 	net.SetHandler(ids[15], func(interface{}) { atHome++ })
-	net.Send(ids[0], ids[5], 72, token.Msg{Kind: token.MsgData, Addr: 64, Tokens: 3})
-	net.Send(ids[0], ids[5], 16, token.Msg{Kind: token.MsgTokens, Addr: 64, Tokens: 1})
+	net.Send(ids[0], ids[5], 72, &token.Msg{Kind: token.MsgData, Addr: 64, Tokens: 3})
+	net.Send(ids[0], ids[5], 16, &token.Msg{Kind: token.MsgTokens, Addr: 64, Tokens: 1})
 	eng.Run()
 	if atDst != 0 || atHome != 2 {
 		t.Fatalf("bounce: dst=%d home=%d, want 0/2", atDst, atHome)
@@ -114,9 +114,9 @@ func TestTokenMessagesBounceHome(t *testing.T) {
 func TestDuplicateOnlyRequests(t *testing.T) {
 	eng, net, ids, in := faultNet(t, &Plan{DupPct: 100}, 1)
 	got := map[token.Kind]int{}
-	net.SetHandler(ids[5], func(p interface{}) { got[p.(token.Msg).Kind]++ })
-	net.Send(ids[0], ids[5], 8, token.Msg{Kind: token.MsgGetS, Addr: 64})
-	net.Send(ids[0], ids[5], 72, token.Msg{Kind: token.MsgData, Addr: 64, Tokens: 1})
+	net.SetHandler(ids[5], func(p interface{}) { got[p.(*token.Msg).Kind]++ })
+	net.Send(ids[0], ids[5], 8, &token.Msg{Kind: token.MsgGetS, Addr: 64})
+	net.Send(ids[0], ids[5], 72, &token.Msg{Kind: token.MsgData, Addr: 64, Tokens: 1})
 	eng.Run()
 	if got[token.MsgGetS] != 2 {
 		t.Fatalf("GetS delivered %d times, want 2", got[token.MsgGetS])
@@ -149,7 +149,7 @@ func TestInjectorDeterministic(t *testing.T) {
 		var arrivals []sim.Cycle
 		net.SetHandler(ids[10], func(interface{}) { arrivals = append(arrivals, eng.Now()) })
 		for i := 0; i < 200; i++ {
-			net.Send(ids[0], ids[10], 8, token.Msg{Kind: token.MsgGetS, Addr: mem.BlockAddr(i)})
+			net.Send(ids[0], ids[10], 8, &token.Msg{Kind: token.MsgGetS, Addr: mem.BlockAddr(i)})
 		}
 		eng.Run()
 		return in.Stats, arrivals

@@ -26,8 +26,7 @@ import (
 //     (see hotescape.go)
 //
 // The analyzer checks only the annotated function's own body; callees are
-// annotated (or not) on their own merits. Deliberate allocations — e.g. the
-// one-boxing-per-multicast design in the token controller — carry a
+// annotated (or not) on their own merits. Deliberate allocations carry a
 // //lint:alloc waiver with the reason.
 var hotAllocAnalyzer = &Analyzer{
 	Name:      "hotalloc",

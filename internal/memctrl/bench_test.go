@@ -42,8 +42,8 @@ func BenchmarkHandleGetS(b *testing.B) {
 			fresh++
 		}
 		a := mem.BlockAddr(idx*4 + 1)
-		m.handleGetS(token.Msg{Kind: token.MsgGetS, Addr: a, Src: req})
-		m.absorb(token.Msg{Kind: token.MsgWBTokens, Addr: a, Src: req, Tokens: 1})
+		m.handleGetS(&token.Msg{Kind: token.MsgGetS, Addr: a, Src: req})
+		m.absorb(&token.Msg{Kind: token.MsgWBTokens, Addr: a, Src: req, Tokens: 1})
 		if eng.Pending() > 4096 {
 			eng.Run()
 		}

@@ -86,8 +86,11 @@ type Ctrl struct {
 	jnStore *mjournal
 
 	// sendFn is the prebound event handler for delayed response sends
-	// (arg = boxed Msg, u = destination << 32 | bytes): zero-alloc arming.
+	// (arg = *token.Msg, u = destination << 32 | bytes): zero-alloc arming.
 	sendFn sim.HandlerFn
+
+	// msgs is the slab every message this controller sends is carved from.
+	msgs token.Msgs
 }
 
 // Init prepares internal state; call once after fields are set.
@@ -197,7 +200,7 @@ func (m *Ctrl) arrive(addr mem.BlockAddr, tokens int, owner bool) {
 
 // Handle processes a delivered coherence message (mesh handler).
 func (m *Ctrl) Handle(payload interface{}) {
-	msg := payload.(token.Msg)
+	msg := payload.(*token.Msg)
 	switch msg.Kind {
 	case token.MsgGetS:
 		m.handleGetS(msg)
@@ -214,7 +217,7 @@ func (m *Ctrl) Handle(payload interface{}) {
 	}
 }
 
-func (m *Ctrl) handleGetS(msg token.Msg) {
+func (m *Ctrl) handleGetS(msg *token.Msg) {
 	if p, ok := m.persistent[msg.Addr]; ok && p.hasAct {
 		return // tokens are pledged to the persistent requester
 	}
@@ -267,7 +270,7 @@ func (m *Ctrl) takeOneToken(l *line) (tokens int, owner bool) {
 	return 1, true
 }
 
-func (m *Ctrl) handleGetX(msg token.Msg) {
+func (m *Ctrl) handleGetX(msg *token.Msg) {
 	if p, ok := m.persistent[msg.Addr]; ok && p.hasAct {
 		return
 	}
@@ -291,10 +294,10 @@ func (m *Ctrl) handleGetX(msg token.Msg) {
 
 // absorb folds returned tokens (writebacks or strays) back into the line,
 // or forwards them when a persistent entry is active.
-func (m *Ctrl) absorb(msg token.Msg) {
+func (m *Ctrl) absorb(msg *token.Msg) {
 	if p, ok := m.persistent[msg.Addr]; ok && p.hasAct && p.active != msg.Src {
 		// Relayed tokens stay in flight: no Arrive/Depart on the ledger.
-		out := msg
+		out := m.msgs.New(*msg)
 		out.Src = m.Node
 		bytes := m.P.CtrlBytes
 		if out.Data {
@@ -317,7 +320,7 @@ func (m *Ctrl) absorb(msg token.Msg) {
 	}
 }
 
-func (m *Ctrl) handlePersistentReq(msg token.Msg) {
+func (m *Ctrl) handlePersistentReq(msg *token.Msg) {
 	if m.jn != nil {
 		m.jPersist(msg.Addr)
 	}
@@ -330,17 +333,17 @@ func (m *Ctrl) handlePersistentReq(msg token.Msg) {
 		if p.active == msg.Src {
 			return // duplicate activation from a retry
 		}
-		p.waiters = append(p.waiters, msg)
+		p.waiters = append(p.waiters, *msg)
 		return
 	}
 	m.activate(p, msg)
 }
 
-func (m *Ctrl) activate(p *persistentEntry, msg token.Msg) {
+func (m *Ctrl) activate(p *persistentEntry, msg *token.Msg) {
 	p.active = msg.Src
 	p.hasAct = true
 	m.Stats.Activations++
-	var act interface{} = token.Msg{Kind: token.MsgPersistentActivate, Addr: msg.Addr, Src: msg.Src}
+	act := m.msgs.New(token.Msg{Kind: token.MsgPersistentActivate, Addr: msg.Addr, Src: msg.Src})
 	for _, n := range m.AllCaches {
 		m.Net.Send(m.Node, n, m.P.CtrlBytes, act)
 	}
@@ -361,7 +364,7 @@ func (m *Ctrl) activate(p *persistentEntry, msg token.Msg) {
 	}
 }
 
-func (m *Ctrl) handleRelease(msg token.Msg) {
+func (m *Ctrl) handleRelease(msg *token.Msg) {
 	if m.jn != nil {
 		m.jPersist(msg.Addr)
 	}
@@ -369,7 +372,7 @@ func (m *Ctrl) handleRelease(msg token.Msg) {
 	if !ok || !p.hasAct || p.active != msg.Src {
 		return // stale release
 	}
-	var deact interface{} = token.Msg{Kind: token.MsgPersistentDeactivate, Addr: msg.Addr, Src: m.Node}
+	deact := m.msgs.New(token.Msg{Kind: token.MsgPersistentDeactivate, Addr: msg.Addr, Src: m.Node})
 	for _, n := range m.AllCaches {
 		m.Net.Send(m.Node, n, m.P.CtrlBytes, deact)
 	}
@@ -377,18 +380,17 @@ func (m *Ctrl) handleRelease(msg token.Msg) {
 	if len(p.waiters) > 0 {
 		next := p.waiters[0]
 		p.waiters = p.waiters[1:]
-		m.activate(p, next)
+		m.activate(p, &next)
 	} else {
 		delete(m.persistent, msg.Addr)
 	}
 }
 
-// send transmits a response after the given processing latency.
+// send transmits a slab copy of msg after the given processing latency.
 func (m *Ctrl) send(dst mesh.NodeID, msg token.Msg, latency sim.Cycle, data bool) {
 	bytes := m.P.CtrlBytes
 	if data {
 		bytes = m.P.DataBytes
 	}
-	var payload interface{} = msg
-	m.Eng.ScheduleFn(latency, m.sendFn, payload, uint64(dst)<<32|uint64(uint32(bytes)))
+	m.Eng.ScheduleFn(latency, m.sendFn, m.msgs.New(msg), uint64(dst)<<32|uint64(uint32(bytes)))
 }

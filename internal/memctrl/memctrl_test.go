@@ -25,7 +25,7 @@ func newRig(t *testing.T) *rig {
 	eng := sim.NewEngine()
 	net := mesh.New(eng, mesh.DefaultConfig())
 	r := &rig{eng: eng, net: net, p: token.DefaultParams(4)}
-	r.req = net.Attach(3, 3, func(p interface{}) { r.got = append(r.got, p.(token.Msg)) })
+	r.req = net.Attach(3, 3, func(p interface{}) { r.got = append(r.got, *p.(*token.Msg)) })
 	r.node = net.Attach(0, 0, nil)
 	r.mc = &Ctrl{Eng: eng, Net: net, Node: r.node, P: r.p, AllCaches: []mesh.NodeID{r.req}}
 	r.mc.Init()
@@ -35,7 +35,7 @@ func newRig(t *testing.T) *rig {
 
 func (r *rig) send(msg token.Msg) {
 	msg.Src = r.req
-	r.net.Send(r.req, r.node, r.p.CtrlBytes, msg)
+	r.net.Send(r.req, r.node, r.p.CtrlBytes, &msg)
 	r.eng.Run()
 }
 
@@ -120,7 +120,7 @@ func TestTokenOverflowPanics(t *testing.T) {
 	}()
 	// Inject more tokens than exist (a protocol bug the controller must
 	// catch rather than silently corrupt).
-	r.mc.Handle(token.Msg{Kind: token.MsgWBTokens, Addr: 50, Tokens: r.p.TotalTokens + 1})
+	r.mc.Handle(&token.Msg{Kind: token.MsgWBTokens, Addr: 50, Tokens: r.p.TotalTokens + 1})
 }
 
 func TestROSharedTokenOnlyWithProvider(t *testing.T) {
@@ -164,7 +164,7 @@ func TestPersistentActivationAndQueueing(t *testing.T) {
 	p := token.DefaultParams(4)
 	var gotA, gotB, acts []token.Msg
 	a := net.Attach(1, 1, func(m interface{}) {
-		msg := m.(token.Msg)
+		msg := *m.(*token.Msg)
 		if msg.Kind == token.MsgPersistentActivate || msg.Kind == token.MsgPersistentDeactivate {
 			acts = append(acts, msg)
 			return
@@ -172,7 +172,7 @@ func TestPersistentActivationAndQueueing(t *testing.T) {
 		gotA = append(gotA, msg)
 	})
 	b := net.Attach(2, 2, func(m interface{}) {
-		msg := m.(token.Msg)
+		msg := *m.(*token.Msg)
 		if msg.Kind == token.MsgPersistentActivate || msg.Kind == token.MsgPersistentDeactivate {
 			acts = append(acts, msg)
 			return
@@ -185,7 +185,7 @@ func TestPersistentActivationAndQueueing(t *testing.T) {
 	net.SetHandler(node, mc.Handle)
 
 	// A activates: memory forwards its tokens to A and broadcasts.
-	net.Send(a, node, p.CtrlBytes, token.Msg{Kind: token.MsgPersistentReq, Addr: 70, Src: a})
+	net.Send(a, node, p.CtrlBytes, &token.Msg{Kind: token.MsgPersistentReq, Addr: 70, Src: a})
 	eng.Run()
 	if mc.Stats.Activations != 1 {
 		t.Fatalf("activations = %d", mc.Stats.Activations)
@@ -194,20 +194,20 @@ func TestPersistentActivationAndQueueing(t *testing.T) {
 		t.Fatalf("A received %+v, want all memory tokens", gotA)
 	}
 	// B requests while A active: queued, no second activation yet.
-	net.Send(b, node, p.CtrlBytes, token.Msg{Kind: token.MsgPersistentReq, Addr: 70, Src: b})
+	net.Send(b, node, p.CtrlBytes, &token.Msg{Kind: token.MsgPersistentReq, Addr: 70, Src: b})
 	eng.Run()
 	if mc.Stats.Activations != 1 {
 		t.Fatal("second activation fired while first still active")
 	}
 	// Tokens arriving at memory while A is active are forwarded to A.
 	gotA = nil
-	net.Send(b, node, p.CtrlBytes, token.Msg{Kind: token.MsgWBTokens, Addr: 70, Tokens: 1, Src: b})
+	net.Send(b, node, p.CtrlBytes, &token.Msg{Kind: token.MsgWBTokens, Addr: 70, Tokens: 1, Src: b})
 	eng.Run()
 	if len(gotA) != 1 || gotA[0].Tokens != 1 {
 		t.Fatalf("arriving token not forwarded to persistent requester: %+v", gotA)
 	}
 	// A releases: B activates next.
-	net.Send(a, node, p.CtrlBytes, token.Msg{Kind: token.MsgPersistentRelease, Addr: 70, Src: a})
+	net.Send(a, node, p.CtrlBytes, &token.Msg{Kind: token.MsgPersistentRelease, Addr: 70, Src: a})
 	eng.Run()
 	if mc.Stats.Activations != 2 {
 		t.Fatalf("activations = %d, want 2 after release", mc.Stats.Activations)

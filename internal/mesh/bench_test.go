@@ -101,7 +101,9 @@ func BenchmarkBroadcast(b *testing.B) {
 	dests := ids[1:]
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		net.Multicast(ids[0], dests, 8, nil)
+		for _, d := range dests {
+			net.Send(ids[0], d, 8, nil)
+		}
 		if eng.Pending() > 4096 {
 			eng.Run()
 		}

@@ -489,16 +489,6 @@ func (n *Network) DegradeLinks(count, factor int, rng *sim.Rand) int {
 	return count
 }
 
-// Multicast sends the same payload to every destination (one unicast per
-// destination, as a broadcast tree is not modeled — this matches charging
-// the baseline TokenB its full broadcast cost too).
-//vsnoop:hotpath
-func (n *Network) Multicast(src NodeID, dsts []NodeID, bytes int, payload interface{}) {
-	for _, d := range dsts {
-		n.Send(src, d, bytes, payload)
-	}
-}
-
 func maxInt(a, b int) int {
 	if a > b {
 		return a

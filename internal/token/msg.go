@@ -55,7 +55,9 @@ func (k Kind) String() string {
 }
 
 // Msg is one coherence message. Control messages occupy CtrlBytes on the
-// network; messages carrying data occupy DataBytes.
+// network; messages carrying data occupy DataBytes. Controllers send a *Msg
+// carved from their own Msgs slab; a sent message is immutable, so a
+// receiver that relays one sends a fresh copy.
 type Msg struct {
 	Kind   Kind
 	Addr   mem.BlockAddr
@@ -66,11 +68,57 @@ type Msg struct {
 	Data   bool // message carries the data block
 
 	// Request-only fields.
-	VM    mem.VMID     // requesting VM (for RO provider logic and stats)
-	Page  mem.PageType // sharing type from the requester's TLB
-	TID   uint64       // transaction id (matches responses to attempts)
+	VM   mem.VMID     // requesting VM (for RO provider logic and stats)
+	Page mem.PageType // sharing type from the requester's TLB
+	TID  uint64       // transaction id (matches responses to attempts)
+	// Dests is the snooped core set, carried only on RO-shared GetS (the
+	// memory controller's RO-provider oracle is its one reader); it is a
+	// slab copy, never the sender's route buffer.
 	Dests []mesh.NodeID
 	Write bool
+}
+
+// Slab chunk sizes: a Msg is 80 B, so a Msg chunk is 20 KiB.
+const (
+	msgChunk  = 256
+	nodeChunk = 1024
+)
+
+// Msgs is one sender's message slab. Messages and destination copies are
+// carved from fixed chunks and a slot is never handed out twice: a full
+// chunk is dropped, and the garbage collector frees it once the last
+// delivery referring to it is gone. Never reusing a slot is what makes
+// sending by pointer safe under the optimistic shard engine — a *Msg held
+// by a staged cross-shard send or by a checkpointed event is never
+// overwritten, even after a rollback. The cursor is therefore not
+// simulation state: controller snapshots neither save nor restore it.
+// The zero value is ready to use.
+type Msgs struct {
+	msgs  []Msg
+	nodes []mesh.NodeID
+}
+
+// New returns a slab slot holding a copy of m.
+func (s *Msgs) New(m Msg) *Msg {
+	if len(s.msgs) == 0 {
+		s.msgs = make([]Msg, msgChunk)
+	}
+	p := &s.msgs[0]
+	s.msgs = s.msgs[1:]
+	*p = m
+	return p
+}
+
+// Nodes returns a slab copy of set that later writes to set cannot reach.
+func (s *Msgs) Nodes(set []mesh.NodeID) []mesh.NodeID {
+	n := len(set)
+	if n > len(s.nodes) {
+		s.nodes = make([]mesh.NodeID, max(n, nodeChunk))
+	}
+	out := s.nodes[:n:n]
+	s.nodes = s.nodes[n:]
+	copy(out, set)
+	return out
 }
 
 // Params are the protocol timing/size constants.
@@ -134,8 +182,14 @@ type RouteInfo struct {
 // to. The home memory controller is always included implicitly. Virtual
 // snooping's destination-set policies implement this interface; the
 // baseline TokenB router returns every other core.
+//
+// Route appends the set to buf[:0] and returns it, or returns a shared
+// read-only set (such as a precomputed broadcast set). Either way the
+// caller only reads the result, and only until its next Route call: the
+// caller reuses buf, and must never adopt a returned slice as its buffer,
+// since writing into a shared set would corrupt every later user of it.
 type Router interface {
-	Route(info RouteInfo) []mesh.NodeID
+	Route(info RouteInfo, buf []mesh.NodeID) []mesh.NodeID
 }
 
 // Oracle gives the memory controller the global visibility a real design

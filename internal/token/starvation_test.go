@@ -46,7 +46,7 @@ func TestStarvationFreedom(t *testing.T) {
 			h := newHarness(t, 4, nil)
 			droppedReqs, bouncedResps := 0, 0
 			h.net.FaultHook = func(src, dst mesh.NodeID, bytes int, payload interface{}) mesh.FaultOutcome {
-				msg, ok := payload.(token.Msg)
+				msg, ok := payload.(*token.Msg)
 				if !ok {
 					return mesh.FaultOutcome{}
 				}
@@ -101,7 +101,7 @@ func TestRetryBackoffGrows(t *testing.T) {
 	// Starve every transient attempt; record when each is issued.
 	var issueCycles []uint64
 	h.net.FaultHook = func(src, dst mesh.NodeID, bytes int, payload interface{}) mesh.FaultOutcome {
-		msg, ok := payload.(token.Msg)
+		msg, ok := payload.(*token.Msg)
 		if ok && (msg.Kind == token.MsgGetS || msg.Kind == token.MsgGetX) {
 			if n := len(issueCycles); n == 0 || issueCycles[n-1] != uint64(h.eng.Now()) {
 				issueCycles = append(issueCycles, uint64(h.eng.Now()))

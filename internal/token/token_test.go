@@ -14,8 +14,8 @@ import (
 // broadcastRouter is the TokenB baseline: snoop every other core.
 type broadcastRouter struct{ all []mesh.NodeID }
 
-func (r broadcastRouter) Route(info token.RouteInfo) []mesh.NodeID {
-	out := make([]mesh.NodeID, 0, len(r.all)-1)
+func (r broadcastRouter) Route(info token.RouteInfo, buf []mesh.NodeID) []mesh.NodeID {
+	out := buf[:0]
 	for _, n := range r.all {
 		if n != info.CoreNode {
 			out = append(out, n)
@@ -31,7 +31,7 @@ var call sim.HandlerFn = func(arg interface{}, _ uint64) { arg.(func())() }
 // emptyRouter filters everything out (forces retries/persistent fallback).
 type emptyRouter struct{}
 
-func (emptyRouter) Route(token.RouteInfo) []mesh.NodeID { return nil }
+func (emptyRouter) Route(_ token.RouteInfo, buf []mesh.NodeID) []mesh.NodeID { return buf[:0] }
 
 type harness struct {
 	eng   *sim.Engine

@@ -271,6 +271,7 @@ func (f *Filter) SetFriend(vm, friend mem.VMID) { f.friends[vm] = friend }
 
 // ensure grows the per-VM register files to cover vm and returns its
 // dense index. Growth happens only on a VM's first appearance.
+//
 //vsnoop:hotpath
 func (f *Filter) ensure(vm mem.VMID) int {
 	d := mem.DenseVM(vm)
@@ -344,6 +345,7 @@ func (f *Filter) Underflows() uint64 {
 
 // words returns vm's word-slice view of a register file, or nil when the
 // VM has never been seen (a read that must not grow the files).
+//
 //vsnoop:hotpath
 func (f *Filter) words(file []uint64, vm mem.VMID) []uint64 {
 	lo := mem.DenseVM(vm) * f.nw
@@ -370,6 +372,7 @@ func popcount(w []uint64) int {
 
 // appendCores appends the endpoints of every set bit except requester, in
 // ascending core order (the deterministic send order).
+//
 //vsnoop:hotpath
 func (f *Filter) appendCores(out []mesh.NodeID, w []uint64, requester int) []mesh.NodeID {
 	for wi, word := range w {
@@ -389,6 +392,7 @@ func (f *Filter) appendCores(out []mesh.NodeID, w []uint64, requester int) []mes
 // `from` (-1 on first placement) to core `to`. The hypervisor adds the new
 // core to the VM's map before the VM runs there; the old core stays until
 // a counter policy removes it.
+//
 //vsnoop:hotpath
 func (f *Filter) HandleRelocate(vm mem.VMID, from, to int) {
 	d := f.ensure(vm)
@@ -413,6 +417,7 @@ func (f *Filter) HandleRelocate(vm mem.VMID, from, to int) {
 // departCheck handles a vCPU departure from core `from` once the run bit is
 // clear: under the counter policies, remove the core if its data is already
 // gone, otherwise record the pending departure feeding the Figure 9 CDF.
+//
 //vsnoop:hotpath
 func (f *Filter) departCheck(vm mem.VMID, d, from int) {
 	switch f.cfg.Policy {
@@ -442,6 +447,7 @@ func (f *Filter) departCheck(vm mem.VMID, d, from int) {
 // vCPU left core `from`, so clear the run bit and run the counter-policy
 // departure check against this domain's caches (which own core `from`). The
 // destination side happens later, in the target domain, via RelocateArrive.
+//
 //vsnoop:hotpath
 func (f *Filter) RelocateDepart(vm mem.VMID, from int) {
 	d := f.ensure(vm)
@@ -453,6 +459,7 @@ func (f *Filter) RelocateDepart(vm mem.VMID, from int) {
 // the vCPU now runs on core `to`, which the hypervisor adds to the VM's map
 // before the VM runs there. MapSyncs is counted here — once per move, on
 // the owning domain — never on delta application.
+//
 //vsnoop:hotpath
 func (f *Filter) RelocateArrive(vm mem.VMID, to int) {
 	d := f.ensure(vm)
@@ -470,6 +477,7 @@ func (f *Filter) RelocateArrive(vm mem.VMID, to int) {
 // once, on the domain that owns it.
 
 // ApplyRunSet replays a remote run-bit set.
+//
 //vsnoop:hotpath
 func (f *Filter) ApplyRunSet(vm mem.VMID, core int) {
 	d := f.ensure(vm)
@@ -477,6 +485,7 @@ func (f *Filter) ApplyRunSet(vm mem.VMID, core int) {
 }
 
 // ApplyRunClear replays a remote run-bit clear.
+//
 //vsnoop:hotpath
 func (f *Filter) ApplyRunClear(vm mem.VMID, core int) {
 	d := f.ensure(vm)
@@ -484,6 +493,7 @@ func (f *Filter) ApplyRunClear(vm mem.VMID, core int) {
 }
 
 // ApplyMapSet replays a remote map addition.
+//
 //vsnoop:hotpath
 func (f *Filter) ApplyMapSet(vm mem.VMID, core int) {
 	d := f.ensure(vm)
@@ -492,6 +502,7 @@ func (f *Filter) ApplyMapSet(vm mem.VMID, core int) {
 
 // ApplyMapClear replays a remote map removal, discarding any pending
 // departure record for the core (the owning replica observed the CDF).
+//
 //vsnoop:hotpath
 func (f *Filter) ApplyMapClear(vm mem.VMID, core int) {
 	d := f.ensure(vm)
@@ -500,6 +511,7 @@ func (f *Filter) ApplyMapClear(vm mem.VMID, core int) {
 }
 
 // tryRemove handles a residence-counter trigger at core for vm.
+//
 //vsnoop:hotpath
 func (f *Filter) tryRemove(vm mem.VMID, core int, count int) {
 	if testBit(f.words(f.runBits, vm), core) {
@@ -666,6 +678,7 @@ func (f *Filter) MapCores(vm mem.VMID) []int {
 func (f *Filter) MapSize(vm mem.VMID) int { return popcount(f.words(f.mapBits, vm)) }
 
 // Contains reports whether core is in vm's map.
+//
 //vsnoop:hotpath
 func (f *Filter) Contains(vm mem.VMID, core int) bool {
 	return testBit(f.words(f.mapBits, vm), core)
@@ -692,6 +705,7 @@ func containsNode(set []mesh.NodeID, n mesh.NodeID) bool {
 // attempt, excluding the requester (which looks up its own cache anyway)
 // and excluding memory (the home controller is always addressed). Computed
 // sets are appended to buf[:0]; broadcast sets are the shared allBut.
+//
 //vsnoop:hotpath
 func (f *Filter) Route(info token.RouteInfo, buf []mesh.NodeID) []mesh.NodeID {
 	if f.cfg.Policy == PolicyBroadcast {
@@ -736,6 +750,7 @@ func (f *Filter) Route(info token.RouteInfo, buf []mesh.NodeID) []mesh.NodeID {
 // allExcept returns the broadcast destination set excluding the requester.
 // The returned slice is a shared precomputed set with exact capacity: callers
 // may read or append (append copies) but must never write in place.
+//
 //vsnoop:hotpath
 func (f *Filter) allExcept(requester int) []mesh.NodeID {
 	return f.allBut[requester]
@@ -745,6 +760,7 @@ func (f *Filter) allExcept(requester int) []mesh.NodeID {
 // snoop domain: the plain map normally, the counter-augmented map at
 // suspicion level 1, full broadcast at level 2. With degradation disabled
 // it is exactly mapExcept.
+//
 //vsnoop:hotpath
 func (f *Filter) domainExcept(buf []mesh.NodeID, vm mem.VMID, requester int) []mesh.NodeID {
 	if !f.DegradationEnabled {
@@ -770,6 +786,7 @@ func (f *Filter) domainExcept(buf []mesh.NodeID, vm mem.VMID, requester int) []m
 // counterAugExcept appends to buf[:0] the map augmented with every core
 // whose residence counter says it still holds the VM's data — the level-1
 // degradation set: cheap to compute, strictly safer than the map alone.
+//
 //vsnoop:hotpath
 func (f *Filter) counterAugExcept(buf []mesh.NodeID, vm mem.VMID, s *vmSlot, requester int) []mesh.NodeID {
 	if s.scratch == nil {
@@ -785,6 +802,7 @@ func (f *Filter) counterAugExcept(buf []mesh.NodeID, vm mem.VMID, s *vmSlot, req
 }
 
 // mapExcept appends vm's map, minus the requester, to buf[:0].
+//
 //vsnoop:hotpath
 func (f *Filter) mapExcept(buf []mesh.NodeID, vm mem.VMID, requester int) []mesh.NodeID {
 	return f.appendCores(buf[:0], f.words(f.mapBits, vm), requester)

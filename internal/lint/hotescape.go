@@ -55,10 +55,10 @@ func checkHotEscapes(pkg *Package, fd *ast.FuncDecl, rep func(token.Pos, string)
 		reported: make(map[ast.Expr]bool),
 	}
 	a := ir.ForwardAnalysis[escFact]{
-		Entry:  func(*ir.Func) escFact { return make(escFact) },
-		Bottom: func() escFact { return make(escFact) },
-		Copy:   copyEscFact,
-		Join:   joinEscFact,
+		Entry:    func(*ir.Func) escFact { return make(escFact) },
+		Bottom:   func() escFact { return make(escFact) },
+		Copy:     copyEscFact,
+		Join:     joinEscFact,
 		Transfer: func(f escFact, ins *ir.Instr) { s.transfer(f, ins) },
 	}
 	in := ir.Forward(fn, a)

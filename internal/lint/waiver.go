@@ -16,8 +16,8 @@ const waiverPrefix = "//lint:"
 // excused was fixed or deleted — and is itself reported, so waivers cannot
 // quietly outlive their justification.
 type waiverSet struct {
-	byKey   map[string]map[string]map[int]*waiverRecord // key -> file -> line
-	records []*waiverRecord                             // in scan order
+	byKey    map[string]map[string]map[int]*waiverRecord // key -> file -> line
+	records  []*waiverRecord                             // in scan order
 	problems []waiverProblem
 }
 

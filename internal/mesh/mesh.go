@@ -159,6 +159,7 @@ func New(eng *sim.Engine, cfg Config) *Network {
 
 // linkID flattens a directed link (source router x,y plus direction) to a
 // dense table index.
+//
 //vsnoop:hotpath
 func (n *Network) linkID(x, y, dir int) int {
 	return (y*n.cfg.Width+x)<<2 | dir
@@ -312,6 +313,7 @@ func (n *Network) Coords(id NodeID) (x, y int) {
 
 // Hops returns the XY-routing hop count between two endpoints (the
 // Manhattan distance between their routers).
+//
 //vsnoop:hotpath
 func (n *Network) Hops(src, dst NodeID) int {
 	a, b := n.nodes[src], n.nodes[dst]
@@ -326,6 +328,7 @@ func abs(v int) int {
 }
 
 // serialization returns the cycles needed to push bytes through one link.
+//
 //vsnoop:hotpath
 func (n *Network) serialization(bytes int) sim.Cycle {
 	s := sim.Cycle((bytes + n.cfg.LinkBytesPerCycle - 1) / n.cfg.LinkBytesPerCycle)
@@ -338,6 +341,7 @@ func (n *Network) serialization(bytes int) sim.Cycle {
 // Latency returns the zero-load latency of a message (no contention):
 // router pipeline + wire delay per hop, plus one serialization term
 // (wormhole switching: the body streams behind the header).
+//
 //vsnoop:hotpath
 func (n *Network) Latency(src, dst NodeID, bytes int) sim.Cycle {
 	hops := n.Hops(src, dst)
@@ -352,6 +356,7 @@ func (n *Network) Latency(src, dst NodeID, bytes int) sim.Cycle {
 // arrives. Traffic statistics are charged immediately. When a FaultHook is
 // installed it may drop, duplicate, delay, or redirect the message; the
 // hook runs once per Send (a duplicated copy is not re-faulted).
+//
 //vsnoop:hotpath
 func (n *Network) Send(src, dst NodeID, bytes int, payload interface{}) {
 	if n.FaultHook != nil {
@@ -372,6 +377,7 @@ func (n *Network) Send(src, dst NodeID, bytes int, payload interface{}) {
 }
 
 // transmit performs the actual routing, accounting, and delivery.
+//
 //vsnoop:hotpath
 func (n *Network) transmit(src, dst NodeID, bytes int, payload interface{}, extra sim.Cycle) {
 	hops := n.Hops(src, dst)

@@ -17,26 +17,30 @@ import (
 // Cycle is a point in simulated time, measured in clock cycles.
 type Cycle uint64
 
-// HandlerFn is the prebound-handler form of an event: a function created
-// once (at component construction) whose per-event state rides in the
-// event itself as (arg, u). Scheduling one allocates nothing.
+// HandlerFn is what every event runs: a function created once (at
+// component construction) whose per-event state rides in the event itself
+// as (arg, u). Scheduling one allocates nothing.
 type HandlerFn func(arg interface{}, u uint64)
 
-// event is one queue entry. Exactly one of fn / fn2 is set: fn is the
-// closure form (allocates a closure at the call site), fn2 the prebound
-// form (zero-alloc). Events live inline in the queue's node pool and far
+// event is one queue entry. Every event has one form: fire calls
+// fn2(arg, u). A closure scheduled through Schedule rides as callFunc with
+// the func() in arg. Events live inline in the queue's node pool and far
 // heap — there is no per-event heap object and no interface boxing on push
-// or pop. next packs beside dom so an event stays 64 bytes.
+// or pop. next packs beside dom so an event stays 56 bytes.
 type event struct {
 	at   Cycle
 	key  uint64 // tie-breaker: schedule order (domain-prefixed in domain mode)
 	dom  int32  // executing domain (0 in single-domain engines)
 	next int32  // 1-based pool index of the next event in its bucket, 0 = none
-	fn   func()
 	fn2  HandlerFn
 	arg  interface{}
 	u    uint64
 }
+
+// callFunc is the handler of every closure-form event: arg holds the
+// func() passed to Schedule or ScheduleAt. A func value is pointer-shaped,
+// so storing it in arg does not allocate.
+func callFunc(arg interface{}, _ uint64) { arg.(func())() }
 
 // before is the strict total order on events: cycle, then schedule order.
 // In domain mode the key embeds the scheduling domain in its high bits, so
@@ -127,7 +131,10 @@ func schedulePastPanic(at, now Cycle) {
 }
 
 // Schedule runs fn after delay cycles (delay 0 means later this cycle,
-// after all currently queued same-cycle events).
+// after all currently queued same-cycle events). It is the ergonomic
+// closure form: the event's handler is callFunc with fn as its arg, so
+// scheduling a prebuilt func() allocates nothing, though a closure built
+// at the call site usually does.
 //
 //vsnoop:hotpath
 func (e *Engine) Schedule(delay Cycle, fn func()) {
@@ -142,7 +149,7 @@ func (e *Engine) ScheduleAt(at Cycle, fn func()) {
 	if at < e.now {
 		schedulePastPanic(at, e.now)
 	}
-	e.insert(at, e.nextKey(), e.curDom, fn, nil, nil, 0)
+	e.insert(at, e.nextKey(), e.curDom, callFunc, fn, 0)
 }
 
 // ScheduleFn runs fn(arg, u) after delay cycles. It is the zero-alloc
@@ -164,7 +171,7 @@ func (e *Engine) ScheduleFnAt(at Cycle, fn HandlerFn, arg interface{}, u uint64)
 	if at < e.now {
 		schedulePastPanic(at, e.now)
 	}
-	e.insert(at, e.nextKey(), e.curDom, nil, fn, arg, u)
+	e.insert(at, e.nextKey(), e.curDom, fn, arg, u)
 }
 
 // ScheduleFnAtDom is ScheduleFnAt with an explicit executing domain: the
@@ -178,7 +185,7 @@ func (e *Engine) ScheduleFnAtDom(at Cycle, dom int32, fn HandlerFn, arg interfac
 	if at < e.now {
 		schedulePastPanic(at, e.now)
 	}
-	e.insert(at, e.nextKey(), dom, nil, fn, arg, u)
+	e.insert(at, e.nextKey(), dom, fn, arg, u)
 }
 
 // nextKey draws the next tie-break key: the global schedule counter in
@@ -198,21 +205,21 @@ func (e *Engine) nextKey() uint64 {
 
 // insert routes an event to the local queue, or to the deposit sink when its
 // executing domain lives on another engine. It takes the event's fields,
-// not an event, so they travel in registers: an event plus the receiver is
-// one word more than the register ABI passes.
+// not an event, so a ring insert writes them straight into the node that
+// link returns and builds no event value.
 //
 //vsnoop:hotpath
-func (e *Engine) insert(at Cycle, key uint64, dom int32, fn func(), fn2 HandlerFn, arg interface{}, u uint64) {
+func (e *Engine) insert(at Cycle, key uint64, dom int32, fn HandlerFn, arg interface{}, u uint64) {
 	if e.local != nil && !e.local[dom] {
-		e.deposit(event{at: at, key: key, dom: dom, fn: fn, fn2: fn2, arg: arg, u: u})
+		e.deposit(event{at: at, key: key, dom: dom, fn2: fn, arg: arg, u: u})
 		return
 	}
 	if at-e.now >= ringSize {
-		e.pushFar(event{at: at, key: key, dom: dom, fn: fn, fn2: fn2, arg: arg, u: u})
+		e.pushFar(event{at: at, key: key, dom: dom, fn2: fn, arg: arg, u: u})
 		return
 	}
 	n := e.link(at, key)
-	n.at, n.key, n.dom, n.fn, n.fn2, n.arg, n.u = at, key, dom, fn, fn2, arg, u
+	n.at, n.key, n.dom, n.fn2, n.arg, n.u = at, key, dom, fn, arg, u
 }
 
 // SetDomains switches the engine to domain mode with nd domains. local
@@ -314,7 +321,7 @@ func (e *Engine) firstBucket() int {
 
 // peek returns the earliest pending event and where it lives — its ring
 // bucket, or -1 for the far heap's root — or nil when the queue is empty.
-// The event is valid until the next push or take.
+// The event is valid until the next push or fire.
 //
 //vsnoop:hotpath
 func (e *Engine) peek() (*event, int) {
@@ -326,28 +333,6 @@ func (e *Engine) peek() (*event, int) {
 		return nil, -1
 	}
 	return &e.pool[e.head[b]-1], b
-}
-
-// take removes and returns the event peek located at b, returning its
-// pool node to the free list.
-//
-//vsnoop:hotpath
-func (e *Engine) take(b int) event {
-	if b < 0 {
-		return e.popFar()
-	}
-	i := e.head[b]
-	n := &e.pool[i-1]
-	ev := *n
-	*n = event{next: e.free} // release fn/arg references held by the pool
-	e.free = i
-	e.nring--
-	e.head[b] = ev.next
-	if ev.next == 0 {
-		e.tail[b] = 0
-		e.occ[b>>6] &^= 1 << (b & 63)
-	}
-	return ev
 }
 
 // pushFar inserts ev into the far 4-ary heap (sift-up). The self-append
@@ -377,7 +362,7 @@ func (e *Engine) popFar() event {
 	root := h[0]
 	n := len(h) - 1
 	last := h[n]
-	h[n] = event{} // release fn/arg references held by the backing array
+	h[n] = event{} // release fn2/arg references held by the backing array
 	h = h[:n]
 	e.far = h
 	if n > 0 {
@@ -424,7 +409,7 @@ func (e *Engine) appendPending(dst []event) []event {
 }
 
 // resetQueue empties the queue, keeping the pool's and far heap's backing
-// arrays for reuse and dropping their fn/arg references.
+// arrays for reuse and dropping their fn2/arg references.
 func (e *Engine) resetQueue() {
 	clear(e.pool)
 	e.pool = e.pool[:0]
@@ -447,19 +432,38 @@ func (e *Engine) Step() bool {
 	return true
 }
 
-// fire executes the event peek located at b.
+// fire executes the event peek located at b: the head of ring bucket b,
+// or the far heap's root when b < 0. A ring event runs in place. Every
+// field the call needs is read from its node before the node is unlinked
+// and pushed on the free list, because the free list is LIFO: the
+// handler's first schedule reuses that very node. Only fn2 and arg are
+// cleared, so the pool holds no reference to a fired event's payload.
 //
 //vsnoop:hotpath
 func (e *Engine) fire(b int) {
-	ev := e.take(b)
-	e.now = ev.at
-	e.curDom = ev.dom
-	e.fired++
-	if ev.fn2 != nil {
+	if b < 0 {
+		ev := e.popFar()
+		e.now, e.curDom = ev.at, ev.dom
+		e.fired++
 		ev.fn2(ev.arg, ev.u)
-	} else {
-		ev.fn()
+		return
 	}
+	i := e.head[b]
+	n := &e.pool[i-1]
+	at, dom, next := n.at, n.dom, n.next
+	fn, arg, u := n.fn2, n.arg, n.u
+	n.fn2, n.arg = nil, nil
+	n.next = e.free
+	e.free = i
+	e.nring--
+	e.head[b] = next
+	if next == 0 {
+		e.tail[b] = 0
+		e.occ[b>>6] &^= 1 << (b & 63)
+	}
+	e.now, e.curDom = at, dom
+	e.fired++
+	fn(arg, u)
 }
 
 // Run executes events until the queue is empty.

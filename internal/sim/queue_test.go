@@ -17,13 +17,20 @@ import (
 // latencies, the ring boundary on both sides, and far beyond it.
 var qDelays = [...]Cycle{0, 0, 1, 2, 7, 16, 63, 64, 255, 400, 464, 1022, 1023, 1024, 1025, 2047, 2048, 3000, 70000, 1 << 40}
 
-// qEvent is one pending event of the reference model.
+// qEvent is one pending event of the reference model. Every event carries
+// a distinct payload pointer in arg as well as its id in u, so a handler
+// can tell when either field came from another event.
 type qEvent struct {
 	at  Cycle
 	key uint64
 	dom int32
 	id  uint64
+	p   *qPayload
 }
+
+// qPayload is an event's arg: one allocation per event, so pointer
+// identity names the event.
+type qPayload struct{ id uint64 }
 
 // qState is the model's restorable state, mirroring engSnap.
 type qState struct {
@@ -96,15 +103,16 @@ func (m *qModel) add(ev qEvent) {
 func (m *qModel) schedule(delay Cycle, dom int32) {
 	m.nextID++
 	id := m.nextID
+	p := &qPayload{id: id}
 	at := m.st.now + delay
-	m.add(qEvent{at: at, key: m.key(), dom: dom, id: id})
+	m.add(qEvent{at: at, key: m.key(), dom: dom, id: id, p: p})
 	switch {
 	case dom != m.st.curDom:
-		m.e.ScheduleFnAtDom(at, dom, m.fn, nil, id)
+		m.e.ScheduleFnAtDom(at, dom, m.fn, p, id)
 	case id%4 == 0:
-		m.e.Schedule(delay, func() { m.handle(nil, id) })
+		m.e.Schedule(delay, func() { m.handle(p, id) })
 	default:
-		m.e.ScheduleFn(delay, m.fn, nil, id)
+		m.e.ScheduleFn(delay, m.fn, p, id)
 	}
 }
 
@@ -116,19 +124,24 @@ func (m *qModel) deposit(delay Cycle, src int) {
 	id := m.nextID
 	dom := int32(src % m.nd)
 	key := uint64(m.nd+src)<<48 | id
-	ev := event{at: m.st.now + delay, key: key, dom: dom, fn2: m.fn, u: id}
-	m.add(qEvent{at: ev.at, key: key, dom: dom, id: id})
+	p := &qPayload{id: id}
+	ev := event{at: m.st.now + delay, key: key, dom: dom, fn2: m.fn, arg: p, u: id}
+	m.add(qEvent{at: ev.at, key: key, dom: dom, id: id, p: p})
 	m.e.push(&ev)
 }
 
-// handle is every event's handler: it must be the model's earliest event.
-func (m *qModel) handle(_ interface{}, id uint64) {
+// handle is every event's handler: it must be the model's earliest event,
+// with that event's own payload in arg and id in u.
+func (m *qModel) handle(arg interface{}, id uint64) {
 	if len(m.st.pend) == 0 {
 		m.t.Fatalf("event %d fired but the model queue is empty", id)
 	}
 	want := m.st.pend[0]
 	if id != want.id || m.e.Now() != want.at {
 		m.t.Fatalf("fired event %d at cycle %d, want event %d at cycle %d", id, m.e.Now(), want.id, want.at)
+	}
+	if p, _ := arg.(*qPayload); p != want.p {
+		m.t.Fatalf("event %d fired with arg %v, want its own payload %p", id, arg, want.p)
 	}
 	m.st.pend = m.st.pend[1:]
 	m.st.now, m.st.curDom = want.at, want.dom
@@ -328,6 +341,37 @@ func FuzzQueueOrder(f *testing.F) {
 		}
 		m.drain()
 	})
+}
+
+// TestFiredEventsReleaseReferences checks that firing drops the queue's
+// references to an event's handler and payload: once ring, far,
+// closure-form and deposited events have all fired, every pool node and
+// every spare slot of the far heap's array holds nil fn2 and arg. A stale
+// arg would keep its payload alive, such as a whole token.Msgs chunk.
+func TestFiredEventsReleaseReferences(t *testing.T) {
+	for _, nd := range []int{1, 4} {
+		m := newQModel(t, nd)
+		for i, d := range qDelays {
+			m.schedule(d, m.st.curDom)       // ring and far, every 4th a closure
+			m.schedule(d, int32((i+1)%m.nd)) // foreign domain via ScheduleFnAtDom
+			m.deposit(d, i%3)                // mailbox-style push
+		}
+		m.drain()
+		if m.fired == 0 || len(m.e.pool) == 0 || cap(m.e.far) == 0 {
+			t.Fatalf("nd=%d: fired %d events through %d pool nodes and a far heap of cap %d; want all three nonzero",
+				nd, m.fired, len(m.e.pool), cap(m.e.far))
+		}
+		for i := range m.e.pool {
+			if n := &m.e.pool[i]; n.fn2 != nil || n.arg != nil {
+				t.Fatalf("nd=%d: pool node %d still holds fn2 set=%v, arg %v after firing", nd, i, n.fn2 != nil, n.arg)
+			}
+		}
+		for i, n := range m.e.far[:cap(m.e.far)] {
+			if n.fn2 != nil || n.arg != nil {
+				t.Fatalf("nd=%d: far slot %d still holds fn2 set=%v, arg %v after firing", nd, i, n.fn2 != nil, n.arg)
+			}
+		}
+	}
 }
 
 // TestQueueZeroAllocAcrossRevolutions is the allocation gate for the

@@ -78,6 +78,7 @@ func (m *Machine) vcpuAt(id hv.VCPU) *vcpu {
 // always precedes the chased continuation at every hop (both paths add the
 // same horizon, and the continuation was scheduled strictly after the
 // depart's cause).
+//
 //vsnoop:hotpath
 func (m *Machine) chase(v *vcpu, from uint64, fn sim.HandlerFn) {
 	d := m.doms[from]
@@ -87,6 +88,7 @@ func (m *Machine) chase(v *vcpu, from uint64, fn sim.HandlerFn) {
 
 // broadcastDelta replays a register-file update of from's replica on every
 // other replica, one cross-shard horizon ahead in each target's stream.
+//
 //vsnoop:hotpath
 func (m *Machine) broadcastDelta(from *domain, op uint64, vm mem.VMID, coreIdx int) {
 	at := from.eng.Now() + m.crossHor[from.idx]
@@ -102,6 +104,7 @@ func (m *Machine) broadcastDelta(from *domain, op uint64, vm mem.VMID, coreIdx i
 // applyDelta replays one replica delta on the target replica (the event
 // arg). Apply* methods never fire hooks or count stats, so deltas cannot
 // loop and every event is counted exactly once, on its owning domain.
+//
 //vsnoop:hotpath
 func applyDelta(arg interface{}, u uint64) {
 	f := arg.(*core.Filter)
@@ -347,6 +350,7 @@ func (m *Machine) scheduleFaultEvents() {
 
 // translate resolves a guest page through the domain's COW overlay first,
 // falling back to the (runtime-immutable) global page tables.
+//
 //vsnoop:hotpath
 func (m *Machine) translate(d *domain, vm mem.VMID, gp mem.GuestPage) mem.Translation {
 	if d.cow != nil {
@@ -446,6 +450,7 @@ func (m *Machine) getHolderProbe(d *domain) *holderProbe {
 }
 
 // scanHolder classifies the holders of addr among d's own caches.
+//
 //vsnoop:hotpath
 func (m *Machine) scanHolder(d *domain, addr mem.BlockAddr, vm mem.VMID) uint64 {
 	var bits uint64

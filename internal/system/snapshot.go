@@ -115,7 +115,7 @@ type shardSnap struct {
 // only state that shard's domains own.
 type machineState struct {
 	m      *Machine
-	domsOf [][]int     // shard -> indices of the domains it executes
+	domsOf [][]int // shard -> indices of the domains it executes
 	snaps  [][]*shardSnap
 }
 

@@ -273,6 +273,7 @@ func badCtrlMsgPanic(k Kind) {
 
 // Handle processes a delivered coherence message; it is the mesh handler
 // for this endpoint.
+//
 //vsnoop:hotpath
 func (c *CacheCtrl) Handle(payload interface{}) {
 	msg := payload.(*Msg)
@@ -291,6 +292,7 @@ func (c *CacheCtrl) Handle(payload interface{}) {
 }
 
 // handleRequest applies the TokenB snoop-response rules.
+//
 //vsnoop:hotpath
 func (c *CacheCtrl) handleRequest(msg *Msg) {
 	c.Stats.SnoopLookups++
@@ -334,6 +336,7 @@ func (c *CacheCtrl) handleRequest(msg *Msg) {
 }
 
 // respond sends a slab copy of msg after the L2 access latency.
+//
 //vsnoop:hotpath
 func (c *CacheCtrl) respond(dst mesh.NodeID, msg Msg) {
 	bytes := c.P.CtrlBytes
@@ -346,6 +349,7 @@ func (c *CacheCtrl) respond(dst mesh.NodeID, msg Msg) {
 // handleResponse accumulates arriving tokens/data into the outstanding
 // transaction, forwarding them if a persistent entry for another node is
 // active, or conserving them if no transaction wants them.
+//
 //vsnoop:hotpath
 func (c *CacheCtrl) handleResponse(msg *Msg) {
 	if holder, ok := c.persistent[msg.Addr]; ok && holder != c.Node {

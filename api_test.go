@@ -21,19 +21,16 @@ func TestHashDefaultPinned(t *testing.T) {
 	}
 }
 
-// TestHashIgnoresExecutionMechanics: Shards, NoElision, and Mode pick
-// goroutine counts and synchronization engines proven bit-identical, so
-// they must not change the memoization key.
+// TestHashIgnoresExecutionMechanics: Shards and NoElision pick goroutine
+// counts and synchronization protocols proven bit-identical, so they must
+// not change the memoization key.
 func TestHashIgnoresExecutionMechanics(t *testing.T) {
 	cfg := DefaultConfig()
 	base := cfg.Hash()
 	cfg.Shards = 4
 	cfg.NoElision = true
-	for _, mode := range []string{"windowed", "adaptive", "timewarp", "auto"} {
-		cfg.Mode = mode
-		if h := cfg.Hash(); h != base {
-			t.Fatalf("Shards/NoElision/Mode=%s changed the hash: %s vs %s", mode, h, base)
-		}
+	if h := cfg.Hash(); h != base {
+		t.Fatalf("Shards/NoElision changed the hash: %s vs %s", h, base)
 	}
 }
 

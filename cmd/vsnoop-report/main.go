@@ -26,16 +26,8 @@ func main() {
 	expFlag := flag.String("exp", "all", "experiment to run (comma-separated): all, fig1, fig2, fig3, table1, table4, fig6, fig78, fig9, table5, fig10, table6, ablations, energy, comparison")
 	maxSteps := flag.Uint64("max-steps", 0, "abort any single run after this many simulation events (0 = unbounded)")
 	shardsFlag := flag.String("shards", "0", `parallel event-queue shards per run: a count, or "auto" for min(planned snoop domains, GOMAXPROCS) (0 or 1 = serial; results are bit-identical)`)
-	modeFlag := flag.String("mode", "", `sharded synchronization engine per run: windowed, adaptive, timewarp, or auto; "" keeps the historical dispatch — results are bit-identical across modes`)
 	flag.Parse()
 	exp.MaxSteps = *maxSteps
-	switch *modeFlag {
-	case "", "auto", "windowed", "adaptive", "timewarp":
-		exp.Mode = *modeFlag
-	default:
-		fmt.Fprintf(os.Stderr, "-mode: want windowed, adaptive, timewarp, or auto, got %q\n", *modeFlag)
-		os.Exit(2)
-	}
 	switch *shardsFlag {
 	case "auto":
 		// Every experiment runs the paper's 4x4 mesh, so the default

@@ -43,7 +43,6 @@ func main() {
 	check := flag.Bool("check", false, "enable online coherence invariant checking")
 	timeout := flag.Duration("timeout", 0, "wall-clock limit for the run (0 = none); a timed-out run exits nonzero")
 	shardsFlag := flag.String("shards", "0", `parallel event-queue shards: a count, or "auto" for min(planned snoop domains, GOMAXPROCS) (0 or 1 = serial; results are bit-identical)`)
-	modeFlag := flag.String("mode", "", `sharded synchronization engine: windowed, adaptive, timewarp (optimistic checkpoint/rollback), or auto (planner's horizon estimate picks); "" keeps the historical dispatch — results are bit-identical across modes`)
 	dumpPartition := flag.Bool("dump-partition", false, "print the planner's snoop-domain cut (domain grid, cut edges, horizons) and exit")
 	noElision := flag.Bool("no-elision", false, "force fully-barriered window synchronization (disable adaptive free-running and barrier elision)")
 	maxSteps := flag.Uint64("max-steps", 0, "abort after this many simulation events (0 = unbounded)")
@@ -152,13 +151,6 @@ func main() {
 	// planner); maxProcs was read once at program entry so the simulation
 	// packages stay free of machine-environment reads.
 	cfg.Shards = resolveShards(*shardsFlag, cfg, maxProcs)
-	switch *modeFlag {
-	case "", "auto", "windowed", "adaptive", "timewarp":
-		cfg.Mode = *modeFlag
-	default:
-		fmt.Fprintf(os.Stderr, "-mode: want windowed, adaptive, timewarp, or auto, got %q\n", *modeFlag)
-		os.Exit(2)
-	}
 
 	if *dumpPartition {
 		info, err := vsnoop.PartitionInfo(cfg)
@@ -224,10 +216,6 @@ func main() {
 		fmt.Printf("sync: %d windows, %d barriers elided, mean window %.0f cycles (domains=%d, shards=%d)\n",
 			sy.Windows, sy.ElidedBarriers, sy.MeanWindowWidth(),
 			vsnoop.PlannedDomains(cfg), cfg.Shards)
-		if sy.Rollbacks > 0 || sy.AntiMessages > 0 || sy.Bailouts > 0 {
-			fmt.Printf("timewarp: %d rollbacks, %d anti-messages, mean GVT lag %.0f cycles, %d bailouts\n",
-				sy.Rollbacks, sy.AntiMessages, sy.MeanGVTLag(), sy.Bailouts)
-		}
 	}
 }
 

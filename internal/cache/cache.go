@@ -145,11 +145,6 @@ type Cache struct {
 	// can suspect the VM's map. When nil (fault-free runs) underflow remains
 	// a panic, because then it can only be a simulator bug.
 	OnResidenceUnderflow func(vm mem.VMID)
-
-	// jn is the armed checkpoint journal (nil outside a speculative epoch);
-	// jnStore holds the allocation between epochs. See snapshot.go.
-	jn      *journal
-	jnStore *journal
 }
 
 // New builds a cache from cfg; it panics on invalid geometry (a
@@ -186,11 +181,6 @@ func (c *Cache) Lookup(a mem.BlockAddr) *Block {
 	tag := a + 1
 	for i, t := range c.tags[base : base+c.ways] {
 		if t == tag {
-			if c.jn != nil {
-				// The caller may mutate the returned block in place, so the
-				// hit journals its set's pre-image.
-				c.jsave(s)
-			}
 			return &c.blocks[base+i]
 		}
 	}
@@ -199,9 +189,6 @@ func (c *Cache) Lookup(a mem.BlockAddr) *Block {
 
 // Touch marks b most-recently used.
 func (c *Cache) Touch(b *Block) {
-	if c.jn != nil {
-		c.jsave(c.setIndex(b.Addr))
-	}
 	c.tick++
 	b.lru = c.tick
 }
@@ -266,9 +253,6 @@ func (c *Cache) decResident(vm mem.VMID) {
 // evicted reports whether victim describes a displaced valid block.
 func (c *Cache) Insert(a mem.BlockAddr, vm mem.VMID) (b *Block, victim EvictInfo, evicted bool) {
 	s := c.setIndex(a)
-	if c.jn != nil {
-		c.jsave(s)
-	}
 	base := int(s) * c.ways
 	tag := a + 1
 	slot := -1
@@ -315,9 +299,6 @@ func (c *Cache) Invalidate(b *Block) EvictInfo {
 	if way < 0 || c.tags[way] != b.Addr+1 {
 		invalidPanic(c.cfg.Name)
 	}
-	if c.jn != nil {
-		c.jsave(s)
-	}
 	return c.invalidateWay(way)
 }
 
@@ -327,8 +308,7 @@ func invalidPanic(name string) {
 	panic(fmt.Sprintf("cache %s: invalidate of invalid block", name))
 }
 
-// invalidateWay empties valid way i and fires the drop callbacks. The
-// caller has journaled the way's set.
+// invalidateWay empties valid way i and fires the drop callbacks.
 func (c *Cache) invalidateWay(i int) EvictInfo {
 	b := &c.blocks[i]
 	info := EvictInfo{Addr: b.Addr, Tokens: b.Tokens, Owner: b.Owner, Dirty: b.Dirty, VM: b.VM}
@@ -343,41 +323,18 @@ func (c *Cache) invalidateWay(i int) EvictInfo {
 	return info
 }
 
-// FlushPage invalidates every block of host page p and returns their final
-// states (used when the hypervisor marks a page RO-shared: dirty lines
-// must reach memory so it holds a clean copy).
-func (c *Cache) FlushPage(p mem.HostPage) []EvictInfo {
-	lo := mem.BlockInPage(p, 0) + 1
-	hi := mem.BlockInPage(p, mem.BlocksPerPage-1) + 1
-	var out []EvictInfo
-	for i := range c.tags {
-		if t := c.tags[i]; t >= lo && t <= hi {
-			out = append(out, c.flushWay(i))
-		}
-	}
-	return out
-}
-
 // FlushVM invalidates every block tagged with vm (the "selective flush"
-// alternative discussed in Section IV.B) and returns their states.
+// alternative discussed in Section IV.B) and returns their states. It walks
+// the ways in order and re-tests each as it reaches it, because a drop
+// callback may already have emptied a later way.
 func (c *Cache) FlushVM(vm mem.VMID) []EvictInfo {
 	var out []EvictInfo
 	for i := range c.tags {
 		if c.tags[i] != 0 && c.blocks[i].VM == vm {
-			out = append(out, c.flushWay(i))
+			out = append(out, c.invalidateWay(i))
 		}
 	}
 	return out
-}
-
-// flushWay journals way i's set and invalidates the way. Flushes walk the
-// ways in set order and re-test each as they reach it, because a drop
-// callback may already have emptied a later way.
-func (c *Cache) flushWay(i int) EvictInfo {
-	if c.jn != nil {
-		c.jsave(uint64(i / c.ways))
-	}
-	return c.invalidateWay(i)
 }
 
 // CorruptResidence adds delta to vm's residence counter without touching
@@ -398,15 +355,8 @@ func (c *Cache) RecountResidence() {
 	c.ForEachValid(func(b *Block) { c.resident[c.counterIdx(b.VM)]++ })
 }
 
-// ForEachValid calls fn for every valid block. fn receives mutable blocks,
-// so an armed checkpoint journal conservatively records every set first;
-// runtime callers are invariant checks and fault recovery, neither of which
-// runs inside a speculative epoch, so the bulk pre-image never happens on
-// the optimistic fast path.
+// ForEachValid calls fn for every valid block.
 func (c *Cache) ForEachValid(fn func(*Block)) {
-	if c.jn != nil {
-		c.jsaveAll()
-	}
 	for i := range c.tags {
 		if c.tags[i] != 0 {
 			fn(&c.blocks[i])

@@ -155,25 +155,6 @@ func TestStateDerivation(t *testing.T) {
 	}
 }
 
-func TestFlushPage(t *testing.T) {
-	c := New(Config{Name: "big", SizeBytes: 64 * 1024, Ways: 8, BlockBytes: 64})
-	p := mem.HostPage(5)
-	for i := 0; i < mem.BlocksPerPage; i++ {
-		c.Insert(mem.BlockInPage(p, i), 1)
-	}
-	c.Insert(mem.BlockInPage(6, 0), 1) // different page
-	out := c.FlushPage(p)
-	if len(out) != mem.BlocksPerPage {
-		t.Fatalf("flushed %d blocks, want %d", len(out), mem.BlocksPerPage)
-	}
-	if c.Lookup(mem.BlockInPage(6, 0)) == nil {
-		t.Fatal("flush removed block of another page")
-	}
-	if c.Resident(1) != 1 {
-		t.Fatalf("residence after flush = %d, want 1", c.Resident(1))
-	}
-}
-
 func TestFlushVM(t *testing.T) {
 	c := small()
 	c.Insert(1, 1)
@@ -188,6 +169,50 @@ func TestFlushVM(t *testing.T) {
 	}
 	if c.Lookup(2) == nil {
 		t.Fatal("flushVM removed another VM's block")
+	}
+}
+
+// checkTags asserts the tag/data split's invariant: a valid way's block
+// carries the tag's address and sits in that address's set; an empty way's
+// block is zeroed.
+func checkTags(t *testing.T, c *Cache) {
+	t.Helper()
+	for i, tag := range c.tags {
+		b := c.blocks[i]
+		switch {
+		case tag == 0 && b != (Block{}):
+			t.Fatalf("empty way %d holds block %+v", i, b)
+		case tag != 0 && b.Addr+1 != tag:
+			t.Fatalf("way %d: tag %d but block address %d", i, tag-1, b.Addr)
+		case tag != 0 && int(c.setIndex(b.Addr)) != i/c.ways:
+			t.Fatalf("way %d: block %d outside its set", i, b.Addr)
+		}
+	}
+}
+
+// TestTagsMatchBlocks mutates a cache in every way the coherence
+// controllers do — inserts that evict, an invalidation, a touch, a VM
+// flush — and checks the tag/data split after each step.
+func TestTagsMatchBlocks(t *testing.T) {
+	c := small() // 16 sets x 4 ways
+	// Inserting 96 blocks fills every way, then evicts.
+	for a := mem.BlockAddr(0); a < 96; a++ {
+		b, _, _ := c.Insert(a, mem.VMID(a%4))
+		b.Tokens, b.Owner = int(a%5)+1, a%2 == 0
+	}
+	checkTags(t, c)
+	// Blocks 0..31 are evicted by now; 32..95 are resident.
+	c.Invalidate(c.Lookup(37))
+	c.Touch(c.Lookup(39))
+	checkTags(t, c)
+	if got := len(c.FlushVM(3)); got != 16 {
+		t.Fatalf("FlushVM(3) flushed %d blocks, want 16", got)
+	}
+	c.Lookup(41).Dirty = true
+	c.Insert(197, 2) // refills the way 37 left in set 5
+	checkTags(t, c)
+	if got := c.CountValid(); got != 64-16 {
+		t.Fatalf("valid blocks = %d, want %d", got, 64-16)
 	}
 }
 
@@ -211,7 +236,7 @@ func TestResidenceCounterExactProperty(t *testing.T) {
 		ops := int(opsRaw%500) + 50
 		next := mem.BlockAddr(0)
 		for i := 0; i < ops; i++ {
-			switch r.Intn(10) {
+			switch r.Intn(9) {
 			case 0, 1, 2, 3, 4, 5:
 				vm := mem.VMID(r.Intn(4))
 				if c.Lookup(next) == nil {
@@ -225,8 +250,6 @@ func TestResidenceCounterExactProperty(t *testing.T) {
 				}
 			case 8:
 				c.FlushVM(mem.VMID(r.Intn(4)))
-			case 9:
-				c.FlushPage(mem.HostPage(r.Intn(8)))
 			}
 		}
 		counts := make(map[mem.VMID]int)

@@ -127,7 +127,6 @@ func migRefs(base int, periodMs float64) int {
 func runMachine(cfg system.Config) *system.Stats {
 	cfg.MaxSteps = MaxSteps
 	cfg.Shards = Shards
-	cfg.Mode = Mode
 	m, err := system.New(cfg)
 	if err != nil {
 		panic(err)
@@ -144,12 +143,6 @@ var MaxSteps uint64
 // -shards). Results are bit-identical for every value; it only trades
 // per-run wall-clock against the experiment-level worker pool.
 var Shards int
-
-// Mode is the sharded synchronization engine (vsnoop-report's -mode):
-// windowed, adaptive, timewarp, auto, or "" for the historical dispatch.
-// Like Shards it is an execution mechanic — results are bit-identical
-// across modes.
-var Mode string
 
 // parallel runs fn(i) for i in [0, n) on a bounded worker pool and returns
 // the results in order. Machines are single-threaded and independent, so

@@ -109,10 +109,11 @@ func TestShardAtomicFixture(t *testing.T) { checkFixture(t, "shardatomic") }
 // call leaks are findings.
 func TestDomainOwnFixture(t *testing.T) { checkFixture(t, "domainown") }
 
-// TestTimewarpFixture covers the optimistic engine's speculative state
+// TestTimewarpFixture covers optimistic-engine-shaped speculative state
 // under domainown: checkpoint saves and anti-message handling confined to
 // the owning domain are clean, while a seeded cross-domain checkpoint
-// write and a foreign outbox push are findings.
+// write (an owned value nested in a foreign domain) and a foreign outbox
+// push through an alias are findings.
 func TestTimewarpFixture(t *testing.T) { checkFixture(t, "timewarp") }
 
 // TestIRFlowFixture covers the dataflow-IR corners: the verified key

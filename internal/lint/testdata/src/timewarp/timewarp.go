@@ -1,11 +1,13 @@
-// Package timewarp is a lint fixture: the optimistic engine's speculative
-// state under the domainown confinement proof. Checkpoint buffers and
-// anti-message outboxes are domain-owned exactly like live state — a
-// rollback restores a snapshot into the owning domain, so a cross-domain
-// checkpoint write poisons a future Restore silently, and only on the
-// rollback path where no conservative test ever looks. The seeded handler
-// (marked SEED) writes another shard's checkpoint slot; domainown must
-// flag it even though the write is pure instance-state mutation that the
+// Package timewarp is a lint fixture: speculative state of the kind an
+// optimistic (Time Warp) engine keeps, under the domainown confinement
+// proof. The simulator's engine is conservative and keeps no such state;
+// the fixture pins that the analyzer would confine it anyway. Checkpoint
+// buffers and anti-message outboxes are domain-owned exactly like live
+// state — a rollback restores a snapshot into the owning domain, so a
+// cross-domain checkpoint write poisons a future Restore silently. The
+// seeded handler (marked SEED) writes another shard's checkpoint slot, an
+// owned value nested in a foreign domain's array field; domainown must flag
+// it even though the write is pure instance-state mutation that the
 // shardsafe walk cannot see.
 package timewarp
 

@@ -144,10 +144,6 @@ type Manager struct {
 	roSharers map[HostPage]map[VMID]bool
 	// hypervisor RW-shared region
 	hvPages []HostPage
-	// OnShareFlush, if set, is invoked when a page becomes RO-shared so
-	// the caching layer can flush dirty lines (paper Section VI.B: memory
-	// must hold a clean copy before RO optimizations apply).
-	OnShareFlush func(HostPage)
 	// statistics
 	CowCount    uint64
 	MergedPages uint64
@@ -293,9 +289,10 @@ func (m *Manager) SetContent(vm VMID, gp GuestPage, c ContentID) {
 
 // MergeIdentical runs the idealized content-based sharing detector of
 // Section VI.A: every pair of pages (across different VMs) with equal
-// nonzero ContentIDs is merged onto one RO-shared host page. Newly shared
-// pages trigger OnShareFlush so caches can write dirty lines back. It
-// returns the number of mappings that were redirected.
+// nonzero ContentIDs is merged onto one RO-shared host page. It runs at
+// machine setup, before any cache holds a line, so memory already holds the
+// clean copy that RO optimizations need (Section VI.B) and nothing has to
+// be flushed. It returns the number of mappings that were redirected.
 func (m *Manager) MergeIdentical() int {
 	redirected := 0
 	vms := make([]VMID, 0, len(m.spaces))
@@ -320,9 +317,6 @@ func (m *Manager) MergeIdentical() int {
 				m.roRefs[canon] = 1
 				m.roSharers[canon] = map[VMID]bool{vm: true}
 				m.MergedPages++
-				if m.OnShareFlush != nil {
-					m.OnShareFlush(canon)
-				}
 				e.typ = PageROShared
 				continue
 			}

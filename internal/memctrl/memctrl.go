@@ -80,11 +80,6 @@ type Ctrl struct {
 	chunks     [][]line // the dense token table; a nil chunk is all reset state
 	persistent map[mem.BlockAddr]*persistentEntry
 
-	// jn is the armed checkpoint journal (nil outside a speculative epoch);
-	// jnStore holds the allocation between epochs. See snapshot.go.
-	jn      *mjournal
-	jnStore *mjournal
-
 	// sendFn is the prebound event handler for delayed response sends
 	// (arg = *token.Msg, u = destination << 32 | bytes): zero-alloc arming.
 	sendFn sim.HandlerFn
@@ -141,11 +136,6 @@ func (m *Ctrl) line(a mem.BlockAddr) *line {
 		}
 		m.chunks[c] = make([]line, chunkLines)
 		l = &m.chunks[c][i&(chunkLines-1)]
-	}
-	if m.jn != nil {
-		// Every caller may mutate the returned line, so journal its
-		// pre-image (or its absence) first.
-		m.jLine(i, l)
 	}
 	if !l.present {
 		*l = line{tokens: int16(m.P.TotalTokens), owner: true, present: true}
@@ -321,9 +311,6 @@ func (m *Ctrl) absorb(msg *token.Msg) {
 }
 
 func (m *Ctrl) handlePersistentReq(msg *token.Msg) {
-	if m.jn != nil {
-		m.jPersist(msg.Addr)
-	}
 	p, ok := m.persistent[msg.Addr]
 	if !ok {
 		p = &persistentEntry{}
@@ -365,9 +352,6 @@ func (m *Ctrl) activate(p *persistentEntry, msg *token.Msg) {
 }
 
 func (m *Ctrl) handleRelease(msg *token.Msg) {
-	if m.jn != nil {
-		m.jPersist(msg.Addr)
-	}
 	p, ok := m.persistent[msg.Addr]
 	if !ok || !p.hasAct || p.active != msg.Src {
 		return // stale release

@@ -1,7 +1,6 @@
 package memctrl
 
 import (
-	"fmt"
 	"testing"
 
 	"vsnoop/internal/mem"
@@ -11,35 +10,29 @@ import (
 // controller.
 func homed(i uint64) mem.BlockAddr { return mem.BlockAddr(i*4 + 1) }
 
-// TestTokenTableChunkBoundary round-trips lines on both sides of a chunk
-// boundary — one chunk touched before the checkpoint, one first touched
-// after it — under both checkpoint regimes: restored lines read back their
-// saved accounts and lines materialized after the Save are gone again.
+// TestTokenTableChunkBoundary touches lines on both sides of a chunk
+// boundary: the second chunk materializes on its first touch, and each
+// line keeps its own account. The table has one regime, unjournaled, and
+// the subtest is named for it.
 func TestTokenTableChunkBoundary(t *testing.T) {
-	for _, journaled := range []bool{false, true} {
-		t.Run(fmt.Sprintf("journaled=%v", journaled), func(t *testing.T) {
-			m, _, _ := interleaved()
-			if journaled {
-				m.EnableJournal()
-			}
-			low, high := homed(chunkLines-1), homed(chunkLines)
-			m.line(low).tokens = 3
-			var s Snap
-			m.Save(&s)
-			m.line(low).tokens = 1
-			m.line(high).owner = false
-			if len(m.chunks) != 2 {
-				t.Fatalf("chunks = %d after touching index %d, want 2", len(m.chunks), chunkLines)
-			}
-			m.Restore(&s)
-			if tok, own, ok := m.Peek(low); !ok || tok != 3 || !own {
-				t.Fatalf("line %d restored as (%d, %v, %v), want (3, true, true)", low, tok, own, ok)
-			}
-			if _, _, ok := m.Peek(high); ok {
-				t.Fatalf("line %d, first touched after the Save, survived the restore", high)
-			}
-		})
-	}
+	t.Run("journaled=false", func(t *testing.T) {
+		m, _, _ := interleaved()
+		low, high := homed(chunkLines-1), homed(chunkLines)
+		m.line(low).tokens = 3
+		if len(m.chunks) != 1 {
+			t.Fatalf("chunks = %d after touching index %d, want 1", len(m.chunks), chunkLines-1)
+		}
+		m.line(high).owner = false
+		if len(m.chunks) != 2 {
+			t.Fatalf("chunks = %d after touching index %d, want 2", len(m.chunks), chunkLines)
+		}
+		if tok, own, ok := m.Peek(low); !ok || tok != 3 || !own {
+			t.Fatalf("line %d reads (%d, %v, %v), want (3, true, true)", low, tok, own, ok)
+		}
+		if tok, own, ok := m.Peek(high); !ok || tok != m.P.TotalTokens || own {
+			t.Fatalf("line %d reads (%d, %v, %v), want (%d, false, true)", high, tok, own, ok, m.P.TotalTokens)
+		}
+	})
 }
 
 // TestForEachLineAscending materializes lines in scattered order across

@@ -120,15 +120,6 @@ type Network struct {
 	engs     []*sim.Engine
 	traf     []trafficSlot
 	crossHor []sim.Cycle // per-domain minimum cross-domain latency
-
-	// domLinks[d] lists the directed-link ids owned by domain d: the four
-	// links of every router hosting one of d's endpoints. Only intra-domain
-	// routes reserve links (see transmit), and an intra-domain XY route
-	// never leaves the domain's router region, so each nextFree entry is
-	// written by exactly one shard — which also makes the per-domain link
-	// state checkpointable (SaveDomain/RestoreDomain).
-	//vsnoop:owned
-	domLinks [][]int32
 }
 
 // trafficSlot is one domain's traffic counters, padded to a cache line.
@@ -200,55 +191,6 @@ func (n *Network) Partition(nodeDom []int32, engs []*sim.Engine) {
 			}
 		}
 	}
-	// Assign each router's four directed links to the domain of its first
-	// endpoint (cores attach one per router, so every populated router has
-	// an owner; endpoint-less routers are never reserved by intra-domain
-	// routes of a disjoint region and default to domain 0).
-	routerDom := make([]int32, n.cfg.Width*n.cfg.Height)
-	for i := range routerDom {
-		routerDom[i] = -1
-	}
-	for i := len(n.nodes) - 1; i >= 0; i-- {
-		nd := n.nodes[i]
-		routerDom[nd.y*n.cfg.Width+nd.x] = nodeDom[i]
-	}
-	n.domLinks = make([][]int32, len(engs))
-	for r, d := range routerDom {
-		if d < 0 {
-			d = 0
-		}
-		for dir := 0; dir < 4; dir++ {
-			n.domLinks[d] = append(n.domLinks[d], int32(r<<2|dir))
-		}
-	}
-}
-
-// DomainSnap is one domain's network checkpoint (optimistic shard engine):
-// the reservation horizon of every link the domain owns plus its traffic
-// slot. Cross-domain messages never reserve links, so a domain's snapshot
-// is complete with respect to everything its shard can mutate.
-type DomainSnap struct {
-	nextFree []sim.Cycle
-	traf     trafficSlot
-}
-
-// SaveDomain copies domain d's mutable network state into s.
-func (n *Network) SaveDomain(d int, s *DomainSnap) {
-	links := n.domLinks[d]
-	s.nextFree = s.nextFree[:0]
-	for _, l := range links {
-		s.nextFree = append(s.nextFree, n.nextFree[l])
-	}
-	s.traf = n.traf[d]
-}
-
-// RestoreDomain rewinds domain d's network state to the checkpoint.
-func (n *Network) RestoreDomain(d int, s *DomainSnap) {
-	links := n.domLinks[d]
-	for i, l := range links {
-		n.nextFree[l] = s.nextFree[i]
-	}
-	n.traf[d] = s.traf
 }
 
 // CrossHorizons returns, per domain, the minimum zero-load latency of any
@@ -261,12 +203,6 @@ func (n *Network) CrossHorizons() []sim.Cycle { return n.crossHor }
 // DomainCrossSends returns the number of messages domain d sent to other
 // domains (partitioned mode).
 func (n *Network) DomainCrossSends(d int) uint64 { return n.traf[d].crossMsgs }
-
-// MinCrossLatency returns the minimum latency of any cross-domain message
-// (one hop, one flit) — the conservative lookahead for sharded execution.
-func (n *Network) MinCrossLatency() sim.Cycle {
-	return n.cfg.RouterDelay + n.cfg.LinkDelay + 1
-}
 
 // TrafficTotals returns the whole-machine traffic counters, summing the
 // per-domain slots in partitioned mode.

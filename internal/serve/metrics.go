@@ -34,7 +34,7 @@ type metrics struct {
 // vsnoop.TotalSyncCounters); queueDepth and ready are sampled by the
 // caller.
 func (m *metrics) render(w io.Writer, queueDepth int, ready bool, shards int,
-	mode string, storeBytes int64, storeEvictions uint64) {
+	storeBytes int64, storeEvictions uint64) {
 	c := func(name, help string, v uint64) {
 		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
 	}
@@ -62,11 +62,6 @@ func (m *metrics) render(w io.Writer, queueDepth int, ready bool, shards int,
 	g("vsnoop_ready", "1 when the server is accepting jobs.", rd)
 	g("vsnoop_shards", "Event-queue shards forced per run (planner-resolved when -shards is auto; 0 honors each request).",
 		uint64(shards))
-	if mode == "" {
-		mode = "request"
-	}
-	fmt.Fprintf(w, "# HELP vsnoop_mode Synchronization engine forced per run (\"request\" honors each request).\n"+
-		"# TYPE vsnoop_mode gauge\nvsnoop_mode{mode=%q} 1\n", mode)
 	c("vsnoop_store_evictions_total", "Results evicted from the size-bounded store.", storeEvictions)
 	g("vsnoop_store_bytes", "Bytes held by the content-addressed result store.", uint64(storeBytes))
 

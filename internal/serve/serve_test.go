@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -221,6 +222,22 @@ func TestBadRequests(t *testing.T) {
 	code, _ = postJob(t, ts.URL, jobRequest{Config: &bad})
 	if code != http.StatusBadRequest {
 		t.Fatalf("invalid config: %d, want 400", code)
+	}
+	// A config carrying the removed "Mode" field is an unknown field.
+	raw, err := json.Marshal(quickConfig(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	withMode := append(raw[:len(raw)-1:len(raw)-1], `,"Mode":"adaptive"}`...)
+	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json",
+		bytes.NewReader(append(append([]byte(`{"config":`), withMode...), '}')))
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), `unknown field "Mode"`) {
+		t.Fatalf("config with Mode: %d %q, want 400 naming the unknown field", resp.StatusCode, msg)
 	}
 	// Malformed hash.
 	code, _ = getRaw(t, ts.URL+"/v1/results/nothex")
@@ -752,13 +769,12 @@ func TestStoreGCStartupRecovery(t *testing.T) {
 	}
 }
 
-// TestModeOverrideBitIdentical: a server forcing -mode timewarp stores and
-// serves exactly the bytes a mode-less computation produces — Mode is an
+// TestShardsOverrideBitIdentical: a server forcing -shards 4 stores and
+// serves exactly the bytes a serial computation produces — Shards is an
 // execution mechanic outside the hash and the normalized record.
-func TestModeOverrideBitIdentical(t *testing.T) {
+func TestShardsOverrideBitIdentical(t *testing.T) {
 	cfg := quickConfig(51)
 	s, ts := newTestServer(t, t.TempDir(), func(o *Options) {
-		o.Mode = "timewarp"
 		o.Shards = 4
 	})
 	defer s.Close()
@@ -774,7 +790,7 @@ func TestModeOverrideBitIdentical(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("GET result: %d", code)
 	}
-	res, err := vsnoop.Run(cfg) // serial, historical dispatch
+	res, err := vsnoop.Run(cfg) // serial
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -783,6 +799,6 @@ func TestModeOverrideBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(body, append(want, '\n')) {
-		t.Fatal("timewarp-forced server result differs from a serial run's record")
+		t.Fatal("shard-forced server result differs from a serial run's record")
 	}
 }

@@ -39,12 +39,6 @@ type Options struct {
 	// Shards overrides Config.Shards on every submitted config (0 leaves
 	// requests as-is). The hash ignores it, so this never affects results.
 	Shards int
-	// Mode overrides Config.Mode on every submitted config ("" leaves
-	// requests as-is): windowed, adaptive, timewarp, or auto. Like Shards
-	// it is an execution mechanic the hash ignores — results are
-	// bit-identical across modes — so forcing it never affects stored
-	// records.
-	Mode string
 	// StoreMaxBytes bounds the content-addressed result store; past it the
 	// oldest unreferenced records are evicted (0 = unbounded). Evicted
 	// results recompute bit-identically on the next request.
@@ -75,11 +69,6 @@ func (o *Options) withDefaults() error {
 	}
 	if o.MaxJobs <= 0 {
 		o.MaxJobs = 4096
-	}
-	switch o.Mode {
-	case "", "auto", "windowed", "adaptive", "timewarp":
-	default:
-		return fmt.Errorf("serve: unknown Mode %q (want windowed, adaptive, timewarp, or auto)", o.Mode)
 	}
 	return nil
 }
@@ -351,8 +340,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	closed := s.closed
 	s.mu.Unlock()
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	s.metrics.render(w, s.pool.Depth(), !closed, s.opts.Shards, s.opts.Mode,
-		s.store.bytes(), s.store.evictions.Load())
+	s.metrics.render(w, s.pool.Depth(), !closed, s.opts.Shards, s.store.bytes(),
+		s.store.evictions.Load())
 }
 
 // shed writes a 429 with Retry-After, the backpressure contract.
@@ -393,9 +382,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	for i := range configs {
 		if s.opts.Shards != 0 {
 			configs[i].Shards = s.opts.Shards
-		}
-		if s.opts.Mode != "" {
-			configs[i].Mode = s.opts.Mode
 		}
 		if err := configs[i].Validate(); err != nil {
 			s.badRequest(w, fmt.Sprintf("config %d: %v", i, err))

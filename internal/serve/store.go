@@ -17,10 +17,10 @@ import (
 // configuration that produced it, and the simulation result. Stored
 // records are normalized so that byte equality is meaningful:
 //
-//   - Config.Shards, Config.NoElision, and Config.Mode are zeroed — they
-//     are execution mechanics excluded from the hash, and results are
-//     bit-identical across them, so a record computed at any shard count
-//     or synchronization mode serves all.
+//   - Config.Shards and Config.NoElision are zeroed — they are execution
+//     mechanics excluded from the hash, and results are bit-identical
+//     across them, so a record computed at any shard count or
+//     synchronization protocol serves all.
 //   - Result.Stats is dropped: the low-level record embeds synchronization
 //     telemetry (barrier waits, window widths), which measures how the run
 //     was executed, not what it computed.
@@ -36,7 +36,6 @@ type Record struct {
 func normalizeRecord(cfg vsnoop.Config, res *vsnoop.Result) Record {
 	cfg.Shards = 0
 	cfg.NoElision = false
-	cfg.Mode = ""
 	r := *res
 	r.Stats = nil
 	return Record{Hash: cfg.Hash(), Config: cfg, Result: &r}

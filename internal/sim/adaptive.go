@@ -161,18 +161,6 @@ type SyncStats struct {
 	WindowWidthSum uint64
 	// CrossDeposits counts events deposited across shards over the run.
 	CrossDeposits uint64
-
-	// Timewarp telemetry (optimistic mode only; zero in the conservative
-	// modes). Rollbacks counts checkpoint restores; AntiMessages counts held
-	// cross-shard sends annihilated at commit because their sending event was
-	// rolled back; GVTLagSum accumulates, over all shards and epochs, the
-	// simulated cycles a shard had executed past the commit horizon (rolled
-	// -back optimism); Bailouts counts permanent hand-offs to the
-	// conservative adaptive engine after sustained floor-width commits.
-	Rollbacks    uint64
-	AntiMessages uint64
-	GVTLagSum    uint64
-	Bailouts     uint64
 }
 
 // MeanWindowWidth returns the mean simulated-cycle width of one
@@ -182,15 +170,6 @@ func (s SyncStats) MeanWindowWidth() float64 {
 		return 0
 	}
 	return float64(s.WindowWidthSum) / float64(s.Windows)
-}
-
-// MeanGVTLag returns the mean simulated cycles of rolled-back optimism per
-// rollback (0 when the run never rolled back).
-func (s SyncStats) MeanGVTLag() float64 {
-	if s.Rollbacks == 0 {
-		return 0
-	}
-	return float64(s.GVTLagSum) / float64(s.Rollbacks)
 }
 
 // runAdaptive is shard s's free-running loop (K >= 2, nothing observing

@@ -207,6 +207,17 @@ func TestWindowedQuietElision(t *testing.T) {
 	}
 }
 
+// resetQueue empties the queue, keeping the pool's and far heap's backing
+// arrays for reuse and dropping their fn2/arg references.
+func (e *Engine) resetQueue() {
+	clear(e.pool)
+	e.pool = e.pool[:0]
+	e.free, e.nring = 0, 0
+	e.head, e.tail, e.occ = [ringSize]int32{}, [ringSize]int32{}, [ringWords]uint64{}
+	clear(e.far)
+	e.far = e.far[:0]
+}
+
 // TestMailboxZeroAllocSteadyState is the allocation gate for the deposit
 // path: once a mailbox's backing array (and the destination queue) have
 // reached their working-set size, put and a one-pass batch drain must not

@@ -238,10 +238,10 @@ func (e *Engine) SetDomains(nd int, local []bool, deposit func(ev event)) {
 // any event handler (machine setup); during execution Step maintains it.
 func (e *Engine) SetCurDomain(d int32) { e.curDom = d }
 
-// push inserts a whole event into the local queue: a drained deposit or a
-// restored checkpoint entry. Like insert it sends an event due ringSize or
-// more cycles ahead to far; so does the unsigned distance of an event due
-// before now, which no correct caller produces, and before still orders it.
+// push inserts a whole event, a drained mailbox deposit, into the local
+// queue. Like insert it sends an event due ringSize or more cycles ahead to
+// far; so does the unsigned distance of an event due before now, which no
+// correct caller produces, and before still orders it.
 //
 //vsnoop:hotpath
 func (e *Engine) push(ev *event) {
@@ -391,32 +391,6 @@ func (e *Engine) popFar() event {
 		h[i] = last
 	}
 	return root
-}
-
-// appendPending appends every pending event to dst in no particular order
-// (firing order depends only on (at, key), so a re-push restores it).
-func (e *Engine) appendPending(dst []event) []event {
-	for w, m := range e.occ {
-		for ; m != 0; m &= m - 1 {
-			b := w<<6 | bits.TrailingZeros64(m)
-			for i := e.head[b]; i != 0; i = e.pool[i-1].next {
-				dst = append(dst, e.pool[i-1])
-				dst[len(dst)-1].next = 0
-			}
-		}
-	}
-	return append(dst, e.far...)
-}
-
-// resetQueue empties the queue, keeping the pool's and far heap's backing
-// arrays for reuse and dropping their fn2/arg references.
-func (e *Engine) resetQueue() {
-	clear(e.pool)
-	e.pool = e.pool[:0]
-	e.free, e.nring = 0, 0
-	e.head, e.tail, e.occ = [ringSize]int32{}, [ringSize]int32{}, [ringWords]uint64{}
-	clear(e.far)
-	e.far = e.far[:0]
 }
 
 // Step executes the next event, advancing the clock to its cycle. It

@@ -32,20 +32,14 @@ type qEvent struct {
 // identity names the event.
 type qPayload struct{ id uint64 }
 
-// qState is the model's restorable state, mirroring engSnap.
+// qState is the model's mirror of the engine's clock, key counters and
+// pending events.
 type qState struct {
 	now    Cycle
 	curDom int32
 	seq    uint64
 	domSeq []uint64
 	pend   []qEvent // sorted by (at, key)
-}
-
-func (s *qState) clone() qState {
-	c := *s
-	c.domSeq = append([]uint64(nil), s.domSeq...)
-	c.pend = append([]qEvent(nil), s.pend...)
-	return c
 }
 
 // qModel couples an engine with the reference model. Every fired event
@@ -60,10 +54,6 @@ type qModel struct {
 	nextID uint64
 	fn     HandlerFn
 	fired  int
-
-	snap    engSnap
-	snapSt  qState
-	hasSnap bool
 }
 
 func newQModel(t testing.TB, nd int) *qModel {
@@ -195,20 +185,6 @@ func (m *qModel) runWindow(wend Cycle) {
 	}
 }
 
-func (m *qModel) save() {
-	m.e.saveSnap(&m.snap)
-	m.snapSt = m.st.clone()
-	m.hasSnap = true
-}
-
-func (m *qModel) restore() {
-	if !m.hasSnap {
-		return
-	}
-	m.e.restoreSnap(&m.snap)
-	m.st = m.snapSt.clone()
-}
-
 // setDomain switches the scheduling domain used outside handlers.
 func (m *qModel) setDomain(d int32) {
 	if m.nd > 1 {
@@ -221,7 +197,7 @@ func (m *qModel) setDomain(d int32) {
 // grammar, also used by the deterministic test.
 func (m *qModel) apply(op, arg byte) {
 	d := qDelays[int(arg)%len(qDelays)]
-	switch op % 10 {
+	switch op % 9 {
 	case 0, 1, 2:
 		m.schedule(d, m.st.curDom)
 	case 3:
@@ -238,12 +214,6 @@ func (m *qModel) apply(op, arg byte) {
 		m.runUntil(m.st.now + d)
 	case 8:
 		m.runWindow(m.st.now + d)
-	case 9:
-		if arg&1 == 0 {
-			m.save()
-		} else {
-			m.restore()
-		}
 	}
 	m.check()
 }
@@ -298,14 +268,13 @@ func TestQueueOrderBoundaries(t *testing.T) {
 
 // TestQueueOrderDeterministic replays a fixed pseudo-random op stream in
 // single-domain and domain mode, with the clock crossing the ring many
-// times, snapshots taken and restored mid-stream, and deposits of
-// foreign-domain keys.
+// times and deposits of foreign-domain keys.
 func TestQueueOrderDeterministic(t *testing.T) {
 	for _, nd := range []int{1, 4, 16} {
 		m := newQModel(t, nd)
 		r := NewRand(uint64(nd))
 		for i := 0; i < 4000; i++ {
-			op := byte(r.Intn(10))
+			op := byte(r.Intn(9))
 			if op == 7 && r.Intn(4) != 0 {
 				op = 6 // keep long clock jumps rarer than steps
 			}

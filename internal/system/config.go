@@ -126,17 +126,6 @@ type Config struct {
 	// flag pins the synchronization mode for tests and benchmarks.
 	NoElision bool
 
-	// Mode selects the sharded engine's synchronization engine:
-	// "windowed", "adaptive", "timewarp" (optimistic
-	// checkpoint/rollback), "auto" (pick from the planner's horizon
-	// estimate), or "" for the historical dispatch. Results are
-	// bit-identical for every value — a mode is an execution strategy,
-	// not a different simulation — so Mode is excluded from the public
-	// config hash, like Shards. "timewarp" silently falls back to the
-	// conservative dispatch when the configuration is outside the
-	// optimistic engine's checkpoint coverage.
-	Mode string
-
 	// Cancel, if non-nil, lets another goroutine stop the run early; a
 	// canceled run fails with a sim.CanceledError instead of returning a
 	// partial result. Control plane only: a run that completes before the
@@ -230,11 +219,6 @@ func (c Config) Validate() error {
 	}
 	if c.Shards < 0 {
 		return fmt.Errorf("system: negative Shards")
-	}
-	switch c.Mode {
-	case "", "auto", "windowed", "adaptive", "timewarp":
-	default:
-		return fmt.Errorf("system: unknown Mode %q (want windowed, adaptive, timewarp, or auto)", c.Mode)
 	}
 	return nil
 }

@@ -97,8 +97,7 @@ type vcpu struct {
 	// The open coherence transaction's inputs to missDone, set by execute
 	// when it starts one: start cycle, block, tag VM, write flag, and the
 	// core and domain it runs on (the vCPU may be relocated before it
-	// completes). They are plain fields so the optimistic engine's by-value
-	// vCPU checkpoint covers them.
+	// completes).
 	txnStart sim.Cycle
 	txnAddr  mem.BlockAddr
 	txnVM    mem.VMID
@@ -139,18 +138,8 @@ type domain struct {
 	// writes onto the setup-preallocated target page.
 	cow map[uint64]mem.Translation
 	// probes is the freelist of holder-classification probes this domain
-	// originates; allProbes is the append-only registry of every probe the
-	// domain ever allocated, so the optimistic engine can checkpoint the
-	// in-flight ones by index.
-	probes    []*holderProbe
-	allProbes []*holderProbe
-
-	// vlist is the authoritative list of vCPUs this domain currently owns
-	// (maintained by the depart/arrive handlers); cowLog records the keys
-	// inserted into the cow overlay since the last commit. Both exist for
-	// the optimistic engine's checkpoints and are only appended outside it.
-	vlist  []*vcpu
-	cowLog []uint64
+	// originates.
+	probes []*holderProbe
 }
 
 // Machine is a fully wired simulated system.
@@ -235,10 +224,6 @@ type Machine struct {
 	shufRng    *sim.Rand
 	shufPeriod sim.Cycle
 
-	// DebugMissHook, if set, receives (guest page, write) for every
-	// measured guest L2 miss; used by calibration tooling only.
-	DebugMissHook func(page int, write bool)
-
 	// own/fwd are the flat per-domain vCPU location tables of sharded mode
 	// (nil in legacy): own[d*nv+vix] reports whether domain d currently owns
 	// vCPU vix, and fwd[d*nv+vix] is where d last sent it. Row d is written
@@ -251,16 +236,6 @@ type Machine struct {
 	own []bool  //vsnoop:owned table
 	fwd []int32 //vsnoop:owned table
 	nv  int
-
-	// Optimistic (timewarp) execution support. twOn gates the undo-log
-	// appends on the migration and COW paths; domShard maps each domain to
-	// the shard executing it; twLog is the per-shard arrival undo log —
-	// chronological, because all of a shard's domains run on one goroutine;
-	// shardState adapts the per-domain model state to sim.ShardState.
-	twOn       bool
-	domShard   []int32
-	twLog      [][]arriveSave //vsnoop:owned table
-	shardState *machineState
 
 	// stepFn/resumeFn/missDoneFn are the prebound event handlers for the
 	// hottest schedulers (per-reference think-time step, delayed reference
@@ -306,10 +281,8 @@ func New(cfg Config) (*Machine, error) {
 			k = nd
 		}
 		domShard := make([]int, nd)
-		m.domShard = make([]int32, nd)
 		for d := range domShard {
 			domShard[d] = d % k
-			m.domShard[d] = int32(d % k)
 		}
 		// Lookahead: any cross-domain message crosses at least one mesh hop
 		// (router + link + one flit), and fault delays only add latency.
@@ -756,7 +729,7 @@ func New(cfg Config) (*Machine, error) {
 	return m, nil
 }
 
-// initLocationTables (re)derives the per-domain vCPU lists and the own/fwd
+// initLocationTables (re)derives the per-domain vCPU counts and the own/fwd
 // location rows from the mapper's current placement. Called at construction
 // and again when a partitioned run starts, so placement changes between the
 // two (tests relocating by hand) cannot leave the tables stale.
@@ -765,18 +738,15 @@ func (m *Machine) initLocationTables() {
 		return
 	}
 	for _, d := range m.doms {
-		d.vlist = d.vlist[:0]
+		d.nvcpus = 0
 	}
 	for i, v := range m.vcpus {
 		v.dom = m.domOfCore(v.core)
-		v.dom.vlist = append(v.dom.vlist, v)
+		v.dom.nvcpus++
 		for d := range m.doms {
 			m.own[d*m.nv+i] = int32(d) == v.dom.idx
 			m.fwd[d*m.nv+i] = v.dom.idx
 		}
-	}
-	for _, d := range m.doms {
-		d.nvcpus = len(d.vlist)
 	}
 }
 
@@ -852,7 +822,6 @@ func (m *Machine) setupVMs() {
 		}
 	}
 	if cfg.ContentSharing {
-		m.MM.OnShareFlush = m.flushPageEverywhere
 		m.MM.MergeIdentical()
 		for vm := 0; vm < cfg.VMs; vm++ {
 			if friend, ok := m.MM.FriendOf(mem.VMID(vm)); ok {
@@ -881,18 +850,6 @@ func (m *Machine) placeVMs() {
 	for _, v := range m.vcpus {
 		m.Mapper.Place(v.id, c)
 		c++
-	}
-}
-
-// flushPageEverywhere writes back every cached block of a page (invoked
-// when the hypervisor marks a page RO-shared so memory holds clean data).
-func (m *Machine) flushPageEverywhere(p mem.HostPage) {
-	for _, cn := range m.cores {
-		for range cn.l2.FlushPage(p) {
-			// Token state returns to memory implicitly at setup time (the
-			// caches are empty before Run); at runtime the writeback path
-			// would be used. Setup-only in this model.
-		}
 	}
 }
 
@@ -1007,24 +964,6 @@ func (m *Machine) runSharded() (*Stats, error) {
 	m.sharded.SetCancel(cfg.Cancel)
 	m.sharded.MaxSteps = cfg.MaxSteps
 	m.initLocationTables()
-	mode := m.resolveMode()
-	m.sharded.Mode = mode
-	if mode == sim.ModeTimewarp {
-		m.twOn = true
-		m.shardState = newMachineState(m)
-		m.sharded.SetShardState(m.shardState)
-		// Arm copy-on-first-touch journals on the bulk structures (cache
-		// sets, memory-controller tables), so a checkpoint costs what the
-		// epoch touched, not what the machine holds.
-		for _, cn := range m.cores {
-			cn.l1.EnableJournal()
-			cn.l2.EnableJournal()
-			cn.tlb.EnableJournal()
-		}
-		for _, mc := range m.mcs {
-			mc.EnableJournal()
-		}
-	}
 	m.running = true
 	if m.syncMode {
 		m.inflight = make([]bool, len(m.vcpus))
@@ -1198,12 +1137,6 @@ func (m *Machine) execute(v *vcpu, cn *coreNode, ref workload.Ref) {
 			if m.cowTargets != nil {
 				key := mem.CowKey(v.id.VM, ref.Page)
 				d.cow[key] = mem.Translation{Host: m.cowTargets[key], Type: mem.PagePrivate}
-				if m.twOn {
-					// The overlay is insert-only (the trap fires once per
-					// domain per page), so an undo log of inserted keys is a
-					// complete checkpoint delta.
-					d.cowLog = append(d.cowLog, key)
-				}
 				st.Cows++
 				for _, ci := range d.cores {
 					m.cores[ci].tlb.Shootdown(v.id.VM, ref.Page)
@@ -1275,9 +1208,6 @@ func (m *Machine) execute(v *vcpu, cn *coreNode, ref workload.Ref) {
 
 	// L2 miss or upgrade: coherence transaction.
 	st.recordL2Miss(v.id.VM, ref.Ctx, ptype)
-	if m.DebugMissHook != nil && d.warmed && ref.Ctx == workload.CtxGuest {
-		m.DebugMissHook(int(ref.Page), ref.Write)
-	}
 	if ptype == mem.PageROShared {
 		if m.sharded != nil {
 			m.classifyPartitioned(d, addr, v.id.VM)

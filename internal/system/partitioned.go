@@ -18,7 +18,6 @@ import (
 	"vsnoop/internal/mesh"
 	"vsnoop/internal/sim"
 	"vsnoop/internal/token"
-	"vsnoop/internal/workload"
 )
 
 // Filter-replica delta opcodes, packed into the event's u payload as
@@ -184,18 +183,10 @@ func (m *Machine) departNow(v *vcpu, from, to int) {
 	}
 	v.core = to
 	v.dom = m.domOfCore(to)
-	// Hand off ownership in dOld's own location rows and vlist; the arrive
-	// completes the transfer in the destination's rows.
+	// Hand off ownership in dOld's own location rows; the arrive completes
+	// the transfer in the destination's rows.
 	m.own[int(dOld.idx)*m.nv+v.vix] = false
 	m.fwd[int(dOld.idx)*m.nv+v.vix] = v.dom.idx
-	for i, w := range dOld.vlist {
-		if w == v {
-			last := len(dOld.vlist) - 1
-			dOld.vlist[i] = dOld.vlist[last]
-			dOld.vlist = dOld.vlist[:last]
-			break
-		}
-	}
 	eng := dOld.eng
 	eng.ScheduleFnAtDom(eng.Now()+m.crossHor[dOld.idx], v.dom.idx, m.arriveFn, v, uint64(to))
 }
@@ -207,18 +198,8 @@ func (m *Machine) handleArrive(arg interface{}, u uint64) {
 	v := arg.(*vcpu)
 	to := int(u)
 	d := v.dom
-	if m.twOn {
-		// Log the pre-arrival vCPU state before any mutation: an optimistic
-		// rollback undoes arrivals (newest first) before restoring the
-		// checkpointed vlists, so a vCPU that both departed and arrived
-		// inside one epoch unwinds through its in-flight state back to the
-		// depart-side checkpoint.
-		m.twLog[m.domShard[d.idx]] = append(m.twLog[m.domShard[d.idx]],
-			arriveSave{v: v, st: *v, gen: v.gen.(*workload.Generator).State()})
-	}
 	m.own[int(d.idx)*m.nv+v.vix] = true
 	m.fwd[int(d.idx)*m.nv+v.vix] = d.idx
-	d.vlist = append(d.vlist, v)
 	m.replicas[d.idx].RelocateArrive(v.id.VM, to)
 	m.broadcastDelta(d, opRunMapSet, v.id.VM, to)
 	if !m.cfg.TLB.Tagged {
@@ -423,7 +404,6 @@ type holderProbe struct {
 	addr      mem.BlockAddr //vsnoop:owned const
 	vm        mem.VMID      //vsnoop:owned const
 	srcDom    int32         //vsnoop:owned const
-	idx       int32         //vsnoop:owned const — slot in the domain's allProbes registry
 	remaining int
 	bits      uint64
 }
@@ -435,18 +415,14 @@ const (
 	holderOther  = 4
 )
 
-// getHolderProbe pops a probe from d's freelist, or allocates one and
-// registers it in the domain's append-only probe registry (checkpoints
-// save in-flight probe state by registry index).
+// getHolderProbe pops a probe from d's freelist, or allocates one.
 func (m *Machine) getHolderProbe(d *domain) *holderProbe {
 	if n := len(d.probes); n > 0 {
 		p := d.probes[n-1]
 		d.probes = d.probes[:n-1]
 		return p
 	}
-	p := &holderProbe{idx: int32(len(d.allProbes))}
-	d.allProbes = append(d.allProbes, p)
-	return p
+	return &holderProbe{}
 }
 
 // scanHolder classifies the holders of addr among d's own caches.

@@ -341,3 +341,57 @@ func TestShardRaceSoak(t *testing.T) {
 		t.Fatalf("no activity: %d transactions, %d events", st.Transactions, st.EventsFired)
 	}
 }
+
+// TestLocationTables pins the own/fwd location rows the sharded event chase
+// reads: each vCPU is owned by exactly one domain, that domain is the one
+// its dom pointer names, and the owner's fwd entry points at itself —
+// after construction and again after a migrating run's depart/arrive
+// hand-offs.
+func TestLocationTables(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.RefsPerVCPU = 1000
+	cfg.MigrationPeriodMs = 0.1
+	cfg.Filter.Policy = core.PolicyCounter
+	cfg.Shards = 2
+	m, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.own == nil || m.nv != len(m.vcpus) {
+		t.Fatalf("location tables not built: own=%v nv=%d", m.own != nil, m.nv)
+	}
+	check := func(when string) {
+		t.Helper()
+		for i, v := range m.vcpus {
+			for _, d := range m.doms {
+				row := int(d.idx) * m.nv
+				if m.own[row+i] != (d == v.dom) {
+					t.Errorf("%s: vCPU %d in dom %d, but dom %d own = %v", when, i, v.dom.idx, d.idx, m.own[row+i])
+				}
+				if d == v.dom && m.fwd[row+i] != d.idx {
+					t.Errorf("%s: dom %d owns vCPU %d but fwd points to %d", when, d.idx, i, m.fwd[row+i])
+				}
+			}
+		}
+	}
+	check("after New")
+	for _, d := range m.doms {
+		n := 0
+		for i := 0; i < m.nv; i++ {
+			if m.own[int(d.idx)*m.nv+i] {
+				n++
+			}
+		}
+		if n != d.nvcpus {
+			t.Errorf("dom %d owns %d vCPUs, nvcpus = %d", d.idx, n, d.nvcpus)
+		}
+	}
+	st, err := m.RunChecked()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Relocations == 0 {
+		t.Fatal("migration run relocated nothing")
+	}
+	check("after Run")
+}

@@ -88,11 +88,9 @@ const (
 // carved from fixed chunks and a slot is never handed out twice: a full
 // chunk is dropped, and the garbage collector frees it once the last
 // delivery referring to it is gone. Never reusing a slot is what makes
-// sending by pointer safe under the optimistic shard engine — a *Msg held
-// by a staged cross-shard send or by a checkpointed event is never
-// overwritten, even after a rollback. The cursor is therefore not
-// simulation state: controller snapshots neither save nor restore it.
-// The zero value is ready to use.
+// sending by pointer safe without ownership tracking: a *Msg that any
+// queued delivery still holds is never overwritten. The cursor is not
+// simulation state. The zero value is ready to use.
 type Msgs struct {
 	msgs  []Msg
 	nodes []mesh.NodeID

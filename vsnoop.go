@@ -146,20 +146,6 @@ type Config struct {
 	// without it; only synchronization telemetry and wall-clock change.
 	NoElision bool
 
-	// Mode selects the sharded engine's synchronization engine:
-	// "windowed" (fully barriered), "adaptive" (conservative
-	// null-message free-run), "timewarp" (optimistic execution with
-	// flat-slice checkpoints, rollback, and GVT commit), "auto" (pick
-	// per config from the partition planner's horizon estimate), or ""
-	// for the historical dispatch. Results are bit-identical for every
-	// value — committed timewarp state matches serial execution at every
-	// commit point by construction — so, like Shards, Mode is excluded
-	// from Hash. "timewarp" on a configuration outside the optimistic
-	// engine's checkpoint coverage (directory protocol, RegionScout,
-	// fault plans, invariant checks, trace replay) silently falls back
-	// to the conservative dispatch.
-	Mode string
-
 	Seed uint64
 }
 
@@ -260,10 +246,10 @@ func (cfg Config) Validate() error {
 // simulation, so the hash is a sound memoization key: determinism
 // guarantees equal hashes produce bit-identical Results.
 //
-// Shards, NoElision, and Mode are deliberately excluded — they choose how
-// many goroutines execute the run and which synchronization engine drives
+// Shards and NoElision are deliberately excluded — they choose how many
+// goroutines execute the run and which synchronization protocol drives
 // them, all proven bit-identical to serial execution — so a result
-// computed at any shard count or engine mode serves requests at every
+// computed at any shard count or protocol serves requests at every
 // other. ForceSerial is included: the legacy engine models cross-domain
 // effects without the partitioned pipeline's ownership-transfer latencies,
 // so its results are a different simulation, not a different execution
@@ -551,7 +537,6 @@ func toSystem(cfg Config) (system.Config, error) {
 	sc.Shards = cfg.Shards
 	sc.ForceSerial = cfg.ForceSerial
 	sc.NoElision = cfg.NoElision
-	sc.Mode = cfg.Mode
 	if cfg.Seed != 0 {
 		sc.Seed = cfg.Seed
 	}

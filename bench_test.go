@@ -13,6 +13,8 @@
 package vsnoop
 
 import (
+	"encoding/json"
+	"os"
 	"testing"
 
 	"vsnoop/internal/exp"
@@ -223,15 +225,52 @@ func BenchmarkSingleRunShards4NoElision(b *testing.B) { benchmarkSingleRun(b, 4,
 
 func benchmarkSingleRun(b *testing.B, shards int, noElision bool) {
 	for i := 0; i < b.N; i++ {
-		cfg := DefaultConfig()
-		cfg.RefsPerVCPU = 2000
-		cfg.WarmupRefs = 0
-		cfg.Shards = shards
-		cfg.NoElision = noElision
-		if _, err := Run(cfg); err != nil {
+		if _, err := Run(singleRunConfig(shards, noElision)); err != nil {
 			b.Fatal(err)
 		}
 	}
+}
+
+// singleRunConfig is the configuration of the BenchmarkSingleRun family.
+func singleRunConfig(shards int, noElision bool) Config {
+	cfg := DefaultConfig()
+	cfg.RefsPerVCPU = 2000
+	cfg.WarmupRefs = 0
+	cfg.Shards = shards
+	cfg.NoElision = noElision
+	return cfg
+}
+
+// TestSingleRunAllocs gates one BenchmarkSingleRun iteration at the
+// allocs_per_op_max bound of BENCH_5.json's gates, read from the file, so
+// a plain go test holds the allocation budget the benchmark job enforces.
+func TestSingleRunAllocs(t *testing.T) {
+	raw, err := os.ReadFile("BENCH_5.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var bench struct {
+		Gates struct {
+			AllocsPerOpMax float64 `json:"allocs_per_op_max"`
+		} `json:"gates"`
+	}
+	if err := json.Unmarshal(raw, &bench); err != nil {
+		t.Fatal(err)
+	}
+	max := bench.Gates.AllocsPerOpMax
+	if max <= 0 {
+		t.Fatalf("BENCH_5.json has no allocs_per_op_max gate (got %v)", max)
+	}
+	cfg := singleRunConfig(0, false)
+	avg := testing.AllocsPerRun(3, func() {
+		if _, err := Run(cfg); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if avg > max {
+		t.Fatalf("one BenchmarkSingleRun iteration allocates %.0f times, gate %.0f", avg, max)
+	}
+	t.Logf("%.0f allocs per run, gate %.0f", avg, max)
 }
 
 // Migration and content-sharing runs were serial-only before the graph-cut

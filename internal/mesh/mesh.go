@@ -42,7 +42,16 @@ type Handler func(payload interface{})
 type node struct {
 	x, y    int
 	handler Handler
+	elide   Elider
 }
+
+// Elider lets an endpoint take a delivery out of the event queue at send
+// time. The network has already reserved the links, charged the traffic
+// and drawn the delivery's tie-break key; the elider gets the delivery as
+// it would be queued — arrival cycle, key, executing domain, payload — and
+// returns true if it keeps the delivery itself (and owes the network
+// nothing more), false to have it queued as usual.
+type Elider func(at sim.Cycle, key uint64, dom int32, payload interface{}) bool
 
 // Directed link directions. A link is identified by its source router
 // coordinates and direction, flattened to a dense id by linkID so the
@@ -241,6 +250,13 @@ func (n *Network) Attach(x, y int, h Handler) NodeID {
 // endpoint object is constructed after the network).
 func (n *Network) SetHandler(id NodeID, h Handler) { n.nodes[id].handler = h }
 
+// SetElider installs an endpoint's elider (nil removes it). The network
+// consults it only in partitioned mode, and only for deliveries whose
+// destination domain executes on the sending engine: the elider then runs
+// on the goroutine that owns the endpoint, and everything it does stays
+// shard-local. Other deliveries are queued as usual.
+func (n *Network) SetElider(id NodeID, el Elider) { n.nodes[id].elide = el }
+
 // Coords returns the router coordinates of an endpoint.
 func (n *Network) Coords(id NodeID) (x, y int) {
 	nd := n.nodes[id]
@@ -390,6 +406,13 @@ func (n *Network) transmit(src, dst NodeID, bytes int, payload interface{}, extr
 	}
 	arrive += extra
 	if n.nodeDom != nil {
+		if el := n.nodes[dst].elide; el != nil && eng.Local(dd) {
+			key := eng.NextKey()
+			if !el(arrive, key, dd, payload) {
+				eng.ScheduleKeyed(arrive, key, dd, n.deliver, payload, uint64(dst))
+			}
+			return
+		}
 		eng.ScheduleFnAtDom(arrive, dd, n.deliver, payload, uint64(dst))
 	} else {
 		eng.ScheduleFnAt(arrive, n.deliver, payload, uint64(dst))

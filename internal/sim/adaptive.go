@@ -161,6 +161,10 @@ type SyncStats struct {
 	WindowWidthSum uint64
 	// CrossDeposits counts events deposited across shards over the run.
 	CrossDeposits uint64
+	// ParkedEvents counts the fired events that were parked deliveries
+	// (Engine.Park): counted as fired, never executed. Executed events are
+	// EventsFired - ParkedEvents.
+	ParkedEvents uint64
 }
 
 // MeanWindowWidth returns the mean simulated-cycle width of one

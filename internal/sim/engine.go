@@ -74,6 +74,18 @@ type Engine struct {
 	seq   uint64
 	fired uint64
 
+	// curKey is the key of the executing (or last fired) event; together
+	// with now it is the engine's position in (at, key) order, which Passed
+	// compares against. A clock move without a firing (RunUntil) resets it
+	// to 0, below every key, so the position is "start of cycle now".
+	curKey uint64
+
+	// parked counts deliveries that a component took out of the queue
+	// because they provably do nothing (Park/Unpark): each one stands for an
+	// event that fired. It stays out of fired, whose low bits pace the
+	// cancellation poll over executed events only.
+	parked uint64
+
 	// Ring: bucket at&ringMask holds the events due at cycle at, linked in
 	// key order through pool (1-based indices, 0 = none); free heads the
 	// pool's free list and occ marks non-empty buckets. Every ring event is
@@ -100,7 +112,9 @@ type Engine struct {
 
 	// No-forward-progress watchdog: when progressLimit > 0, StepChecked
 	// fails after that many events fire without a Progress() mark, turning a
-	// protocol livelock into a diagnosable error instead of a hang.
+	// protocol livelock into a diagnosable error instead of a hang. It
+	// counts executed events only, never parked ones: a livelock is made of
+	// real retry events, so it trips all the same.
 	progressLimit uint64
 	sinceProgress uint64
 
@@ -117,8 +131,39 @@ func NewEngine() *Engine { return &Engine{} }
 // Now returns the current simulated cycle.
 func (e *Engine) Now() Cycle { return e.now }
 
-// Fired returns the total number of events executed so far.
-func (e *Engine) Fired() uint64 { return e.fired }
+// Fired returns the total number of events fired so far: the executed
+// ones plus the parked deliveries that stand for events (Park).
+func (e *Engine) Fired() uint64 { return e.fired + e.parked }
+
+// Parked returns how many of Fired's events were parked deliveries.
+func (e *Engine) Parked() uint64 { return e.parked }
+
+// Park counts one event a component holds back from the queue because it
+// would do nothing but count itself: the engine reports it as fired.
+func (e *Engine) Park() { e.parked++ }
+
+// Unpark withdraws one Park count: the component put the event back with
+// ScheduleKeyed after all, or dropped it unfired at an early exit.
+func (e *Engine) Unpark() { e.parked-- }
+
+// CurKey returns the key of the executing event (0 between firings after
+// RunUntil moved the clock).
+func (e *Engine) CurKey() uint64 { return e.curKey }
+
+// Passed reports whether an event due at (at, key) lies before the
+// engine's position in queue order: it would already have fired. An event
+// that has not passed would fire later, at its own (at, key).
+//
+//vsnoop:hotpath
+func (e *Engine) Passed(at Cycle, key uint64) bool {
+	return at < e.now || at == e.now && key < e.curKey
+}
+
+// Local reports whether domain dom executes on this engine (always true
+// outside domain mode and on a single-shard engine).
+//
+//vsnoop:hotpath
+func (e *Engine) Local(dom int32) bool { return e.local == nil || e.local[dom] }
 
 // Pending returns the number of events waiting in the queue.
 func (e *Engine) Pending() int { return e.nring + len(e.far) }
@@ -187,6 +232,25 @@ func (e *Engine) ScheduleFnAtDom(at Cycle, dom int32, fn HandlerFn, arg interfac
 	}
 	e.insert(at, e.nextKey(), dom, fn, arg, u)
 }
+
+// ScheduleKeyed runs fn(arg, u) at cycle at in domain dom under a key drawn
+// earlier by NextKey, so the event takes the queue position it would have
+// had if it had been scheduled when the key was drawn. at must not be in
+// the past.
+//
+//vsnoop:hotpath
+func (e *Engine) ScheduleKeyed(at Cycle, key uint64, dom int32, fn HandlerFn, arg interface{}, u uint64) {
+	if at < e.now {
+		schedulePastPanic(at, e.now)
+	}
+	e.insert(at, key, dom, fn, arg, u)
+}
+
+// NextKey draws the tie-break key the next scheduled event would get,
+// for a later ScheduleKeyed.
+//
+//vsnoop:hotpath
+func (e *Engine) NextKey() uint64 { return e.nextKey() }
 
 // nextKey draws the next tie-break key: the global schedule counter in
 // single-domain mode (key == legacy seq, bit-identical ordering), or the
@@ -417,14 +481,14 @@ func (e *Engine) Step() bool {
 func (e *Engine) fire(b int) {
 	if b < 0 {
 		ev := e.popFar()
-		e.now, e.curDom = ev.at, ev.dom
+		e.now, e.curDom, e.curKey = ev.at, ev.dom, ev.key
 		e.fired++
 		ev.fn2(ev.arg, ev.u)
 		return
 	}
 	i := e.head[b]
 	n := &e.pool[i-1]
-	at, dom, next := n.at, n.dom, n.next
+	at, key, dom, next := n.at, n.key, n.dom, n.next
 	fn, arg, u := n.fn2, n.arg, n.u
 	n.fn2, n.arg = nil, nil
 	n.next = e.free
@@ -435,7 +499,7 @@ func (e *Engine) fire(b int) {
 		e.tail[b] = 0
 		e.occ[b>>6] &^= 1 << (b & 63)
 	}
-	e.now, e.curDom = at, dom
+	e.now, e.curDom, e.curKey = at, dom, key
 	e.fired++
 	fn(arg, u)
 }
@@ -554,7 +618,7 @@ func (e *Engine) RunUntil(limit Cycle) {
 		e.fire(b)
 	}
 	if e.now < limit {
-		e.now = limit
+		e.now, e.curKey = limit, 0
 	}
 }
 

@@ -40,6 +40,15 @@ type qState struct {
 	seq    uint64
 	domSeq []uint64
 	pend   []qEvent // sorted by (at, key)
+	held   []qHeld  // keys drawn by op 9, not yet used
+}
+
+// qHeld is a key drawn ahead of its event (NextKey), with the domain that
+// will execute the event: what a parked delivery holds until it is put
+// back.
+type qHeld struct {
+	key uint64
+	dom int32
 }
 
 // qModel couples an engine with the reference model. Every fired event
@@ -104,6 +113,29 @@ func (m *qModel) schedule(delay Cycle, dom int32) {
 	default:
 		m.e.ScheduleFn(delay, m.fn, p, id)
 	}
+}
+
+// drawKey draws a key now in both worlds and holds it for putBack.
+func (m *qModel) drawKey() {
+	want := m.key()
+	if got := m.e.NextKey(); got != want {
+		m.t.Fatalf("NextKey() = %#x, want %#x", got, want)
+	}
+	m.st.held = append(m.st.held, qHeld{key: want, dom: m.st.curDom})
+}
+
+// putBack inserts the event of held key i, delay cycles ahead of now, with
+// that old key (ScheduleKeyed): it must take the place its key gives it,
+// even among events keyed after it was drawn.
+func (m *qModel) putBack(i int, delay Cycle) {
+	h := m.st.held[i]
+	m.st.held = append(m.st.held[:i], m.st.held[i+1:]...)
+	m.nextID++
+	id := m.nextID
+	p := &qPayload{id: id}
+	at := m.st.now + delay
+	m.add(qEvent{at: at, key: h.key, dom: h.dom, id: id, p: p})
+	m.e.ScheduleKeyed(at, h.key, h.dom, m.fn, p, id)
 }
 
 // deposit pushes an event the way a mailbox drain does: its key carries a
@@ -197,7 +229,7 @@ func (m *qModel) setDomain(d int32) {
 // grammar, also used by the deterministic test.
 func (m *qModel) apply(op, arg byte) {
 	d := qDelays[int(arg)%len(qDelays)]
-	switch op % 9 {
+	switch op % 10 {
 	case 0, 1, 2:
 		m.schedule(d, m.st.curDom)
 	case 3:
@@ -214,6 +246,12 @@ func (m *qModel) apply(op, arg byte) {
 		m.runUntil(m.st.now + d)
 	case 8:
 		m.runWindow(m.st.now + d)
+	case 9:
+		if arg&1 == 0 || len(m.st.held) == 0 {
+			m.drawKey()
+		} else {
+			m.putBack(int(arg>>1)%len(m.st.held), d)
+		}
 	}
 	m.check()
 }
@@ -274,7 +312,7 @@ func TestQueueOrderDeterministic(t *testing.T) {
 		m := newQModel(t, nd)
 		r := NewRand(uint64(nd))
 		for i := 0; i < 4000; i++ {
-			op := byte(r.Intn(9))
+			op := byte(r.Intn(10))
 			if op == 7 && r.Intn(4) != 0 {
 				op = 6 // keep long clock jumps rarer than steps
 			}
@@ -296,6 +334,7 @@ func FuzzQueueOrder(f *testing.F) {
 	f.Add(false, []byte{0, 12, 0, 13, 0, 14, 6, 7, 7, 19, 0, 0, 6, 0})
 	f.Add(true, []byte{5, 2, 0, 3, 5, 1, 0, 3, 3, 7, 4, 9, 9, 0, 7, 17, 6, 7, 9, 1, 6, 7})
 	f.Add(true, []byte{0, 15, 7, 11, 0, 4, 3, 13, 4, 14, 7, 16, 7, 16, 7, 16, 6, 255})
+	f.Add(true, []byte{9, 0, 0, 3, 9, 2, 0, 12, 6, 0, 9, 1, 9, 3, 5, 2, 9, 0, 6, 7, 9, 5})
 	f.Fuzz(func(t *testing.T, domains bool, ops []byte) {
 		nd := 1
 		if domains {
@@ -310,6 +349,54 @@ func FuzzQueueOrder(f *testing.F) {
 		}
 		m.drain()
 	})
+}
+
+// TestPutBackKeepsOrder pins the put-back case of a parked delivery: a
+// key drawn between two same-cycle events, then inserted by the first of
+// them at the current cycle, has not passed and fires before the second.
+// The pair is due at a ring cycle and at a far one, each after an earlier
+// event with a larger key, so a firing that left the executing key stale
+// would show. It also checks that RunUntil, which moves the clock without
+// firing, resets the position Passed compares against.
+func TestPutBackKeepsOrder(t *testing.T) {
+	for _, nd := range []int{1, 4} {
+		for _, at := range []Cycle{10, 2000} {
+			e := NewEngine()
+			if nd > 1 {
+				e.SetDomains(nd, nil, nil)
+				e.SetCurDomain(2)
+			}
+			var order []string
+			var held uint64
+			record := func(arg interface{}, _ uint64) { order = append(order, arg.(string)) }
+			putBack := func(arg interface{}, _ uint64) {
+				order = append(order, arg.(string))
+				if e.Passed(at, held) {
+					t.Fatalf("nd=%d at=%d: held key %#x passed at (%d, %#x)", nd, at, held, e.Now(), e.CurKey())
+				}
+				e.ScheduleKeyed(at, held, 2, record, "parked", 0)
+			}
+			e.ScheduleFnAt(at, putBack, "gain", 0)
+			held = e.NextKey()
+			e.ScheduleFnAt(at, record, "queued", 0)
+			e.ScheduleFnAt(5, record, "early", 0)
+			e.Run()
+			want := []string{"early", "gain", "parked", "queued"}
+			if len(order) != len(want) || order[0] != want[0] || order[1] != want[1] ||
+				order[2] != want[2] || order[3] != want[3] {
+				t.Fatalf("nd=%d at=%d: fired %v, want %v", nd, at, order, want)
+			}
+			if !e.Passed(at, held) {
+				t.Fatalf("nd=%d at=%d: (%d, %#x) has not passed after it fired", nd, at, at, held)
+			}
+			end := at + 10
+			e.RunUntil(end)
+			if e.CurKey() != 0 || e.Passed(end, 1) || !e.Passed(end-1, 1<<62) {
+				t.Fatalf("nd=%d: after RunUntil(%d): CurKey %#x, Passed(now, 1) %v, Passed(now-1, max) %v",
+					nd, end, e.CurKey(), e.Passed(end, 1), e.Passed(end-1, 1<<62))
+			}
+		}
+	}
 }
 
 // TestFiredEventsReleaseReferences checks that firing drops the queue's

@@ -109,7 +109,6 @@ type ShardedEngine struct {
 	done    bool
 	skipB   bool // leader decision: this window's drain + barrier B elided
 	err     error
-	fired   uint64
 	tele    SyncStats
 
 	barA, barB barrier
@@ -176,15 +175,28 @@ func (se *ShardedEngine) Eng(s int) *Engine { return se.engs[s] }
 // Shards returns the shard count K.
 func (se *ShardedEngine) Shards() int { return se.k }
 
-// Fired returns the total events executed across all shards (valid after
-// Run returns).
-func (se *ShardedEngine) Fired() uint64 { return se.fired }
+// Fired returns the total events fired across all shards, parked
+// deliveries included (valid after Run returns).
+func (se *ShardedEngine) Fired() uint64 {
+	var n uint64
+	for _, e := range se.engs {
+		n += e.Fired()
+	}
+	return n
+}
 
 // Now returns the final window cycle (valid after Run returns).
 func (se *ShardedEngine) Now() Cycle { return se.w }
 
-// Telemetry returns the synchronization counters of the last Run.
-func (se *ShardedEngine) Telemetry() SyncStats { return se.tele }
+// Telemetry returns the synchronization counters of the last Run, with the
+// shards' parked-delivery counts as they stand now.
+func (se *ShardedEngine) Telemetry() SyncStats {
+	t := se.tele
+	for _, e := range se.engs {
+		t.ParkedEvents += e.Parked()
+	}
+	return t
+}
 
 // SetProgressLimit arms every shard's no-forward-progress watchdog.
 func (se *ShardedEngine) SetProgressLimit(limit uint64) {
@@ -253,10 +265,6 @@ func (se *ShardedEngine) Run() error {
 		})
 	default:
 		se.runAdaptiveAll()
-	}
-	se.fired = 0
-	for _, e := range se.engs {
-		se.fired += e.Fired()
 	}
 	return se.err
 }

@@ -680,6 +680,7 @@ func New(cfg Config) (*Machine, error) {
 		}
 	}
 
+	m.parkSnoops(false)
 	m.setupVMs()
 
 	// Sharded post-setup wiring. Page allocation must not depend on the
@@ -727,6 +728,21 @@ func New(cfg Config) (*Machine, error) {
 	}
 	m.initLocationTables()
 	return m, nil
+}
+
+// parkSnoops installs every token controller's parking elider on its mesh
+// endpoint (token.CacheCtrl.Parker; shadow selects its checking mode), so a
+// snoop to an L2 holding no tokens for the block never enters the event
+// queue. Parking needs the partitioned engine, and stays off under a fault
+// plan (drops and duplicates need real events) and under a step budget
+// (MaxSteps counts executed events at window granularity).
+func (m *Machine) parkSnoops(shadow bool) {
+	if m.sharded == nil || m.Injector != nil || m.cfg.MaxSteps > 0 || m.cfg.Directory {
+		return
+	}
+	for _, cn := range m.cores {
+		m.Net.SetElider(cn.node, cn.ctrl.Parker(shadow))
+	}
 }
 
 // initLocationTables (re)derives the per-domain vCPU counts and the own/fwd
@@ -1006,6 +1022,16 @@ func (m *Machine) runSharded() (*Stats, error) {
 		}
 	}
 	err := m.sharded.Run()
+	if err != nil {
+		// The run stopped early: parked snoops not yet due would never have
+		// fired, so their counts come off. After a full drain all of them
+		// fired.
+		for _, cn := range m.cores {
+			if cn.ctrl != nil {
+				cn.ctrl.DropParked()
+			}
+		}
+	}
 	if err == nil {
 		live := 0
 		for _, d := range m.doms {

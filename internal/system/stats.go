@@ -13,8 +13,8 @@ import (
 // CLI throughput footers read it via TotalEventsFired.
 var totalEvents atomic.Uint64 //lint:shardsafe process-wide CLI telemetry, written once per run at finalize, never read by sim code
 
-// TotalEventsFired returns the simulator events executed by all runs in
-// this process so far. Monotone; each run adds its count as it finalizes.
+// TotalEventsFired returns the simulator events fired (parked snoop
+// deliveries included) by all runs in this process so far. Monotone; each run adds its count as it finalizes.
 func TotalEventsFired() uint64 { return totalEvents.Load() }
 
 // Process-wide synchronization telemetry, accumulated by finalizeSharded
@@ -102,9 +102,11 @@ type Stats struct {
 
 	MissLatency stats.Sample
 
-	// EventsFired counts the discrete events executed by the engine(s) over
+	// EventsFired counts the discrete events fired by the engine(s) over
 	// the whole run — the simulator's own work metric (events/sec in the
-	// report footer). Never warmup-adjusted.
+	// report footer). Parked snoop deliveries count as fired events;
+	// Sync.ParkedEvents says how many of them there were. Never
+	// warmup-adjusted.
 	EventsFired uint64
 
 	// Sync holds the sharded engine's synchronization telemetry (windows,
@@ -146,6 +148,11 @@ type snapshot struct {
 	writebacks, dramR, dramW                uint64
 	byteHops, bytes, messages, cows         uint64
 	cycle                                   uint64
+
+	// parkedAhead counts the parked snoops that were sent before the
+	// snapshot but are due after it. lookups already leaves them out: in
+	// event terms they have not fired yet.
+	parkedAhead uint64
 }
 
 func (s *Stats) init(cfg Config) { s.cfg = cfg.sansControl() }
@@ -188,8 +195,10 @@ func (m *Machine) takeSnapshot(d *domain) {
 			w.writebacks += cn.dctrl.Stats.Writebacks
 			continue
 		}
+		ahead := cn.ctrl.ParkedAhead()
+		w.parkedAhead += ahead
 		w.snoops += cn.ctrl.Stats.SnoopsIssued
-		w.lookups += cn.ctrl.Stats.SnoopLookups
+		w.lookups += cn.ctrl.Stats.SnoopLookups - ahead
 		w.txns += cn.ctrl.Stats.Transactions
 		w.retries += cn.ctrl.Stats.Retries
 		w.persist += cn.ctrl.Stats.Persistent

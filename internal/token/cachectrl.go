@@ -94,6 +94,16 @@ type CacheCtrl struct {
 	// destBuf is the buffer handed to Router.Route. It is never replaced by
 	// a returned slice: that may be a router's shared broadcast set.
 	destBuf []mesh.NodeID
+
+	// parked holds the snoop deliveries park took out of the queue (park.go);
+	// snoopFn is the handler that delivers one put back. shadow and its
+	// counters are Parker's checking mode.
+	parked           []parkedSnoop
+	snoopFn          sim.HandlerFn
+	shadow           bool
+	shadowChecked    uint64
+	shadowPutBacks   uint64
+	shadowViolations uint64
 }
 
 // Init prepares internal state; call once after the fields are set.
@@ -103,6 +113,8 @@ func (c *CacheCtrl) Init() {
 		c.Rng = sim.NewRandTagged(0xC0DE, fmt.Sprintf("ctrl%d", c.Core))
 	}
 	c.destBuf = make([]mesh.NodeID, 0, len(c.AllCores)+1)
+	c.parked = make([]parkedSnoop, 0, 16)
+	c.snoopFn = func(arg interface{}, _ uint64) { c.handleRequest(arg.(*Msg)) }
 	// u packs (destination << 32 | bytes); the *Msg rides in arg.
 	c.sendFn = func(arg interface{}, u uint64) {
 		c.Net.Send(c.Node, mesh.NodeID(u>>32), int(uint32(u)), arg)
@@ -297,6 +309,9 @@ func (c *CacheCtrl) Handle(payload interface{}) {
 func (c *CacheCtrl) handleRequest(msg *Msg) {
 	c.Stats.SnoopLookups++
 	b := c.L2.Lookup(msg.Addr)
+	if c.shadow {
+		c.shadowDeliver(b)
+	}
 	if b == nil || b.Tokens == 0 {
 		// RO-shared provider copies answer reads even without spare
 		// tokens; but a token-less block holds no data rights, so nothing
@@ -364,6 +379,7 @@ func (c *CacheCtrl) handleResponse(msg *Msg) {
 		// request). Absorb into a resident block, else conserve tokens by
 		// writing them back to memory.
 		if b := c.L2.Lookup(msg.Addr); b != nil {
+			c.gain(msg)
 			b.Tokens += msg.Tokens
 			b.Owner = b.Owner || msg.Owner
 			b.Dirty = b.Dirty || msg.Dirty
@@ -376,6 +392,7 @@ func (c *CacheCtrl) handleResponse(msg *Msg) {
 	}
 
 	b := c.ensureBlock(t)
+	c.gain(msg)
 	b.Tokens += msg.Tokens
 	b.Owner = b.Owner || msg.Owner
 	b.Dirty = b.Dirty || msg.Dirty
@@ -389,6 +406,16 @@ func (c *CacheCtrl) handleResponse(msg *Msg) {
 	}
 	if t.gotData && b.Tokens >= need {
 		c.complete(t, b)
+	}
+}
+
+// gain runs before a response's tokens are added to the L2: a token gain
+// puts the block's parked snoop deliveries back into the queue (unpark).
+//
+//vsnoop:hotpath
+func (c *CacheCtrl) gain(msg *Msg) {
+	if msg.Tokens > 0 && len(c.parked) > 0 {
+		c.unpark(msg.Addr)
 	}
 }
 

@@ -334,16 +334,17 @@ type Result struct {
 	InvariantViolations []string
 
 	// EventsFired is the whole-run simulator event count (never
-	// warmup-adjusted); with wall-clock time it yields events/second, the
-	// engine's throughput metric.
+	// warmup-adjusted), parked snoop deliveries included (their number is
+	// Stats.Sync.ParkedEvents); with wall-clock time it yields
+	// events/second, the engine's throughput metric.
 	EventsFired uint64
 
 	// Stats exposes the full low-level statistics record.
 	Stats *system.Stats
 }
 
-// TotalEventsFired returns the simulator events executed by every run in
-// this process so far (including runs driven through internal/exp rather
+// TotalEventsFired returns the simulator events fired (parked snoop
+// deliveries included) by every run in this process so far (including runs driven through internal/exp rather
 // than Run). It is monotone and safe to read concurrently with in-flight
 // runs: each run adds its count when it finishes.
 func TotalEventsFired() uint64 { return system.TotalEventsFired() }

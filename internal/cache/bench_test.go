@@ -102,9 +102,12 @@ func BenchmarkFlushVM(b *testing.B) {
 
 // TestHotOpsZeroAlloc gates the per-access cache operations at zero
 // allocations once the residence counter file has grown to its VMs: every
-// coherence transaction and every snoop runs them.
+// coherence transaction and every snoop runs them. The cache shares a
+// holder bitset, so Holds is gated too, and so is an Insert whose block's
+// bitset chunk already exists.
 func TestHotOpsZeroAlloc(t *testing.T) {
 	c := benchCache()
+	c.ShareHolders(NewHolders(4), 2)
 	next := mem.BlockAddr(0)
 	for ; next < 8192; next++ { // a full cache, then a round of evictions
 		c.Insert(next, mem.VMID(next&3))
@@ -117,6 +120,11 @@ func TestHotOpsZeroAlloc(t *testing.T) {
 		{"Lookup", func() {
 			if c.Lookup(next-1) == nil || c.Lookup(next+1<<20) != nil {
 				t.Fatal("lookup answered wrong")
+			}
+		}},
+		{"Holds", func() {
+			if !c.Holds(next-1) || c.Holds(next+1<<20) {
+				t.Fatal("Holds answered wrong")
 			}
 		}},
 		{"Insert", func() {

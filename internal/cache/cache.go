@@ -117,6 +117,12 @@ type Cache struct {
 	setMask uint64
 	tick    uint64
 
+	// holders, when set (ShareHolders), is the presence bitset this cache
+	// shares with the other caches of its snoop domain; member is this
+	// cache's bit in each block's lane.
+	holders *Holders
+	member  uint64
+
 	// resident is the per-VM residence counter file, a flat array indexed
 	// by mem.DenseVM (the hardware analogue: one small counter register per
 	// VM, not an associative structure). It grows on first touch of a VM.
@@ -185,6 +191,28 @@ func (c *Cache) Lookup(a mem.BlockAddr) *Block {
 		}
 	}
 	return nil
+}
+
+// Holds reports whether addr is valid in this cache, the same answer as
+// Lookup(addr) != nil. With a shared holder bitset it is one bit test that
+// leaves the tag array untouched; without one it asks the tags.
+//
+//vsnoop:hotpath
+func (c *Cache) Holds(a mem.BlockAddr) bool {
+	if h := c.holders; h != nil {
+		return h.has(a, c.member)
+	}
+	return c.Lookup(a) != nil
+}
+
+// ShareHolders makes c keep bit member of h's block lanes equal to its tag
+// array. Call once, before the cache is first used; member must be below
+// the member count h was built for, and unique among the caches sharing h.
+func (c *Cache) ShareHolders(h *Holders, member int) {
+	if member < 0 || member >= h.members || c.holders != nil || c.tick != 0 {
+		panic(fmt.Sprintf("cache %s: bad holder membership %d of %d", c.cfg.Name, member, h.members))
+	}
+	c.holders, c.member = h, uint64(member)
 }
 
 // Touch marks b most-recently used.
@@ -276,6 +304,9 @@ func (c *Cache) Insert(a mem.BlockAddr, vm mem.VMID) (b *Block, victim EvictInfo
 	}
 	c.tick++
 	c.tags[slot] = tag
+	if c.holders != nil {
+		c.holders.set(a, c.member)
+	}
 	c.blocks[slot] = Block{Addr: a, VM: vm, lru: c.tick}
 	c.incResident(vm)
 	if c.OnInsert != nil {
@@ -315,6 +346,9 @@ func (c *Cache) invalidateWay(i int) EvictInfo {
 	// Clear before callbacks: a reentrant FlushVM from a residence trigger
 	// must never see this block as still valid.
 	c.tags[i] = 0
+	if c.holders != nil {
+		c.holders.clear(info.Addr, c.member)
+	}
 	*b = Block{}
 	c.decResident(info.VM)
 	if c.OnDrop != nil {

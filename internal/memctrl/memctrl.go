@@ -331,9 +331,7 @@ func (m *Ctrl) activate(p *persistentEntry, msg *token.Msg) {
 	p.hasAct = true
 	m.Stats.Activations++
 	act := m.msgs.New(token.Msg{Kind: token.MsgPersistentActivate, Addr: msg.Addr, Src: msg.Src})
-	for _, n := range m.AllCaches {
-		m.Net.Send(m.Node, n, m.P.CtrlBytes, act)
-	}
+	m.Net.Multicast(m.Node, m.AllCaches, m.P.CtrlBytes, act)
 	// Memory forwards its own tokens too.
 	l := m.line(msg.Addr)
 	if l.tokens > 0 || l.owner {
@@ -357,9 +355,7 @@ func (m *Ctrl) handleRelease(msg *token.Msg) {
 		return // stale release
 	}
 	deact := m.msgs.New(token.Msg{Kind: token.MsgPersistentDeactivate, Addr: msg.Addr, Src: m.Node})
-	for _, n := range m.AllCaches {
-		m.Net.Send(m.Node, n, m.P.CtrlBytes, deact)
-	}
+	m.Net.Multicast(m.Node, m.AllCaches, m.P.CtrlBytes, deact)
 	p.hasAct = false
 	if len(p.waiters) > 0 {
 		next := p.waiters[0]

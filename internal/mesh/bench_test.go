@@ -96,6 +96,38 @@ func TestPartitionedSendZeroAllocSteadyState(t *testing.T) {
 	}
 }
 
+// TestPartitionedMulticastZeroAlloc gates Multicast the way
+// TestPartitionedSendZeroAllocSteadyState gates Send: a partitioned
+// broadcast, with intra-domain contention walks, cross-domain deliveries
+// and an elider that keeps half the deliveries, allocates nothing at
+// steady state.
+func TestPartitionedMulticastZeroAlloc(t *testing.T) {
+	eng, net, ids := benchNet(true)
+	nodeDom := make([]int32, len(ids))
+	for i, id := range ids {
+		if x, _ := net.Coords(id); x >= 2 {
+			nodeDom[i] = 1
+		}
+	}
+	net.Partition(nodeDom, []*sim.Engine{eng, eng})
+	for _, id := range ids {
+		net.SetElider(id, func(_ sim.Cycle, key uint64, _ int32, _ interface{}) bool { return key&1 == 0 })
+	}
+	for i := 0; i < 64; i++ {
+		net.Multicast(ids[i&15], ids, 8, nil)
+	}
+	eng.Run()
+	avg := testing.AllocsPerRun(100, func() {
+		for i := 0; i < 8; i++ {
+			net.Multicast(ids[i&15], ids, 8, nil)
+		}
+		eng.Run()
+	})
+	if avg != 0 {
+		t.Fatalf("steady-state partitioned Multicast allocates %.2f per 8-multicast batch, want 0", avg)
+	}
+}
+
 func BenchmarkBroadcast(b *testing.B) {
 	eng, net, ids := benchNet(true)
 	dests := ids[1:]
@@ -104,6 +136,20 @@ func BenchmarkBroadcast(b *testing.B) {
 		for _, d := range dests {
 			net.Send(ids[0], d, 8, nil)
 		}
+		if eng.Pending() > 4096 {
+			eng.Run()
+		}
+	}
+	eng.Run()
+}
+
+// BenchmarkMulticast is BenchmarkBroadcast through one Multicast call.
+func BenchmarkMulticast(b *testing.B) {
+	eng, net, ids := benchNet(true)
+	dests := ids[1:]
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		net.Multicast(ids[0], dests, 8, nil)
 		if eng.Pending() > 4096 {
 			eng.Run()
 		}

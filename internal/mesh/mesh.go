@@ -8,7 +8,8 @@
 //
 // Multicasts are modeled as one unicast per destination, matching the
 // broadcast behaviour of the TokenB baseline; virtual snooping's savings
-// come from shrinking the destination set.
+// come from shrinking the destination set. Network.Multicast sends them in
+// one call, with the work every unicast shares done once.
 package mesh
 
 import (
@@ -296,12 +297,34 @@ func (n *Network) serialization(bytes int) sim.Cycle {
 //
 //vsnoop:hotpath
 func (n *Network) Latency(src, dst NodeID, bytes int) sim.Cycle {
-	hops := n.Hops(src, dst)
+	return n.latency(n.Hops(src, dst), n.serialization(bytes))
+}
+
+// latency is Latency for a route of hops hops and a per-link
+// serialization of ser cycles.
+//
+//vsnoop:hotpath
+func (n *Network) latency(hops int, ser sim.Cycle) sim.Cycle {
 	if hops == 0 {
 		// Local delivery still crosses the router once.
-		return n.cfg.RouterDelay + n.serialization(bytes)
+		return n.cfg.RouterDelay + ser
 	}
-	return sim.Cycle(hops)*(n.cfg.RouterDelay+n.cfg.LinkDelay) + n.serialization(bytes)
+	return sim.Cycle(hops)*(n.cfg.RouterDelay+n.cfg.LinkDelay) + ser
+}
+
+// fanout is what every message of one Multicast shares: computed once per
+// call, not once per destination.
+type fanout struct {
+	src       NodeID
+	x, y      int // source router
+	bytes     int
+	ser       sim.Cycle // per-link serialization
+	flitBytes uint64
+	payload   interface{}
+	eng       *sim.Engine // the engine executing the source
+	now       sim.Cycle
+	sd        int32        // source domain (partitioned mode)
+	traf      *trafficSlot // source domain's counters; nil outside partitioned mode
 }
 
 // Send injects a message; the destination handler runs when the tail
@@ -311,62 +334,91 @@ func (n *Network) Latency(src, dst NodeID, bytes int) sim.Cycle {
 //
 //vsnoop:hotpath
 func (n *Network) Send(src, dst NodeID, bytes int, payload interface{}) {
-	if n.FaultHook != nil {
-		out := n.FaultHook(src, dst, bytes, payload)
-		if out.Drop {
-			return
-		}
-		if out.Redirected {
-			dst = out.RedirectTo
-		}
-		if out.Duplicate {
-			n.transmit(src, dst, bytes, payload, out.Delay)
-		}
-		n.transmit(src, dst, bytes, payload, out.Delay)
-		return
-	}
-	n.transmit(src, dst, bytes, payload, 0)
+	one := [1]NodeID{dst}
+	n.Multicast(src, one[:], bytes, payload)
 }
 
-// transmit performs the actual routing, accounting, and delivery.
+// Multicast sends payload from src to every node of dsts, in order. It is
+// exactly len(dsts) Sends — the same link reservations, tie-break keys,
+// elider calls, fault-hook calls and traffic charges, in the same order —
+// with the per-message invariants computed once.
 //
 //vsnoop:hotpath
-func (n *Network) transmit(src, dst NodeID, bytes int, payload interface{}, extra sim.Cycle) {
-	hops := n.Hops(src, dst)
-	flitBytes := uint64(n.serialization(bytes)) * uint64(n.cfg.LinkBytesPerCycle)
-	eng := n.eng
+func (n *Network) Multicast(src NodeID, dsts []NodeID, bytes int, payload interface{}) {
+	// f is built here, in a local, so its pointer fields are stack writes.
+	a := &n.nodes[src]
+	ser := n.serialization(bytes)
+	f := fanout{src: src, x: a.x, y: a.y, bytes: bytes, ser: ser,
+		flitBytes: uint64(ser) * uint64(n.cfg.LinkBytesPerCycle),
+		payload:   payload, eng: n.eng}
+	if n.nodeDom != nil {
+		f.sd = n.nodeDom[src]
+		f.traf = &n.traf[f.sd]
+		f.eng = n.engs[f.sd]
+	}
+	f.now = f.eng.Now()
+	if n.FaultHook != nil {
+		for _, d := range dsts {
+			n.sendFaulted(&f, d)
+		}
+		return
+	}
+	for _, d := range dsts {
+		n.transmit(&f, d, 0)
+	}
+}
+
+// sendFaulted sends one message of a Multicast under the FaultHook, which
+// may drop, duplicate, delay, or redirect it.
+func (n *Network) sendFaulted(f *fanout, dst NodeID) {
+	out := n.FaultHook(f.src, dst, f.bytes, f.payload)
+	if out.Drop {
+		return
+	}
+	if out.Redirected {
+		dst = out.RedirectTo
+	}
+	if out.Duplicate {
+		n.transmit(f, dst, out.Delay)
+	}
+	n.transmit(f, dst, out.Delay)
+}
+
+// transmit performs the actual routing, accounting, and delivery of one
+// message to dst, extra cycles late.
+//
+//vsnoop:hotpath
+func (n *Network) transmit(f *fanout, dst NodeID, extra sim.Cycle) {
+	b := &n.nodes[dst]
+	hops := abs(f.x-b.x) + abs(f.y-b.y)
+	byteHops := f.flitBytes * uint64(maxInt(hops, 1))
 	crossDom := false
 	var dd int32
-	if n.nodeDom != nil {
-		sd := n.nodeDom[src]
+	if t := f.traf; t != nil {
 		dd = n.nodeDom[dst]
-		t := &n.traf[sd]
 		t.messages++
-		t.bytes += flitBytes
-		t.byteHops += flitBytes * uint64(maxInt(hops, 1))
-		eng = n.engs[sd]
-		crossDom = sd != dd
+		t.bytes += f.flitBytes
+		t.byteHops += byteHops
+		crossDom = f.sd != dd
 		if crossDom {
 			t.crossMsgs++
 		}
 	} else {
 		n.Messages++
-		n.Bytes += flitBytes
-		n.ByteHops += flitBytes * uint64(maxInt(hops, 1))
+		n.Bytes += f.flitBytes
+		n.ByteHops += byteHops
 	}
 
 	var arrive sim.Cycle
 	if crossDom || !n.cfg.Contention || hops == 0 {
-		arrive = eng.Now() + n.Latency(src, dst, bytes)
+		arrive = f.now + n.latency(hops, f.ser)
 	} else {
 		// Walk the XY route inline (X moves first, then Y), reserving each
 		// directed link in the dense nextFree table — no per-message route
 		// slice is materialized.
-		ser := n.serialization(bytes)
-		lastSer := ser
-		t := eng.Now() + n.cfg.RouterDelay // source injection pipeline
-		a, b := n.nodes[src], n.nodes[dst]
-		x, y := a.x, a.y
+		lastSer := f.ser
+		t := f.now + n.cfg.RouterDelay // source injection pipeline
+		x, y := f.x, f.y
 		for x != b.x || y != b.y {
 			var dir int
 			switch {
@@ -380,9 +432,9 @@ func (n *Network) transmit(src, dst NodeID, bytes int, payload interface{}, extr
 				dir = dirNorth
 			}
 			l := n.linkID(x, y, dir)
-			serL := ser
-			if f := n.degraded[l]; f > 1 {
-				serL = ser * sim.Cycle(f)
+			serL := f.ser
+			if d := n.degraded[l]; d > 1 {
+				serL = f.ser * sim.Cycle(d)
 			}
 			start := t
 			if nf := n.nextFree[l]; nf > start {
@@ -405,17 +457,18 @@ func (n *Network) transmit(src, dst NodeID, bytes int, payload interface{}, extr
 		arrive = t + lastSer - 1
 	}
 	arrive += extra
-	if n.nodeDom != nil {
-		if el := n.nodes[dst].elide; el != nil && eng.Local(dd) {
+	eng := f.eng
+	if f.traf != nil {
+		if el := b.elide; el != nil && eng.Local(dd) {
 			key := eng.NextKey()
-			if !el(arrive, key, dd, payload) {
-				eng.ScheduleKeyed(arrive, key, dd, n.deliver, payload, uint64(dst))
+			if !el(arrive, key, dd, f.payload) {
+				eng.ScheduleKeyed(arrive, key, dd, n.deliver, f.payload, uint64(dst))
 			}
 			return
 		}
-		eng.ScheduleFnAtDom(arrive, dd, n.deliver, payload, uint64(dst))
+		eng.ScheduleFnAtDom(arrive, dd, n.deliver, f.payload, uint64(dst))
 	} else {
-		eng.ScheduleFnAt(arrive, n.deliver, payload, uint64(dst))
+		eng.ScheduleFnAt(arrive, n.deliver, f.payload, uint64(dst))
 	}
 }
 

@@ -414,6 +414,15 @@ func New(cfg Config) (*Machine, error) {
 	for i := range l2s {
 		l2s[i] = cache.New(cfg.L2)
 	}
+	// Each domain's L2s share one holder bitset. A domain's caches are
+	// written only by the goroutine executing it, so no bitset is ever
+	// written from two shards.
+	for _, d := range m.doms {
+		h := cache.NewHolders(len(d.cores))
+		for j, ci := range d.cores {
+			l2s[ci].ShareHolders(h, j)
+		}
+	}
 	if m.syncMode {
 		m.replicas = make([]*core.Filter, len(m.doms))
 		for d := range m.doms {
@@ -886,7 +895,7 @@ func (m *Machine) ROProviderAmong(addr mem.BlockAddr, cores []mesh.NodeID) bool 
 		if !ok {
 			continue
 		}
-		if b := m.cores[i].l2.Lookup(addr); b != nil && b.Provider {
+		if l2 := m.cores[i].l2; l2.Holds(addr) && l2.Lookup(addr).Provider {
 			return true
 		}
 	}
@@ -900,7 +909,10 @@ func (m *Machine) onFill(b *cache.Block, t *token.Txn) {
 		return
 	}
 	for _, cn := range m.cores {
-		if ob := cn.l2.Lookup(b.Addr); ob != nil && ob != b && ob.Provider && ob.VM == t.VM {
+		if !cn.l2.Holds(b.Addr) {
+			continue
+		}
+		if ob := cn.l2.Lookup(b.Addr); ob != b && ob.Provider && ob.VM == t.VM {
 			return // this VM already has a provider
 		}
 	}

@@ -371,7 +371,7 @@ func (o domOracle) ROProviderAmong(addr mem.BlockAddr, cores []mesh.NodeID) bool
 		if !ok || o.m.plan.CoreDom[i] != o.d.idx {
 			continue
 		}
-		if b := o.m.cores[i].l2.Lookup(addr); b != nil && b.Provider {
+		if l2 := o.m.cores[i].l2; l2.Holds(addr) && l2.Lookup(addr).Provider {
 			return true
 		}
 	}
@@ -386,7 +386,11 @@ func (m *Machine) onFillDom(d *domain, b *cache.Block, t *token.Txn) {
 		return
 	}
 	for _, ci := range d.cores {
-		if ob := m.cores[ci].l2.Lookup(b.Addr); ob != nil && ob != b && ob.Provider && ob.VM == t.VM {
+		l2 := m.cores[ci].l2
+		if !l2.Holds(b.Addr) {
+			continue
+		}
+		if ob := l2.Lookup(b.Addr); ob != b && ob.Provider && ob.VM == t.VM {
 			return // this VM already has a provider in this domain
 		}
 	}
@@ -436,8 +440,12 @@ func (m *Machine) scanHolder(d *domain, addr mem.BlockAddr, vm mem.VMID) uint64 
 		fr, hasFr = m.friendOf[i], m.hasFriend[i]
 	}
 	for _, ci := range d.cores {
-		b := m.cores[ci].l2.Lookup(addr)
-		if b == nil || b.Tokens == 0 {
+		l2 := m.cores[ci].l2
+		if !l2.Holds(addr) {
+			continue
+		}
+		b := l2.Lookup(addr)
+		if b.Tokens == 0 {
 			continue
 		}
 		switch {

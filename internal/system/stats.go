@@ -248,8 +248,12 @@ func (m *Machine) classifyHolder(d *domain, st *Stats, addr mem.BlockAddr, vm me
 	friend, hasFriend := m.MM.FriendOf(vm)
 	intra, fr, other := false, false, false
 	for _, ci := range d.cores {
-		b := m.cores[ci].l2.Lookup(addr)
-		if b == nil || b.Tokens == 0 {
+		l2 := m.cores[ci].l2
+		if !l2.Holds(addr) {
+			continue
+		}
+		b := l2.Lookup(addr)
+		if b.Tokens == 0 {
 			continue
 		}
 		switch {

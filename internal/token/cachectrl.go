@@ -215,9 +215,7 @@ func (c *CacheCtrl) issueAttempt() {
 		// dests may alias destBuf, which the next attempt overwrites.
 		m.Dests = c.msgs.Nodes(dests)
 	}
-	for _, d := range dests {
-		c.Net.Send(c.Node, d, c.P.CtrlBytes, m)
-	}
+	c.Net.Multicast(c.Node, dests, c.P.CtrlBytes, m)
 	c.Net.Send(c.Node, c.HomeMC(t.Addr), c.P.CtrlBytes, m)
 
 	c.armTimeout(t)

@@ -60,8 +60,12 @@ func (c *CacheCtrl) park(at sim.Cycle, key uint64, dom int32, payload interface{
 	if msg.Kind != MsgGetS && msg.Kind != MsgGetX {
 		return false
 	}
-	if b := c.L2.Lookup(msg.Addr); b != nil && b.Tokens > 0 {
-		return false
+	// Most snoops find the block absent: the holder bit answers those
+	// without touching the tag array.
+	if c.L2.Holds(msg.Addr) {
+		if b := c.L2.Lookup(msg.Addr); b != nil && b.Tokens > 0 {
+			return false
+		}
 	}
 	if len(c.parked) == cap(c.parked) {
 		c.prune()

@@ -209,11 +209,12 @@ func main() {
 	if cfg.Fault != nil || cfg.Checks {
 		report.Robustness(os.Stdout, st)
 	}
-	// Parked snoop deliveries count as fired events but cost no event
-	// execution: the throughput figure is over executed events.
-	executed := res.EventsFired - st.Sync.ParkedEvents
-	fmt.Printf("\n%d events (%d executed, %d parked) in %s (%.0f executed events/sec, shards=%d)\n",
-		res.EventsFired, executed, st.Sync.ParkedEvents, wall.Round(time.Millisecond),
+	// Parked snoop deliveries and cancelled retry timeouts count as fired
+	// events but cost no event execution: the throughput figure is over
+	// executed events.
+	executed := res.EventsFired - st.Sync.ParkedEvents - st.Sync.CancelledTimers
+	fmt.Printf("\n%d events (%d executed, %d parked, %d cancelled) in %s (%.0f executed events/sec, shards=%d)\n",
+		res.EventsFired, executed, st.Sync.ParkedEvents, st.Sync.CancelledTimers, wall.Round(time.Millisecond),
 		float64(executed)/wall.Seconds(), cfg.Shards)
 	if sy := st.Sync; sy.Windows > 0 {
 		fmt.Printf("sync: %d windows, %d barriers elided, mean window %.0f cycles (domains=%d, shards=%d)\n",

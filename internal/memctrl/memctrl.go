@@ -207,8 +207,21 @@ func (m *Ctrl) Handle(payload interface{}) {
 	}
 }
 
+// activeEntry returns the block's persistent entry while a persistent
+// request is active for it, else nil. The table is empty in every
+// fault-free run, so the length test skips the map lookup there.
+func (m *Ctrl) activeEntry(a mem.BlockAddr) *persistentEntry {
+	if len(m.persistent) == 0 {
+		return nil
+	}
+	if p := m.persistent[a]; p != nil && p.hasAct {
+		return p
+	}
+	return nil
+}
+
 func (m *Ctrl) handleGetS(msg *token.Msg) {
-	if p, ok := m.persistent[msg.Addr]; ok && p.hasAct {
+	if m.activeEntry(msg.Addr) != nil {
 		return // tokens are pledged to the persistent requester
 	}
 	l := m.line(msg.Addr)
@@ -261,7 +274,7 @@ func (m *Ctrl) takeOneToken(l *line) (tokens int, owner bool) {
 }
 
 func (m *Ctrl) handleGetX(msg *token.Msg) {
-	if p, ok := m.persistent[msg.Addr]; ok && p.hasAct {
+	if m.activeEntry(msg.Addr) != nil {
 		return
 	}
 	l := m.line(msg.Addr)
@@ -285,7 +298,7 @@ func (m *Ctrl) handleGetX(msg *token.Msg) {
 // absorb folds returned tokens (writebacks or strays) back into the line,
 // or forwards them when a persistent entry is active.
 func (m *Ctrl) absorb(msg *token.Msg) {
-	if p, ok := m.persistent[msg.Addr]; ok && p.hasAct && p.active != msg.Src {
+	if p := m.activeEntry(msg.Addr); p != nil && p.active != msg.Src {
 		// Relayed tokens stay in flight: no Arrive/Depart on the ledger.
 		out := m.msgs.New(*msg)
 		out.Src = m.Node

@@ -346,11 +346,14 @@ func (n *Network) Send(src, dst NodeID, bytes int, payload interface{}) {
 //vsnoop:hotpath
 func (n *Network) Multicast(src NodeID, dsts []NodeID, bytes int, payload interface{}) {
 	// f is built here, in a local, so its pointer fields are stack writes.
+	// Its fields are assigned one by one: a composite literal would build
+	// a temporary and copy it over f on every call.
 	a := &n.nodes[src]
-	ser := n.serialization(bytes)
-	f := fanout{src: src, x: a.x, y: a.y, bytes: bytes, ser: ser,
-		flitBytes: uint64(ser) * uint64(n.cfg.LinkBytesPerCycle),
-		payload:   payload, eng: n.eng}
+	var f fanout
+	f.src, f.x, f.y, f.bytes = src, a.x, a.y, bytes
+	f.ser = n.serialization(bytes)
+	f.flitBytes = uint64(f.ser) * uint64(n.cfg.LinkBytesPerCycle)
+	f.payload, f.eng = payload, n.eng
 	if n.nodeDom != nil {
 		f.sd = n.nodeDom[src]
 		f.traf = &n.traf[f.sd]

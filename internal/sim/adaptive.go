@@ -162,9 +162,12 @@ type SyncStats struct {
 	// CrossDeposits counts events deposited across shards over the run.
 	CrossDeposits uint64
 	// ParkedEvents counts the fired events that were parked deliveries
-	// (Engine.Park): counted as fired, never executed. Executed events are
-	// EventsFired - ParkedEvents.
+	// (Engine.Park): counted as fired, never executed.
 	ParkedEvents uint64
+	// CancelledTimers counts the fired events that were cancelled timers
+	// (Engine.CancelTimer): counted as fired, never executed. Executed
+	// events are EventsFired - ParkedEvents - CancelledTimers.
+	CancelledTimers uint64
 }
 
 // MeanWindowWidth returns the mean simulated-cycle width of one

@@ -26,16 +26,35 @@ type HandlerFn func(arg interface{}, u uint64)
 // fn2(arg, u). A closure scheduled through Schedule rides as callFunc with
 // the func() in arg. Events live inline in the queue's node pool and far
 // heap — there is no per-event heap object and no interface boxing on push
-// or pop. next packs beside dom so an event stays 56 bytes.
+// or pop. next and prev pack beside dom, and four bytes of padding make an
+// event 64 bytes: one cache line per pool node (DESIGN.md §8).
 type event struct {
 	at   Cycle
 	key  uint64 // tie-breaker: schedule order (domain-prefixed in domain mode)
 	dom  int32  // executing domain (0 in single-domain engines)
 	next int32  // 1-based pool index of the next event in its bucket, 0 = none
+	prev int32  // 1-based pool index of the previous event in its bucket, 0 = none
+	_    int32
 	fn2  HandlerFn
 	arg  interface{}
 	u    uint64
 }
+
+// Timer names one event scheduled by ScheduleTimer, for CancelTimer: its
+// (at, key) and the 1-based pool index of its ring node. The zero Timer,
+// and the Timer of an event that went to the far heap or to another
+// engine, names nothing cancellable.
+type Timer struct {
+	at  Cycle
+	key uint64
+	i   int32
+}
+
+// At returns the cycle the timer's event is due at.
+func (t Timer) At() Cycle { return t.at }
+
+// Key returns the tie-break key of the timer's event.
+func (t Timer) Key() uint64 { return t.key }
 
 // callFunc is the handler of every closure-form event: arg holds the
 // func() passed to Schedule or ScheduleAt. A func value is pointer-shaped,
@@ -63,6 +82,13 @@ const (
 	ringWords = ringSize / 64
 )
 
+// minPool is the node pool's first capacity. At 512 nodes (32 KiB) the
+// pool is a large object from its first allocation on, so it starts on a
+// page boundary and every 64-byte node fills exactly one cache line. A
+// smaller pointerful array above 512 bytes would start 8 bytes into its
+// size-class slot, past Go's malloc header (DESIGN.md §8).
+const minPool = 512
+
 // Engine is a discrete-event simulator. The zero value is ready to use.
 // The queue is a calendar queue: a ring of per-cycle buckets for events
 // due within ringSize cycles, and a concrete-typed 4-ary min-heap (far)
@@ -85,6 +111,11 @@ type Engine struct {
 	// event that fired. It stays out of fired, whose low bits pace the
 	// cancellation poll over executed events only.
 	parked uint64
+
+	// cancelled counts timers CancelTimer took out of the queue before they
+	// fired: each stands for an event that fired as a no-op. Like parked, it
+	// stays out of fired.
+	cancelled uint64
 
 	// Ring: bucket at&ringMask holds the events due at cycle at, linked in
 	// key order through pool (1-based indices, 0 = none); free heads the
@@ -132,11 +163,19 @@ func NewEngine() *Engine { return &Engine{} }
 func (e *Engine) Now() Cycle { return e.now }
 
 // Fired returns the total number of events fired so far: the executed
-// ones plus the parked deliveries that stand for events (Park).
-func (e *Engine) Fired() uint64 { return e.fired + e.parked }
+// ones plus the parked deliveries (Park) and cancelled timers (CancelTimer)
+// that stand for events.
+func (e *Engine) Fired() uint64 { return e.fired + e.parked + e.cancelled }
 
 // Parked returns how many of Fired's events were parked deliveries.
 func (e *Engine) Parked() uint64 { return e.parked }
+
+// Cancelled returns how many of Fired's events were cancelled timers.
+func (e *Engine) Cancelled() uint64 { return e.cancelled }
+
+// Uncancel withdraws one cancelled timer's count: the run stopped early,
+// before the timer was due, so its event would never have fired.
+func (e *Engine) Uncancel() { e.cancelled-- }
 
 // Park counts one event a component holds back from the queue because it
 // would do nothing but count itself: the engine reports it as fired.
@@ -233,6 +272,73 @@ func (e *Engine) ScheduleFnAtDom(at Cycle, dom int32, fn HandlerFn, arg interfac
 	e.insert(at, e.nextKey(), dom, fn, arg, u)
 }
 
+// ScheduleTimer is ScheduleFn that returns a Timer for CancelTimer. A
+// timer that goes to the far heap (delay ringSize or more) or to another
+// engine's domain returns a Timer that is not cancellable.
+//
+//vsnoop:hotpath
+func (e *Engine) ScheduleTimer(delay Cycle, fn HandlerFn, arg interface{}, u uint64) Timer {
+	at, key := e.now+delay, e.nextKey()
+	i := e.insert(at, key, e.curDom, fn, arg, u)
+	if i == 0 {
+		return Timer{}
+	}
+	return Timer{at: at, key: key, i: i}
+}
+
+// TimerPending reports whether the timer's event is still in the ring,
+// waiting to fire. Its node tells: fire and CancelTimer clear a node's fn2
+// before freeing it, and a node reused by a later event holds that event's
+// key, and keys are unique. Position in (at, key) order cannot tell: a
+// delay-0 event scheduled by a same-cycle event with a larger key is
+// pending though it orders before the executing one.
+//
+//vsnoop:hotpath
+func (e *Engine) TimerPending(t Timer) bool {
+	if t.i == 0 {
+		return false
+	}
+	n := &e.pool[t.i-1]
+	return n.fn2 != nil && n.key == t.key
+}
+
+// CancelTimer takes the timer's event out of the queue before it fires,
+// in O(1): it unlinks the ring node from its bucket and frees it. The
+// event counts as fired (Cancelled), so a caller may cancel only an event
+// that would have done nothing. It returns false, changing nothing, when
+// the Timer is not cancellable or its event is not pending (TimerPending):
+// it fired, is firing, or was cancelled already.
+//
+//vsnoop:hotpath
+func (e *Engine) CancelTimer(t Timer) bool {
+	if !e.TimerPending(t) {
+		return false
+	}
+	pool := e.pool
+	n := &pool[t.i-1]
+	b := int(t.at) & ringMask
+	prev, next := n.prev, n.next
+	if prev == 0 {
+		e.head[b] = next
+	} else {
+		pool[prev-1].next = next
+	}
+	if next == 0 {
+		e.tail[b] = prev
+	} else {
+		pool[next-1].prev = prev
+	}
+	if prev == 0 && next == 0 {
+		e.occ[b>>6] &^= 1 << (b & 63)
+	}
+	n.fn2, n.arg = nil, nil
+	n.next = e.free
+	e.free = t.i
+	e.nring--
+	e.cancelled++
+	return true
+}
+
 // ScheduleKeyed runs fn(arg, u) at cycle at in domain dom under a key drawn
 // earlier by NextKey, so the event takes the queue position it would have
 // had if it had been scheduled when the key was drawn. at must not be in
@@ -270,20 +376,22 @@ func (e *Engine) nextKey() uint64 {
 // insert routes an event to the local queue, or to the deposit sink when its
 // executing domain lives on another engine. It takes the event's fields,
 // not an event, so a ring insert writes them straight into the node that
-// link returns and builds no event value.
+// link returns and builds no event value. It returns the ring node's
+// 1-based pool index, or 0 for a far-heap or deposited event.
 //
 //vsnoop:hotpath
-func (e *Engine) insert(at Cycle, key uint64, dom int32, fn HandlerFn, arg interface{}, u uint64) {
+func (e *Engine) insert(at Cycle, key uint64, dom int32, fn HandlerFn, arg interface{}, u uint64) int32 {
 	if e.local != nil && !e.local[dom] {
 		e.deposit(event{at: at, key: key, dom: dom, fn2: fn, arg: arg, u: u})
-		return
+		return 0
 	}
 	if at-e.now >= ringSize {
 		e.pushFar(event{at: at, key: key, dom: dom, fn2: fn, arg: arg, u: u})
-		return
+		return 0
 	}
-	n := e.link(at, key)
+	n, i := e.link(at, key)
 	n.at, n.key, n.dom, n.fn2, n.arg, n.u = at, key, dom, fn, arg, u
+	return i
 }
 
 // SetDomains switches the engine to domain mode with nd domains. local
@@ -313,29 +421,33 @@ func (e *Engine) push(ev *event) {
 		e.pushFar(*ev)
 		return
 	}
-	n := e.link(ev.at, ev.key)
-	next := n.next
+	n, _ := e.link(ev.at, ev.key)
+	next, prev := n.next, n.prev
 	*n = *ev
-	n.next = next
+	n.next, n.prev = next, prev
 }
 
 // link takes a node from the pool and links it into the bucket of cycle at
 // (due within ringSize cycles) in key order, returning it with only next
-// set. Same-cycle events mostly arrive in key order and append at the tail;
-// a domain-prefixed key from another domain walks in from the head.
+// and prev set, and its 1-based pool index. Same-cycle events mostly
+// arrive in key order and append at the tail; a domain-prefixed key from
+// another domain walks in from the head.
 //
 //vsnoop:hotpath
-func (e *Engine) link(at Cycle, key uint64) *event {
+func (e *Engine) link(at Cycle, key uint64) (*event, int32) {
 	i := e.free
 	if i != 0 {
 		e.free = e.pool[i-1].next
 	} else {
+		if e.pool == nil {
+			e.pool = make([]event, 0, minPool)
+		}
 		e.pool = append(e.pool, event{})
 		i = int32(len(e.pool))
 	}
 	pool := e.pool
 	n := &pool[i-1]
-	n.next = 0
+	n.next, n.prev = 0, 0
 	e.nring++
 	b := int(at) & ringMask
 	t := e.tail[b]
@@ -345,20 +457,22 @@ func (e *Engine) link(at Cycle, key uint64) *event {
 		e.occ[b>>6] |= 1 << (b & 63)
 	case pool[t-1].key <= key:
 		pool[t-1].next = i
+		n.prev = t
 		e.tail[b] = i
 	default:
 		prev, c := int32(0), e.head[b]
 		for pool[c-1].key <= key {
 			prev, c = c, pool[c-1].next
 		}
-		n.next = c
+		n.next, n.prev = c, prev
+		pool[c-1].prev = i
 		if prev == 0 {
 			e.head[b] = i
 		} else {
 			pool[prev-1].next = i
 		}
 	}
-	return n
+	return n, i
 }
 
 // firstBucket returns the bucket of the earliest ring event, or -1 when
@@ -498,6 +612,8 @@ func (e *Engine) fire(b int) {
 	if next == 0 {
 		e.tail[b] = 0
 		e.occ[b>>6] &^= 1 << (b & 63)
+	} else {
+		e.pool[next-1].prev = 0
 	}
 	e.now, e.curDom, e.curKey = at, dom, key
 	e.fired++

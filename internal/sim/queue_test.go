@@ -11,7 +11,8 @@ import (
 // nextKey rule (the schedule counter, or the scheduling domain's counter
 // prefixed by the domain in domain mode). Whatever layout the engine's
 // queue uses, it must pop exactly this sequence and answer NextAt,
-// Pending, RunUntil and RunWindow as the sorted slice does.
+// Pending, RunUntil and RunWindow as the sorted slice does. A cancelled
+// timer leaves the slice, and Fired counts it.
 
 // qDelays are the delays a queue op picks from: same-cycle, short protocol
 // latencies, the ring boundary on both sides, and far beyond it.
@@ -41,6 +42,15 @@ type qState struct {
 	domSeq []uint64
 	pend   []qEvent // sorted by (at, key)
 	held   []qHeld  // keys drawn by op 9, not yet used
+	timers []qTimer // timers scheduled, fired or not, for op 10
+}
+
+// qTimer is a Timer returned by ScheduleTimer, with the id of its event
+// and whether its delay kept it in the calendar ring.
+type qTimer struct {
+	t    Timer
+	id   uint64
+	ring bool
 }
 
 // qHeld is a key drawn ahead of its event (NextKey), with the domain that
@@ -63,6 +73,8 @@ type qModel struct {
 	nextID uint64
 	fn     HandlerFn
 	fired  int
+	// cancelled counts the timers CancelTimer took out.
+	cancelled uint64
 }
 
 func newQModel(t testing.TB, nd int) *qModel {
@@ -110,6 +122,15 @@ func (m *qModel) schedule(delay Cycle, dom int32) {
 		m.e.ScheduleFnAtDom(at, dom, m.fn, p, id)
 	case id%4 == 0:
 		m.e.Schedule(delay, func() { m.handle(p, id) })
+	case id%4 == 1:
+		t := m.e.ScheduleTimer(delay, m.fn, p, id)
+		if (t.i != 0) != (delay < ringSize) {
+			m.t.Fatalf("timer of event %d, delay %d: pool index %d", id, delay, t.i)
+		}
+		if len(m.st.timers) == 64 {
+			m.st.timers = append(m.st.timers[:0], m.st.timers[32:]...)
+		}
+		m.st.timers = append(m.st.timers, qTimer{t: t, id: id, ring: delay < ringSize})
 	default:
 		m.e.ScheduleFn(delay, m.fn, p, id)
 	}
@@ -136,6 +157,29 @@ func (m *qModel) putBack(i int, delay Cycle) {
 	at := m.st.now + delay
 	m.add(qEvent{at: at, key: h.key, dom: h.dom, id: id, p: p})
 	m.e.ScheduleKeyed(at, h.key, h.dom, m.fn, p, id)
+}
+
+// cancel cancels timer i: it must succeed exactly when the timer's event
+// is still pending in the model and sits in the calendar ring. A cancelled
+// event leaves the model.
+func (m *qModel) cancel(i int) {
+	qt := m.st.timers[i]
+	pos := -1
+	for j, ev := range m.st.pend {
+		if ev.id == qt.id {
+			pos = j
+			break
+		}
+	}
+	want := pos >= 0 && qt.ring
+	if got := m.e.CancelTimer(qt.t); got != want {
+		m.t.Fatalf("CancelTimer(event %d) = %v, want %v (pending %v, ring %v)", qt.id, got, want, pos >= 0, qt.ring)
+	}
+	if want {
+		m.st.pend = append(m.st.pend[:pos], m.st.pend[pos+1:]...)
+		m.cancelled++
+		m.st.timers = append(m.st.timers[:i], m.st.timers[i+1:]...)
+	}
 }
 
 // deposit pushes an event the way a mailbox drain does: its key carries a
@@ -189,6 +233,9 @@ func (m *qModel) check() {
 	if m.e.Now() != m.st.now {
 		m.t.Fatalf("Now() = %d, want %d", m.e.Now(), m.st.now)
 	}
+	if got, want := m.e.Fired(), uint64(m.fired)+m.cancelled; got != want || m.e.Cancelled() != m.cancelled {
+		m.t.Fatalf("Fired() = %d, Cancelled() = %d; want %d fired of which %d cancelled", got, m.e.Cancelled(), want, m.cancelled)
+	}
 }
 
 func (m *qModel) step() {
@@ -229,7 +276,7 @@ func (m *qModel) setDomain(d int32) {
 // grammar, also used by the deterministic test.
 func (m *qModel) apply(op, arg byte) {
 	d := qDelays[int(arg)%len(qDelays)]
-	switch op % 10 {
+	switch op % 11 {
 	case 0, 1, 2:
 		m.schedule(d, m.st.curDom)
 	case 3:
@@ -251,6 +298,10 @@ func (m *qModel) apply(op, arg byte) {
 			m.drawKey()
 		} else {
 			m.putBack(int(arg>>1)%len(m.st.held), d)
+		}
+	case 10:
+		if len(m.st.timers) > 0 {
+			m.cancel(int(arg) % len(m.st.timers))
 		}
 	}
 	m.check()
@@ -312,7 +363,7 @@ func TestQueueOrderDeterministic(t *testing.T) {
 		m := newQModel(t, nd)
 		r := NewRand(uint64(nd))
 		for i := 0; i < 4000; i++ {
-			op := byte(r.Intn(10))
+			op := byte(r.Intn(11))
 			if op == 7 && r.Intn(4) != 0 {
 				op = 6 // keep long clock jumps rarer than steps
 			}
@@ -323,6 +374,9 @@ func TestQueueOrderDeterministic(t *testing.T) {
 		}
 		if m.st.now < 3*ringSize {
 			t.Fatalf("nd=%d: clock reached only %d, want at least three ring revolutions", nd, m.st.now)
+		}
+		if m.cancelled == 0 {
+			t.Fatalf("nd=%d: no timer was cancelled", nd)
 		}
 		m.drain()
 	}
@@ -335,6 +389,7 @@ func FuzzQueueOrder(f *testing.F) {
 	f.Add(true, []byte{5, 2, 0, 3, 5, 1, 0, 3, 3, 7, 4, 9, 9, 0, 7, 17, 6, 7, 9, 1, 6, 7})
 	f.Add(true, []byte{0, 15, 7, 11, 0, 4, 3, 13, 4, 14, 7, 16, 7, 16, 7, 16, 6, 255})
 	f.Add(true, []byte{9, 0, 0, 3, 9, 2, 0, 12, 6, 0, 9, 1, 9, 3, 5, 2, 9, 0, 6, 7, 9, 5})
+	f.Add(false, []byte{0, 4, 0, 4, 0, 4, 0, 4, 0, 4, 10, 1, 4, 4, 10, 0, 0, 19, 10, 0, 6, 3, 10, 0, 0, 8, 6, 7, 10, 5})
 	f.Fuzz(func(t *testing.T, domains bool, ops []byte) {
 		nd := 1
 		if domains {
@@ -399,11 +454,12 @@ func TestPutBackKeepsOrder(t *testing.T) {
 	}
 }
 
-// TestFiredEventsReleaseReferences checks that firing drops the queue's
-// references to an event's handler and payload: once ring, far,
-// closure-form and deposited events have all fired, every pool node and
-// every spare slot of the far heap's array holds nil fn2 and arg. A stale
-// arg would keep its payload alive, such as a whole token.Msgs chunk.
+// TestFiredEventsReleaseReferences checks that firing and cancelling drop
+// the queue's references to an event's handler and payload: once ring,
+// far, closure-form and deposited events have all fired or been cancelled,
+// every pool node and every spare slot of the far heap's array holds nil
+// fn2 and arg. A stale arg would keep its payload alive, such as a whole
+// token.Msgs chunk.
 func TestFiredEventsReleaseReferences(t *testing.T) {
 	for _, nd := range []int{1, 4} {
 		m := newQModel(t, nd)
@@ -412,10 +468,13 @@ func TestFiredEventsReleaseReferences(t *testing.T) {
 			m.schedule(d, int32((i+1)%m.nd)) // foreign domain via ScheduleFnAtDom
 			m.deposit(d, i%3)                // mailbox-style push
 		}
+		for i := len(m.st.timers) - 1; i >= 0; i-- {
+			m.cancel(i) // every ring timer; far ones stay and fire
+		}
 		m.drain()
-		if m.fired == 0 || len(m.e.pool) == 0 || cap(m.e.far) == 0 {
-			t.Fatalf("nd=%d: fired %d events through %d pool nodes and a far heap of cap %d; want all three nonzero",
-				nd, m.fired, len(m.e.pool), cap(m.e.far))
+		if m.fired == 0 || m.cancelled == 0 || len(m.e.pool) == 0 || cap(m.e.far) == 0 {
+			t.Fatalf("nd=%d: fired %d and cancelled %d events through %d pool nodes and a far heap of cap %d; want all four nonzero",
+				nd, m.fired, m.cancelled, len(m.e.pool), cap(m.e.far))
 		}
 		for i := range m.e.pool {
 			if n := &m.e.pool[i]; n.fn2 != nil || n.arg != nil {

@@ -176,7 +176,7 @@ func (se *ShardedEngine) Eng(s int) *Engine { return se.engs[s] }
 func (se *ShardedEngine) Shards() int { return se.k }
 
 // Fired returns the total events fired across all shards, parked
-// deliveries included (valid after Run returns).
+// deliveries and cancelled timers included (valid after Run returns).
 func (se *ShardedEngine) Fired() uint64 {
 	var n uint64
 	for _, e := range se.engs {
@@ -189,11 +189,12 @@ func (se *ShardedEngine) Fired() uint64 {
 func (se *ShardedEngine) Now() Cycle { return se.w }
 
 // Telemetry returns the synchronization counters of the last Run, with the
-// shards' parked-delivery counts as they stand now.
+// shards' parked-delivery and cancelled-timer counts as they stand now.
 func (se *ShardedEngine) Telemetry() SyncStats {
 	t := se.tele
 	for _, e := range se.engs {
 		t.ParkedEvents += e.Parked()
+		t.CancelledTimers += e.Cancelled()
 	}
 	return t
 }

@@ -744,13 +744,20 @@ func New(cfg Config) (*Machine, error) {
 // snoop to an L2 holding no tokens for the block never enters the event
 // queue. Parking needs the partitioned engine, and stays off under a fault
 // plan (drops and duplicates need real events) and under a step budget
-// (MaxSteps counts executed events at window granularity).
+// (MaxSteps counts executed events at window granularity). Where parking
+// is on and no invariant checker runs, the same call turns on retry-timeout
+// cancellation (token.CacheCtrl.CancelTimeouts), so a completed
+// transaction's timeout never runs either: the checker sweeps at window
+// starts, which a run's trailing timeouts can set.
 func (m *Machine) parkSnoops(shadow bool) {
 	if m.sharded == nil || m.Injector != nil || m.cfg.MaxSteps > 0 || m.cfg.Directory {
 		return
 	}
 	for _, cn := range m.cores {
 		m.Net.SetElider(cn.node, cn.ctrl.Parker(shadow))
+		if m.Checker == nil {
+			cn.ctrl.CancelTimeouts(shadow)
+		}
 	}
 }
 
@@ -1035,12 +1042,13 @@ func (m *Machine) runSharded() (*Stats, error) {
 	}
 	err := m.sharded.Run()
 	if err != nil {
-		// The run stopped early: parked snoops not yet due would never have
-		// fired, so their counts come off. After a full drain all of them
-		// fired.
+		// The run stopped early: parked snoops and cancelled timeouts not
+		// yet due would never have fired, so their counts come off. After a
+		// full drain all of them fired.
 		for _, cn := range m.cores {
 			if cn.ctrl != nil {
 				cn.ctrl.DropParked()
+				cn.ctrl.DropCancelled()
 			}
 		}
 	}

@@ -5,16 +5,20 @@ import (
 	"fmt"
 	"testing"
 
+	"vsnoop/internal/cache"
 	"vsnoop/internal/core"
 	"vsnoop/internal/fault"
 	"vsnoop/internal/sim"
+	"vsnoop/internal/token"
 )
 
-// runParking runs cfg with snoop parking as wired by New, or, with shadow
-// set, in the controllers' shadow mode: every delivery stays a real event
-// and each one parking would have skipped is checked to be a no-op. It
-// returns the stats, the shadow counters summed over the controllers, and
-// the parked snoops that straddled a warm-up snapshot.
+// runParking runs cfg with snoop parking and timeout cancellation as wired
+// by New, or, with shadow set, in the controllers' shadow mode: every
+// delivery and timeout stays a real event, and each one parking or
+// cancellation would have skipped is checked to be a no-op. Without the
+// invariant checker New turns both on; with it, only parking. It returns the
+// stats, the shadow counters summed over the controllers, and the parked
+// snoops that straddled a warm-up snapshot.
 func runParking(t *testing.T, cfg Config, shadow bool) (st *Stats, sh shadowCounts, straddled uint64) {
 	t.Helper()
 	m, err := New(cfg)
@@ -28,30 +32,47 @@ func runParking(t *testing.T, cfg Config, shadow bool) (st *Stats, sh shadowCoun
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, cn := range m.cores {
-		if cn.ctrl != nil {
-			c, p, v := cn.ctrl.ShadowStats()
-			sh.checked += c
-			sh.putBacks += p
-			sh.violations += v
-		}
-	}
+	sh = sumShadow(m)
 	for _, d := range m.doms {
 		straddled += d.st.warm.parkedAhead
 	}
 	return st, sh, straddled
 }
 
-// shadowCounts sums the controllers' ShadowStats.
-type shadowCounts struct{ checked, putBacks, violations uint64 }
+// shadowCounts sums the controllers' ShadowStats and TimeoutShadowStats.
+type shadowCounts struct {
+	checked, putBacks, violations  uint64
+	timersChecked, timerViolations uint64
+}
 
-// TestParkedSnoopsShadow is the proof obligation of snoop parking. For
-// every token policy, content mode and migration period, at K = 1, 2 and
-// 4, a shadow run must find every delivery parking would have skipped to
-// be a no-op, and the parked run's statistics — EventsFired included —
-// must equal the shadow run's, which executes every delivery. Put-backs
-// are rare (a token gain racing a snoop in flight), so the blackscholes
-// cases, where they occur, must see at least one.
+func sumShadow(m *Machine) (sh shadowCounts) {
+	for _, cn := range m.cores {
+		if cn.ctrl != nil {
+			c, p, v := cn.ctrl.ShadowStats()
+			sh.checked += c
+			sh.putBacks += p
+			sh.violations += v
+			c, v = cn.ctrl.TimeoutShadowStats()
+			sh.timersChecked += c
+			sh.timerViolations += v
+		}
+	}
+	return sh
+}
+
+// TestParkedSnoopsShadow is the proof obligation of snoop parking and
+// retry-timeout cancellation. For every token policy, content mode and
+// migration period, at K = 1, 2 and 4, a shadow run must find every
+// delivery parking would have skipped, and every timeout a completion
+// would have cancelled, to be a no-op; and the parked run's statistics —
+// EventsFired included — must equal the shadow run's, which executes every
+// delivery and timeout. Each case runs twice: with the invariant checker,
+// which must find no violation in a parking run and turns cancellation
+// off, and without it, where both are on. Put-backs are rare (a token gain
+// racing a snoop in flight), so the blackscholes cases, where they occur,
+// must see at least one. The cancelled-timer count does not depend on K: a
+// timeout and the response that completes its transaction run in the same
+// domain.
 func TestParkedSnoopsShadow(t *testing.T) {
 	type tcase struct {
 		app     string
@@ -92,41 +113,71 @@ func TestParkedSnoopsShadow(t *testing.T) {
 			cfg.Workloads = []string{tc.app}
 			cfg.RefsPerVCPU = 500
 			cfg.WarmupRefs = 100
-			cfg.Checks = true
 			cfg.Filter.Policy = tc.pol
 			cfg.Filter.Content = tc.content
 			cfg.UseRegionScout = tc.rs
 			cfg.ContentSharing = tc.sharing
 			cfg.MigrationPeriodMs = tc.period
-			var ref *Stats
-			for _, k := range []int{1, 2, 4} {
-				cfg.Shards = k
-				shadow, sh, _ := runParking(t, cfg, true)
-				if sh.violations > 0 {
-					t.Fatalf("K=%d: %d of %d deliveries parking would skip were not no-ops", k, sh.violations, sh.checked)
+			// The checked pass runs the invariant checker, so it parks but
+			// cancels no timeout. The unchecked pass does both, and runs K = 4
+			// under the windowed protocol, as the checker's window hook does.
+			for _, checks := range []bool{true, false} {
+				cfg.Checks = checks
+				var ref *Stats
+				var cancelled uint64
+				for _, k := range []int{1, 2, 4} {
+					cfg.Shards = k
+					cfg.NoElision = !checks && k == 4
+					pass := fmt.Sprintf("checks=%v K=%d", checks, k)
+					shadow, sh, _ := runParking(t, cfg, true)
+					if sh.violations > 0 {
+						t.Fatalf("%s: %d of %d deliveries parking would skip were not no-ops", pass, sh.violations, sh.checked)
+					}
+					if sh.timerViolations > 0 {
+						t.Fatalf("%s: %d of %d timeouts cancellation would skip were not no-ops", pass, sh.timerViolations, sh.timersChecked)
+					}
+					if shadow.Sync.CancelledTimers != 0 {
+						t.Fatalf("%s: shadow run cancelled %d timers", pass, shadow.Sync.CancelledTimers)
+					}
+					if checks && sh.timersChecked != 0 {
+						t.Fatalf("%s: %d timeouts shadow-checked under the invariant checker, want 0", pass, sh.timersChecked)
+					}
+					if k == 1 {
+						if sh.checked == 0 || !checks && sh.timersChecked == 0 {
+							t.Fatalf("%s: the shadow run checked %d deliveries and %d timeouts", pass, sh.checked, sh.timersChecked)
+						}
+						if tc.app == "blackscholes" && sh.putBacks == 0 {
+							t.Fatalf("%s: no token gain put a parked delivery back", pass)
+						}
+						if shadow.Sync.ParkedEvents != 0 {
+							t.Fatalf("%s: shadow run parked %d events", pass, shadow.Sync.ParkedEvents)
+						}
+						if tc.period > 0 && shadow.Relocations == 0 {
+							t.Fatal("migration config relocated nothing")
+						}
+						if checks && (shadow.InvariantChecks == 0 || len(shadow.InvariantViolations) > 0) {
+							t.Fatalf("%s: %d invariant checks, violations %v", pass, shadow.InvariantChecks, shadow.InvariantViolations)
+						}
+						ref = shadow
+					} else {
+						statsEqual(t, "shadow "+pass, ref, shadow)
+					}
+					st, _, _ := runParking(t, cfg, false)
+					switch {
+					case checks:
+						if st.Sync.CancelledTimers != 0 {
+							t.Fatalf("%s: %d timers cancelled under the invariant checker, want 0", pass, st.Sync.CancelledTimers)
+						}
+					case k == 1:
+						cancelled = st.Sync.CancelledTimers
+					case st.Sync.CancelledTimers != cancelled:
+						t.Fatalf("%s: %d timers cancelled, K=1 cancelled %d", pass, st.Sync.CancelledTimers, cancelled)
+					}
+					if k == 1 && (st.Sync.ParkedEvents == 0 || !checks && cancelled == 0) {
+						t.Fatalf("%s: %d events parked, %d timers cancelled", pass, st.Sync.ParkedEvents, st.Sync.CancelledTimers)
+					}
+					statsEqual(t, "parked "+pass, ref, st)
 				}
-				if k == 1 {
-					if sh.checked == 0 {
-						t.Fatal("K=1: the shadow run checked no delivery")
-					}
-					if tc.app == "blackscholes" && sh.putBacks == 0 {
-						t.Fatal("K=1: no token gain put a parked delivery back")
-					}
-					if shadow.Sync.ParkedEvents != 0 {
-						t.Fatalf("K=1: shadow run parked %d events", shadow.Sync.ParkedEvents)
-					}
-					if tc.period > 0 && shadow.Relocations == 0 {
-						t.Fatal("migration config relocated nothing")
-					}
-					ref = shadow
-				} else {
-					statsEqual(t, fmt.Sprintf("shadow K=%d", k), ref, shadow)
-				}
-				st, _, _ := runParking(t, cfg, false)
-				if k == 1 && st.Sync.ParkedEvents == 0 {
-					t.Fatal("K=1: nothing was parked")
-				}
-				statsEqual(t, fmt.Sprintf("parked K=%d", k), ref, st)
 			}
 		})
 	}
@@ -152,9 +203,10 @@ func TestParkedSnoopsStraddleWarmup(t *testing.T) {
 }
 
 // TestParkingOffWhereIneligible checks the three configurations that must
-// not park: a fault plan (drops and duplicates need real events), a step
-// budget (MaxSteps counts executed events) and the legacy single-queue
-// engine.
+// neither park nor cancel timeouts: a fault plan (drops and duplicates need
+// real events), a step budget (MaxSteps counts executed events) and the
+// legacy single-queue engine. TestParkedSnoopsShadow's checked pass covers
+// the invariant checker, which turns off cancellation alone.
 func TestParkingOffWhereIneligible(t *testing.T) {
 	base := func() Config {
 		cfg := DefaultConfig()
@@ -173,12 +225,14 @@ func TestParkingOffWhereIneligible(t *testing.T) {
 		cfg  Config
 	}{{"fault", faulted}, {"maxsteps", bounded}, {"legacy", legacy}} {
 		st, sh, _ := runParking(t, c.cfg, true)
-		if st.Sync.ParkedEvents != 0 || sh.checked != 0 {
-			t.Errorf("%s: %d events parked, %d shadow checks; want none", c.name, st.Sync.ParkedEvents, sh.checked)
+		if st.Sync.ParkedEvents != 0 || sh.checked != 0 || sh.timersChecked != 0 {
+			t.Errorf("%s: %d events parked, %d delivery and %d timeout shadow checks; want none",
+				c.name, st.Sync.ParkedEvents, sh.checked, sh.timersChecked)
 		}
 		st, _, _ = runParking(t, c.cfg, false)
-		if st.Sync.ParkedEvents != 0 {
-			t.Errorf("%s: %d events parked, want 0", c.name, st.Sync.ParkedEvents)
+		if st.Sync.ParkedEvents != 0 || st.Sync.CancelledTimers != 0 {
+			t.Errorf("%s: %d events parked, %d timers cancelled; want 0, 0",
+				c.name, st.Sync.ParkedEvents, st.Sync.CancelledTimers)
 		}
 	}
 }
@@ -215,5 +269,63 @@ func TestParkedSnoopsEarlyExit(t *testing.T) {
 	statsEqual(t, "watchdog exit", shadow, parked)
 	if parked.Sync.ParkedEvents != 0 {
 		t.Fatalf("%d parked events survived the early exit, want 0", parked.Sync.ParkedEvents)
+	}
+}
+
+// TestCancelledTimeoutsEarlyExit stops a K = 1 run right after its 40th
+// completed transaction, when the timeouts of the latest completions were
+// cancelled and counted but are not yet due. Those events would never have
+// fired, so the early exit must take their counts back out, while the
+// cancelled timeouts that have passed keep theirs: the stats, EventsFired
+// included, equal those of a run whose timeouts stay in the queue, checked
+// in shadow mode, stopped at the same event. Parking is live in both runs,
+// so the two execute the same events up to the stop.
+func TestCancelledTimeoutsEarlyExit(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.RefsPerVCPU = 500
+	cfg.Filter.Policy = core.PolicyBroadcast
+	const stopAfter = 40
+	run := func(shadow bool) (*Stats, shadowCounts, uint64) {
+		m, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		completed := 0
+		for _, cn := range m.cores {
+			if shadow {
+				cn.ctrl.CancelTimeouts(true)
+			}
+			ctrl, onFill := cn.ctrl, cn.ctrl.OnFill
+			cn.ctrl.OnFill = func(b *cache.Block, tx *token.Txn) {
+				onFill(b, tx)
+				if completed++; completed == stopAfter {
+					// The watchdog trips before the next event.
+					ctrl.Eng.SetProgressLimit(1)
+				}
+			}
+		}
+		st, err := m.RunChecked()
+		var np *sim.NoProgressError
+		if !errors.As(err, &np) {
+			t.Fatalf("shadow=%v: run ended with %v, want the watchdog stop", shadow, err)
+		}
+		var ahead uint64
+		for _, cn := range m.cores {
+			ahead += cn.ctrl.TimeoutsAhead()
+		}
+		return st, sumShadow(m), ahead
+	}
+	shadow, sh, ahead := run(true)
+	st, _, _ := run(false)
+	if sh.timerViolations > 0 {
+		t.Fatalf("%d of %d shadow-checked timeouts were not no-ops", sh.timerViolations, sh.timersChecked)
+	}
+	if ahead == 0 || sh.timersChecked == 0 {
+		t.Fatalf("at the stop %d cancellable timeouts had fired and %d were not yet due; want both nonzero",
+			sh.timersChecked, ahead)
+	}
+	statsEqual(t, "early exit", shadow, st)
+	if st.Sync.CancelledTimers != sh.timersChecked {
+		t.Fatalf("%d cancelled timeouts kept their count, want the %d that had passed", st.Sync.CancelledTimers, sh.timersChecked)
 	}
 }

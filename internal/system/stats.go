@@ -14,7 +14,7 @@ import (
 var totalEvents atomic.Uint64 //lint:shardsafe process-wide CLI telemetry, written once per run at finalize, never read by sim code
 
 // TotalEventsFired returns the simulator events fired (parked snoop
-// deliveries included) by all runs in this process so far. Monotone; each run adds its count as it finalizes.
+// deliveries and cancelled retry timeouts included) by all runs in this process so far. Monotone; each run adds its count as it finalizes.
 func TotalEventsFired() uint64 { return totalEvents.Load() }
 
 // Process-wide synchronization telemetry, accumulated by finalizeSharded
@@ -104,9 +104,9 @@ type Stats struct {
 
 	// EventsFired counts the discrete events fired by the engine(s) over
 	// the whole run — the simulator's own work metric (events/sec in the
-	// report footer). Parked snoop deliveries count as fired events;
-	// Sync.ParkedEvents says how many of them there were. Never
-	// warmup-adjusted.
+	// report footer). Parked snoop deliveries and cancelled retry timeouts
+	// count as fired events; Sync.ParkedEvents and Sync.CancelledTimers say
+	// how many of them there were. Never warmup-adjusted.
 	EventsFired uint64
 
 	// Sync holds the sharded engine's synchronization telemetry (windows,

@@ -104,6 +104,17 @@ type CacheCtrl struct {
 	shadowChecked    uint64
 	shadowPutBacks   uint64
 	shadowViolations uint64
+
+	// timer is the pending retry timeout's handle. With cancelTimers (set
+	// by CancelTimeouts) complete cancels it, and cancelled keeps the cancelled
+	// timers that may not have passed yet (timer.go). shadowTimers and its
+	// counters are the checking mode of that cancellation.
+	timer           sim.Timer
+	cancelTimers    bool
+	cancelled       []sim.Timer
+	shadowTimers    bool
+	timerChecked    uint64
+	timerViolations uint64
 }
 
 // Init prepares internal state; call once after the fields are set.
@@ -114,6 +125,7 @@ func (c *CacheCtrl) Init() {
 	}
 	c.destBuf = make([]mesh.NodeID, 0, len(c.AllCores)+1)
 	c.parked = make([]parkedSnoop, 0, 16)
+	c.cancelled = make([]sim.Timer, 0, 8)
 	c.snoopFn = func(arg interface{}, _ uint64) { c.handleRequest(arg.(*Msg)) }
 	// u packs (destination << 32 | bytes); the *Msg rides in arg.
 	c.sendFn = func(arg interface{}, u uint64) {
@@ -121,6 +133,9 @@ func (c *CacheCtrl) Init() {
 	}
 	// u is the TID the timeout was armed for.
 	c.timeoutFn = func(_ interface{}, u uint64) {
+		if c.shadowTimers {
+			c.shadowTimeout(u)
+		}
 		if c.cur == nil || c.cur.TID != u || c.cur.completed {
 			return
 		}
@@ -243,7 +258,7 @@ func (c *CacheCtrl) armTimeout(t *Txn) {
 	if c.P.TimeoutJitter > 0 {
 		wait += sim.Cycle(c.Rng.Intn(c.P.TimeoutJitter)) * sim.Cycle(t.Attempt)
 	}
-	c.Eng.ScheduleFn(wait, c.timeoutFn, nil, t.TID)
+	c.timer = c.Eng.ScheduleTimer(wait, c.timeoutFn, nil, t.TID)
 }
 
 func (c *CacheCtrl) activatePersistent(t *Txn) {
@@ -365,10 +380,13 @@ func (c *CacheCtrl) respond(dst mesh.NodeID, msg Msg) {
 //
 //vsnoop:hotpath
 func (c *CacheCtrl) handleResponse(msg *Msg) {
-	if holder, ok := c.persistent[msg.Addr]; ok && holder != c.Node {
-		// Relayed tokens stay in flight: no Arrive/Depart on the ledger.
-		c.forward(holder, msg)
-		return
+	// The map is empty in every fault-free run: skip the lookup there.
+	if len(c.persistent) > 0 {
+		if holder, ok := c.persistent[msg.Addr]; ok && holder != c.Node {
+			// Relayed tokens stay in flight: no Arrive/Depart on the ledger.
+			c.forward(holder, msg)
+			return
+		}
 	}
 	c.arrive(msg.Addr, msg.Tokens, msg.Owner)
 	t := c.cur
@@ -454,6 +472,9 @@ func (c *CacheCtrl) complete(t *Txn, b *cache.Block) {
 	}
 	fn, arg := t.doneFn, t.doneArg
 	c.cur = nil
+	if c.cancelTimers {
+		c.cancelTimeout()
+	}
 	c.Eng.ScheduleFn(c.P.FillLatency, fn, arg, 0)
 }
 

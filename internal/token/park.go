@@ -37,6 +37,42 @@ type parkedSnoop struct {
 	msg *Msg
 }
 
+func (p parkedSnoop) At() sim.Cycle { return p.at }
+func (p parkedSnoop) Key() uint64   { return p.key }
+
+// due is an entry a controller keeps for an event counted as fired before
+// it was due: a parked delivery or a cancelled timeout (timer.go).
+type due interface {
+	At() sim.Cycle
+	Key() uint64
+}
+
+// ahead returns how many entries of l have not passed eng's position: they
+// were counted as fired, though their events would fire only later.
+func ahead[T due](eng *sim.Engine, l []T) uint64 {
+	var n uint64
+	for _, d := range l {
+		if !eng.Passed(d.At(), d.Key()) {
+			n++
+		}
+	}
+	return n
+}
+
+// keepAhead moves the entries of l that have not passed eng's position to
+// its front, in order, and returns them: the passed ones are done.
+//
+//vsnoop:hotpath
+func keepAhead[T due](eng *sim.Engine, l []T) []T {
+	keep := l[:0]
+	for _, d := range l {
+		if !eng.Passed(d.At(), d.Key()) {
+			keep = append(keep, d)
+		}
+	}
+	return keep
+}
+
 // Parker returns the controller's mesh elider (park), for
 // mesh.Network.SetElider on this controller's endpoint. Only a run whose
 // every delivery goes through mesh.Network.Send unfaulted and whose event
@@ -84,13 +120,7 @@ func (c *CacheCtrl) park(at sim.Cycle, key uint64, dom int32, payload interface{
 //
 //vsnoop:hotpath
 func (c *CacheCtrl) prune() {
-	keep := c.parked[:0]
-	for _, p := range c.parked {
-		if !c.Eng.Passed(p.at, p.key) {
-			keep = append(keep, p)
-		}
-	}
-	c.dropTail(len(keep))
+	c.dropTail(len(keepAhead(c.Eng, c.parked)))
 }
 
 // dropTail shortens parked to n entries, clearing the rest so the list
@@ -133,13 +163,7 @@ func (c *CacheCtrl) ParkedAhead() uint64 {
 	if c.shadow {
 		return 0
 	}
-	var n uint64
-	for _, p := range c.parked {
-		if !c.Eng.Passed(p.at, p.key) {
-			n++
-		}
-	}
-	return n
+	return ahead(c.Eng, c.parked)
 }
 
 // DropParked withdraws the counts of every parked delivery that has not

@@ -290,6 +290,31 @@ func TestPersistentRequestGuaranteesProgress(t *testing.T) {
 	h.checkConservation(t, []mem.BlockAddr{600})
 }
 
+// TestResponseForwardedToPersistentRequester covers the guarded lookup in
+// handleResponse: once a persistent activation for another core is
+// recorded, tokens arriving for that block are relayed to it, while tokens
+// for any other block stay here. Both blocks are resident without tokens,
+// so each stray response is absorbed where it lands.
+func TestResponseForwardedToPersistentRequester(t *testing.T) {
+	h := newHarness(t, 2, nil)
+	c0, c1 := h.ctrls[0], h.ctrls[1]
+	a, other := mem.BlockAddr(300), mem.BlockAddr(301)
+	c0.L2.Insert(a, 1)
+	c0.L2.Insert(other, 1)
+	c1.L2.Insert(a, 1)
+	c0.Handle(&token.Msg{Kind: token.MsgPersistentActivate, Addr: a, Src: c1.Node})
+	c0.Handle(&token.Msg{Kind: token.MsgTokens, Addr: a, Src: h.mc.Node, Tokens: 1})
+	c0.Handle(&token.Msg{Kind: token.MsgTokens, Addr: other, Src: h.mc.Node, Tokens: 1})
+	h.run()
+	if got := c1.L2.Lookup(a).Tokens; got != 1 {
+		t.Fatalf("persistent requester holds %d tokens for the block, want the 1 relayed", got)
+	}
+	if c0.L2.Lookup(a).Tokens != 0 || c0.L2.Lookup(other).Tokens != 1 {
+		t.Fatalf("core 0 holds %d and %d tokens; want 0 (relayed) and 1 (kept)",
+			c0.L2.Lookup(a).Tokens, c0.L2.Lookup(other).Tokens)
+	}
+}
+
 func TestConcurrentWritersBothComplete(t *testing.T) {
 	h := newHarness(t, 4, nil)
 	done := 0

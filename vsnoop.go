@@ -334,8 +334,9 @@ type Result struct {
 	InvariantViolations []string
 
 	// EventsFired is the whole-run simulator event count (never
-	// warmup-adjusted), parked snoop deliveries included (their number is
-	// Stats.Sync.ParkedEvents); with wall-clock time it yields
+	// warmup-adjusted), parked snoop deliveries and cancelled retry
+	// timeouts included (their numbers are Stats.Sync.ParkedEvents and
+	// Stats.Sync.CancelledTimers); with wall-clock time it yields
 	// events/second, the engine's throughput metric.
 	EventsFired uint64
 
@@ -344,7 +345,7 @@ type Result struct {
 }
 
 // TotalEventsFired returns the simulator events fired (parked snoop
-// deliveries included) by every run in this process so far (including runs driven through internal/exp rather
+// deliveries and cancelled retry timeouts included) by every run in this process so far (including runs driven through internal/exp rather
 // than Run). It is monotone and safe to read concurrently with in-flight
 // runs: each run adds its count when it finishes.
 func TotalEventsFired() uint64 { return system.TotalEventsFired() }

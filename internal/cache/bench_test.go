@@ -38,9 +38,11 @@ func BenchmarkLookupMiss(b *testing.B) {
 }
 
 // BenchmarkLookupSpread probes 16 full L2s (the Table II machine's private
-// caches, 4096 blocks each) at random: 8 MiB of tags and blocks, far past
-// the host's L1 and L2, so it measures what a snoop or a miss probe pays
-// when the set is not already cached on the host. Half the probes hit.
+// caches, 4096 ways each) at random. At 20 bytes a way (a 4-byte tag word
+// and a 16-byte block) that is 16 x 4096 x 20 B = 1.25 MiB of tags and
+// blocks: far past a 32-48 KiB host L1d but inside a 2 MiB per-core host
+// L2, so it measures what a snoop or a miss probe pays when its set has
+// left the host L1 but not the host L2. Half the probes hit.
 func BenchmarkLookupSpread(b *testing.B) {
 	const caches, blocks = 16, 4096
 	l2 := make([]*Cache, caches)
@@ -134,7 +136,7 @@ func TestHotOpsZeroAlloc(t *testing.T) {
 			next++
 		}},
 		{"Invalidate", func() {
-			c.Invalidate(c.Lookup(victim))
+			c.Invalidate(victim, c.Lookup(victim))
 			victim--
 		}},
 	} {

@@ -24,15 +24,16 @@ type Config struct {
 	HitLatency uint64 // cycles
 }
 
-// Validate checks the geometry is a power-of-two set count.
+// Validate checks the geometry is a whole, power-of-two number of sets.
 func (c Config) Validate() error {
 	if c.SizeBytes <= 0 || c.Ways <= 0 || c.BlockBytes <= 0 {
 		return fmt.Errorf("cache %q: non-positive geometry", c.Name)
 	}
-	sets := c.SizeBytes / (c.Ways * c.BlockBytes)
-	if sets == 0 {
-		return fmt.Errorf("cache %q: zero sets", c.Name)
+	setBytes := c.Ways * c.BlockBytes
+	if c.SizeBytes%setBytes != 0 {
+		return fmt.Errorf("cache %q: size %d is not a whole number of %d-byte sets", c.Name, c.SizeBytes, setBytes)
 	}
+	sets := c.SizeBytes / setBytes
 	if sets&(sets-1) != 0 {
 		return fmt.Errorf("cache %q: set count %d not a power of two", c.Name, sets)
 	}
@@ -42,14 +43,16 @@ func (c Config) Validate() error {
 // Block is one cache line's data-array entry. Token-coherence state
 // (Section V: Token Coherence, MOESI) is carried as a token count plus
 // owner and dirty flags; the classic MOESI letter is derived on demand.
-// Validity lives in the cache's tag array, not here: a block is valid
-// exactly while its way's tag is nonzero.
+// Validity and the address live in the cache's tag array, not here: a
+// block is valid exactly while its way's tag is nonzero, and its address
+// is the tag joined with the set index. A block is 16 bytes.
 type Block struct {
-	Addr   mem.BlockAddr
-	Tokens int
-	Owner  bool // holds the owner token (data-provider responsibility)
-	Dirty  bool
+	// Tokens fits int16 because system.Config.Validate bounds the tokens
+	// per block, Cores+1, by math.MaxInt16.
+	Tokens int16
 	VM     mem.VMID // VM identifier in the tag (virtual snooping extension)
+	Owner  bool     // holds the owner token (data-provider responsibility)
+	Dirty  bool
 	// Provider marks this copy as its VM's designated data provider for an
 	// RO-shared (content-shared) block, so intra-VM and friend-VM requests
 	// get exactly one cache response (paper Section VI.B).
@@ -76,12 +79,12 @@ func (s State) String() string {
 // of tokens per block in the system. An empty way is zeroed, so it derives
 // as Invalid like any token-less block.
 func StateOf(b *Block, totalTokens int) State {
-	switch {
-	case b.Tokens == 0:
+	switch tokens := int(b.Tokens); {
+	case tokens == 0:
 		return Invalid
-	case b.Tokens == totalTokens && b.Dirty:
+	case tokens == totalTokens && b.Dirty:
 		return Modified
-	case b.Tokens == totalTokens:
+	case tokens == totalTokens:
 		return Exclusive
 	case b.Owner:
 		return Owned
@@ -104,16 +107,20 @@ type EvictInfo struct {
 // the simulation engine is single-threaded by design.
 //
 // Tags and data are split the way hardware builds them: tags holds one
-// word per way (block address + 1, 0 = empty way), blocks the matching
-// data-array entries, and set s occupies [s*ways, (s+1)*ways) of both.
-// Lookup scans only the tag words — one 64-byte line for an 8-way set —
-// and touches the data array once, on a hit.
+// 32-bit word per way, blocks the matching data-array entries, and set s
+// occupies [s*ways, (s+1)*ways) of both. A tag word stores only the
+// address bits above the set index, plus one (0 = empty way); the index
+// bits are implied by the way's position, so a block keeps no copy of its
+// address. A way costs 20 bytes. Lookup scans only the tag words — half a
+// 64-byte line for an 8-way set — and touches the data array once, on a
+// hit.
 type Cache struct {
 	cfg     Config
-	tags    []mem.BlockAddr
+	tags    []uint32
 	blocks  []Block
 	ways    int
 	nSets   int
+	setBits uint
 	setMask uint64
 	tick    uint64
 
@@ -160,14 +167,18 @@ func New(cfg Config) *Cache {
 		panic(err)
 	}
 	nSets := cfg.SizeBytes / (cfg.Ways * cfg.BlockBytes)
-	return &Cache{
+	c := &Cache{
 		cfg:     cfg,
-		tags:    make([]mem.BlockAddr, nSets*cfg.Ways),
+		tags:    make([]uint32, nSets*cfg.Ways),
 		blocks:  make([]Block, nSets*cfg.Ways),
 		ways:    cfg.Ways,
 		nSets:   nSets,
 		setMask: uint64(nSets - 1),
 	}
+	for 1<<c.setBits < nSets {
+		c.setBits++
+	}
+	return c
 }
 
 // Config returns the cache configuration.
@@ -178,13 +189,33 @@ func (c *Cache) NumSets() int { return c.nSets }
 
 func (c *Cache) setIndex(a mem.BlockAddr) uint64 { return uint64(a) & c.setMask }
 
+// tagLimit bounds the address bits above the set index: they must leave
+// room for the +1 that keeps tag 0 for an empty way.
+const tagLimit = 1<<32 - 1
+
+// tagOf returns addr's tag word. ok is false for an address whose bits
+// above the set index do not fit a tag word; no cache can hold it.
+// (setBits is below 64; masking it lets the compiler drop the shift's
+// out-of-range handling.)
+func (c *Cache) tagOf(a mem.BlockAddr) (tag uint32, ok bool) {
+	hi := uint64(a) >> (c.setBits & 63)
+	return uint32(hi) + 1, hi < tagLimit
+}
+
+// addrOf returns the address held by a valid way with tag word tag in set s.
+func (c *Cache) addrOf(tag uint32, s uint64) mem.BlockAddr {
+	return mem.BlockAddr(uint64(tag-1)<<(c.setBits&63) | s)
+}
+
 // Lookup returns the valid block holding addr, or nil. It does not update
 // LRU state; callers decide whether an access counts as a use (snoop
 // probes do not).
 func (c *Cache) Lookup(a mem.BlockAddr) *Block {
-	s := c.setIndex(a)
-	base := int(s) * c.ways
-	tag := a + 1
+	tag, ok := c.tagOf(a)
+	if !ok {
+		return nil
+	}
+	base := int(c.setIndex(a)) * c.ways
 	for i, t := range c.tags[base : base+c.ways] {
 		if t == tag {
 			return &c.blocks[base+i]
@@ -280,9 +311,12 @@ func (c *Cache) decResident(vm mem.VMID) {
 // tokens; the coherence controller fills token state as responses arrive.
 // evicted reports whether victim describes a displaced valid block.
 func (c *Cache) Insert(a mem.BlockAddr, vm mem.VMID) (b *Block, victim EvictInfo, evicted bool) {
+	tag, ok := c.tagOf(a)
+	if !ok {
+		tagRangePanic(c.cfg.Name, a)
+	}
 	s := c.setIndex(a)
 	base := int(s) * c.ways
-	tag := a + 1
 	slot := -1
 	for i, t := range c.tags[base : base+c.ways] {
 		if t == tag {
@@ -299,7 +333,7 @@ func (c *Cache) Insert(a mem.BlockAddr, vm mem.VMID) (b *Block, victim EvictInfo
 				slot = i
 			}
 		}
-		victim = c.invalidateWay(slot)
+		victim = c.invalidateWay(slot, s)
 		evicted = true
 	}
 	c.tick++
@@ -307,7 +341,7 @@ func (c *Cache) Insert(a mem.BlockAddr, vm mem.VMID) (b *Block, victim EvictInfo
 	if c.holders != nil {
 		c.holders.set(a, c.member)
 	}
-	c.blocks[slot] = Block{Addr: a, VM: vm, lru: c.tick}
+	c.blocks[slot] = Block{VM: vm, lru: c.tick}
 	c.incResident(vm)
 	if c.OnInsert != nil {
 		c.OnInsert(a, vm)
@@ -315,34 +349,42 @@ func (c *Cache) Insert(a mem.BlockAddr, vm mem.VMID) (b *Block, victim EvictInfo
 	return &c.blocks[slot], victim, evicted
 }
 
-// Invalidate removes b from the cache (e.g. all tokens taken by a GETX)
-// and returns its final token state for the controller to forward.
-func (c *Cache) Invalidate(b *Block) EvictInfo {
-	s := c.setIndex(b.Addr)
+// tagRangePanic is Insert's cold failure path: addr's bits above the set
+// index do not fit a tag word, and truncating them would alias another
+// block.
+func tagRangePanic(name string, a mem.BlockAddr) {
+	panic(fmt.Sprintf("cache %s: block %d is beyond the 32-bit tag range", name, a))
+}
+
+// Invalidate removes b, the block holding a, from the cache (e.g. all
+// tokens taken by a GETX) and returns its final token state for the
+// controller to forward. It panics unless b is the valid block Lookup(a)
+// returns.
+func (c *Cache) Invalidate(a mem.BlockAddr, b *Block) EvictInfo {
+	tag, ok := c.tagOf(a)
+	s := c.setIndex(a)
 	base := int(s) * c.ways
-	way := -1
-	for i := base; i < base+c.ways; i++ {
-		if &c.blocks[i] == b {
-			way = i
-			break
+	if ok {
+		for i, t := range c.tags[base : base+c.ways] {
+			if t == tag && &c.blocks[base+i] == b {
+				return c.invalidateWay(base+i, s)
+			}
 		}
 	}
-	if way < 0 || c.tags[way] != b.Addr+1 {
-		invalidPanic(c.cfg.Name)
-	}
-	return c.invalidateWay(way)
+	invalidPanic(c.cfg.Name)
+	return EvictInfo{}
 }
 
 // invalidPanic is Invalidate's cold failure path: the block is not a valid
-// way of this cache.
+// way of this cache holding the given address.
 func invalidPanic(name string) {
 	panic(fmt.Sprintf("cache %s: invalidate of invalid block", name))
 }
 
-// invalidateWay empties valid way i and fires the drop callbacks.
-func (c *Cache) invalidateWay(i int) EvictInfo {
+// invalidateWay empties valid way i of set s and fires the drop callbacks.
+func (c *Cache) invalidateWay(i int, s uint64) EvictInfo {
 	b := &c.blocks[i]
-	info := EvictInfo{Addr: b.Addr, Tokens: b.Tokens, Owner: b.Owner, Dirty: b.Dirty, VM: b.VM}
+	info := EvictInfo{Addr: c.addrOf(c.tags[i], s), Tokens: int(b.Tokens), Owner: b.Owner, Dirty: b.Dirty, VM: b.VM}
 	// Clear before callbacks: a reentrant FlushVM from a residence trigger
 	// must never see this block as still valid.
 	c.tags[i] = 0
@@ -363,9 +405,11 @@ func (c *Cache) invalidateWay(i int) EvictInfo {
 // callback may already have emptied a later way.
 func (c *Cache) FlushVM(vm mem.VMID) []EvictInfo {
 	var out []EvictInfo
-	for i := range c.tags {
-		if c.tags[i] != 0 && c.blocks[i].VM == vm {
-			out = append(out, c.invalidateWay(i))
+	for s := 0; s < c.nSets; s++ {
+		for i := s * c.ways; i < (s+1)*c.ways; i++ {
+			if c.tags[i] != 0 && c.blocks[i].VM == vm {
+				out = append(out, c.invalidateWay(i, uint64(s)))
+			}
 		}
 	}
 	return out
@@ -386,14 +430,17 @@ func (c *Cache) RecountResidence() {
 	for i := range c.resident {
 		c.resident[i] = 0
 	}
-	c.ForEachValid(func(b *Block) { c.resident[c.counterIdx(b.VM)]++ })
+	c.ForEachValid(func(_ mem.BlockAddr, b *Block) { c.resident[c.counterIdx(b.VM)]++ })
 }
 
-// ForEachValid calls fn for every valid block.
-func (c *Cache) ForEachValid(fn func(*Block)) {
-	for i := range c.tags {
-		if c.tags[i] != 0 {
-			fn(&c.blocks[i])
+// ForEachValid calls fn for every valid block with the address it holds,
+// in way order.
+func (c *Cache) ForEachValid(fn func(a mem.BlockAddr, b *Block)) {
+	for s := 0; s < c.nSets; s++ {
+		for i := s * c.ways; i < (s+1)*c.ways; i++ {
+			if t := c.tags[i]; t != 0 {
+				fn(c.addrOf(t, uint64(s)), &c.blocks[i])
+			}
 		}
 	}
 }

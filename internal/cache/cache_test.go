@@ -3,6 +3,7 @@ package cache
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"vsnoop/internal/mem"
 	"vsnoop/internal/sim"
@@ -13,13 +14,143 @@ func small() *Cache {
 }
 
 func TestConfigValidate(t *testing.T) {
-	bad := Config{Name: "b", SizeBytes: 3000, Ways: 4, BlockBytes: 64}
-	if err := bad.Validate(); err == nil {
-		t.Fatal("non-power-of-two sets accepted")
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		ok   bool
+	}{
+		{"32 KiB 4-way", Config{SizeBytes: 32 * 1024, Ways: 4, BlockBytes: 64}, true},
+		{"256 KiB 8-way", Config{SizeBytes: 256 * 1024, Ways: 8, BlockBytes: 64}, true},
+		{"one set", Config{SizeBytes: 512, Ways: 8, BlockBytes: 64}, true},
+		{"sets not a power of two", Config{SizeBytes: 3 * 4 * 64, Ways: 4, BlockBytes: 64}, false},
+		{"partial set", Config{SizeBytes: 3000, Ways: 4, BlockBytes: 64}, false},
+		{"whole sets plus a remainder", Config{SizeBytes: 256*1024 + 100, Ways: 8, BlockBytes: 64}, false},
+		{"whole sets plus one block", Config{SizeBytes: 256*1024 + 64, Ways: 8, BlockBytes: 64}, false},
+		{"less than one set", Config{SizeBytes: 256, Ways: 8, BlockBytes: 64}, false},
+		{"zero size", Config{SizeBytes: 0, Ways: 4, BlockBytes: 64}, false},
+		{"zero ways", Config{SizeBytes: 4096, Ways: 0, BlockBytes: 64}, false},
+		{"negative block", Config{SizeBytes: 4096, Ways: 4, BlockBytes: -64}, false},
+	} {
+		tc.cfg.Name = tc.name
+		if err := tc.cfg.Validate(); (err == nil) != tc.ok {
+			t.Errorf("%s: Validate() = %v, want ok=%v", tc.name, err, tc.ok)
+		}
 	}
-	good := Config{Name: "g", SizeBytes: 32 * 1024, Ways: 4, BlockBytes: 64}
-	if err := good.Validate(); err != nil {
-		t.Fatal(err)
+}
+
+// TestWayLayout pins a simulated way at 20 host bytes: a 16-byte data
+// block with no copy of its address, and a 4-byte tag word.
+func TestWayLayout(t *testing.T) {
+	if got := unsafe.Sizeof(Block{}); got != 16 {
+		t.Fatalf("Block is %d bytes, want 16", got)
+	}
+	if got := unsafe.Sizeof(small().tags[0]); got != 4 {
+		t.Fatalf("tag word is %d bytes, want 4", got)
+	}
+}
+
+// TestTagRange round-trips the highest address a tag word can hold, and
+// checks that addresses past it are never found and cannot be inserted:
+// truncated to 32 bits, one past the top would match an empty way's tag 0,
+// and 2^32 above block 5 would match block 5's tag.
+func TestTagRange(t *testing.T) {
+	c := small() // 16 sets: 4 index bits
+	top := mem.BlockAddr((tagLimit-1)<<4 | 5)
+	past := mem.BlockAddr(tagLimit<<4 | 5)
+	alias := mem.BlockAddr(1<<36 | 5)
+	b, _, _ := c.Insert(top, 1)
+	if c.Lookup(top) != b {
+		t.Fatal("top-of-range block not found")
+	}
+	c.ForEachValid(func(a mem.BlockAddr, _ *Block) {
+		if a != top {
+			t.Fatalf("ForEachValid yields %#x, want %#x", a, top)
+		}
+	})
+	if c.Invalidate(top, b).Addr != top {
+		t.Fatal("eviction info lost the top-of-range address")
+	}
+	c.Insert(5, 1)
+	if c.Lookup(past) != nil || c.Lookup(alias) != nil {
+		t.Fatal("an address beyond the tag range aliases a way")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("insert beyond the tag range did not panic")
+		}
+	}()
+	c.Insert(past, 1)
+}
+
+// TestForEachValidAddresses fills a cache past capacity with scattered
+// addresses, in two geometries, and checks that ForEachValid yields every
+// resident block exactly once, at its true address, and that each
+// eviction reports the address that was inserted.
+func TestForEachValidAddresses(t *testing.T) {
+	for _, cfg := range []Config{
+		{Name: "4-way", SizeBytes: 4 * 1024, Ways: 4, BlockBytes: 64},
+		{Name: "3-way", SizeBytes: 3 * 8 * 64, Ways: 3, BlockBytes: 64},
+	} {
+		c := New(cfg)
+		r := sim.NewRand(9)
+		want := map[mem.BlockAddr]*Block{}
+		for i := 0; i < 200; i++ {
+			a := mem.BlockAddr(r.Uint64() >> 30)
+			if c.Lookup(a) != nil {
+				continue
+			}
+			b, v, ev := c.Insert(a, mem.VMID(i%3))
+			if ev {
+				if _, ok := want[v.Addr]; !ok {
+					t.Fatalf("%s: evicted %#x, never inserted or already gone", cfg.Name, v.Addr)
+				}
+				delete(want, v.Addr)
+			}
+			want[a] = b
+		}
+		n := 0
+		c.ForEachValid(func(a mem.BlockAddr, b *Block) {
+			n++
+			if want[a] != b {
+				t.Fatalf("%s: ForEachValid yields %#x with a block that is not its own", cfg.Name, a)
+			}
+		})
+		if n != len(want) || n != c.CountValid() {
+			t.Fatalf("%s: ForEachValid yields %d blocks, want %d", cfg.Name, n, len(want))
+		}
+	}
+}
+
+// TestInvalidateChecksBlock checks that Invalidate refuses a block that
+// is not the one holding the given address: a block from another set,
+// another block or an empty way of the address's set, and an address the
+// cache does not hold.
+func TestInvalidateChecksBlock(t *testing.T) {
+	c := small() // 16 sets
+	b1, _, _ := c.Insert(1, 1)
+	b17, _, _ := c.Insert(17, 1) // set 1 too
+	b2, _, _ := c.Insert(2, 1)
+	for _, tc := range []struct {
+		name string
+		a    mem.BlockAddr
+		b    *Block
+	}{
+		{"block from another set", 1, b2},
+		{"block of another address in the set", 1, b17},
+		{"absent address", 33, b1},
+		{"empty way of the set", 1, &c.blocks[c.ways+2]},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: Invalidate did not panic", tc.name)
+				}
+			}()
+			c.Invalidate(tc.a, tc.b)
+		}()
+	}
+	if c.CountValid() != 3 {
+		t.Fatalf("a refused Invalidate dropped a block: %d valid, want 3", c.CountValid())
 	}
 }
 
@@ -29,9 +160,14 @@ func TestInsertLookup(t *testing.T) {
 	if ev {
 		t.Fatal("eviction from empty cache")
 	}
-	if b.Addr != 100 || b.VM != 1 || b.Tokens != 0 {
+	if b.VM != 1 || b.Tokens != 0 {
 		t.Fatalf("inserted block wrong: %+v", b)
 	}
+	c.ForEachValid(func(a mem.BlockAddr, got *Block) {
+		if a != 100 || got != b {
+			t.Fatalf("ForEachValid yields block %p at %d, want %p at 100", got, a, b)
+		}
+	})
 	if got := c.Lookup(100); got != b {
 		t.Fatal("lookup after insert failed")
 	}
@@ -92,11 +228,11 @@ func TestResidenceCounters(t *testing.T) {
 	if c.Resident(1) != 2 || c.Resident(2) != 1 {
 		t.Fatalf("counters: vm1=%d vm2=%d", c.Resident(1), c.Resident(2))
 	}
-	c.Invalidate(c.Lookup(1))
+	c.Invalidate(1, c.Lookup(1))
 	if c.Resident(1) != 1 {
 		t.Fatalf("counter after invalidate = %d", c.Resident(1))
 	}
-	c.Invalidate(c.Lookup(2))
+	c.Invalidate(2, c.Lookup(2))
 	if c.Resident(1) != 0 {
 		t.Fatalf("counter not zero: %d", c.Resident(1))
 	}
@@ -108,11 +244,11 @@ func TestOnResidenceZeroFires(t *testing.T) {
 	c.OnResidenceZero = func(vm mem.VMID) { fired = append(fired, vm) }
 	c.Insert(1, 7)
 	c.Insert(2, 7)
-	c.Invalidate(c.Lookup(1))
+	c.Invalidate(1, c.Lookup(1))
 	if len(fired) != 0 {
 		t.Fatal("fired before counter reached zero")
 	}
-	c.Invalidate(c.Lookup(2))
+	c.Invalidate(2, c.Lookup(2))
 	if len(fired) != 1 || fired[0] != 7 {
 		t.Fatalf("fired = %v, want [7]", fired)
 	}
@@ -126,9 +262,9 @@ func TestOnResidenceBelowThreshold(t *testing.T) {
 	c.Insert(1, 9)
 	c.Insert(2, 9)
 	c.Insert(3, 9)
-	c.Invalidate(c.Lookup(1)) // 2: not below threshold 2
-	c.Invalidate(c.Lookup(2)) // 1: below
-	c.Invalidate(c.Lookup(3)) // 0: below
+	c.Invalidate(1, c.Lookup(1)) // 2: not below threshold 2
+	c.Invalidate(2, c.Lookup(2)) // 1: below
+	c.Invalidate(3, c.Lookup(3)) // 0: below
 	if len(events) != 2 || events[0] != 1 || events[1] != 0 {
 		t.Fatalf("threshold events = %v, want [1 0]", events)
 	}
@@ -141,7 +277,7 @@ func TestStateDerivation(t *testing.T) {
 		want State
 	}{
 		{Block{}, Invalid},
-		{Block{Addr: 7, Tokens: 0}, Invalid},
+		{Block{VM: 7, Tokens: 0}, Invalid},
 		{Block{Tokens: 1}, Shared},
 		{Block{Tokens: 3, Owner: true}, Owned},
 		{Block{Tokens: 3, Owner: true, Dirty: true}, Owned},
@@ -172,20 +308,25 @@ func TestFlushVM(t *testing.T) {
 	}
 }
 
-// checkTags asserts the tag/data split's invariant: a valid way's block
-// carries the tag's address and sits in that address's set; an empty way's
-// block is zeroed.
+// checkTags asserts the tag/data split's invariant: the address a valid
+// way's tag and set encode sits in that set and looks up to the way's
+// block; an empty way's block is zeroed.
 func checkTags(t *testing.T, c *Cache) {
 	t.Helper()
 	for i, tag := range c.tags {
-		b := c.blocks[i]
+		b := &c.blocks[i]
+		if tag == 0 {
+			if *b != (Block{}) {
+				t.Fatalf("empty way %d holds block %+v", i, *b)
+			}
+			continue
+		}
+		a := c.addrOf(tag, uint64(i/c.ways))
 		switch {
-		case tag == 0 && b != (Block{}):
-			t.Fatalf("empty way %d holds block %+v", i, b)
-		case tag != 0 && b.Addr+1 != tag:
-			t.Fatalf("way %d: tag %d but block address %d", i, tag-1, b.Addr)
-		case tag != 0 && int(c.setIndex(b.Addr)) != i/c.ways:
-			t.Fatalf("way %d: block %d outside its set", i, b.Addr)
+		case int(c.setIndex(a)) != i/c.ways:
+			t.Fatalf("way %d: block %d outside its set", i, a)
+		case c.Lookup(a) != b:
+			t.Fatalf("way %d: tag %d but Lookup(%d) finds another way", i, tag, a)
 		}
 	}
 }
@@ -198,11 +339,11 @@ func TestTagsMatchBlocks(t *testing.T) {
 	// Inserting 96 blocks fills every way, then evicts.
 	for a := mem.BlockAddr(0); a < 96; a++ {
 		b, _, _ := c.Insert(a, mem.VMID(a%4))
-		b.Tokens, b.Owner = int(a%5)+1, a%2 == 0
+		b.Tokens, b.Owner = int16(a%5)+1, a%2 == 0
 	}
 	checkTags(t, c)
 	// Blocks 0..31 are evicted by now; 32..95 are resident.
-	c.Invalidate(c.Lookup(37))
+	c.Invalidate(37, c.Lookup(37))
 	c.Touch(c.Lookup(39))
 	checkTags(t, c)
 	if got := len(c.FlushVM(3)); got != 16 {
@@ -246,14 +387,14 @@ func TestResidenceCounterExactProperty(t *testing.T) {
 			case 6, 7:
 				a := mem.BlockAddr(r.Intn(512))
 				if b := c.Lookup(a); b != nil {
-					c.Invalidate(b)
+					c.Invalidate(a, b)
 				}
 			case 8:
 				c.FlushVM(mem.VMID(r.Intn(4)))
 			}
 		}
 		counts := make(map[mem.VMID]int)
-		c.ForEachValid(func(b *Block) { counts[b.VM]++ })
+		c.ForEachValid(func(_ mem.BlockAddr, b *Block) { counts[b.VM]++ })
 		for vm := mem.VMID(0); vm < 4; vm++ {
 			if c.Resident(vm) != counts[vm] {
 				return false
@@ -277,16 +418,16 @@ func TestSetInvariantProperty(t *testing.T) {
 			if c.Lookup(a) == nil {
 				c.Insert(a, mem.VMID(r.Intn(3)))
 			} else if r.Bool(0.3) {
-				c.Invalidate(c.Lookup(a))
+				c.Invalidate(a, c.Lookup(a))
 			}
 		}
 		seen := make(map[mem.BlockAddr]bool)
 		dup := false
-		c.ForEachValid(func(b *Block) {
-			if seen[b.Addr] {
+		c.ForEachValid(func(a mem.BlockAddr, _ *Block) {
+			if seen[a] {
 				dup = true
 			}
-			seen[b.Addr] = true
+			seen[a] = true
 		})
 		return !dup && c.CountValid() <= c.NumSets()*4
 	}, &quick.Config{MaxCount: 40})

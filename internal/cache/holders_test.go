@@ -45,7 +45,7 @@ func TestHoldersMatchTags(t *testing.T) {
 		case r < 9:
 			what = "invalidate"
 			if b := c.Lookup(a); b != nil {
-				c.Invalidate(b)
+				c.Invalidate(a, b)
 			}
 		default:
 			what = "flush"

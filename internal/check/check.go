@@ -203,23 +203,24 @@ func sumCaches(l2s []*cache.Cache) map[mem.BlockAddr]*holderSum {
 			continue
 		}
 		i := i
-		l2.ForEachValid(func(b *cache.Block) {
+		l2.ForEachValid(func(a mem.BlockAddr, b *cache.Block) {
 			if b.Tokens == 0 && !b.Owner {
 				return
 			}
-			h := acc[b.Addr]
+			h := acc[a]
 			if h == nil {
 				h = &holderSum{}
-				acc[b.Addr] = h
+				acc[a] = h
 			}
-			h.tokens += b.Tokens
+			tokens := int(b.Tokens)
+			h.tokens += tokens
 			if b.Owner {
 				h.owners++
 			}
-			if b.Tokens > h.maxTok {
-				h.maxTok = b.Tokens
+			if tokens > h.maxTok {
+				h.maxTok = tokens
 			}
-			if b.Tokens > 0 {
+			if tokens > 0 {
 				h.holders = append(h.holders, i)
 			}
 		})

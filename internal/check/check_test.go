@@ -146,7 +146,7 @@ func TestInvariantsHoldAfterTransactions(t *testing.T) {
 func TestConservationDetectsForgedAndLostTokens(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
-		delta int
+		delta int16
 	}{{"forged", +1}, {"lost", -1}} {
 		t.Run(tc.name, func(t *testing.T) {
 			r := newRig(t, 4, false)
@@ -192,7 +192,7 @@ func TestSingleWriterAllowsFullyCachedSharing(t *testing.T) {
 	// legal sharing, not a writer violation.
 	r := newRig(t, 4, false)
 	b0, _, _ := r.l2s[0].Insert(100, 1)
-	b0.Tokens, b0.Owner = r.p.TotalTokens-1, true
+	b0.Tokens, b0.Owner = int16(r.p.TotalTokens-1), true
 	b1, _, _ := r.l2s[1].Insert(100, 1)
 	b1.Tokens = 1
 	if v := check.SingleWriter(r.p.TotalTokens, r.l2s).Check(); len(v) != 0 {
@@ -203,7 +203,7 @@ func TestSingleWriterAllowsFullyCachedSharing(t *testing.T) {
 func TestSingleWriterDetectsWriterWithCompany(t *testing.T) {
 	r := newRig(t, 4, false)
 	b0, _, _ := r.l2s[0].Insert(100, 1)
-	b0.Tokens, b0.Owner = r.p.TotalTokens, true // a writer...
+	b0.Tokens, b0.Owner = int16(r.p.TotalTokens), true // a writer...
 	b1, _, _ := r.l2s[1].Insert(100, 1)
 	b1.Tokens = 1 // ...plus another holder
 	found := false

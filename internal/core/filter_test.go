@@ -108,7 +108,7 @@ func TestBaseNeverRemovesCores(t *testing.T) {
 	place(f, 1, 0)
 	caches[0].Insert(100, 1)
 	f.HandleRelocate(1, 0, 5)
-	caches[0].Invalidate(caches[0].Lookup(100)) // VM 1 data gone from core 0
+	caches[0].Invalidate(100, caches[0].Lookup(100)) // VM 1 data gone from core 0
 	if !f.Contains(1, 0) {
 		t.Fatal("base policy removed a core")
 	}
@@ -127,12 +127,12 @@ func TestCounterRemovesCoreWhenDataGone(t *testing.T) {
 		t.Fatal("core removed while data resident")
 	}
 	eng.RunUntil(50)
-	caches[0].Invalidate(b1)
+	caches[0].Invalidate(100, b1)
 	if !f.Contains(1, 0) {
 		t.Fatal("core removed with one block left")
 	}
 	eng.RunUntil(120)
-	caches[0].Invalidate(b2)
+	caches[0].Invalidate(101, b2)
 	if f.Contains(1, 0) {
 		t.Fatal("core not removed when counter hit zero")
 	}
@@ -158,7 +158,7 @@ func TestCounterKeepsCoreWhileVMRunsThere(t *testing.T) {
 	_, f, caches, _ := testRig(t, 8, Config{Policy: PolicyCounter})
 	place(f, 1, 0, 1)
 	b, _, _ := caches[0].Insert(100, 1)
-	caches[0].Invalidate(b) // counter reaches zero while still running
+	caches[0].Invalidate(100, b) // counter reaches zero while still running
 	if !f.Contains(1, 0) {
 		t.Fatal("removed a core the VM still runs on")
 	}
@@ -176,12 +176,12 @@ func TestCounterThresholdRemovesEarly(t *testing.T) {
 	if !f.Contains(1, 0) {
 		t.Fatal("removed with 12 blocks resident (threshold 10)")
 	}
-	caches[0].Invalidate(blocks[0]) // 11 left
-	caches[0].Invalidate(blocks[1]) // 10 left: not yet below threshold
+	caches[0].Invalidate(0, blocks[0]) // 11 left
+	caches[0].Invalidate(1, blocks[1]) // 10 left: not yet below threshold
 	if !f.Contains(1, 0) {
 		t.Fatal("removed at exactly the threshold")
 	}
-	caches[0].Invalidate(blocks[2]) // 9 left: below threshold
+	caches[0].Invalidate(2, blocks[2]) // 9 left: below threshold
 	if f.Contains(1, 0) {
 		t.Fatal("not removed below threshold")
 	}
@@ -256,13 +256,14 @@ func TestCounterConservativeInvariant(t *testing.T) {
 		case 1: // invalidate a random block of the VM anywhere
 			c := r.Intn(8)
 			var victim *cache.Block
-			caches[c].ForEachValid(func(b *cache.Block) {
+			var victimAddr mem.BlockAddr
+			caches[c].ForEachValid(func(a mem.BlockAddr, b *cache.Block) {
 				if b.VM == vm && victim == nil {
-					victim = b
+					victim, victimAddr = b, a
 				}
 			})
 			if victim != nil {
-				caches[c].Invalidate(victim)
+				caches[c].Invalidate(victimAddr, victim)
 			}
 		case 2, 3: // relocate one of the VM's vCPUs to a free core
 			free := -1
@@ -313,9 +314,9 @@ func TestCounterFlushFlushesAndRemoves(t *testing.T) {
 		t.Fatal("removed above threshold")
 	}
 	// Drop below the threshold: the filter must flush the rest and remove.
-	caches[0].Invalidate(caches[0].Lookup(0))
-	caches[0].Invalidate(caches[0].Lookup(1))
-	caches[0].Invalidate(caches[0].Lookup(2))
+	caches[0].Invalidate(0, caches[0].Lookup(0))
+	caches[0].Invalidate(1, caches[0].Lookup(1))
+	caches[0].Invalidate(2, caches[0].Lookup(2))
 	if f.Contains(1, 0) {
 		t.Fatal("not removed below threshold")
 	}

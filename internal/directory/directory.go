@@ -150,7 +150,7 @@ func (c *CacheCtrl) Start(addr mem.BlockAddr, vm mem.VMID, write bool, fn sim.Ha
 	c.Stats.Transactions++
 	if b := c.L2.Lookup(addr); b != nil && b.Tokens >= 1 {
 		if write {
-			if b.Tokens == c.Tokens {
+			if int(b.Tokens) == c.Tokens {
 				c.finish(t, b) // silent E->M
 				return
 			}
@@ -208,7 +208,7 @@ func (c *CacheCtrl) handleData(msg Msg) {
 	t.gotData = true
 	t.needAcks += msg.AckCount
 	if t.write {
-		b.Tokens = c.Tokens
+		b.Tokens = int16(c.Tokens)
 		b.Owner = true
 		b.Dirty = true
 	} else {
@@ -288,7 +288,7 @@ func (c *CacheCtrl) handleFwdGetX(msg Msg) {
 		})
 		return
 	}
-	c.L2.Invalidate(b)
+	c.L2.Invalidate(msg.Addr, b)
 	c.Eng.Schedule(c.P.L2Latency, func() {
 		c.Net.Send(c.Node, msg.Requester, c.P.DataBytes,
 			Msg{Kind: MsgData, Addr: msg.Addr, Src: c.Node, Data: true})
@@ -299,7 +299,7 @@ func (c *CacheCtrl) handleFwdGetX(msg Msg) {
 func (c *CacheCtrl) handleInv(msg Msg) {
 	c.Stats.Invalidations++
 	if b := c.L2.Lookup(msg.Addr); b != nil && b.Tokens > 0 {
-		c.L2.Invalidate(b)
+		c.L2.Invalidate(msg.Addr, b)
 	}
 	c.Eng.Schedule(c.P.L2Latency, func() {
 		c.Net.Send(c.Node, msg.Requester, c.P.CtrlBytes,

@@ -139,7 +139,7 @@ func TestUpgradeFromShared(t *testing.T) {
 		t.Fatalf("steps = %d", steps)
 	}
 	b := h.ctrls[0].L2.Lookup(400)
-	if b == nil || !b.Dirty || b.Tokens != h.ctrls[0].Tokens {
+	if b == nil || !b.Dirty || int(b.Tokens) != h.ctrls[0].Tokens {
 		t.Fatalf("upgrader state: %+v", b)
 	}
 	if got := h.ctrls[1].L2.Lookup(400); got != nil && got.Tokens > 0 {
@@ -159,7 +159,7 @@ func TestConcurrentWritersSerialized(t *testing.T) {
 	// Exactly one owner at the end.
 	owners := 0
 	for _, c := range h.ctrls {
-		if b := c.L2.Lookup(500); b != nil && b.Tokens == c.Tokens {
+		if b := c.L2.Lookup(500); b != nil && int(b.Tokens) == c.Tokens {
 			owners++
 		}
 	}
@@ -209,7 +209,7 @@ func TestRandomStressNoDeadlock(t *testing.T) {
 			a := mem.BlockAddr(1000 + r.Intn(24))
 			write := r.Bool(0.4)
 			c := h.ctrls[core]
-			if b := c.L2.Lookup(a); b != nil && b.Tokens >= 1 && (!write || b.Tokens == c.Tokens) {
+			if b := c.L2.Lookup(a); b != nil && b.Tokens >= 1 && (!write || int(b.Tokens) == c.Tokens) {
 				if write {
 					b.Dirty = true
 				}
@@ -235,7 +235,7 @@ func TestRandomStressNoDeadlock(t *testing.T) {
 			owners, sharers := 0, 0
 			for _, c := range h.ctrls {
 				if b := c.L2.Lookup(a); b != nil && b.Tokens > 0 {
-					if b.Tokens == c.Tokens {
+					if int(b.Tokens) == c.Tokens {
 						owners++
 					} else {
 						sharers++
@@ -266,7 +266,7 @@ func TestDeterministicRuns(t *testing.T) {
 			a := mem.BlockAddr(2000 + r.Intn(12))
 			c := h.ctrls[core]
 			write := r.Bool(0.5)
-			if b := c.L2.Lookup(a); b != nil && b.Tokens >= 1 && (!write || b.Tokens == c.Tokens) {
+			if b := c.L2.Lookup(a); b != nil && b.Tokens >= 1 && (!write || int(b.Tokens) == c.Tokens) {
 				h.eng.Schedule(1, func() { issue(core) })
 				return
 			}
@@ -332,7 +332,7 @@ func TestOwnerReRequestAfterEviction(t *testing.T) {
 		t.Fatalf("completed = %d, want 10", done)
 	}
 	b := h.ctrls[0].L2.Lookup(700)
-	if b == nil || b.Tokens != h.ctrls[0].Tokens {
+	if b == nil || int(b.Tokens) != h.ctrls[0].Tokens {
 		t.Fatalf("re-acquired block state: %+v", b)
 	}
 }
@@ -354,7 +354,7 @@ func TestUpgradeRaceLosesCleanly(t *testing.T) {
 	}
 	owners := 0
 	for _, c := range h.ctrls {
-		if b := c.L2.Lookup(800); b != nil && b.Tokens == c.Tokens && b.Dirty {
+		if b := c.L2.Lookup(800); b != nil && int(b.Tokens) == c.Tokens && b.Dirty {
 			owners++
 		}
 	}

@@ -81,11 +81,11 @@ func TestPresenceTracksCache(t *testing.T) {
 	if f.Present(1, r) != 2 {
 		t.Fatalf("present = %d", f.Present(1, r))
 	}
-	caches[1].Invalidate(caches[1].Lookup(100))
+	caches[1].Invalidate(100, caches[1].Lookup(100))
 	if f.Present(1, r) != 1 {
 		t.Fatalf("present after drop = %d", f.Present(1, r))
 	}
-	caches[1].Invalidate(caches[1].Lookup(101))
+	caches[1].Invalidate(101, caches[1].Lookup(101))
 	if f.Present(1, r) != 0 {
 		t.Fatalf("present after all dropped = %d", f.Present(1, r))
 	}

@@ -95,11 +95,14 @@ func (r *Rand) Perm(n int) []int {
 	return p
 }
 
-// Zipf draws from a truncated zipf-like distribution over [0, n) with
-// exponent s using inverse-CDF on a precomputed table is avoided for
-// memory; instead it uses rejection-free approximate power-law sampling:
-// rank = floor(n * u^(1/(1-s))) clamped, which matches a Pareto-tail
-// access pattern closely enough for cache-locality modeling.
+// Zipf draws a skewed rank in [0, n) in which small (hot) ranks are
+// likelier. It is a power-law approximation, not an exact zipf law, and
+// keeps no table: for a uniform u in [0, 1) and s' = min(s, 0.99) it
+// returns floor(n * u^e), clamped to n-1, with e = 0.5/(1-s') + 1. The
+// power comes from pow, which is exact for e's integer part and blends
+// linearly across its fraction. s <= 0 draws uniformly, and n <= 1
+// returns 0. The skew is close enough for cache-locality modeling; a
+// change to the formula changes every simulated result that uses it.
 func (r *Rand) Zipf(n int, s float64) int {
 	if n <= 1 {
 		return 0

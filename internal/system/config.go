@@ -173,8 +173,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("system: non-positive core/VM counts")
 	}
 	if c.Cores+1 > math.MaxInt16 {
-		// A block has Cores+1 tokens, and the memory controllers count them
-		// in an int16 per block.
+		// A block has Cores+1 tokens, and the memory controllers and the
+		// caches' data blocks count them in an int16 per block.
 		return fmt.Errorf("system: %d cores exceed the %d-token limit per block", c.Cores, math.MaxInt16)
 	}
 	if c.VMs*c.VCPUsPerVM > c.Cores {

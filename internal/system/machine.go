@@ -482,7 +482,7 @@ func New(cfg Config) (*Machine, error) {
 		l1 := cn.l1
 		cn.l2.OnDrop = func(a mem.BlockAddr) {
 			if b := l1.Lookup(a); b != nil {
-				l1.Invalidate(b)
+				l1.Invalidate(a, b)
 			}
 		}
 		m.cores = append(m.cores, cn)
@@ -916,10 +916,10 @@ func (m *Machine) onFill(b *cache.Block, t *token.Txn) {
 		return
 	}
 	for _, cn := range m.cores {
-		if !cn.l2.Holds(b.Addr) {
+		if !cn.l2.Holds(t.Addr) {
 			continue
 		}
-		if ob := cn.l2.Lookup(b.Addr); ob != b && ob.Provider && ob.VM == t.VM {
+		if ob := cn.l2.Lookup(t.Addr); ob != b && ob.Provider && ob.VM == t.VM {
 			return // this VM already has a provider
 		}
 	}
@@ -1241,7 +1241,7 @@ func (m *Machine) execute(v *vcpu, cn *coreNode, ref workload.Ref) {
 	// L2.
 	st.L2Accesses++
 	b := cn.l2.Lookup(addr)
-	if b != nil && b.Tokens >= 1 && (!ref.Write || b.Tokens == cfg.P.TotalTokens) {
+	if b != nil && b.Tokens >= 1 && (!ref.Write || int(b.Tokens) == cfg.P.TotalTokens) {
 		// Hit (reads need a token; writes need all — silent E->M upgrade).
 		if ref.Write {
 			b.Dirty = true
@@ -1318,19 +1318,19 @@ func (m *Machine) CheckFilterInvariant() error {
 	}
 	for i, cn := range m.cores {
 		var err error
-		cn.l2.ForEachValid(func(b *cache.Block) {
+		cn.l2.ForEachValid(func(a mem.BlockAddr, b *cache.Block) {
 			if err != nil || b.Tokens == 0 {
 				return
 			}
 			if int(b.VM) >= m.cfg.VMs {
 				return // hypervisor / dom0 blocks are broadcast anyway
 			}
-			if m.MM.TypeOf(b.Addr.PageOf()) != mem.PagePrivate {
+			if m.MM.TypeOf(a.PageOf()) != mem.PagePrivate {
 				return
 			}
 			if !m.filterContains(b.VM, i) {
 				err = fmt.Errorf("core %d holds private block %d of VM %d but is not in its vCPU map (map=%v)",
-					i, b.Addr, b.VM, m.filterOf(cn.dom).MapCores(b.VM))
+					i, a, b.VM, m.filterOf(cn.dom).MapCores(b.VM))
 			}
 		})
 		if err != nil {

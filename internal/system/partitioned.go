@@ -387,10 +387,10 @@ func (m *Machine) onFillDom(d *domain, b *cache.Block, t *token.Txn) {
 	}
 	for _, ci := range d.cores {
 		l2 := m.cores[ci].l2
-		if !l2.Holds(b.Addr) {
+		if !l2.Holds(t.Addr) {
 			continue
 		}
-		if ob := l2.Lookup(b.Addr); ob != b && ob.Provider && ob.VM == t.VM {
+		if ob := l2.Lookup(t.Addr); ob != b && ob.Provider && ob.VM == t.VM {
 			return // this VM already has a provider in this domain
 		}
 	}

@@ -182,7 +182,7 @@ func (c *CacheCtrl) Start(addr mem.BlockAddr, vm mem.VMID, page mem.PageType, wr
 		if write {
 			need = c.P.TotalTokens
 		}
-		if b.Tokens >= need {
+		if int(b.Tokens) >= need {
 			// Already satisfiable without the network (e.g. a silent E->M
 			// upgrade); no response will arrive, so complete here.
 			c.complete(t, b)
@@ -340,7 +340,7 @@ func (c *CacheCtrl) handleRequest(msg *Msg) {
 			c.respond(msg.Src, Msg{Kind: MsgData, Addr: msg.Addr, Src: c.Node,
 				Tokens: 1, Data: true})
 		case b.Owner: // only the owner token left: transfer ownership
-			info := c.L2.Invalidate(b)
+			info := c.L2.Invalidate(msg.Addr, b)
 			c.depart(msg.Addr, info.Tokens, true)
 			c.respond(msg.Src, Msg{Kind: MsgData, Addr: msg.Addr, Src: c.Node,
 				Tokens: info.Tokens, Owner: true, Dirty: info.Dirty, Data: true})
@@ -351,7 +351,7 @@ func (c *CacheCtrl) handleRequest(msg *Msg) {
 				Tokens: 0, Data: true})
 		}
 	case MsgGetX:
-		info := c.L2.Invalidate(b)
+		info := c.L2.Invalidate(msg.Addr, b)
 		c.depart(msg.Addr, info.Tokens, info.Owner)
 		kind := MsgTokens
 		if info.Owner {
@@ -396,7 +396,7 @@ func (c *CacheCtrl) handleResponse(msg *Msg) {
 		// writing them back to memory.
 		if b := c.L2.Lookup(msg.Addr); b != nil {
 			c.gain(msg)
-			b.Tokens += msg.Tokens
+			b.Tokens += int16(msg.Tokens)
 			b.Owner = b.Owner || msg.Owner
 			b.Dirty = b.Dirty || msg.Dirty
 			return
@@ -409,7 +409,7 @@ func (c *CacheCtrl) handleResponse(msg *Msg) {
 
 	b := c.ensureBlock(t)
 	c.gain(msg)
-	b.Tokens += msg.Tokens
+	b.Tokens += int16(msg.Tokens)
 	b.Owner = b.Owner || msg.Owner
 	b.Dirty = b.Dirty || msg.Dirty
 	if msg.Data {
@@ -420,7 +420,7 @@ func (c *CacheCtrl) handleResponse(msg *Msg) {
 	if t.Write {
 		need = c.P.TotalTokens
 	}
-	if t.gotData && b.Tokens >= need {
+	if t.gotData && int(b.Tokens) >= need {
 		c.complete(t, b)
 	}
 }
@@ -490,7 +490,7 @@ func (c *CacheCtrl) handleActivate(msg *Msg) {
 	if b == nil || b.Tokens == 0 {
 		return
 	}
-	info := c.L2.Invalidate(b)
+	info := c.L2.Invalidate(msg.Addr, b)
 	c.depart(msg.Addr, info.Tokens, info.Owner)
 	kind := MsgTokens
 	if info.Owner {

@@ -97,7 +97,7 @@ func (h *harness) checkConservation(t *testing.T, addrs []mem.BlockAddr) {
 		}
 		for _, c := range h.ctrls {
 			if b := c.L2.Lookup(a); b != nil {
-				tokens += b.Tokens
+				tokens += int(b.Tokens)
 				if b.Owner {
 					owners++
 				}
@@ -404,7 +404,7 @@ func TestTokenConservationRandomProperty(t *testing.T) {
 			a := addrs[r.Intn(blocks)]
 			write := r.Bool(0.4)
 			c := h.ctrls[core]
-			if b := c.L2.Lookup(a); b != nil && b.Tokens >= 1 && (!write || b.Tokens == c.P.TotalTokens) {
+			if b := c.L2.Lookup(a); b != nil && b.Tokens >= 1 && (!write || int(b.Tokens) == c.P.TotalTokens) {
 				// hit: silent upgrade allowed at E
 				if write {
 					b.Dirty = true

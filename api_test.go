@@ -21,19 +21,6 @@ func TestHashDefaultPinned(t *testing.T) {
 	}
 }
 
-// TestHashIgnoresExecutionMechanics: Shards and NoElision pick goroutine
-// counts and synchronization protocols proven bit-identical, so they must
-// not change the memoization key.
-func TestHashIgnoresExecutionMechanics(t *testing.T) {
-	cfg := DefaultConfig()
-	base := cfg.Hash()
-	cfg.Shards = 4
-	cfg.NoElision = true
-	if h := cfg.Hash(); h != base {
-		t.Fatalf("Shards/NoElision changed the hash: %s vs %s", h, base)
-	}
-}
-
 // TestHashDistinguishesSemanticFields flips every semantic field one at a
 // time and requires a distinct hash each time (including nil vs zero-valued
 // fault plan, and Workload vs the equivalent-length WorkloadPerVM).
@@ -160,16 +147,19 @@ func TestRunCtxDeadline(t *testing.T) {
 	}
 }
 
-// TestRunCtxShardedCanceled covers the shard-parallel cancel path: a
-// shardable config at Shards=4, canceled from another goroutine.
-func TestRunCtxShardedCanceled(t *testing.T) {
+// TestRunCtxPartitionedCanceled covers the partitioned machine's cancel
+// path: a config the planner cuts into domains, canceled from another
+// goroutine.
+func TestRunCtxPartitionedCanceled(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.Shards = 4
+	if PlannedDomains(cfg) <= 1 {
+		t.Fatal("the default config is not partitioned")
+	}
 	ctx, cancel := context.WithCancel(context.Background())
 	go cancel()
 	res, err := RunCtx(ctx, cfg)
 	if res != nil {
-		t.Fatal("canceled sharded run returned a partial Result")
+		t.Fatal("canceled partitioned run returned a partial Result")
 	}
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)

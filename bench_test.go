@@ -209,35 +209,18 @@ func BenchmarkTable6(b *testing.B) {
 // fft run per iteration, useful for performance regressions of the
 // simulation engine itself.
 func BenchmarkSingleRun(b *testing.B) {
-	benchmarkSingleRun(b, 0, false)
-}
-
-// BenchmarkSingleRunShards1 and BenchmarkSingleRunShards4 bracket the
-// shard-parallel engine's scaling curve on the same run: K=1 is the serial
-// fast path (gated in CI to stay within 5% of BenchmarkSingleRun), K=4 is
-// one goroutine per snoop-domain quadrant under the free-running adaptive
-// protocol. BenchmarkSingleRunShards4NoElision forces the fully-barriered
-// windowed protocol on the same run, isolating what adaptive windows and
-// barrier elision buy. All four produce bit-identical statistics.
-func BenchmarkSingleRunShards1(b *testing.B)          { benchmarkSingleRun(b, 1, false) }
-func BenchmarkSingleRunShards4(b *testing.B)          { benchmarkSingleRun(b, 4, false) }
-func BenchmarkSingleRunShards4NoElision(b *testing.B) { benchmarkSingleRun(b, 4, true) }
-
-func benchmarkSingleRun(b *testing.B, shards int, noElision bool) {
 	for i := 0; i < b.N; i++ {
-		if _, err := Run(singleRunConfig(shards, noElision)); err != nil {
+		if _, err := Run(singleRunConfig()); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-// singleRunConfig is the configuration of the BenchmarkSingleRun family.
-func singleRunConfig(shards int, noElision bool) Config {
+// singleRunConfig is the configuration of BenchmarkSingleRun.
+func singleRunConfig() Config {
 	cfg := DefaultConfig()
 	cfg.RefsPerVCPU = 2000
 	cfg.WarmupRefs = 0
-	cfg.Shards = shards
-	cfg.NoElision = noElision
 	return cfg
 }
 
@@ -261,7 +244,7 @@ func TestSingleRunAllocs(t *testing.T) {
 	if max <= 0 {
 		t.Fatalf("BENCH_5.json has no allocs_per_op_max gate (got %v)", max)
 	}
-	cfg := singleRunConfig(0, false)
+	cfg := singleRunConfig()
 	avg := testing.AllocsPerRun(3, func() {
 		if _, err := Run(cfg); err != nil {
 			t.Fatal(err)
@@ -273,28 +256,21 @@ func TestSingleRunAllocs(t *testing.T) {
 	t.Logf("%.0f allocs per run, gate %.0f", avg, max)
 }
 
-// Migration and content-sharing runs were serial-only before the graph-cut
-// partitioner: migration moved vCPU ownership between quadrants and content
-// sharing created cross-VM page aliases, both of which the old four-quadrant
-// invariant disqualified. They now shard through cross-domain ownership
-// transfer and domain-owned COW overlays, so each class gets its own scaling
-// curve. The serial baseline is ForceSerial — the legacy single-queue engine
-// that used to be these configs' only execution mode — while Shards=1 runs
-// the partitioned engine single-shard, so the Serial/Shards1 gap prices the
-// transfer pipeline itself and Shards1/Shards4 prices the parallelism. CI
-// regenerates BENCH_7.json from these and gates K=4 speedup and K=1
-// overhead against the committed numbers.
-func BenchmarkMigrationRunSerial(b *testing.B)  { benchmarkMigrationRun(b, 0, true) }
-func BenchmarkMigrationRunShards1(b *testing.B) { benchmarkMigrationRun(b, 1, false) }
-func BenchmarkMigrationRunShards4(b *testing.B) { benchmarkMigrationRun(b, 4, false) }
+// Migration and content-sharing runs execute on the partitioned machine
+// through cross-domain ownership transfer and domain-owned COW overlays.
+// The Serial variants run the same configs with ForceSerial, the legacy
+// single-queue engine, so the pair prices the partitioned pipeline. CI
+// gates the migration pair's ratio and the content pair's speedup
+// (BENCH_7.json).
+func BenchmarkMigrationRunSerial(b *testing.B) { benchmarkMigrationRun(b, true) }
+func BenchmarkMigrationRun(b *testing.B)       { benchmarkMigrationRun(b, false) }
 
-func benchmarkMigrationRun(b *testing.B, shards int, forceSerial bool) {
+func benchmarkMigrationRun(b *testing.B, forceSerial bool) {
 	for i := 0; i < b.N; i++ {
 		cfg := DefaultConfig()
 		cfg.RefsPerVCPU = 2000
 		cfg.WarmupRefs = 0
 		cfg.MigrationPeriodMs = 2.5
-		cfg.Shards = shards
 		cfg.ForceSerial = forceSerial
 		if _, err := Run(cfg); err != nil {
 			b.Fatal(err)
@@ -302,10 +278,10 @@ func benchmarkMigrationRun(b *testing.B, shards int, forceSerial bool) {
 	}
 }
 
-func BenchmarkContentRunSerial(b *testing.B)  { benchmarkContentRun(b, 0, true) }
-func BenchmarkContentRunShards4(b *testing.B) { benchmarkContentRun(b, 4, false) }
+func BenchmarkContentRunSerial(b *testing.B) { benchmarkContentRun(b, true) }
+func BenchmarkContentRun(b *testing.B)       { benchmarkContentRun(b, false) }
 
-func benchmarkContentRun(b *testing.B, shards int, forceSerial bool) {
+func benchmarkContentRun(b *testing.B, forceSerial bool) {
 	for i := 0; i < b.N; i++ {
 		cfg := DefaultConfig()
 		cfg.RefsPerVCPU = 2000
@@ -313,7 +289,6 @@ func benchmarkContentRun(b *testing.B, shards int, forceSerial bool) {
 		cfg.ContentSharing = true
 		cfg.Content = ContentFriendVM
 		cfg.Policy = PolicyCounter
-		cfg.Shards = shards
 		cfg.ForceSerial = forceSerial
 		if _, err := Run(cfg); err != nil {
 			b.Fatal(err)

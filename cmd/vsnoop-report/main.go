@@ -10,8 +10,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
-	"strconv"
 	"strings"
 	"time"
 
@@ -21,28 +19,11 @@ import (
 )
 
 func main() {
-	maxProcs := runtime.GOMAXPROCS(0) //lint:wallclock CLI entry reads host parallelism once; it only seeds the shards=auto default, never sim state
 	scaleFlag := flag.String("scale", "quick", "run scale: quick or full")
 	expFlag := flag.String("exp", "all", "experiment to run (comma-separated): all, fig1, fig2, fig3, table1, table4, fig6, fig78, fig9, table5, fig10, table6, ablations, energy, comparison")
 	maxSteps := flag.Uint64("max-steps", 0, "abort any single run after this many simulation events (0 = unbounded)")
-	shardsFlag := flag.String("shards", "0", `parallel event-queue shards per run: a count, or "auto" for min(planned snoop domains, GOMAXPROCS) (0 or 1 = serial; results are bit-identical)`)
 	flag.Parse()
 	exp.MaxSteps = *maxSteps
-	switch *shardsFlag {
-	case "auto":
-		// Every experiment runs the paper's 4x4 mesh, so the default
-		// config's planner answer is the right machine-wide ceiling; each
-		// individual run still clamps to its own planned domain count
-		// inside the engine.
-		exp.Shards = vsnoop.AutoShards(vsnoop.DefaultConfig(), maxProcs)
-	default:
-		k, err := strconv.Atoi(*shardsFlag)
-		if err != nil || k < 0 {
-			fmt.Fprintf(os.Stderr, "-shards: want a non-negative integer or \"auto\", got %q\n", *shardsFlag)
-			os.Exit(2)
-		}
-		exp.Shards = k
-	}
 
 	var sc exp.Scale
 	switch *scaleFlag {
@@ -124,8 +105,4 @@ func main() {
 	ev := vsnoop.TotalEventsFired()
 	fmt.Fprintf(w, "\ncompleted in %s — %d events (%.0f events/sec)\n",
 		wall.Round(time.Millisecond), ev, float64(ev)/wall.Seconds())
-	if windows, elided, _, widthSum := vsnoop.TotalSyncCounters(); windows > 0 {
-		fmt.Fprintf(w, "sync: %d windows, %d barriers elided, mean window %.0f cycles (shards=%d)\n",
-			windows, elided, float64(widthSum)/float64(windows), exp.Shards)
-	}
 }

@@ -31,7 +31,6 @@ import (
 	"syscall"
 	"time"
 
-	"vsnoop"
 	"vsnoop/internal/serve"
 )
 
@@ -43,7 +42,6 @@ func main() {
 	queue := flag.Int("queue", 64, "job queue capacity (backpressure bound)")
 	quotaRate := flag.Float64("quota-rate", 0, "per-tenant admitted configs per second (0 = quotas off)")
 	quotaBurst := flag.Float64("quota-burst", 32, "per-tenant token-bucket burst (configs)")
-	shards := flag.Int("shards", -1, "event-queue shards per run: -1 = auto (planner-resolved once at startup), 0 = honor request, N = force")
 	storeMax := flag.Int64("store-max-bytes", 0, "result-store size bound; oldest unreferenced results are evicted past it (0 = unbounded)")
 	maxBody := flag.Int64("max-body", 1<<20, "max request body bytes")
 	maxConfigs := flag.Int("max-configs", 1024, "max configs per sweep job")
@@ -56,18 +54,6 @@ func main() {
 			w = 1
 		}
 	}
-	resolvedShards := *shards
-	if resolvedShards < 0 {
-		// Auto: the partition planner resolves the shard count —
-		// min(planned snoop domains, GOMAXPROCS) for the default geometry;
-		// each run additionally clamps to its own planned domain count.
-		// Resolved exactly once, here at startup, so memoization keys and
-		// the vsnoop_shards gauge stay stable for the server's whole
-		// lifetime even if GOMAXPROCS is changed at runtime. The store
-		// hash ignores shard count, so this never affects results.
-		resolvedShards = vsnoop.AutoShards(vsnoop.DefaultConfig(), maxProcs)
-	}
-
 	s, err := serve.New(serve.Options{
 		DataDir:          *data,
 		Workers:          w,
@@ -76,7 +62,6 @@ func main() {
 		QuotaBurst:       *quotaBurst,
 		MaxBodyBytes:     *maxBody,
 		MaxConfigsPerJob: *maxConfigs,
-		Shards:           resolvedShards,
 		StoreMaxBytes:    *storeMax,
 		Now:              time.Now,
 	})

@@ -12,7 +12,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"strconv"
 	"strings"
 	"time"
@@ -23,7 +22,6 @@ import (
 )
 
 func main() {
-	maxProcs := runtime.GOMAXPROCS(0) //lint:wallclock CLI entry reads host parallelism once; it only seeds the -shards/-workers defaults, never sim state
 	var profiles prof.Flags
 	profiles.AddFlags(nil)
 	workloadFlag := flag.String("workload", "fft", "application profile (comma-separated for per-VM mix); see -list")
@@ -42,9 +40,7 @@ func main() {
 	list := flag.Bool("list", false, "list workloads and exit")
 	check := flag.Bool("check", false, "enable online coherence invariant checking")
 	timeout := flag.Duration("timeout", 0, "wall-clock limit for the run (0 = none); a timed-out run exits nonzero")
-	shardsFlag := flag.String("shards", "0", `parallel event-queue shards: a count, or "auto" for min(planned snoop domains, GOMAXPROCS) (0 or 1 = serial; results are bit-identical)`)
 	dumpPartition := flag.Bool("dump-partition", false, "print the planner's snoop-domain cut (domain grid, cut edges, horizons) and exit")
-	noElision := flag.Bool("no-elision", false, "force fully-barriered window synchronization (disable adaptive free-running and barrier elision)")
 	maxSteps := flag.Uint64("max-steps", 0, "abort after this many simulation events (0 = unbounded)")
 	faultSeed := flag.Uint64("fault-seed", 0, "fault plan seed (mixed with -seed)")
 	faultDrop := flag.Float64("fault-drop", 0, "percent of transient requests destroyed (responses bounced home)")
@@ -111,7 +107,6 @@ func main() {
 	cfg.Threshold = *threshold
 	cfg.Seed = *seed
 	cfg.Checks = *check
-	cfg.NoElision = *noElision
 	cfg.MaxSteps = *maxSteps
 
 	plan := &vsnoop.FaultPlan{
@@ -147,10 +142,6 @@ func main() {
 	if faultActive {
 		cfg.Fault = plan
 	}
-	// Resolved after the whole config is built ("auto" asks the partition
-	// planner); maxProcs was read once at program entry so the simulation
-	// packages stay free of machine-environment reads.
-	cfg.Shards = resolveShards(*shardsFlag, cfg, maxProcs)
 
 	if *dumpPartition {
 		info, err := vsnoop.PartitionInfo(cfg)
@@ -213,30 +204,9 @@ func main() {
 	// events but cost no event execution: the throughput figure is over
 	// executed events.
 	executed := res.EventsFired - st.Sync.ParkedEvents - st.Sync.CancelledTimers
-	fmt.Printf("\n%d events (%d executed, %d parked, %d cancelled) in %s (%.0f executed events/sec, shards=%d)\n",
+	fmt.Printf("\n%d events (%d executed, %d parked, %d cancelled) in %s (%.0f executed events/sec)\n",
 		res.EventsFired, executed, st.Sync.ParkedEvents, st.Sync.CancelledTimers, wall.Round(time.Millisecond),
-		float64(executed)/wall.Seconds(), cfg.Shards)
-	if sy := st.Sync; sy.Windows > 0 {
-		fmt.Printf("sync: %d windows, %d barriers elided, mean window %.0f cycles (domains=%d, shards=%d)\n",
-			sy.Windows, sy.ElidedBarriers, sy.MeanWindowWidth(),
-			vsnoop.PlannedDomains(cfg), cfg.Shards)
-	}
-}
-
-// resolveShards parses the -shards flag: "auto" resolves against the fully
-// built configuration through the partition planner (min of the planned
-// snoop-domain count and GOMAXPROCS), anything else must be a non-negative
-// integer.
-func resolveShards(s string, cfg vsnoop.Config, maxProcs int) int {
-	if s == "auto" {
-		return vsnoop.AutoShards(cfg, maxProcs)
-	}
-	k, err := strconv.Atoi(s)
-	if err != nil || k < 0 {
-		fmt.Fprintf(os.Stderr, "-shards: want a non-negative integer or \"auto\", got %q\n", s)
-		os.Exit(2)
-	}
-	return k
+		float64(executed)/wall.Seconds())
 }
 
 // parseEvent parses an n-field comma-separated integer flag value.

@@ -105,9 +105,8 @@ type Checker struct {
 	Eng    *sim.Engine
 	Period sim.Cycle // check interval (cycles)
 	// Now, if set, supplies the simulated time stamped on violations
-	// instead of Eng.Now(). Sharded runs drive the checker externally (at
-	// window boundaries, where every shard is quiesced) and have no single
-	// engine whose clock is authoritative.
+	// instead of Eng.Now(). Partitioned runs drive the checker externally,
+	// at window starts, and stamp the window's start cycle.
 	Now func() sim.Cycle
 	// MaxViolations caps the recorded list (0 = 16); checking continues so
 	// Checks keeps counting, but further text is suppressed.
@@ -241,8 +240,8 @@ func sortedAddrs(m map[mem.BlockAddr]bool) []mem.BlockAddr {
 // tokens across caches, its home memory controller, and the in-flight
 // ledgers sum to total, with exactly one owner token. home interleaving is
 // addr mod len(mcs), matching the cache controllers. Several ledgers may
-// be passed (sharded runs keep one per domain so custody observations stay
-// shard-local); their per-block balances are summed.
+// be passed (partitioned runs keep one per domain so custody observations
+// stay domain-local); their per-block balances are summed.
 func TokenConservation(total int, l2s []*cache.Cache, mcs []*memctrl.Ctrl, leds ...*Ledger) Invariant {
 	check := func() []string {
 		acc := sumCaches(l2s)
@@ -330,7 +329,7 @@ func SingleWriter(total int, l2s []*cache.Cache) Invariant {
 // transaction may be older than maxAge cycles (snoop-domain safety — a
 // wrong destination set must still complete via retries or the persistent
 // path, only slower). now supplies the current simulated time (an engine's
-// Now method serially, the window clock in sharded runs).
+// Now method in legacy runs, the window clock in partitioned runs).
 func TxnCompletion(now func() sim.Cycle, ctrls []*token.CacheCtrl, maxAge sim.Cycle) Invariant {
 	check := func() []string {
 		var out []string

@@ -97,8 +97,8 @@ type Config struct {
 //
 // In syncMode partitioned runs each domain owns one replica: a handler may
 // only touch the replica of the domain it executes in, and updates reach
-// the other replicas as ordered cross-shard deltas (Apply* methods ride
-// the deposit path).
+// the other replicas as ordered cross-domain delta events (Apply*
+// methods).
 //
 //vsnoop:owned
 type Filter struct {
@@ -142,7 +142,7 @@ type Filter struct {
 	// OnMapRemove, if set, observes every map-bit removal this replica
 	// performs on its own authority (counter policies, departures). The
 	// partitioned machine uses it to broadcast the removal to the other
-	// domains' replicas as an ordered cross-shard delta. Delta application
+	// domains' replicas as an ordered cross-domain delta. Delta application
 	// (ApplyMapClear) never fires it, so replication cannot loop.
 	OnMapRemove func(vm mem.VMID, core int)
 
@@ -156,10 +156,8 @@ type Filter struct {
 
 	// slots holds per-dense-VM degradation state (suspicion level while a
 	// map is suspected stale, fallback counters, the counter-augmented
-	// scratch buffer, and the VM's clock/scan scope). One flat value slot
-	// per VM keeps each VM's state confined to the shard that owns it, so
-	// degradation under fault load never shares mutable state across shard
-	// goroutines.
+	// scratch buffer, and the VM's scan scope). One flat value slot per VM
+	// keeps each VM's state confined to the domain that owns it.
 	slots []vmSlot
 }
 
@@ -180,15 +178,12 @@ type vmSlot struct {
 	underflows    uint64 // residence-counter underflows recovered
 
 	// scratch is this VM's reusable word buffer for counter-augmented sets
-	// (lazily allocated; per-VM so concurrent shards never share it).
+	// (lazily allocated).
 	scratch []uint64
 	// scanCores restricts residence scans to these cores (nil = all).
-	// Sharded runs set a VM's quadrant, which is exact: its data can only
-	// reside in caches its vCPUs have run on.
+	// Partitioned runs set a VM's domain, which is exact: its data can
+	// only reside in caches its vCPUs have run on.
 	scanCores []int
-	// eng supplies this VM's clock for suspicion windows (nil = the
-	// filter's engine; sharded runs set the owning domain's engine).
-	eng *sim.Engine
 }
 
 // suspectWindow is how long a suspicion lasts past its latest trigger.
@@ -205,7 +200,7 @@ func NewFilter(eng *sim.Engine, cfg Config, coreNodes []mesh.NodeID, caches []*c
 // machine builds one replica per snoop domain over that domain's cores, so
 // each cache reports residence triggers to exactly one replica — the one
 // whose domain executes that cache's events — while the full register file
-// is replicated everywhere and kept coherent by cross-shard deltas.
+// is replicated everywhere and kept coherent by cross-domain deltas.
 func NewFilterScoped(eng *sim.Engine, cfg Config, coreNodes []mesh.NodeID, caches []*cache.Cache, owned []int) *Filter {
 	if cfg.Policy == PolicyCounterThreshold && cfg.Threshold <= 0 {
 		cfg.Threshold = 10
@@ -288,22 +283,12 @@ func (f *Filter) ensure(vm mem.VMID) int {
 // slot returns vm's degradation slot, growing the register files if needed.
 func (f *Filter) slot(vm mem.VMID) *vmSlot { return &f.slots[f.ensure(vm)] }
 
-// slotNow is the clock suspicion windows for this slot are measured on.
-func (f *Filter) slotNow(s *vmSlot) sim.Cycle {
-	if s.eng != nil {
-		return s.eng.Now()
-	}
-	return f.eng.Now()
-}
-
-// SetVMScope confines vm's degradation machinery to its snoop-domain shard:
-// residence scans cover only cores (nil = all caches) and suspicion windows
-// read eng's clock (nil = the filter's engine). Sharded runs call this at
-// setup for every VM, matching the partitioner's core assignment.
-func (f *Filter) SetVMScope(vm mem.VMID, cores []int, eng *sim.Engine) {
-	s := f.slot(vm)
-	s.scanCores = cores
-	s.eng = eng
+// SetVMScope confines vm's degradation machinery to its snoop domain:
+// residence scans cover only cores (nil = all caches). Partitioned runs
+// call this at setup for every VM, matching the partitioner's core
+// assignment.
+func (f *Filter) SetVMScope(vm mem.VMID, cores []int) {
+	f.slot(vm).scanCores = cores
 }
 
 // FallbackCounterAug returns the private routes served by the
@@ -443,7 +428,7 @@ func (f *Filter) departCheck(vm mem.VMID, d, from int) {
 	}
 }
 
-// RelocateDepart is the source-domain half of a cross-shard vCPU move: the
+// RelocateDepart is the source-domain half of a cross-domain vCPU move: the
 // vCPU left core `from`, so clear the run bit and run the counter-policy
 // departure check against this domain's caches (which own core `from`). The
 // destination side happens later, in the target domain, via RelocateArrive.
@@ -455,7 +440,7 @@ func (f *Filter) RelocateDepart(vm mem.VMID, from int) {
 	f.departCheck(vm, d, from)
 }
 
-// RelocateArrive is the destination-domain half of a cross-shard vCPU move:
+// RelocateArrive is the destination-domain half of a cross-domain vCPU move:
 // the vCPU now runs on core `to`, which the hypervisor adds to the VM's map
 // before the VM runs there. MapSyncs is counted here — once per move, on
 // the owning domain — never on delta application.
@@ -593,7 +578,7 @@ func (f *Filter) SuspectVM(vm mem.VMID, level int) {
 	if level > s.level {
 		s.level = level
 	}
-	s.until = f.slotNow(s) + suspectWindow
+	s.until = f.eng.Now() + suspectWindow
 	if s.level >= 2 {
 		f.rebuildMap(vm)
 	}
@@ -606,7 +591,7 @@ func (f *Filter) SuspicionLevel(vm mem.VMID) int {
 		return 0
 	}
 	s := &f.slots[d]
-	if s.level == 0 || f.slotNow(s) > s.until {
+	if s.level == 0 || f.eng.Now() > s.until {
 		return 0
 	}
 	return s.level
@@ -771,7 +756,7 @@ func (f *Filter) domainExcept(buf []mesh.NodeID, vm mem.VMID, requester int) []m
 		return f.mapExcept(buf, vm, requester)
 	}
 	s := &f.slots[d]
-	if s.level == 0 || f.slotNow(s) > s.until {
+	if s.level == 0 || f.eng.Now() > s.until {
 		s.level = 0 // suspicion decayed
 		return f.mapExcept(buf, vm, requester)
 	}

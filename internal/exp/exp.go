@@ -126,7 +126,6 @@ func migRefs(base int, periodMs float64) int {
 // errors (experiment configs are code, not user input).
 func runMachine(cfg system.Config) *system.Stats {
 	cfg.MaxSteps = MaxSteps
-	cfg.Shards = Shards
 	m, err := system.New(cfg)
 	if err != nil {
 		panic(err)
@@ -138,11 +137,6 @@ func runMachine(cfg system.Config) *system.Stats {
 // (vsnoop-report's -max-steps runaway guard; exhausting it panics with a
 // sim.StepLimitError rather than silently truncating results).
 var MaxSteps uint64
-
-// Shards is the per-machine event-queue shard count (vsnoop-report's
-// -shards). Results are bit-identical for every value; it only trades
-// per-run wall-clock against the experiment-level worker pool.
-var Shards int
 
 // parallel runs fn(i) for i in [0, n) on a bounded worker pool and returns
 // the results in order. Machines are single-threaded and independent, so

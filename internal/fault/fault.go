@@ -170,21 +170,17 @@ type Injector struct {
 	mixedSeed           uint64
 
 	// perNode, when non-nil, gives every source endpoint its own random
-	// stream and fault counters (EnablePerNode). Sharded runs need this:
-	// the message hook fires concurrently from different shards, and a
-	// single stream would both race and make the fault sequence depend on
-	// the shard interleaving. A node's stream is consumed in that node's
-	// deterministic send order, so per-node faulting is reproducible and
-	// independent of the shard count.
+	// stream and fault counters (EnablePerNode), as partitioned runs use.
+	// A node's stream is consumed in that node's send order, so a node's
+	// faults depend on its own traffic, not on how other nodes' sends
+	// interleave with it. The golden results pin this stream layout.
 	perNode []nodeFaults
 }
 
-// nodeFaults is one endpoint's fault state, padded so that concurrent
-// senders on different shards do not share a cache line.
+// nodeFaults is one endpoint's fault state.
 type nodeFaults struct {
 	rng   *sim.Rand
 	stats Stats
-	_     [6]uint64
 }
 
 // NewInjector builds an injector whose random stream mixes the plan seed

@@ -2,8 +2,8 @@
 // suite (stdlib only: go/parser, go/ast, go/types, go/importer) guarding
 // the two properties the simulator's correctness story rests on:
 //
-//   - Determinism — a run is a pure function of its configuration, and
-//     sharded replay is bit-identical to serial. The #1 threat is Go map
+//   - Determinism — a run is a pure function of its configuration. The
+//     #1 threat is Go map
 //     iteration order; the #2 is wall-clock time and ambient randomness
 //     leaking into simulation code. The maprange and wallclock analyzers
 //     forbid both in the sim-critical packages, and also in the
@@ -15,26 +15,25 @@
 //     hotalloc analyzer enforces it at the syntax level for every function
 //     annotated `//vsnoop:hotpath`, so a regression is a lint error before
 //     it is a flaky benchmark.
-//   - Shard isolation — under the PR-3 conservative PDES, code reachable
-//     from event handlers runs concurrently on shard goroutines and must
-//     not communicate except through the internal/sim mailbox (deposit)
-//     API. The shardsafe analyzer walks the static call graph from handler
-//     roots and flags goroutine launches, channel operations, and writes
-//     to package-level state. It also confines sync/atomic in the critical
-//     packages to the fields of internal/sim's synchronization structs
-//     (barrier, shardSlot, mailbox, ShardedEngine) — the PR-5 adaptive
-//     protocol's EOT words, mailbox locks, and termination counters.
+//   - Handler isolation — code reachable from event handlers must not
+//     communicate except through the internal/sim event API, and must
+//     not write package-level state, which runner.Map sweeps share across
+//     the machines they run concurrently. The shardsafe analyzer walks the
+//     static call graph from handler roots and flags goroutine launches,
+//     channel operations, and writes to package-level state. It also
+//     confines sync/atomic in the critical packages to internal/sim's
+//     Canceler, the one word another goroutine may set.
 //   - Domain confinement — the paper's isolation invariant, lifted to the
 //     code: state annotated //vsnoop:owned (filter replicas, COW overlays,
 //     RegionScout shards, directory homes) belongs to one domain, and the
 //     domainown analyzer proves, flow-sensitively over the internal/lint/ir
 //     dataflow IR, that every handler-reachable access path to owned state
 //     stays within the owning domain or crosses through the internal/sim
-//     deposit API (Engine.ScheduleFnAtDom). See annot.go for the annotation
+//     event API (Engine.ScheduleFnAtDom). See annot.go for the annotation
 //     grammar and DESIGN.md §14 for the proof argument.
 //
 // The shardsafe and hotalloc analyzers also run flow-sensitive passes over
-// the same IR: shard isolation catches writes to package-level state routed
+// the same IR: handler isolation catches writes to package-level state routed
 // through local pointer aliases, and the hot-path rules catch interface
 // boxing and heap escapes a syntax walk cannot see.
 //

@@ -9,11 +9,12 @@ import (
 	"vsnoop/internal/lint/ir"
 )
 
-// shardSafeAnalyzer guards the PR-3 conservative-PDES contract: event
-// handlers run concurrently on shard goroutines, so code reachable from a
-// handler must not communicate except through the internal/sim mailbox API
-// (Engine.ScheduleFnAtDom routes cross-domain events into per-(src,dst)
-// boxes drained at barriers). The analyzer:
+// shardSafeAnalyzer guards the handler-isolation contract: code reachable
+// from an event handler must not communicate except through the
+// internal/sim event API (Engine.ScheduleFnAtDom for cross-domain events),
+// and must not write package-level state — runner.Map sweeps run many
+// machines on concurrent goroutines, and such a write would couple them.
+// The analyzer:
 //
 //  1. collects handler roots — function literals and named functions that
 //     are (a) arguments to Schedule / ScheduleAt / ScheduleFn /
@@ -23,42 +24,37 @@ import (
 //  2. walks the static call graph from those roots (direct calls plus any
 //     use of a module function as a value);
 //  3. flags, in every reachable function outside internal/sim, the
-//     constructs that bypass the mailbox: goroutine launches, channel
+//     constructs that bypass the event API: goroutine launches, channel
 //     operations (send, receive, close, select, range-over-channel), and
 //     writes to package-level variables — including writes laundered
 //     through local pointer aliases (p := &shared; p.f = v), which a
 //     flow-sensitive pass over the internal/lint/ir CFG resolves back to
 //     the package-level storage they mutate (see shardalias.go).
 //
-// internal/sim itself is exempt — it IS the mailbox implementation and
-// its internal synchronization (barriers, runner goroutines) is the
-// mechanism the rest of the module is required to use. Dynamic dispatch
+// internal/sim itself is exempt — it IS the event API the rest of the
+// module is required to use. Dynamic dispatch
 // (interface method calls, func-typed fields) is not resolved; that is a
 // documented soundness limit, mitigated by rooting every handler-shaped
 // function value at its creation site.
 //
 // A second, package-wide rule confines sync/atomic: the only permitted
-// cross-shard atomics in sim-critical packages are the fields of the
-// internal/sim synchronization structs (barrier, shardSlot, mailbox,
-// ShardedEngine) — the adaptive protocol's EOT words, mailbox locks, and
-// termination counters, whose memory-order obligations are argued in
-// internal/sim/adaptive.go. Any other atomic declaration, or any legacy
-// atomic.AddX/LoadX-style call, in a critical package is a finding: ad-hoc
-// atomics are how nondeterminism sneaks past the deposit discipline.
+// atomics in sim-critical packages are the fields of internal/sim's
+// Canceler, the control word another goroutine sets to stop a run. Any
+// other atomic declaration, or any legacy atomic.AddX/LoadX-style call, in
+// a critical package is a finding: ad-hoc atomics are how nondeterminism
+// sneaks past the event discipline.
 var shardSafeAnalyzer = &Analyzer{
 	Name:      "shardsafe",
-	Doc:       "flags handler-reachable code that bypasses the sim mailbox, and atomics outside internal/sim's synchronization structs",
+	Doc:       "flags handler-reachable code that bypasses the sim event API, and atomics outside internal/sim's Canceler",
 	WaiverKey: "shardsafe",
 	Run:       runShardSafe,
 }
 
-// atomicStructAllowlist names the internal/sim structs whose atomic fields
-// implement the sharded synchronization protocol (plus the Canceler control
-// word polled by StepChecked). Only fields of these structs, in a package
-// whose import path ends in internal/sim, may have sync/atomic types
-// without a waiver.
+// atomicStructAllowlist names the internal/sim structs whose fields may
+// have sync/atomic types without a waiver: the Canceler control word
+// polled by StepChecked. Only a struct in a package whose import path ends
+// in internal/sim qualifies.
 var atomicStructAllowlist = map[string]bool{
-	"barrier": true, "shardSlot": true, "mailbox": true, "ShardedEngine": true,
 	"Canceler": true,
 }
 
@@ -185,7 +181,7 @@ func runShardSafe(mod *Module, opts Options, report ReportFn) {
 		info := w.pkg.Info
 		flag := func(pos token.Pos, what string) {
 			report(w.pkg, pos, "shard-handler-reachable "+w.name+" "+what+
-				"; cross-domain communication must go through the sim mailbox (Engine.ScheduleFnAtDom)")
+				"; cross-domain communication must go through the sim event API (Engine.ScheduleFnAtDom)")
 		}
 		ast.Inspect(w.body, func(n ast.Node) bool {
 			switch x := n.(type) {
@@ -274,11 +270,11 @@ func isEmptyInterface(t types.Type) bool {
 	return ok && i.NumMethods() == 0
 }
 
-// runAtomicConfinement is the declaration-site half of the shard-isolation
+// runAtomicConfinement is the declaration-site half of the handler-isolation
 // contract: it flags every sync/atomic-typed declaration (struct fields,
 // package-level and local variables) and every legacy atomic.* function
 // call in the sim-critical packages, except the fields of the allowlisted
-// internal/sim synchronization structs. Flagging declarations rather than
+// internal/sim structs. Flagging declarations rather than
 // each Load/Store keeps waivers at the point where the judgment call is
 // made — the decision to hold shared mutable state at all.
 func runAtomicConfinement(mod *Module, opts Options, report ReportFn) {
@@ -301,7 +297,7 @@ func runAtomicConfinement(mod *Module, opts Options, report ReportFn) {
 							continue
 						}
 						report(pkg, fld.Pos(), "atomic field in struct "+x.Name.Name+
-							" outside the internal/sim synchronization structs (barrier, shardSlot, mailbox, ShardedEngine); cross-shard state must go through the sim deposit API")
+							" outside internal/sim's Canceler; cross-domain state must go through the sim event API")
 					}
 				case *ast.ValueSpec:
 					for _, name := range x.Names {
@@ -310,7 +306,7 @@ func runAtomicConfinement(mod *Module, opts Options, report ReportFn) {
 							continue
 						}
 						report(pkg, name.Pos(), "atomic variable "+name.Name+
-							" in a sim-critical package; cross-shard atomics are confined to internal/sim's synchronization structs")
+							" in a sim-critical package; atomics are confined to internal/sim's Canceler")
 					}
 				case *ast.CallExpr:
 					sel, ok := unparen(x.Fun).(*ast.SelectorExpr)
@@ -327,7 +323,7 @@ func runAtomicConfinement(mod *Module, opts Options, report ReportFn) {
 						// ad-hoc words (atomic.AddUint64 etc.) reach here.
 						if _, isSig := pkg.Info.TypeOf(x.Fun).(*types.Signature); isSig {
 							report(pkg, x.Pos(), "atomic."+sel.Sel.Name+
-								" call in a sim-critical package; cross-shard atomics are confined to internal/sim's synchronization structs")
+								" call in a sim-critical package; atomics are confined to internal/sim's Canceler")
 						}
 					}
 				}

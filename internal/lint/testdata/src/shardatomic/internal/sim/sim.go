@@ -1,29 +1,13 @@
 // Package sim is a lint fixture: this directory's import path ends in
-// internal/sim, so the allowlisted synchronization structs may hold atomic
-// fields — and nothing else may.
+// internal/sim, so the allowlisted struct may hold atomic fields — and
+// nothing else may.
 package sim
 
 import "sync/atomic"
 
-// The four allowlisted structs: atomic fields here are the protocol.
-type barrier struct {
-	arrived atomic.Int32
-	gen     atomic.Uint32
-}
-
-type shardSlot struct {
-	eot atomic.Uint64
-}
-
-type mailbox struct {
-	lock atomic.Uint32
-	n    atomic.Int32
-}
-
-type ShardedEngine struct {
-	deposited atomic.Uint64
-	busy      atomic.Int64
-	stop      atomic.Uint32
+// The allowlisted struct: an atomic word another goroutine may set.
+type Canceler struct {
+	flag atomic.Uint32
 }
 
 // sideChannel is NOT an allowlisted struct, even inside internal/sim.
@@ -42,10 +26,7 @@ func bumpLegacy() {
 var debugGen atomic.Uint32 //lint:shardsafe debug-only generation stamp, never read by simulation code
 
 var (
-	_ = barrier{}
-	_ = shardSlot{}
-	_ = mailbox{}
-	_ = ShardedEngine{}
+	_ = Canceler{}
 	_ = sideChannel{}
 	_ = bumpLegacy
 )

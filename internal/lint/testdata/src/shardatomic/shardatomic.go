@@ -5,8 +5,8 @@ package shardatomic
 
 import "sync/atomic"
 
-type mailbox struct {
-	n atomic.Int32 // want "atomic field in struct mailbox"
+type Canceler struct {
+	flag atomic.Uint32 // want "atomic field in struct Canceler"
 }
 
 type tracker struct {
@@ -20,7 +20,7 @@ func count() uint64 {
 }
 
 var (
-	_ = mailbox{}
+	_ = Canceler{}
 	_ = tracker{}
 	_ = count
 )

@@ -1,5 +1,5 @@
 // Package shardsafe is a lint fixture: handler-reachable code that bypasses
-// the sim mailbox.
+// the sim event API.
 package shardsafe
 
 // net mimics the mesh endpoint registry: SetHandler roots its argument.

@@ -13,9 +13,9 @@ import (
 // seeded *rand.Rand plumbed through config). Methods on a *rand.Rand value
 // are allowed; the package-level convenience functions draw from the
 // shared, unseeded global source and are not. Host parallelism
-// (runtime.GOMAXPROCS / runtime.NumCPU) is ambient too: a shard count
-// derived inside sim code would make results depend on the machine, so the
-// CLIs read it once at entry and plumb the value down (vsnoop.AutoShards).
+// (runtime.GOMAXPROCS / runtime.NumCPU) is ambient too: a worker count
+// derived inside sim code would make behaviour depend on the machine, so
+// the CLIs read it once at entry and plumb the value down.
 // The serving tier follows the same discipline with an injected clock
 // (serve.Options.Now), which keeps quota refill and job timing testable
 // under a fake clock.

@@ -227,9 +227,9 @@ func (m *Manager) TypeOf(p HostPage) PageType { return m.hostType[p] }
 // PreallocateAll eagerly allocates every unmapped guest page in every space,
 // in (VM id, guest page) order — the same order lazy first-touch allocation
 // would produce on a serial run of the reference workloads, whose vCPUs walk
-// their spaces in VM order from cycle zero. Sharded runs call this at setup:
-// Translate's first-touch path mutates the shared allocator from concurrent
-// shards, and host-page numbering must not depend on shard interleaving.
+// their spaces in VM order from cycle zero. Partitioned runs call this at
+// setup, so host-page numbering does not depend on which domain touches a
+// page first. The golden results pin this numbering.
 func (m *Manager) PreallocateAll() {
 	vms := make([]VMID, 0, len(m.spaces))
 	for vm := range m.spaces {

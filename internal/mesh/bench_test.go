@@ -77,7 +77,7 @@ func TestPartitionedSendZeroAllocSteadyState(t *testing.T) {
 			nodeDom[i] = 1
 		}
 	}
-	net.Partition(nodeDom, []*sim.Engine{eng, eng})
+	net.Partition(nodeDom, 2)
 	for i := 0; i < 1024; i++ {
 		net.Send(ids[i&15], ids[(i+7)&15], 72, nil)
 	}
@@ -109,7 +109,7 @@ func TestPartitionedMulticastZeroAlloc(t *testing.T) {
 			nodeDom[i] = 1
 		}
 	}
-	net.Partition(nodeDom, []*sim.Engine{eng, eng})
+	net.Partition(nodeDom, 2)
 	for _, id := range ids {
 		net.SetElider(id, func(_ sim.Cycle, key uint64, _ int32, _ interface{}) bool { return key&1 == 0 })
 	}

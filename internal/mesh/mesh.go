@@ -122,21 +122,18 @@ type Network struct {
 	Bytes    uint64 // flit-quantized bytes injected
 	Messages uint64
 
-	// Domain partition (nil outside sharded runs): nodeDom maps endpoints
-	// to snoop domains, engs holds the engine executing each domain, and
-	// traf is the per-domain traffic accounting (padded to a cache line so
-	// concurrent senders do not share one).
+	// Domain partition (nil outside partitioned runs): nodeDom maps
+	// endpoints to snoop domains, and traf is the per-domain traffic
+	// accounting.
 	nodeDom  []int32
-	engs     []*sim.Engine
 	traf     []trafficSlot
 	crossHor []sim.Cycle // per-domain minimum cross-domain latency
 }
 
-// trafficSlot is one domain's traffic counters, padded to a cache line.
+// trafficSlot is one domain's traffic counters.
 type trafficSlot struct {
 	byteHops, bytes, messages uint64
 	crossMsgs                 uint64 // messages leaving the domain
-	_                         [4]uint64
 }
 
 // New creates a mesh network driven by eng.
@@ -166,29 +163,24 @@ func (n *Network) linkID(x, y, dir int) int {
 	return (y*n.cfg.Width+x)<<2 | dir
 }
 
-// Partition switches the network to domain-partitioned mode: endpoint i
-// belongs to snoop domain nodeDom[i], and domain d's events execute on
-// engs[d] (several domains may share one engine). Intra-domain messages
+// Partition switches the network to domain-partitioned mode over nd
+// domains: endpoint i belongs to snoop domain nodeDom[i], and every
+// delivery is scheduled in its destination's domain. Intra-domain messages
 // keep the full link-contention model — XY routes between endpoints of an
-// axis-aligned domain never leave it, so each domain's links are touched by
-// exactly one shard. Cross-domain messages are delivered at zero-load
-// latency (no link reservations, which would race across shards); since a
-// cross-domain route has at least one hop, that latency is at least
-// RouterDelay+LinkDelay+1 — the lookahead the sharded engine relies on.
-// Call after Attach-ing every endpoint and before any Send.
-func (n *Network) Partition(nodeDom []int32, engs []*sim.Engine) {
+// axis-aligned domain never leave it. Cross-domain messages are delivered
+// at zero-load latency, with no link reservations (see transmit). Call
+// after Attach-ing every endpoint and before any Send.
+func (n *Network) Partition(nodeDom []int32, nd int) {
 	if len(nodeDom) != len(n.nodes) {
 		panic(fmt.Sprintf("mesh: partition of %d nodes, have %d", len(nodeDom), len(n.nodes)))
 	}
 	n.nodeDom = nodeDom
-	n.engs = engs
-	n.traf = make([]trafficSlot, len(engs))
+	n.traf = make([]trafficSlot, nd)
 	// Precompute each domain's cross-domain horizon: the minimum zero-load
 	// latency of any message it can send to another domain (one-flit
 	// serialization is the floor — serialization() never returns less than
-	// one cycle, and fault delays only add). The sharded engine uses these
-	// as per-shard output lookaheads in adaptive mode.
-	n.crossHor = make([]sim.Cycle, len(engs))
+	// one cycle, and fault delays only add).
+	n.crossHor = make([]sim.Cycle, nd)
 	for src := range n.nodes {
 		sd := nodeDom[src]
 		for dst := range n.nodes {
@@ -204,10 +196,11 @@ func (n *Network) Partition(nodeDom []int32, engs []*sim.Engine) {
 }
 
 // CrossHorizons returns, per domain, the minimum zero-load latency of any
-// cross-domain message the domain can originate — a lower bound on the
-// arrival distance of every cross-shard deposit (partitioned mode; nil
+// cross-domain message the domain can originate (partitioned mode; nil
 // otherwise). A zero entry means the domain has no cross-domain
-// destination.
+// destination. The partitioned machine delays its own cross-domain
+// protocol events (migration legs, filter deltas, holder probes) by these
+// horizons, so they stay part of its event order.
 func (n *Network) CrossHorizons() []sim.Cycle { return n.crossHor }
 
 // DomainCrossSends returns the number of messages domain d sent to other
@@ -252,10 +245,8 @@ func (n *Network) Attach(x, y int, h Handler) NodeID {
 func (n *Network) SetHandler(id NodeID, h Handler) { n.nodes[id].handler = h }
 
 // SetElider installs an endpoint's elider (nil removes it). The network
-// consults it only in partitioned mode, and only for deliveries whose
-// destination domain executes on the sending engine: the elider then runs
-// on the goroutine that owns the endpoint, and everything it does stays
-// shard-local. Other deliveries are queued as usual.
+// consults it only in partitioned mode; outside it every delivery is
+// queued as usual.
 func (n *Network) SetElider(id NodeID, el Elider) { n.nodes[id].elide = el }
 
 // Coords returns the router coordinates of an endpoint.
@@ -321,7 +312,6 @@ type fanout struct {
 	ser       sim.Cycle // per-link serialization
 	flitBytes uint64
 	payload   interface{}
-	eng       *sim.Engine // the engine executing the source
 	now       sim.Cycle
 	sd        int32        // source domain (partitioned mode)
 	traf      *trafficSlot // source domain's counters; nil outside partitioned mode
@@ -353,13 +343,12 @@ func (n *Network) Multicast(src NodeID, dsts []NodeID, bytes int, payload interf
 	f.src, f.x, f.y, f.bytes = src, a.x, a.y, bytes
 	f.ser = n.serialization(bytes)
 	f.flitBytes = uint64(f.ser) * uint64(n.cfg.LinkBytesPerCycle)
-	f.payload, f.eng = payload, n.eng
+	f.payload = payload
 	if n.nodeDom != nil {
 		f.sd = n.nodeDom[src]
 		f.traf = &n.traf[f.sd]
-		f.eng = n.engs[f.sd]
 	}
-	f.now = f.eng.Now()
+	f.now = n.eng.Now()
 	if n.FaultHook != nil {
 		for _, d := range dsts {
 			n.sendFaulted(&f, d)
@@ -412,6 +401,10 @@ func (n *Network) transmit(f *fanout, dst NodeID, extra sim.Cycle) {
 		n.ByteHops += byteHops
 	}
 
+	// A cross-domain message travels at zero-load latency and reserves no
+	// links. That is a model choice, not a correctness need: the golden
+	// results pin it, and full contention on cross-domain routes (which
+	// brings back the Figure 6 slowdowns) is a separate, re-pinning change.
 	var arrive sim.Cycle
 	if crossDom || !n.cfg.Contention || hops == 0 {
 		arrive = f.now + n.latency(hops, f.ser)
@@ -460,9 +453,9 @@ func (n *Network) transmit(f *fanout, dst NodeID, extra sim.Cycle) {
 		arrive = t + lastSer - 1
 	}
 	arrive += extra
-	eng := f.eng
+	eng := n.eng
 	if f.traf != nil {
-		if el := b.elide; el != nil && eng.Local(dd) {
+		if el := b.elide; el != nil {
 			key := eng.NextKey()
 			if !el(arrive, key, dd, f.payload) {
 				eng.ScheduleKeyed(arrive, key, dd, n.deliver, f.payload, uint64(dst))

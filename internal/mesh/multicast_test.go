@@ -31,7 +31,6 @@ type twinSpec struct {
 	contention bool
 	degrade    bool
 	doms       int // snoop domains (1, 2 or 4); 0 = legacy unpartitioned
-	shards     int // engines the domains run on (partitioned only)
 	elide      int
 	fault      bool
 }
@@ -94,35 +93,24 @@ func runTwin(t testing.TB, sp twinSpec, casts []mcast, multicast bool) twinObs {
 	if nd == 0 {
 		nd = 1
 	}
-	var se *sim.ShardedEngine
-	engs := make([]*sim.Engine, nd)
-	if sp.doms == 0 {
-		engs[0] = sim.NewEngine()
-	} else {
-		domShard := make([]int, nd)
-		for d := range domShard {
-			domShard[d] = d % sp.shards
-		}
-		se = sim.NewSharded(domShard, cfg.RouterDelay+cfg.LinkDelay+1)
-		for d := range engs {
-			engs[d] = se.Eng(domShard[d])
-		}
+	eng := sim.NewEngine()
+	if sp.doms > 0 {
+		eng.SetDomains(nd)
 	}
-	net := New(engs[0], cfg)
+	net := New(eng, cfg)
 	obs := twinObs{events: make([][]delivery, nd)}
 	nodeDom := make([]int32, twinNodes)
 	for i := 0; i < twinNodes; i++ {
 		x, y := twinXY(i)
 		d := twinDom(i, sp.doms)
 		nodeDom[i] = d
-		id, eng := NodeID(i), engs[d]
+		id := NodeID(i)
 		net.Attach(x, y, func(interface{}) {
 			obs.events[d] = append(obs.events[d], delivery{eng.Now(), eng.CurKey(), d, id, 'd'})
 		})
 	}
 	if sp.doms > 0 {
-		net.Partition(nodeDom, engs)
-		se.SetDomainLookahead(net.CrossHorizons())
+		net.Partition(nodeDom, nd)
 	}
 	if sp.degrade {
 		net.DegradeLinks(8, 3, sim.NewRand(7))
@@ -169,20 +157,14 @@ func runTwin(t testing.TB, sp twinSpec, casts []mcast, multicast bool) twinObs {
 	}
 	for i, c := range casts {
 		if sp.doms == 0 {
-			engs[0].ScheduleFnAt(c.at, drive, nil, uint64(i))
+			eng.ScheduleFnAt(c.at, drive, nil, uint64(i))
 			continue
 		}
 		sd := nodeDom[c.src]
-		engs[sd].SetCurDomain(sd)
-		engs[sd].ScheduleFnAtDom(c.at, sd, drive, nil, uint64(i))
+		eng.SetCurDomain(sd)
+		eng.ScheduleFnAtDom(c.at, sd, drive, nil, uint64(i))
 	}
-	if se != nil {
-		if err := se.Run(); err != nil {
-			t.Fatal(err)
-		}
-	} else {
-		engs[0].Run()
-	}
+	eng.Run()
 	obs.nextFree = append([]sim.Cycle(nil), net.nextFree...)
 	obs.byteHops, obs.bytes, obs.messages = net.TrafficTotals()
 	if sp.doms > 0 {
@@ -248,13 +230,13 @@ func TestMulticastMatchesSends(t *testing.T) {
 		{name: "legacy_no_contention"},
 		{name: "legacy_degraded", contention: true, degrade: true},
 		{name: "legacy_fault", contention: true, fault: true},
-		{name: "one_domain", contention: true, doms: 1, shards: 1},
-		{name: "two_domains_park", contention: true, doms: 2, shards: 1, elide: elidePark},
-		{name: "four_domains_decline", contention: true, doms: 4, shards: 1, elide: elideDecline},
-		{name: "four_domains_no_contention_park", doms: 4, shards: 1, elide: elidePark},
-		{name: "four_domains_degraded_fault_park", contention: true, degrade: true, doms: 4, shards: 1,
+		{name: "one_domain", contention: true, doms: 1},
+		{name: "two_domains_park", contention: true, doms: 2, elide: elidePark},
+		{name: "four_domains_decline", contention: true, doms: 4, elide: elideDecline},
+		{name: "four_domains_no_contention_park", doms: 4, elide: elidePark},
+		{name: "four_domains_degraded_fault_park", contention: true, degrade: true, doms: 4,
 			elide: elidePark, fault: true},
-		{name: "four_domains_two_shards_park", contention: true, doms: 4, shards: 2, elide: elidePark},
+		{name: "four_domains_park", contention: true, doms: 4, elide: elidePark},
 	}
 	casts := randomCasts(sim.NewRand(42), 400)
 	shared := 0
@@ -318,7 +300,7 @@ func FuzzMulticastMatchesSends(f *testing.F) {
 		// destination-count byte, the destinations, then a size byte.
 		o := data[0]
 		sp := twinSpec{name: "fuzz", contention: o&4 != 0, degrade: o&8 != 0,
-			doms: [...]int{0, 1, 2, 4}[o&3], shards: 1, elide: int(o>>4&3) % 3, fault: o&64 != 0}
+			doms: [...]int{0, 1, 2, 4}[o&3], elide: int(o>>4&3) % 3, fault: o&64 != 0}
 		next := func() (int, bool) {
 			if len(data) < 2 {
 				return 0, false

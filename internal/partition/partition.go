@@ -1,5 +1,5 @@
 // Package partition computes topology-aware snoop-domain partitions of the
-// mesh for the sharded simulation engine.
+// mesh for the partitioned simulation machine.
 //
 // The planner replaces the fixed four-quadrant invariant: it builds a
 // weighted affinity graph over the mesh nodes (vCPU placement groups cores
@@ -11,15 +11,14 @@
 //
 //	cost = cut weight + serialization penalty
 //
-// where the serialization penalty models the critical path of the largest
-// domain (fewer domains = less parallelism). A deterministic KL-style
+// where the serialization penalty favours more, smaller domains. A
+// deterministic KL-style
 // refinement pass then shifts individual split lines by one row/column
 // while that lowers the cut, which handles uneven VM geometries.
 //
-// The resulting Plan is a pure function of the configuration: the sharded
-// engine's results depend only on the domain assignment, never on how many
-// goroutines execute it, so bit-identity across shard counts is preserved
-// by construction.
+// The resulting Plan is a pure function of the configuration, and so are
+// the partitioned machine's results, which depend on the domain
+// assignment.
 package partition
 
 import (

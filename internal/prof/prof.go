@@ -5,14 +5,12 @@
 package prof
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"os"
 	"runtime"
 	"runtime/pprof"
 	"runtime/trace"
-	"strconv"
 )
 
 // Flags holds the profile destinations registered by AddFlags.
@@ -33,16 +31,7 @@ func (f *Flags) AddFlags(fs *flag.FlagSet) {
 	}
 	fs.StringVar(&f.CPUProfile, "cpuprofile", "", "write a CPU profile to `file`")
 	fs.StringVar(&f.MemProfile, "memprofile", "", "write an allocation profile to `file` at exit")
-	fs.StringVar(&f.Trace, "trace", "", "write a Go runtime execution trace to `file` (inspect with go tool trace; shard barrier stalls show up per goroutine)")
-}
-
-// Do runs fn with pprof labels (shard, phase) attached, so per-shard time
-// separates cleanly in CPU profiles and execution traces of the parallel
-// engine. It is called once per shard goroutine, not per event.
-func Do(shard int, phase string, fn func()) {
-	pprof.Do(context.Background(), pprof.Labels(
-		"shard", strconv.Itoa(shard), "phase", phase,
-	), func(context.Context) { fn() })
+	fs.StringVar(&f.Trace, "trace", "", "write a Go runtime execution trace to `file` (inspect with go tool trace)")
 }
 
 // Start begins CPU profiling when -cpuprofile was given. Call Stop (usually

@@ -104,10 +104,11 @@ func (t *nsrt) remove(r Region) bool {
 // In partitioned runs (Partition) every core's NSRT and presence map is
 // owned by that core's snoop domain: local-domain presence checks and
 // knockouts stay synchronous, while remote domains are consulted through
-// probe events carrying the same cross-shard lookahead discipline as the
-// mesh. The NSRT insert is deferred until every probe replies — a stale
-// not-shared belief is safe because a memory-direct miss that finds the
-// tokens elsewhere simply retries attempt 2 as a broadcast.
+// probe events, each delayed by its source domain's cross-domain horizon
+// (mesh.Network.CrossHorizons). The NSRT insert is deferred until every
+// probe replies — a stale not-shared belief is safe because a
+// memory-direct miss that finds the tokens elsewhere simply retries
+// attempt 2 as a broadcast.
 type Filter struct {
 	cfg       Config
 	shift     uint
@@ -123,18 +124,12 @@ type Filter struct {
 	// Partitioned mode (nil/empty outside it).
 	coreDom  []int32
 	domCores [][]int
-	domEng   []*sim.Engine
+	eng      *sim.Engine
 	crossHor []sim.Cycle
-	stats    []paddedStats //vsnoop:owned table
-	pools    [][]*probe    //vsnoop:owned table
+	stats    []Stats    //vsnoop:owned table
+	pools    [][]*probe //vsnoop:owned table
 	probeFn  sim.HandlerFn
 	replyFn  sim.HandlerFn
-}
-
-// paddedStats keeps each domain's counters on their own cache line.
-type paddedStats struct {
-	Stats
-	_ [4]uint64
 }
 
 // probe is one in-flight cross-domain region scan. The immutable fields
@@ -222,15 +217,15 @@ func (f *Filter) NSRTContains(i int, r Region) bool {
 }
 
 // Partition switches the filter to domain-owned state: coreDom maps each
-// core to its snoop domain, domCores lists each domain's cores, domEng and
-// crossHor give each domain's engine and cross-shard horizon. Call at setup,
-// before any routing happens.
-func (f *Filter) Partition(coreDom []int32, domCores [][]int, domEng []*sim.Engine, crossHor []sim.Cycle) {
+// core to its snoop domain, domCores lists each domain's cores, eng is the
+// machine's engine and crossHor gives each domain's cross-domain horizon.
+// Call at setup, before any routing happens.
+func (f *Filter) Partition(coreDom []int32, domCores [][]int, eng *sim.Engine, crossHor []sim.Cycle) {
 	f.coreDom = coreDom
 	f.domCores = domCores
-	f.domEng = domEng
+	f.eng = eng
 	f.crossHor = crossHor
-	f.stats = make([]paddedStats, len(domCores))
+	f.stats = make([]Stats, len(domCores))
 	f.pools = make([][]*probe, len(domCores))
 	f.probeFn = f.handleProbe
 	f.replyFn = f.handleReply
@@ -265,7 +260,7 @@ func (f *Filter) getProbe(d int32) *probe {
 func (f *Filter) handleProbe(arg interface{}, u uint64) {
 	p := arg.(*probe)
 	d := int(u)
-	st := &f.stats[d].Stats
+	st := &f.stats[d]
 	shared := uint64(0)
 	for _, i := range f.domCores[d] {
 		if f.present[i][p.region] > 0 {
@@ -275,8 +270,7 @@ func (f *Filter) handleProbe(arg interface{}, u uint64) {
 			st.Knockouts++
 		}
 	}
-	eng := f.domEng[d]
-	eng.ScheduleFnAtDom(eng.Now()+f.crossHor[d], p.srcDom, f.replyFn, p, shared)
+	f.eng.ScheduleFnAtDom(f.eng.Now()+f.crossHor[d], p.srcDom, f.replyFn, p, shared)
 }
 
 // handleReply runs in the probe's source domain: fold the remote shared
@@ -303,7 +297,7 @@ func (f *Filter) routePartitioned(info token.RouteInfo, buf []mesh.NodeID) []mes
 	r := f.RegionOf(info.Addr)
 	me := info.Requester
 	sd := f.coreDom[me]
-	st := &f.stats[sd].Stats
+	st := &f.stats[sd]
 
 	if info.Attempt == 1 && f.tables[me].contains(r) {
 		st.NSRTHits++
@@ -340,11 +334,10 @@ func (f *Filter) routePartitioned(info token.RouteInfo, buf []mesh.NodeID) []mes
 		f.pools[sd] = append(f.pools[sd], p)
 		return out
 	}
-	eng := f.domEng[sd]
-	at := eng.Now() + f.crossHor[sd]
+	at := f.eng.Now() + f.crossHor[sd]
 	for d := range f.domCores {
 		if int32(d) != sd {
-			eng.ScheduleFnAtDom(at, int32(d), f.probeFn, p, uint64(d))
+			f.eng.ScheduleFnAtDom(at, int32(d), f.probeFn, p, uint64(d))
 		}
 	}
 	return out

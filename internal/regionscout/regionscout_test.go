@@ -142,7 +142,7 @@ func TestRouteAppendsIntoBuffer(t *testing.T) {
 		if partitioned {
 			eng := sim.NewEngine()
 			f.Partition([]int32{0, 0, 1, 1}, [][]int{{0, 1}, {2, 3}},
-				[]*sim.Engine{eng, eng}, []sim.Cycle{1, 1})
+				eng, []sim.Cycle{1, 1})
 		}
 		buf := make([]mesh.NodeID, 0, 4)
 		got := f.Route(token.RouteInfo{Addr: 100, Requester: 1, Attempt: 1}, buf)

@@ -122,8 +122,7 @@ func expandRequest(req *jobRequest) ([]vsnoop.Config, error) {
 
 // runJob is the worker-side job loop: run every config in order, stopping
 // early only on cancellation. Configs run sequentially within a job —
-// cross-job parallelism comes from the pool's workers, and each simulation
-// may itself be shard-parallel.
+// parallelism comes from the pool's workers.
 func (s *Server) runJob(j *jobState) {
 	s.mu.Lock()
 	if j.status == statusQueued {

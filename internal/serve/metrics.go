@@ -30,10 +30,9 @@ type metrics struct {
 }
 
 // render writes the Prometheus text exposition. Engine-level totals come
-// from the simulator's process-wide counters (vsnoop.TotalEventsFired,
-// vsnoop.TotalSyncCounters); queueDepth and ready are sampled by the
-// caller.
-func (m *metrics) render(w io.Writer, queueDepth int, ready bool, shards int,
+// from the simulator's process-wide counter (vsnoop.TotalEventsFired);
+// queueDepth and ready are sampled by the caller.
+func (m *metrics) render(w io.Writer, queueDepth int, ready bool,
 	storeBytes int64, storeEvictions uint64) {
 	c := func(name, help string, v uint64) {
 		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
@@ -60,16 +59,9 @@ func (m *metrics) render(w io.Writer, queueDepth int, ready bool, shards int,
 		rd = 1
 	}
 	g("vsnoop_ready", "1 when the server is accepting jobs.", rd)
-	g("vsnoop_shards", "Event-queue shards forced per run (planner-resolved when -shards is auto; 0 honors each request).",
-		uint64(shards))
 	c("vsnoop_store_evictions_total", "Results evicted from the size-bounded store.", storeEvictions)
 	g("vsnoop_store_bytes", "Bytes held by the content-addressed result store.", uint64(storeBytes))
 
 	c("vsnoop_engine_events_total", "Simulator events executed by every run in this process.",
 		vsnoop.TotalEventsFired())
-	windows, elided, waits, widthSum := vsnoop.TotalSyncCounters()
-	c("vsnoop_engine_sync_windows_total", "Sharded-engine synchronization windows.", windows)
-	c("vsnoop_engine_sync_elided_barriers_total", "Quiet-window exchange barriers elided.", elided)
-	c("vsnoop_engine_sync_barrier_waits_total", "Shard arrivals at synchronization barriers.", waits)
-	c("vsnoop_engine_sync_window_width_cycles_total", "Sum of window widths in cycles.", widthSum)
 }

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -356,7 +357,7 @@ func TestHealthReadyMetrics(t *testing.T) {
 	for _, name := range []string{
 		"vsnoop_jobs_accepted_total", "vsnoop_jobs_shed_queue_total",
 		"vsnoop_queue_depth", "vsnoop_configs_replayed_total",
-		"vsnoop_engine_events_total", "vsnoop_engine_sync_windows_total",
+		"vsnoop_engine_events_total",
 	} {
 		if !bytes.Contains(body, []byte(name)) {
 			t.Errorf("metrics missing %s", name)
@@ -769,36 +770,60 @@ func TestStoreGCStartupRecovery(t *testing.T) {
 	}
 }
 
-// TestShardsOverrideBitIdentical: a server forcing -shards 4 stores and
-// serves exactly the bytes a serial computation produces — Shards is an
-// execution mechanic outside the hash and the normalized record.
-func TestShardsOverrideBitIdentical(t *testing.T) {
-	cfg := quickConfig(51)
-	s, ts := newTestServer(t, t.TempDir(), func(o *Options) {
-		o.Shards = 4
-	})
+// TestStoreServesRecordsWithDroppedFields: a stored record written while
+// vsnoop.Config still had two execution knobs (a shard count and a
+// barrier-protocol switch; the record zeroed both and the hash never
+// covered them) still loads, answers its unchanged hash as a memoized
+// hit, is served byte for byte, and holds the result a fresh run computes.
+func TestStoreServesRecordsWithDroppedFields(t *testing.T) {
+	cfg := quickConfig(61)
+	cfg.RefsPerVCPU, cfg.WarmupRefs = 200, 50
+	raw, err := os.ReadFile(filepath.Join("testdata", "record_with_dropped_fields.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	parentRecord := string(raw)
+	var old Record
+	if err := json.Unmarshal(raw, &old); err != nil {
+		t.Fatal(err)
+	}
+	if h := cfg.Hash(); h != old.Hash || old.Config.Hash() != h {
+		t.Fatalf("config hash %s, stored record %s (its config hashes to %s)", h, old.Hash, old.Config.Hash())
+	}
+	dir := t.TempDir()
+	if err := os.MkdirAll(filepath.Join(dir, "results"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "results", old.Hash+".json"), []byte(parentRecord), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, ts := newTestServer(t, dir, nil)
 	defer s.Close()
 	code, resp := postJob(t, ts.URL, jobRequest{Config: &cfg})
 	if code != http.StatusAccepted {
 		t.Fatalf("submit: %d", code)
 	}
 	v := waitJob(t, ts.URL, resp["id"].(string), 60*time.Second)
-	if v.Status != statusDone || v.Outcomes[0].State != cfgComputed {
+	if v.Status != statusDone || v.Outcomes[0].State != cfgMemoized {
 		t.Fatalf("job: %+v", v)
 	}
-	code, body := getRaw(t, ts.URL+"/v1/results/"+cfg.Hash())
-	if code != http.StatusOK {
-		t.Fatalf("GET result: %d", code)
+	code, body := getRaw(t, ts.URL+"/v1/results/"+old.Hash)
+	if code != http.StatusOK || string(body) != parentRecord {
+		t.Fatalf("GET result: %d, %d bytes; want the stored record's %d bytes", code, len(body), len(parentRecord))
 	}
-	res, err := vsnoop.Run(cfg) // serial
+	res, err := vsnoop.Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := json.MarshalIndent(normalizeRecord(cfg, res), "", "  ")
+	got, err := json.Marshal(old.Result)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(body, append(want, '\n')) {
-		t.Fatal("shard-forced server result differs from a serial run's record")
+	want, err := json.Marshal(normalizeRecord(cfg, res).Result)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("stored result %s, fresh run %s", got, want)
 	}
 }

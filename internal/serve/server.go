@@ -19,7 +19,7 @@ type Options struct {
 	// DataDir holds the journal and the result store. Required.
 	DataDir string
 	// Workers is the number of concurrent jobs (default 2). Each job runs
-	// its configs sequentially; a config may itself be shard-parallel.
+	// its configs sequentially.
 	Workers int
 	// QueueCap bounds jobs accepted but not yet running (default 64). A
 	// full queue sheds with 429 + Retry-After — this is the memory bound.
@@ -36,9 +36,6 @@ type Options struct {
 	// the oldest finished job is evicted; if every job is live, submission
 	// sheds.
 	MaxJobs int
-	// Shards overrides Config.Shards on every submitted config (0 leaves
-	// requests as-is). The hash ignores it, so this never affects results.
-	Shards int
 	// StoreMaxBytes bounds the content-addressed result store; past it the
 	// oldest unreferenced records are evicted (0 = unbounded). Evicted
 	// results recompute bit-identically on the next request.
@@ -340,7 +337,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	closed := s.closed
 	s.mu.Unlock()
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	s.metrics.render(w, s.pool.Depth(), !closed, s.opts.Shards, s.store.bytes(),
+	s.metrics.render(w, s.pool.Depth(), !closed, s.store.bytes(),
 		s.store.evictions.Load())
 }
 
@@ -380,9 +377,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	hashes := make([]string, len(configs))
 	for i := range configs {
-		if s.opts.Shards != 0 {
-			configs[i].Shards = s.opts.Shards
-		}
 		if err := configs[i].Validate(); err != nil {
 			s.badRequest(w, fmt.Sprintf("config %d: %v", i, err))
 			return

@@ -13,19 +13,14 @@ import (
 	"vsnoop"
 )
 
-// Record is one stored result: the canonical hash, the normalized
-// configuration that produced it, and the simulation result. Stored
-// records are normalized so that byte equality is meaningful:
-//
-//   - Config.Shards and Config.NoElision are zeroed — they are execution
-//     mechanics excluded from the hash, and results are bit-identical
-//     across them, so a record computed at any shard count or
-//     synchronization protocol serves all.
-//   - Result.Stats is dropped: the low-level record embeds synchronization
-//     telemetry (barrier waits, window widths), which measures how the run
-//     was executed, not what it computed.
-//
-// Everything that remains is a pure function of the hash.
+// Record is one stored result: the canonical hash, the configuration that
+// produced it, and the simulation result. Result.Stats is dropped, so that
+// byte equality is meaningful: the low-level record embeds execution
+// telemetry (parked and cancelled events), which measures how the run was
+// executed, not what it computed. Everything that remains is a pure
+// function of the hash. Records written while Config still had execution
+// knobs the hash never covered (a shard count, a barrier-protocol switch)
+// carry them as zeroed JSON fields, which loading ignores.
 type Record struct {
 	Hash   string         `json:"hash"`
 	Config vsnoop.Config  `json:"config"`
@@ -34,8 +29,6 @@ type Record struct {
 
 // normalizeRecord builds the canonical stored form.
 func normalizeRecord(cfg vsnoop.Config, res *vsnoop.Result) Record {
-	cfg.Shards = 0
-	cfg.NoElision = false
 	r := *res
 	r.Stats = nil
 	return Record{Hash: cfg.Hash(), Config: cfg, Result: &r}

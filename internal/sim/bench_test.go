@@ -86,7 +86,7 @@ func newEngineMix(nd int32) *engineMix {
 func BenchmarkEngineMix(b *testing.B) {
 	const nd = 16
 	e := NewEngine()
-	e.SetDomains(nd, nil, nil)
+	e.SetDomains(nd)
 	m := newEngineMix(nd)
 	var fn HandlerFn
 	fn = func(_ interface{}, u uint64) {

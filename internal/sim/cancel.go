@@ -6,12 +6,12 @@ import (
 )
 
 // Canceler requests early termination of a running simulation from outside
-// the simulation goroutines — a dead HTTP client, a CLI timeout, an admin
+// the simulation goroutine — a dead HTTP client, a CLI timeout, an admin
 // abort. It is a single atomic word: Cancel may be called from any
 // goroutine, any number of times, before or during the run. Engines poll it
 // on the StepChecked path (every cancelPollMask+1 events), so a tripped
 // Canceler surfaces as a CanceledError within microseconds of simulated
-// work on every shard.
+// work.
 //
 // Cancellation is a control-plane mechanism, not a simulation input: a run
 // that completes without the Canceler tripping is bit-identical to a run

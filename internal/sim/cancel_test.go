@@ -83,79 +83,69 @@ func TestCancelNilSafety(t *testing.T) {
 	}
 }
 
-// cancelPingPong builds the same synthetic 4-domain workload as
-// runPingPong but with an endless event chain, attaches a Canceler, and
-// cancels from another goroutine once any domain has run a while. Covers
-// the cross-goroutine path used by vsnoop-serve: the HTTP handler cancels,
-// the shard workers observe.
-func cancelPingPong(t *testing.T, domShard []int, disable bool) error {
+// cancelPingPong runs an endless 4-domain event chain with cross-domain
+// arrivals, attaches a Canceler, and cancels from another goroutine once
+// the chain has run a while. Covers the path vsnoop-serve uses: the HTTP
+// handler cancels, the simulation goroutine observes.
+func cancelPingPong(t *testing.T, windowed bool) error {
 	t.Helper()
-	const L = 6
-	se := NewSharded(domShard, L)
-	se.DisableElision = disable
+	const L, nd = 6, 4
+	e := NewEngine()
+	e.SetDomains(nd)
 	c := NewCanceler()
-	se.SetCancel(c)
-	nd := len(domShard)
-	type domState struct {
-		eng *Engine
-		d   int
-	}
-	doms := make([]*domState, nd)
-	for d := range doms {
-		doms[d] = &domState{eng: se.Eng(domShard[d]), d: d}
-	}
+	e.SetCancel(c)
 	const crossMark = uint64(1) << 40
 	started := make(chan struct{})
 	var once sync.Once
 	var step HandlerFn
 	step = func(arg interface{}, u uint64) {
-		ad := arg.(*domState)
-		now := ad.eng.Now()
+		d := arg.(int)
+		now := e.Now()
 		if u&^crossMark > 2*(cancelPollMask+1) {
 			once.Do(func() { close(started) })
 		}
 		if u&crossMark != 0 {
-			return // cross arrivals are leaf events, as in runPingPong
+			return // cross arrivals are leaf events
 		}
 		// Endless chain: only cancellation stops this run.
-		ad.eng.ScheduleFnAtDom(now+1+Cycle(u%3), int32(ad.d), step, ad, u+1)
+		e.ScheduleFnAtDom(now+1+Cycle(u%3), int32(d), step, d, u+1)
 		if u%5 == 2 {
-			dst := (ad.d + 1) % nd
-			ad.eng.ScheduleFnAtDom(now+L+Cycle(u%4), int32(dst), step, doms[dst], crossMark|u)
+			dst := (d + 1) % nd
+			e.ScheduleFnAtDom(now+L+Cycle(u%4), int32(dst), step, dst, crossMark|u)
 		}
 	}
-	for d := range doms {
-		doms[d].eng.SetCurDomain(int32(d))
-		doms[d].eng.ScheduleFnAt(Cycle(d), step, doms[d], 0)
+	for d := 0; d < nd; d++ {
+		e.SetCurDomain(int32(d))
+		e.ScheduleFnAt(Cycle(d), step, d, 0)
+	}
+	var onWindow func(Cycle) error
+	if windowed {
+		onWindow = func(Cycle) error { return nil }
 	}
 	errc := make(chan error, 1)
-	go func() { errc <- se.Run() }()
+	go func() {
+		_, err := e.RunWindows(L, 0, onWindow)
+		errc <- err
+	}()
 	<-started
 	c.Cancel()
 	return <-errc
 }
 
-// TestCancelSharded drives an endless workload on every synchronization
-// mode (serial, windowed/barriered, adaptive) and cancels mid-flight from
-// another goroutine. Each mode must stop promptly with a CanceledError
-// rather than hang or deadlock on a barrier.
-func TestCancelSharded(t *testing.T) {
-	cases := []struct {
-		name     string
-		domShard []int
-		disable  bool
-	}{
-		{"serial", []int{0, 0, 0, 0}, false},
-		{"k2-adaptive", []int{0, 1, 0, 1}, false},
-		{"k2-barriered", []int{0, 1, 0, 1}, true},
-		{"k4-adaptive", []int{0, 1, 2, 3}, false},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			err := cancelPingPong(t, tc.domShard, tc.disable)
+// TestCancelDomainRun drives an endless domain-mode workload through
+// RunWindows, as one plain drain and in windows, and cancels mid-flight
+// from another goroutine. Both must stop promptly with a CanceledError.
+func TestCancelDomainRun(t *testing.T) {
+	for _, windowed := range []bool{false, true} {
+		name := "drain"
+		if windowed {
+			name = "windowed"
+		}
+		t.Run(name, func(t *testing.T) {
+			err := cancelPingPong(t, windowed)
 			var ce *CanceledError
 			if !errors.As(err, &ce) {
-				t.Fatalf("Run = %v, want *CanceledError", err)
+				t.Fatalf("RunWindows = %v, want *CanceledError", err)
 			}
 		})
 	}

@@ -11,6 +11,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 )
 
@@ -42,8 +43,8 @@ type event struct {
 
 // Timer names one event scheduled by ScheduleTimer, for CancelTimer: its
 // (at, key) and the 1-based pool index of its ring node. The zero Timer,
-// and the Timer of an event that went to the far heap or to another
-// engine, names nothing cancellable.
+// and the Timer of an event that went to the far heap, names nothing
+// cancellable.
 type Timer struct {
 	at  Cycle
 	key uint64
@@ -63,9 +64,7 @@ func callFunc(arg interface{}, _ uint64) { arg.(func())() }
 
 // before is the strict total order on events: cycle, then schedule order.
 // In domain mode the key embeds the scheduling domain in its high bits, so
-// same-cycle ties break by (scheduling domain, per-domain schedule order) —
-// an order every shard can reproduce locally, making parallel execution
-// bit-identical to serial for the same domain count.
+// same-cycle ties break by (scheduling domain, per-domain schedule order).
 func (e *event) before(o *event) bool {
 	if e.at != o.at {
 		return e.at < o.at
@@ -133,13 +132,11 @@ type Engine struct {
 	far []event
 
 	// Domain mode (SetDomains): events carry an executing domain and
-	// schedule-order keys are drawn from per-domain counters, so the tie
-	// order is independent of how domains are spread over engines. domSeq
-	// is nil in single-domain (legacy) mode, where key == seq exactly.
-	domSeq  []uint64
-	curDom  int32
-	local   []bool         // local[d]: domain d executes on this engine
-	deposit func(ev event) // sink for events bound to non-local domains
+	// schedule-order keys are drawn from per-domain counters, so same-cycle
+	// ties break by (scheduling domain, per-domain order). domSeq is nil in
+	// single-domain (legacy) mode, where key == seq exactly.
+	domSeq []uint64
+	curDom int32
 
 	// No-forward-progress watchdog: when progressLimit > 0, StepChecked
 	// fails after that many events fire without a Progress() mark, turning a
@@ -198,12 +195,6 @@ func (e *Engine) Passed(at Cycle, key uint64) bool {
 	return at < e.now || at == e.now && key < e.curKey
 }
 
-// Local reports whether domain dom executes on this engine (always true
-// outside domain mode and on a single-shard engine).
-//
-//vsnoop:hotpath
-func (e *Engine) Local(dom int32) bool { return e.local == nil || e.local[dom] }
-
 // Pending returns the number of events waiting in the queue.
 func (e *Engine) Pending() int { return e.nring + len(e.far) }
 
@@ -259,10 +250,9 @@ func (e *Engine) ScheduleFnAt(at Cycle, fn HandlerFn, arg interface{}, u uint64)
 }
 
 // ScheduleFnAtDom is ScheduleFnAt with an explicit executing domain: the
-// event fires in domain dom's event stream (possibly on another engine when
-// domains are sharded) while its tie-break key still comes from the current
-// scheduling domain's counter, keeping the order reproducible for any
-// domain-to-engine assignment. The mesh uses it for cross-domain delivery.
+// event fires in domain dom's event stream while its tie-break key still
+// comes from the current scheduling domain's counter. The mesh uses it for
+// cross-domain delivery.
 //
 //vsnoop:hotpath
 func (e *Engine) ScheduleFnAtDom(at Cycle, dom int32, fn HandlerFn, arg interface{}, u uint64) {
@@ -273,8 +263,8 @@ func (e *Engine) ScheduleFnAtDom(at Cycle, dom int32, fn HandlerFn, arg interfac
 }
 
 // ScheduleTimer is ScheduleFn that returns a Timer for CancelTimer. A
-// timer that goes to the far heap (delay ringSize or more) or to another
-// engine's domain returns a Timer that is not cancellable.
+// timer that goes to the far heap (delay ringSize or more) returns a Timer
+// that is not cancellable.
 //
 //vsnoop:hotpath
 func (e *Engine) ScheduleTimer(delay Cycle, fn HandlerFn, arg interface{}, u uint64) Timer {
@@ -373,18 +363,13 @@ func (e *Engine) nextKey() uint64 {
 	return uint64(d)<<48 | e.domSeq[d]
 }
 
-// insert routes an event to the local queue, or to the deposit sink when its
-// executing domain lives on another engine. It takes the event's fields,
-// not an event, so a ring insert writes them straight into the node that
-// link returns and builds no event value. It returns the ring node's
-// 1-based pool index, or 0 for a far-heap or deposited event.
+// insert queues an event. It takes the event's fields, not an event, so a
+// ring insert writes them straight into the node that link returns and
+// builds no event value. It returns the ring node's 1-based pool index, or
+// 0 for a far-heap event.
 //
 //vsnoop:hotpath
 func (e *Engine) insert(at Cycle, key uint64, dom int32, fn HandlerFn, arg interface{}, u uint64) int32 {
-	if e.local != nil && !e.local[dom] {
-		e.deposit(event{at: at, key: key, dom: dom, fn2: fn, arg: arg, u: u})
-		return 0
-	}
 	if at-e.now >= ringSize {
 		e.pushFar(event{at: at, key: key, dom: dom, fn2: fn, arg: arg, u: u})
 		return 0
@@ -394,38 +379,18 @@ func (e *Engine) insert(at Cycle, key uint64, dom int32, fn HandlerFn, arg inter
 	return i
 }
 
-// SetDomains switches the engine to domain mode with nd domains. local
-// marks the domains this engine executes (nil = all); deposit receives
-// events bound elsewhere. Call before any event is scheduled.
-func (e *Engine) SetDomains(nd int, local []bool, deposit func(ev event)) {
+// SetDomains switches the engine to domain mode with nd domains. Call
+// before any event is scheduled.
+func (e *Engine) SetDomains(nd int) {
 	if nd <= 1 {
 		return
 	}
 	e.domSeq = make([]uint64, nd)
-	e.local = local
-	e.deposit = deposit
 }
 
 // SetCurDomain sets the scheduling domain used for events scheduled outside
 // any event handler (machine setup); during execution Step maintains it.
 func (e *Engine) SetCurDomain(d int32) { e.curDom = d }
-
-// push inserts a whole event, a drained mailbox deposit, into the local
-// queue. Like insert it sends an event due ringSize or more cycles ahead to
-// far; so does the unsigned distance of an event due before now, which no
-// correct caller produces, and before still orders it.
-//
-//vsnoop:hotpath
-func (e *Engine) push(ev *event) {
-	if ev.at-e.now >= ringSize {
-		e.pushFar(*ev)
-		return
-	}
-	n, _ := e.link(ev.at, ev.key)
-	next, prev := n.next, n.prev
-	*n = *ev
-	n.next, n.prev = next, prev
-}
 
 // link takes a node from the pool and links it into the bucket of cycle at
 // (due within ringSize cycles) in key order, returning it with only next
@@ -742,8 +707,7 @@ func (e *Engine) RunUntil(limit Cycle) {
 func (e *Engine) RunFor(d Cycle) { e.RunUntil(e.now + d) }
 
 // NextAt returns the timestamp of the earliest pending event; ok is false
-// when the queue is empty. Conservative window synchronization uses it to
-// compute the global lower bound on future work.
+// when the queue is empty.
 func (e *Engine) NextAt() (Cycle, bool) {
 	ev, _ := e.peek()
 	if ev == nil {
@@ -753,8 +717,7 @@ func (e *Engine) NextAt() (Cycle, bool) {
 }
 
 // RunWindow executes events with timestamps strictly below wend under the
-// watchdog, leaving later events queued. It is one shard's work for one
-// conservative synchronization window.
+// watchdog, leaving later events queued.
 func (e *Engine) RunWindow(wend Cycle) error {
 	for {
 		ev, b := e.peek()
@@ -766,5 +729,43 @@ func (e *Engine) RunWindow(wend Cycle) error {
 		}
 		e.fire(b)
 		e.sinceProgress++
+	}
+}
+
+// infCycle bounds a window that never ends.
+const infCycle = Cycle(math.MaxUint64)
+
+// RunWindows executes all queued work under the watchdog, stopping at the
+// first error. With neither onWindow nor maxSteps it is one plain drain.
+// Otherwise it runs in windows: each starts at the earliest pending cycle
+// w and executes the events strictly below w+width. onWindow(w) runs at
+// every window start, with every event below w executed and none at or
+// above; a non-nil error ends the run. maxSteps, when nonzero, fails the
+// run with a StepLimitError at the first window start at or past that many
+// fired events, so the trigger point has window granularity. RunWindows
+// returns the last window start (the final clock without windows).
+func (e *Engine) RunWindows(width Cycle, maxSteps uint64, onWindow func(now Cycle) error) (Cycle, error) {
+	if onWindow == nil && maxSteps == 0 {
+		err := e.RunWindow(infCycle)
+		return e.now, err
+	}
+	var w, wend Cycle // the first window is empty and finds the first event
+	for {
+		if err := e.RunWindow(wend); err != nil {
+			return w, err
+		}
+		at, ok := e.NextAt()
+		if !ok {
+			return w, nil
+		}
+		if maxSteps > 0 && e.Fired() >= maxSteps {
+			return w, &StepLimitError{Limit: maxSteps, Now: w, Pending: e.Pending()}
+		}
+		if onWindow != nil {
+			if err := onWindow(at); err != nil {
+				return w, err
+			}
+		}
+		w, wend = at, at+width
 	}
 }

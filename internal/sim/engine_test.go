@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"errors"
 	"testing"
 	"testing/quick"
 )
@@ -223,5 +224,55 @@ func TestEngineManyEventsStaySorted(t *testing.T) {
 	e.Run()
 	if !ok {
 		t.Fatal("events fired out of time order")
+	}
+}
+
+// TestRunWindows pins the windowed drain: onWindow sees each window start
+// with every earlier event fired and none at or after it, windows start at
+// the earliest pending cycle and span width cycles, and a step bound
+// trips at the first window start past it, with work still queued.
+func TestRunWindows(t *testing.T) {
+	build := func() (*Engine, *[]Cycle) {
+		e := NewEngine()
+		var fired []Cycle
+		for _, at := range []Cycle{3, 4, 9, 30, 31, 32, 80} {
+			e.ScheduleAt(at, func() { fired = append(fired, e.Now()) })
+		}
+		return e, &fired
+	}
+	e, fired := build()
+	var starts []Cycle
+	last, err := e.RunWindows(5, 0, func(now Cycle) error {
+		for _, at := range *fired {
+			if at >= now {
+				t.Fatalf("window %d: event at %d already fired", now, at)
+			}
+		}
+		if at, _ := e.NextAt(); at != now {
+			t.Fatalf("window starts at %d, earliest pending event at %d", now, at)
+		}
+		starts = append(starts, now)
+		return nil
+	})
+	want := []Cycle{3, 9, 30, 80}
+	if err != nil || last != 80 || len(*fired) != 7 || len(starts) != len(want) {
+		t.Fatalf("RunWindows = %d, %v; fired %v, windows %v; want 80, nil, 7 events, windows %v", last, err, *fired, starts, want)
+	}
+	for i := range want {
+		if starts[i] != want[i] {
+			t.Fatalf("windows %v, want %v", starts, want)
+		}
+	}
+
+	e, fired = build()
+	_, err = e.RunWindows(5, 3, nil)
+	var sl *StepLimitError
+	if !errors.As(err, &sl) || sl.Now != 9 || len(*fired) != 3 || sl.Pending != 4 {
+		t.Fatalf("bounded RunWindows = %v after %d events; want a StepLimitError at window 9 with 4 pending after 3", err, len(*fired))
+	}
+
+	e, fired = build()
+	if last, err := e.RunWindows(5, 0, nil); err != nil || last != 80 || len(*fired) != 7 {
+		t.Fatalf("plain RunWindows = %d, %v after %d events; want 80, nil, 7", last, err, len(*fired))
 	}
 }

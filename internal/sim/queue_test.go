@@ -80,7 +80,7 @@ type qModel struct {
 func newQModel(t testing.TB, nd int) *qModel {
 	m := &qModel{t: t, e: NewEngine(), nd: nd}
 	if nd > 1 {
-		m.e.SetDomains(nd, nil, nil)
+		m.e.SetDomains(nd)
 		m.st.domSeq = make([]uint64, nd)
 	}
 	m.fn = m.handle
@@ -182,18 +182,16 @@ func (m *qModel) cancel(i int) {
 	}
 }
 
-// deposit pushes an event the way a mailbox drain does: its key carries a
-// foreign domain prefix (one no local scheduler draws from), so it lands
-// out of key order against the local same-cycle events.
+// deposit schedules an event the way a cross-domain delivery does: drawn
+// under domain src's key counter, through ScheduleFnAtDom, to execute in
+// the current domain. Its key carries src's prefix, so it lands out of key
+// order against the current domain's same-cycle events. In single-domain
+// mode it is a plain schedule.
 func (m *qModel) deposit(delay Cycle, src int) {
-	m.nextID++
-	id := m.nextID
-	dom := int32(src % m.nd)
-	key := uint64(m.nd+src)<<48 | id
-	p := &qPayload{id: id}
-	ev := event{at: m.st.now + delay, key: key, dom: dom, fn2: m.fn, arg: p, u: id}
-	m.add(qEvent{at: ev.at, key: key, dom: dom, id: id, p: p})
-	m.e.push(&ev)
+	cur := m.st.curDom
+	m.setDomain(int32(src % m.nd))
+	m.schedule(delay, cur)
+	m.setDomain(cur)
 }
 
 // handle is every event's handler: it must be the model's earliest event,
@@ -357,7 +355,7 @@ func TestQueueOrderBoundaries(t *testing.T) {
 
 // TestQueueOrderDeterministic replays a fixed pseudo-random op stream in
 // single-domain and domain mode, with the clock crossing the ring many
-// times and deposits of foreign-domain keys.
+// times and events keyed in foreign domains.
 func TestQueueOrderDeterministic(t *testing.T) {
 	for _, nd := range []int{1, 4, 16} {
 		m := newQModel(t, nd)
@@ -418,7 +416,7 @@ func TestPutBackKeepsOrder(t *testing.T) {
 		for _, at := range []Cycle{10, 2000} {
 			e := NewEngine()
 			if nd > 1 {
-				e.SetDomains(nd, nil, nil)
+				e.SetDomains(nd)
 				e.SetCurDomain(2)
 			}
 			var order []string
@@ -456,7 +454,7 @@ func TestPutBackKeepsOrder(t *testing.T) {
 
 // TestFiredEventsReleaseReferences checks that firing and cancelling drop
 // the queue's references to an event's handler and payload: once ring,
-// far, closure-form and deposited events have all fired or been cancelled,
+// far, closure-form and cross-domain events have all fired or been cancelled,
 // every pool node and every spare slot of the far heap's array holds nil
 // fn2 and arg. A stale arg would keep its payload alive, such as a whole
 // token.Msgs chunk.
@@ -466,7 +464,7 @@ func TestFiredEventsReleaseReferences(t *testing.T) {
 		for i, d := range qDelays {
 			m.schedule(d, m.st.curDom)       // ring and far, every 4th a closure
 			m.schedule(d, int32((i+1)%m.nd)) // foreign domain via ScheduleFnAtDom
-			m.deposit(d, i%3)                // mailbox-style push
+			m.deposit(d, i%3)                // keyed in another domain
 		}
 		for i := len(m.st.timers) - 1; i >= 0; i-- {
 			m.cancel(i) // every ring timer; far ones stay and fire

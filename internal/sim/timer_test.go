@@ -126,7 +126,7 @@ func TestCancelTimer(t *testing.T) {
 	// then C between them. Cancelling A must follow the back link C's
 	// insert left it, so B and C still fire, in key order.
 	k := NewEngine()
-	k.SetDomains(3, nil, nil)
+	k.SetDomains(3)
 	k.SetCurDomain(2)
 	tA := k.ScheduleTimer(10, record, nil, 1)
 	k.SetCurDomain(0)
@@ -146,7 +146,7 @@ func TestCancelTimer(t *testing.T) {
 	// a same-cycle timer keyed in domain 0: it orders before the executing
 	// event, yet it is pending, and cancelling it must work.
 	m := NewEngine()
-	m.SetDomains(2, nil, nil)
+	m.SetDomains(2)
 	m.SetCurDomain(1)
 	var early Timer
 	m.ScheduleFnAtDom(5, 0, func(interface{}, uint64) {
@@ -159,18 +159,6 @@ func TestCancelTimer(t *testing.T) {
 	m.Run()
 	if len(order) != 0 || m.Cancelled() != 1 {
 		t.Fatalf("fired %v, cancelled %d; want nothing fired, 1 cancelled", order, m.Cancelled())
-	}
-
-	// A timer scheduled from a domain another engine executes goes to the
-	// deposit sink and names nothing cancellable here.
-	d := NewEngine()
-	var deposited []event
-	d.SetDomains(2, []bool{true, false}, func(ev event) { deposited = append(deposited, ev) })
-	d.SetCurDomain(1)
-	remote := d.ScheduleTimer(3, record, nil, 11)
-	if remote != (Timer{}) || d.CancelTimer(remote) || len(deposited) != 1 || d.Pending() != 0 {
-		t.Fatalf("non-local timer: %+v, %d deposited, %d pending; want the zero Timer, 1, 0",
-			remote, len(deposited), d.Pending())
 	}
 }
 

@@ -144,8 +144,8 @@ func (c *CDF) Observe(v float64) {
 func (c *CDF) N() int { return len(c.vals) }
 
 // Merge folds other's observations into c. The empirical distribution after
-// a merge is order-independent (queries sort), so merging per-shard CDFs in
-// shard order yields the same curve for any shard count.
+// a merge is order-independent (queries sort), so merging per-domain CDFs
+// yields the same curve in any order.
 func (c *CDF) Merge(other *CDF) {
 	if len(other.vals) == 0 {
 		return

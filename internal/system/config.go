@@ -108,23 +108,10 @@ type Config struct {
 	// outstanding before the completion invariant flags it (0 = 500k).
 	TxnAgeLimit sim.Cycle
 
-	// Shards is the number of parallel event-queue shards (0 or 1 = one
-	// worker). Results are bit-identical for every value: the semantic
-	// event ordering is fixed by the config alone (see PlanPartition), and
-	// Shards only chooses how many goroutines execute the computed domains.
-	// Clamped to the planned domain count.
-	Shards int
-
 	// ForceSerial builds the single-queue legacy engine regardless of the
 	// partition plan. Internal knob for benchmarks and differential tests
 	// (not part of the public vsnoop.Config, excluded from Config.Hash).
 	ForceSerial bool
-
-	// NoElision forces the fully-barriered windowed synchronization
-	// protocol on sharded runs: no adaptive free-running, no quiet-window
-	// barrier elision. Results are bit-identical with and without it; the
-	// flag pins the synchronization mode for tests and benchmarks.
-	NoElision bool
 
 	// Cancel, if non-nil, lets another goroutine stop the run early; a
 	// canceled run fails with a sim.CanceledError instead of returning a
@@ -217,20 +204,8 @@ func (c Config) Validate() error {
 			return fmt.Errorf("system: fault event %d targets core %d of %d", i, ev.Core, c.Cores)
 		}
 	}
-	if c.Shards < 0 {
-		return fmt.Errorf("system: negative Shards")
-	}
 	return nil
 }
-
-// Shardable reports whether this configuration runs the domain-partitioned
-// parallel engine: true whenever the topology-aware partition planner
-// (PlanPartition) cuts the mesh into more than one snoop domain. CLIs use
-// it to resolve `-shards auto`; PlannedDomains bounds the useful worker
-// count. The domain decomposition — and therefore the simulated event
-// order — is a pure function of the config, never of Shards, so results
-// are bit-identical for every shard count.
-func (c Config) Shardable() bool { return c.PlanPartition().Domains > 1 }
 
 // PlannedDomains returns the snoop-domain count the partition planner
 // computes for this config (1 = serial legacy engine).

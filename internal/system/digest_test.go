@@ -1,0 +1,362 @@
+package system
+
+import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
+	"reflect"
+	"testing"
+
+	"vsnoop/internal/core"
+	"vsnoop/internal/fault"
+)
+
+// statsEqual compares every exported field of two statistics records,
+// treating the latency sample and removal-period CDF through their summary
+// accessors (their internals hold equivalent but unexported state). Sync is
+// skipped: it reports how events ran (parked, cancelled), not what the
+// simulation computed.
+func statsEqual(t *testing.T, label string, a, b *Stats) {
+	t.Helper()
+	va, vb := reflect.ValueOf(*a), reflect.ValueOf(*b)
+	tp := va.Type()
+	for i := 0; i < tp.NumField(); i++ {
+		f := tp.Field(i)
+		if f.PkgPath != "" || f.Name == "RemovalPeriods" || f.Name == "MissLatency" ||
+			f.Name == "Sync" {
+			continue
+		}
+		if !reflect.DeepEqual(va.Field(i).Interface(), vb.Field(i).Interface()) {
+			t.Errorf("%s: field %s differs: %v vs %v",
+				label, f.Name, va.Field(i).Interface(), vb.Field(i).Interface())
+		}
+	}
+	if a.MissLatency.N() != b.MissLatency.N() || a.MissLatency.Mean() != b.MissLatency.Mean() {
+		t.Errorf("%s: miss latency differs: %d/%v vs %d/%v", label,
+			a.MissLatency.N(), a.MissLatency.Mean(), b.MissLatency.N(), b.MissLatency.Mean())
+	}
+	if removalN(a) != removalN(b) {
+		t.Errorf("%s: removal periods differ: %d vs %d", label, removalN(a), removalN(b))
+	}
+}
+
+// removalN is the sample count of st's removal-period CDF (0 when absent).
+func removalN(st *Stats) int {
+	if st.RemovalPeriods == nil {
+		return 0
+	}
+	return st.RemovalPeriods.N()
+}
+
+// statsDigest hashes the fields statsEqual compares, in the same form: two
+// records that statsEqual accepts have the same digest. EventsFired is
+// among them.
+func statsDigest(st *Stats) string {
+	h := sha256.New()
+	v := reflect.ValueOf(*st)
+	for i := 0; i < v.NumField(); i++ {
+		f := v.Type().Field(i)
+		if f.PkgPath != "" || f.Name == "Sync" {
+			continue
+		}
+		fmt.Fprintf(h, "%s=", f.Name)
+		switch f.Name {
+		case "MissLatency":
+			fmt.Fprintf(h, "%d %v", st.MissLatency.N(), st.MissLatency.Mean())
+		case "RemovalPeriods":
+			fmt.Fprintf(h, "%d", removalN(st))
+		default:
+			fmt.Fprintf(h, "%v", v.Field(i).Interface())
+		}
+		h.Write([]byte{'\n'})
+	}
+	return hex.EncodeToString(h.Sum(nil))[:16]
+}
+
+// digestCase is one partitioned configuration whose statistics are pinned:
+// set adjusts DefaultConfig, and check asserts the run exercised what the
+// case is about. A named case runs under a top-level test of its own,
+// named for the protocol it drives, instead of under TestStatsDigests.
+type digestCase struct {
+	name  string
+	set   func(*Config)
+	check func(t *testing.T, st *Stats)
+	named bool
+}
+
+// statsDigests holds each case's statsDigest. They were captured from the
+// multi-goroutine engine, which produced each of them at K = 1 and K = 4
+// alike, so they pin the one-goroutine engine to that proven event order.
+var statsDigests = map[string]string{
+	"tokenB_vsnoop-broadcast":            "820e8f9293ac10b0",
+	"tokenB_memory-direct":               "820e8f9293ac10b0",
+	"tokenB_intra-VM":                    "820e8f9293ac10b0",
+	"tokenB_friend-VM":                   "820e8f9293ac10b0",
+	"vsnoop-base_vsnoop-broadcast":       "b7ee0ba9ab084394",
+	"vsnoop-base_memory-direct":          "b7ee0ba9ab084394",
+	"vsnoop-base_intra-VM":               "b7ee0ba9ab084394",
+	"vsnoop-base_friend-VM":              "b7ee0ba9ab084394",
+	"counter_vsnoop-broadcast":           "b7ee0ba9ab084394",
+	"counter_memory-direct":              "b7ee0ba9ab084394",
+	"counter_intra-VM":                   "b7ee0ba9ab084394",
+	"counter_friend-VM":                  "b7ee0ba9ab084394",
+	"counter-threshold_vsnoop-broadcast": "b7ee0ba9ab084394",
+	"counter-threshold_memory-direct":    "b7ee0ba9ab084394",
+	"counter-threshold_intra-VM":         "b7ee0ba9ab084394",
+	"counter-threshold_friend-VM":        "b7ee0ba9ab084394",
+	"counter-flush_vsnoop-broadcast":     "b7ee0ba9ab084394",
+	"counter-flush_memory-direct":        "b7ee0ba9ab084394",
+	"counter-flush_intra-VM":             "b7ee0ba9ab084394",
+	"counter-flush_friend-VM":            "b7ee0ba9ab084394",
+	"fault-plan":                         "996952ed7d45d7d9",
+	"hypervisor":                         "b7ee0ba9ab084394",
+	"migration":                          "b7ae9aaaca18dd1e",
+	"storm":                              "dee3bfaea5f8d593",
+	"content-sharing":                    "4565367e86455755",
+	"regionscout":                        "690dc74fd35d738d",
+	"directory":                          "a481640ecc2d2b89",
+	"linear-placement":                   "473da98cd8e3dc30",
+	"fault-events":                       "1665cc307652e0e9",
+	"large-mesh":                         "9927c0822cec02f0",
+	"migration-content":                  "d0c44e58fe728d6e",
+}
+
+// digestCases lists every snoop policy x content policy pair, then the
+// configurations that drive each cross-domain protocol of the partitioned
+// machine: fault plans, hypervisor activity, migration and storms, content
+// sharing, RegionScout, the directory, linear VM placement, scheduled
+// fault events, a 16-domain mesh, and migration over content sharing.
+func digestCases() []digestCase {
+	var cases []digestCase
+	for _, pol := range []core.Policy{core.PolicyBroadcast, core.PolicyBase, core.PolicyCounter,
+		core.PolicyCounterThreshold, core.PolicyCounterFlush} {
+		for _, con := range []core.ContentPolicy{core.ContentBroadcast, core.ContentMemoryDirect,
+			core.ContentIntraVM, core.ContentFriendVM} {
+			pol, con := pol, con
+			cases = append(cases, digestCase{name: fmt.Sprintf("%v_%v", pol, con), set: func(c *Config) {
+				c.RefsPerVCPU, c.WarmupRefs = 1200, 200
+				c.Filter.Policy, c.Filter.Content = pol, con
+			}})
+		}
+	}
+	storms := func(t *testing.T, st *Stats) {
+		if st.StormRelocations == 0 {
+			t.Error("storms relocated nothing")
+		}
+	}
+	return append(cases,
+		digestCase{name: "fault-plan", set: func(c *Config) {
+			c.RefsPerVCPU, c.WarmupRefs = 1500, 300
+			c.Filter.Policy = core.PolicyCounter
+			c.NoHypervisor = true
+			c.Fault = fault.Moderate(7)
+		}, check: func(t *testing.T, st *Stats) {
+			if st.FaultsDropped == 0 && st.FaultsBounced == 0 && st.FaultsDelayed == 0 {
+				t.Error("fault plan injected nothing")
+			}
+			if st.InvariantChecks == 0 {
+				t.Error("checker never ran")
+			}
+		}},
+		digestCase{name: "hypervisor", set: func(c *Config) {
+			c.RefsPerVCPU, c.WarmupRefs = 1200, 200
+			c.NoHypervisor = false
+		}},
+		digestCase{name: "migration", named: true, set: func(c *Config) {
+			c.RefsPerVCPU = 1000
+			c.MigrationPeriodMs, c.CyclesPerMs = 2, 12000
+		}, check: func(t *testing.T, st *Stats) {
+			if st.Relocations == 0 || st.MapSyncs == 0 {
+				t.Errorf("%d relocations synchronized %d VM maps", st.Relocations, st.MapSyncs)
+			}
+		}},
+		digestCase{name: "storm", set: func(c *Config) {
+			c.RefsPerVCPU, c.WarmupRefs = 3000, 400
+			c.Filter.Policy = core.PolicyCounter
+			c.MigrationPeriodMs, c.CyclesPerMs = 2, 12000
+			c.Fault = fault.Moderate(13)
+			c.Fault.Events = append(c.Fault.Events,
+				fault.Event{At: 20000, Kind: fault.EvMigrationStorm, Count: 6},
+				fault.Event{At: 60000, Kind: fault.EvMigrationStorm, Count: 6})
+		}, check: storms},
+		digestCase{name: "content-sharing", named: true, set: func(c *Config) {
+			c.RefsPerVCPU, c.WarmupRefs = 1200, 200
+			c.ContentSharing = true
+			c.Filter.Policy, c.Filter.Content = core.PolicyCounter, core.ContentFriendVM
+		}, check: func(t *testing.T, st *Stats) {
+			if st.L1AccessesContent == 0 {
+				t.Error("content-sharing run touched no content pages")
+			}
+			if st.HolderMemory+st.HolderIntraVM+st.HolderFriend+st.HolderOther == 0 {
+				t.Error("no holder classifications recorded")
+			}
+		}},
+		digestCase{name: "regionscout", named: true, set: func(c *Config) {
+			c.RefsPerVCPU, c.WarmupRefs = 1200, 200
+			c.UseRegionScout = true
+		}, check: func(t *testing.T, st *Stats) {
+			if st.RegionBroadcasts == 0 {
+				t.Error("RegionScout issued no broadcasts")
+			}
+		}},
+		digestCase{name: "directory", named: true, set: func(c *Config) {
+			c.RefsPerVCPU, c.WarmupRefs = 1200, 200
+			c.Directory = true
+		}, check: func(t *testing.T, st *Stats) {
+			if st.DirLookups == 0 {
+				t.Error("directory saw no lookups")
+			}
+		}},
+		digestCase{name: "linear-placement", named: true, set: func(c *Config) {
+			c.RefsPerVCPU, c.WarmupRefs = 1200, 200
+			c.LinearPlacement = true
+		}},
+		digestCase{name: "fault-events", named: true, set: func(c *Config) {
+			c.RefsPerVCPU, c.WarmupRefs = 1500, 300
+			c.NoHypervisor = false
+			c.Filter.Policy = core.PolicyCounterThreshold
+			c.Fault = &fault.Plan{Seed: 21, Events: []fault.Event{
+				{At: 15000, Kind: fault.EvCorruptMap, VM: 1, Core: 5},
+				{At: 25000, Kind: fault.EvCorruptCounter, VM: 2, Core: 9, Count: 3},
+				{At: 35000, Kind: fault.EvMigrationStorm, Count: 4},
+				{At: 55000, Kind: fault.EvMigrationStorm, Count: 4},
+			}}
+		}, check: func(t *testing.T, st *Stats) {
+			if st.MapCorruptions != 1 || st.CounterCorruptions != 1 {
+				t.Errorf("corruption events lost: map=%d counter=%d", st.MapCorruptions, st.CounterCorruptions)
+			}
+			storms(t, st)
+		}},
+		digestCase{name: "large-mesh", named: true, set: func(c *Config) {
+			c.Cores, c.Mesh.Width, c.Mesh.Height, c.VMs = 64, 8, 8, 16
+			c.RefsPerVCPU, c.WarmupRefs = 400, 100
+		}},
+		digestCase{name: "migration-content", named: true, set: func(c *Config) {
+			c.RefsPerVCPU, c.WarmupRefs = 1000, 200
+			c.ContentSharing = true
+			c.Filter.Content = core.ContentIntraVM
+			c.MigrationPeriodMs, c.CyclesPerMs = 2, 12000
+		}, check: func(t *testing.T, st *Stats) {
+			if st.Relocations == 0 || st.L1AccessesContent == 0 {
+				t.Errorf("%d relocations, %d content-page accesses", st.Relocations, st.L1AccessesContent)
+			}
+		}},
+	)
+}
+
+// TestStatsDigests runs every digestCase that has no test of its own and
+// requires its pinned statistics digest, so any change to the simulated
+// event order of the partitioned machine, down to EventsFired, fails here
+// by name.
+func TestStatsDigests(t *testing.T) {
+	cases := digestCases()
+	if len(cases) != len(statsDigests) {
+		t.Fatalf("%d cases, %d pinned digests", len(cases), len(statsDigests))
+	}
+	for _, tc := range cases {
+		if tc.named {
+			continue
+		}
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
+			t.Parallel()
+			runDigestCase(t, tc)
+		})
+	}
+}
+
+// runNamedDigestCase runs the named digestCase called name.
+func runNamedDigestCase(t *testing.T, name string) *Stats {
+	t.Helper()
+	t.Parallel()
+	for _, tc := range digestCases() {
+		if tc.name == name {
+			if !tc.named {
+				t.Fatalf("case %s is not named; TestStatsDigests runs it", name)
+			}
+			return runDigestCase(t, tc)
+		}
+	}
+	t.Fatalf("no digest case %s", name)
+	return nil
+}
+
+// runDigestCase runs tc on a partitioned machine, requires a clean checked
+// run and tc's own check, and compares the statistics with the pinned
+// digest.
+func runDigestCase(t *testing.T, tc digestCase) *Stats {
+	t.Helper()
+	cfg := DefaultConfig()
+	tc.set(&cfg)
+	if d := cfg.PlanPartition().Domains; d <= 1 {
+		t.Fatalf("planned %d domain(s); the case must run partitioned", d)
+	}
+	m, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := m.RunChecked()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.CheckFilterInvariant(); err != nil {
+		t.Fatalf("filter invariant violated: %v", err)
+	}
+	if len(st.InvariantViolations) != 0 {
+		t.Fatalf("invariants violated: %v", st.InvariantViolations)
+	}
+	if tc.check != nil {
+		tc.check(t, st)
+	}
+	if got, want := statsDigest(st), statsDigests[tc.name]; got != want {
+		t.Errorf("statistics digest %s, pinned %s (EventsFired %d)", got, want, st.EventsFired)
+	}
+	return st
+}
+
+// TestMigrationBitIdentical pins runtime vCPU migration: the shuffler runs
+// as a machine-owned dom0 tick and every relocation is an ordered
+// depart/arrive/ack transaction between domains.
+func TestMigrationBitIdentical(t *testing.T) { runNamedDigestCase(t, "migration") }
+
+// TestContentSharingBitIdentical pins the content-shared page machinery —
+// per-domain COW overlays onto preallocated targets, domain-local provider
+// designation, and the cross-domain holder-classification probes — under
+// the friend-VM snoop policy that consumes all of it.
+func TestContentSharingBitIdentical(t *testing.T) { runNamedDigestCase(t, "content-sharing") }
+
+// TestRegionScoutBitIdentical pins the per-domain RegionScout router: NSRT
+// and presence state owned per domain, remote regions consulted via probe
+// events.
+func TestRegionScoutBitIdentical(t *testing.T) { runNamedDigestCase(t, "regionscout") }
+
+// TestDirectoryBitIdentical pins the directory protocol: home state is owned
+// by the MC's domain, and per-domain home counters fold into the run totals.
+func TestDirectoryBitIdentical(t *testing.T) { runNamedDigestCase(t, "directory") }
+
+// TestLinearPlacementBitIdentical pins VM placements that span domains:
+// linear (row-major) placement puts VM 1 and VM 3 across the planner's cut,
+// so the run needs replicated filter state even without migration.
+func TestLinearPlacementBitIdentical(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.LinearPlacement = true
+	if plan := cfg.PlanPartition(); !cfg.needSync(plan) && plan.SpansVM {
+		t.Fatal("spanning plan did not require synchronized filter state")
+	}
+	runNamedDigestCase(t, "linear-placement")
+}
+
+// TestFaultEventsBitIdentical pins scheduled fault events with hypervisor
+// activity layered in: map and counter corruption fan out from domain 0 as
+// replica deltas and domain-local sub-events, and migration storms run as
+// ordered cross-domain relocations.
+func TestFaultEventsBitIdentical(t *testing.T) { runNamedDigestCase(t, "fault-events") }
+
+// TestLargeMeshBitIdentical pins an 8x8 mesh with 16 VMs placed linearly,
+// for which the planner must find a multi-domain guillotine cut.
+func TestLargeMeshBitIdentical(t *testing.T) { runNamedDigestCase(t, "large-mesh") }
+
+// TestMigrationContentCombined is the everything-at-once pin: periodic
+// migration over content-shared pages, so relocation transactions, COW
+// overlays, holder probes, and filter deltas all interleave.
+func TestMigrationContentCombined(t *testing.T) { runNamedDigestCase(t, "migration-content") }

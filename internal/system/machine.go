@@ -82,7 +82,7 @@ type vcpu struct {
 	// stream is strictly sequential, so at most one is ever outstanding.
 	pending workload.Ref
 
-	// Cross-shard migration state (syncMode only). inTxn marks an open
+	// Cross-domain migration state (syncMode only). inTxn marks an open
 	// coherence transaction: a depart arriving mid-transaction is deferred
 	// (defFrom/defTo) until the completion callback. parked marks membership
 	// in a core's waitq; done marks a finished stream (migrating a retired
@@ -112,16 +112,14 @@ type vcpu struct {
 
 // domain is one snoop-domain partition of the machine: the cores the
 // graph-cut planner assigned to it, the memory controllers at its corners,
-// the engine that executes its events, and the run-time statistics its
-// events record. A single-domain configuration has exactly one domain
-// covering the whole machine, driven by the single legacy engine — the hot
-// paths read state through the domain either way, so serial runs pay no
-// branch for sharding support.
+// and the run-time statistics its events record. A single-domain
+// configuration has exactly one domain covering the whole machine — the hot
+// paths read state through the domain either way, so legacy runs pay no
+// branch for partitioning.
 //
 //vsnoop:owned
 type domain struct {
-	idx   int32       //vsnoop:owned const
-	eng   *sim.Engine //vsnoop:owned const
+	idx   int32 //vsnoop:owned const
 	st    *Stats
 	cores []int // core indexes owned by this domain
 	mcs   []int // token memory-controller indexes owned by this domain
@@ -169,8 +167,9 @@ type Machine struct {
 	// fault plan is configured).
 	Checker *check.Checker
 	ledger  *check.Ledger
-	// ledgers holds one token-custody ledger per domain in sharded mode, so
-	// custody observations stay shard-local (conservation sums them).
+	// ledgers holds one token-custody ledger per domain in partitioned
+	// mode, so custody observations stay domain-local (conservation sums
+	// them).
 	ledgers []*check.Ledger
 
 	dom0 mem.VMID
@@ -178,26 +177,26 @@ type Machine struct {
 	Stats Stats
 
 	// plan is the graph-cut snoop-domain partition computed for this config;
-	// crossHor holds the per-domain cross-shard horizons the mesh derived
-	// from the cut (nil in legacy mode).
+	// crossHor holds the per-domain cross-domain horizons the mesh derived
+	// from the cut (nil in legacy mode): the delay of every cross-domain
+	// protocol event the machine schedules itself.
 	plan     partition.Plan
 	crossHor []sim.Cycle
 
 	// doms holds the snoop-domain partitions (one covering everything in
-	// legacy mode, the planner's cut in sharded mode); sharded is the
-	// parallel engine driving them (nil in legacy mode).
-	doms    []*domain //vsnoop:owned table
-	sharded *sim.ShardedEngine
-	// chkNow is the window-boundary clock published to the invariant
-	// checker in sharded runs (written by the barrier leader, read by the
-	// checker on the same goroutine).
+	// legacy mode, the planner's cut in partitioned mode); partitioned
+	// reports whether the planner cut the machine.
+	doms        []*domain //vsnoop:owned table
+	partitioned bool
+	// chkNow is the window-start clock published to the invariant checker
+	// in partitioned runs.
 	chkNow sim.Cycle
 
 	// syncMode marks a partitioned run whose filter state mutates at
 	// runtime (vCPU migration, a VM spanning domains, scheduled fault
 	// events): the machine builds one filter replica per domain and keeps
-	// them coherent with ordered cross-shard deltas. running distinguishes
-	// runtime relocations (cross-shard protocol) from setup placement.
+	// them coherent with ordered cross-domain deltas. running distinguishes
+	// runtime relocations (cross-domain protocol) from setup placement.
 	syncMode bool
 	running  bool
 	// replicas holds the per-domain filter replicas in syncMode (nil
@@ -210,12 +209,11 @@ type Machine struct {
 	// making the target a pure function of the config.
 	cowTargets map[uint64]mem.HostPage
 	// friendOf/hasFriend are the static post-merge friend tables used by
-	// partitioned holder classification (the global mem.Manager is never
-	// consulted from domain goroutines at runtime).
+	// partitioned holder classification.
 	friendOf  []mem.VMID
 	hasFriend []bool
 
-	// inflight marks vCPUs with an open cross-shard migration (indexed by
+	// inflight marks vCPUs with an open cross-domain migration (indexed by
 	// vcpuIndex); the shuffler and storms skip them so at most one move per
 	// vCPU is ever in the air. retired counts finished vCPUs observed by
 	// dom0 so the recurring shuffle tick knows when to stop rescheduling.
@@ -224,15 +222,13 @@ type Machine struct {
 	shufRng    *sim.Rand
 	shufPeriod sim.Cycle
 
-	// own/fwd are the flat per-domain vCPU location tables of sharded mode
-	// (nil in legacy): own[d*nv+vix] reports whether domain d currently owns
-	// vCPU vix, and fwd[d*nv+vix] is where d last sent it. Row d is written
-	// exclusively by domain d's handlers — depart clears own and points fwd
-	// at the destination, arrive sets both — so every shard reads only rows
-	// it owns and the event-chase path hops along fwd one domain at a time.
-	// Chasing through these rows instead of the vCPU's dom pointer (which
-	// the destination shard may be rewriting concurrently) makes the chase
-	// both race-free and a pure function of simulated time.
+	// own/fwd are the flat per-domain vCPU location tables of partitioned
+	// mode (nil in legacy): own[d*nv+vix] reports whether domain d currently
+	// owns vCPU vix, and fwd[d*nv+vix] is where d last sent it. Row d is
+	// written exclusively by domain d's handlers — depart clears own and
+	// points fwd at the destination, arrive sets both — and the event-chase
+	// path hops along fwd one domain at a time, one cross-domain horizon
+	// per hop.
 	own []bool  //vsnoop:owned table
 	fwd []int32 //vsnoop:owned table
 	nv  int
@@ -241,7 +237,7 @@ type Machine struct {
 	// hottest schedulers (per-reference think-time step, delayed reference
 	// resumption, coherence-miss completion); the vCPU rides in the event's
 	// arg, so none allocates. The rest are the prebound handlers of the
-	// cross-shard protocols.
+	// cross-domain protocols.
 	stepFn        sim.HandlerFn
 	resumeFn      sim.HandlerFn
 	missDoneFn    sim.HandlerFn
@@ -264,48 +260,31 @@ func New(cfg Config) (*Machine, error) {
 	}
 	m := &Machine{cfg: cfg, node2i: make(map[mesh.NodeID]int)}
 
-	// Engine topology. The graph-cut planner fixes the snoop-domain
-	// decomposition as a pure function of the config — Shards only picks how
-	// many goroutines execute the domains (domain d runs on shard d mod K),
-	// so results are bit-identical for every K. A single-domain plan keeps
-	// the legacy engine as its one whole-machine domain.
+	// Domain topology. The graph-cut planner fixes the snoop-domain
+	// decomposition as a pure function of the config; every event carries
+	// its domain, and same-cycle ties break by (scheduling domain,
+	// per-domain order). A single-domain plan keeps the legacy engine as
+	// its one whole-machine domain.
 	plan := cfg.PlanPartition()
 	m.plan = plan
+	m.Eng = sim.NewEngine()
 	if plan.Domains > 1 {
-		nd := plan.Domains
-		k := cfg.Shards
-		if k < 1 {
-			k = 1
-		}
-		if k > nd {
-			k = nd
-		}
-		domShard := make([]int, nd)
-		for d := range domShard {
-			domShard[d] = d % k
-		}
-		// Lookahead: any cross-domain message crosses at least one mesh hop
-		// (router + link + one flit), and fault delays only add latency.
-		lookahead := cfg.Mesh.RouterDelay + cfg.Mesh.LinkDelay + 1
-		m.sharded = sim.NewSharded(domShard, lookahead)
-		m.Eng = m.sharded.Eng(0)
-		for d := 0; d < nd; d++ {
-			m.doms = append(m.doms, &domain{
-				idx: int32(d), eng: m.sharded.Eng(domShard[d]), st: &Stats{cfg: cfg.sansControl()},
-			})
+		m.partitioned = true
+		m.Eng.SetDomains(plan.Domains)
+		for d := 0; d < plan.Domains; d++ {
+			m.doms = append(m.doms, &domain{idx: int32(d), st: &Stats{cfg: cfg.sansControl()}})
 		}
 	} else {
-		m.Eng = sim.NewEngine()
-		m.doms = []*domain{{idx: 0, eng: m.Eng, st: &m.Stats}}
+		m.doms = []*domain{{idx: 0, st: &m.Stats}}
 	}
-	m.syncMode = m.sharded != nil && cfg.needSync(plan)
+	m.syncMode = m.partitioned && cfg.needSync(plan)
 
 	// stepFn/resumeFn carry the scheduled domain index in u: when a migrated
 	// vCPU's event fires in a domain that no longer owns it, the handler
-	// chases it along the fwd table through the deposit path (which preserves
-	// the lookahead discipline). The ownership test reads only row u of the
-	// own table — state the executing shard itself writes. Legacy runs have
-	// no own table and never chase.
+	// chases it along the fwd table, one cross-domain horizon per hop. The
+	// ownership test reads only row u of the own table — state the
+	// executing domain itself writes. Legacy runs have no own table and
+	// never chase.
 	m.stepFn = func(arg interface{}, u uint64) {
 		v := arg.(*vcpu)
 		if m.own != nil && !m.own[int(u)*m.nv+v.vix] {
@@ -358,7 +337,7 @@ func New(cfg Config) (*Machine, error) {
 	// partition so intra-domain traffic keeps full contention while
 	// cross-domain messages are delivered at zero-load latency into the
 	// destination domain's queue.
-	if m.sharded != nil {
+	if m.partitioned {
 		for i := 0; i < cfg.Cores; i++ {
 			d := plan.CoreDom[i]
 			m.doms[d].cores = append(m.doms[d].cores, i)
@@ -378,18 +357,8 @@ func New(cfg Config) (*Machine, error) {
 		for i := 0; i < cfg.MCs; i++ {
 			nodeDom[mcNodes[i]] = plan.MCDom[i]
 		}
-		engs := make([]*sim.Engine, len(m.doms))
-		for d, dom := range m.doms {
-			engs[d] = dom.eng
-		}
-		m.Net.Partition(nodeDom, engs)
-		// Hand the partition's per-domain cross-traffic horizons to the
-		// sharded engine: adaptive-mode output lookaheads tighter than (or
-		// equal to) the global one. NoElision pins the fully-barriered
-		// windowed protocol instead.
+		m.Net.Partition(nodeDom, len(m.doms))
 		m.crossHor = m.Net.CrossHorizons()
-		m.sharded.SetDomainLookahead(m.crossHor)
-		m.sharded.DisableElision = cfg.NoElision
 	} else {
 		d := m.doms[0]
 		for i := 0; i < cfg.Cores; i++ {
@@ -406,17 +375,15 @@ func New(cfg Config) (*Machine, error) {
 
 	// Caches + filter. In syncMode the filter's register file is replicated
 	// per domain: each replica owns the residence callbacks of its domain's
-	// caches, reads its own domain's clock, and propagates its authoritative
-	// map removals to the other replicas as ordered cross-shard deltas.
+	// caches, and propagates its authoritative map removals to the other
+	// replicas as ordered cross-domain deltas.
 	// Outside syncMode every VM's state is written from one domain only, so
 	// the single shared filter stays safe.
 	l2s := make([]*cache.Cache, cfg.Cores)
 	for i := range l2s {
 		l2s[i] = cache.New(cfg.L2)
 	}
-	// Each domain's L2s share one holder bitset. A domain's caches are
-	// written only by the goroutine executing it, so no bitset is ever
-	// written from two shards.
+	// Each domain's L2s share one holder bitset.
 	for _, d := range m.doms {
 		h := cache.NewHolders(len(d.cores))
 		for j, ci := range d.cores {
@@ -426,7 +393,7 @@ func New(cfg Config) (*Machine, error) {
 	if m.syncMode {
 		m.replicas = make([]*core.Filter, len(m.doms))
 		for d := range m.doms {
-			m.replicas[d] = core.NewFilterScoped(m.doms[d].eng, cfg.Filter, coreNodes, l2s, m.doms[d].cores)
+			m.replicas[d] = core.NewFilterScoped(m.Eng, cfg.Filter, coreNodes, l2s, m.doms[d].cores)
 		}
 		m.Filter = m.replicas[0]
 		for d := range m.replicas {
@@ -448,7 +415,7 @@ func New(cfg Config) (*Machine, error) {
 		cn := &coreNode{idx: i, node: coreNodes[i], dom: m.domOfCore(i), l2: l2s[i], l1: cache.New(cfg.L1), tlb: tlb.New(cfg.TLB)}
 		if cfg.Directory {
 			cn.dctrl = &directory.CacheCtrl{
-				Eng: cn.dom.eng, Net: m.Net, Node: coreNodes[i], Core: i,
+				Eng: m.Eng, Net: m.Net, Node: coreNodes[i], Core: i,
 				L2: cn.l2, P: dirParams, Tokens: cfg.P.TotalTokens,
 				Homes: mcNodes,
 			}
@@ -462,15 +429,15 @@ func New(cfg Config) (*Machine, error) {
 				}
 			}
 			cn.ctrl = &token.CacheCtrl{
-				Eng: cn.dom.eng, Net: m.Net, Node: coreNodes[i], Core: i,
+				Eng: m.Eng, Net: m.Net, Node: coreNodes[i], Core: i,
 				L2: cn.l2, P: cfg.P, Router: m.filterOf(cn.dom),
 				AllCores: others, MCNodes: mcNodes,
 				Rng: sim.NewRandTagged(cfg.Seed, fmt.Sprintf("ctrl%d", i)),
 			}
 			cn.ctrl.Init()
-			if m.sharded != nil {
+			if m.partitioned {
 				// Provider designation stays domain-local: the fill scan
-				// reads only caches this domain's goroutine owns.
+				// reads only this domain's caches.
 				dom := cn.dom
 				cn.ctrl.OnFill = func(b *cache.Block, t *token.Txn) { m.onFillDom(dom, b, t) }
 			} else {
@@ -492,52 +459,40 @@ func New(cfg Config) (*Machine, error) {
 	// the L1-inclusion hooks so its presence tracking chains with them.
 	if cfg.UseRegionScout {
 		m.rs = regionscout.New(regionscout.DefaultConfig(), coreNodes, l2s)
-		if m.sharded != nil {
+		if m.partitioned {
 			// Domain-owned NSRTs and presence maps: remote domains are
-			// consulted through probe events under the same lookahead
-			// discipline as the mesh.
+			// consulted through probe events one cross-domain horizon away.
 			domCores := make([][]int, len(m.doms))
-			domEng := make([]*sim.Engine, len(m.doms))
 			for d, dom := range m.doms {
 				domCores[d] = dom.cores
-				domEng[d] = dom.eng
 			}
-			m.rs.Partition(plan.CoreDom, domCores, domEng, m.crossHor)
+			m.rs.Partition(plan.CoreDom, domCores, m.Eng, m.crossHor)
 		}
 		for _, cn := range m.cores {
 			cn.ctrl.Router = m.rs
 		}
 	}
 
-	// Memory-side controllers: directory homes or token homes, each driven
-	// by the engine of the domain the planner assigned its corner to.
+	// Memory-side controllers: directory homes or token homes.
 	if cfg.Directory {
 		for i := 0; i < cfg.MCs; i++ {
-			hEng := m.Eng
-			if m.sharded != nil {
-				hEng = m.doms[plan.MCDom[i]].eng
-			}
-			h := &directory.Home{Eng: hEng, Net: m.Net, Node: mcNodes[i], P: dirParams}
+			h := &directory.Home{Eng: m.Eng, Net: m.Net, Node: mcNodes[i], P: dirParams}
 			h.Init()
 			m.Net.SetHandler(mcNodes[i], h.Handle)
 			m.homes = append(m.homes, h)
 		}
 	} else {
 		for i := 0; i < cfg.MCs; i++ {
-			mcEng := m.Eng
 			var oracle token.Oracle = m
-			if m.sharded != nil {
-				md := m.doms[plan.MCDom[i]]
-				mcEng = md.eng
+			if m.partitioned {
 				// The provider oracle scans only the MC's own domain's
 				// caches: a missed remote provider is a safe false negative
-				// (one extra DRAM read), and the answer is a pure function
-				// of the partition, never of the shard interleaving.
-				oracle = domOracle{m: m, d: md}
+				// (one extra DRAM read).
+				oracle = domOracle{m: m, d: m.doms[plan.MCDom[i]]}
 			}
 			// The controller homes the blocks the cache controllers'
 			// HomeMC interleaving sends it: addr % MCs == i.
-			mc := &memctrl.Ctrl{Eng: mcEng, Net: m.Net, Node: mcNodes[i], P: cfg.P,
+			mc := &memctrl.Ctrl{Eng: m.Eng, Net: m.Net, Node: mcNodes[i], P: cfg.P,
 				AllCaches: coreNodes, Oracle: oracle,
 				Interleave: uint64(cfg.MCs), Residue: uint64(i)}
 			mc.Init()
@@ -549,7 +504,7 @@ func New(cfg Config) (*Machine, error) {
 	// Hypervisor relocation hook keeps the filter's maps (and the vCPU's
 	// cached core index) current; on an untagged TLB a vCPU switch also
 	// flushes the new core's TLB. At runtime in syncMode the move instead
-	// becomes an ordered cross-shard transaction (beginMove): depart in the
+	// becomes an ordered cross-domain transaction (beginMove): depart in the
 	// old domain, arrive in the new one, registration deltas everywhere.
 	m.Mapper.OnRelocate = func(id hv.VCPU, from, to int) {
 		if m.running && m.syncMode {
@@ -606,10 +561,10 @@ func New(cfg Config) (*Machine, error) {
 	if cfg.Fault.Active() && !cfg.Directory {
 		m.Injector = fault.NewInjector(cfg.Fault, cfg.Seed)
 		m.Injector.Attach(m.Net, mcNodes)
-		if m.sharded != nil {
+		if m.partitioned {
 			// Per-source-node fault streams: each endpoint's faults draw
 			// from its own seeded sequence, consumed in that endpoint's
-			// deterministic send order — reproducible for any shard count.
+			// send order.
 			m.Injector.EnablePerNode(cfg.Cores + cfg.MCs)
 		}
 		if m.replicas != nil {
@@ -627,7 +582,7 @@ func New(cfg Config) (*Machine, error) {
 		if m.syncMode {
 			// Scheduled events run in domain 0 (single writer for the
 			// injector's event counters) and fan out to the target domains
-			// through the deposit path.
+			// one cross-domain horizon later.
 			m.scheduleFaultEvents()
 		} else {
 			m.Injector.ScheduleEvents(m.Eng, fault.EventHooks{
@@ -651,12 +606,12 @@ func New(cfg Config) (*Machine, error) {
 		if ageLimit == 0 {
 			ageLimit = 500_000
 		}
-		if m.sharded != nil {
+		if m.partitioned {
 			// One token-custody ledger per domain: controllers report to
 			// their own domain's ledger (per-ledger balances may go negative
 			// on cross-domain transfers; conservation sums across ledgers).
-			// The checker runs at window boundaries on the barrier leader —
-			// every shard quiesced — against the published window clock.
+			// The checker runs at window starts against the published
+			// window clock.
 			m.ledgers = make([]*check.Ledger, len(m.doms))
 			for d := range m.ledgers {
 				m.ledgers[d] = check.NewLedger()
@@ -692,12 +647,12 @@ func New(cfg Config) (*Machine, error) {
 	m.parkSnoops(false)
 	m.setupVMs()
 
-	// Sharded post-setup wiring. Page allocation must not depend on the
-	// shard interleaving of first touches; COW targets are preallocated so
-	// a trap never mutates global page tables; (under faults) each VM's
-	// degradation machinery is confined to its owning domain's caches and
-	// clock. Every vCPU then joins the domain its core was cut into.
-	if m.sharded != nil {
+	// Partitioned post-setup wiring. Pages are allocated up front, not at
+	// first touch; COW targets are preallocated so a trap never mutates
+	// global page tables; (under faults) each VM's degradation machinery is
+	// confined to its owning domain's caches. Every vCPU then joins the
+	// domain its core was cut into.
+	if m.partitioned {
 		m.MM.PreallocateAll()
 		if cfg.ContentSharing {
 			m.cowTargets = m.MM.PrepareCowTargets()
@@ -710,7 +665,7 @@ func New(cfg Config) (*Machine, error) {
 			if m.replicas != nil {
 				for d, rep := range m.replicas {
 					for q := 0; q < cfg.VMs; q++ {
-						rep.SetVMScope(mem.VMID(q), m.doms[d].cores, m.doms[d].eng)
+						rep.SetVMScope(mem.VMID(q), m.doms[d].cores)
 					}
 				}
 			} else {
@@ -719,12 +674,12 @@ func New(cfg Config) (*Machine, error) {
 					// (needSync would be true otherwise), so scope its
 					// degradation machinery to that domain alone.
 					hd := m.domOfCore(m.Mapper.CoreOf(hv.VCPU{VM: mem.VMID(q), Idx: 0}))
-					m.Filter.SetVMScope(mem.VMID(q), hd.cores, hd.eng)
+					m.Filter.SetVMScope(mem.VMID(q), hd.cores)
 				}
 			}
 		}
 	}
-	if m.sharded != nil {
+	if m.partitioned {
 		m.nv = len(m.vcpus)
 		m.own = make([]bool, len(m.doms)*m.nv)
 		m.fwd = make([]int32, len(m.doms)*m.nv)
@@ -750,7 +705,7 @@ func New(cfg Config) (*Machine, error) {
 // transaction's timeout never runs either: the checker sweeps at window
 // starts, which a run's trailing timeouts can set.
 func (m *Machine) parkSnoops(shadow bool) {
-	if m.sharded == nil || m.Injector != nil || m.cfg.MaxSteps > 0 || m.cfg.Directory {
+	if !m.partitioned || m.Injector != nil || m.cfg.MaxSteps > 0 || m.cfg.Directory {
 		return
 	}
 	for _, cn := range m.cores {
@@ -766,7 +721,7 @@ func (m *Machine) parkSnoops(shadow bool) {
 // and again when a partitioned run starts, so placement changes between the
 // two (tests relocating by hand) cannot leave the tables stale.
 func (m *Machine) initLocationTables() {
-	if m.sharded == nil {
+	if !m.partitioned {
 		return
 	}
 	for _, d := range m.doms {
@@ -784,7 +739,7 @@ func (m *Machine) initLocationTables() {
 
 // domOfCore returns the domain owning core i (per the computed cut).
 func (m *Machine) domOfCore(i int) *domain {
-	if m.sharded == nil {
+	if !m.partitioned {
 		return m.doms[0]
 	}
 	return m.doms[m.plan.CoreDom[i]]
@@ -942,8 +897,8 @@ func (m *Machine) Run() *Stats {
 // Stats are valid even on error — they describe the run up to the failure,
 // which is exactly what a livelock diagnosis needs.
 func (m *Machine) RunChecked() (*Stats, error) {
-	if m.sharded != nil {
-		return m.runSharded()
+	if m.partitioned {
+		return m.runPartitioned()
 	}
 	cfg := m.cfg
 	if cfg.MigrationPeriodMs > 0 {
@@ -983,21 +938,17 @@ func (m *Machine) RunChecked() (*Stats, error) {
 	return &m.Stats, err
 }
 
-// runSharded executes a domain-partitioned run on the parallel engine:
-// conservative window synchronization over the per-domain event queues,
-// with the invariant checker driven at window boundaries (every shard
-// quiesced) instead of by self-scheduled engine events. The semantic event
-// ordering is fixed by the domain partition, so any shard count — including
-// the degenerate K=1 — produces identical results.
-func (m *Machine) runSharded() (*Stats, error) {
+// runPartitioned executes a domain-partitioned run, with the invariant
+// checker and the step budget driven at window starts (Engine.RunWindows)
+// instead of by self-scheduled engine events.
+func (m *Machine) runPartitioned() (*Stats, error) {
 	cfg := m.cfg
 	limit := cfg.ProgressLimit
 	if limit == 0 {
 		limit = 10_000_000
 	}
-	m.sharded.SetProgressLimit(limit)
-	m.sharded.SetCancel(cfg.Cancel)
-	m.sharded.MaxSteps = cfg.MaxSteps
+	m.Eng.SetProgressLimit(limit)
+	m.Eng.SetCancel(cfg.Cancel)
 	m.initLocationTables()
 	m.running = true
 	if m.syncMode {
@@ -1005,12 +956,11 @@ func (m *Machine) runSharded() (*Stats, error) {
 		if cfg.MigrationPeriodMs > 0 {
 			// The machine owns the shuffle tick in partitioned runs: it
 			// runs in domain 0 (single writer for the mapper and the RNG)
-			// and every move it triggers becomes a cross-shard transaction.
+			// and every move it triggers becomes a cross-domain transaction.
 			m.shufRng = sim.NewRandTagged(cfg.Seed, "shuffle")
 			m.shufPeriod = sim.Cycle(cfg.MigrationPeriodMs * float64(cfg.CyclesPerMs))
-			eng := m.doms[0].eng
-			eng.SetCurDomain(0)
-			eng.ScheduleFn(m.shufPeriod, m.tickFn, nil, 0)
+			m.Eng.SetCurDomain(0)
+			m.Eng.ScheduleFn(m.shufPeriod, m.tickFn, nil, 0)
 		}
 	}
 	for _, d := range m.doms {
@@ -1022,16 +972,17 @@ func (m *Machine) runSharded() (*Stats, error) {
 		}
 	}
 	for i, v := range m.vcpus {
-		v.dom.eng.SetCurDomain(v.dom.idx)
-		v.dom.eng.ScheduleFn(sim.Cycle(i), m.stepFn, v, uint64(v.dom.idx))
+		m.Eng.SetCurDomain(v.dom.idx)
+		m.Eng.ScheduleFn(sim.Cycle(i), m.stepFn, v, uint64(v.dom.idx))
 	}
+	var onWindow func(now sim.Cycle) error
 	if m.Checker != nil {
 		period := cfg.CheckPeriod
 		if period <= 0 {
 			period = 5000
 		}
 		next := period
-		m.sharded.OnWindow = func(now sim.Cycle) error {
+		onWindow = func(now sim.Cycle) error {
 			if now >= next {
 				m.chkNow = now
 				m.Checker.CheckNow()
@@ -1040,7 +991,12 @@ func (m *Machine) runSharded() (*Stats, error) {
 			return nil
 		}
 	}
-	err := m.sharded.Run()
+	// A window spans the shortest cross-domain message latency: one mesh
+	// hop (router + link) plus one flit. Window starts set when the checker
+	// sweeps and where the step budget trips, so the width is part of what
+	// a checked or bounded run reports.
+	width := cfg.Mesh.RouterDelay + cfg.Mesh.LinkDelay + 1
+	last, err := m.Eng.RunWindows(width, cfg.MaxSteps, onWindow)
 	if err != nil {
 		// The run stopped early: parked snoops and cancelled timeouts not
 		// yet due would never have fired, so their counts come off. After a
@@ -1062,7 +1018,7 @@ func (m *Machine) runSharded() (*Stats, error) {
 		}
 	}
 	if err == nil && m.Checker != nil {
-		m.chkNow = m.sharded.Now()
+		m.chkNow = last
 		m.Checker.CheckNow() // final sweep at quiescence
 	}
 	m.finalizeStats()
@@ -1094,18 +1050,18 @@ func (m *Machine) runUntilDone() error {
 // step issues the next reference of v on its current core.
 func (m *Machine) step(v *vcpu) {
 	d := v.dom
-	d.eng.Progress() // a vCPU advancing its stream is forward progress
+	m.Eng.Progress() // a vCPU advancing its stream is forward progress
 	if v.left == 0 {
 		d.live--
-		if d.st.ExecCycles < uint64(d.eng.Now()) {
-			d.st.ExecCycles = uint64(d.eng.Now())
+		if d.st.ExecCycles < uint64(m.Eng.Now()) {
+			d.st.ExecCycles = uint64(m.Eng.Now())
 		}
 		v.done = true
 		if m.shufPeriod > 0 {
 			// Tell dom0 (which owns the recurring shuffle tick) that one
 			// more stream retired, so the tick can stop rescheduling once
 			// every vCPU is done and the run can drain.
-			d.eng.ScheduleFnAtDom(d.eng.Now()+m.crossHor[d.idx], 0, m.retireFn, nil, 0)
+			m.Eng.ScheduleFnAtDom(m.Eng.Now()+m.crossHor[d.idx], 0, m.retireFn, nil, 0)
 		}
 		return
 	}
@@ -1188,12 +1144,10 @@ func (m *Machine) execute(v *vcpu, cn *coreNode, ref workload.Ref) {
 					m.cores[ci].tlb.Shootdown(v.id.VM, ref.Page)
 				}
 			} else {
-				// Serial-only: a sharded content-sharing run always has
-				// cowTargets (setup preallocates them), so the global
-				// page-table mutation never races. The single legacy
-				// domain owns every core, so shooting down d.cores is the
-				// whole machine here — and stays domain-confined if a
-				// future mode ever reaches this branch sharded.
+				// Legacy-only: a partitioned content-sharing run always
+				// has cowTargets (setup preallocates them). The single
+				// legacy domain owns every core, so shooting down d.cores
+				// is the whole machine here.
 				m.MM.CopyOnWrite(v.id.VM, ref.Page)
 				st.Cows++
 				for _, ci := range d.cores {
@@ -1201,7 +1155,7 @@ func (m *Machine) execute(v *vcpu, cn *coreNode, ref workload.Ref) {
 				}
 			}
 			v.pending = ref
-			d.eng.ScheduleFn(cfg.CowLatency, m.resumeFn, v, uint64(d.idx))
+			m.Eng.ScheduleFn(cfg.CowLatency, m.resumeFn, v, uint64(d.idx))
 			return
 		}
 		host, ptype, tagVM = tr.Host, tr.Type, v.id.VM
@@ -1217,7 +1171,7 @@ func (m *Machine) execute(v *vcpu, cn *coreNode, ref workload.Ref) {
 		// (re-entering through the occupancy check: the core may have been
 		// claimed, or the vCPU relocated, during the walk).
 		v.pending = ref
-		d.eng.ScheduleFn(walk, m.resumeFn, v, uint64(d.idx))
+		m.Eng.ScheduleFn(walk, m.resumeFn, v, uint64(d.idx))
 		return
 	}
 
@@ -1255,14 +1209,14 @@ func (m *Machine) execute(v *vcpu, cn *coreNode, ref workload.Ref) {
 	// L2 miss or upgrade: coherence transaction.
 	st.recordL2Miss(v.id.VM, ref.Ctx, ptype)
 	if ptype == mem.PageROShared {
-		if m.sharded != nil {
+		if m.partitioned {
 			m.classifyPartitioned(d, addr, v.id.VM)
 		} else {
 			m.classifyHolder(d, st, addr, v.id.VM)
 		}
 	}
 	v.inTxn = true
-	v.txnStart, v.txnAddr, v.txnVM, v.txnWrite = d.eng.Now(), addr, tagVM, ref.Write
+	v.txnStart, v.txnAddr, v.txnVM, v.txnWrite = m.Eng.Now(), addr, tagVM, ref.Write
 	v.txnCore, v.txnDom = cn, d
 	cn.start(addr, tagVM, ptype, ref.Write, m.missDoneFn, v)
 }
@@ -1273,15 +1227,15 @@ func (m *Machine) execute(v *vcpu, cn *coreNode, ref workload.Ref) {
 func (m *Machine) missDone(v *vcpu) {
 	cn, d := v.txnCore, v.txnDom
 	v.inTxn = false
-	d.st.MissLatency.Observe(float64(d.eng.Now() - v.txnStart))
+	d.st.MissLatency.Observe(float64(m.Eng.Now() - v.txnStart))
 	m.l1Fill(cn, v.txnAddr, v.txnVM, v.txnWrite)
 	// Free waiting relocated vCPUs, then continue this stream.
 	if len(cn.waitq) > 0 {
-		d.eng.ScheduleFn(0, m.drainFn, cn, 0)
+		m.Eng.ScheduleFn(0, m.drainFn, cn, 0)
 	}
 	m.finish(v, 0)
 	if v.deferred {
-		// A cross-shard depart arrived mid-transaction: perform it now
+		// A cross-domain depart arrived mid-transaction: perform it now
 		// that the transaction closed. The step just scheduled above
 		// fires in this (old) domain and chases the vCPU to its new one.
 		v.deferred = false
@@ -1301,7 +1255,7 @@ func (m *Machine) l1Fill(cn *coreNode, addr mem.BlockAddr, vm mem.VMID, write bo
 
 // finish schedules the vCPU's next reference after latency + think time.
 func (m *Machine) finish(v *vcpu, latency sim.Cycle) {
-	v.dom.eng.ScheduleFn(latency+m.cfg.ThinkCycles, m.stepFn, v, uint64(v.dom.idx))
+	m.Eng.ScheduleFn(latency+m.cfg.ThinkCycles, m.stepFn, v, uint64(v.dom.idx))
 }
 
 // L2 exposes core i's L2 cache (tests and invariant checks).

@@ -62,17 +62,15 @@ func sumShadow(m *Machine) (sh shadowCounts) {
 
 // TestParkedSnoopsShadow is the proof obligation of snoop parking and
 // retry-timeout cancellation. For every token policy, content mode and
-// migration period, at K = 1, 2 and 4, a shadow run must find every
-// delivery parking would have skipped, and every timeout a completion
-// would have cancelled, to be a no-op; and the parked run's statistics —
-// EventsFired included — must equal the shadow run's, which executes every
-// delivery and timeout. Each case runs twice: with the invariant checker,
-// which must find no violation in a parking run and turns cancellation
-// off, and without it, where both are on. Put-backs are rare (a token gain
-// racing a snoop in flight), so the blackscholes cases, where they occur,
-// must see at least one. The cancelled-timer count does not depend on K: a
-// timeout and the response that completes its transaction run in the same
-// domain.
+// migration period, a shadow run must find every delivery parking would
+// have skipped, and every timeout a completion would have cancelled, to be
+// a no-op; and the parked run's statistics — EventsFired included — must
+// equal the shadow run's, which executes every delivery and timeout. Each
+// case runs twice: with the invariant checker, which must find no
+// violation in a parking run and turns cancellation off, and without it,
+// where both are on. Put-backs are rare (a token gain racing a snoop in
+// flight), so the blackscholes cases, where they occur, must see at least
+// one.
 func TestParkedSnoopsShadow(t *testing.T) {
 	type tcase struct {
 		app     string
@@ -119,65 +117,43 @@ func TestParkedSnoopsShadow(t *testing.T) {
 			cfg.ContentSharing = tc.sharing
 			cfg.MigrationPeriodMs = tc.period
 			// The checked pass runs the invariant checker, so it parks but
-			// cancels no timeout. The unchecked pass does both, and runs K = 4
-			// under the windowed protocol, as the checker's window hook does.
+			// cancels no timeout. The unchecked pass does both.
 			for _, checks := range []bool{true, false} {
 				cfg.Checks = checks
-				var ref *Stats
-				var cancelled uint64
-				for _, k := range []int{1, 2, 4} {
-					cfg.Shards = k
-					cfg.NoElision = !checks && k == 4
-					pass := fmt.Sprintf("checks=%v K=%d", checks, k)
-					shadow, sh, _ := runParking(t, cfg, true)
-					if sh.violations > 0 {
-						t.Fatalf("%s: %d of %d deliveries parking would skip were not no-ops", pass, sh.violations, sh.checked)
-					}
-					if sh.timerViolations > 0 {
-						t.Fatalf("%s: %d of %d timeouts cancellation would skip were not no-ops", pass, sh.timerViolations, sh.timersChecked)
-					}
-					if shadow.Sync.CancelledTimers != 0 {
-						t.Fatalf("%s: shadow run cancelled %d timers", pass, shadow.Sync.CancelledTimers)
-					}
-					if checks && sh.timersChecked != 0 {
-						t.Fatalf("%s: %d timeouts shadow-checked under the invariant checker, want 0", pass, sh.timersChecked)
-					}
-					if k == 1 {
-						if sh.checked == 0 || !checks && sh.timersChecked == 0 {
-							t.Fatalf("%s: the shadow run checked %d deliveries and %d timeouts", pass, sh.checked, sh.timersChecked)
-						}
-						if tc.app == "blackscholes" && sh.putBacks == 0 {
-							t.Fatalf("%s: no token gain put a parked delivery back", pass)
-						}
-						if shadow.Sync.ParkedEvents != 0 {
-							t.Fatalf("%s: shadow run parked %d events", pass, shadow.Sync.ParkedEvents)
-						}
-						if tc.period > 0 && shadow.Relocations == 0 {
-							t.Fatal("migration config relocated nothing")
-						}
-						if checks && (shadow.InvariantChecks == 0 || len(shadow.InvariantViolations) > 0) {
-							t.Fatalf("%s: %d invariant checks, violations %v", pass, shadow.InvariantChecks, shadow.InvariantViolations)
-						}
-						ref = shadow
-					} else {
-						statsEqual(t, "shadow "+pass, ref, shadow)
-					}
-					st, _, _ := runParking(t, cfg, false)
-					switch {
-					case checks:
-						if st.Sync.CancelledTimers != 0 {
-							t.Fatalf("%s: %d timers cancelled under the invariant checker, want 0", pass, st.Sync.CancelledTimers)
-						}
-					case k == 1:
-						cancelled = st.Sync.CancelledTimers
-					case st.Sync.CancelledTimers != cancelled:
-						t.Fatalf("%s: %d timers cancelled, K=1 cancelled %d", pass, st.Sync.CancelledTimers, cancelled)
-					}
-					if k == 1 && (st.Sync.ParkedEvents == 0 || !checks && cancelled == 0) {
-						t.Fatalf("%s: %d events parked, %d timers cancelled", pass, st.Sync.ParkedEvents, st.Sync.CancelledTimers)
-					}
-					statsEqual(t, "parked "+pass, ref, st)
+				pass := fmt.Sprintf("checks=%v", checks)
+				shadow, sh, _ := runParking(t, cfg, true)
+				if sh.violations > 0 {
+					t.Fatalf("%s: %d of %d deliveries parking would skip were not no-ops", pass, sh.violations, sh.checked)
 				}
+				if sh.timerViolations > 0 {
+					t.Fatalf("%s: %d of %d timeouts cancellation would skip were not no-ops", pass, sh.timerViolations, sh.timersChecked)
+				}
+				if shadow.Sync.CancelledTimers != 0 || shadow.Sync.ParkedEvents != 0 {
+					t.Fatalf("%s: shadow run parked %d events and cancelled %d timers", pass, shadow.Sync.ParkedEvents, shadow.Sync.CancelledTimers)
+				}
+				if checks && sh.timersChecked != 0 {
+					t.Fatalf("%s: %d timeouts shadow-checked under the invariant checker, want 0", pass, sh.timersChecked)
+				}
+				if sh.checked == 0 || !checks && sh.timersChecked == 0 {
+					t.Fatalf("%s: the shadow run checked %d deliveries and %d timeouts", pass, sh.checked, sh.timersChecked)
+				}
+				if tc.app == "blackscholes" && sh.putBacks == 0 {
+					t.Fatalf("%s: no token gain put a parked delivery back", pass)
+				}
+				if tc.period > 0 && shadow.Relocations == 0 {
+					t.Fatal("migration config relocated nothing")
+				}
+				if checks && (shadow.InvariantChecks == 0 || len(shadow.InvariantViolations) > 0) {
+					t.Fatalf("%s: %d invariant checks, violations %v", pass, shadow.InvariantChecks, shadow.InvariantViolations)
+				}
+				st, _, _ := runParking(t, cfg, false)
+				if checks && st.Sync.CancelledTimers != 0 {
+					t.Fatalf("%s: %d timers cancelled under the invariant checker, want 0", pass, st.Sync.CancelledTimers)
+				}
+				if st.Sync.ParkedEvents == 0 || !checks && st.Sync.CancelledTimers == 0 {
+					t.Fatalf("%s: %d events parked, %d timers cancelled", pass, st.Sync.ParkedEvents, st.Sync.CancelledTimers)
+				}
+				statsEqual(t, "parked "+pass, shadow, st)
 			}
 		})
 	}
@@ -272,7 +248,7 @@ func TestParkedSnoopsEarlyExit(t *testing.T) {
 	}
 }
 
-// TestCancelledTimeoutsEarlyExit stops a K = 1 run right after its 40th
+// TestCancelledTimeoutsEarlyExit stops a run right after its 40th
 // completed transaction, when the timeouts of the latest completions were
 // cancelled and counted but are not yet due. Those events would never have
 // fired, so the early exit must take their counts back out, while the

@@ -1,13 +1,12 @@
 package system
 
-// Cross-shard machinery of the partitioned machine: filter-replica deltas,
+// Cross-domain machinery of the partitioned machine: filter-replica deltas,
 // vCPU migration as an ordered depart/arrive transaction, domain-local
 // copy-on-write and provider designation, the holder-classification probe
-// protocol, and dom0-routed fault events. Everything here rides the sharded
-// engine's deposit path, so every cross-domain effect lands at least one
-// cross-shard horizon after its cause — the same lookahead discipline the
-// mesh itself obeys — and the simulated event order stays a pure function
-// of the domain partition, never of the shard count.
+// protocol, and dom0-routed fault events. Every cross-domain effect lands
+// one cross-domain horizon (mesh.Network.CrossHorizons) after its cause,
+// the shortest latency a mesh message between the two domains could have.
+// These delays are part of the model: the golden results pin them.
 
 import (
 	"vsnoop/internal/cache"
@@ -69,10 +68,10 @@ func (m *Machine) vcpuAt(id hv.VCPU) *vcpu {
 }
 
 // chase reschedules a step/resume event that fired in the domain it was
-// scheduled for (from) after its vCPU migrated away: deposit it toward the
-// vCPU's current domain one cross-shard horizon ahead, hopping along from's
-// own fwd row — never the vCPU's dom pointer, which the destination shard
-// may be rewriting concurrently. Each hop retests ownership on arrival, so
+// scheduled for (from) after its vCPU migrated away: send it toward the
+// vCPU's current domain one cross-domain horizon ahead, hopping along
+// from's own fwd row, not the vCPU's dom pointer. Each hop retests
+// ownership on arrival, so
 // a vCPU that moved again mid-chase is simply chased again; the depart
 // always precedes the chased continuation at every hop (both paths add the
 // same horizon, and the continuation was scheduled strictly after the
@@ -80,23 +79,22 @@ func (m *Machine) vcpuAt(id hv.VCPU) *vcpu {
 //
 //vsnoop:hotpath
 func (m *Machine) chase(v *vcpu, from uint64, fn sim.HandlerFn) {
-	d := m.doms[from]
 	nxt := m.fwd[int(from)*m.nv+v.vix]
-	d.eng.ScheduleFnAtDom(d.eng.Now()+m.crossHor[from], nxt, fn, v, uint64(nxt))
+	m.Eng.ScheduleFnAtDom(m.Eng.Now()+m.crossHor[from], nxt, fn, v, uint64(nxt))
 }
 
 // broadcastDelta replays a register-file update of from's replica on every
-// other replica, one cross-shard horizon ahead in each target's stream.
+// other replica, one cross-domain horizon ahead in each target's stream.
 //
 //vsnoop:hotpath
 func (m *Machine) broadcastDelta(from *domain, op uint64, vm mem.VMID, coreIdx int) {
-	at := from.eng.Now() + m.crossHor[from.idx]
+	at := m.Eng.Now() + m.crossHor[from.idx]
 	u := op<<48 | uint64(uint16(vm))<<16 | uint64(uint16(coreIdx+1))
 	for d := range m.doms {
 		if int32(d) == from.idx {
 			continue
 		}
-		from.eng.ScheduleFnAtDom(at, int32(d), m.deltaFn, m.replicas[d], u)
+		m.Eng.ScheduleFnAtDom(at, int32(d), m.deltaFn, m.replicas[d], u)
 	}
 }
 
@@ -122,7 +120,7 @@ func applyDelta(arg interface{}, u uint64) {
 	}
 }
 
-// beginMove starts a cross-shard vCPU migration (runtime relocations in
+// beginMove starts a cross-domain vCPU migration (runtime relocations in
 // syncMode; always invoked from domain 0, the single writer of the mapper).
 // The move is a three-leg transaction — depart in the old core's domain,
 // arrive in the new core's domain, ack back to dom0 — with the vCPU marked
@@ -134,8 +132,7 @@ func applyDelta(arg interface{}, u uint64) {
 func (m *Machine) beginMove(id hv.VCPU, from, to int) {
 	v := m.vcpuAt(id)
 	m.inflight[m.vcpuIndex(id)] = true
-	eng := m.doms[0].eng
-	eng.ScheduleFnAtDom(eng.Now()+m.crossHor[0], m.plan.CoreDom[from],
+	m.Eng.ScheduleFnAtDom(m.Eng.Now()+m.crossHor[0], m.plan.CoreDom[from],
 		m.departFn, v, uint64(from)<<16|uint64(to))
 }
 
@@ -154,7 +151,7 @@ func (m *Machine) handleDepart(arg interface{}, u uint64) {
 
 // departNow performs the old-domain half of a migration: filter departure
 // on the owning replica (plus run-bit deltas everywhere), waitq removal,
-// live/warmup hand-off, and the arrive deposit into the new domain.
+// live/warmup hand-off, and the arrive event in the new domain.
 func (m *Machine) departNow(v *vcpu, from, to int) {
 	dOld := v.dom
 	m.replicas[dOld.idx].RelocateDepart(v.id.VM, from)
@@ -187,8 +184,7 @@ func (m *Machine) departNow(v *vcpu, from, to int) {
 	// the transfer in the destination's rows.
 	m.own[int(dOld.idx)*m.nv+v.vix] = false
 	m.fwd[int(dOld.idx)*m.nv+v.vix] = v.dom.idx
-	eng := dOld.eng
-	eng.ScheduleFnAtDom(eng.Now()+m.crossHor[dOld.idx], v.dom.idx, m.arriveFn, v, uint64(to))
+	m.Eng.ScheduleFnAtDom(m.Eng.Now()+m.crossHor[dOld.idx], v.dom.idx, m.arriveFn, v, uint64(to))
 }
 
 // handleArrive runs in the new core's domain: filter arrival on the owning
@@ -215,8 +211,7 @@ func (m *Machine) handleArrive(arg interface{}, u uint64) {
 		v.parked = false
 		m.issueRef(v, v.pending)
 	}
-	eng := d.eng
-	eng.ScheduleFnAtDom(eng.Now()+m.crossHor[d.idx], 0, m.ackFn, v, 0)
+	m.Eng.ScheduleFnAtDom(m.Eng.Now()+m.crossHor[d.idx], 0, m.ackFn, v, 0)
 }
 
 // shuffleTick is the machine-owned replacement for hv.Shuffler in
@@ -229,7 +224,7 @@ func (m *Machine) shuffleTick() {
 		return
 	}
 	m.shuffleOnce()
-	m.doms[0].eng.ScheduleFn(m.shufPeriod, m.tickFn, nil, 0)
+	m.Eng.ScheduleFn(m.shufPeriod, m.tickFn, nil, 0)
 }
 
 // shuffleOnce mirrors hv.Shuffler.shuffleOnce — 16 tries for a cross-VM
@@ -282,11 +277,12 @@ func applyCorruptResidence(arg interface{}, u uint64) {
 
 // scheduleFaultEvents queues the plan's one-shot events for a syncMode run:
 // every event fires in domain 0 (single writer for the injector's event
-// counters and the mapper), then fans out to its target domain through the
-// deposit path — map corruption as replica deltas, counter corruption as a
-// domain-local sub-event, storms as ordinary cross-shard migrations.
+// counters and the mapper), then fans out to its target domain one
+// cross-domain horizon later — map corruption as replica deltas, counter
+// corruption as a domain-local sub-event, storms as ordinary cross-domain
+// migrations.
 func (m *Machine) scheduleFaultEvents() {
-	eng := m.doms[0].eng
+	eng := m.Eng
 	eng.SetCurDomain(0)
 	for _, ev := range m.cfg.faultEvents() {
 		ev := ev
@@ -344,7 +340,7 @@ func (m *Machine) translate(d *domain, vm mem.VMID, gp mem.GuestPage) mem.Transl
 
 // initFriendTable snapshots the post-merge friend relation into flat
 // arrays, so partitioned holder classification never touches the global
-// memory manager from domain goroutines.
+// memory manager during the run.
 func (m *Machine) initFriendTable() {
 	m.friendOf = make([]mem.VMID, m.cfg.VMs)
 	m.hasFriend = make([]bool, m.cfg.VMs)
@@ -359,7 +355,7 @@ func (m *Machine) initFriendTable() {
 // domOracle is the memory controllers' RO-provider oracle in partitioned
 // runs: it scans only the MC's own domain's caches. A provider in another
 // domain is missed — a safe false negative costing one DRAM read — and the
-// answer depends only on the partition, never on shard interleaving.
+// answer depends only on the partition.
 type domOracle struct {
 	m *Machine
 	d *domain
@@ -461,19 +457,18 @@ func (m *Machine) scanHolder(d *domain, addr mem.BlockAddr, vm mem.VMID) uint64 
 }
 
 // classifyPartitioned is classifyHolder for partitioned runs: scan the
-// local domain synchronously, probe every other domain under the mesh's
-// lookahead discipline, and fold the Figure-11 holder counters on the last
+// local domain synchronously, probe every other domain one cross-domain
+// horizon away, and fold the Figure-11 holder counters on the last
 // reply (credited to the requesting domain's stats).
 func (m *Machine) classifyPartitioned(d *domain, addr mem.BlockAddr, vm mem.VMID) {
 	p := m.getHolderProbe(d)
 	p.addr, p.vm, p.srcDom = addr, vm, d.idx
 	p.bits = m.scanHolder(d, addr, vm)
 	p.remaining = len(m.doms) - 1
-	eng := d.eng
-	at := eng.Now() + m.crossHor[d.idx]
+	at := m.Eng.Now() + m.crossHor[d.idx]
 	for _, od := range m.doms {
 		if od.idx != d.idx {
-			eng.ScheduleFnAtDom(at, od.idx, m.classifyReqFn, p, uint64(od.idx))
+			m.Eng.ScheduleFnAtDom(at, od.idx, m.classifyReqFn, p, uint64(od.idx))
 		}
 	}
 }
@@ -484,8 +479,7 @@ func (m *Machine) handleClassifyReq(arg interface{}, u uint64) {
 	p := arg.(*holderProbe)
 	d := m.doms[u]
 	bits := m.scanHolder(d, p.addr, p.vm)
-	eng := d.eng
-	eng.ScheduleFnAtDom(eng.Now()+m.crossHor[d.idx], p.srcDom, m.classifyRepFn, p, bits)
+	m.Eng.ScheduleFnAtDom(m.Eng.Now()+m.crossHor[d.idx], p.srcDom, m.classifyRepFn, p, bits)
 }
 
 // handleClassifyRep runs in the probe's source domain: fold the remote

@@ -1,0 +1,105 @@
+package system
+
+import (
+	"testing"
+
+	"vsnoop/internal/core"
+	"vsnoop/internal/mem"
+)
+
+// TestCowOverlayDomainLocal pins the partitioned copy-on-write semantics
+// directly (the synthetic workloads never store to content pages, so the
+// trap path needs a unit-level check): targets are preallocated at setup, a
+// trap installs the domain-local overlay without touching global page
+// tables, and other domains keep reading the shared translation until they
+// trap themselves — onto the same preallocated target.
+func TestCowOverlayDomainLocal(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.ContentSharing = true
+	m, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(m.doms) <= 1 {
+		t.Fatal("content config planned a single domain")
+	}
+	if len(m.cowTargets) == 0 {
+		t.Fatal("no COW targets preallocated for a content-sharing config")
+	}
+	var key uint64
+	for k := range m.cowTargets {
+		if key == 0 || k < key {
+			key = k // smallest key: deterministic pick from the map
+		}
+	}
+	vm := mem.VMID(key >> 32)
+	gp := mem.GuestPage(uint32(key))
+	if tr := m.MM.Translate(vm, gp); tr.Type != mem.PageROShared {
+		t.Fatalf("target page not RO-shared before trap: %v", tr.Type)
+	}
+	d0, d1 := m.doms[0], m.doms[1]
+	d0.cow[key] = mem.Translation{Host: m.cowTargets[key], Type: mem.PagePrivate}
+	got := m.translate(d0, vm, gp)
+	if got.Type != mem.PagePrivate || got.Host != m.cowTargets[key] {
+		t.Fatalf("overlay translation = %+v, want private page %v", got, m.cowTargets[key])
+	}
+	if tr := m.translate(d1, vm, gp); tr.Type != mem.PageROShared {
+		t.Fatalf("other domain's translation changed: %+v", tr)
+	}
+	if tr := m.MM.Translate(vm, gp); tr.Type != mem.PageROShared {
+		t.Fatalf("global page tables mutated by overlay trap: %+v", tr)
+	}
+}
+
+// TestLocationTables pins the own/fwd location rows the cross-domain
+// event chase reads: each vCPU is owned by exactly one domain, that domain
+// is the one its dom pointer names, and the owner's fwd entry points at
+// itself — after construction and again after a migrating run's
+// depart/arrive hand-offs.
+func TestLocationTables(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.RefsPerVCPU = 1000
+	cfg.MigrationPeriodMs = 0.1
+	cfg.Filter.Policy = core.PolicyCounter
+	m, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.own == nil || m.nv != len(m.vcpus) {
+		t.Fatalf("location tables not built: own=%v nv=%d", m.own != nil, m.nv)
+	}
+	check := func(when string) {
+		t.Helper()
+		for i, v := range m.vcpus {
+			for _, d := range m.doms {
+				row := int(d.idx) * m.nv
+				if m.own[row+i] != (d == v.dom) {
+					t.Errorf("%s: vCPU %d in dom %d, but dom %d own = %v", when, i, v.dom.idx, d.idx, m.own[row+i])
+				}
+				if d == v.dom && m.fwd[row+i] != d.idx {
+					t.Errorf("%s: dom %d owns vCPU %d but fwd points to %d", when, d.idx, i, m.fwd[row+i])
+				}
+			}
+		}
+	}
+	check("after New")
+	for _, d := range m.doms {
+		n := 0
+		for i := 0; i < m.nv; i++ {
+			if m.own[int(d.idx)*m.nv+i] {
+				n++
+			}
+		}
+		if n != d.nvcpus {
+			t.Errorf("dom %d owns %d vCPUs, nvcpus = %d", d.idx, n, d.nvcpus)
+		}
+	}
+	st, err := m.RunChecked()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Relocations == 0 {
+		t.Fatal("migration run relocated nothing")
+	}
+	check("after Run")
+}

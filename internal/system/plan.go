@@ -68,10 +68,9 @@ func (c Config) plannerFriends() map[int]int {
 }
 
 // PlanPartition computes the snoop-domain partition for this configuration.
-// The plan is a pure function of the config (never of Shards), so the
-// domain decomposition — and therefore the simulated event order — is fixed
-// before any goroutine count is chosen. Domains == 1 means the run uses the
-// single-queue legacy engine.
+// The plan is a pure function of the config, and so is the simulated event
+// order built on it. Domains == 1 means the run uses the single-queue
+// legacy engine.
 func (c Config) PlanPartition() partition.Plan {
 	if c.ForceSerial || c.Cores <= 1 {
 		return partition.Plan{Domains: 1, GX: 1, GY: 1}
@@ -97,7 +96,9 @@ func (c Config) needSync(p partition.Plan) bool {
 
 // PartitionInfo renders the computed partition for the -dump-partition
 // debug flag: the domain grid, cut summary, per-MC assignment, and the
-// per-domain cross-shard horizons the synchronization protocol will use.
+// per-domain cross-domain horizons: the delay the partitioned machine puts
+// on each domain's cross-domain protocol events (migration legs, filter
+// deltas, holder probes).
 func (c Config) PartitionInfo() string {
 	p := c.PlanPartition()
 	var b strings.Builder
@@ -120,13 +121,9 @@ func (c Config) PartitionInfo() string {
 		nw.Attach(corner[0], corner[1], nil)
 		nodeDom = append(nodeDom, p.MCDom[j])
 	}
-	engs := make([]*sim.Engine, p.Domains)
-	for i := range engs {
-		engs[i] = sim.NewEngine()
-	}
-	nw.Partition(nodeDom, engs)
+	nw.Partition(nodeDom, p.Domains)
 	for d, h := range nw.CrossHorizons() {
-		fmt.Fprintf(&b, "  domain %d horizon %d cycle(s)\n", d, h)
+		fmt.Fprintf(&b, "  domain %d horizon %d cycle(s) (cross-domain protocol-event delay)\n", d, h)
 	}
 	fmt.Fprintf(&b, "  filter sync: %v\n", c.needSync(p))
 	return b.String()

@@ -4,7 +4,6 @@ import (
 	"sync/atomic"
 
 	"vsnoop/internal/mem"
-	"vsnoop/internal/sim"
 	"vsnoop/internal/stats"
 	"vsnoop/internal/workload"
 )
@@ -16,23 +15,6 @@ var totalEvents atomic.Uint64 //lint:shardsafe process-wide CLI telemetry, writt
 // TotalEventsFired returns the simulator events fired (parked snoop
 // deliveries and cancelled retry timeouts included) by all runs in this process so far. Monotone; each run adds its count as it finalizes.
 func TotalEventsFired() uint64 { return totalEvents.Load() }
-
-// Process-wide synchronization telemetry, accumulated by finalizeSharded
-// alongside totalEvents; the CLI footers read it via TotalSyncStats.
-var (
-	totalSyncWindows atomic.Uint64 //lint:shardsafe process-wide CLI telemetry, written once per run at finalize, never read by sim code
-	totalSyncElided  atomic.Uint64 //lint:shardsafe process-wide CLI telemetry, written once per run at finalize, never read by sim code
-	totalSyncWaits   atomic.Uint64 //lint:shardsafe process-wide CLI telemetry, written once per run at finalize, never read by sim code
-	totalSyncWidth   atomic.Uint64 //lint:shardsafe process-wide CLI telemetry, written once per run at finalize, never read by sim code
-)
-
-// TotalSyncStats returns the synchronization telemetry summed over every
-// sharded run in this process so far (windows, elided barriers, barrier
-// waits, window-width sum in cycles).
-func TotalSyncStats() (windows, elided, waits, widthSum uint64) {
-	return totalSyncWindows.Load(), totalSyncElided.Load(),
-		totalSyncWaits.Load(), totalSyncWidth.Load()
-}
 
 // Stats aggregates everything the paper's tables and figures need from one
 // run. Raw counters are filled during the run; finalizeStats folds in the
@@ -109,12 +91,10 @@ type Stats struct {
 	// how many of them there were. Never warmup-adjusted.
 	EventsFired uint64
 
-	// Sync holds the sharded engine's synchronization telemetry (windows,
-	// barrier waits, elisions, window widths). Execution mechanics, not
-	// simulation results: the values depend on the shard count and
-	// synchronization mode, while every other counter in Stats stays
-	// bit-identical across them. Zero for legacy (non-sharded) runs.
-	Sync sim.SyncStats
+	// Sync splits EventsFired by how the events ran: execution mechanics,
+	// not simulation results (cmd/vsnoop-bench's output digest skips the
+	// field by name). Zero for legacy runs, which neither park nor cancel.
+	Sync ElidedEvents
 
 	// Robustness counters (fault injection, graceful degradation, and
 	// invariant checking). Whole-run, never warmup-adjusted: faults and
@@ -155,19 +135,28 @@ type snapshot struct {
 	parkedAhead uint64
 }
 
+// ElidedEvents counts the fired events that never executed.
+type ElidedEvents struct {
+	// ParkedEvents counts parked snoop deliveries (sim.Engine.Park).
+	ParkedEvents uint64
+	// CancelledTimers counts cancelled retry timeouts
+	// (sim.Engine.CancelTimer). Executed events are EventsFired -
+	// ParkedEvents - CancelledTimers.
+	CancelledTimers uint64
+}
+
 func (s *Stats) init(cfg Config) { s.cfg = cfg.sansControl() }
 
 // takeSnapshot freezes domain d's warmup-phase counters. It runs when the
 // last vCPU of the domain crosses WarmupRefs, and reads only state owned by
 // the domain (its cores' controllers, its corner memory controller, its
-// traffic slot, its engine's clock) — deterministic per domain, and safe
-// while other shards execute concurrently. The legacy single domain owns
-// everything, so this is exactly the old whole-machine snapshot there.
+// traffic slot) and the clock. The legacy single domain owns everything,
+// so this is exactly the old whole-machine snapshot there.
 func (m *Machine) takeSnapshot(d *domain) {
 	d.warmed = true
 	s := d.st
 	var bh, by, ms uint64
-	if m.sharded != nil {
+	if m.partitioned {
 		bh, by, ms = m.Net.DomainTraffic(int(d.idx))
 	} else {
 		bh, by, ms = m.Net.ByteHops, m.Net.Bytes, m.Net.Messages
@@ -186,7 +175,7 @@ func (m *Machine) takeSnapshot(d *domain) {
 		hFriend: s.HolderFriend, hOther: s.HolderOther,
 		byteHops: bh, bytes: by, messages: ms,
 		cows:  cows,
-		cycle: uint64(d.eng.Now()),
+		cycle: uint64(m.Eng.Now()),
 	}
 	for _, ci := range d.cores {
 		cn := m.cores[ci]
@@ -239,9 +228,9 @@ func (s *Stats) recordL2Miss(vm mem.VMID, ctx workload.Ctx, pt mem.PageType) {
 }
 
 // classifyHolder implements the Table VI measurement: at an L2 miss on a
-// content-shared page, find the best possible data holder. Serial-only:
-// sharded runs take classifyPartitioned, which probes remote domains under
-// the lookahead discipline instead of reading their caches directly. The
+// content-shared page, find the best possible data holder. Legacy-only:
+// partitioned runs take classifyPartitioned, which probes remote domains
+// with events instead of reading their caches directly. The
 // single legacy domain owns every core, so scanning d.cores here covers
 // the whole machine.
 func (m *Machine) classifyHolder(d *domain, st *Stats, addr mem.BlockAddr, vm mem.VMID) {
@@ -314,8 +303,8 @@ func (s *Stats) applyWarm() {
 }
 
 func (m *Machine) finalizeStats() {
-	if m.sharded != nil {
-		m.finalizeSharded()
+	if m.partitioned {
+		m.finalizePartitioned()
 		return
 	}
 	s := &m.Stats
@@ -385,13 +374,13 @@ func (m *Machine) finalizeStats() {
 	s.applyWarm()
 }
 
-// finalizeSharded folds the per-domain statistics into the machine totals.
+// finalizePartitioned folds the per-domain statistics into the machine totals.
 // Per-domain sums (controller and DRAM counters, traffic, warm adjustment)
 // happen first, in domain order; then counters add, latency samples merge,
 // and ExecCycles takes the slowest domain. Global state (filter, mapper,
 // memory manager, checker, injector) is read once at the end — the run is
 // quiesced, so everything is stable.
-func (m *Machine) finalizeSharded() {
+func (m *Machine) finalizePartitioned() {
 	s := &m.Stats
 	for _, d := range m.doms {
 		st := d.st
@@ -511,13 +500,9 @@ func (m *Machine) finalizeSharded() {
 		s.InvariantChecks = m.Checker.Checks
 		s.InvariantViolations = m.Checker.Violations
 	}
-	s.EventsFired = m.sharded.Fired()
+	s.EventsFired = m.Eng.Fired()
 	totalEvents.Add(s.EventsFired)
-	s.Sync = m.sharded.Telemetry()
-	totalSyncWindows.Add(s.Sync.Windows)
-	totalSyncElided.Add(s.Sync.ElidedBarriers)
-	totalSyncWaits.Add(s.Sync.BarrierWaits)
-	totalSyncWidth.Add(s.Sync.WindowWidthSum)
+	s.Sync = ElidedEvents{ParkedEvents: m.Eng.Parked(), CancelledTimers: m.Eng.Cancelled()}
 }
 
 // SnoopsPerTransaction returns the mean cores snooped per transaction.

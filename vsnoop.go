@@ -125,26 +125,10 @@ type Config struct {
 	// when it is exhausted (0 = unbounded).
 	MaxSteps uint64
 
-	// Shards is the number of parallel event-queue shards (0 or 1 =
-	// single-shard). Results are bit-identical for every value; only
-	// wall-clock time changes. The partition planner cuts the mesh into
-	// snoop domains for every configuration — migration, content sharing,
-	// hypervisor activity, and arbitrary geometries included — and the
-	// engine clamps Shards to the planned domain count. AutoShards
-	// resolves a sensible value for the current machine.
-	Shards int
-
 	// ForceSerial builds the legacy single-queue engine instead of the
-	// partitioned one, whatever Shards says. It exists as the reference
-	// baseline for the scaling benchmarks and identity suites; production
-	// callers should leave it false.
+	// partitioned one the planner would cut. It exists as the reference
+	// baseline for benchmarks; production callers should leave it false.
 	ForceSerial bool
-
-	// NoElision forces the fully-barriered windowed synchronization
-	// protocol on sharded runs, disabling adaptive free-running and
-	// quiet-window barrier elision. Results are bit-identical with and
-	// without it; only synchronization telemetry and wall-clock change.
-	NoElision bool
 
 	Seed uint64
 }
@@ -246,11 +230,7 @@ func (cfg Config) Validate() error {
 // simulation, so the hash is a sound memoization key: determinism
 // guarantees equal hashes produce bit-identical Results.
 //
-// Shards and NoElision are deliberately excluded — they choose how many
-// goroutines execute the run and which synchronization protocol drives
-// them, all proven bit-identical to serial execution — so a result
-// computed at any shard count or protocol serves requests at every
-// other. ForceSerial is included: the legacy engine models cross-domain
+// ForceSerial is included: the legacy engine models cross-domain
 // effects without the partitioned pipeline's ownership-transfer latencies,
 // so its results are a different simulation, not a different execution
 // strategy. Every semantic field (workloads, policies, fault plan, seed,
@@ -258,7 +238,7 @@ func (cfg Config) Validate() error {
 // ("vsnoop-config-v3"; v3 moved migrated-vCPU event chasing onto the
 // per-domain forwarding tables, re-timing multi-hop chases, and v2 moved
 // migration, content-sharing, and fault-event configurations onto the
-// partitioned cross-shard semantics — older stores must not serve either);
+// partitioned cross-domain semantics — older stores must not serve either);
 // any future change to the encoded fields must bump it so stale stores are
 // never misread.
 func (cfg Config) Hash() string {
@@ -350,42 +330,9 @@ type Result struct {
 // runs: each run adds its count when it finishes.
 func TotalEventsFired() uint64 { return system.TotalEventsFired() }
 
-// TotalSyncCounters returns the sharded-engine synchronization telemetry
-// summed over every run in this process so far: synchronization windows,
-// elided exchange barriers, barrier waits, and the window-width sum in
-// cycles (widthSum/windows = mean window width). All zero when every run
-// executed serially.
-func TotalSyncCounters() (windows, elided, waits, widthSum uint64) {
-	return system.TotalSyncStats()
-}
-
-// AutoShards resolves the `-shards auto` CLI setting through the graph-cut
-// partition planner: min(planned snoop domains, maxProcs) when cfg maps to
-// a partitionable system configuration, 1 otherwise. More workers than
-// domains cannot help (domain d runs on shard d mod K), so the planner's
-// domain count — not a fixed constant — bounds the request. The caller
-// supplies maxProcs (typically runtime.GOMAXPROCS(0) read once at program
-// entry) so simulation packages stay free of wall-clock and
-// machine-environment reads.
-func AutoShards(cfg Config, maxProcs int) int {
-	sc, err := toSystem(cfg)
-	if err != nil {
-		return 1
-	}
-	k := sc.PlannedDomains()
-	if maxProcs < k {
-		k = maxProcs
-	}
-	if k < 1 {
-		k = 1
-	}
-	return k
-}
-
 // PlannedDomains returns the number of snoop domains the graph-cut
-// partition planner computes for cfg — the parallelism ceiling the engine
-// can exploit (shard counts above it clamp). 1 means the run executes on
-// the serial engine; invalid configurations also report 1.
+// partition planner computes for cfg. 1 means the run executes on the
+// legacy single-domain engine; invalid configurations also report 1.
 func PlannedDomains(cfg Config) int {
 	sc, err := toSystem(cfg)
 	if err != nil {
@@ -395,8 +342,9 @@ func PlannedDomains(cfg Config) int {
 }
 
 // PartitionInfo renders the partition planner's cut for cfg: the domain
-// grid, per-node domain assignment, cut edges, per-domain cross-shard
-// horizons, and whether the run needs synchronized filter state. This is
+// grid, per-node domain assignment, cut edges, per-domain cross-domain
+// horizons (the delay of each domain's cross-domain protocol events), and
+// whether the run needs synchronized filter state. This is
 // the `-dump-partition` CLI view.
 func PartitionInfo(cfg Config) (string, error) {
 	sc, err := toSystem(cfg)
@@ -416,7 +364,7 @@ func Run(cfg Config) (*Result, error) {
 }
 
 // RunCtx executes one simulation under a context: when ctx is canceled or
-// its deadline passes, the run — serial or shard-parallel — stops promptly
+// its deadline passes, the run stops promptly
 // and RunCtx returns an error wrapping ctx.Err(). Cancellation is a
 // control-plane mechanism: a run that completes before the context fires
 // returns a Result bit-identical to Run's, and a canceled run returns no
@@ -536,9 +484,7 @@ func toSystem(cfg Config) (system.Config, error) {
 	sc.Fault = cfg.Fault.toInternal()
 	sc.Checks = cfg.Checks
 	sc.MaxSteps = cfg.MaxSteps
-	sc.Shards = cfg.Shards
 	sc.ForceSerial = cfg.ForceSerial
-	sc.NoElision = cfg.NoElision
 	if cfg.Seed != 0 {
 		sc.Seed = cfg.Seed
 	}

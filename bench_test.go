@@ -256,32 +256,21 @@ func TestSingleRunAllocs(t *testing.T) {
 	t.Logf("%.0f allocs per run, gate %.0f", avg, max)
 }
 
-// Migration and content-sharing runs execute on the partitioned machine
-// through cross-domain ownership transfer and domain-owned COW overlays.
-// The Serial variants run the same configs with ForceSerial, the legacy
-// single-queue engine, so the pair prices the partitioned pipeline. CI
-// gates the migration pair's ratio and the content pair's speedup
-// (BENCH_7.json).
-func BenchmarkMigrationRunSerial(b *testing.B) { benchmarkMigrationRun(b, true) }
-func BenchmarkMigrationRun(b *testing.B)       { benchmarkMigrationRun(b, false) }
-
-func benchmarkMigrationRun(b *testing.B, forceSerial bool) {
+// Migration and content-sharing runs exercise the machine's cross-domain
+// ownership transfer and domain-owned COW overlays.
+func BenchmarkMigrationRun(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		cfg := DefaultConfig()
 		cfg.RefsPerVCPU = 2000
 		cfg.WarmupRefs = 0
 		cfg.MigrationPeriodMs = 2.5
-		cfg.ForceSerial = forceSerial
 		if _, err := Run(cfg); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-func BenchmarkContentRunSerial(b *testing.B) { benchmarkContentRun(b, true) }
-func BenchmarkContentRun(b *testing.B)       { benchmarkContentRun(b, false) }
-
-func benchmarkContentRun(b *testing.B, forceSerial bool) {
+func BenchmarkContentRun(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		cfg := DefaultConfig()
 		cfg.RefsPerVCPU = 2000
@@ -289,7 +278,6 @@ func benchmarkContentRun(b *testing.B, forceSerial bool) {
 		cfg.ContentSharing = true
 		cfg.Content = ContentFriendVM
 		cfg.Policy = PolicyCounter
-		cfg.ForceSerial = forceSerial
 		if _, err := Run(cfg); err != nil {
 			b.Fatal(err)
 		}

@@ -35,10 +35,9 @@ import (
 )
 
 func main() {
-	maxProcs := runtime.GOMAXPROCS(0)
 	addr := flag.String("addr", ":8080", "listen address")
 	data := flag.String("data", "vsnoop-data", "data directory (journal + result store)")
-	workers := flag.Int("workers", 0, "concurrent jobs (0 = GOMAXPROCS/2, min 1)")
+	workers := flag.Int("workers", 0, "concurrent runs, one goroutine each (0 = GOMAXPROCS)")
 	queue := flag.Int("queue", 64, "job queue capacity (backpressure bound)")
 	quotaRate := flag.Float64("quota-rate", 0, "per-tenant admitted configs per second (0 = quotas off)")
 	quotaBurst := flag.Float64("quota-burst", 32, "per-tenant token-bucket burst (configs)")
@@ -49,10 +48,7 @@ func main() {
 
 	w := *workers
 	if w <= 0 {
-		w = maxProcs / 2
-		if w < 1 {
-			w = 1
-		}
+		w = runtime.GOMAXPROCS(0)
 	}
 	s, err := serve.New(serve.Options{
 		DataDir:          *data,

@@ -59,15 +59,16 @@ func goldenConfigs() []goldenRow {
 	faulted.Seed = 5
 	faulted.Fault = &FaultPlan{Seed: 9, DropPct: 1, DupPct: 0.5, DelayPct: 1}
 
-	// Every row runs on the domain-partitioned machine (the graph-cut
-	// planner covers all four). ocean-threshold-pinned has carried the same
-	// values since the quadrant configs first moved to partitioned
-	// execution — the planner reproduces its quadrant cut exactly, so it
-	// pins engine continuity across the partitioner generalization. The
-	// migration, content-sharing, and faulted rows were regenerated when
-	// those classes moved from the legacy serial engine to partitioned
-	// semantics (ordered cross-domain relocation transactions, per-domain
-	// COW overlays, dom0-routed fault events).
+	// Every row runs on the domain-partitioned machine, the only machine
+	// (the graph-cut planner covers all four). ocean-threshold-pinned has
+	// carried the same values since the quadrant configs first moved to
+	// partitioned execution — the planner reproduces its quadrant cut
+	// exactly, so it pins engine continuity across the partitioner
+	// generalization. The migration, content-sharing, and faulted rows were
+	// regenerated when those classes moved from a since-deleted
+	// single-queue engine to partitioned semantics (ordered cross-domain
+	// relocation transactions, per-domain COW overlays, dom0-routed fault
+	// events).
 	return []goldenRow{
 		{"fft-counter-mig", mig,
 			"647cc876f8f8b2b1f7610e3e822ddc541829a125405bb4ed4a421bd26bb655aa",

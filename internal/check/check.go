@@ -1,5 +1,5 @@
 // Package check implements online protocol invariant checking for the
-// simulated machine. A Checker wakes up periodically during a run and
+// simulated machine. A Checker is driven periodically during a run and
 // evaluates registered invariants over global state — something real
 // hardware cannot do, and exactly what a simulator-based safety argument
 // needs: the paper's claim that a wrong vCPU map "only costs performance"
@@ -23,8 +23,8 @@
 //     its initial destination set was wrong).
 //
 // Checks are observation-only (they use non-allocating accessors) and run
-// as ordinary engine events, so enabling them never changes simulated
-// behaviour — only whether violations are detected.
+// between events, at window starts, so enabling them never changes
+// simulated behaviour — only whether violations are detected.
 package check
 
 import (
@@ -100,13 +100,11 @@ type Invariant struct {
 	Check func() []string
 }
 
-// Checker evaluates registered invariants periodically on the engine.
+// Checker evaluates registered invariants whenever its driver calls
+// CheckNow; the machine does so at window starts.
 type Checker struct {
-	Eng    *sim.Engine
-	Period sim.Cycle // check interval (cycles)
-	// Now, if set, supplies the simulated time stamped on violations
-	// instead of Eng.Now(). Partitioned runs drive the checker externally,
-	// at window starts, and stamp the window's start cycle.
+	// Now, if set, supplies the simulated time stamped on violations (the
+	// machine stamps the window's start cycle).
 	Now func() sim.Cycle
 	// MaxViolations caps the recorded list (0 = 16); checking continues so
 	// Checks keeps counting, but further text is suppressed.
@@ -119,43 +117,16 @@ type Checker struct {
 	// reports in sorted address / core order).
 	Violations []string
 
-	invs    []Invariant
-	stopped bool
-	started bool
+	invs []Invariant
 }
 
-// Register adds an invariant; call before Start.
+// Register adds an invariant.
 func (c *Checker) Register(name string, fn func() []string) {
 	c.invs = append(c.invs, Invariant{Name: name, Check: fn})
 }
 
 // Add registers a prebuilt Invariant (the constructor form of Register).
 func (c *Checker) Add(inv Invariant) { c.invs = append(c.invs, inv) }
-
-// Start schedules the periodic evaluation. Safe to call once.
-func (c *Checker) Start() {
-	if c.started {
-		return
-	}
-	c.started = true
-	if c.Period <= 0 {
-		c.Period = 5000
-	}
-	c.tick()
-}
-
-// Stop halts future wakeups (pending ones become no-ops).
-func (c *Checker) Stop() { c.stopped = true }
-
-func (c *Checker) tick() {
-	c.Eng.Schedule(c.Period, func() {
-		if c.stopped {
-			return
-		}
-		c.CheckNow()
-		c.tick()
-	})
-}
 
 // CheckNow evaluates every invariant immediately.
 func (c *Checker) CheckNow() {
@@ -176,8 +147,6 @@ func (c *Checker) record(name, v string) {
 		now := sim.Cycle(0)
 		if c.Now != nil {
 			now = c.Now()
-		} else if c.Eng != nil {
-			now = c.Eng.Now()
 		}
 		c.Violations = append(c.Violations,
 			fmt.Sprintf("[%d] %s: %s", now, name, v))
@@ -240,7 +209,7 @@ func sortedAddrs(m map[mem.BlockAddr]bool) []mem.BlockAddr {
 // tokens across caches, its home memory controller, and the in-flight
 // ledgers sum to total, with exactly one owner token. home interleaving is
 // addr mod len(mcs), matching the cache controllers. Several ledgers may
-// be passed (partitioned runs keep one per domain so custody observations
+// be passed (the machine keeps one per domain so custody observations
 // stay domain-local); their per-block balances are summed.
 func TokenConservation(total int, l2s []*cache.Cache, mcs []*memctrl.Ctrl, leds ...*Ledger) Invariant {
 	check := func() []string {
@@ -328,8 +297,8 @@ func SingleWriter(total int, l2s []*cache.Cache) Invariant {
 // TxnCompletion builds the liveness invariant: no controller's outstanding
 // transaction may be older than maxAge cycles (snoop-domain safety — a
 // wrong destination set must still complete via retries or the persistent
-// path, only slower). now supplies the current simulated time (an engine's
-// Now method in legacy runs, the window clock in partitioned runs).
+// path, only slower). now supplies the current simulated time (the
+// machine passes its window clock; a test may pass an engine's Now).
 func TxnCompletion(now func() sim.Cycle, ctrls []*token.CacheCtrl, maxAge sim.Cycle) Invariant {
 	check := func() []string {
 		var out []string

@@ -233,13 +233,19 @@ func TestTxnCompletionFlagsStuckTransaction(t *testing.T) {
 
 func TestCheckerPeriodicAndCap(t *testing.T) {
 	eng := sim.NewEngine()
-	c := &check.Checker{Eng: eng, Period: 100, MaxViolations: 3}
+	c := &check.Checker{Now: eng.Now, MaxViolations: 3}
 	calls := 0
 	c.Register("always-bad", func() []string { calls++; return []string{"boom"} })
-	c.Start()
-	// Keep the engine alive for exactly 10 periods (stop just after the
-	// 10th tick so same-cycle queue order can't race it).
-	eng.Schedule(1050, func() { c.Stop() })
+	// Drive the checker every 100 cycles for 10 periods, as the machine
+	// drives it at window starts.
+	var tick sim.HandlerFn
+	tick = func(_ interface{}, _ uint64) {
+		c.CheckNow()
+		if eng.Now() < 1000 {
+			eng.ScheduleFn(100, tick, nil, 0)
+		}
+	}
+	eng.ScheduleFn(100, tick, nil, 0)
 	eng.Run()
 	if calls != 10 {
 		t.Fatalf("invariant evaluated %d times, want 10", calls)
@@ -252,5 +258,8 @@ func TestCheckerPeriodicAndCap(t *testing.T) {
 	}
 	if !strings.Contains(c.Violations[0], "always-bad") {
 		t.Fatalf("violation text %q lacks invariant name", c.Violations[0])
+	}
+	if !strings.HasPrefix(c.Violations[2], "[300] ") {
+		t.Fatalf("violation %q not stamped with its check cycle 300", c.Violations[2])
 	}
 }

@@ -99,7 +99,7 @@ func TestSuspicionDecays(t *testing.T) {
 		t.Fatal("suspicion not recorded")
 	}
 	// Advance past the decay window: routing reverts to the plain map.
-	eng.Schedule(suspectWindow+1, func() {})
+	eng.ScheduleFn(suspectWindow+1, func(interface{}, uint64) {}, nil, 0)
 	eng.Run()
 	if f.SuspicionLevel(1) != 0 {
 		t.Fatalf("suspicion level %d after window, want 0", f.SuspicionLevel(1))

@@ -114,10 +114,36 @@ type CacheCtrl struct {
 
 	cur *txn
 	txn txn // backing storage for cur: cores are blocking, so one suffices
+
+	// Prebound reply handlers. The forwarded request or invalidation rides
+	// in the event's arg as the boxed payload the mesh delivered, so
+	// scheduling a reply allocates nothing.
+	dataFn   sim.HandlerFn // data to the requester
+	dataWBFn sim.HandlerFn // data to the requester, clean copy home (u = dirty)
+	invAckFn sim.HandlerFn // invalidation ack to the requester
 }
 
 // Init prepares internal state; call once after fields are set.
-func (c *CacheCtrl) Init() {}
+func (c *CacheCtrl) Init() {
+	c.dataFn = func(arg interface{}, _ uint64) { c.sendData(arg.(Msg)) }
+	c.dataWBFn = func(arg interface{}, u uint64) {
+		req := arg.(Msg)
+		c.sendData(req)
+		c.Net.Send(c.Node, c.home(req.Addr), c.P.DataBytes,
+			Msg{Kind: MsgSharingWB, Addr: req.Addr, Src: c.Node, Dirty: u != 0, Data: true})
+	}
+	c.invAckFn = func(arg interface{}, _ uint64) {
+		req := arg.(Msg)
+		c.Net.Send(c.Node, req.Requester, c.P.CtrlBytes,
+			Msg{Kind: MsgInvAck, Addr: req.Addr, Src: c.Node})
+	}
+}
+
+// sendData answers a forwarded request with the block's data.
+func (c *CacheCtrl) sendData(req Msg) {
+	c.Net.Send(c.Node, req.Requester, c.P.DataBytes,
+		Msg{Kind: MsgData, Addr: req.Addr, Src: c.Node, Data: true})
+}
 
 type txn struct {
 	addr     mem.BlockAddr
@@ -180,11 +206,11 @@ func (c *CacheCtrl) Handle(payload interface{}) {
 	case MsgInvAck:
 		c.handleInvAck(msg)
 	case MsgFwdGetS:
-		c.handleFwdGetS(msg)
+		c.handleFwdGetS(msg, payload)
 	case MsgFwdGetX:
-		c.handleFwdGetX(msg)
+		c.handleFwdGetX(msg, payload)
 	case MsgInv:
-		c.handleInv(msg)
+		c.handleInv(msg, payload)
 	case MsgWBAck:
 		// nothing further: the home absorbed the writeback
 	default:
@@ -247,8 +273,9 @@ func (c *CacheCtrl) finish(t *txn, b *cache.Block) {
 }
 
 // handleFwdGetS: we own the block; send data to the requester, downgrade
-// to shared, and send the home a clean copy.
-func (c *CacheCtrl) handleFwdGetS(msg Msg) {
+// to shared, and send the home a clean copy. req is msg as the mesh
+// delivered it, boxed; the reply event carries it.
+func (c *CacheCtrl) handleFwdGetS(msg Msg, req interface{}) {
 	c.Stats.Forwards++
 	b := c.L2.Lookup(msg.Addr)
 	if b == nil || b.Tokens == 0 {
@@ -257,54 +284,39 @@ func (c *CacheCtrl) handleFwdGetS(msg Msg) {
 		// consistent — this is the writeback-buffer behaviour of blocking
 		// directory protocols, with the buffer's lifetime made unbounded
 		// because the simulator carries validity, not values.
-		c.Eng.Schedule(c.P.L2Latency, func() {
-			c.Net.Send(c.Node, msg.Requester, c.P.DataBytes,
-				Msg{Kind: MsgData, Addr: msg.Addr, Src: c.Node, Data: true})
-		})
+		c.Eng.ScheduleFn(c.P.L2Latency, c.dataFn, req, 0)
 		return
 	}
-	dirty := b.Dirty
+	var dirty uint64
+	if b.Dirty {
+		dirty = 1
+	}
 	b.Tokens = 1 // downgrade to S
 	b.Owner = false
 	b.Dirty = false
-	c.Eng.Schedule(c.P.L2Latency, func() {
-		c.Net.Send(c.Node, msg.Requester, c.P.DataBytes,
-			Msg{Kind: MsgData, Addr: msg.Addr, Src: c.Node, Data: true})
-		c.Net.Send(c.Node, c.home(msg.Addr), c.P.DataBytes,
-			Msg{Kind: MsgSharingWB, Addr: msg.Addr, Src: c.Node, Dirty: dirty, Data: true})
-	})
+	c.Eng.ScheduleFn(c.P.L2Latency, c.dataWBFn, req, dirty)
 }
 
 // handleFwdGetX: we own the block; send data to the requester and
 // invalidate our copy.
-func (c *CacheCtrl) handleFwdGetX(msg Msg) {
+func (c *CacheCtrl) handleFwdGetX(msg Msg, req interface{}) {
 	c.Stats.Forwards++
 	b := c.L2.Lookup(msg.Addr)
-	if b == nil || b.Tokens == 0 {
-		// Raced with our own eviction: respond anyway (see handleFwdGetS).
-		c.Eng.Schedule(c.P.L2Latency, func() {
-			c.Net.Send(c.Node, msg.Requester, c.P.DataBytes,
-				Msg{Kind: MsgData, Addr: msg.Addr, Src: c.Node, Data: true})
-		})
-		return
+	if b != nil && b.Tokens > 0 {
+		c.L2.Invalidate(msg.Addr, b)
 	}
-	c.L2.Invalidate(msg.Addr, b)
-	c.Eng.Schedule(c.P.L2Latency, func() {
-		c.Net.Send(c.Node, msg.Requester, c.P.DataBytes,
-			Msg{Kind: MsgData, Addr: msg.Addr, Src: c.Node, Data: true})
-	})
+	// A copy already gone raced our own eviction: respond anyway (see
+	// handleFwdGetS).
+	c.Eng.ScheduleFn(c.P.L2Latency, c.dataFn, req, 0)
 }
 
 // handleInv: drop our shared copy and ack the requester.
-func (c *CacheCtrl) handleInv(msg Msg) {
+func (c *CacheCtrl) handleInv(msg Msg, req interface{}) {
 	c.Stats.Invalidations++
 	if b := c.L2.Lookup(msg.Addr); b != nil && b.Tokens > 0 {
 		c.L2.Invalidate(msg.Addr, b)
 	}
-	c.Eng.Schedule(c.P.L2Latency, func() {
-		c.Net.Send(c.Node, msg.Requester, c.P.CtrlBytes,
-			Msg{Kind: MsgInvAck, Addr: msg.Addr, Src: c.Node})
-	})
+	c.Eng.ScheduleFn(c.P.L2Latency, c.invAckFn, req, 0)
 }
 
 // writebackVictim returns an evicted block to its home. Shared copies are

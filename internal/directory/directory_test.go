@@ -213,14 +213,14 @@ func TestRandomStressNoDeadlock(t *testing.T) {
 				if write {
 					b.Dirty = true
 				}
-				h.eng.Schedule(1, func() { issue(core) })
+				h.eng.ScheduleFn(1, call, func() { issue(core) }, 0)
 				return
 			}
 			c.Start(a, mem.VMID(core/2), write, call, func() { issue(core) })
 		}
 		for core := 0; core < 8; core++ {
 			core := core
-			h.eng.Schedule(sim.Cycle(core), func() { issue(core) })
+			h.eng.ScheduleFn(sim.Cycle(core), call, func() { issue(core) }, 0)
 		}
 		h.run()
 		total := 0
@@ -267,13 +267,13 @@ func TestDeterministicRuns(t *testing.T) {
 			c := h.ctrls[core]
 			write := r.Bool(0.5)
 			if b := c.L2.Lookup(a); b != nil && b.Tokens >= 1 && (!write || int(b.Tokens) == c.Tokens) {
-				h.eng.Schedule(1, func() { issue(core) })
+				h.eng.ScheduleFn(1, call, func() { issue(core) }, 0)
 				return
 			}
 			c.Start(a, 1, write, call, func() { issue(core) })
 		}
 		issue(0)
-		h.eng.Schedule(3, func() { issue(1) })
+		h.eng.ScheduleFn(3, call, func() { issue(1) }, 0)
 		h.run()
 		return h.home.Stats.Lookups, h.net.ByteHops
 	}

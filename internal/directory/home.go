@@ -59,6 +59,10 @@ type Home struct {
 	TraceFn   func(format string, args ...interface{})
 
 	lines map[mem.BlockAddr]*dirEntry
+	// sendFn is the prebound handler of a delayed send: the boxed Msg rides
+	// in arg, the destination and size in u, so the send allocates only
+	// the payload box the mesh would have made anyway.
+	sendFn sim.HandlerFn
 }
 
 func (h *Home) trace(a mem.BlockAddr, format string, args ...interface{}) {
@@ -68,7 +72,12 @@ func (h *Home) trace(a mem.BlockAddr, format string, args ...interface{}) {
 }
 
 // Init prepares internal state.
-func (h *Home) Init() { h.lines = make(map[mem.BlockAddr]*dirEntry) }
+func (h *Home) Init() {
+	h.lines = make(map[mem.BlockAddr]*dirEntry)
+	h.sendFn = func(arg interface{}, u uint64) {
+		h.Net.Send(h.Node, mesh.NodeID(u>>32), int(uint32(u)), arg)
+	}
+}
 
 func (h *Home) line(a mem.BlockAddr) *dirEntry {
 	e, ok := h.lines[a]
@@ -246,7 +255,5 @@ func (h *Home) send(dst mesh.NodeID, msg Msg, latency sim.Cycle, data bool) {
 	if data {
 		bytes = h.P.DataBytes
 	}
-	h.Eng.Schedule(latency, func() {
-		h.Net.Send(h.Node, dst, bytes, msg)
-	})
+	h.Eng.ScheduleFn(latency, h.sendFn, msg, uint64(dst)<<32|uint64(bytes))
 }

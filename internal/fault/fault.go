@@ -26,9 +26,10 @@
 //     entirely: it is the forward-progress guarantee of last resort, and
 //     real designs carry it on a reliable virtual channel.
 //
-// All randomness flows from one seeded sim.Rand stream consumed in
-// deterministic (event-order) sequence, so identical (Config, Plan, seed)
-// produce bit-identical runs.
+// All randomness flows from seeded sim.Rand streams — one per source
+// endpoint for message faults, one shared stream for link degradation and
+// migration storms — each consumed in deterministic (event-order)
+// sequence, so identical (Config, Plan, seed) produce bit-identical runs.
 package fault
 
 import (
@@ -149,31 +150,24 @@ type Stats struct {
 	StormRelocations   uint64 // vCPU swaps performed by migration storms
 }
 
-// EventHooks are the system-layer callbacks scheduled events act through.
-type EventHooks struct {
-	CorruptMap     func(vm mem.VMID, core int)
-	CorruptCounter func(core int, vm mem.VMID, delta int)
-	// MigrationStorm performs pairs random vCPU swaps and returns how many
-	// relocations actually happened.
-	MigrationStorm func(pairs int) int
-}
-
 // Injector applies a Plan to a running machine.
 type Injector struct {
-	Plan  *Plan
-	Rng   *sim.Rand
+	Plan *Plan
+	// Rng is the shared stream: link degradation and migration storms.
+	Rng *sim.Rand
+	// Stats holds the scheduled-event counters, which the machine bumps
+	// as it applies the plan's events; TotalStats adds the per-node
+	// message-fault counters.
 	Stats Stats
 
 	mcs                 []mesh.NodeID
 	dropP, dupP, delayP float64
 	delayMax            int
-	mixedSeed           uint64
 
-	// perNode, when non-nil, gives every source endpoint its own random
-	// stream and fault counters (EnablePerNode), as partitioned runs use.
-	// A node's stream is consumed in that node's send order, so a node's
-	// faults depend on its own traffic, not on how other nodes' sends
-	// interleave with it. The golden results pin this stream layout.
+	// perNode gives every source endpoint its own random stream and fault
+	// counters. A node's stream is consumed in that node's send order, so
+	// a node's faults depend on its own traffic, not on how other nodes'
+	// sends interleave with it. The golden results pin this stream layout.
 	perNode []nodeFaults
 }
 
@@ -183,42 +177,33 @@ type nodeFaults struct {
 	stats Stats
 }
 
-// NewInjector builds an injector whose random stream mixes the plan seed
-// with the run seed.
-func NewInjector(plan *Plan, runSeed uint64) *Injector {
+// NewInjector builds an injector for a mesh of nodes endpoints. Its
+// random streams mix the plan seed with the run seed.
+func NewInjector(plan *Plan, runSeed uint64, nodes int) *Injector {
 	delayMax := plan.DelayMax
 	if delayMax <= 0 {
 		delayMax = 200
 	}
 	mixed := runSeed ^ (plan.Seed * 0x9e3779b97f4a7c15)
-	return &Injector{
-		Plan:      plan,
-		Rng:       sim.NewRandTagged(mixed, "fault"),
-		dropP:     plan.DropPct / 100,
-		dupP:      plan.DupPct / 100,
-		delayP:    plan.DelayPct / 100,
-		delayMax:  delayMax,
-		mixedSeed: mixed,
+	in := &Injector{
+		Plan:     plan,
+		Rng:      sim.NewRandTagged(mixed, "fault"),
+		dropP:    plan.DropPct / 100,
+		dupP:     plan.DupPct / 100,
+		delayP:   plan.DelayPct / 100,
+		delayMax: delayMax,
+		perNode:  make([]nodeFaults, nodes),
 	}
-}
-
-// EnablePerNode switches the probabilistic hook to per-source-node random
-// streams and counters for the given number of endpoints. Call before the
-// run starts; TotalStats aggregates the per-node counters afterwards.
-func (in *Injector) EnablePerNode(nodes int) {
-	in.perNode = make([]nodeFaults, nodes)
 	for i := range in.perNode {
-		in.perNode[i].rng = sim.NewRandTagged(in.mixedSeed, fmt.Sprintf("fault-n%d", i))
+		in.perNode[i].rng = sim.NewRandTagged(mixed, fmt.Sprintf("fault-n%d", i))
 	}
+	return in
 }
 
-// TotalStats returns the whole-run fault counters: the shared Stats in
-// single-stream mode, the per-node sum after EnablePerNode.
+// TotalStats returns the whole-run fault counters: the scheduled-event
+// counters plus every endpoint's message-fault counters.
 func (in *Injector) TotalStats() Stats {
-	if in.perNode == nil {
-		return in.Stats
-	}
-	total := in.Stats // scheduled-event counters stay on the shared struct
+	total := in.Stats
 	for i := range in.perNode {
 		s := &in.perNode[i].stats
 		total.Dropped += s.Dropped
@@ -257,11 +242,8 @@ func (in *Injector) hook(src, dst mesh.NodeID, bytes int, payload interface{}) m
 	if !ok {
 		return mesh.FaultOutcome{}
 	}
-	rng, stats := in.Rng, &in.Stats
-	if in.perNode != nil {
-		n := &in.perNode[src]
-		rng, stats = n.rng, &n.stats
-	}
+	n := &in.perNode[src]
+	rng, stats := n.rng, &n.stats
 	var out mesh.FaultOutcome
 	switch msg.Kind {
 	case token.MsgGetS, token.MsgGetX:
@@ -298,40 +280,5 @@ func (in *Injector) maybeDelay(rng *sim.Rand, stats *Stats, out *mesh.FaultOutco
 	if in.delayP > 0 && rng.Bool(in.delayP) {
 		stats.Delayed++
 		out.Delay = sim.Cycle(1 + rng.Intn(in.delayMax))
-	}
-}
-
-// ScheduleEvents queues the plan's one-shot events on the engine, acting
-// through the provided hooks. Call before the run starts (event times are
-// absolute cycles).
-func (in *Injector) ScheduleEvents(eng *sim.Engine, h EventHooks) {
-	for _, ev := range in.Plan.Events {
-		ev := ev
-		eng.ScheduleAt(ev.At, func() {
-			switch ev.Kind {
-			case EvCorruptMap:
-				if h.CorruptMap != nil {
-					in.Stats.MapCorruptions++
-					h.CorruptMap(mem.VMID(ev.VM), ev.Core)
-				}
-			case EvCorruptCounter:
-				if h.CorruptCounter != nil {
-					delta := ev.Count
-					if delta == 0 {
-						delta = -1
-					}
-					in.Stats.CounterCorruptions++
-					h.CorruptCounter(ev.Core, mem.VMID(ev.VM), delta)
-				}
-			case EvMigrationStorm:
-				if h.MigrationStorm != nil {
-					pairs := ev.Count
-					if pairs <= 0 {
-						pairs = 4
-					}
-					in.Stats.StormRelocations += uint64(h.MigrationStorm(pairs))
-				}
-			}
-		})
 	}
 }

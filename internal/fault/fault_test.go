@@ -63,7 +63,7 @@ func faultNet(t *testing.T, plan *Plan, seed uint64) (*sim.Engine, *mesh.Network
 			ids[y*4+x] = net.Attach(x, y, nil)
 		}
 	}
-	in := NewInjector(plan, seed)
+	in := NewInjector(plan, seed, len(ids))
 	in.Attach(net, []mesh.NodeID{ids[15]})
 	return eng, net, ids, in
 }
@@ -89,8 +89,8 @@ func TestPersistentMessagesExempt(t *testing.T) {
 			t.Fatalf("persistent message %v dropped (got %v)", k, got)
 		}
 	}
-	if in.Stats.Dropped != 2 {
-		t.Fatalf("Dropped = %d, want 2", in.Stats.Dropped)
+	if in.TotalStats().Dropped != 2 {
+		t.Fatalf("Dropped = %d, want 2", in.TotalStats().Dropped)
 	}
 }
 
@@ -106,8 +106,8 @@ func TestTokenMessagesBounceHome(t *testing.T) {
 	if atDst != 0 || atHome != 2 {
 		t.Fatalf("bounce: dst=%d home=%d, want 0/2", atDst, atHome)
 	}
-	if in.Stats.Bounced != 2 || in.Stats.Dropped != 0 {
-		t.Fatalf("stats = %+v, want 2 bounced, 0 dropped", in.Stats)
+	if in.TotalStats().Bounced != 2 || in.TotalStats().Dropped != 0 {
+		t.Fatalf("stats = %+v, want 2 bounced, 0 dropped", in.TotalStats())
 	}
 }
 
@@ -124,8 +124,8 @@ func TestDuplicateOnlyRequests(t *testing.T) {
 	if got[token.MsgData] != 1 {
 		t.Fatalf("Data duplicated: delivered %d times — duplicating tokens forges them", got[token.MsgData])
 	}
-	if in.Stats.Duplicated != 1 {
-		t.Fatalf("Duplicated = %d, want 1", in.Stats.Duplicated)
+	if in.TotalStats().Duplicated != 1 {
+		t.Fatalf("Duplicated = %d, want 1", in.TotalStats().Duplicated)
 	}
 }
 
@@ -138,8 +138,8 @@ func TestNonCoherencePayloadUntouched(t *testing.T) {
 	if delivered != 1 {
 		t.Fatal("non-coherence payload faulted")
 	}
-	if in.Stats.Dropped != 0 && in.Stats.Delayed != 0 {
-		t.Fatalf("stats moved for non-coherence payload: %+v", in.Stats)
+	if in.TotalStats().Dropped != 0 && in.TotalStats().Delayed != 0 {
+		t.Fatalf("stats moved for non-coherence payload: %+v", in.TotalStats())
 	}
 }
 
@@ -152,7 +152,7 @@ func TestInjectorDeterministic(t *testing.T) {
 			net.Send(ids[0], ids[10], 8, &token.Msg{Kind: token.MsgGetS, Addr: mem.BlockAddr(i)})
 		}
 		eng.Run()
-		return in.Stats, arrivals
+		return in.TotalStats(), arrivals
 	}
 	s1, a1 := run()
 	s2, a2 := run()
@@ -169,36 +169,6 @@ func TestInjectorDeterministic(t *testing.T) {
 	}
 	if s1.Dropped == 0 || s1.Duplicated == 0 || s1.Delayed == 0 {
 		t.Fatalf("expected all fault classes to trigger over 200 messages: %+v", s1)
-	}
-}
-
-func TestScheduleEvents(t *testing.T) {
-	eng := sim.NewEngine()
-	plan := &Plan{Events: []Event{
-		{At: 10, Kind: EvCorruptMap, VM: 1, Core: 3},
-		{At: 20, Kind: EvCorruptCounter, VM: 2, Core: 4}, // Count 0 -> default -1
-		{At: 30, Kind: EvMigrationStorm},                 // Count 0 -> default 4 pairs
-	}}
-	in := NewInjector(plan, 1)
-	var gotMap, gotCtr, gotStorm []int
-	in.ScheduleEvents(eng, EventHooks{
-		CorruptMap:     func(vm mem.VMID, core int) { gotMap = []int{int(vm), core, int(eng.Now())} },
-		CorruptCounter: func(core int, vm mem.VMID, delta int) { gotCtr = []int{core, int(vm), delta} },
-		MigrationStorm: func(pairs int) int { gotStorm = []int{pairs}; return pairs * 2 },
-	})
-	eng.Run()
-	if len(gotMap) != 3 || gotMap[0] != 1 || gotMap[1] != 3 || gotMap[2] != 10 {
-		t.Fatalf("corrupt-map hook got %v", gotMap)
-	}
-	if len(gotCtr) != 3 || gotCtr[0] != 4 || gotCtr[1] != 2 || gotCtr[2] != -1 {
-		t.Fatalf("corrupt-counter hook got %v (delta default -1)", gotCtr)
-	}
-	if len(gotStorm) != 1 || gotStorm[0] != 4 {
-		t.Fatalf("storm hook got %v (default 4 pairs)", gotStorm)
-	}
-	s := in.Stats
-	if s.MapCorruptions != 1 || s.CounterCorruptions != 1 || s.StormRelocations != 8 {
-		t.Fatalf("event stats = %+v", s)
 	}
 }
 

@@ -95,44 +95,6 @@ func TestMapperDoubleOccupancyPanics(t *testing.T) {
 	m.Place(VCPU{VM: 2, Idx: 0}, 0)
 }
 
-func TestShufflerSwapsAcrossVMsOnly(t *testing.T) {
-	eng := sim.NewEngine()
-	m := NewMapper(8)
-	for vm := 0; vm < 2; vm++ {
-		for i := 0; i < 4; i++ {
-			m.Place(VCPU{VM: mem.VMID(vm), Idx: i}, vm*4+i)
-		}
-	}
-	crossings := 0
-	m.OnRelocate = func(v VCPU, from, to int) { crossings++ }
-	sh := &Shuffler{Eng: eng, Map: m, Period: 100}
-	sh.Start()
-	eng.RunUntil(10_000)
-	sh.Stop()
-	if sh.Swaps < 50 {
-		t.Fatalf("swaps = %d, want ~100", sh.Swaps)
-	}
-	if crossings != int(sh.Swaps)*2 {
-		t.Fatalf("relocation events %d != 2*swaps %d", crossings, sh.Swaps)
-	}
-	// Every VM still has exactly 4 running cores.
-	for vm := mem.VMID(0); vm < 2; vm++ {
-		if got := len(m.RunningCores(vm)); got != 4 {
-			t.Fatalf("VM %d on %d cores after shuffles", vm, got)
-		}
-	}
-}
-
-func TestShufflerDisabledWithZeroPeriod(t *testing.T) {
-	eng := sim.NewEngine()
-	m := NewMapper(4)
-	sh := &Shuffler{Eng: eng, Map: m, Period: 0}
-	sh.Start()
-	if eng.Pending() != 0 {
-		t.Fatal("disabled shuffler scheduled events")
-	}
-}
-
 func TestMapperOccupancyInvariantProperty(t *testing.T) {
 	// Under random placements and swaps, every vCPU occupies exactly one
 	// core and every core holds at most one vCPU.

@@ -1,8 +1,8 @@
 // Package hv models the hypervisor: vCPU-to-core placement for the
-// detailed memory-system simulator (including the paper's periodic
-// vCPU-shuffle approximation of VM relocation, Section V.C), and a Xen
-// credit-scheduler simulation used to reproduce the real-system scheduling
-// experiments of Section III (Figure 3 and Table I).
+// detailed memory-system simulator (the machine drives the paper's periodic
+// vCPU-shuffle approximation of VM relocation, Section V.C, through
+// Mapper.Swap), and a Xen credit-scheduler simulation used to reproduce the
+// real-system scheduling experiments of Section III (Figure 3 and Table I).
 package hv
 
 import (
@@ -10,7 +10,6 @@ import (
 	"sort"
 
 	"vsnoop/internal/mem"
-	"vsnoop/internal/sim"
 )
 
 // VCPU identifies one virtual CPU of a VM.
@@ -129,56 +128,4 @@ func (m *Mapper) RunningCores(vm mem.VMID) []int {
 	}
 	sort.Ints(out)
 	return out
-}
-
-// Shuffler periodically relocates vCPUs by swapping two cores that run
-// vCPUs of *different* VMs, mirroring the paper's conservative
-// methodology ("we simulate migrations only across VMs").
-type Shuffler struct {
-	Eng    *sim.Engine
-	Map    *Mapper
-	Period sim.Cycle
-	Rng    *sim.Rand
-
-	stopped bool
-	Swaps   uint64
-}
-
-// Start arms the periodic shuffle; Period 0 disables it.
-func (s *Shuffler) Start() {
-	if s.Period == 0 {
-		return
-	}
-	if s.Rng == nil {
-		s.Rng = sim.NewRandTagged(0x5457, "shuffler")
-	}
-	s.Eng.Schedule(s.Period, s.tick)
-}
-
-// Stop halts future shuffles.
-func (s *Shuffler) Stop() { s.stopped = true }
-
-func (s *Shuffler) tick() {
-	if s.stopped {
-		return
-	}
-	s.shuffleOnce()
-	s.Eng.Schedule(s.Period, s.tick)
-}
-
-// shuffleOnce picks two cores hosting vCPUs of different VMs and swaps
-// them; it gives up quietly if no such pair exists.
-func (s *Shuffler) shuffleOnce() {
-	n := s.Map.NumCores()
-	for try := 0; try < 16; try++ {
-		a := s.Rng.Intn(n)
-		b := s.Rng.Intn(n)
-		va, vb := s.Map.On(a), s.Map.On(b)
-		if va == NoVCPU || vb == NoVCPU || va.VM == vb.VM {
-			continue
-		}
-		s.Map.Swap(a, b)
-		s.Swaps++
-		return
-	}
 }

@@ -138,14 +138,11 @@ type Manager struct {
 	hostType map[HostPage]PageType
 	// content merge index: content id -> canonical shared host page
 	merged map[ContentID]HostPage
-	// refcount of VM mappings per RO-shared host page
-	roRefs map[HostPage]int
 	// which VMs currently map each RO-shared host page
 	roSharers map[HostPage]map[VMID]bool
 	// hypervisor RW-shared region
 	hvPages []HostPage
 	// statistics
-	CowCount    uint64
 	MergedPages uint64
 }
 
@@ -156,7 +153,6 @@ func NewManager(hvPages int) *Manager {
 		spaces:    make(map[VMID]*Space),
 		hostType:  make(map[HostPage]PageType),
 		merged:    make(map[ContentID]HostPage),
-		roRefs:    make(map[HostPage]int),
 		roSharers: make(map[HostPage]map[VMID]bool),
 	}
 	for i := 0; i < hvPages; i++ {
@@ -226,8 +222,8 @@ func (m *Manager) TypeOf(p HostPage) PageType { return m.hostType[p] }
 
 // PreallocateAll eagerly allocates every unmapped guest page in every space,
 // in (VM id, guest page) order — the same order lazy first-touch allocation
-// would produce on a serial run of the reference workloads, whose vCPUs walk
-// their spaces in VM order from cycle zero. Partitioned runs call this at
+// would produce on a one-queue run of the reference workloads, whose vCPUs
+// walk their spaces in VM order from cycle zero. The machine calls this at
 // setup, so host-page numbering does not depend on which domain touches a
 // page first. The golden results pin this numbering.
 func (m *Manager) PreallocateAll() {
@@ -255,11 +251,12 @@ func CowKey(vm VMID, gp GuestPage) uint64 { return uint64(vm)<<32 | uint64(gp) }
 
 // PrepareCowTargets preallocates one private host page per RO-shared
 // (vm, guest page) mapping, in (VM id, guest page) order, and returns the
-// target index keyed by CowKey. The partitioned engine calls this at setup,
-// after MergeIdentical: copy-on-write traps then remap through per-domain
-// overlay tables onto these fixed targets instead of mutating the shared
-// manager at run time, so host-page numbering never depends on the order
-// concurrent domains take their COW faults.
+// target index keyed by CowKey. The machine calls this at setup, after
+// MergeIdentical: a guest store to an RO-shared page (Section VI.A) then
+// traps through a per-domain overlay table onto its fixed private target,
+// other sharers keep the read-only copy, and the shared manager is never
+// mutated at run time, so host-page numbering never depends on the order
+// domains take their COW faults.
 func (m *Manager) PrepareCowTargets() map[uint64]HostPage {
 	targets := make(map[uint64]HostPage)
 	vms := make([]VMID, 0, len(m.spaces))
@@ -314,7 +311,6 @@ func (m *Manager) MergeIdentical() int {
 				canon = e.host
 				m.merged[e.content] = canon
 				m.hostType[canon] = PageROShared
-				m.roRefs[canon] = 1
 				m.roSharers[canon] = map[VMID]bool{vm: true}
 				m.MergedPages++
 				e.typ = PageROShared
@@ -327,33 +323,11 @@ func (m *Manager) MergeIdentical() int {
 			// host page is abandoned (freed in a real hypervisor).
 			e.host = canon
 			e.typ = PageROShared
-			m.roRefs[canon]++
 			m.roSharers[canon][vm] = true
 			redirected++
 		}
 	}
 	return redirected
-}
-
-// CopyOnWrite handles a guest store to an RO-shared page (Section VI.A):
-// the hypervisor allocates a fresh private page for the writer and remaps
-// it; other sharers keep the read-only copy. It returns the old and new
-// host pages. It panics if the mapping is not RO-shared.
-func (m *Manager) CopyOnWrite(vm VMID, gp GuestPage) (old, fresh HostPage) {
-	s := m.spaces[vm]
-	e := &s.table[gp]
-	if !e.valid || e.typ != PageROShared {
-		panic(fmt.Sprintf("mem: CopyOnWrite on non-RO page vm=%d gp=%d", vm, gp))
-	}
-	old = e.host
-	fresh = m.allocHost(PagePrivate)
-	e.host = fresh
-	e.typ = PagePrivate
-	e.content = 0 // contents now diverge
-	m.roRefs[old]--
-	delete(m.roSharers[old], vm)
-	m.CowCount++
-	return old, fresh
 }
 
 // ShareRW marks a guest page of vm as RW-shared (an inter-VM communication

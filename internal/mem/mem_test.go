@@ -105,39 +105,38 @@ func TestCopyOnWrite(t *testing.T) {
 	m.SetContent(2, 0, 9)
 	m.MergeIdentical()
 	shared := m.Translate(1, 0).Host
-	old, fresh := m.CopyOnWrite(1, 0)
-	if old != shared {
-		t.Fatal("COW old page mismatch")
+	targets := m.PrepareCowTargets()
+	fresh, ok := targets[CowKey(1, 0)]
+	if !ok {
+		t.Fatal("no COW target for an RO-shared mapping")
 	}
 	if fresh == shared {
-		t.Fatal("COW did not allocate a new page")
+		t.Fatal("COW target is the shared page")
 	}
-	after := m.Translate(1, 0)
-	if after.Host != fresh || after.Type != PagePrivate {
-		t.Fatalf("post-COW mapping = %+v", after)
+	if m.TypeOf(fresh) != PagePrivate {
+		t.Fatalf("COW target type = %v, want private", m.TypeOf(fresh))
 	}
-	// VM 2 still reads the shared copy.
-	if m.Translate(2, 0).Host != shared {
-		t.Fatal("COW disturbed the other sharer")
+	if other := targets[CowKey(2, 0)]; other == fresh || other == shared {
+		t.Fatalf("VM 2's COW target %d aliases VM 1's %d or the shared page %d", other, fresh, shared)
 	}
-	if got := len(m.ROSharers(shared)); got != 1 {
-		t.Fatalf("sharers after COW = %d, want 1", got)
+	// Preparing targets leaves the shared mappings as they are: both VMs
+	// still read the shared copy until a store traps.
+	if m.Translate(1, 0).Host != shared || m.Translate(2, 0).Host != shared {
+		t.Fatal("preparing COW targets remapped a sharer")
 	}
-	if m.CowCount != 1 {
-		t.Fatalf("CowCount = %d", m.CowCount)
+	if got := len(m.ROSharers(shared)); got != 2 {
+		t.Fatalf("sharers = %d, want 2", got)
 	}
 }
 
-func TestCopyOnWritePanicsOnPrivate(t *testing.T) {
-	m := NewManager(0)
+func TestCowTargetsOnlyForROShared(t *testing.T) {
+	m := NewManager(2)
 	m.NewSpace(1, 4)
 	m.Translate(1, 0)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("COW on private page did not panic")
-		}
-	}()
-	m.CopyOnWrite(1, 0)
+	m.ShareRW(1, 1, 0, false)
+	if targets := m.PrepareCowTargets(); len(targets) != 0 {
+		t.Fatalf("COW targets for private and RW-shared pages: %v", targets)
+	}
 }
 
 func TestFriendOf(t *testing.T) {
@@ -234,16 +233,16 @@ func TestCOWNeverAliasesWritablePages(t *testing.T) {
 		}
 	}
 	m.MergeIdentical()
-	// Writers break sharing one page at a time.
-	for vm := VMID(0); vm < vms; vm++ {
-		for gp := GuestPage(0); gp < 8; gp += 2 {
-			m.CopyOnWrite(vm, gp)
-		}
-	}
+	targets := m.PrepareCowTargets()
+	// Writers break sharing one page at a time, each onto its COW target.
+	written := func(gp GuestPage) bool { return gp < 8 && gp%2 == 0 }
 	owner := make(map[HostPage]VMID)
 	for vm := VMID(0); vm < vms; vm++ {
 		for gp := GuestPage(0); gp < 32; gp++ {
 			tr := m.Translate(vm, gp)
+			if written(gp) {
+				tr = Translation{Host: targets[CowKey(vm, gp)], Type: PagePrivate}
+			}
 			if tr.Type != PagePrivate {
 				continue
 			}

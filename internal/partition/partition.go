@@ -78,8 +78,8 @@ type Plan struct {
 	SpansVM bool
 }
 
-// Compute returns the best partition for the input. Domains == 1 means the
-// machine should run on the single legacy engine.
+// Compute returns the best partition for the input. A one-domain plan is
+// a machine without cross-domain traffic, run like any other plan.
 func Compute(in Input) Plan {
 	w := in.Weights
 	if w == (Weights{}) {

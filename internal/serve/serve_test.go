@@ -224,21 +224,25 @@ func TestBadRequests(t *testing.T) {
 	if code != http.StatusBadRequest {
 		t.Fatalf("invalid config: %d, want 400", code)
 	}
-	// A config carrying the removed "Mode" field is an unknown field.
+	// A config carrying a removed field ("Mode", or "ForceSerial" with the
+	// single-queue engine) is an unknown field.
 	raw, err := json.Marshal(quickConfig(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	withMode := append(raw[:len(raw)-1:len(raw)-1], `,"Mode":"adaptive"}`...)
-	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json",
-		bytes.NewReader(append(append([]byte(`{"config":`), withMode...), '}')))
-	if err != nil {
-		t.Fatal(err)
-	}
-	msg, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), `unknown field "Mode"`) {
-		t.Fatalf("config with Mode: %d %q, want 400 naming the unknown field", resp.StatusCode, msg)
+	for _, field := range []string{`"Mode":"adaptive"`, `"ForceSerial":true`} {
+		with := append(raw[:len(raw)-1:len(raw)-1], ","+field+"}"...)
+		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json",
+			bytes.NewReader(append(append([]byte(`{"config":`), with...), '}')))
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		name := field[:strings.Index(field, ":")]
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), "unknown field "+name) {
+			t.Fatalf("config with %s: %d %q, want 400 naming the unknown field", field, resp.StatusCode, msg)
+		}
 	}
 	// Malformed hash.
 	code, _ = getRaw(t, ts.URL+"/v1/results/nothex")

@@ -55,35 +55,3 @@ func TestScheduleFnPointerArgZeroAlloc(t *testing.T) {
 		t.Fatalf("pointer-arg ScheduleFn allocates %.2f per batch, want 0", avg)
 	}
 }
-
-// TestScheduleClosureZeroAlloc is the allocation gate for the closure form:
-// Schedule and ScheduleAt store a prebuilt func() in the event's arg under
-// the callFunc handler, and a func value is pointer-shaped, so once the
-// pool is warm neither scheduling nor firing allocates.
-func TestScheduleClosureZeroAlloc(t *testing.T) {
-	e := NewEngine()
-	fired := 0
-	fn := func() { fired++ }
-	for i := 0; i < 1024; i++ {
-		e.Schedule(Cycle(i&63), fn)
-	}
-	e.Run()
-
-	avg := testing.AllocsPerRun(100, func() {
-		for i := 0; i < 64; i++ {
-			if i&1 == 0 {
-				e.Schedule(Cycle(i&15), fn)
-			} else {
-				e.ScheduleAt(e.Now()+Cycle(i&15), fn)
-			}
-		}
-		for e.Step() {
-		}
-	})
-	if avg != 0 {
-		t.Fatalf("steady-state Schedule/ScheduleAt allocates %.2f allocs per 64-event batch, want 0", avg)
-	}
-	if want := 1024 + 101*64; fired != want {
-		t.Fatalf("fired %d closure events, want %d", fired, want)
-	}
-}

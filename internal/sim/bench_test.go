@@ -2,17 +2,6 @@ package sim
 
 import "testing"
 
-func BenchmarkScheduleAndFire(b *testing.B) {
-	e := NewEngine()
-	for i := 0; i < b.N; i++ {
-		e.Schedule(Cycle(i&1023), func() {})
-		if e.Pending() > 8192 {
-			e.Run()
-		}
-	}
-	e.Run()
-}
-
 func BenchmarkScheduleFnAndFire(b *testing.B) {
 	e := NewEngine()
 	fn := func(interface{}, uint64) {}

@@ -22,10 +22,10 @@ func TestCancelStopsEngine(t *testing.T) {
 			c.Cancel()
 		}
 		if fired < chain {
-			e.Schedule(1, step)
+			e.ScheduleFn(1, call, step, 0)
 		}
 	}
-	e.Schedule(1, step)
+	e.ScheduleFn(1, call, step, 0)
 	err := e.RunBoundedSteps(2 * chain)
 	var ce *CanceledError
 	if !errors.As(err, &ce) {
@@ -53,7 +53,7 @@ func TestCancelCompletedRunUnaffected(t *testing.T) {
 		e.SetCancel(c)
 		var trace []Cycle
 		for i := Cycle(1); i <= 600; i++ {
-			e.Schedule(i, func() { trace = append(trace, e.Now()) })
+			e.ScheduleFn(i, call, func() { trace = append(trace, e.Now()) }, 0)
 		}
 		if err := e.RunBoundedSteps(1000); err != nil {
 			t.Fatalf("run: %v", err)

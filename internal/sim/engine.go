@@ -24,15 +24,14 @@ type Cycle uint64
 type HandlerFn func(arg interface{}, u uint64)
 
 // event is one queue entry. Every event has one form: fire calls
-// fn2(arg, u). A closure scheduled through Schedule rides as callFunc with
-// the func() in arg. Events live inline in the queue's node pool and far
+// fn2(arg, u). Events live inline in the queue's node pool and far
 // heap — there is no per-event heap object and no interface boxing on push
 // or pop. next and prev pack beside dom, and four bytes of padding make an
 // event 64 bytes: one cache line per pool node (DESIGN.md §8).
 type event struct {
 	at   Cycle
 	key  uint64 // tie-breaker: schedule order (domain-prefixed in domain mode)
-	dom  int32  // executing domain (0 in single-domain engines)
+	dom  int32  // executing domain (always 0 with one domain)
 	next int32  // 1-based pool index of the next event in its bucket, 0 = none
 	prev int32  // 1-based pool index of the previous event in its bucket, 0 = none
 	_    int32
@@ -56,11 +55,6 @@ func (t Timer) At() Cycle { return t.at }
 
 // Key returns the tie-break key of the timer's event.
 func (t Timer) Key() uint64 { return t.key }
-
-// callFunc is the handler of every closure-form event: arg holds the
-// func() passed to Schedule or ScheduleAt. A func value is pointer-shaped,
-// so storing it in arg does not allocate.
-func callFunc(arg interface{}, _ uint64) { arg.(func())() }
 
 // before is the strict total order on events: cycle, then schedule order.
 // In domain mode the key embeds the scheduling domain in its high bits, so
@@ -133,8 +127,9 @@ type Engine struct {
 
 	// Domain mode (SetDomains): events carry an executing domain and
 	// schedule-order keys are drawn from per-domain counters, so same-cycle
-	// ties break by (scheduling domain, per-domain order). domSeq is nil in
-	// single-domain (legacy) mode, where key == seq exactly.
+	// ties break by (scheduling domain, per-domain order). domSeq is nil
+	// with one domain (the zero Engine, or SetDomains(1)), where key == seq:
+	// the key domain 0's counter would give.
 	domSeq []uint64
 	curDom int32
 
@@ -198,40 +193,19 @@ func (e *Engine) Passed(at Cycle, key uint64) bool {
 // Pending returns the number of events waiting in the queue.
 func (e *Engine) Pending() int { return e.nring + len(e.far) }
 
-// schedulePastPanic is the cold failure path shared by the Schedule
+// schedulePastPanic is the cold failure path shared by the ScheduleFn
 // variants. It exists so the fmt call (which allocates) stays out of the
 // annotated hot functions.
 func schedulePastPanic(at, now Cycle) {
 	panic(fmt.Sprintf("sim: schedule at %d before now %d", at, now))
 }
 
-// Schedule runs fn after delay cycles (delay 0 means later this cycle,
-// after all currently queued same-cycle events). It is the ergonomic
-// closure form: the event's handler is callFunc with fn as its arg, so
-// scheduling a prebuilt func() allocates nothing, though a closure built
-// at the call site usually does.
-//
-//vsnoop:hotpath
-func (e *Engine) Schedule(delay Cycle, fn func()) {
-	e.ScheduleAt(e.now+delay, fn)
-}
-
-// ScheduleAt runs fn at the given absolute cycle, which must not be in the
-// past.
-//
-//vsnoop:hotpath
-func (e *Engine) ScheduleAt(at Cycle, fn func()) {
-	if at < e.now {
-		schedulePastPanic(at, e.now)
-	}
-	e.insert(at, e.nextKey(), e.curDom, callFunc, fn, 0)
-}
-
-// ScheduleFn runs fn(arg, u) after delay cycles. It is the zero-alloc
-// fast path for hot schedulers: fn is prebound once at construction time
-// and the per-event state travels in (arg, u), so nothing escapes to the
-// heap (arg should be nil, an already-boxed interface value, or a
-// pointer; u packs any scalar state).
+// ScheduleFn runs fn(arg, u) after delay cycles (delay 0 means later this
+// cycle, after all currently queued same-cycle events). It is the one
+// scheduling form: fn is prebound once at construction time and the
+// per-event state travels in (arg, u), so nothing escapes to the heap (arg
+// should be nil, an already-boxed interface value, or a pointer; u packs
+// any scalar state).
 //
 //vsnoop:hotpath
 func (e *Engine) ScheduleFn(delay Cycle, fn HandlerFn, arg interface{}, u uint64) {
@@ -348,9 +322,9 @@ func (e *Engine) ScheduleKeyed(at Cycle, key uint64, dom int32, fn HandlerFn, ar
 //vsnoop:hotpath
 func (e *Engine) NextKey() uint64 { return e.nextKey() }
 
-// nextKey draws the next tie-break key: the global schedule counter in
-// single-domain mode (key == legacy seq, bit-identical ordering), or the
-// current domain's counter prefixed with the domain index in domain mode.
+// nextKey draws the next tie-break key: the global schedule counter with
+// one domain, or the current domain's counter prefixed with the domain
+// index in domain mode.
 //
 //vsnoop:hotpath
 func (e *Engine) nextKey() uint64 {
@@ -380,7 +354,8 @@ func (e *Engine) insert(at Cycle, key uint64, dom int32, fn HandlerFn, arg inter
 }
 
 // SetDomains switches the engine to domain mode with nd domains. Call
-// before any event is scheduled.
+// before any event is scheduled. One domain needs no mode switch: its
+// keys are the plain schedule counter.
 func (e *Engine) SetDomains(nd int) {
 	if nd <= 1 {
 		return

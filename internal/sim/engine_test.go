@@ -6,13 +6,17 @@ import (
 	"testing/quick"
 )
 
+// call is the handler the tests schedule one-off closures with: it runs
+// the func() riding in the event's arg.
+func call(arg interface{}, _ uint64) { arg.(func())() }
+
 func TestEngineOrdering(t *testing.T) {
 	e := NewEngine()
 	var got []int
-	e.Schedule(10, func() { got = append(got, 2) })
-	e.Schedule(5, func() { got = append(got, 1) })
-	e.Schedule(10, func() { got = append(got, 3) }) // same cycle: schedule order
-	e.Schedule(20, func() { got = append(got, 4) })
+	e.ScheduleFn(10, call, func() { got = append(got, 2) }, 0)
+	e.ScheduleFn(5, call, func() { got = append(got, 1) }, 0)
+	e.ScheduleFn(10, call, func() { got = append(got, 3) }, 0) // same cycle: schedule order
+	e.ScheduleFn(20, call, func() { got = append(got, 4) }, 0)
 	e.Run()
 	want := []int{1, 2, 3, 4}
 	if len(got) != len(want) {
@@ -34,11 +38,11 @@ func TestEngineOrdering(t *testing.T) {
 func TestEngineNestedScheduling(t *testing.T) {
 	e := NewEngine()
 	var seq []Cycle
-	e.Schedule(1, func() {
+	e.ScheduleFn(1, call, func() {
 		seq = append(seq, e.Now())
-		e.Schedule(2, func() { seq = append(seq, e.Now()) })
-		e.Schedule(0, func() { seq = append(seq, e.Now()) }) // same-cycle follow-up
-	})
+		e.ScheduleFn(2, call, func() { seq = append(seq, e.Now()) }, 0)
+		e.ScheduleFn(0, call, func() { seq = append(seq, e.Now()) }, 0) // same-cycle follow-up
+	}, 0)
 	e.Run()
 	if len(seq) != 3 || seq[0] != 1 || seq[1] != 1 || seq[2] != 3 {
 		t.Fatalf("seq = %v, want [1 1 3]", seq)
@@ -49,7 +53,7 @@ func TestEngineRunUntil(t *testing.T) {
 	e := NewEngine()
 	fired := 0
 	for i := Cycle(1); i <= 10; i++ {
-		e.Schedule(i*10, func() { fired++ })
+		e.ScheduleFn(i*10, call, func() { fired++ }, 0)
 	}
 	e.RunUntil(50)
 	if fired != 5 {
@@ -78,14 +82,14 @@ func TestEngineRunUntilAdvancesIdleClock(t *testing.T) {
 
 func TestSchedulePastPanics(t *testing.T) {
 	e := NewEngine()
-	e.Schedule(10, func() {})
+	e.ScheduleFn(10, call, func() {}, 0)
 	e.Run()
 	defer func() {
 		if recover() == nil {
 			t.Fatal("scheduling in the past did not panic")
 		}
 	}()
-	e.ScheduleAt(5, func() {})
+	e.ScheduleFnAt(5, call, func() {}, 0)
 }
 
 func TestRandDeterminism(t *testing.T) {
@@ -214,12 +218,12 @@ func TestEngineManyEventsStaySorted(t *testing.T) {
 	ok := true
 	for i := 0; i < 5000; i++ {
 		at := Cycle(r.Intn(100000))
-		e.ScheduleAt(at, func() {
+		e.ScheduleFnAt(at, call, func() {
 			if e.Now() < last {
 				ok = false
 			}
 			last = e.Now()
-		})
+		}, 0)
 	}
 	e.Run()
 	if !ok {
@@ -236,7 +240,7 @@ func TestRunWindows(t *testing.T) {
 		e := NewEngine()
 		var fired []Cycle
 		for _, at := range []Cycle{3, 4, 9, 30, 31, 32, 80} {
-			e.ScheduleAt(at, func() { fired = append(fired, e.Now()) })
+			e.ScheduleFnAt(at, call, func() { fired = append(fired, e.Now()) }, 0)
 		}
 		return e, &fired
 	}

@@ -121,7 +121,7 @@ func (m *qModel) schedule(delay Cycle, dom int32) {
 	case dom != m.st.curDom:
 		m.e.ScheduleFnAtDom(at, dom, m.fn, p, id)
 	case id%4 == 0:
-		m.e.Schedule(delay, func() { m.handle(p, id) })
+		m.e.ScheduleFn(delay, call, func() { m.handle(p, id) }, 0)
 	case id%4 == 1:
 		t := m.e.ScheduleTimer(delay, m.fn, p, id)
 		if (t.i != 0) != (delay < ringSize) {

@@ -9,7 +9,7 @@ func TestRunBoundedStepsCompletes(t *testing.T) {
 	e := NewEngine()
 	fired := 0
 	for i := Cycle(1); i <= 5; i++ {
-		e.Schedule(i, func() { fired++ })
+		e.ScheduleFn(i, call, func() { fired++ }, 0)
 	}
 	if err := e.RunBoundedSteps(10); err != nil {
 		t.Fatalf("RunBoundedSteps: %v", err)
@@ -24,8 +24,8 @@ func TestRunBoundedStepsLimit(t *testing.T) {
 	fired := 0
 	// A self-perpetuating event chain that never drains.
 	var tick func()
-	tick = func() { fired++; e.Schedule(1, tick) }
-	e.Schedule(1, tick)
+	tick = func() { fired++; e.ScheduleFn(1, call, tick, 0) }
+	e.ScheduleFn(1, call, tick, 0)
 	err := e.RunBoundedSteps(100)
 	var sl *StepLimitError
 	if !errors.As(err, &sl) {
@@ -41,8 +41,8 @@ func TestRunBoundedStepsLimit(t *testing.T) {
 
 func TestRunBoundedStepsExactFinish(t *testing.T) {
 	e := NewEngine()
-	e.Schedule(1, func() {})
-	e.Schedule(2, func() {})
+	e.ScheduleFn(1, call, func() {}, 0)
+	e.ScheduleFn(2, call, func() {}, 0)
 	// Bound equals the event count: the queue drains on the last allowed
 	// step, which is completion, not a limit hit.
 	if err := e.RunBoundedSteps(2); err != nil {
@@ -54,8 +54,8 @@ func TestWatchdogFiresWithoutProgress(t *testing.T) {
 	e := NewEngine()
 	e.SetProgressLimit(50)
 	var tick func()
-	tick = func() { e.Schedule(1, tick) }
-	e.Schedule(1, tick)
+	tick = func() { e.ScheduleFn(1, call, tick, 0) }
+	e.ScheduleFn(1, call, tick, 0)
 	var err error
 	for {
 		var ok bool
@@ -84,10 +84,10 @@ func TestWatchdogResetByProgress(t *testing.T) {
 			e.Progress() // simulated forward progress every 10 events
 		}
 		if steps < 500 {
-			e.Schedule(1, tick)
+			e.ScheduleFn(1, call, tick, 0)
 		}
 	}
-	e.Schedule(1, tick)
+	e.ScheduleFn(1, call, tick, 0)
 	for {
 		ok, err := e.StepChecked()
 		if err != nil {
@@ -111,10 +111,10 @@ func TestWatchdogDisarm(t *testing.T) {
 	tick = func() {
 		steps++
 		if steps < 100 {
-			e.Schedule(1, tick)
+			e.ScheduleFn(1, call, tick, 0)
 		}
 	}
-	e.Schedule(1, tick)
+	e.ScheduleFn(1, call, tick, 0)
 	for {
 		ok, err := e.StepChecked()
 		if err != nil {

@@ -108,11 +108,6 @@ type Config struct {
 	// outstanding before the completion invariant flags it (0 = 500k).
 	TxnAgeLimit sim.Cycle
 
-	// ForceSerial builds the single-queue legacy engine regardless of the
-	// partition plan. Internal knob for benchmarks and differential tests
-	// (not part of the public vsnoop.Config, excluded from Config.Hash).
-	ForceSerial bool
-
 	// Cancel, if non-nil, lets another goroutine stop the run early; a
 	// canceled run fails with a sim.CanceledError instead of returning a
 	// partial result. Control plane only: a run that completes before the
@@ -208,7 +203,8 @@ func (c Config) Validate() error {
 }
 
 // PlannedDomains returns the snoop-domain count the partition planner
-// computes for this config (1 = serial legacy engine).
+// computes for this config. A one-domain plan runs the same machine, with
+// no cross-domain traffic.
 func (c Config) PlannedDomains() int { return c.PlanPartition().Domains }
 
 // sansControl returns the config with control-plane fields cleared. Stats

@@ -112,10 +112,9 @@ type vcpu struct {
 
 // domain is one snoop-domain partition of the machine: the cores the
 // graph-cut planner assigned to it, the memory controllers at its corners,
-// and the run-time statistics its events record. A single-domain
-// configuration has exactly one domain covering the whole machine — the hot
-// paths read state through the domain either way, so legacy runs pay no
-// branch for partitioning.
+// and the run-time statistics its events record. A one-domain plan has
+// exactly one domain covering the whole machine, with no cross-domain
+// traffic and zero cross-domain horizons.
 //
 //vsnoop:owned
 type domain struct {
@@ -131,9 +130,9 @@ type domain struct {
 	warmed   bool // statistics snapshot taken
 
 	// cow is this domain's private translation overlay for copy-on-write
-	// faulted pages (partitioned content-sharing runs only): the global
-	// page tables stay immutable at runtime, each domain traps its own
-	// writes onto the setup-preallocated target page.
+	// faulted pages (content-sharing runs only): the global page tables
+	// stay immutable at runtime, each domain traps its own writes onto the
+	// setup-preallocated target page.
 	cow map[uint64]mem.Translation
 	// probes is the freelist of holder-classification probes this domain
 	// originates.
@@ -166,10 +165,8 @@ type Machine struct {
 	// Checker evaluates protocol invariants online (nil unless Checks or a
 	// fault plan is configured).
 	Checker *check.Checker
-	ledger  *check.Ledger
-	// ledgers holds one token-custody ledger per domain in partitioned
-	// mode, so custody observations stay domain-local (conservation sums
-	// them).
+	// ledgers holds one token-custody ledger per domain, so custody
+	// observations stay domain-local (conservation sums them).
 	ledgers []*check.Ledger
 
 	dom0 mem.VMID
@@ -178,25 +175,21 @@ type Machine struct {
 
 	// plan is the graph-cut snoop-domain partition computed for this config;
 	// crossHor holds the per-domain cross-domain horizons the mesh derived
-	// from the cut (nil in legacy mode): the delay of every cross-domain
-	// protocol event the machine schedules itself.
+	// from the cut: the delay of every cross-domain protocol event the
+	// machine schedules itself.
 	plan     partition.Plan
 	crossHor []sim.Cycle
 
-	// doms holds the snoop-domain partitions (one covering everything in
-	// legacy mode, the planner's cut in partitioned mode); partitioned
-	// reports whether the planner cut the machine.
-	doms        []*domain //vsnoop:owned table
-	partitioned bool
-	// chkNow is the window-start clock published to the invariant checker
-	// in partitioned runs.
+	// doms holds the planner's snoop-domain partitions.
+	doms []*domain //vsnoop:owned table
+	// chkNow is the window-start clock published to the invariant checker.
 	chkNow sim.Cycle
 
-	// syncMode marks a partitioned run whose filter state mutates at
-	// runtime (vCPU migration, a VM spanning domains, scheduled fault
-	// events): the machine builds one filter replica per domain and keeps
-	// them coherent with ordered cross-domain deltas. running distinguishes
-	// runtime relocations (cross-domain protocol) from setup placement.
+	// syncMode marks a run whose filter state mutates at runtime (vCPU
+	// migration, a VM spanning domains, scheduled fault events): the
+	// machine builds one filter replica per domain and keeps them coherent
+	// with ordered cross-domain deltas. running distinguishes runtime
+	// relocations (cross-domain protocol) from setup placement.
 	syncMode bool
 	running  bool
 	// replicas holds the per-domain filter replicas in syncMode (nil
@@ -205,11 +198,11 @@ type Machine struct {
 	replicas []*core.Filter //vsnoop:owned table
 
 	// cowTargets maps CowKey(vm, page) to the setup-preallocated private
-	// host page a COW trap resolves to (partitioned content-sharing only),
-	// making the target a pure function of the config.
+	// host page a COW trap resolves to (content-sharing runs only), making
+	// the target a pure function of the config.
 	cowTargets map[uint64]mem.HostPage
 	// friendOf/hasFriend are the static post-merge friend tables used by
-	// partitioned holder classification.
+	// holder classification.
 	friendOf  []mem.VMID
 	hasFriend []bool
 
@@ -222,13 +215,12 @@ type Machine struct {
 	shufRng    *sim.Rand
 	shufPeriod sim.Cycle
 
-	// own/fwd are the flat per-domain vCPU location tables of partitioned
-	// mode (nil in legacy): own[d*nv+vix] reports whether domain d currently
-	// owns vCPU vix, and fwd[d*nv+vix] is where d last sent it. Row d is
-	// written exclusively by domain d's handlers — depart clears own and
-	// points fwd at the destination, arrive sets both — and the event-chase
-	// path hops along fwd one domain at a time, one cross-domain horizon
-	// per hop.
+	// own/fwd are the flat per-domain vCPU location tables: own[d*nv+vix]
+	// reports whether domain d currently owns vCPU vix, and fwd[d*nv+vix]
+	// is where d last sent it. Row d is written exclusively by domain d's
+	// handlers — depart clears own and points fwd at the destination,
+	// arrive sets both — and the event-chase path hops along fwd one
+	// domain at a time, one cross-domain horizon per hop.
 	own []bool  //vsnoop:owned table
 	fwd []int32 //vsnoop:owned table
 	nv  int
@@ -263,31 +255,24 @@ func New(cfg Config) (*Machine, error) {
 	// Domain topology. The graph-cut planner fixes the snoop-domain
 	// decomposition as a pure function of the config; every event carries
 	// its domain, and same-cycle ties break by (scheduling domain,
-	// per-domain order). A single-domain plan keeps the legacy engine as
-	// its one whole-machine domain.
+	// per-domain order).
 	plan := cfg.PlanPartition()
 	m.plan = plan
 	m.Eng = sim.NewEngine()
-	if plan.Domains > 1 {
-		m.partitioned = true
-		m.Eng.SetDomains(plan.Domains)
-		for d := 0; d < plan.Domains; d++ {
-			m.doms = append(m.doms, &domain{idx: int32(d), st: &Stats{cfg: cfg.sansControl()}})
-		}
-	} else {
-		m.doms = []*domain{{idx: 0, st: &m.Stats}}
+	m.Eng.SetDomains(plan.Domains)
+	for d := 0; d < plan.Domains; d++ {
+		m.doms = append(m.doms, &domain{idx: int32(d), st: &Stats{cfg: cfg.sansControl()}})
 	}
-	m.syncMode = m.partitioned && cfg.needSync(plan)
+	m.syncMode = cfg.needSync(plan)
 
 	// stepFn/resumeFn carry the scheduled domain index in u: when a migrated
 	// vCPU's event fires in a domain that no longer owns it, the handler
 	// chases it along the fwd table, one cross-domain horizon per hop. The
 	// ownership test reads only row u of the own table — state the
-	// executing domain itself writes. Legacy runs have no own table and
-	// never chase.
+	// executing domain itself writes.
 	m.stepFn = func(arg interface{}, u uint64) {
 		v := arg.(*vcpu)
-		if m.own != nil && !m.own[int(u)*m.nv+v.vix] {
+		if !m.own[int(u)*m.nv+v.vix] {
 			m.chase(v, u, m.stepFn)
 			return
 		}
@@ -295,7 +280,7 @@ func New(cfg Config) (*Machine, error) {
 	}
 	m.resumeFn = func(arg interface{}, u uint64) {
 		v := arg.(*vcpu)
-		if m.own != nil && !m.own[int(u)*m.nv+v.vix] {
+		if !m.own[int(u)*m.nv+v.vix] {
 			m.chase(v, u, m.resumeFn)
 			return
 		}
@@ -332,46 +317,31 @@ func New(cfg Config) (*Machine, error) {
 	}
 
 	// Domain ownership follows the plan's computed cut: cores by CoreDom,
-	// memory controllers by MCDom (nearest-corner assignment). In legacy
-	// mode the single domain owns everything. Then hand the network the
-	// partition so intra-domain traffic keeps full contention while
-	// cross-domain messages are delivered at zero-load latency into the
-	// destination domain's queue.
-	if m.partitioned {
-		for i := 0; i < cfg.Cores; i++ {
-			d := plan.CoreDom[i]
-			m.doms[d].cores = append(m.doms[d].cores, i)
-		}
-		for i := 0; i < cfg.MCs; i++ {
-			d := plan.MCDom[i]
-			if cfg.Directory {
-				m.doms[d].homes = append(m.doms[d].homes, i)
-			} else {
-				m.doms[d].mcs = append(m.doms[d].mcs, i)
-			}
-		}
-		nodeDom := make([]int32, cfg.Cores+cfg.MCs)
-		for i := 0; i < cfg.Cores; i++ {
-			nodeDom[coreNodes[i]] = plan.CoreDom[i]
-		}
-		for i := 0; i < cfg.MCs; i++ {
-			nodeDom[mcNodes[i]] = plan.MCDom[i]
-		}
-		m.Net.Partition(nodeDom, len(m.doms))
-		m.crossHor = m.Net.CrossHorizons()
-	} else {
-		d := m.doms[0]
-		for i := 0; i < cfg.Cores; i++ {
-			d.cores = append(d.cores, i)
-		}
-		for i := 0; i < cfg.MCs; i++ {
-			if cfg.Directory {
-				d.homes = append(d.homes, i)
-			} else {
-				d.mcs = append(d.mcs, i)
-			}
+	// memory controllers by MCDom (nearest-corner assignment). Then hand
+	// the network the partition so intra-domain traffic keeps full
+	// contention while cross-domain messages are delivered at zero-load
+	// latency into the destination domain's queue.
+	for i := 0; i < cfg.Cores; i++ {
+		d := plan.CoreDom[i]
+		m.doms[d].cores = append(m.doms[d].cores, i)
+	}
+	for i := 0; i < cfg.MCs; i++ {
+		d := plan.MCDom[i]
+		if cfg.Directory {
+			m.doms[d].homes = append(m.doms[d].homes, i)
+		} else {
+			m.doms[d].mcs = append(m.doms[d].mcs, i)
 		}
 	}
+	nodeDom := make([]int32, cfg.Cores+cfg.MCs)
+	for i := 0; i < cfg.Cores; i++ {
+		nodeDom[coreNodes[i]] = plan.CoreDom[i]
+	}
+	for i := 0; i < cfg.MCs; i++ {
+		nodeDom[mcNodes[i]] = plan.MCDom[i]
+	}
+	m.Net.Partition(nodeDom, len(m.doms))
+	m.crossHor = m.Net.CrossHorizons()
 
 	// Caches + filter. In syncMode the filter's register file is replicated
 	// per domain: each replica owns the residence callbacks of its domain's
@@ -435,14 +405,10 @@ func New(cfg Config) (*Machine, error) {
 				Rng: sim.NewRandTagged(cfg.Seed, fmt.Sprintf("ctrl%d", i)),
 			}
 			cn.ctrl.Init()
-			if m.partitioned {
-				// Provider designation stays domain-local: the fill scan
-				// reads only this domain's caches.
-				dom := cn.dom
-				cn.ctrl.OnFill = func(b *cache.Block, t *token.Txn) { m.onFillDom(dom, b, t) }
-			} else {
-				cn.ctrl.OnFill = m.onFill
-			}
+			// Provider designation stays domain-local: the fill scan reads
+			// only this domain's caches.
+			dom := cn.dom
+			cn.ctrl.OnFill = func(b *cache.Block, t *token.Txn) { m.onFillDom(dom, b, t) }
 			m.Net.SetHandler(coreNodes[i], cn.ctrl.Handle)
 		}
 		// L1 inclusion: L2 drops force L1 drops.
@@ -459,15 +425,13 @@ func New(cfg Config) (*Machine, error) {
 	// the L1-inclusion hooks so its presence tracking chains with them.
 	if cfg.UseRegionScout {
 		m.rs = regionscout.New(regionscout.DefaultConfig(), coreNodes, l2s)
-		if m.partitioned {
-			// Domain-owned NSRTs and presence maps: remote domains are
-			// consulted through probe events one cross-domain horizon away.
-			domCores := make([][]int, len(m.doms))
-			for d, dom := range m.doms {
-				domCores[d] = dom.cores
-			}
-			m.rs.Partition(plan.CoreDom, domCores, m.Eng, m.crossHor)
+		// Domain-owned NSRTs and presence maps: remote domains are
+		// consulted through probe events one cross-domain horizon away.
+		domCores := make([][]int, len(m.doms))
+		for d, dom := range m.doms {
+			domCores[d] = dom.cores
 		}
+		m.rs.Partition(plan.CoreDom, domCores, m.Eng, m.crossHor)
 		for _, cn := range m.cores {
 			cn.ctrl.Router = m.rs
 		}
@@ -483,17 +447,12 @@ func New(cfg Config) (*Machine, error) {
 		}
 	} else {
 		for i := 0; i < cfg.MCs; i++ {
-			var oracle token.Oracle = m
-			if m.partitioned {
-				// The provider oracle scans only the MC's own domain's
-				// caches: a missed remote provider is a safe false negative
-				// (one extra DRAM read).
-				oracle = domOracle{m: m, d: m.doms[plan.MCDom[i]]}
-			}
-			// The controller homes the blocks the cache controllers'
-			// HomeMC interleaving sends it: addr % MCs == i.
+			// The provider oracle scans only the MC's own domain's caches:
+			// a missed remote provider is a safe false negative (one extra
+			// DRAM read). The controller homes the blocks the cache
+			// controllers' HomeMC interleaving sends it: addr % MCs == i.
 			mc := &memctrl.Ctrl{Eng: m.Eng, Net: m.Net, Node: mcNodes[i], P: cfg.P,
-				AllCaches: coreNodes, Oracle: oracle,
+				AllCaches: coreNodes, Oracle: domOracle{m: m, d: m.doms[plan.MCDom[i]]},
 				Interleave: uint64(cfg.MCs), Residue: uint64(i)}
 			mc.Init()
 			m.Net.SetHandler(mcNodes[i], mc.Handle)
@@ -559,14 +518,8 @@ func New(cfg Config) (*Machine, error) {
 	// Fault injection: mesh hook, degradation, underflow recovery, and
 	// scheduled events. Token-protocol only (Validate enforces it).
 	if cfg.Fault.Active() && !cfg.Directory {
-		m.Injector = fault.NewInjector(cfg.Fault, cfg.Seed)
+		m.Injector = fault.NewInjector(cfg.Fault, cfg.Seed, cfg.Cores+cfg.MCs)
 		m.Injector.Attach(m.Net, mcNodes)
-		if m.partitioned {
-			// Per-source-node fault streams: each endpoint's faults draw
-			// from its own seeded sequence, consumed in that endpoint's
-			// send order.
-			m.Injector.EnablePerNode(cfg.Cores + cfg.MCs)
-		}
 		if m.replicas != nil {
 			for _, rep := range m.replicas {
 				rep.DegradationEnabled = true
@@ -579,22 +532,10 @@ func New(cfg Config) (*Machine, error) {
 			cn.ctrl.Esc = f
 			cn.l2.OnResidenceUnderflow = f.NoteUnderflow
 		}
-		if m.syncMode {
-			// Scheduled events run in domain 0 (single writer for the
-			// injector's event counters) and fan out to the target domains
-			// one cross-domain horizon later.
-			m.scheduleFaultEvents()
-		} else {
-			m.Injector.ScheduleEvents(m.Eng, fault.EventHooks{
-				CorruptMap: m.Filter.CorruptMap,
-				CorruptCounter: func(coreIdx int, vm mem.VMID, delta int) {
-					if coreIdx >= 0 && coreIdx < len(m.cores) {
-						m.cores[coreIdx].l2.CorruptResidence(vm, delta)
-					}
-				},
-				MigrationStorm: m.migrationStorm,
-			})
-		}
+		// Scheduled events (which imply syncMode) run in domain 0, the
+		// single writer for the injector's event counters, and fan out to
+		// the target domains one cross-domain horizon later.
+		m.scheduleFaultEvents()
 	}
 
 	// Invariant checking: token-custody ledger on every controller plus
@@ -606,84 +547,65 @@ func New(cfg Config) (*Machine, error) {
 		if ageLimit == 0 {
 			ageLimit = 500_000
 		}
-		if m.partitioned {
-			// One token-custody ledger per domain: controllers report to
-			// their own domain's ledger (per-ledger balances may go negative
-			// on cross-domain transfers; conservation sums across ledgers).
-			// The checker runs at window starts against the published
-			// window clock.
-			m.ledgers = make([]*check.Ledger, len(m.doms))
-			for d := range m.ledgers {
-				m.ledgers[d] = check.NewLedger()
-			}
-			for i, cn := range m.cores {
-				cn.ctrl.Obs = m.ledgers[cn.dom.idx]
-				ctrls[i] = cn.ctrl
-			}
-			for i, mc := range m.mcs {
-				mc.Obs = m.ledgers[plan.MCDom[i]]
-			}
-			nowFn := func() sim.Cycle { return m.chkNow }
-			m.Checker = &check.Checker{Period: cfg.CheckPeriod, Now: nowFn}
-			m.Checker.Add(check.TokenConservation(cfg.P.TotalTokens, l2s, m.mcs, m.ledgers...))
-			m.Checker.Add(check.SingleWriter(cfg.P.TotalTokens, l2s))
-			m.Checker.Add(check.TxnCompletion(nowFn, ctrls, ageLimit))
-		} else {
-			m.ledger = check.NewLedger()
-			for i, cn := range m.cores {
-				cn.ctrl.Obs = m.ledger
-				ctrls[i] = cn.ctrl
-			}
-			for _, mc := range m.mcs {
-				mc.Obs = m.ledger
-			}
-			m.Checker = &check.Checker{Eng: m.Eng, Period: cfg.CheckPeriod}
-			m.Checker.Add(check.TokenConservation(cfg.P.TotalTokens, l2s, m.mcs, m.ledger))
-			m.Checker.Add(check.SingleWriter(cfg.P.TotalTokens, l2s))
-			m.Checker.Add(check.TxnCompletion(m.Eng.Now, ctrls, ageLimit))
+		// One token-custody ledger per domain: controllers report to their
+		// own domain's ledger (per-ledger balances may go negative on
+		// cross-domain transfers; conservation sums across ledgers). The
+		// checker runs at window starts against the published window
+		// clock.
+		m.ledgers = make([]*check.Ledger, len(m.doms))
+		for d := range m.ledgers {
+			m.ledgers[d] = check.NewLedger()
 		}
+		for i, cn := range m.cores {
+			cn.ctrl.Obs = m.ledgers[cn.dom.idx]
+			ctrls[i] = cn.ctrl
+		}
+		for i, mc := range m.mcs {
+			mc.Obs = m.ledgers[plan.MCDom[i]]
+		}
+		nowFn := func() sim.Cycle { return m.chkNow }
+		m.Checker = &check.Checker{Now: nowFn}
+		m.Checker.Add(check.TokenConservation(cfg.P.TotalTokens, l2s, m.mcs, m.ledgers...))
+		m.Checker.Add(check.SingleWriter(cfg.P.TotalTokens, l2s))
+		m.Checker.Add(check.TxnCompletion(nowFn, ctrls, ageLimit))
 	}
 
 	m.parkSnoops(false)
 	m.setupVMs()
 
-	// Partitioned post-setup wiring. Pages are allocated up front, not at
-	// first touch; COW targets are preallocated so a trap never mutates
-	// global page tables; (under faults) each VM's degradation machinery is
-	// confined to its owning domain's caches. Every vCPU then joins the
-	// domain its core was cut into.
-	if m.partitioned {
-		m.MM.PreallocateAll()
-		if cfg.ContentSharing {
-			m.cowTargets = m.MM.PrepareCowTargets()
-			for _, d := range m.doms {
-				d.cow = make(map[uint64]mem.Translation)
-			}
-			m.initFriendTable()
+	// Post-setup wiring. Pages are allocated up front, not at first touch;
+	// COW targets are preallocated so a trap never mutates global page
+	// tables; (under faults) each VM's degradation machinery is confined to
+	// its owning domain's caches. Every vCPU then joins the domain its core
+	// was cut into.
+	m.MM.PreallocateAll()
+	if cfg.ContentSharing {
+		m.cowTargets = m.MM.PrepareCowTargets()
+		for _, d := range m.doms {
+			d.cow = make(map[uint64]mem.Translation)
 		}
-		if m.Injector != nil {
-			if m.replicas != nil {
-				for d, rep := range m.replicas {
-					for q := 0; q < cfg.VMs; q++ {
-						rep.SetVMScope(mem.VMID(q), m.doms[d].cores)
-					}
-				}
-			} else {
+		m.initFriendTable()
+	}
+	if m.Injector != nil {
+		if m.replicas != nil {
+			for d, rep := range m.replicas {
 				for q := 0; q < cfg.VMs; q++ {
-					// Without sync the VM never leaves its home domain
-					// (needSync would be true otherwise), so scope its
-					// degradation machinery to that domain alone.
-					hd := m.domOfCore(m.Mapper.CoreOf(hv.VCPU{VM: mem.VMID(q), Idx: 0}))
-					m.Filter.SetVMScope(mem.VMID(q), hd.cores)
+					rep.SetVMScope(mem.VMID(q), m.doms[d].cores)
 				}
+			}
+		} else {
+			for q := 0; q < cfg.VMs; q++ {
+				// Without sync the VM never leaves its home domain
+				// (needSync would be true otherwise), so scope its
+				// degradation machinery to that domain alone.
+				hd := m.domOfCore(m.Mapper.CoreOf(hv.VCPU{VM: mem.VMID(q), Idx: 0}))
+				m.Filter.SetVMScope(mem.VMID(q), hd.cores)
 			}
 		}
 	}
-	if m.partitioned {
-		m.nv = len(m.vcpus)
-		m.own = make([]bool, len(m.doms)*m.nv)
-		m.fwd = make([]int32, len(m.doms)*m.nv)
-	}
+	m.nv = len(m.vcpus)
+	m.own = make([]bool, len(m.doms)*m.nv)
+	m.fwd = make([]int32, len(m.doms)*m.nv)
 	for i, v := range m.vcpus {
 		v.vix = i
 		v.core = m.Mapper.CoreOf(v.id)
@@ -697,15 +619,15 @@ func New(cfg Config) (*Machine, error) {
 // parkSnoops installs every token controller's parking elider on its mesh
 // endpoint (token.CacheCtrl.Parker; shadow selects its checking mode), so a
 // snoop to an L2 holding no tokens for the block never enters the event
-// queue. Parking needs the partitioned engine, and stays off under a fault
-// plan (drops and duplicates need real events) and under a step budget
-// (MaxSteps counts executed events at window granularity). Where parking
+// queue. Parking stays off under a fault plan (drops and duplicates need
+// real events) and under a step budget (MaxSteps counts executed events at
+// window granularity). Where parking
 // is on and no invariant checker runs, the same call turns on retry-timeout
 // cancellation (token.CacheCtrl.CancelTimeouts), so a completed
 // transaction's timeout never runs either: the checker sweeps at window
 // starts, which a run's trailing timeouts can set.
 func (m *Machine) parkSnoops(shadow bool) {
-	if !m.partitioned || m.Injector != nil || m.cfg.MaxSteps > 0 || m.cfg.Directory {
+	if m.Injector != nil || m.cfg.MaxSteps > 0 || m.cfg.Directory {
 		return
 	}
 	for _, cn := range m.cores {
@@ -718,12 +640,9 @@ func (m *Machine) parkSnoops(shadow bool) {
 
 // initLocationTables (re)derives the per-domain vCPU counts and the own/fwd
 // location rows from the mapper's current placement. Called at construction
-// and again when a partitioned run starts, so placement changes between the
-// two (tests relocating by hand) cannot leave the tables stale.
+// and again when a run starts, so placement changes between the two (tests
+// relocating by hand) cannot leave the tables stale.
 func (m *Machine) initLocationTables() {
-	if !m.partitioned {
-		return
-	}
 	for _, d := range m.doms {
 		d.nvcpus = 0
 	}
@@ -739,30 +658,7 @@ func (m *Machine) initLocationTables() {
 
 // domOfCore returns the domain owning core i (per the computed cut).
 func (m *Machine) domOfCore(i int) *domain {
-	if !m.partitioned {
-		return m.doms[0]
-	}
 	return m.doms[m.plan.CoreDom[i]]
-}
-
-// migrationStorm performs up to pairs cross-VM vCPU swaps back-to-back (a
-// relocation burst that churns every vCPU map at once). It returns the
-// number of relocations performed.
-func (m *Machine) migrationStorm(pairs int) int {
-	before := m.Mapper.Relocations
-	n := m.Mapper.NumCores()
-	for p := 0; p < pairs; p++ {
-		for try := 0; try < 16; try++ {
-			a, b := m.Injector.Rng.Intn(n), m.Injector.Rng.Intn(n)
-			va, vb := m.Mapper.On(a), m.Mapper.On(b)
-			if va == hv.NoVCPU || vb == hv.NoVCPU || va.VM == vb.VM {
-				continue
-			}
-			m.Mapper.Swap(a, b)
-			break
-		}
-	}
-	return int(m.Mapper.Relocations - before)
 }
 
 // ReplaceSources swaps every vCPU's reference source (e.g. with trace
@@ -850,37 +746,6 @@ func hashName(s string) uint32 {
 	return h & 0xFFF
 }
 
-// ROProviderAmong implements token.Oracle for the memory controllers.
-func (m *Machine) ROProviderAmong(addr mem.BlockAddr, cores []mesh.NodeID) bool {
-	for _, n := range cores {
-		i, ok := m.node2i[n]
-		if !ok {
-			continue
-		}
-		if l2 := m.cores[i].l2; l2.Holds(addr) && l2.Lookup(addr).Provider {
-			return true
-		}
-	}
-	return false
-}
-
-// onFill designates RO provider copies: the first copy of a content-shared
-// block brought into a VM becomes that VM's provider (Section VI.B).
-func (m *Machine) onFill(b *cache.Block, t *token.Txn) {
-	if t.Page != mem.PageROShared || t.Write {
-		return
-	}
-	for _, cn := range m.cores {
-		if !cn.l2.Holds(t.Addr) {
-			continue
-		}
-		if ob := cn.l2.Lookup(t.Addr); ob != b && ob.Provider && ob.VM == t.VM {
-			return // this VM already has a provider
-		}
-	}
-	b.Provider = true
-}
-
 // Run executes the configured reference streams to completion and returns
 // the collected statistics; it panics on a runtime failure (watchdog trip,
 // step-budget exhaustion, drained queue). Use RunChecked to get the error.
@@ -893,55 +758,11 @@ func (m *Machine) Run() *Stats {
 }
 
 // RunChecked executes the run under the no-forward-progress watchdog and
-// (when configured) the step budget and invariant checker. The returned
-// Stats are valid even on error — they describe the run up to the failure,
-// which is exactly what a livelock diagnosis needs.
+// (when configured) the step budget and invariant checker, both driven at
+// window starts (Engine.RunWindows). The returned Stats are valid even on
+// error — they describe the run up to the failure, which is exactly what a
+// livelock diagnosis needs.
 func (m *Machine) RunChecked() (*Stats, error) {
-	if m.partitioned {
-		return m.runPartitioned()
-	}
-	cfg := m.cfg
-	if cfg.MigrationPeriodMs > 0 {
-		sh := &hv.Shuffler{
-			Eng: m.Eng, Map: m.Mapper,
-			Period: sim.Cycle(cfg.MigrationPeriodMs * float64(cfg.CyclesPerMs)),
-			Rng:    sim.NewRandTagged(cfg.Seed, "shuffle"),
-		}
-		sh.Start()
-		defer sh.Stop()
-	}
-	if m.Checker != nil {
-		m.Checker.Start()
-		defer m.Checker.Stop()
-	}
-	limit := cfg.ProgressLimit
-	if limit == 0 {
-		limit = 10_000_000
-	}
-	m.Eng.SetProgressLimit(limit)
-	m.Eng.SetCancel(cfg.Cancel)
-	d := m.doms[0]
-	d.live = len(m.vcpus)
-	if cfg.WarmupRefs > 0 {
-		d.warmLeft = len(m.vcpus)
-	} else {
-		d.warmed = true
-	}
-	for i, v := range m.vcpus {
-		m.Eng.ScheduleFn(sim.Cycle(i), m.stepFn, v, 0)
-	}
-	err := m.runUntilDone()
-	if err == nil && m.Checker != nil {
-		m.Checker.CheckNow() // final sweep at quiescence
-	}
-	m.finalizeStats()
-	return &m.Stats, err
-}
-
-// runPartitioned executes a domain-partitioned run, with the invariant
-// checker and the step budget driven at window starts (Engine.RunWindows)
-// instead of by self-scheduled engine events.
-func (m *Machine) runPartitioned() (*Stats, error) {
 	cfg := m.cfg
 	limit := cfg.ProgressLimit
 	if limit == 0 {
@@ -954,9 +775,9 @@ func (m *Machine) runPartitioned() (*Stats, error) {
 	if m.syncMode {
 		m.inflight = make([]bool, len(m.vcpus))
 		if cfg.MigrationPeriodMs > 0 {
-			// The machine owns the shuffle tick in partitioned runs: it
-			// runs in domain 0 (single writer for the mapper and the RNG)
-			// and every move it triggers becomes a cross-domain transaction.
+			// The machine owns the shuffle tick: it runs in domain 0
+			// (single writer for the mapper and the RNG) and every move it
+			// triggers becomes a cross-domain transaction.
 			m.shufRng = sim.NewRandTagged(cfg.Seed, "shuffle")
 			m.shufPeriod = sim.Cycle(cfg.MigrationPeriodMs * float64(cfg.CyclesPerMs))
 			m.Eng.SetCurDomain(0)
@@ -1025,28 +846,6 @@ func (m *Machine) runPartitioned() (*Stats, error) {
 	return &m.Stats, err
 }
 
-// runUntilDone drains events until every vCPU finished. The shuffler and
-// checker keep the queue non-empty, so step until the live count reaches
-// zero, failing on a watchdog trip or an exhausted step budget.
-func (m *Machine) runUntilDone() error {
-	var steps uint64
-	d := m.doms[0]
-	for d.live > 0 {
-		ok, err := m.Eng.StepChecked()
-		if err != nil {
-			return err
-		}
-		if !ok {
-			return fmt.Errorf("system: event queue drained with %d unfinished vCPUs", d.live)
-		}
-		steps++
-		if m.cfg.MaxSteps > 0 && steps >= m.cfg.MaxSteps && d.live > 0 {
-			return &sim.StepLimitError{Limit: m.cfg.MaxSteps, Now: m.Eng.Now(), Pending: m.Eng.Pending()}
-		}
-	}
-	return nil
-}
-
 // step issues the next reference of v on its current core.
 func (m *Machine) step(v *vcpu) {
 	d := v.dom
@@ -1095,8 +894,7 @@ func (m *Machine) issueRef(v *vcpu, ref workload.Ref) {
 
 // drainWaiters re-issues every vCPU parked on cn, in arrival order. The
 // first one claims the controller; the rest re-park. One drain event per
-// completed transaction with waiters — the same event count the legacy
-// closure chain produced.
+// completed transaction with waiters.
 func (m *Machine) drainWaiters(cn *coreNode) {
 	q := cn.waitq
 	cn.waitq = cn.drainq[:0]
@@ -1130,29 +928,16 @@ func (m *Machine) execute(v *vcpu, cn *coreNode, ref workload.Ref) {
 		}
 		if ref.Write && tr.Type == mem.PageROShared {
 			// Store to a content-shared page: hypervisor COW, then a TLB
-			// shootdown on every core the VM may run on, then retry the
-			// access against the fresh private page. Partitioned runs trap
-			// into the domain's private overlay (the target host page was
-			// preallocated at setup) and shoot down only their own cores —
-			// another domain writing the same page traps again there, onto
-			// the same target.
-			if m.cowTargets != nil {
-				key := mem.CowKey(v.id.VM, ref.Page)
-				d.cow[key] = mem.Translation{Host: m.cowTargets[key], Type: mem.PagePrivate}
-				st.Cows++
-				for _, ci := range d.cores {
-					m.cores[ci].tlb.Shootdown(v.id.VM, ref.Page)
-				}
-			} else {
-				// Legacy-only: a partitioned content-sharing run always
-				// has cowTargets (setup preallocates them). The single
-				// legacy domain owns every core, so shooting down d.cores
-				// is the whole machine here.
-				m.MM.CopyOnWrite(v.id.VM, ref.Page)
-				st.Cows++
-				for _, ci := range d.cores {
-					m.cores[ci].tlb.Shootdown(v.id.VM, ref.Page)
-				}
+			// shootdown, then retry the access against the fresh private
+			// page. The trap lands in the domain's private overlay (the
+			// target host page was preallocated at setup) and shoots down
+			// only the domain's own cores — another domain writing the
+			// same page traps again there, onto the same target.
+			key := mem.CowKey(v.id.VM, ref.Page)
+			d.cow[key] = mem.Translation{Host: m.cowTargets[key], Type: mem.PagePrivate}
+			st.Cows++
+			for _, ci := range d.cores {
+				m.cores[ci].tlb.Shootdown(v.id.VM, ref.Page)
 			}
 			v.pending = ref
 			m.Eng.ScheduleFn(cfg.CowLatency, m.resumeFn, v, uint64(d.idx))
@@ -1209,11 +994,7 @@ func (m *Machine) execute(v *vcpu, cn *coreNode, ref workload.Ref) {
 	// L2 miss or upgrade: coherence transaction.
 	st.recordL2Miss(v.id.VM, ref.Ctx, ptype)
 	if ptype == mem.PageROShared {
-		if m.partitioned {
-			m.classifyPartitioned(d, addr, v.id.VM)
-		} else {
-			m.classifyHolder(d, st, addr, v.id.VM)
-		}
+		m.probeHolders(d, addr, v.id.VM)
 	}
 	v.inTxn = true
 	v.txnStart, v.txnAddr, v.txnVM, v.txnWrite = m.Eng.Now(), addr, tagVM, ref.Write

@@ -178,11 +178,11 @@ func TestParkedSnoopsStraddleWarmup(t *testing.T) {
 	statsEqual(t, "warm-up straddle", shadow, st)
 }
 
-// TestParkingOffWhereIneligible checks the three configurations that must
+// TestParkingOffWhereIneligible checks the two configurations that must
 // neither park nor cancel timeouts: a fault plan (drops and duplicates need
-// real events), a step budget (MaxSteps counts executed events) and the
-// legacy single-queue engine. TestParkedSnoopsShadow's checked pass covers
-// the invariant checker, which turns off cancellation alone.
+// real events) and a step budget (MaxSteps counts executed events).
+// TestParkedSnoopsShadow's checked pass covers the invariant checker, which
+// turns off cancellation alone.
 func TestParkingOffWhereIneligible(t *testing.T) {
 	base := func() Config {
 		cfg := DefaultConfig()
@@ -194,12 +194,10 @@ func TestParkingOffWhereIneligible(t *testing.T) {
 	faulted.Fault = fault.Moderate(3)
 	bounded := base()
 	bounded.MaxSteps = 1 << 40
-	legacy := base()
-	legacy.ForceSerial = true
 	for _, c := range []struct {
 		name string
 		cfg  Config
-	}{{"fault", faulted}, {"maxsteps", bounded}, {"legacy", legacy}} {
+	}{{"fault", faulted}, {"maxsteps", bounded}} {
 		st, sh, _ := runParking(t, c.cfg, true)
 		if st.Sync.ParkedEvents != 0 || sh.checked != 0 || sh.timersChecked != 0 {
 			t.Errorf("%s: %d events parked, %d delivery and %d timeout shadow checks; want none",

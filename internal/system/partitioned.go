@@ -1,6 +1,6 @@
 package system
 
-// Cross-domain machinery of the partitioned machine: filter-replica deltas,
+// Cross-domain machinery of the machine: filter-replica deltas,
 // vCPU migration as an ordered depart/arrive transaction, domain-local
 // copy-on-write and provider designation, the holder-classification probe
 // protocol, and dom0-routed fault events. Every cross-domain effect lands
@@ -214,25 +214,26 @@ func (m *Machine) handleArrive(arg interface{}, u uint64) {
 	m.Eng.ScheduleFnAtDom(m.Eng.Now()+m.crossHor[d.idx], 0, m.ackFn, v, 0)
 }
 
-// shuffleTick is the machine-owned replacement for hv.Shuffler in
-// partitioned runs: it runs in domain 0 so the mapper and the shuffle RNG
-// have a single writer, skips vCPUs whose previous move is still in the
-// air, and stops rescheduling once every stream has retired so the run can
-// drain.
+// shuffleTick is the periodic relocation of Section V.C: it runs in
+// domain 0 so the mapper and the shuffle RNG have a single writer, and
+// stops rescheduling once every stream has retired so the run can drain.
 func (m *Machine) shuffleTick() {
 	if m.retired >= len(m.vcpus) {
 		return
 	}
-	m.shuffleOnce()
+	m.shuffleOnce(m.shufRng)
 	m.Eng.ScheduleFn(m.shufPeriod, m.tickFn, nil, 0)
 }
 
-// shuffleOnce mirrors hv.Shuffler.shuffleOnce — 16 tries for a cross-VM
-// pair, one swap per tick — with an extra inflight guard.
-func (m *Machine) shuffleOnce() {
+// shuffleOnce makes up to 16 random picks of two cores and swaps the first
+// pair that runs vCPUs of different VMs, neither with a move still in the
+// air: the paper's relocation approximation ("we simulate migrations only
+// across VMs"). A rejected pick burns a try, deterministically; after 16
+// it gives up quietly.
+func (m *Machine) shuffleOnce(rng *sim.Rand) {
 	n := m.Mapper.NumCores()
 	for try := 0; try < 16; try++ {
-		a, b := m.shufRng.Intn(n), m.shufRng.Intn(n)
+		a, b := rng.Intn(n), rng.Intn(n)
 		va, vb := m.Mapper.On(a), m.Mapper.On(b)
 		if va == hv.NoVCPU || vb == hv.NoVCPU || va.VM == vb.VM {
 			continue
@@ -245,25 +246,13 @@ func (m *Machine) shuffleOnce() {
 	}
 }
 
-// syncStorm is migrationStorm for syncMode: same mapper walk and RNG
-// consumption shape, plus the inflight guard (a busy pick burns a try,
-// deterministically).
-func (m *Machine) syncStorm(pairs int) int {
+// migrationStorm performs up to pairs cross-VM swaps back-to-back (a
+// relocation burst that churns every vCPU map at once), drawing from the
+// injector's stream. It returns the number of relocations performed.
+func (m *Machine) migrationStorm(pairs int) int {
 	before := m.Mapper.Relocations
-	n := m.Mapper.NumCores()
 	for p := 0; p < pairs; p++ {
-		for try := 0; try < 16; try++ {
-			a, b := m.Injector.Rng.Intn(n), m.Injector.Rng.Intn(n)
-			va, vb := m.Mapper.On(a), m.Mapper.On(b)
-			if va == hv.NoVCPU || vb == hv.NoVCPU || va.VM == vb.VM {
-				continue
-			}
-			if m.inflight[m.vcpuIndex(va)] || m.inflight[m.vcpuIndex(vb)] {
-				continue
-			}
-			m.Mapper.Swap(a, b)
-			break
-		}
+		m.shuffleOnce(m.Injector.Rng)
 	}
 	return int(m.Mapper.Relocations - before)
 }
@@ -275,7 +264,8 @@ func applyCorruptResidence(arg interface{}, u uint64) {
 	cn.l2.CorruptResidence(mem.VMID(uint16(u>>16)), int(int16(uint16(u))))
 }
 
-// scheduleFaultEvents queues the plan's one-shot events for a syncMode run:
+// scheduleFaultEvents queues the plan's one-shot events (a plan with events
+// always runs in syncMode):
 // every event fires in domain 0 (single writer for the injector's event
 // counters and the mapper), then fans out to its target domain one
 // cross-domain horizon later — map corruption as replica deltas, counter
@@ -318,7 +308,7 @@ func (m *Machine) scheduleFaultEvents() {
 				if pairs <= 0 {
 					pairs = 4
 				}
-				m.Injector.Stats.StormRelocations += uint64(m.syncStorm(pairs))
+				m.Injector.Stats.StormRelocations += uint64(m.migrationStorm(pairs))
 			}
 		}
 		eng.ScheduleFnAtDom(ev.At, 0, fn, nil, 0)
@@ -339,8 +329,8 @@ func (m *Machine) translate(d *domain, vm mem.VMID, gp mem.GuestPage) mem.Transl
 }
 
 // initFriendTable snapshots the post-merge friend relation into flat
-// arrays, so partitioned holder classification never touches the global
-// memory manager during the run.
+// arrays, so holder classification never touches the global memory
+// manager during the run.
 func (m *Machine) initFriendTable() {
 	m.friendOf = make([]mem.VMID, m.cfg.VMs)
 	m.hasFriend = make([]bool, m.cfg.VMs)
@@ -352,8 +342,8 @@ func (m *Machine) initFriendTable() {
 	}
 }
 
-// domOracle is the memory controllers' RO-provider oracle in partitioned
-// runs: it scans only the MC's own domain's caches. A provider in another
+// domOracle is the memory controllers' RO-provider oracle: it scans only
+// the MC's own domain's caches. A provider in another
 // domain is missed — a safe false negative costing one DRAM read — and the
 // answer depends only on the partition.
 type domOracle struct {
@@ -456,14 +446,21 @@ func (m *Machine) scanHolder(d *domain, addr mem.BlockAddr, vm mem.VMID) uint64 
 	return bits
 }
 
-// classifyPartitioned is classifyHolder for partitioned runs: scan the
-// local domain synchronously, probe every other domain one cross-domain
-// horizon away, and fold the Figure-11 holder counters on the last
-// reply (credited to the requesting domain's stats).
-func (m *Machine) classifyPartitioned(d *domain, addr mem.BlockAddr, vm mem.VMID) {
+// probeHolders implements the Table VI measurement: at an L2 miss on a
+// content-shared page, find the best possible data holder. It scans the
+// local domain synchronously, probes every other domain one cross-domain
+// horizon away, and counts the holder class on the last reply (credited
+// to the requesting domain's stats). A one-domain machine has nothing to
+// probe and counts at once.
+func (m *Machine) probeHolders(d *domain, addr mem.BlockAddr, vm mem.VMID) {
+	bits := m.scanHolder(d, addr, vm)
+	if len(m.doms) == 1 {
+		d.st.countHolder(bits)
+		return
+	}
 	p := m.getHolderProbe(d)
 	p.addr, p.vm, p.srcDom = addr, vm, d.idx
-	p.bits = m.scanHolder(d, addr, vm)
+	p.bits = bits
 	p.remaining = len(m.doms) - 1
 	at := m.Eng.Now() + m.crossHor[d.idx]
 	for _, od := range m.doms {
@@ -483,8 +480,8 @@ func (m *Machine) handleClassifyReq(arg interface{}, u uint64) {
 }
 
 // handleClassifyRep runs in the probe's source domain: fold the remote
-// bits and, on the last reply, apply the legacy precedence (intra-VM over
-// friend over other over memory) and recycle the probe.
+// bits and, on the last reply, count the holder class and recycle the
+// probe.
 func (m *Machine) handleClassifyRep(arg interface{}, u uint64) {
 	p := arg.(*holderProbe)
 	p.bits |= u
@@ -493,16 +490,21 @@ func (m *Machine) handleClassifyRep(arg interface{}, u uint64) {
 		return
 	}
 	d := m.doms[p.srcDom]
-	st := d.st
-	switch {
-	case p.bits&holderIntra != 0:
-		st.HolderIntraVM++
-	case p.bits&holderFriend != 0:
-		st.HolderFriend++
-	case p.bits&holderOther != 0:
-		st.HolderOther++
-	default:
-		st.HolderMemory++
-	}
+	d.st.countHolder(p.bits)
 	d.probes = append(d.probes, p)
+}
+
+// countHolder counts one holder classification by precedence: intra-VM
+// over friend over other over memory.
+func (s *Stats) countHolder(bits uint64) {
+	switch {
+	case bits&holderIntra != 0:
+		s.HolderIntraVM++
+	case bits&holderFriend != 0:
+		s.HolderFriend++
+	case bits&holderOther != 0:
+		s.HolderOther++
+	default:
+		s.HolderMemory++
+	}
 }

@@ -4,7 +4,9 @@ import (
 	"testing"
 
 	"vsnoop/internal/core"
+	"vsnoop/internal/hv"
 	"vsnoop/internal/mem"
+	"vsnoop/internal/sim"
 )
 
 // TestCowOverlayDomainLocal pins the partitioned copy-on-write semantics
@@ -102,4 +104,58 @@ func TestLocationTables(t *testing.T) {
 		t.Fatal("migration run relocated nothing")
 	}
 	check("after Run")
+}
+
+// TestShuffleOnceSwapsAcrossVMsOnly pins the relocation approximation the
+// shuffle tick and migration storms share: a swap exchanges vCPUs of two
+// different VMs (never an idle core), every VM keeps its core count, and a
+// vCPU whose previous move is still in the air is never picked.
+func TestShuffleOnceSwapsAcrossVMsOnly(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.VMs = 2 // 8 vCPUs on 16 cores: half the picks land on idle cores
+	m, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.inflight = make([]bool, len(m.vcpus))
+	frozen := hv.VCPU{VM: 1, Idx: 0}
+	m.inflight[m.vcpuIndex(frozen)] = true
+	frozenCore := m.Mapper.CoreOf(frozen)
+	rng := sim.NewRand(1)
+	swaps := 0
+	for i := 0; i < 100; i++ {
+		before := make([]hv.VCPU, m.Mapper.NumCores())
+		for c := range before {
+			before[c] = m.Mapper.On(c)
+		}
+		m.shuffleOnce(rng)
+		var moved []int
+		for c, v := range before {
+			if m.Mapper.On(c) != v {
+				moved = append(moved, c)
+			}
+		}
+		if len(moved) == 0 {
+			continue
+		}
+		if len(moved) != 2 {
+			t.Fatalf("one shuffle changed %d cores", len(moved))
+		}
+		va, vb := before[moved[0]], before[moved[1]]
+		if va == hv.NoVCPU || vb == hv.NoVCPU || va.VM == vb.VM {
+			t.Fatalf("swapped %v and %v", va, vb)
+		}
+		swaps++
+	}
+	if swaps < 50 {
+		t.Fatalf("%d swaps in 100 shuffles, want most", swaps)
+	}
+	if c := m.Mapper.CoreOf(frozen); c != frozenCore {
+		t.Fatalf("in-flight vCPU moved from core %d to %d", frozenCore, c)
+	}
+	for vm := mem.VMID(0); vm < 2; vm++ {
+		if got := len(m.Mapper.RunningCores(vm)); got != 4 {
+			t.Fatalf("VM %d on %d cores after shuffles", vm, got)
+		}
+	}
 }

@@ -69,12 +69,8 @@ func (c Config) plannerFriends() map[int]int {
 
 // PlanPartition computes the snoop-domain partition for this configuration.
 // The plan is a pure function of the config, and so is the simulated event
-// order built on it. Domains == 1 means the run uses the single-queue
-// legacy engine.
+// order built on it.
 func (c Config) PlanPartition() partition.Plan {
-	if c.ForceSerial || c.Cores <= 1 {
-		return partition.Plan{Domains: 1, GX: 1, GY: 1}
-	}
 	return partition.Compute(partition.Input{
 		Width:     c.Mesh.Width,
 		Height:    c.Mesh.Height,
@@ -84,29 +80,25 @@ func (c Config) PlanPartition() partition.Plan {
 	})
 }
 
-// needSync reports whether the partitioned machine must replicate and
-// synchronize snoop-filter state across domains: vCPU migration, a VM
-// placement spanning domains, or scheduled fault events can all move or
-// mutate per-VM registration outside its home domain. When false, every
-// VM's filter state is written only from its own domain and the single
-// shared filter of the legacy engine remains safe (and byte-identical).
+// needSync reports whether the machine must replicate and synchronize
+// snoop-filter state across domains: vCPU migration, a VM placement
+// spanning domains, or scheduled fault events can all move or mutate
+// per-VM registration outside its home domain. When false, every VM's
+// filter state is written only from its own domain and one shared filter
+// remains safe.
 func (c Config) needSync(p partition.Plan) bool {
 	return c.MigrationPeriodMs != 0 || p.SpansVM || len(c.faultEvents()) > 0
 }
 
 // PartitionInfo renders the computed partition for the -dump-partition
 // debug flag: the domain grid, cut summary, per-MC assignment, and the
-// per-domain cross-domain horizons: the delay the partitioned machine puts
-// on each domain's cross-domain protocol events (migration legs, filter
-// deltas, holder probes).
+// per-domain cross-domain horizons: the delay the machine puts on each
+// domain's cross-domain protocol events (migration legs, filter deltas,
+// holder probes; 0 when the plan has one domain).
 func (c Config) PartitionInfo() string {
 	p := c.PlanPartition()
 	var b strings.Builder
 	b.WriteString(p.String())
-	if p.Domains <= 1 {
-		b.WriteString("  engine: serial (single domain)\n")
-		return b.String()
-	}
 	// Horizons come from the mesh, which derives them from the cut. Build a
 	// throwaway network with the plan's node->domain map to report them.
 	nw := mesh.New(sim.NewEngine(), c.Mesh)

@@ -93,7 +93,7 @@ type Stats struct {
 
 	// Sync splits EventsFired by how the events ran: execution mechanics,
 	// not simulation results (cmd/vsnoop-bench's output digest skips the
-	// field by name). Zero for legacy runs, which neither park nor cancel.
+	// field by name).
 	Sync ElidedEvents
 
 	// Robustness counters (fault injection, graceful degradation, and
@@ -150,23 +150,11 @@ func (s *Stats) init(cfg Config) { s.cfg = cfg.sansControl() }
 // takeSnapshot freezes domain d's warmup-phase counters. It runs when the
 // last vCPU of the domain crosses WarmupRefs, and reads only state owned by
 // the domain (its cores' controllers, its corner memory controller, its
-// traffic slot) and the clock. The legacy single domain owns everything,
-// so this is exactly the old whole-machine snapshot there.
+// traffic slot) and the clock.
 func (m *Machine) takeSnapshot(d *domain) {
 	d.warmed = true
 	s := d.st
-	var bh, by, ms uint64
-	if m.partitioned {
-		bh, by, ms = m.Net.DomainTraffic(int(d.idx))
-	} else {
-		bh, by, ms = m.Net.ByteHops, m.Net.Bytes, m.Net.Messages
-	}
-	// COW traps land in the domain's own counter under the partitioned
-	// overlay; the legacy global path still counts on the memory manager.
-	cows := m.MM.CowCount
-	if m.cowTargets != nil {
-		cows = s.Cows
-	}
+	bh, by, ms := m.Net.DomainTraffic(int(d.idx))
 	w := snapshot{
 		l1Acc: s.L1Accesses, l1AccC: s.L1AccessesContent, l2Acc: s.L2Accesses,
 		l2Miss: s.L2Misses, l2MissC: s.L2MissesContent,
@@ -174,7 +162,7 @@ func (m *Machine) takeSnapshot(d *domain) {
 		hMem: s.HolderMemory, hIntra: s.HolderIntraVM,
 		hFriend: s.HolderFriend, hOther: s.HolderOther,
 		byteHops: bh, bytes: by, messages: ms,
-		cows:  cows,
+		cows:  s.Cows,
 		cycle: uint64(m.Eng.Now()),
 	}
 	for _, ci := range d.cores {
@@ -227,45 +215,6 @@ func (s *Stats) recordL2Miss(vm mem.VMID, ctx workload.Ctx, pt mem.PageType) {
 	}
 }
 
-// classifyHolder implements the Table VI measurement: at an L2 miss on a
-// content-shared page, find the best possible data holder. Legacy-only:
-// partitioned runs take classifyPartitioned, which probes remote domains
-// with events instead of reading their caches directly. The
-// single legacy domain owns every core, so scanning d.cores here covers
-// the whole machine.
-func (m *Machine) classifyHolder(d *domain, st *Stats, addr mem.BlockAddr, vm mem.VMID) {
-	friend, hasFriend := m.MM.FriendOf(vm)
-	intra, fr, other := false, false, false
-	for _, ci := range d.cores {
-		l2 := m.cores[ci].l2
-		if !l2.Holds(addr) {
-			continue
-		}
-		b := l2.Lookup(addr)
-		if b.Tokens == 0 {
-			continue
-		}
-		switch {
-		case b.VM == vm:
-			intra = true
-		case hasFriend && b.VM == friend:
-			fr = true
-		default:
-			other = true
-		}
-	}
-	switch {
-	case intra:
-		st.HolderIntraVM++
-	case fr:
-		st.HolderFriend++
-	case other:
-		st.HolderOther++
-	default:
-		st.HolderMemory++
-	}
-}
-
 // applyWarm subtracts the warmup-phase snapshot so the reported statistics
 // cover only the measured phase. No-op when no snapshot was taken.
 func (s *Stats) applyWarm() {
@@ -302,85 +251,13 @@ func (s *Stats) applyWarm() {
 	}
 }
 
-func (m *Machine) finalizeStats() {
-	if m.partitioned {
-		m.finalizePartitioned()
-		return
-	}
-	s := &m.Stats
-	for _, cn := range m.cores {
-		if cn.dctrl != nil {
-			s.Transactions += cn.dctrl.Stats.Transactions
-			s.Writebacks += cn.dctrl.Stats.Writebacks
-			continue
-		}
-		s.SnoopsIssued += cn.ctrl.Stats.SnoopsIssued
-		s.SnoopLookups += cn.ctrl.Stats.SnoopLookups
-		s.Transactions += cn.ctrl.Stats.Transactions
-		s.Retries += cn.ctrl.Stats.Retries
-		s.Persistent += cn.ctrl.Stats.Persistent
-		s.Writebacks += cn.ctrl.Stats.Writebacks
-	}
-	for _, mc := range m.mcs {
-		s.DRAMReads += mc.Stats.DRAMReads
-		s.DRAMWrites += mc.Stats.DRAMWrites
-	}
-	for _, h := range m.homes {
-		s.DRAMReads += h.Stats.DRAMReads
-		s.DRAMWrites += h.Stats.DRAMWrites
-		s.DirLookups += h.Stats.Lookups
-		s.DirForwards += h.Stats.Forwards
-		s.DirInvalidates += h.Stats.Invalidates
-	}
-	for _, cn := range m.cores {
-		s.TLBHits += cn.tlb.Stats.Hits
-		s.TLBMisses += cn.tlb.Stats.Misses
-		s.TLBShootdowns += cn.tlb.Stats.Shootdowns
-	}
-	if m.rs != nil {
-		rt := m.rs.Totals()
-		s.RegionNSRTHits = rt.NSRTHits
-		s.RegionBroadcasts = rt.Broadcasts
-	}
-	s.ByteHops = m.Net.ByteHops
-	s.Bytes = m.Net.Bytes
-	s.Messages = m.Net.Messages
-	s.Cows = m.MM.CowCount
-	s.MapSyncs = m.Filter.MapSyncs
-	s.Relocations = m.Mapper.Relocations
-	s.RemovalPeriods = &m.Filter.RemovalPeriods
-
-	s.FallbackCounterAug = m.Filter.FallbackCounterAug()
-	s.FallbackBroadcast = m.Filter.FallbackBroadcast()
-	s.MapRebuilds = m.Filter.MapRebuilds()
-	s.CounterUnderflows = m.Filter.Underflows()
-	if m.Injector != nil {
-		fs := m.Injector.TotalStats()
-		s.FaultsDropped = fs.Dropped
-		s.FaultsBounced = fs.Bounced
-		s.FaultsDuplicated = fs.Duplicated
-		s.FaultsDelayed = fs.Delayed
-		s.MapCorruptions = fs.MapCorruptions
-		s.CounterCorruptions = fs.CounterCorruptions
-		s.StormRelocations = fs.StormRelocations
-	}
-	if m.Checker != nil {
-		s.InvariantChecks = m.Checker.Checks
-		s.InvariantViolations = m.Checker.Violations
-	}
-	s.EventsFired = m.Eng.Fired()
-	totalEvents.Add(s.EventsFired)
-
-	s.applyWarm()
-}
-
-// finalizePartitioned folds the per-domain statistics into the machine totals.
+// finalizeStats folds the per-domain statistics into the machine totals.
 // Per-domain sums (controller and DRAM counters, traffic, warm adjustment)
 // happen first, in domain order; then counters add, latency samples merge,
 // and ExecCycles takes the slowest domain. Global state (filter, mapper,
 // memory manager, checker, injector) is read once at the end — the run is
 // quiesced, so everything is stable.
-func (m *Machine) finalizePartitioned() {
+func (m *Machine) finalizeStats() {
 	s := &m.Stats
 	for _, d := range m.doms {
 		st := d.st
@@ -452,11 +329,6 @@ func (m *Machine) finalizePartitioned() {
 		}
 	}
 
-	if m.cowTargets == nil {
-		// Global COW path (no domain overlays): the manager's count is
-		// authoritative, exactly as in legacy runs.
-		s.Cows = m.MM.CowCount
-	}
 	s.Relocations = m.Mapper.Relocations
 	if m.replicas != nil {
 		// Replicated register file: event counters live on the owning

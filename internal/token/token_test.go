@@ -409,7 +409,7 @@ func TestTokenConservationRandomProperty(t *testing.T) {
 				if write {
 					b.Dirty = true
 				}
-				h.eng.Schedule(1, func() { issue(core) })
+				h.eng.ScheduleFn(1, call, func() { issue(core) }, 0)
 				return
 			}
 			c.Start(a, mem.VMID(core/2), mem.PagePrivate, write, call, func() { issue(core) })
@@ -417,7 +417,7 @@ func TestTokenConservationRandomProperty(t *testing.T) {
 		for core := 0; core < 8; core++ {
 			pending++
 			core := core
-			h.eng.Schedule(sim.Cycle(core), func() { issue(core) })
+			h.eng.ScheduleFn(sim.Cycle(core), call, func() { issue(core) }, 0)
 		}
 		h.run()
 		total := 0
@@ -446,7 +446,7 @@ func TestDeterministicRuns(t *testing.T) {
 			h.ctrls[core].Start(a, 1, mem.PagePrivate, r.Bool(0.5), call, func() { issue(core) })
 		}
 		issue(0)
-		h.eng.Schedule(3, func() { issue(1) })
+		h.eng.ScheduleFn(3, call, func() { issue(1) }, 0)
 		h.run()
 		var sn uint64
 		for _, c := range h.ctrls {

@@ -125,11 +125,6 @@ type Config struct {
 	// when it is exhausted (0 = unbounded).
 	MaxSteps uint64
 
-	// ForceSerial builds the legacy single-queue engine instead of the
-	// partitioned one the planner would cut. It exists as the reference
-	// baseline for benchmarks; production callers should leave it false.
-	ForceSerial bool
-
 	Seed uint64
 }
 
@@ -230,17 +225,17 @@ func (cfg Config) Validate() error {
 // simulation, so the hash is a sound memoization key: determinism
 // guarantees equal hashes produce bit-identical Results.
 //
-// ForceSerial is included: the legacy engine models cross-domain
-// effects without the partitioned pipeline's ownership-transfer latencies,
-// so its results are a different simulation, not a different execution
-// strategy. Every semantic field (workloads, policies, fault plan, seed,
-// step bounds, checks) is included. The encoding is versioned
+// Every semantic field (workloads, policies, fault plan, seed, step
+// bounds, checks) is included. The encoding is versioned
 // ("vsnoop-config-v3"; v3 moved migrated-vCPU event chasing onto the
 // per-domain forwarding tables, re-timing multi-hop chases, and v2 moved
 // migration, content-sharing, and fault-event configurations onto the
 // partitioned cross-domain semantics — older stores must not serve either);
 // any future change to the encoded fields must bump it so stale stores are
-// never misread.
+// never misread. The line "forceSerial=false" is a constant: it named the
+// deleted single-queue engine, which no valid Config ran (every one plans
+// at least two snoop domains), so every v3 hash still names the result the
+// partitioned machine computes, and stored v3 records stay valid.
 func (cfg Config) Hash() string {
 	h := sha256.New()
 	w := func(format string, args ...interface{}) { fmt.Fprintf(h, format, args...) }
@@ -256,7 +251,7 @@ func (cfg Config) Hash() string {
 	w("refsPerVCPU=%d\nwarmupRefs=%d\n", cfg.RefsPerVCPU, cfg.WarmupRefs)
 	w("migrationPeriodMs=%s\ncyclesPerMs=%d\n", f64(cfg.MigrationPeriodMs), cfg.CyclesPerMs)
 	w("contentSharing=%t\nhypervisor=%t\n", cfg.ContentSharing, cfg.Hypervisor)
-	w("forceSerial=%t\n", cfg.ForceSerial)
+	w("forceSerial=false\n")
 	w("checks=%t\nmaxSteps=%d\nseed=%d\n", cfg.Checks, cfg.MaxSteps, cfg.Seed)
 	if p := cfg.Fault; p != nil {
 		w("fault.seed=%d\n", p.Seed)
@@ -331,8 +326,7 @@ type Result struct {
 func TotalEventsFired() uint64 { return system.TotalEventsFired() }
 
 // PlannedDomains returns the number of snoop domains the graph-cut
-// partition planner computes for cfg. 1 means the run executes on the
-// legacy single-domain engine; invalid configurations also report 1.
+// partition planner computes for cfg; invalid configurations report 1.
 func PlannedDomains(cfg Config) int {
 	sc, err := toSystem(cfg)
 	if err != nil {
@@ -484,7 +478,6 @@ func toSystem(cfg Config) (system.Config, error) {
 	sc.Fault = cfg.Fault.toInternal()
 	sc.Checks = cfg.Checks
 	sc.MaxSteps = cfg.MaxSteps
-	sc.ForceSerial = cfg.ForceSerial
 	if cfg.Seed != 0 {
 		sc.Seed = cfg.Seed
 	}

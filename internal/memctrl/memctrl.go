@@ -88,14 +88,21 @@ type Ctrl struct {
 	msgs token.Msgs
 }
 
+// HeldMsgs returns how many of the controller's message slots are held
+// (token.Msgs.Held): after a full drain, every one is back on the free list.
+func (m *Ctrl) HeldMsgs() int { return m.msgs.Held() }
+
 // Init prepares internal state; call once after fields are set.
 func (m *Ctrl) Init() {
 	if m.Interleave == 0 {
 		m.Interleave = 1
 	}
 	m.persistent = make(map[mem.BlockAddr]*persistentEntry)
+	// The *token.Msg rides in arg with the sender's hold until the send
+	// hands it to the deliveries.
 	m.sendFn = func(arg interface{}, u uint64) {
-		m.Net.Send(m.Node, mesh.NodeID(u>>32), int(uint32(u)), arg)
+		msg := arg.(*token.Msg)
+		msg.Sent(m.Net.Send(m.Node, mesh.NodeID(u>>32), int(uint32(u)), msg))
 	}
 }
 
@@ -188,7 +195,8 @@ func (m *Ctrl) arrive(addr mem.BlockAddr, tokens int, owner bool) {
 	}
 }
 
-// Handle processes a delivered coherence message (mesh handler).
+// Handle processes a delivered coherence message and releases the
+// delivery's hold on it (mesh handler).
 func (m *Ctrl) Handle(payload interface{}) {
 	msg := payload.(*token.Msg)
 	switch msg.Kind {
@@ -203,8 +211,15 @@ func (m *Ctrl) Handle(payload interface{}) {
 	case token.MsgPersistentRelease:
 		m.handleRelease(msg)
 	default:
-		panic(fmt.Sprintf("memctrl: unexpected %v", msg.Kind))
+		badMsgPanic(msg.Kind)
 	}
+	msg.Release()
+}
+
+// badMsgPanic is Handle's cold failure path; it keeps the fmt call out of
+// the dispatch.
+func badMsgPanic(k token.Kind) {
+	panic(fmt.Sprintf("memctrl: unexpected %v", k))
 }
 
 // activeEntry returns the block's persistent entry while a persistent
@@ -306,7 +321,7 @@ func (m *Ctrl) absorb(msg *token.Msg) {
 		if out.Data {
 			bytes = m.P.DataBytes
 		}
-		m.Net.Send(m.Node, p.active, bytes, out)
+		out.Sent(m.Net.Send(m.Node, p.active, bytes, out))
 		return
 	}
 	m.arrive(msg.Addr, msg.Tokens, msg.Owner)
@@ -344,7 +359,7 @@ func (m *Ctrl) activate(p *persistentEntry, msg *token.Msg) {
 	p.hasAct = true
 	m.Stats.Activations++
 	act := m.msgs.New(token.Msg{Kind: token.MsgPersistentActivate, Addr: msg.Addr, Src: msg.Src})
-	m.Net.Multicast(m.Node, m.AllCaches, m.P.CtrlBytes, act)
+	act.Sent(m.Net.Multicast(m.Node, m.AllCaches, m.P.CtrlBytes, act))
 	// Memory forwards its own tokens too.
 	l := m.line(msg.Addr)
 	if l.tokens > 0 || l.owner {
@@ -368,7 +383,7 @@ func (m *Ctrl) handleRelease(msg *token.Msg) {
 		return // stale release
 	}
 	deact := m.msgs.New(token.Msg{Kind: token.MsgPersistentDeactivate, Addr: msg.Addr, Src: m.Node})
-	m.Net.Multicast(m.Node, m.AllCaches, m.P.CtrlBytes, deact)
+	deact.Sent(m.Net.Multicast(m.Node, m.AllCaches, m.P.CtrlBytes, deact))
 	p.hasAct = false
 	if len(p.waiters) > 0 {
 		next := p.waiters[0]
@@ -379,7 +394,8 @@ func (m *Ctrl) handleRelease(msg *token.Msg) {
 	}
 }
 
-// send transmits a slab copy of msg after the given processing latency.
+// send transmits a slab copy of msg after the given processing latency;
+// the event carries the copy's hold until sendFn sends it.
 func (m *Ctrl) send(dst mesh.NodeID, msg token.Msg, latency sim.Cycle, data bool) {
 	bytes := m.P.CtrlBytes
 	if data {

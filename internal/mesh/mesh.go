@@ -51,7 +51,10 @@ type node struct {
 // and drawn the delivery's tie-break key; the elider gets the delivery as
 // it would be queued — arrival cycle, key, executing domain, payload — and
 // returns true if it keeps the delivery itself (and owes the network
-// nothing more), false to have it queued as usual.
+// nothing more), false to have it queued as usual. An elider that keeps a
+// delivery must not keep the payload past its call: Send does not count
+// the delivery, so the sender may reuse the payload once the deliveries
+// it counted are handled.
 type Elider func(at sim.Cycle, key uint64, dom int32, payload interface{}) bool
 
 // Directed link directions. A link is identified by its source router
@@ -320,21 +323,25 @@ type fanout struct {
 // Send injects a message; the destination handler runs when the tail
 // arrives. Traffic statistics are charged immediately. When a FaultHook is
 // installed it may drop, duplicate, delay, or redirect the message; the
-// hook runs once per Send (a duplicated copy is not re-faulted).
+// hook runs once per Send (a duplicated copy is not re-faulted). Send
+// returns how many deliveries it queued, that is how many times a handler
+// will get the payload: 1, or 0 for a dropped message or one an elider
+// kept, and 2 for a duplicated one.
 //
 //vsnoop:hotpath
-func (n *Network) Send(src, dst NodeID, bytes int, payload interface{}) {
+func (n *Network) Send(src, dst NodeID, bytes int, payload interface{}) int {
 	one := [1]NodeID{dst}
-	n.Multicast(src, one[:], bytes, payload)
+	return n.Multicast(src, one[:], bytes, payload)
 }
 
 // Multicast sends payload from src to every node of dsts, in order. It is
 // exactly len(dsts) Sends — the same link reservations, tie-break keys,
 // elider calls, fault-hook calls and traffic charges, in the same order —
-// with the per-message invariants computed once.
+// with the per-message invariants computed once. It returns the sum of
+// what those Sends would return: the number of deliveries queued.
 //
 //vsnoop:hotpath
-func (n *Network) Multicast(src NodeID, dsts []NodeID, bytes int, payload interface{}) {
+func (n *Network) Multicast(src NodeID, dsts []NodeID, bytes int, payload interface{}) int {
 	// f is built here, in a local, so its pointer fields are stack writes.
 	// Its fields are assigned one by one: a composite literal would build
 	// a temporary and copy it over f on every call.
@@ -349,38 +356,43 @@ func (n *Network) Multicast(src NodeID, dsts []NodeID, bytes int, payload interf
 		f.traf = &n.traf[f.sd]
 	}
 	f.now = n.eng.Now()
+	queued := 0
 	if n.FaultHook != nil {
 		for _, d := range dsts {
-			n.sendFaulted(&f, d)
+			queued += n.sendFaulted(&f, d)
 		}
-		return
+		return queued
 	}
 	for _, d := range dsts {
-		n.transmit(&f, d, 0)
+		queued += n.transmit(&f, d, 0)
 	}
+	return queued
 }
 
 // sendFaulted sends one message of a Multicast under the FaultHook, which
-// may drop, duplicate, delay, or redirect it.
-func (n *Network) sendFaulted(f *fanout, dst NodeID) {
+// may drop, duplicate, delay, or redirect it, and returns how many
+// deliveries it queued.
+func (n *Network) sendFaulted(f *fanout, dst NodeID) int {
 	out := n.FaultHook(f.src, dst, f.bytes, f.payload)
 	if out.Drop {
-		return
+		return 0
 	}
 	if out.Redirected {
 		dst = out.RedirectTo
 	}
+	queued := 0
 	if out.Duplicate {
-		n.transmit(f, dst, out.Delay)
+		queued = n.transmit(f, dst, out.Delay)
 	}
-	n.transmit(f, dst, out.Delay)
+	return queued + n.transmit(f, dst, out.Delay)
 }
 
 // transmit performs the actual routing, accounting, and delivery of one
-// message to dst, extra cycles late.
+// message to dst, extra cycles late. It returns 1 if it queued the
+// delivery, 0 if the destination's elider kept it.
 //
 //vsnoop:hotpath
-func (n *Network) transmit(f *fanout, dst NodeID, extra sim.Cycle) {
+func (n *Network) transmit(f *fanout, dst NodeID, extra sim.Cycle) int {
 	b := &n.nodes[dst]
 	hops := abs(f.x-b.x) + abs(f.y-b.y)
 	byteHops := f.flitBytes * uint64(maxInt(hops, 1))
@@ -457,15 +469,17 @@ func (n *Network) transmit(f *fanout, dst NodeID, extra sim.Cycle) {
 	if f.traf != nil {
 		if el := b.elide; el != nil {
 			key := eng.NextKey()
-			if !el(arrive, key, dd, f.payload) {
-				eng.ScheduleKeyed(arrive, key, dd, n.deliver, f.payload, uint64(dst))
+			if el(arrive, key, dd, f.payload) {
+				return 0
 			}
-			return
+			eng.ScheduleKeyed(arrive, key, dd, n.deliver, f.payload, uint64(dst))
+			return 1
 		}
 		eng.ScheduleFnAtDom(arrive, dd, n.deliver, f.payload, uint64(dst))
 	} else {
 		eng.ScheduleFnAt(arrive, n.deliver, f.payload, uint64(dst))
 	}
+	return 1
 }
 
 // DegradeLinks marks count randomly chosen directed links as degraded: their

@@ -54,8 +54,10 @@ type delivery struct {
 	how byte
 }
 
-// twinObs is everything one side of a twin run observed.
+// twinObs is everything one side of a twin run observed. queued sums what
+// the Send or Multicast calls returned.
 type twinObs struct {
+	queued                    int
 	events                    [][]delivery // per domain, in order
 	nextFree                  []sim.Cycle
 	byteHops, bytes, messages uint64
@@ -148,11 +150,11 @@ func runTwin(t testing.TB, sp twinSpec, casts []mcast, multicast bool) twinObs {
 	drive := func(_ interface{}, u uint64) {
 		c := casts[u]
 		if multicast {
-			net.Multicast(c.src, c.dsts, c.bytes, int(u))
+			obs.queued += net.Multicast(c.src, c.dsts, c.bytes, int(u))
 			return
 		}
 		for _, d := range c.dsts {
-			net.Send(c.src, d, c.bytes, int(u))
+			obs.queued += net.Send(c.src, d, c.bytes, int(u))
 		}
 	}
 	for i, c := range casts {
@@ -165,6 +167,17 @@ func runTwin(t testing.TB, sp twinSpec, casts []mcast, multicast bool) twinObs {
 		eng.ScheduleFnAtDom(c.at, sd, drive, nil, uint64(i))
 	}
 	eng.Run()
+	handled := 0
+	for _, evs := range obs.events {
+		for _, e := range evs {
+			if e.how == 'd' {
+				handled++
+			}
+		}
+	}
+	if obs.queued != handled {
+		t.Fatalf("%s: the sends returned %d queued deliveries, the handlers got %d", sp.name, obs.queued, handled)
+	}
 	obs.nextFree = append([]sim.Cycle(nil), net.nextFree...)
 	obs.byteHops, obs.bytes, obs.messages = net.TrafficTotals()
 	if sp.doms > 0 {

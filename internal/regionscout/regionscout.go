@@ -101,27 +101,24 @@ func (t *nsrt) remove(r Region) bool {
 // Filter is the RegionScout router. It maintains exact per-core region
 // presence counts via the cache insert/drop hooks.
 //
-// In partitioned runs (Partition) every core's NSRT and presence map is
-// owned by that core's snoop domain: local-domain presence checks and
-// knockouts stay synchronous, while remote domains are consulted through
-// probe events, each delayed by its source domain's cross-domain horizon
-// (mesh.Network.CrossHorizons). The NSRT insert is deferred until every
-// probe replies — a stale not-shared belief is safe because a
-// memory-direct miss that finds the tokens elsewhere simply retries
-// attempt 2 as a broadcast.
+// Every core's NSRT and presence map is owned by that core's snoop domain
+// (Partition; New starts with one domain holding every core): local-domain
+// presence checks and knockouts stay synchronous, while remote domains are
+// consulted through probe events, each delayed by its source domain's
+// cross-domain horizon (mesh.Network.CrossHorizons). The NSRT insert is
+// deferred until every probe replies — a stale not-shared belief is safe
+// because a memory-direct miss that finds the tokens elsewhere simply
+// retries attempt 2 as a broadcast. With one domain there are no probes,
+// and a broadcast learns the region at once.
 type Filter struct {
 	cfg       Config
 	shift     uint
 	coreNodes []mesh.NodeID
 	// present and tables are per-core state owned by the core's snoop
-	// domain in partitioned mode (coreDom[i]); serial mode has one domain
-	// owning every entry.
+	// domain (coreDom[i]).
 	present []map[Region]int //vsnoop:owned table
 	tables  []*nsrt          //vsnoop:owned table
 
-	Stats Stats
-
-	// Partitioned mode (nil/empty outside it).
 	coreDom  []int32
 	domCores [][]int
 	eng      *sim.Engine
@@ -163,13 +160,17 @@ func New(cfg Config, coreNodes []mesh.NodeID, caches []*cache.Cache) *Filter {
 		present:   make([]map[Region]int, len(coreNodes)),
 		tables:    make([]*nsrt, len(coreNodes)),
 	}
+	all := make([]int, len(coreNodes))
 	for i := range coreNodes {
+		all[i] = i
 		f.present[i] = make(map[Region]int)
 		f.tables[i] = newNSRT(cfg.NSRTEntries)
 		if caches != nil && caches[i] != nil {
 			f.wire(i, caches[i])
 		}
 	}
+	// One domain sends no probes, so it needs no engine or horizons.
+	f.Partition(make([]int32, len(coreNodes)), [][]int{all}, nil, nil)
 	return f
 }
 
@@ -216,8 +217,8 @@ func (f *Filter) NSRTContains(i int, r Region) bool {
 	return ok
 }
 
-// Partition switches the filter to domain-owned state: coreDom maps each
-// core to its snoop domain, domCores lists each domain's cores, eng is the
+// Partition cuts the filter's state into domains: coreDom maps each core to
+// its snoop domain, domCores lists each domain's cores, eng is the
 // machine's engine and crossHor gives each domain's cross-domain horizon.
 // Call at setup, before any routing happens.
 func (f *Filter) Partition(coreDom []int32, domCores [][]int, eng *sim.Engine, crossHor []sim.Cycle) {
@@ -231,10 +232,9 @@ func (f *Filter) Partition(coreDom []int32, domCores [][]int, eng *sim.Engine, c
 	f.replyFn = f.handleReply
 }
 
-// Totals returns the whole-run counters: the serial struct plus every
-// partitioned domain's share.
+// Totals returns the whole-run counters, summed over the domains.
 func (f *Filter) Totals() Stats {
-	t := f.Stats
+	var t Stats
 	for i := range f.stats {
 		t.NSRTHits += f.stats[i].NSRTHits
 		t.Broadcasts += f.stats[i].Broadcasts
@@ -292,18 +292,25 @@ func (f *Filter) handleReply(arg interface{}, u uint64) {
 	f.pools[p.srcDom] = append(f.pools[p.srcDom], p)
 }
 
-// routePartitioned is Route for domain-owned state.
-func (f *Filter) routePartitioned(info token.RouteInfo, buf []mesh.NodeID) []mesh.NodeID {
+// Route implements token.Router, appending the set to buf[:0]: it is
+// invoked through the interface from whichever domain's coherence
+// controller is requesting, so the static walk cannot see the call edge.
+//
+//vsnoop:handler
+func (f *Filter) Route(info token.RouteInfo, buf []mesh.NodeID) []mesh.NodeID {
 	r := f.RegionOf(info.Addr)
 	me := info.Requester
 	sd := f.coreDom[me]
 	st := &f.stats[sd]
 
 	if info.Attempt == 1 && f.tables[me].contains(r) {
+		// Known not-shared: memory can serve it without snooping.
 		st.NSRTHits++
 		return buf[:0]
 	}
 
+	// Broadcast; the responses' region bits tell us whether anyone else
+	// caches the region.
 	st.Broadcasts++
 	out := buf[:0]
 	for i, n := range f.coreNodes {
@@ -322,6 +329,8 @@ func (f *Filter) routePartitioned(info token.RouteInfo, buf []mesh.NodeID) []mes
 		if f.present[i][r] > 0 {
 			p.shared = true
 		}
+		// The external request invalidates this core's not-shared belief:
+		// the requester is about to cache the region.
 		if f.tables[i].remove(r) {
 			st.Knockouts++
 		}
@@ -339,50 +348,6 @@ func (f *Filter) routePartitioned(info token.RouteInfo, buf []mesh.NodeID) []mes
 		if int32(d) != sd {
 			f.eng.ScheduleFnAtDom(at, int32(d), f.probeFn, p, uint64(d))
 		}
-	}
-	return out
-}
-
-// Route implements token.Router, appending the set to buf[:0]: it is
-// invoked through the interface from whichever domain's coherence
-// controller is requesting, so the static walk cannot see the call edge.
-//
-//vsnoop:handler
-func (f *Filter) Route(info token.RouteInfo, buf []mesh.NodeID) []mesh.NodeID {
-	if len(f.domCores) > 1 {
-		return f.routePartitioned(info, buf)
-	}
-	r := f.RegionOf(info.Addr)
-	me := info.Requester
-
-	if info.Attempt == 1 && f.tables[me].contains(r) {
-		// Known not-shared: memory can serve it without snooping.
-		f.Stats.NSRTHits++
-		return buf[:0]
-	}
-
-	// Broadcast; the responses' region bits tell us whether anyone else
-	// caches the region.
-	f.Stats.Broadcasts++
-	sharedElsewhere := false
-	out := buf[:0]
-	for i, n := range f.coreNodes {
-		if i == me {
-			continue
-		}
-		out = append(out, n)
-		if f.present[i][r] > 0 {
-			sharedElsewhere = true
-		}
-		// The external request invalidates this core's not-shared belief:
-		// the requester is about to cache the region.
-		if f.tables[i].remove(r) {
-			f.Stats.Knockouts++
-		}
-	}
-	if !sharedElsewhere {
-		f.tables[me].insert(r)
-		f.Stats.Discoveries++
 	}
 	return out
 }

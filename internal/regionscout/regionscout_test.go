@@ -31,16 +31,16 @@ func TestFirstRequestBroadcastsThenLearns(t *testing.T) {
 	if got := len(route(f, 0, 100)); got != 3 {
 		t.Fatalf("first request dests = %d, want broadcast", got)
 	}
-	if f.Stats.Discoveries != 1 {
-		t.Fatalf("discoveries = %d", f.Stats.Discoveries)
+	if f.Totals().Discoveries != 1 {
+		t.Fatalf("discoveries = %d", f.Totals().Discoveries)
 	}
 	caches[0].Insert(100, 1) // requester fills
 	// Second request to the same region: NSRT hit, memory-direct.
 	if got := len(route(f, 0, 101)); got != 0 {
 		t.Fatalf("NSRT-covered request dests = %d, want 0", got)
 	}
-	if f.Stats.NSRTHits != 1 {
-		t.Fatalf("NSRT hits = %d", f.Stats.NSRTHits)
+	if f.Totals().NSRTHits != 1 {
+		t.Fatalf("NSRT hits = %d", f.Totals().NSRTHits)
 	}
 }
 
@@ -50,10 +50,10 @@ func TestSharedRegionNeverEntersNSRT(t *testing.T) {
 	if got := len(route(f, 0, 101)); got != 3 {
 		t.Fatalf("dests = %d", got)
 	}
-	if f.Stats.Discoveries != 0 {
+	if f.Totals().Discoveries != 0 {
 		t.Fatal("shared region was learned as not-shared")
 	}
-	if got := len(route(f, 0, 102)); got != 0 && f.Stats.NSRTHits > 0 {
+	if got := len(route(f, 0, 102)); got != 0 && f.Totals().NSRTHits > 0 {
 		t.Fatal("shared region got NSRT-filtered")
 	}
 }
@@ -68,8 +68,8 @@ func TestExternalRequestKnocksOutNSRT(t *testing.T) {
 	if f.NSRTContains(0, f.RegionOf(100)) {
 		t.Fatal("external request did not knock out the NSRT entry")
 	}
-	if f.Stats.Knockouts != 1 {
-		t.Fatalf("knockouts = %d", f.Stats.Knockouts)
+	if f.Totals().Knockouts != 1 {
+		t.Fatalf("knockouts = %d", f.Totals().Knockouts)
 	}
 }
 
@@ -133,9 +133,9 @@ func TestBadRegionSizePanics(t *testing.T) {
 	New(Config{RegionBlocks: 48, NSRTEntries: 4}, []mesh.NodeID{0}, nil)
 }
 
-// TestRouteAppendsIntoBuffer checks both Route paths, serial and
-// domain-partitioned, against the token.Router buffer contract: a broadcast
-// is written into the caller's buffer, not into a fresh slice.
+// TestRouteAppendsIntoBuffer checks Route with New's one domain and with two
+// domains against the token.Router buffer contract: a broadcast is written
+// into the caller's buffer, not into a fresh slice.
 func TestRouteAppendsIntoBuffer(t *testing.T) {
 	for _, partitioned := range []bool{false, true} {
 		f, _ := rig(4)

@@ -1,6 +1,7 @@
 package token_test
 
 import (
+	"runtime"
 	"testing"
 
 	"vsnoop/internal/mem"
@@ -59,15 +60,17 @@ func BenchmarkSnoopHit(b *testing.B)  { benchSnoop(b, true) }
 func BenchmarkSnoopMiss(b *testing.B) { benchSnoop(b, false) }
 
 // TestMissTransactionAllocs gates whole coherence transactions, from Start
-// to the completion handler firing, at zero allocations: every request and
-// response is carved from its sender's Msg slab and the route lands in the
-// controller's reused destination buffer. Each case averages over
-// missRuns transactions, so the slab's chunk refills (one per 256 messages
-// per sender) amortize to zero while any per-transaction allocation fails
-// the gate. The cases cover a read and a write served from memory, and a
-// read served by a remote owner's snoop hit through respond.
+// to the completion handler firing, at zero heap bytes: every request and
+// response is carved from its sender's Msg slab, whose slots go back on a
+// free list once their last delivery is handled, and the route lands in the
+// controller's reused destination buffer. After warm-up (event queue,
+// free lists, memory table chunk), missRuns iterations must not move
+// runtime.MemStats.TotalAlloc at all, so a slab that stopped reusing slots
+// fails here at its first chunk refill. The cases cover a read and a write
+// served from memory, and a read served by a remote owner's snoop hit
+// through respond.
 func TestMissTransactionAllocs(t *testing.T) {
-	const missRuns = 1024
+	const warmRuns, missRuns = 64, 1024
 	fn := func(arg interface{}, _ uint64) { *arg.(*int)++ }
 	cases := []struct {
 		name string
@@ -108,17 +111,28 @@ func TestMissTransactionAllocs(t *testing.T) {
 				tc.miss(h, a, &done)
 				a++
 			}
-			iter() // grows the event queue and materializes the memory table chunk
-			avg := testing.AllocsPerRun(missRuns, iter)
-			iters := missRuns + 2 // the warm-up call plus AllocsPerRun's own
+			for i := 0; i < warmRuns; i++ {
+				iter()
+			}
+			// As in testing.AllocsPerRun: one P and a fresh GC cycle, so
+			// no collection's own bookkeeping lands in the window.
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+			runtime.GC()
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := 0; i < missRuns; i++ {
+				iter()
+			}
+			runtime.ReadMemStats(&after)
+			iters := warmRuns + missRuns
 			if done != iters*tc.txns {
 				t.Fatalf("%d of %d transactions completed", done, iters*tc.txns)
 			}
 			if got, want := h.mc.Stats.DRAMReads, uint64(iters)*tc.dramReadsPerIter; got != want {
 				t.Fatalf("memory served %d DRAM reads, want %d", got, want)
 			}
-			if avg != 0 {
-				t.Fatalf("a transaction allocates %.2f times on average over %d, want 0", avg, missRuns)
+			if bytes := after.TotalAlloc - before.TotalAlloc; bytes != 0 {
+				t.Fatalf("%d transactions allocated %d heap bytes, want 0", missRuns*tc.txns, bytes)
 			}
 		})
 	}

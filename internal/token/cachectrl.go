@@ -126,10 +126,14 @@ func (c *CacheCtrl) Init() {
 	c.destBuf = make([]mesh.NodeID, 0, len(c.AllCores)+1)
 	c.parked = make([]parkedSnoop, 0, 16)
 	c.cancelled = make([]sim.Timer, 0, 8)
-	c.snoopFn = func(arg interface{}, _ uint64) { c.handleRequest(arg.(*Msg)) }
-	// u packs (destination << 32 | bytes); the *Msg rides in arg.
+	// A put-back delivery holds its message like a mesh delivery does, and
+	// goes through Handle like one.
+	c.snoopFn = func(arg interface{}, _ uint64) { c.Handle(arg) }
+	// u packs (destination << 32 | bytes); the *Msg rides in arg, with
+	// the sender's hold, until the send hands it to the deliveries.
 	c.sendFn = func(arg interface{}, u uint64) {
-		c.Net.Send(c.Node, mesh.NodeID(u>>32), int(uint32(u)), arg)
+		msg := arg.(*Msg)
+		msg.Sent(c.Net.Send(c.Node, mesh.NodeID(u>>32), int(uint32(u)), msg))
 	}
 	// u is the TID the timeout was armed for.
 	c.timeoutFn = func(_ interface{}, u uint64) {
@@ -224,14 +228,14 @@ func (c *CacheCtrl) issueAttempt() {
 		kind = MsgGetX
 	}
 	// Every unicast of the multicast shares one immutable slab Msg.
-	m := c.msgs.New(Msg{Kind: kind, Addr: t.Addr, Src: c.Node, VM: t.VM,
-		Page: t.Page, TID: t.TID, Write: t.Write})
+	req := Msg{Kind: kind, Addr: t.Addr, Src: c.Node, VM: t.VM,
+		Page: t.Page, TID: t.TID, Write: t.Write}
 	if kind == MsgGetS && t.Page == mem.PageROShared {
-		// dests may alias destBuf, which the next attempt overwrites.
-		m.Dests = c.msgs.Nodes(dests)
+		req.Dests = dests // New copies it: the next attempt reuses destBuf
 	}
-	c.Net.Multicast(c.Node, dests, c.P.CtrlBytes, m)
-	c.Net.Send(c.Node, c.HomeMC(t.Addr), c.P.CtrlBytes, m)
+	m := c.msgs.New(req)
+	n := c.Net.Multicast(c.Node, dests, c.P.CtrlBytes, m)
+	m.Sent(n + c.Net.Send(c.Node, c.HomeMC(t.Addr), c.P.CtrlBytes, m))
 
 	c.armTimeout(t)
 }
@@ -267,10 +271,10 @@ func (c *CacheCtrl) activatePersistent(t *Txn) {
 	if c.Esc != nil {
 		c.Esc.NoteEscalation(t.VM, 2)
 	}
-	c.Net.Send(c.Node, c.HomeMC(t.Addr), c.P.CtrlBytes, c.msgs.New(Msg{
+	c.send(c.HomeMC(t.Addr), c.P.CtrlBytes, Msg{
 		Kind: MsgPersistentReq, Addr: t.Addr, Src: c.Node, VM: t.VM,
 		Page: t.Page, TID: t.TID, Write: t.Write,
-	}))
+	})
 	// The activation broadcast costs a snoop at every core.
 	c.Stats.SnoopsIssued += uint64(len(c.AllCores)) + 1
 	c.armTimeout(t) // re-arm in case activation itself races
@@ -296,8 +300,8 @@ func badCtrlMsgPanic(k Kind) {
 	panic(fmt.Sprintf("token: cache ctrl got %v", k))
 }
 
-// Handle processes a delivered coherence message; it is the mesh handler
-// for this endpoint.
+// Handle processes a delivered coherence message and releases the
+// delivery's hold on it; it is the mesh handler for this endpoint.
 //
 //vsnoop:hotpath
 func (c *CacheCtrl) Handle(payload interface{}) {
@@ -314,6 +318,7 @@ func (c *CacheCtrl) Handle(payload interface{}) {
 	default:
 		badCtrlMsgPanic(msg.Kind)
 	}
+	msg.Release()
 }
 
 // handleRequest applies the TokenB snoop-response rules.
@@ -363,7 +368,8 @@ func (c *CacheCtrl) handleRequest(msg *Msg) {
 	}
 }
 
-// respond sends a slab copy of msg after the L2 access latency.
+// respond sends a slab copy of msg after the L2 access latency; the event
+// carries the copy's hold until sendFn sends it.
 //
 //vsnoop:hotpath
 func (c *CacheCtrl) respond(dst mesh.NodeID, msg Msg) {
@@ -467,8 +473,7 @@ func (c *CacheCtrl) complete(t *Txn, b *cache.Block) {
 		c.OnFill(b, t)
 	}
 	if t.persistent {
-		c.Net.Send(c.Node, c.HomeMC(t.Addr), c.P.CtrlBytes,
-			c.msgs.New(Msg{Kind: MsgPersistentRelease, Addr: t.Addr, Src: c.Node}))
+		c.send(c.HomeMC(t.Addr), c.P.CtrlBytes, Msg{Kind: MsgPersistentRelease, Addr: t.Addr, Src: c.Node})
 	}
 	fn, arg := t.doneFn, t.doneArg
 	c.cur = nil
@@ -503,14 +508,26 @@ func (c *CacheCtrl) handleActivate(msg *Msg) {
 
 // forward relays tokens to a persistent requester.
 func (c *CacheCtrl) forward(dst mesh.NodeID, msg *Msg) {
-	out := c.msgs.New(*msg)
+	out := *msg
 	out.Src = c.Node
 	bytes := c.P.CtrlBytes
 	if out.Data {
 		bytes = c.P.DataBytes
 	}
-	c.Net.Send(c.Node, dst, bytes, out)
+	c.send(dst, bytes, out)
 }
+
+// send sends a slab copy of msg to dst now.
+//
+//vsnoop:hotpath
+func (c *CacheCtrl) send(dst mesh.NodeID, bytes int, msg Msg) {
+	m := c.msgs.New(msg)
+	m.Sent(c.Net.Send(c.Node, dst, bytes, m))
+}
+
+// HeldMsgs returns how many of the controller's message slots are held
+// (Msgs.Held): after a full drain, every one is back on the free list.
+func (c *CacheCtrl) HeldMsgs() int { return c.msgs.Held() }
 
 // FlushVM invalidates every block the VM holds in this L2 and writes the
 // tokens (and dirty data) back to memory — the selective-flush mechanism
@@ -541,8 +558,8 @@ func (c *CacheCtrl) writebackTokens(addr mem.BlockAddr, tokens int, owner, dirty
 		kind = MsgWBData
 		bytes = c.P.DataBytes
 	}
-	c.Net.Send(c.Node, c.HomeMC(addr), bytes, c.msgs.New(Msg{
+	c.send(c.HomeMC(addr), bytes, Msg{
 		Kind: kind, Addr: addr, Src: c.Node,
 		Tokens: tokens, Owner: owner, Dirty: dirty, Data: kind == MsgWBData,
-	}))
+	})
 }

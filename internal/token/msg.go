@@ -13,6 +13,8 @@
 package token
 
 import (
+	"strconv"
+
 	"vsnoop/internal/mem"
 	"vsnoop/internal/mesh"
 	"vsnoop/internal/sim"
@@ -49,75 +51,148 @@ const (
 	MsgPersistentDeactivate
 )
 
+// kindFreed is the Kind of a slot on its slab's free list. No handler
+// accepts it, so a delivery that reads a released message panics.
+const kindFreed Kind = 0xff
+
+var kindNames = [...]string{"GetS", "GetX", "Data", "Tokens", "WBData", "WBTokens",
+	"PReq", "PAct", "PRel", "PDeact"}
+
 func (k Kind) String() string {
-	return [...]string{"GetS", "GetX", "Data", "Tokens", "WBData", "WBTokens",
-		"PReq", "PAct", "PRel", "PDeact"}[k]
+	if int(k) < len(kindNames) {
+		return kindNames[k]
+	}
+	return "Kind(" + strconv.Itoa(int(k)) + ")"
 }
 
 // Msg is one coherence message. Control messages occupy CtrlBytes on the
 // network; messages carrying data occupy DataBytes. Controllers send a *Msg
 // carved from their own Msgs slab; a sent message is immutable, so a
 // receiver that relays one sends a fresh copy.
+//
+// A Msg is 80 B, so a slot starts at offset 0, 16, 32 or 48 of a cache
+// line: its first 16 bytes, which hold what every delivery reads first
+// (Kind) and what it writes last (the slab bookkeeping), share one line.
 type Msg struct {
-	Kind   Kind
+	Kind  Kind
+	Owner bool // the owner token travels with this message
+	Dirty bool // data is dirty relative to memory (travels with owner)
+	Data  bool // message carries the data block
+
+	// refs counts the slot's holders: the sender, then one per delivery
+	// the send queued. slab is the Msgs the slot was carved from (nil
+	// for a Msg built by hand, whose holds are not counted).
+	refs int32
+	slab *Msgs
+
+	// Request-only fields.
+	Write bool
+	Page  mem.PageType // sharing type from the requester's TLB
+	VM    mem.VMID     // requesting VM (for RO provider logic and stats)
+
 	Addr   mem.BlockAddr
 	Src    mesh.NodeID // sender endpoint
 	Tokens int
-	Owner  bool // the owner token travels with this message
-	Dirty  bool // data is dirty relative to memory (travels with owner)
-	Data   bool // message carries the data block
-
-	// Request-only fields.
-	VM   mem.VMID     // requesting VM (for RO provider logic and stats)
-	Page mem.PageType // sharing type from the requester's TLB
-	TID  uint64       // transaction id (matches responses to attempts)
+	TID    uint64 // transaction id (matches responses to attempts)
 	// Dests is the snooped core set, carried only on RO-shared GetS (the
-	// memory controller's RO-provider oracle is its one reader); it is a
-	// slab copy, never the sender's route buffer.
+	// memory controller's RO-provider oracle is its one reader). Msgs.New
+	// copies it into the slot's own buffer, never keeping the sender's
+	// route buffer.
 	Dests []mesh.NodeID
-	Write bool
 }
 
-// Slab chunk sizes: a Msg is 80 B, so a Msg chunk is 20 KiB.
-const (
-	msgChunk  = 256
-	nodeChunk = 1024
-)
-
-// Msgs is one sender's message slab. Messages and destination copies are
-// carved from fixed chunks and a slot is never handed out twice: a full
-// chunk is dropped, and the garbage collector frees it once the last
-// delivery referring to it is gone. Never reusing a slot is what makes
-// sending by pointer safe without ownership tracking: a *Msg that any
-// queued delivery still holds is never overwritten. The cursor is not
-// simulation state. The zero value is ready to use.
-type Msgs struct {
-	msgs  []Msg
-	nodes []mesh.NodeID
-}
-
-// New returns a slab slot holding a copy of m.
-func (s *Msgs) New(m Msg) *Msg {
-	if len(s.msgs) == 0 {
-		s.msgs = make([]Msg, msgChunk)
+// Sent swaps the sender's hold for one hold per queued delivery: n is what
+// mesh.Network.Send or Multicast returned (0 when a fault dropped the
+// message or an elider kept it, 2 for a duplicate). With n == 0 the slot
+// goes back to its slab.
+//
+//vsnoop:hotpath
+func (m *Msg) Sent(n int) {
+	if m.refs += int32(n) - 1; m.refs <= 0 {
+		m.free()
 	}
-	p := &s.msgs[0]
-	s.msgs = s.msgs[1:]
+}
+
+// Release drops one hold: a handler calls it once it is done with a
+// delivered message. The last release returns the slot to its slab.
+//
+//vsnoop:hotpath
+func (m *Msg) Release() {
+	if m.refs--; m.refs <= 0 {
+		m.free()
+	}
+}
+
+// free runs when the holder count reaches zero: it poisons the slot and
+// puts it on its slab's free list. A count below zero is a release without
+// a hold, except on a Msg built by hand, whose count just restarts.
+//
+//vsnoop:hotpath
+func (m *Msg) free() {
+	s := m.slab
+	switch {
+	case s == nil:
+		m.refs = 0
+	case m.refs < 0:
+		overReleasePanic(m.refs)
+	default:
+		m.Kind = kindFreed
+		s.free = append(s.free, m)
+	}
+}
+
+// overReleasePanic is free's cold failure path: a slot was released more
+// times than it was held.
+func overReleasePanic(refs int32) {
+	panic("token: message released " + strconv.Itoa(int(-refs)) + " more times than held")
+}
+
+// msgChunk is the slab chunk size: 64 Msgs of 80 B, 5 KiB. With slots
+// recycled, one controller holds at most about 20 at once in the benchmark's
+// machines, so one chunk usually lasts a whole run.
+const msgChunk = 64
+
+// Msgs is one sender's message slab. Slots are carved from fixed chunks
+// and counted by their holders (Msg.Sent, Msg.Release); a slot whose count
+// reaches zero goes on a LIFO free list, and New hands the most recently
+// freed slot out first. A slot stays in its chunk for good, so a *Msg
+// that a sender, an event or a queued delivery still holds is never
+// overwritten. The free list is not simulation state. The zero value is
+// ready to use.
+type Msgs struct {
+	chunk  []Msg  // the uncarved rest of the newest chunk
+	free   []*Msg // released slots, most recent last
+	carved int
+}
+
+// New returns a slot holding a copy of m, with its Dests copied into the
+// slot's own buffer. The caller holds the slot once: it passes the hold to
+// the deliveries with Sent, or to an event that sends later.
+//
+//vsnoop:hotpath
+func (s *Msgs) New(m Msg) *Msg {
+	var p *Msg
+	if n := len(s.free); n > 0 {
+		p = s.free[n-1]
+		s.free = s.free[:n-1]
+	} else {
+		if len(s.chunk) == 0 {
+			s.chunk = make([]Msg, msgChunk)
+		}
+		p = &s.chunk[0]
+		s.chunk = s.chunk[1:]
+		s.carved++
+	}
+	dests := p.Dests[:0] // the slot's own buffer outlives its messages
 	*p = m
+	dests = append(dests, m.Dests...)
+	p.Dests, p.slab, p.refs = dests, s, 1
 	return p
 }
 
-// Nodes returns a slab copy of set that later writes to set cannot reach.
-func (s *Msgs) Nodes(set []mesh.NodeID) []mesh.NodeID {
-	n := len(set)
-	if n > len(s.nodes) {
-		s.nodes = make([]mesh.NodeID, max(n, nodeChunk))
-	}
-	out := s.nodes[:n:n]
-	s.nodes = s.nodes[n:]
-	copy(out, set)
-	return out
-}
+// Held returns how many slots carved from the slab are not on its free
+// list: the messages some sender, event or delivery still holds.
+func (s *Msgs) Held() int { return s.carved - len(s.free) }
 
 // Params are the protocol timing/size constants.
 type Params struct {

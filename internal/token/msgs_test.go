@@ -1,7 +1,9 @@
 package token_test
 
 import (
+	"fmt"
 	"slices"
+	"strings"
 	"testing"
 
 	"vsnoop/internal/mem"
@@ -9,51 +11,117 @@ import (
 	"vsnoop/internal/token"
 )
 
-// TestMsgsNeverReuseSlots carves messages and destination copies across
-// several slab chunks and checks that no slot is handed out twice and that
-// nothing written later reaches an earlier message or copy.
-func TestMsgsNeverReuseSlots(t *testing.T) {
-	const n = 1000 // ~4 Msg chunks, ~3 node chunks (3 nodes per copy)
+// TestMsgsReuseReleasedSlots checks the slab's hold rule: a slot that is
+// still held is never handed out again, however many messages are carved
+// after it, and a released one is, most recent first. A slot's Dests is a
+// copy in the slot's own buffer, which the slot keeps when it is reused.
+func TestMsgsReuseReleasedSlots(t *testing.T) {
+	const n = 1000 // ~16 chunks
 	var s token.Msgs
 	msgs := make([]*token.Msg, n)
-	copies := make([][]mesh.NodeID, n)
 	seen := make(map[*token.Msg]bool, n)
 	buf := make([]mesh.NodeID, 3)
 	for i := range msgs {
-		m := s.New(token.Msg{Kind: token.MsgGetS, Addr: mem.BlockAddr(i), TID: uint64(i)})
+		for j := range buf {
+			buf[j] = mesh.NodeID(3*i + j)
+		}
+		m := s.New(token.Msg{Kind: token.MsgGetS, Addr: mem.BlockAddr(i), TID: uint64(i), Dests: buf})
 		if seen[m] {
-			t.Fatalf("message %d reuses a slot", i)
+			t.Fatalf("message %d reuses a held slot", i)
 		}
 		seen[m] = true
 		msgs[i] = m
 		for j := range buf {
-			buf[j] = mesh.NodeID(3*i + j)
-		}
-		copies[i] = s.Nodes(buf)
-		for j := range buf {
 			buf[j] = -1 // the caller reuses its buffer
 		}
 	}
-	// A set longer than a node chunk gets a chunk of its own.
-	big := make([]mesh.NodeID, 1500)
-	for j := range big {
-		big[j] = mesh.NodeID(j)
-	}
-	bigCopy := s.Nodes(big)
-	big[0] = -1
-	if bigCopy[0] != 0 || len(bigCopy) != len(big) {
-		t.Fatalf("oversized copy = len %d, first %d", len(bigCopy), bigCopy[0])
+	if s.Held() != n {
+		t.Fatalf("%d slots held, want %d", s.Held(), n)
 	}
 	for i, m := range msgs {
-		if m.Kind != token.MsgGetS || m.Addr != mem.BlockAddr(i) || m.TID != uint64(i) {
+		want := []mesh.NodeID{mesh.NodeID(3 * i), mesh.NodeID(3*i + 1), mesh.NodeID(3*i + 2)}
+		if m.Kind != token.MsgGetS || m.Addr != mem.BlockAddr(i) || m.TID != uint64(i) || !slices.Equal(m.Dests, want) {
 			t.Fatalf("message %d overwritten: %+v", i, *m)
 		}
-		want := []mesh.NodeID{mesh.NodeID(3 * i), mesh.NodeID(3*i + 1), mesh.NodeID(3*i + 2)}
-		if !slices.Equal(copies[i], want) {
-			t.Fatalf("copy %d = %v, want %v", i, copies[i], want)
+	}
+
+	// Sent(n) swaps the sender's hold for n delivery holds: the slot is
+	// freed by the last of them, and not before.
+	a, b := msgs[10], msgs[20]
+	a.Sent(2)
+	a.Release()
+	if got := s.New(token.Msg{Kind: token.MsgData}); got == a || got == b {
+		t.Fatal("a slot with a delivery still holding it was handed out again")
+	}
+	a.Release()
+	b.Sent(0) // a dropped send: no delivery holds it
+	if s.Held() != n-1 {
+		t.Fatalf("%d slots held after two releases, want %d", s.Held(), n-1)
+	}
+	// LIFO: the most recently freed slot comes back first, with its own
+	// Dests buffer.
+	dests := []mesh.NodeID{7, 8}
+	if got := s.New(token.Msg{Kind: token.MsgGetS, Dests: dests}); got != b {
+		t.Fatal("the most recently released slot was not reused first")
+	} else if dests[0] = -1; !slices.Equal(got.Dests, []mesh.NodeID{7, 8}) || &got.Dests[0] != &msgs[20].Dests[0] {
+		t.Fatalf("reused slot's Dests = %v, not a copy in its own buffer", got.Dests)
+	}
+	if got := s.New(token.Msg{Kind: token.MsgTokens}); got != a || len(got.Dests) != 0 {
+		t.Fatalf("second reuse = %p with %d dests, want the first released slot %p with none", got, len(got.Dests), a)
+	}
+
+	// A Msg built by hand belongs to no slab: holds on it are not counted.
+	hand := &token.Msg{Kind: token.MsgGetS}
+	hand.Sent(3)
+	hand.Release()
+	hand.Release()
+	if hand.Kind != token.MsgGetS {
+		t.Fatal("a hand-built message was freed")
+	}
+}
+
+// mustPanic runs f and returns what it panicked with, failing the test if
+// it returned normally.
+func mustPanic(t *testing.T, what string, f func()) (v interface{}) {
+	t.Helper()
+	defer func() {
+		if v = recover(); v == nil {
+			t.Fatalf("%s did not panic", what)
 		}
-		if cap(copies[i]) != 3 {
-			t.Fatalf("copy %d has capacity %d: an append could reach the next copy", i, cap(copies[i]))
+	}()
+	f()
+	return nil
+}
+
+// TestReleasedMsgPanics checks that a message cannot be used after its last
+// release: a freed slot's Kind is a value no handler accepts, so delivering
+// it panics in either controller, naming the kind, and releasing it once
+// more panics too.
+func TestReleasedMsgPanics(t *testing.T) {
+	h := newHarness(t, 2, nil)
+	var s token.Msgs
+	m := s.New(token.Msg{Kind: token.MsgGetS, Addr: 5, Src: h.ctrls[1].Node})
+	m.Release()
+	got := mustPanic(t, "a cache controller handling a released message", func() { h.ctrls[0].Handle(m) })
+	if msg := fmt.Sprint(got); !strings.Contains(msg, "Kind(255)") {
+		t.Fatalf("panic %q does not name the freed kind", msg)
+	}
+	got = mustPanic(t, "a memory controller handling a released message", func() { h.mc.Handle(m) })
+	if msg := fmt.Sprint(got); !strings.Contains(msg, "Kind(255)") {
+		t.Fatalf("panic %q does not name the freed kind", msg)
+	}
+	mustPanic(t, "a second release", m.Release)
+}
+
+// TestKindString checks that every kind prints, the ones outside the
+// protocol's set included.
+func TestKindString(t *testing.T) {
+	for k, want := range map[token.Kind]string{
+		token.MsgGetS: "GetS", token.MsgPersistentDeactivate: "PDeact",
+		token.MsgPersistentDeactivate + 1: "Kind(10)", 255: "Kind(255)",
+	} {
+		if got := k.String(); got != want {
+			t.Errorf("Kind %d prints %q, want %q", uint8(k), got, want)
 		}
 	}
 }

@@ -25,16 +25,23 @@ import (
 // itself. An entry that is never put back fired as a no-op. Entries whose
 // (at, key) precede the engine's position have passed and are pruned.
 //
-// Entries hold the *Msg. That is safe only because a Msgs slab never reuses
-// a slot: a parked message is never overwritten.
+// An entry copies the fields of the snoop that handleRequest reads (Kind,
+// Addr, Src, Page) and keeps no *Msg: the mesh counts no hold for a delivery
+// an elider kept (mesh.Network.Send), so the sender's slot goes back to its
+// slab once the queued deliveries are handled. A put-back carves a message
+// with those fields from this controller's slab. Entries hold no pointers,
+// so the list needs no clearing and the collector never scans it.
 
-// parkedSnoop is one parked delivery: the snoop msg, due at cycle at with
-// tie-break key key in executing domain dom.
+// parkedSnoop is one parked delivery: the snoop's fields, due at cycle at
+// with tie-break key key in executing domain dom.
 type parkedSnoop struct {
-	at  sim.Cycle
-	key uint64
-	dom int32
-	msg *Msg
+	at   sim.Cycle
+	key  uint64
+	dom  int32
+	kind Kind
+	page mem.PageType
+	addr mem.BlockAddr
+	src  mesh.NodeID
 }
 
 func (p parkedSnoop) At() sim.Cycle { return p.at }
@@ -106,7 +113,8 @@ func (c *CacheCtrl) park(at sim.Cycle, key uint64, dom int32, payload interface{
 	if len(c.parked) == cap(c.parked) {
 		c.prune()
 	}
-	c.parked = append(c.parked, parkedSnoop{at: at, key: key, dom: dom, msg: msg})
+	c.parked = append(c.parked, parkedSnoop{at: at, key: key, dom: dom,
+		kind: msg.Kind, page: msg.Page, addr: msg.Addr, src: msg.Src})
 	if c.shadow {
 		return false
 	}
@@ -120,16 +128,7 @@ func (c *CacheCtrl) park(at sim.Cycle, key uint64, dom int32, payload interface{
 //
 //vsnoop:hotpath
 func (c *CacheCtrl) prune() {
-	c.dropTail(len(keepAhead(c.Eng, c.parked)))
-}
-
-// dropTail shortens parked to n entries, clearing the rest so the list
-// keeps no message alive.
-//
-//vsnoop:hotpath
-func (c *CacheCtrl) dropTail(n int) {
-	clear(c.parked[n:])
-	c.parked = c.parked[:n]
+	c.parked = keepAhead(c.Eng, c.parked)
 }
 
 // unpark runs on a token gain for addr: every parked delivery for addr that
@@ -143,17 +142,18 @@ func (c *CacheCtrl) unpark(addr mem.BlockAddr) {
 	for _, p := range c.parked {
 		switch {
 		case c.Eng.Passed(p.at, p.key):
-		case p.msg.Addr != addr:
+		case p.addr != addr:
 			keep = append(keep, p)
 		case c.shadow:
 			c.shadowPutBacks++
 		default:
 			c.Stats.SnoopLookups--
 			c.Eng.Unpark()
-			c.Eng.ScheduleKeyed(p.at, p.key, p.dom, c.snoopFn, p.msg, 0)
+			m := c.msgs.New(Msg{Kind: p.kind, Addr: p.addr, Src: p.src, Page: p.page})
+			c.Eng.ScheduleKeyed(p.at, p.key, p.dom, c.snoopFn, m, 0)
 		}
 	}
-	c.dropTail(len(keep))
+	c.parked = keep
 }
 
 // ParkedAhead returns how many parked deliveries have not passed the
@@ -175,7 +175,7 @@ func (c *CacheCtrl) DropParked() uint64 {
 	for i := uint64(0); i < n; i++ {
 		c.Eng.Unpark()
 	}
-	c.dropTail(0)
+	c.parked = c.parked[:0]
 	return n
 }
 
@@ -194,7 +194,7 @@ func (c *CacheCtrl) shadowDeliver(b *cache.Block) {
 		}
 		last := len(c.parked) - 1
 		c.parked[i] = c.parked[last]
-		c.dropTail(last)
+		c.parked = c.parked[:last]
 		return
 	}
 }

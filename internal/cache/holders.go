@@ -2,24 +2,26 @@ package cache
 
 import "vsnoop/internal/mem"
 
-// Holders is a presence bitset shared by the caches of one snoop domain:
-// bit (block, member) is set exactly while the member cache's tag array
-// holds the block. Insert and invalidateWay, the only two writers of a tag,
-// keep it, so it equals the tags by construction. A snoop that asks
-// Holds of an absent block then tests one bit, in a lane every member's
-// bit for that block shares, instead of scanning a set of tag words.
+// Holders is a presence bitset shared by the caches of one machine: bit
+// (block, member) is set exactly while the member cache's tag array holds
+// the block. Insert and invalidateWay, the only two writers of a tag, keep
+// it, so it equals the tags by construction. A snoop that asks Holds of an
+// absent block then tests one bit, and a multicast reads every member's
+// bit for its block at once (Lane), instead of scanning sets of tag words.
 //
 // It is simulator bookkeeping, not a modeled snoop filter: the snoop still
 // counts as one tag lookup at its destination.
 //
 // Each block owns a lane of 2^shift bits, the member count rounded up to a
-// power of two. The lanes live in chunks of holderChunkWords words,
-// materialized on the first Insert that touches them, so the table costs
-// only the block ranges the domain's caches have ever held.
+// power of two (16 bits for a 16-core machine). The lanes live in chunks
+// of holderChunkWords words, materialized on the first Insert that touches
+// them, so the table costs only the block ranges the caches have ever
+// held.
 type Holders struct {
-	shift   uint
-	members int
-	chunks  []*[holderChunkWords]uint64
+	shift    uint
+	laneMask uint64 // the low 2^shift bits: one lane
+	members  int
+	chunks   []*[holderChunkWords]uint64
 }
 
 const (
@@ -36,8 +38,31 @@ func NewHolders(members int) *Holders {
 	for 1<<h.shift < members {
 		h.shift++
 	}
+	// A 64-bit lane masks to every bit (1<<64 is 0 in Go).
+	h.laneMask = uint64(1)<<(uint64(1)<<h.shift) - 1
 	return h
 }
+
+// Lane returns block a's lane: bit m is set exactly while member m holds
+// the block. The member count must be at most 64, so a lane fits one word.
+//
+//vsnoop:hotpath
+func (h *Holders) Lane(a mem.BlockAddr) uint64 {
+	i := uint64(a) << h.shift
+	w := i >> 6
+	c := w >> holderChunkShift
+	if c >= uint64(len(h.chunks)) {
+		return 0
+	}
+	ch := h.chunks[c]
+	if ch == nil {
+		return 0
+	}
+	return ch[w&(holderChunkWords-1)] >> (i & 63) & h.laneMask
+}
+
+// Members returns the member count the bitset was built for.
+func (h *Holders) Members() int { return h.members }
 
 // bit returns the bitset position of (a, member).
 //

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"fmt"
 	"testing"
 
 	"vsnoop/internal/mem"
@@ -10,11 +11,21 @@ import (
 // TestHoldersMatchTags drives random Inserts (evicting), Invalidates and
 // FlushVMs on caches that share one Holders bitset, and after every
 // operation requires Holds to agree with the tag array for every block
-// touched so far, in every cache. The block pool straddles chunk
-// boundaries, so materialized and untouched chunks are both exercised,
-// and a cache with no shared bitset answers from its tags.
+// touched so far, in every cache, and each block's Lane to carry exactly
+// the members whose tags hold it. It runs a three-member bitset (4-bit
+// lanes, one member bit unused) and a machine-wide 16-member one (16-bit
+// lanes, as a 16-core machine shares). The block pool straddles chunk
+// boundaries, so materialized and untouched chunks are both exercised, and
+// a cache with no shared bitset answers from its tags.
 func TestHoldersMatchTags(t *testing.T) {
-	const members = 3
+	for _, members := range []int{3, 16} {
+		t.Run(fmt.Sprintf("members=%d", members), func(t *testing.T) {
+			holdersMatchTags(t, members)
+		})
+	}
+}
+
+func holdersMatchTags(t *testing.T, members int) {
 	h := NewHolders(members)
 	caches := make([]*Cache, members+1)
 	for i := range caches {
@@ -32,6 +43,7 @@ func TestHoldersMatchTags(t *testing.T) {
 	}
 	touched := map[mem.BlockAddr]bool{}
 	rng := sim.NewRand(3)
+	full := 0 // blocks seen held by more than one member at once
 	for op := 0; op < 4000; op++ {
 		c := caches[rng.Intn(len(caches))]
 		a := pool[rng.Intn(len(pool))]
@@ -52,10 +64,21 @@ func TestHoldersMatchTags(t *testing.T) {
 			c.FlushVM(mem.VMID(rng.Intn(3)))
 		}
 		for b := range touched {
+			var lane uint64
 			for i, cc := range caches {
-				if got, want := cc.Holds(b), cc.Lookup(b) != nil; got != want {
+				got, want := cc.Holds(b), cc.Lookup(b) != nil
+				if got != want {
 					t.Fatalf("op %d (%s): cache %d Holds(%d) = %v, tags say %v", op, what, i, b, got, want)
 				}
+				if want && i < members {
+					lane |= 1 << i
+				}
+			}
+			if got := h.Lane(b); got != lane {
+				t.Fatalf("op %d (%s): Lane(%d) = %#x, tags say %#x", op, what, b, got, lane)
+			}
+			if lane&(lane-1) != 0 {
+				full++
 			}
 		}
 	}
@@ -63,8 +86,9 @@ func TestHoldersMatchTags(t *testing.T) {
 	for _, c := range caches {
 		valid += c.CountValid()
 	}
-	if valid == 0 || len(touched) < len(pool)/2 {
-		t.Fatalf("weak run: %d valid blocks at the end, %d of %d blocks touched", valid, len(touched), len(pool))
+	if valid == 0 || len(touched) < len(pool)/2 || full == 0 {
+		t.Fatalf("weak run: %d valid blocks at the end, %d of %d blocks touched, %d multi-holder lanes",
+			valid, len(touched), len(pool), full)
 	}
 }
 

@@ -254,12 +254,10 @@ func (m *Ctrl) handleGetS(msg *token.Msg) {
 		m.depart(msg.Addr, tok, owner)
 		if providerNearby {
 			m.Stats.TokenSends++
-			m.send(msg.Src, token.Msg{Kind: token.MsgTokens, Addr: msg.Addr,
-				Src: m.Node, Tokens: tok, Owner: owner}, m.P.MCLatency, false)
+			m.send(msg.Src, token.MsgTokens, msg.Addr, tok, owner, m.P.MCLatency)
 		} else {
 			m.Stats.DRAMReads++
-			m.send(msg.Src, token.Msg{Kind: token.MsgData, Addr: msg.Addr,
-				Src: m.Node, Tokens: tok, Owner: owner, Data: true}, m.P.DRAMLatency, true)
+			m.send(msg.Src, token.MsgData, msg.Addr, tok, owner, m.P.DRAMLatency)
 		}
 		return
 	}
@@ -271,8 +269,7 @@ func (m *Ctrl) handleGetS(msg *token.Msg) {
 	tok, owner := m.takeOneToken(l)
 	m.depart(msg.Addr, tok, owner)
 	m.Stats.DRAMReads++
-	m.send(msg.Src, token.Msg{Kind: token.MsgData, Addr: msg.Addr, Src: m.Node,
-		Tokens: tok, Owner: owner, Data: true}, m.P.DRAMLatency, true)
+	m.send(msg.Src, token.MsgData, msg.Addr, tok, owner, m.P.DRAMLatency)
 }
 
 // takeOneToken removes one token from the line, preferring to keep the
@@ -301,12 +298,10 @@ func (m *Ctrl) handleGetX(msg *token.Msg) {
 	m.depart(msg.Addr, tok, owner)
 	if owner {
 		m.Stats.DRAMReads++
-		m.send(msg.Src, token.Msg{Kind: token.MsgData, Addr: msg.Addr, Src: m.Node,
-			Tokens: tok, Owner: true, Data: true}, m.P.DRAMLatency, true)
+		m.send(msg.Src, token.MsgData, msg.Addr, tok, true, m.P.DRAMLatency)
 	} else if tok > 0 {
 		m.Stats.TokenSends++
-		m.send(msg.Src, token.Msg{Kind: token.MsgTokens, Addr: msg.Addr, Src: m.Node,
-			Tokens: tok}, m.P.MCLatency, false)
+		m.send(msg.Src, token.MsgTokens, msg.Addr, tok, false, m.P.MCLatency)
 	}
 }
 
@@ -368,11 +363,9 @@ func (m *Ctrl) activate(p *persistentEntry, msg *token.Msg) {
 		m.depart(msg.Addr, tok, owner)
 		if owner {
 			m.Stats.DRAMReads++
-			m.send(msg.Src, token.Msg{Kind: token.MsgData, Addr: msg.Addr, Src: m.Node,
-				Tokens: tok, Owner: true, Data: true}, m.P.DRAMLatency, true)
+			m.send(msg.Src, token.MsgData, msg.Addr, tok, true, m.P.DRAMLatency)
 		} else if tok > 0 {
-			m.send(msg.Src, token.Msg{Kind: token.MsgTokens, Addr: msg.Addr, Src: m.Node,
-				Tokens: tok}, m.P.MCLatency, false)
+			m.send(msg.Src, token.MsgTokens, msg.Addr, tok, false, m.P.MCLatency)
 		}
 	}
 }
@@ -394,12 +387,17 @@ func (m *Ctrl) handleRelease(msg *token.Msg) {
 	}
 }
 
-// send transmits a slab copy of msg after the given processing latency;
-// the event carries the copy's hold until sendFn sends it.
-func (m *Ctrl) send(dst mesh.NodeID, msg token.Msg, latency sim.Cycle, data bool) {
+// send sends dst a response of kind (MsgData carries the data block) for
+// addr, carrying tokens and the owner token if owner, after the given
+// processing latency. The slot is filled in place; the event carries its
+// hold until sendFn sends it.
+//
+//vsnoop:hotpath
+func (m *Ctrl) send(dst mesh.NodeID, kind token.Kind, addr mem.BlockAddr, tokens int, owner bool, latency sim.Cycle) {
 	bytes := m.P.CtrlBytes
-	if data {
+	if kind == token.MsgData {
 		bytes = m.P.DataBytes
 	}
-	m.Eng.ScheduleFn(latency, m.sendFn, m.msgs.New(msg), uint64(dst)<<32|uint64(uint32(bytes)))
+	msg := m.msgs.Response(kind, addr, m.Node, tokens, owner, false)
+	m.Eng.ScheduleFn(latency, m.sendFn, msg, uint64(dst)<<32|uint64(uint32(bytes)))
 }

@@ -180,6 +180,12 @@ type Machine struct {
 	plan     partition.Plan
 	crossHor []sim.Cycle
 
+	// holders is the presence bitset every L2 shares (member = core index);
+	// the snoop parking table reads a multicast's holder lane from it.
+	holders *cache.Holders
+	// parkTab is the snoop parking table (nil when parking is off).
+	parkTab *token.ParkTable
+
 	// doms holds the planner's snoop-domain partitions.
 	doms []*domain //vsnoop:owned table
 	// chkNow is the window-start clock published to the invariant checker.
@@ -353,12 +359,10 @@ func New(cfg Config) (*Machine, error) {
 	for i := range l2s {
 		l2s[i] = cache.New(cfg.L2)
 	}
-	// Each domain's L2s share one holder bitset.
-	for _, d := range m.doms {
-		h := cache.NewHolders(len(d.cores))
-		for j, ci := range d.cores {
-			l2s[ci].ShareHolders(h, j)
-		}
+	// Every L2 shares one holder bitset; a cache's member is its core.
+	m.holders = cache.NewHolders(cfg.Cores)
+	for i, l2 := range l2s {
+		l2.ShareHolders(m.holders, i)
 	}
 	if m.syncMode {
 		m.replicas = make([]*core.Filter, len(m.doms))
@@ -616,23 +620,35 @@ func New(cfg Config) (*Machine, error) {
 	return m, nil
 }
 
-// parkSnoops installs every token controller's parking elider on its mesh
-// endpoint (token.CacheCtrl.Parker; shadow selects its checking mode), so a
-// snoop to an L2 holding no tokens for the block never enters the event
-// queue. Parking stays off under a fault plan (drops and duplicates need
-// real events) and under a step budget (MaxSteps counts executed events at
-// window granularity). Where parking
-// is on and no invariant checker runs, the same call turns on retry-timeout
-// cancellation (token.CacheCtrl.CancelTimeouts), so a completed
-// transaction's timeout never runs either: the checker sweeps at window
-// starts, which a run's trailing timeouts can set.
+// parkSnoops builds the machine's snoop parking table over the token
+// controllers and the shared holder bitset (token.NewParkTable; shadow
+// selects its checking mode) and installs each core's elider on its mesh
+// endpoint, so a snoop to an L2 holding no tokens for the block never
+// enters the event queue. Parking stays off under a fault plan (drops and
+// duplicates need real events), under a step budget (MaxSteps counts
+// executed events at window granularity) and on machines of more than
+// token.MaxParkCores cores (the table's masks are one word). Without a
+// fault plan or a step budget, and with no invariant checker, the same
+// call turns on retry-timeout cancellation at any core count
+// (token.CacheCtrl.CancelTimeouts), so a completed transaction's timeout
+// never runs either: the checker sweeps at window starts, which a run's
+// trailing timeouts can set.
 func (m *Machine) parkSnoops(shadow bool) {
 	if m.Injector != nil || m.cfg.MaxSteps > 0 || m.cfg.Directory {
 		return
 	}
-	for _, cn := range m.cores {
-		m.Net.SetElider(cn.node, cn.ctrl.Parker(shadow))
-		if m.Checker == nil {
+	if len(m.cores) <= token.MaxParkCores {
+		ctrls := make([]*token.CacheCtrl, len(m.cores))
+		for i, cn := range m.cores {
+			ctrls[i] = cn.ctrl
+		}
+		m.parkTab = token.NewParkTable(ctrls, m.holders, shadow)
+		for i, cn := range m.cores {
+			m.Net.SetElider(cn.node, m.parkTab.Elider(i))
+		}
+	}
+	if m.Checker == nil {
+		for _, cn := range m.cores {
 			cn.ctrl.CancelTimeouts(shadow)
 		}
 	}

@@ -17,8 +17,9 @@ import (
 // delivery and timeout stays a real event, and each one parking or
 // cancellation would have skipped is checked to be a no-op. Without the
 // invariant checker New turns both on; with it, only parking. It returns the
-// stats, the shadow counters summed over the controllers, and the parked
-// snoops that straddled a warm-up snapshot.
+// stats, the shadow counters summed over the controllers with the parking
+// table's put-back count, and the parked snoops that straddled a warm-up
+// snapshot.
 func runParking(t *testing.T, cfg Config, shadow bool) (st *Stats, sh shadowCounts, straddled uint64) {
 	t.Helper()
 	m, err := New(cfg)
@@ -33,16 +34,21 @@ func runParking(t *testing.T, cfg Config, shadow bool) (st *Stats, sh shadowCoun
 		t.Fatal(err)
 	}
 	sh = sumShadow(m)
+	if m.parkTab != nil {
+		sh.tablePutBacks, _ = m.parkTab.Counts()
+	}
 	for _, d := range m.doms {
 		straddled += d.st.warm.parkedAhead
 	}
 	return st, sh, straddled
 }
 
-// shadowCounts sums the controllers' ShadowStats and TimeoutShadowStats.
+// shadowCounts sums the controllers' ShadowStats and TimeoutShadowStats;
+// tablePutBacks is what the parking table counted as put back.
 type shadowCounts struct {
 	checked, putBacks, violations  uint64
 	timersChecked, timerViolations uint64
+	tablePutBacks                  uint64
 }
 
 func sumShadow(m *Machine) (sh shadowCounts) {
@@ -70,7 +76,8 @@ func sumShadow(m *Machine) (sh shadowCounts) {
 // violation in a parking run and turns cancellation off, and without it,
 // where both are on. Put-backs are rare (a token gain racing a snoop in
 // flight), so the blackscholes cases, where they occur, must see at least
-// one.
+// one, and the parking run must put back through its requesters' records
+// exactly the deliveries the shadow run found.
 func TestParkedSnoopsShadow(t *testing.T) {
 	type tcase struct {
 		app     string
@@ -146,7 +153,11 @@ func TestParkedSnoopsShadow(t *testing.T) {
 				if checks && (shadow.InvariantChecks == 0 || len(shadow.InvariantViolations) > 0) {
 					t.Fatalf("%s: %d invariant checks, violations %v", pass, shadow.InvariantChecks, shadow.InvariantViolations)
 				}
-				st, _, _ := runParking(t, cfg, false)
+				st, live, _ := runParking(t, cfg, false)
+				if live.tablePutBacks != sh.putBacks || sh.tablePutBacks != sh.putBacks {
+					t.Fatalf("%s: %d deliveries put back, %d in the shadow run (%d by its table); want equal",
+						pass, live.tablePutBacks, sh.putBacks, sh.tablePutBacks)
+				}
 				if checks && st.Sync.CancelledTimers != 0 {
 					t.Fatalf("%s: %d timers cancelled under the invariant checker, want 0", pass, st.Sync.CancelledTimers)
 				}

@@ -175,7 +175,7 @@ func (m *Machine) takeSnapshot(d *domain) {
 		ahead := cn.ctrl.ParkedAhead()
 		w.parkedAhead += ahead
 		w.snoops += cn.ctrl.Stats.SnoopsIssued
-		w.lookups += cn.ctrl.Stats.SnoopLookups - ahead
+		w.lookups += cn.ctrl.SnoopLookups() - ahead
 		w.txns += cn.ctrl.Stats.Transactions
 		w.retries += cn.ctrl.Stats.Retries
 		w.persist += cn.ctrl.Stats.Persistent
@@ -268,7 +268,7 @@ func (m *Machine) finalizeStats() {
 				st.Writebacks += cn.dctrl.Stats.Writebacks
 			} else {
 				st.SnoopsIssued += cn.ctrl.Stats.SnoopsIssued
-				st.SnoopLookups += cn.ctrl.Stats.SnoopLookups
+				st.SnoopLookups += cn.ctrl.SnoopLookups()
 				st.Transactions += cn.ctrl.Stats.Transactions
 				st.Retries += cn.ctrl.Stats.Retries
 				st.Persistent += cn.ctrl.Stats.Persistent

@@ -95,10 +95,10 @@ type CacheCtrl struct {
 	// a returned slice: that may be a router's shared broadcast set.
 	destBuf []mesh.NodeID
 
-	// parked holds the snoop deliveries park took out of the queue (park.go);
-	// snoopFn is the handler that delivers one put back. shadow and its
-	// counters are Parker's checking mode.
-	parked           []parkedSnoop
+	// pt is the machine's snoop parking table (park.go; nil when parking
+	// is off); snoopFn is the handler that delivers a snoop it puts back.
+	// shadow and its counters are the table's checking mode.
+	pt               *ParkTable
 	snoopFn          sim.HandlerFn
 	shadow           bool
 	shadowChecked    uint64
@@ -124,7 +124,6 @@ func (c *CacheCtrl) Init() {
 		c.Rng = sim.NewRandTagged(0xC0DE, fmt.Sprintf("ctrl%d", c.Core))
 	}
 	c.destBuf = make([]mesh.NodeID, 0, len(c.AllCores)+1)
-	c.parked = make([]parkedSnoop, 0, 16)
 	c.cancelled = make([]sim.Timer, 0, 8)
 	// A put-back delivery holds its message like a mesh delivery does, and
 	// goes through Handle like one.
@@ -234,7 +233,16 @@ func (c *CacheCtrl) issueAttempt() {
 		req.Dests = dests // New copies it: the next attempt reuses destBuf
 	}
 	m := c.msgs.New(req)
+	// The parking table records the deliveries the destinations' eliders
+	// keep, at this requester.
+	pt := c.pt
+	if pt != nil {
+		pt.begin(c.Core, m)
+	}
 	n := c.Net.Multicast(c.Node, dests, c.P.CtrlBytes, m)
+	if pt != nil {
+		pt.end(c.Core)
+	}
 	m.Sent(n + c.Net.Send(c.Node, c.HomeMC(t.Addr), c.P.CtrlBytes, m))
 
 	c.armTimeout(t)
@@ -271,10 +279,10 @@ func (c *CacheCtrl) activatePersistent(t *Txn) {
 	if c.Esc != nil {
 		c.Esc.NoteEscalation(t.VM, 2)
 	}
-	c.send(c.HomeMC(t.Addr), c.P.CtrlBytes, Msg{
+	c.send(c.HomeMC(t.Addr), c.P.CtrlBytes, c.msgs.New(Msg{
 		Kind: MsgPersistentReq, Addr: t.Addr, Src: c.Node, VM: t.VM,
 		Page: t.Page, TID: t.TID, Write: t.Write,
-	})
+	}))
 	// The activation broadcast costs a snoop at every core.
 	c.Stats.SnoopsIssued += uint64(len(c.AllCores)) + 1
 	c.armTimeout(t) // re-arm in case activation itself races
@@ -328,7 +336,7 @@ func (c *CacheCtrl) handleRequest(msg *Msg) {
 	c.Stats.SnoopLookups++
 	b := c.L2.Lookup(msg.Addr)
 	if c.shadow {
-		c.shadowDeliver(b)
+		c.shadowDeliver(msg.Src, b)
 	}
 	if b == nil || b.Tokens == 0 {
 		// RO-shared provider copies answer reads even without spare
@@ -342,18 +350,15 @@ func (c *CacheCtrl) handleRequest(msg *Msg) {
 		case b.Owner && b.Tokens >= 2:
 			b.Tokens--
 			c.depart(msg.Addr, 1, false)
-			c.respond(msg.Src, Msg{Kind: MsgData, Addr: msg.Addr, Src: c.Node,
-				Tokens: 1, Data: true})
+			c.respond(msg.Src, MsgData, msg.Addr, 1, false, false)
 		case b.Owner: // only the owner token left: transfer ownership
 			info := c.L2.Invalidate(msg.Addr, b)
 			c.depart(msg.Addr, info.Tokens, true)
-			c.respond(msg.Src, Msg{Kind: MsgData, Addr: msg.Addr, Src: c.Node,
-				Tokens: info.Tokens, Owner: true, Dirty: info.Dirty, Data: true})
+			c.respond(msg.Src, MsgData, msg.Addr, info.Tokens, true, info.Dirty)
 		case b.Provider && msg.Page == mem.PageROShared:
 			// Designated per-VM provider for a content-shared block: send
 			// data only; the token comes from memory (Section VI.B).
-			c.respond(msg.Src, Msg{Kind: MsgData, Addr: msg.Addr, Src: c.Node,
-				Tokens: 0, Data: true})
+			c.respond(msg.Src, MsgData, msg.Addr, 0, false, false)
 		}
 	case MsgGetX:
 		info := c.L2.Invalidate(msg.Addr, b)
@@ -362,22 +367,22 @@ func (c *CacheCtrl) handleRequest(msg *Msg) {
 		if info.Owner {
 			kind = MsgData
 		}
-		c.respond(msg.Src, Msg{Kind: kind, Addr: msg.Addr, Src: c.Node,
-			Tokens: info.Tokens, Owner: info.Owner, Dirty: info.Dirty,
-			Data: info.Owner})
+		c.respond(msg.Src, kind, msg.Addr, info.Tokens, info.Owner, info.Dirty)
 	}
 }
 
-// respond sends a slab copy of msg after the L2 access latency; the event
-// carries the copy's hold until sendFn sends it.
+// respond sends dst a response of kind (MsgData carries the data block)
+// for addr after the L2 access latency. The slot is filled in place; the
+// event carries its hold until sendFn sends it.
 //
 //vsnoop:hotpath
-func (c *CacheCtrl) respond(dst mesh.NodeID, msg Msg) {
+func (c *CacheCtrl) respond(dst mesh.NodeID, kind Kind, addr mem.BlockAddr, tokens int, owner, dirty bool) {
 	bytes := c.P.CtrlBytes
-	if msg.Data {
+	if kind == MsgData {
 		bytes = c.P.DataBytes
 	}
-	c.Eng.ScheduleFn(c.P.L2Latency, c.sendFn, c.msgs.New(msg), uint64(dst)<<32|uint64(uint32(bytes)))
+	msg := c.msgs.Response(kind, addr, c.Node, tokens, owner, dirty)
+	c.Eng.ScheduleFn(c.P.L2Latency, c.sendFn, msg, uint64(dst)<<32|uint64(uint32(bytes)))
 }
 
 // handleResponse accumulates arriving tokens/data into the outstanding
@@ -432,12 +437,13 @@ func (c *CacheCtrl) handleResponse(msg *Msg) {
 }
 
 // gain runs before a response's tokens are added to the L2: a token gain
-// puts the block's parked snoop deliveries back into the queue (unpark).
+// puts the block's parked snoop deliveries to this cache back into the
+// queue (ParkTable.putBack).
 //
 //vsnoop:hotpath
 func (c *CacheCtrl) gain(msg *Msg) {
-	if msg.Tokens > 0 && len(c.parked) > 0 {
-		c.unpark(msg.Addr)
+	if pt := c.pt; msg.Tokens > 0 && pt != nil {
+		pt.putBack(c, msg.Addr)
 	}
 }
 
@@ -473,7 +479,7 @@ func (c *CacheCtrl) complete(t *Txn, b *cache.Block) {
 		c.OnFill(b, t)
 	}
 	if t.persistent {
-		c.send(c.HomeMC(t.Addr), c.P.CtrlBytes, Msg{Kind: MsgPersistentRelease, Addr: t.Addr, Src: c.Node})
+		c.send(c.HomeMC(t.Addr), c.P.CtrlBytes, c.msgs.New(Msg{Kind: MsgPersistentRelease, Addr: t.Addr, Src: c.Node}))
 	}
 	fn, arg := t.doneFn, t.doneArg
 	c.cur = nil
@@ -501,14 +507,12 @@ func (c *CacheCtrl) handleActivate(msg *Msg) {
 	if info.Owner {
 		kind = MsgData
 	}
-	c.respond(msg.Src, Msg{Kind: kind, Addr: msg.Addr, Src: c.Node,
-		Tokens: info.Tokens, Owner: info.Owner, Dirty: info.Dirty,
-		Data: info.Owner})
+	c.respond(msg.Src, kind, msg.Addr, info.Tokens, info.Owner, info.Dirty)
 }
 
 // forward relays tokens to a persistent requester.
 func (c *CacheCtrl) forward(dst mesh.NodeID, msg *Msg) {
-	out := *msg
+	out := c.msgs.New(*msg)
 	out.Src = c.Node
 	bytes := c.P.CtrlBytes
 	if out.Data {
@@ -517,11 +521,10 @@ func (c *CacheCtrl) forward(dst mesh.NodeID, msg *Msg) {
 	c.send(dst, bytes, out)
 }
 
-// send sends a slab copy of msg to dst now.
+// send sends m, a slot the caller holds, to dst now.
 //
 //vsnoop:hotpath
-func (c *CacheCtrl) send(dst mesh.NodeID, bytes int, msg Msg) {
-	m := c.msgs.New(msg)
+func (c *CacheCtrl) send(dst mesh.NodeID, bytes int, m *Msg) {
 	m.Sent(c.Net.Send(c.Node, dst, bytes, m))
 }
 
@@ -558,8 +561,5 @@ func (c *CacheCtrl) writebackTokens(addr mem.BlockAddr, tokens int, owner, dirty
 		kind = MsgWBData
 		bytes = c.P.DataBytes
 	}
-	c.send(c.HomeMC(addr), bytes, Msg{
-		Kind: kind, Addr: addr, Src: c.Node,
-		Tokens: tokens, Owner: owner, Dirty: dirty, Data: kind == MsgWBData,
-	})
+	c.send(c.HomeMC(addr), bytes, c.msgs.Response(kind, addr, c.Node, tokens, owner, dirty))
 }

@@ -76,12 +76,9 @@ func FuzzMsgLifetime(f *testing.F) {
 		for _, c := range h.ctrls {
 			r.cores = append(r.cores, c.Node)
 		}
-		// One domain: the mesh offers every delivery to its endpoint's
-		// elider only in partitioned mode.
-		h.net.Partition(make([]int32, nCores+1), 1)
+		h.parkAll(false)
 		for _, c := range h.ctrls {
 			c := c
-			h.net.SetElider(c.Node, c.Parker(false))
 			h.net.SetHandler(c.Node, func(p interface{}) {
 				if k := p.(*token.Msg).Kind; !liveKind(k) {
 					t.Fatalf("core %d was delivered a released message (%v)", c.Core, k)

@@ -171,22 +171,47 @@ type Msgs struct {
 //
 //vsnoop:hotpath
 func (s *Msgs) New(m Msg) *Msg {
-	var p *Msg
-	if n := len(s.free); n > 0 {
-		p = s.free[n-1]
-		s.free = s.free[:n-1]
-	} else {
-		if len(s.chunk) == 0 {
-			s.chunk = make([]Msg, msgChunk)
-		}
-		p = &s.chunk[0]
-		s.chunk = s.chunk[1:]
-		s.carved++
-	}
+	p := s.take()
 	dests := p.Dests[:0] // the slot's own buffer outlives its messages
 	*p = m
 	dests = append(dests, m.Dests...)
 	p.Dests, p.slab, p.refs = dests, s, 1
+	return p
+}
+
+// Response returns a slot holding a response or writeback from src for
+// block addr: kinds MsgData and MsgWBData carry the data block. The slot
+// is filled in place, so the message is never copied; the caller holds it
+// once, as with New.
+//
+//vsnoop:hotpath
+func (s *Msgs) Response(kind Kind, addr mem.BlockAddr, src mesh.NodeID, tokens int, owner, dirty bool) *Msg {
+	// Field by field: a composite literal would be built in a temporary
+	// and copied, since it reads the slot's own Dests.
+	p := s.take()
+	p.Kind, p.Owner, p.Dirty, p.Data = kind, owner, dirty, kind == MsgData || kind == MsgWBData
+	p.refs, p.slab = 1, s
+	p.Write, p.Page, p.VM = false, 0, 0
+	p.Addr, p.Src, p.Tokens, p.TID = addr, src, tokens, 0
+	p.Dests = p.Dests[:0]
+	return p
+}
+
+// take pops the most recently freed slot, or carves a new one.
+//
+//vsnoop:hotpath
+func (s *Msgs) take() *Msg {
+	if n := len(s.free); n > 0 {
+		p := s.free[n-1]
+		s.free = s.free[:n-1]
+		return p
+	}
+	if len(s.chunk) == 0 {
+		s.chunk = make([]Msg, msgChunk)
+	}
+	p := &s.chunk[0]
+	s.chunk = s.chunk[1:]
+	s.carved++
 	return p
 }
 

@@ -22,7 +22,7 @@ import "vsnoop/internal/sim"
 // Passed is exact for a timeout: it was queued cycles before it was due, so
 // had it stayed queued, it would have fired before any later (at, key).
 
-// CancelTimeouts turns on retry-timeout cancellation. It has Parker's
+// CancelTimeouts turns on retry-timeout cancellation. It has parking's
 // eligibility and one more condition: no invariant checker. The checker
 // sweeps at window starts, and the last timeouts of a run, due after every
 // other event, can start windows of their own, so cancelling them could
@@ -57,11 +57,37 @@ func (c *CacheCtrl) cancelTimeout() {
 	c.cancelled = append(c.cancelled, t)
 }
 
+// timersAhead returns how many timers of l have not passed eng's position:
+// they were counted as fired, though their events would fire only later.
+func timersAhead(eng *sim.Engine, l []sim.Timer) uint64 {
+	var n uint64
+	for _, t := range l {
+		if !eng.Passed(t.At(), t.Key()) {
+			n++
+		}
+	}
+	return n
+}
+
+// keepAhead moves the timers of l that have not passed eng's position to
+// its front, in order, and returns them: the passed ones are done.
+//
+//vsnoop:hotpath
+func keepAhead(eng *sim.Engine, l []sim.Timer) []sim.Timer {
+	keep := l[:0]
+	for _, t := range l {
+		if !eng.Passed(t.At(), t.Key()) {
+			keep = append(keep, t)
+		}
+	}
+	return keep
+}
+
 // TimeoutsAhead returns how many cancelled timeouts have not passed the
 // engine's position: counted as fired, though they would fire only later.
 // In shadow mode it counts the timeouts cancellation would have cancelled
 // and that have not fired yet.
-func (c *CacheCtrl) TimeoutsAhead() uint64 { return ahead(c.Eng, c.cancelled) }
+func (c *CacheCtrl) TimeoutsAhead() uint64 { return timersAhead(c.Eng, c.cancelled) }
 
 // DropCancelled withdraws the fired-event counts of every cancelled timeout
 // that has not passed, for a run that stopped early: those events would

@@ -125,7 +125,9 @@ type Filter struct {
 	// caches[i] is core i's L2, consulted for residence counters
 	caches []*cache.Cache
 
-	friends map[mem.VMID]mem.VMID
+	// friends is indexed by dense VM id: each VM's friend for the
+	// friend-VM content policy.
+	friends []friendSlot
 
 	// RemovalPeriods collects cycles from vCPU departure until the core
 	// left the vCPU map (Figure 9).
@@ -214,7 +216,6 @@ func NewFilterScoped(eng *sim.Engine, cfg Config, coreNodes []mesh.NodeID, cache
 		coreNodes: coreNodes,
 		nw:        (len(coreNodes) + 63) / 64,
 		caches:    caches,
-		friends:   make(map[mem.VMID]mem.VMID),
 	}
 	f.allBut = make([][]mesh.NodeID, len(coreNodes))
 	for i := range coreNodes {
@@ -261,8 +262,20 @@ func NewFilterScoped(eng *sim.Engine, cfg Config, coreNodes []mesh.NodeID, cache
 // Config returns the filter configuration.
 func (f *Filter) Config() Config { return f.cfg }
 
+// friendSlot is one VM's entry in the friend table.
+type friendSlot struct {
+	vm  mem.VMID
+	set bool
+}
+
 // SetFriend records vm's friend VM for the friend-VM content policy.
-func (f *Filter) SetFriend(vm, friend mem.VMID) { f.friends[vm] = friend }
+func (f *Filter) SetFriend(vm, friend mem.VMID) {
+	d := mem.DenseVM(vm)
+	if d >= len(f.friends) {
+		f.friends = append(f.friends, make([]friendSlot, d+1-len(f.friends))...)
+	}
+	f.friends[d] = friendSlot{vm: friend, set: true}
+}
 
 // ensure grows the per-VM register files to cover vm and returns its
 // dense index. Growth happens only on a VM's first appearance.
@@ -711,10 +724,10 @@ func (f *Filter) Route(info token.RouteInfo, buf []mesh.NodeID) []mesh.NodeID {
 			return f.domainExcept(buf, info.VM, info.Requester)
 		case ContentFriendVM:
 			out := f.domainExcept(buf, info.VM, info.Requester)
-			if friend, ok := f.friends[info.VM]; ok {
+			if d := mem.DenseVM(info.VM); d < len(f.friends) && f.friends[d].set {
 				// The friend's map in ascending core order, minus the
 				// requester and the cores the VM's own set already holds.
-				for wi, word := range f.words(f.mapBits, friend) {
+				for wi, word := range f.words(f.mapBits, f.friends[d].vm) {
 					base := wi << 6
 					for word != 0 {
 						c := base + bits.TrailingZeros64(word)

@@ -18,7 +18,7 @@ package mem
 
 import (
 	"fmt"
-	"sort"
+	"math/bits"
 )
 
 // Page and block geometry. 4 KB pages, 64 B coherence blocks.
@@ -132,14 +132,30 @@ func (s *Space) Pages() int { return len(s.table) }
 // Manager is the hypervisor's memory manager: it owns host-physical page
 // allocation, per-VM spaces, sharing types, the hypervisor region, and the
 // content-based sharing (merge + copy-on-write) machinery.
+//
+// Host pages are numbered densely from 0 in allocation order, so every
+// per-page table is a slice indexed by HostPage, and every per-VM table a
+// slice indexed by DenseVM.
 type Manager struct {
 	nextHost HostPage
-	spaces   map[VMID]*Space
-	hostType map[HostPage]PageType
+	// spaces is indexed by DenseVM; nil where a VM has no space.
+	spaces []*Space
+	// hostType is indexed by HostPage; a page past its end has never been
+	// typed and is VM-private.
+	hostType []PageType
 	// content merge index: content id -> canonical shared host page
 	merged map[ContentID]HostPage
-	// which VMs currently map each RO-shared host page
-	roSharers map[HostPage]map[VMID]bool
+	// roSet[p] is 1 + the index of RO-shared host page p's sharer set
+	// (0: p has none). Set i is sharers[i*sw : (i+1)*sw], a bitset over
+	// dense VM indexes.
+	roSet   []int32
+	sharers []uint64
+	sw      int
+	// shared[a*nvm+b] counts the RO-shared host pages both dense VMs a
+	// and b map (a != b). MergeIdentical keeps it as the sharer sets grow,
+	// so friend selection reads it instead of recounting pairs.
+	shared []int32
+	nvm    int
 	// hypervisor RW-shared region
 	hvPages []HostPage
 	// statistics
@@ -149,12 +165,7 @@ type Manager struct {
 // NewManager returns a memory manager with hvPages pages of globally
 // RW-shared hypervisor memory.
 func NewManager(hvPages int) *Manager {
-	m := &Manager{
-		spaces:    make(map[VMID]*Space),
-		hostType:  make(map[HostPage]PageType),
-		merged:    make(map[ContentID]HostPage),
-		roSharers: make(map[HostPage]map[VMID]bool),
-	}
+	m := &Manager{merged: make(map[ContentID]HostPage)}
 	for i := 0; i < hvPages; i++ {
 		p := m.allocHost(PageRWShared)
 		m.hvPages = append(m.hvPages, p)
@@ -165,23 +176,57 @@ func NewManager(hvPages int) *Manager {
 func (m *Manager) allocHost(t PageType) HostPage {
 	p := m.nextHost
 	m.nextHost++
-	m.hostType[p] = t
+	m.setType(p, t)
 	return p
+}
+
+// setType records the sharing type of host page p, growing the table to
+// cover it.
+func (m *Manager) setType(p HostPage, t PageType) {
+	if n := int(p) + 1; n > len(m.hostType) {
+		m.hostType = append(m.hostType, make([]PageType, n-len(m.hostType))...)
+	}
+	m.hostType[p] = t
 }
 
 // NewSpace creates the guest-physical space for vm with the given number
 // of pages. Pages are allocated lazily on first Translate.
 func (m *Manager) NewSpace(vm VMID, pages int) *Space {
-	if _, ok := m.spaces[vm]; ok {
+	d := DenseVM(vm)
+	if d < len(m.spaces) && m.spaces[d] != nil {
 		panic(fmt.Sprintf("mem: space for VM %d already exists", vm))
 	}
+	if d >= len(m.spaces) {
+		m.spaces = append(m.spaces, make([]*Space, d+1-len(m.spaces))...)
+	}
 	s := &Space{vm: vm, table: make([]pte, pages)}
-	m.spaces[vm] = s
+	m.spaces[d] = s
 	return s
 }
 
 // Space returns the address space of vm, or nil.
-func (m *Manager) Space(vm VMID) *Space { return m.spaces[vm] }
+func (m *Manager) Space(vm VMID) *Space {
+	if d := DenseVM(vm); d < len(m.spaces) {
+		return m.spaces[d]
+	}
+	return nil
+}
+
+// eachSpace calls fn for every space in ascending VMID order: the guest
+// VMs in dense order, then the reserved sentinels, whose VMIDs are the
+// highest but whose dense indexes are the lowest.
+func (m *Manager) eachSpace(fn func(s *Space)) {
+	for d := reservedVMs; d < len(m.spaces); d++ {
+		if s := m.spaces[d]; s != nil {
+			fn(s)
+		}
+	}
+	for d := 0; d < reservedVMs && d < len(m.spaces); d++ {
+		if s := m.spaces[d]; s != nil {
+			fn(s)
+		}
+	}
+}
 
 // HypervisorPages returns the number of pages in the hypervisor region.
 func (m *Manager) HypervisorPages() int { return len(m.hvPages) }
@@ -200,7 +245,7 @@ type Translation struct {
 // Translate maps (vm, guest page) to its host page, allocating a fresh
 // VM-private host page on first touch (the hypervisor's lazy allocation).
 func (m *Manager) Translate(vm VMID, gp GuestPage) Translation {
-	s := m.spaces[vm]
+	s := m.Space(vm)
 	if s == nil {
 		panic(fmt.Sprintf("mem: no space for VM %d", vm))
 	}
@@ -218,7 +263,12 @@ func (m *Manager) Translate(vm VMID, gp GuestPage) Translation {
 
 // TypeOf returns the sharing type of a host page (PagePrivate for unknown
 // pages, which matches the hardware default of no sharing bits set).
-func (m *Manager) TypeOf(p HostPage) PageType { return m.hostType[p] }
+func (m *Manager) TypeOf(p HostPage) PageType {
+	if p < HostPage(len(m.hostType)) {
+		return m.hostType[p]
+	}
+	return PagePrivate
+}
 
 // PreallocateAll eagerly allocates every unmapped guest page in every space,
 // in (VM id, guest page) order — the same order lazy first-touch allocation
@@ -227,13 +277,7 @@ func (m *Manager) TypeOf(p HostPage) PageType { return m.hostType[p] }
 // setup, so host-page numbering does not depend on which domain touches a
 // page first. The golden results pin this numbering.
 func (m *Manager) PreallocateAll() {
-	vms := make([]VMID, 0, len(m.spaces))
-	for vm := range m.spaces {
-		vms = append(vms, vm)
-	}
-	sort.Slice(vms, func(i, j int) bool { return vms[i] < vms[j] })
-	for _, vm := range vms {
-		s := m.spaces[vm]
+	m.eachSpace(func(s *Space) {
 		for gp := range s.table {
 			e := &s.table[gp]
 			if !e.valid {
@@ -242,38 +286,61 @@ func (m *Manager) PreallocateAll() {
 				e.valid = true
 			}
 		}
-	}
+	})
 }
 
-// CowKey packs a (vm, guest page) pair into the key of the preallocated
-// copy-on-write target index (PrepareCowTargets).
+// CowKey packs a (vm, guest page) pair into one word, the key of the
+// machine's per-domain copy-on-write overlays.
 func CowKey(vm VMID, gp GuestPage) uint64 { return uint64(vm)<<32 | uint64(gp) }
+
+// CowTargets is the preallocated copy-on-write target index
+// (PrepareCowTargets): for each RO-shared (vm, guest page) mapping, the
+// private host page a store to it resolves to.
+type CowTargets struct {
+	// spaces[DenseVM(vm)][gp] is the target, 0 where the mapping has none
+	// (no target is host page 0: each is allocated after the shared page it
+	// replaces). A space without RO-shared mappings has a nil row.
+	spaces [][]HostPage
+	n      int
+}
+
+// Target returns the COW target of (vm, gp); ok is false when the mapping
+// was not RO-shared at PrepareCowTargets.
+func (t *CowTargets) Target(vm VMID, gp GuestPage) (p HostPage, ok bool) {
+	if d := DenseVM(vm); d < len(t.spaces) && int(gp) < len(t.spaces[d]) {
+		p = t.spaces[d][gp]
+	}
+	return p, p != 0
+}
+
+// Len returns the number of targets.
+func (t *CowTargets) Len() int { return t.n }
 
 // PrepareCowTargets preallocates one private host page per RO-shared
 // (vm, guest page) mapping, in (VM id, guest page) order, and returns the
-// target index keyed by CowKey. The machine calls this at setup, after
-// MergeIdentical: a guest store to an RO-shared page (Section VI.A) then
-// traps through a per-domain overlay table onto its fixed private target,
-// other sharers keep the read-only copy, and the shared manager is never
-// mutated at run time, so host-page numbering never depends on the order
-// domains take their COW faults.
-func (m *Manager) PrepareCowTargets() map[uint64]HostPage {
-	targets := make(map[uint64]HostPage)
-	vms := make([]VMID, 0, len(m.spaces))
-	for vm := range m.spaces {
-		vms = append(vms, vm)
-	}
-	sort.Slice(vms, func(i, j int) bool { return vms[i] < vms[j] })
-	for _, vm := range vms {
-		s := m.spaces[vm]
+// target index. The machine calls this at setup, after MergeIdentical: a
+// guest store to an RO-shared page (Section VI.A) then traps through a
+// per-domain overlay table onto its fixed private target, other sharers
+// keep the read-only copy, and the shared manager is never mutated at run
+// time, so host-page numbering never depends on the order domains take
+// their COW faults.
+func (m *Manager) PrepareCowTargets() CowTargets {
+	t := CowTargets{spaces: make([][]HostPage, len(m.spaces))}
+	m.eachSpace(func(s *Space) {
+		var row []HostPage
 		for gp := range s.table {
 			e := &s.table[gp]
 			if e.valid && e.typ == PageROShared {
-				targets[CowKey(vm, GuestPage(gp))] = m.allocHost(PagePrivate)
+				if row == nil {
+					row = make([]HostPage, len(s.table))
+					t.spaces[DenseVM(s.vm)] = row
+				}
+				row[gp] = m.allocHost(PagePrivate)
+				t.n++
 			}
 		}
-	}
-	return targets
+	})
+	return t
 }
 
 // SetContent declares the content of a guest page, touching it first if
@@ -281,7 +348,7 @@ func (m *Manager) PrepareCowTargets() map[uint64]HostPage {
 // identical across VMs (e.g. guest kernel text, shared libraries).
 func (m *Manager) SetContent(vm VMID, gp GuestPage, c ContentID) {
 	m.Translate(vm, gp) // ensure allocated
-	m.spaces[vm].table[gp].content = c
+	m.Space(vm).table[gp].content = c
 }
 
 // MergeIdentical runs the idealized content-based sharing detector of
@@ -291,14 +358,10 @@ func (m *Manager) SetContent(vm VMID, gp GuestPage, c ContentID) {
 // clean copy that RO optimizations need (Section VI.B) and nothing has to
 // be flushed. It returns the number of mappings that were redirected.
 func (m *Manager) MergeIdentical() int {
+	m.fitVMs(len(m.spaces))
 	redirected := 0
-	vms := make([]VMID, 0, len(m.spaces))
-	for vm := range m.spaces {
-		vms = append(vms, vm)
-	}
-	sort.Slice(vms, func(i, j int) bool { return vms[i] < vms[j] })
-	for _, vm := range vms {
-		s := m.spaces[vm]
+	m.eachSpace(func(s *Space) {
+		d := DenseVM(s.vm)
 		for gp := range s.table {
 			e := &s.table[gp]
 			if !e.valid || e.content == 0 || e.typ == PageRWShared {
@@ -310,8 +373,8 @@ func (m *Manager) MergeIdentical() int {
 				// RO-shared copy.
 				canon = e.host
 				m.merged[e.content] = canon
-				m.hostType[canon] = PageROShared
-				m.roSharers[canon] = map[VMID]bool{vm: true}
+				m.setType(canon, PageROShared)
+				m.newSharerSet(canon, d)
 				m.MergedPages++
 				e.typ = PageROShared
 				continue
@@ -323,11 +386,89 @@ func (m *Manager) MergeIdentical() int {
 			// host page is abandoned (freed in a real hypervisor).
 			e.host = canon
 			e.typ = PageROShared
-			m.roSharers[canon][vm] = true
+			m.addSharer(canon, d)
 			redirected++
 		}
-	}
+	})
 	return redirected
+}
+
+// fitVMs widens the sharer sets and the shared-page matrix to cover n
+// dense VMs, keeping their contents.
+func (m *Manager) fitVMs(n int) {
+	if n <= m.nvm {
+		return
+	}
+	if sw := (n + 63) / 64; sw != m.sw {
+		sets := len(m.sharers) / max(m.sw, 1)
+		wide := make([]uint64, sets*sw)
+		for i := 0; i < sets; i++ {
+			copy(wide[i*sw:], m.sharers[i*m.sw:(i+1)*m.sw])
+		}
+		m.sharers, m.sw = wide, sw
+	}
+	shared := make([]int32, n*n)
+	for a := 0; a < m.nvm; a++ {
+		copy(shared[a*n:], m.shared[a*m.nvm:(a+1)*m.nvm])
+	}
+	m.shared, m.nvm = shared, n
+}
+
+// sharerSet returns host page p's sharer bitset (nil when p has none).
+func (m *Manager) sharerSet(p HostPage) []uint64 {
+	if p >= HostPage(len(m.roSet)) || m.roSet[p] == 0 {
+		return nil
+	}
+	i := int(m.roSet[p]-1) * m.sw
+	return m.sharers[i : i+m.sw]
+}
+
+// newSharerSet makes dense VM d the only sharer of host page p, replacing
+// any set p had before (and withdrawing its pairs from the matrix).
+func (m *Manager) newSharerSet(p HostPage, d int) {
+	set := m.sharerSet(p)
+	if set == nil {
+		if n := int(p) + 1; n > len(m.roSet) {
+			m.roSet = append(m.roSet, make([]int32, n-len(m.roSet))...)
+		}
+		m.roSet[p] = int32(len(m.sharers)/m.sw) + 1
+		m.sharers = append(m.sharers, make([]uint64, m.sw)...)
+		set = m.sharerSet(p)
+	}
+	for wi, w := range set {
+		for w != 0 {
+			a := wi<<6 + bits.TrailingZeros64(w)
+			w &= w - 1
+			for wj, v := range set {
+				for v != 0 {
+					if b := wj<<6 + bits.TrailingZeros64(v); b != a {
+						m.shared[a*m.nvm+b]--
+					}
+					v &= v - 1
+				}
+			}
+		}
+		set[wi] = 0
+	}
+	set[d>>6] |= 1 << (d & 63)
+}
+
+// addSharer adds dense VM d to host page p's sharer set, counting one more
+// shared page for d and each sharer already in it.
+func (m *Manager) addSharer(p HostPage, d int) {
+	set := m.sharerSet(p)
+	if set[d>>6]&(1<<(d&63)) != 0 {
+		return
+	}
+	for wi, w := range set {
+		for w != 0 {
+			b := wi<<6 + bits.TrailingZeros64(w)
+			w &= w - 1
+			m.shared[d*m.nvm+b]++
+			m.shared[b*m.nvm+d]++
+		}
+	}
+	set[d>>6] |= 1 << (d & 63)
 }
 
 // ShareRW marks a guest page of vm as RW-shared (an inter-VM communication
@@ -335,7 +476,7 @@ func (m *Manager) MergeIdentical() int {
 // same RW-shared host page by passing the host page returned from the
 // first call.
 func (m *Manager) ShareRW(vm VMID, gp GuestPage, existing HostPage, reuse bool) HostPage {
-	s := m.spaces[vm]
+	s := m.Space(vm)
 	e := &s.table[gp]
 	var hp HostPage
 	if reuse {
@@ -346,57 +487,48 @@ func (m *Manager) ShareRW(vm VMID, gp GuestPage, existing HostPage, reuse bool) 
 	e.host = hp
 	e.typ = PageRWShared
 	e.valid = true
-	m.hostType[hp] = PageRWShared
+	m.setType(hp, PageRWShared)
 	return hp
 }
 
 // ROSharers returns the VMs currently mapping RO-shared host page p, in
 // ascending VMID order so callers may iterate deterministically.
 func (m *Manager) ROSharers(p HostPage) []VMID {
-	set := m.roSharers[p]
-	out := make([]VMID, 0, len(set))
-	for vm := range set {
-		out = append(out, vm)
+	set := m.sharerSet(p)
+	if set == nil {
+		return nil
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// SharedMatrix returns, for each ordered VM pair (a, b), the number of
-// RO-shared host pages both currently map. It drives friend-VM selection
-// (Section VI.B): a VM's friend is the VM it shares the most content with.
-func (m *Manager) SharedMatrix() map[VMID]map[VMID]int {
-	out := make(map[VMID]map[VMID]int)
-	for _, sharers := range m.roSharers { //lint:ordered per-page pair counts are summed; addition commutes, so the matrix is order-free
-		vms := make([]VMID, 0, len(sharers))
-		for vm := range sharers { //lint:ordered pair counting below visits every (a,b) pair regardless of harvest order
-			vms = append(vms, vm)
+	var out []VMID
+	for wi, w := range set {
+		if wi == 0 {
+			w &^= 1<<reservedVMs - 1 // the sentinels go last: theirs are the highest VMIDs
 		}
-		for _, a := range vms {
-			for _, b := range vms {
-				if a == b {
-					continue
-				}
-				if out[a] == nil {
-					out[a] = make(map[VMID]int)
-				}
-				out[a][b]++
-			}
+		for w != 0 {
+			out = append(out, VMFromDense(wi<<6+bits.TrailingZeros64(w)))
+			w &= w - 1
+		}
+	}
+	for d := 0; d < reservedVMs; d++ {
+		if set[0]&(1<<d) != 0 {
+			out = append(out, VMFromDense(d))
 		}
 	}
 	return out
 }
 
 // FriendOf returns the VM sharing the most RO-shared pages with vm, using
-// the lowest VMID to break ties. ok is false when vm shares nothing.
+// the lowest VMID to break ties (Section VI.B: a VM's friend is the VM it
+// shares the most content with). ok is false when vm shares nothing.
 func (m *Manager) FriendOf(vm VMID) (friend VMID, ok bool) {
-	row := m.SharedMatrix()[vm]
-	best := -1
-	for other, n := range row { //lint:ordered max under the total order (count, lowest VMID) — the winner is unique whatever the visit order
-		if n > best || (n == best && other < friend) {
-			best = n
-			friend = other
+	a := DenseVM(vm)
+	if a >= m.nvm {
+		return 0, false
+	}
+	best := int32(0)
+	for b, n := range m.shared[a*m.nvm : (a+1)*m.nvm] {
+		if other := VMFromDense(b); n > best || (n == best && n > 0 && other < friend) {
+			best, friend = n, other
 		}
 	}
-	return friend, best >= 0
+	return friend, best > 0
 }

@@ -106,7 +106,7 @@ func TestCopyOnWrite(t *testing.T) {
 	m.MergeIdentical()
 	shared := m.Translate(1, 0).Host
 	targets := m.PrepareCowTargets()
-	fresh, ok := targets[CowKey(1, 0)]
+	fresh, ok := targets.Target(1, 0)
 	if !ok {
 		t.Fatal("no COW target for an RO-shared mapping")
 	}
@@ -116,7 +116,7 @@ func TestCopyOnWrite(t *testing.T) {
 	if m.TypeOf(fresh) != PagePrivate {
 		t.Fatalf("COW target type = %v, want private", m.TypeOf(fresh))
 	}
-	if other := targets[CowKey(2, 0)]; other == fresh || other == shared {
+	if other, _ := targets.Target(2, 0); other == fresh || other == shared {
 		t.Fatalf("VM 2's COW target %d aliases VM 1's %d or the shared page %d", other, fresh, shared)
 	}
 	// Preparing targets leaves the shared mappings as they are: both VMs
@@ -134,8 +134,8 @@ func TestCowTargetsOnlyForROShared(t *testing.T) {
 	m.NewSpace(1, 4)
 	m.Translate(1, 0)
 	m.ShareRW(1, 1, 0, false)
-	if targets := m.PrepareCowTargets(); len(targets) != 0 {
-		t.Fatalf("COW targets for private and RW-shared pages: %v", targets)
+	if targets := m.PrepareCowTargets(); targets.Len() != 0 {
+		t.Fatalf("%d COW targets for private and RW-shared pages", targets.Len())
 	}
 }
 
@@ -241,7 +241,8 @@ func TestCOWNeverAliasesWritablePages(t *testing.T) {
 		for gp := GuestPage(0); gp < 32; gp++ {
 			tr := m.Translate(vm, gp)
 			if written(gp) {
-				tr = Translation{Host: targets[CowKey(vm, gp)], Type: PagePrivate}
+				host, _ := targets.Target(vm, gp)
+				tr = Translation{Host: host, Type: PagePrivate}
 			}
 			if tr.Type != PagePrivate {
 				continue

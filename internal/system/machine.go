@@ -153,12 +153,14 @@ type Machine struct {
 	// element's owner is its dom field (plan.CoreDom[i] for cores), so any
 	// index not derived from the executing handler's own inputs reaches
 	// foreign state.
-	cores  []*coreNode //vsnoop:owned table
-	rs     *regionscout.Filter
-	mcs    []*memctrl.Ctrl
-	homes  []*directory.Home
-	vcpus  []*vcpu             //vsnoop:owned table
-	node2i map[mesh.NodeID]int // core endpoint -> core index
+	cores []*coreNode //vsnoop:owned table
+	rs    *regionscout.Filter
+	mcs   []*memctrl.Ctrl
+	homes []*directory.Home
+	vcpus []*vcpu //vsnoop:owned table
+	// node2i maps a mesh endpoint to its core index (-1 for a memory
+	// controller).
+	node2i []int
 
 	// Injector applies the configured fault plan (nil without one).
 	Injector *fault.Injector
@@ -203,12 +205,13 @@ type Machine struct {
 	// doubles as m.Filter so external accessors keep working.
 	replicas []*core.Filter //vsnoop:owned table
 
-	// cowTargets maps CowKey(vm, page) to the setup-preallocated private
-	// host page a COW trap resolves to (content-sharing runs only), making
-	// the target a pure function of the config.
-	cowTargets map[uint64]mem.HostPage
-	// friendOf/hasFriend are the static post-merge friend tables used by
-	// holder classification.
+	// cowTargets holds the setup-preallocated private host page a COW
+	// trap resolves to (content-sharing runs only), making the target a
+	// pure function of the config.
+	cowTargets mem.CowTargets
+	// friendOf/hasFriend are the static post-merge friend tables, indexed
+	// by VM: the filter's friend-VM routing and holder classification both
+	// read them.
 	friendOf  []mem.VMID
 	hasFriend []bool
 
@@ -256,7 +259,7 @@ func New(cfg Config) (*Machine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	m := &Machine{cfg: cfg, node2i: make(map[mesh.NodeID]int)}
+	m := &Machine{cfg: cfg}
 
 	// Domain topology. The graph-cut planner fixes the snoop-domain
 	// decomposition as a pure function of the config; every event carries
@@ -313,13 +316,19 @@ func New(cfg Config) (*Machine, error) {
 	for i := 0; i < cfg.Cores; i++ {
 		x, y := i%cfg.Mesh.Width, i/cfg.Mesh.Width
 		coreNodes[i] = m.Net.Attach(x, y, nil)
-		m.node2i[coreNodes[i]] = i
 	}
 	// Memory controllers at the corners, block-interleaved.
 	cornerXY := [4][2]int{{0, 0}, {cfg.Mesh.Width - 1, 0}, {0, cfg.Mesh.Height - 1}, {cfg.Mesh.Width - 1, cfg.Mesh.Height - 1}}
 	mcNodes := make([]mesh.NodeID, cfg.MCs)
 	for i := 0; i < cfg.MCs; i++ {
 		mcNodes[i] = m.Net.Attach(cornerXY[i][0], cornerXY[i][1], nil)
+	}
+	m.node2i = make([]int, cfg.Cores+cfg.MCs)
+	for _, n := range mcNodes {
+		m.node2i[n] = -1
+	}
+	for i, n := range coreNodes {
+		m.node2i[n] = i
 	}
 
 	// Domain ownership follows the plan's computed cut: cores by CoreDom,
@@ -588,7 +597,6 @@ func New(cfg Config) (*Machine, error) {
 		for _, d := range m.doms {
 			d.cow = make(map[uint64]mem.Translation)
 		}
-		m.initFriendTable()
 	}
 	if m.Injector != nil {
 		if m.replicas != nil {
@@ -722,8 +730,9 @@ func (m *Machine) setupVMs() {
 	}
 	if cfg.ContentSharing {
 		m.MM.MergeIdentical()
-		for vm := 0; vm < cfg.VMs; vm++ {
-			if friend, ok := m.MM.FriendOf(mem.VMID(vm)); ok {
+		m.initFriendTable()
+		for vm, friend := range m.friendOf {
+			if m.hasFriend[vm] {
 				m.Filter.SetFriend(mem.VMID(vm), friend)
 			}
 		}
@@ -949,8 +958,8 @@ func (m *Machine) execute(v *vcpu, cn *coreNode, ref workload.Ref) {
 			// target host page was preallocated at setup) and shoots down
 			// only the domain's own cores — another domain writing the
 			// same page traps again there, onto the same target.
-			key := mem.CowKey(v.id.VM, ref.Page)
-			d.cow[key] = mem.Translation{Host: m.cowTargets[key], Type: mem.PagePrivate}
+			target, _ := m.cowTargets.Target(v.id.VM, ref.Page)
+			d.cow[mem.CowKey(v.id.VM, ref.Page)] = mem.Translation{Host: target, Type: mem.PagePrivate}
 			st.Cows++
 			for _, ci := range d.cores {
 				m.cores[ci].tlb.Shootdown(v.id.VM, ref.Page)

@@ -329,8 +329,8 @@ func (m *Machine) translate(d *domain, vm mem.VMID, gp mem.GuestPage) mem.Transl
 }
 
 // initFriendTable snapshots the post-merge friend relation into flat
-// arrays, so holder classification never touches the global memory
-// manager during the run.
+// arrays once, so neither filter setup nor holder classification asks the
+// memory manager again.
 func (m *Machine) initFriendTable() {
 	m.friendOf = make([]mem.VMID, m.cfg.VMs)
 	m.hasFriend = make([]bool, m.cfg.VMs)
@@ -353,8 +353,8 @@ type domOracle struct {
 
 func (o domOracle) ROProviderAmong(addr mem.BlockAddr, cores []mesh.NodeID) bool {
 	for _, n := range cores {
-		i, ok := o.m.node2i[n]
-		if !ok || o.m.plan.CoreDom[i] != o.d.idx {
+		i := o.m.node2i[n]
+		if i < 0 || o.m.plan.CoreDom[i] != o.d.idx {
 			continue
 		}
 		if l2 := o.m.cores[i].l2; l2.Holds(addr) && l2.Lookup(addr).Provider {

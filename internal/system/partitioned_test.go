@@ -25,25 +25,32 @@ func TestCowOverlayDomainLocal(t *testing.T) {
 	if len(m.doms) <= 1 {
 		t.Fatal("content config planned a single domain")
 	}
-	if len(m.cowTargets) == 0 {
+	if m.cowTargets.Len() == 0 {
 		t.Fatal("no COW targets preallocated for a content-sharing config")
 	}
-	var key uint64
-	for k := range m.cowTargets {
-		if key == 0 || k < key {
-			key = k // smallest key: deterministic pick from the map
+	// The first (VM, guest page) with a target: a deterministic pick.
+	var (
+		vm     mem.VMID
+		gp     mem.GuestPage
+		target mem.HostPage
+	)
+find:
+	for vm = 0; int(vm) < cfg.VMs; vm++ {
+		for gp = 0; int(gp) < m.MM.Space(vm).Pages(); gp++ {
+			var ok bool
+			if target, ok = m.cowTargets.Target(vm, gp); ok {
+				break find
+			}
 		}
 	}
-	vm := mem.VMID(key >> 32)
-	gp := mem.GuestPage(uint32(key))
 	if tr := m.MM.Translate(vm, gp); tr.Type != mem.PageROShared {
 		t.Fatalf("target page not RO-shared before trap: %v", tr.Type)
 	}
 	d0, d1 := m.doms[0], m.doms[1]
-	d0.cow[key] = mem.Translation{Host: m.cowTargets[key], Type: mem.PagePrivate}
+	d0.cow[mem.CowKey(vm, gp)] = mem.Translation{Host: target, Type: mem.PagePrivate}
 	got := m.translate(d0, vm, gp)
-	if got.Type != mem.PagePrivate || got.Host != m.cowTargets[key] {
-		t.Fatalf("overlay translation = %+v, want private page %v", got, m.cowTargets[key])
+	if got.Type != mem.PagePrivate || got.Host != target {
+		t.Fatalf("overlay translation = %+v, want private page %v", got, target)
 	}
 	if tr := m.translate(d1, vm, gp); tr.Type != mem.PageROShared {
 		t.Fatalf("other domain's translation changed: %+v", tr)

@@ -227,8 +227,6 @@ func (c *Cache) Lookup(a mem.BlockAddr) *Block {
 // Holds reports whether addr is valid in this cache, the same answer as
 // Lookup(addr) != nil. With a shared holder bitset it is one bit test that
 // leaves the tag array untouched; without one it asks the tags.
-//
-//vsnoop:hotpath
 func (c *Cache) Holds(a mem.BlockAddr) bool {
 	if h := c.holders; h != nil {
 		return h.has(a, c.member)

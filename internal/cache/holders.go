@@ -45,8 +45,6 @@ func NewHolders(members int) *Holders {
 
 // Lane returns block a's lane: bit m is set exactly while member m holds
 // the block. The member count must be at most 64, so a lane fits one word.
-//
-//vsnoop:hotpath
 func (h *Holders) Lane(a mem.BlockAddr) uint64 {
 	i := uint64(a) << h.shift
 	w := i >> 6
@@ -65,15 +63,11 @@ func (h *Holders) Lane(a mem.BlockAddr) uint64 {
 func (h *Holders) Members() int { return h.members }
 
 // bit returns the bitset position of (a, member).
-//
-//vsnoop:hotpath
 func (h *Holders) bit(a mem.BlockAddr, member uint64) uint64 {
 	return uint64(a)<<h.shift | member
 }
 
 // has reports whether bit (a, member) is set.
-//
-//vsnoop:hotpath
 func (h *Holders) has(a mem.BlockAddr, member uint64) bool {
 	i := h.bit(a, member)
 	w := i >> 6
@@ -89,8 +83,6 @@ func (h *Holders) has(a mem.BlockAddr, member uint64) bool {
 }
 
 // set sets bit (a, member), materializing its chunk on first touch.
-//
-//vsnoop:hotpath
 func (h *Holders) set(a mem.BlockAddr, member uint64) {
 	i := h.bit(a, member)
 	w := i >> 6
@@ -102,8 +94,6 @@ func (h *Holders) set(a mem.BlockAddr, member uint64) {
 }
 
 // clear clears bit (a, member). The bit was set, so its chunk exists.
-//
-//vsnoop:hotpath
 func (h *Holders) clear(a mem.BlockAddr, member uint64) {
 	i := h.bit(a, member)
 	w := i >> 6

@@ -28,8 +28,10 @@
 package check
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"math/bits"
+	"slices"
 
 	"vsnoop/internal/cache"
 	"vsnoop/internal/mem"
@@ -42,8 +44,11 @@ import (
 // token.Observer: Depart adds a message's tokens to the in-flight account,
 // Arrive removes them. Controllers that merely relay a message (persistent
 // forwarding) call neither, so relayed tokens stay in flight.
+//
+// Entries are held by value, so booking a message allocates nothing once
+// the map has grown to the run's in-flight working set.
 type Ledger struct {
-	inflight map[mem.BlockAddr]*flight
+	inflight map[mem.BlockAddr]flight
 }
 
 type flight struct {
@@ -53,44 +58,37 @@ type flight struct {
 
 // NewLedger returns an empty ledger.
 func NewLedger() *Ledger {
-	return &Ledger{inflight: make(map[mem.BlockAddr]*flight)}
+	return &Ledger{inflight: make(map[mem.BlockAddr]flight)}
 }
 
 // Depart implements token.Observer.
 func (l *Ledger) Depart(addr mem.BlockAddr, tokens int, owner bool) {
 	f := l.inflight[addr]
-	if f == nil {
-		f = &flight{}
-		l.inflight[addr] = f
-	}
 	f.tokens += tokens
 	if owner {
 		f.owners++
 	}
+	l.inflight[addr] = f
 }
 
 // Arrive implements token.Observer.
 func (l *Ledger) Arrive(addr mem.BlockAddr, tokens int, owner bool) {
 	f := l.inflight[addr]
-	if f == nil {
-		f = &flight{}
-		l.inflight[addr] = f
-	}
 	f.tokens -= tokens
 	if owner {
 		f.owners--
 	}
 	if f.tokens == 0 && f.owners == 0 {
 		delete(l.inflight, addr)
+		return
 	}
+	l.inflight[addr] = f
 }
 
 // Inflight returns the in-flight token and owner counts for a block.
 func (l *Ledger) Inflight(addr mem.BlockAddr) (tokens, owners int) {
-	if f := l.inflight[addr]; f != nil {
-		return f.tokens, f.owners
-	}
-	return 0, 0
+	f := l.inflight[addr]
+	return f.tokens, f.owners
 }
 
 // Invariant is one named global predicate; Check returns violation
@@ -98,6 +96,11 @@ func (l *Ledger) Inflight(addr mem.BlockAddr) (tokens, owners int) {
 type Invariant struct {
 	Name  string
 	Check func() []string
+
+	// census, when set, is the state snapshot Check reads. A Checker
+	// takes each census once per sweep, before any invariant runs;
+	// called on its own, Check takes it first.
+	census *Census
 }
 
 // Checker evaluates registered invariants whenever its driver calls
@@ -128,12 +131,24 @@ func (c *Checker) Register(name string, fn func() []string) {
 // Add registers a prebuilt Invariant (the constructor form of Register).
 func (c *Checker) Add(inv Invariant) { c.invs = append(c.invs, inv) }
 
-// CheckNow evaluates every invariant immediately.
+// CheckNow evaluates every invariant immediately. Invariants sharing a
+// census read one snapshot of it, taken before the first of them runs.
 func (c *Checker) CheckNow() {
+	for _, inv := range c.invs {
+		if cen := inv.census; cen != nil && !cen.held {
+			cen.take()
+			cen.held = true
+		}
+	}
 	for _, inv := range c.invs {
 		c.Checks++
 		for _, v := range inv.Check() {
 			c.record(inv.Name, v)
+		}
+	}
+	for _, inv := range c.invs {
+		if inv.census != nil {
+			inv.census.held = false
 		}
 	}
 }
@@ -153,145 +168,236 @@ func (c *Checker) record(name, v string) {
 	}
 }
 
-// holderSum is the per-block cache-side accumulation used by the state
-// invariants.
-type holderSum struct {
-	tokens  int
-	owners  int
-	maxTok  int   // largest single-cache token count
-	holders []int // cores holding >= 1 token
+// Census is a snapshot of the token custody the memory lines do not show:
+// one record per (block, holder) for each private L2 line holding tokens or
+// the owner token, and for each in-flight ledger balance. Records are
+// sorted by block, then holder — caches in core order, then ledgers — so
+// each block's records form one run. Memory is read where it lives: a
+// block with records looks up its home line, and every other materialized
+// line is checked on its own. Buffers are reused across sweeps, so once
+// they have grown to the machine's footprint a sweep allocates nothing.
+type Census struct {
+	l2s  []*cache.Cache
+	mcs  []*memctrl.Ctrl
+	leds []*Ledger
+
+	raw     []record    // in holder order: caches by core, then ledgers
+	keys    []uint64    // addr<<n | index into raw, sorted
+	recs    []record    // raw in (addr, holder) order
+	holders []int       // one block's holder list, for a report
+	viols   []violation // conservation reports, put in address order
+	held    bool        // taken by the Checker for the current sweep
 }
 
-// sumCaches accumulates token state per block across the private L2s.
-// Iteration is core-index order, so reports are deterministic.
-func sumCaches(l2s []*cache.Cache) map[mem.BlockAddr]*holderSum {
-	acc := make(map[mem.BlockAddr]*holderSum)
-	for i, l2 := range l2s {
+// record is one holder's custody of one block. src numbers the holder:
+// core i's L2 is i, and ledger k is len(l2s)+k.
+type record struct {
+	addr   mem.BlockAddr
+	src    int
+	tokens int
+	owners int
+}
+
+type violation struct {
+	addr mem.BlockAddr
+	text string
+}
+
+// NewCensus returns the census of the given private L2s (indexed by core;
+// nil entries are skipped), memory controllers (block a's home is
+// mcs[a mod len(mcs)], matching the cache controllers), and in-flight
+// ledgers, whose balances are summed.
+func NewCensus(l2s []*cache.Cache, mcs []*memctrl.Ctrl, leds ...*Ledger) *Census {
+	return &Census{l2s: l2s, mcs: mcs, leds: leds}
+}
+
+// take rebuilds the snapshot from the caches and ledgers.
+func (cen *Census) take() {
+	cen.raw = cen.raw[:0]
+	for i, l2 := range cen.l2s {
 		if l2 == nil {
 			continue
 		}
-		i := i
 		l2.ForEachValid(func(a mem.BlockAddr, b *cache.Block) {
 			if b.Tokens == 0 && !b.Owner {
 				return
 			}
-			h := acc[a]
-			if h == nil {
-				h = &holderSum{}
-				acc[a] = h
-			}
-			tokens := int(b.Tokens)
-			h.tokens += tokens
-			if b.Owner {
-				h.owners++
-			}
-			if tokens > h.maxTok {
-				h.maxTok = tokens
-			}
-			if tokens > 0 {
-				h.holders = append(h.holders, i)
-			}
+			cen.raw = append(cen.raw, record{a, i, int(b.Tokens), b2i(b.Owner)})
 		})
 	}
-	return acc
+	for k, led := range cen.leds {
+		for a, f := range led.inflight { //lint:ordered records are sorted by (addr, src) before any use
+			cen.raw = append(cen.raw, record{a, len(cen.l2s) + k, f.tokens, f.owners})
+		}
+	}
+	// Sort by (addr, holder) as one integer: raw is in holder order
+	// within each block, so the index is the tie-break.
+	n := bits.Len(uint(len(cen.raw)))
+	cen.keys = cen.keys[:0]
+	for i, r := range cen.raw {
+		if uint64(r.addr)>>(64-n) != 0 {
+			panic(fmt.Sprintf("check: block %d does not fit a census key", r.addr))
+		}
+		cen.keys = append(cen.keys, uint64(r.addr)<<n|uint64(i))
+	}
+	slices.Sort(cen.keys)
+	cen.recs = cen.recs[:0]
+	for _, k := range cen.keys {
+		cen.recs = append(cen.recs, cen.raw[k&(1<<n-1)])
+	}
 }
 
-func sortedAddrs(m map[mem.BlockAddr]bool) []mem.BlockAddr {
-	out := make([]mem.BlockAddr, 0, len(m))
-	for a := range m {
-		out = append(out, a)
+func b2i(b bool) int {
+	if b {
+		return 1
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return 0
+}
+
+// blockSum folds one block's run of records.
+type blockSum struct {
+	addr     mem.BlockAddr
+	cached   bool // some cache holds tokens or the owner token
+	cTok     int  // tokens across caches
+	cOwn     int  // caches holding the owner token
+	maxTok   int  // largest single-cache token count
+	nHolders int  // caches holding >= 1 token
+	fTok     int  // tokens in flight, summed over ledgers
+	fOwn     int
+}
+
+// fold sums the run of records starting at recs[i] and returns the index
+// just past it.
+func (cen *Census) fold(i int) (blockSum, int) {
+	h := blockSum{addr: cen.recs[i].addr}
+	for ; i < len(cen.recs) && cen.recs[i].addr == h.addr; i++ {
+		r := cen.recs[i]
+		if r.src >= len(cen.l2s) {
+			h.fTok += r.tokens
+			h.fOwn += r.owners
+			continue
+		}
+		h.cached = true
+		h.cTok += r.tokens
+		h.cOwn += r.owners
+		h.maxTok = max(h.maxTok, r.tokens)
+		if r.tokens > 0 {
+			h.nHolders++
+		}
+	}
+	return h, i
+}
+
+// holdersOf lists, in core order, the caches holding >= 1 token of the
+// block whose run starts at recs[i].
+func (cen *Census) holdersOf(i int) []int {
+	cen.holders = cen.holders[:0]
+	for a := cen.recs[i].addr; i < len(cen.recs) && cen.recs[i].addr == a; i++ {
+		if r := cen.recs[i]; r.src < len(cen.l2s) && r.tokens > 0 {
+			cen.holders = append(cen.holders, r.src)
+		}
+	}
+	return cen.holders
+}
+
+// invariant wraps a check over the census: run on its own, it takes the
+// census first; run by a Checker, it reads the sweep's snapshot.
+func (cen *Census) invariant(name string, check func() []string) Invariant {
+	return Invariant{Name: name, census: cen, Check: func() []string {
+		if !cen.held {
+			cen.take()
+		}
+		return check()
+	}}
+}
+
+// conserve checks one block's balance and queues its reports.
+func (cen *Census) conserve(total int, a mem.BlockAddr, cTok, cOwn, mTok int, mOwn bool, fTok, fOwn int) {
+	sum := cTok + mTok + fTok
+	owners := cOwn + b2i(mOwn) + fOwn
+	if sum != total {
+		cen.viols = append(cen.viols, violation{a, fmt.Sprintf(
+			"block %d: %d tokens (caches %d + memory %d + inflight %d), want %d",
+			a, sum, cTok, mTok, fTok, total)})
+	}
+	if owners != 1 {
+		cen.viols = append(cen.viols, violation{a, fmt.Sprintf("block %d: %d owner tokens, want 1", a, owners)})
+	}
 }
 
 // TokenConservation builds the conservation invariant: every block's
 // tokens across caches, its home memory controller, and the in-flight
-// ledgers sum to total, with exactly one owner token. home interleaving is
-// addr mod len(mcs), matching the cache controllers. Several ledgers may
-// be passed (the machine keeps one per domain so custody observations
-// stay domain-local); their per-block balances are summed.
-func TokenConservation(total int, l2s []*cache.Cache, mcs []*memctrl.Ctrl, leds ...*Ledger) Invariant {
-	check := func() []string {
-		acc := sumCaches(l2s)
-		universe := make(map[mem.BlockAddr]bool, len(acc))
-		for a := range acc { //lint:ordered set union; universe is iterated via sortedAddrs only
-			universe[a] = true
-		}
-		for _, mc := range mcs {
-			mc.ForEachLine(func(a mem.BlockAddr, _ int, _ bool) { universe[a] = true })
-		}
-		for _, led := range leds {
-			for a := range led.inflight { //lint:ordered set union; universe is iterated via sortedAddrs only
-				universe[a] = true
-			}
-		}
-		var out []string
-		for _, a := range sortedAddrs(universe) {
-			cTok, cOwn := 0, 0
-			if h := acc[a]; h != nil {
-				cTok, cOwn = h.tokens, h.owners
-			}
-			home := mcs[uint64(a)%uint64(len(mcs))]
-			mTok, mOwn, present := home.Peek(a)
+// ledgers sum to total, with exactly one owner token. Reports come in
+// block address order.
+func TokenConservation(total int, cen *Census) Invariant {
+	return cen.invariant("token-conservation", func() []string {
+		cen.viols = cen.viols[:0]
+		nMem := uint64(len(cen.mcs))
+		// Blocks some cache or ledger holds custody of.
+		for i := 0; i < len(cen.recs); {
+			h, next := cen.fold(i)
+			i = next
+			mTok, mOwn, present := cen.mcs[uint64(h.addr)%nMem].Peek(h.addr)
 			if !present {
 				// Reset state: memory holds everything.
 				mTok, mOwn = total, true
 			}
-			fTok, fOwn := 0, 0
-			for _, led := range leds {
-				lt, lo := led.Inflight(a)
-				fTok += lt
-				fOwn += lo
-			}
-			sum := cTok + mTok + fTok
-			owners := cOwn + fOwn
-			if mOwn {
-				owners++
-			}
-			if sum != total {
-				out = append(out, fmt.Sprintf(
-					"block %d: %d tokens (caches %d + memory %d + inflight %d), want %d",
-					a, sum, cTok, mTok, fTok, total))
-			}
-			if owners != 1 {
-				out = append(out, fmt.Sprintf("block %d: %d owner tokens, want 1", a, owners))
-			}
+			cen.conserve(total, h.addr, h.cTok, h.cOwn, mTok, mOwn, h.fTok, h.fOwn)
+		}
+		// Every other materialized line, at its home: each controller's
+		// lines ascend, so one cursor per controller skips the blocks
+		// checked above.
+		for j, mc := range cen.mcs {
+			p := 0
+			mc.ForEachLine(func(a mem.BlockAddr, tokens int, owner bool) {
+				for p < len(cen.recs) && cen.recs[p].addr < a {
+					p++
+				}
+				if (p < len(cen.recs) && cen.recs[p].addr == a) || uint64(a)%nMem != uint64(j) {
+					return
+				}
+				cen.conserve(total, a, 0, 0, tokens, owner, 0, 0)
+			})
+		}
+		if len(cen.viols) == 0 {
+			return nil
+		}
+		slices.SortStableFunc(cen.viols, func(x, y violation) int { return cmp.Compare(x.addr, y.addr) })
+		out := make([]string, len(cen.viols))
+		for i, v := range cen.viols {
+			out[i] = v.text
 		}
 		return out
-	}
-	return Invariant{Name: "token-conservation", Check: check}
+	})
 }
 
 // SingleWriter builds the coherence-state invariant: a cache holding all
 // tokens of a block (write permission) must be its only cache holder, and
 // at most one cache holds the owner token. Unlike conservation this reads
-// only cache state, so it cross-checks the ledger-based invariant.
-func SingleWriter(total int, l2s []*cache.Cache) Invariant {
-	check := func() []string {
-		acc := sumCaches(l2s)
-		universe := make(map[mem.BlockAddr]bool, len(acc))
-		for a := range acc { //lint:ordered set union; universe is iterated via sortedAddrs only
-			universe[a] = true
-		}
+// only the census's cache records, so it cross-checks the ledger-based
+// invariant.
+func SingleWriter(total int, cen *Census) Invariant {
+	return cen.invariant("single-writer", func() []string {
 		var out []string
-		for _, a := range sortedAddrs(universe) {
-			h := acc[a]
-			if h.tokens > total {
-				out = append(out, fmt.Sprintf("block %d: caches hold %d tokens > total %d",
-					a, h.tokens, total))
+		for i := 0; i < len(cen.recs); {
+			h, next := cen.fold(i)
+			if h.cached {
+				if h.cTok > total {
+					out = append(out, fmt.Sprintf("block %d: caches hold %d tokens > total %d",
+						h.addr, h.cTok, total))
+				}
+				if h.cOwn > 1 {
+					out = append(out, fmt.Sprintf("block %d: %d caches hold the owner token", h.addr, h.cOwn))
+				}
+				if h.maxTok == total && h.nHolders > 1 {
+					out = append(out, fmt.Sprintf(
+						"block %d: a writer coexists with other holders (cores %v)", h.addr, cen.holdersOf(i)))
+				}
 			}
-			if h.owners > 1 {
-				out = append(out, fmt.Sprintf("block %d: %d caches hold the owner token", a, h.owners))
-			}
-			if h.maxTok == total && len(h.holders) > 1 {
-				out = append(out, fmt.Sprintf(
-					"block %d: a writer coexists with other holders (cores %v)", a, h.holders))
-			}
+			i = next
 		}
 		return out
-	}
-	return Invariant{Name: "single-writer", Check: check}
+	})
 }
 
 // TxnCompletion builds the liveness invariant: no controller's outstanding

@@ -112,7 +112,11 @@ func newRig(t *testing.T, n int, blackhole bool) *rig {
 var call sim.HandlerFn = func(arg interface{}, _ uint64) { arg.(func())() }
 
 func (r *rig) conservation() check.Invariant {
-	return check.TokenConservation(r.p.TotalTokens, r.l2s, []*memctrl.Ctrl{r.mc}, r.led)
+	return check.TokenConservation(r.p.TotalTokens, r.census())
+}
+
+func (r *rig) census() *check.Census {
+	return check.NewCensus(r.l2s, []*memctrl.Ctrl{r.mc}, r.led)
 }
 
 func TestInvariantsHoldAfterTransactions(t *testing.T) {
@@ -129,7 +133,7 @@ func TestInvariantsHoldAfterTransactions(t *testing.T) {
 	}
 
 	for _, inv := range []check.Invariant{
-		r.conservation(), check.SingleWriter(r.p.TotalTokens, r.l2s),
+		r.conservation(), check.SingleWriter(r.p.TotalTokens, r.census()),
 	} {
 		if v := inv.Check(); len(v) != 0 {
 			t.Fatalf("%s violated on a clean run: %v", inv.Name, v)
@@ -177,7 +181,7 @@ func TestSingleWriterDetectsDoubleOwner(t *testing.T) {
 	b, _, _ := r.l2s[3].Insert(100, 1)
 	b.Tokens, b.Owner = 1, true
 	found := false
-	for _, v := range check.SingleWriter(r.p.TotalTokens, r.l2s).Check() {
+	for _, v := range check.SingleWriter(r.p.TotalTokens, r.census()).Check() {
 		if strings.Contains(v, "owner") {
 			found = true
 		}
@@ -195,7 +199,7 @@ func TestSingleWriterAllowsFullyCachedSharing(t *testing.T) {
 	b0.Tokens, b0.Owner = int16(r.p.TotalTokens-1), true
 	b1, _, _ := r.l2s[1].Insert(100, 1)
 	b1.Tokens = 1
-	if v := check.SingleWriter(r.p.TotalTokens, r.l2s).Check(); len(v) != 0 {
+	if v := check.SingleWriter(r.p.TotalTokens, r.census()).Check(); len(v) != 0 {
 		t.Fatalf("legal reader sharing flagged: %v", v)
 	}
 }
@@ -207,7 +211,7 @@ func TestSingleWriterDetectsWriterWithCompany(t *testing.T) {
 	b1, _, _ := r.l2s[1].Insert(100, 1)
 	b1.Tokens = 1 // ...plus another holder
 	found := false
-	for _, v := range check.SingleWriter(r.p.TotalTokens, r.l2s).Check() {
+	for _, v := range check.SingleWriter(r.p.TotalTokens, r.census()).Check() {
 		if strings.Contains(v, "writer coexists") {
 			found = true
 		}

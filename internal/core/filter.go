@@ -279,8 +279,6 @@ func (f *Filter) SetFriend(vm, friend mem.VMID) {
 
 // ensure grows the per-VM register files to cover vm and returns its
 // dense index. Growth happens only on a VM's first appearance.
-//
-//vsnoop:hotpath
 func (f *Filter) ensure(vm mem.VMID) int {
 	d := mem.DenseVM(vm)
 	for (d+1)*f.nw > len(f.mapBits) {
@@ -343,8 +341,6 @@ func (f *Filter) Underflows() uint64 {
 
 // words returns vm's word-slice view of a register file, or nil when the
 // VM has never been seen (a read that must not grow the files).
-//
-//vsnoop:hotpath
 func (f *Filter) words(file []uint64, vm mem.VMID) []uint64 {
 	lo := mem.DenseVM(vm) * f.nw
 	if lo+f.nw > len(file) {
@@ -370,8 +366,6 @@ func popcount(w []uint64) int {
 
 // appendCores appends the endpoints of every set bit except requester, in
 // ascending core order (the deterministic send order).
-//
-//vsnoop:hotpath
 func (f *Filter) appendCores(out []mesh.NodeID, w []uint64, requester int) []mesh.NodeID {
 	for wi, word := range w {
 		base := wi << 6
@@ -390,8 +384,6 @@ func (f *Filter) appendCores(out []mesh.NodeID, w []uint64, requester int) []mes
 // `from` (-1 on first placement) to core `to`. The hypervisor adds the new
 // core to the VM's map before the VM runs there; the old core stays until
 // a counter policy removes it.
-//
-//vsnoop:hotpath
 func (f *Filter) HandleRelocate(vm mem.VMID, from, to int) {
 	d := f.ensure(vm)
 	run := f.runBits[d*f.nw : (d+1)*f.nw]
@@ -415,8 +407,6 @@ func (f *Filter) HandleRelocate(vm mem.VMID, from, to int) {
 // departCheck handles a vCPU departure from core `from` once the run bit is
 // clear: under the counter policies, remove the core if its data is already
 // gone, otherwise record the pending departure feeding the Figure 9 CDF.
-//
-//vsnoop:hotpath
 func (f *Filter) departCheck(vm mem.VMID, d, from int) {
 	switch f.cfg.Policy {
 	case PolicyCounter, PolicyCounterThreshold, PolicyCounterFlush:
@@ -445,8 +435,6 @@ func (f *Filter) departCheck(vm mem.VMID, d, from int) {
 // vCPU left core `from`, so clear the run bit and run the counter-policy
 // departure check against this domain's caches (which own core `from`). The
 // destination side happens later, in the target domain, via RelocateArrive.
-//
-//vsnoop:hotpath
 func (f *Filter) RelocateDepart(vm mem.VMID, from int) {
 	d := f.ensure(vm)
 	clearBit(f.runBits[d*f.nw:(d+1)*f.nw], from)
@@ -457,8 +445,6 @@ func (f *Filter) RelocateDepart(vm mem.VMID, from int) {
 // the vCPU now runs on core `to`, which the hypervisor adds to the VM's map
 // before the VM runs there. MapSyncs is counted here — once per move, on
 // the owning domain — never on delta application.
-//
-//vsnoop:hotpath
 func (f *Filter) RelocateArrive(vm mem.VMID, to int) {
 	d := f.ensure(vm)
 	setBit(f.runBits[d*f.nw:(d+1)*f.nw], to)
@@ -475,24 +461,18 @@ func (f *Filter) RelocateArrive(vm mem.VMID, to int) {
 // once, on the domain that owns it.
 
 // ApplyRunSet replays a remote run-bit set.
-//
-//vsnoop:hotpath
 func (f *Filter) ApplyRunSet(vm mem.VMID, core int) {
 	d := f.ensure(vm)
 	setBit(f.runBits[d*f.nw:(d+1)*f.nw], core)
 }
 
 // ApplyRunClear replays a remote run-bit clear.
-//
-//vsnoop:hotpath
 func (f *Filter) ApplyRunClear(vm mem.VMID, core int) {
 	d := f.ensure(vm)
 	clearBit(f.runBits[d*f.nw:(d+1)*f.nw], core)
 }
 
 // ApplyMapSet replays a remote map addition.
-//
-//vsnoop:hotpath
 func (f *Filter) ApplyMapSet(vm mem.VMID, core int) {
 	d := f.ensure(vm)
 	setBit(f.mapBits[d*f.nw:(d+1)*f.nw], core)
@@ -500,8 +480,6 @@ func (f *Filter) ApplyMapSet(vm mem.VMID, core int) {
 
 // ApplyMapClear replays a remote map removal, discarding any pending
 // departure record for the core (the owning replica observed the CDF).
-//
-//vsnoop:hotpath
 func (f *Filter) ApplyMapClear(vm mem.VMID, core int) {
 	d := f.ensure(vm)
 	clearBit(f.mapBits[d*f.nw:(d+1)*f.nw], core)
@@ -509,8 +487,6 @@ func (f *Filter) ApplyMapClear(vm mem.VMID, core int) {
 }
 
 // tryRemove handles a residence-counter trigger at core for vm.
-//
-//vsnoop:hotpath
 func (f *Filter) tryRemove(vm mem.VMID, core int, count int) {
 	if testBit(f.words(f.runBits, vm), core) {
 		return // still running there: the core must stay in the map
@@ -536,7 +512,6 @@ func (f *Filter) tryFlush(vm mem.VMID, core int, n int) {
 	}
 }
 
-//vsnoop:hotpath
 func (f *Filter) remove(vm mem.VMID, core int) {
 	d := f.ensure(vm)
 	m := f.mapBits[d*f.nw : (d+1)*f.nw]
@@ -676,14 +651,12 @@ func (f *Filter) MapCores(vm mem.VMID) []int {
 func (f *Filter) MapSize(vm mem.VMID) int { return popcount(f.words(f.mapBits, vm)) }
 
 // Contains reports whether core is in vm's map.
-//
-//vsnoop:hotpath
 func (f *Filter) Contains(vm mem.VMID, core int) bool {
 	return testBit(f.words(f.mapBits, vm), core)
 }
 
 // unroutablePanic is Route's cold failure path; it keeps the fmt call out
-// of the annotated hot function.
+// of the hot routing function.
 func unroutablePanic(p mem.PageType) {
 	panic(fmt.Sprintf("core: unroutable request page=%v", p))
 }
@@ -703,8 +676,6 @@ func containsNode(set []mesh.NodeID, n mesh.NodeID) bool {
 // attempt, excluding the requester (which looks up its own cache anyway)
 // and excluding memory (the home controller is always addressed). Computed
 // sets are appended to buf[:0]; broadcast sets are the shared allBut.
-//
-//vsnoop:hotpath
 func (f *Filter) Route(info token.RouteInfo, buf []mesh.NodeID) []mesh.NodeID {
 	if f.cfg.Policy == PolicyBroadcast {
 		return f.allExcept(info.Requester)
@@ -748,8 +719,6 @@ func (f *Filter) Route(info token.RouteInfo, buf []mesh.NodeID) []mesh.NodeID {
 // allExcept returns the broadcast destination set excluding the requester.
 // The returned slice is a shared precomputed set with exact capacity: callers
 // may read or append (append copies) but must never write in place.
-//
-//vsnoop:hotpath
 func (f *Filter) allExcept(requester int) []mesh.NodeID {
 	return f.allBut[requester]
 }
@@ -758,8 +727,6 @@ func (f *Filter) allExcept(requester int) []mesh.NodeID {
 // snoop domain: the plain map normally, the counter-augmented map at
 // suspicion level 1, full broadcast at level 2. With degradation disabled
 // it is exactly mapExcept.
-//
-//vsnoop:hotpath
 func (f *Filter) domainExcept(buf []mesh.NodeID, vm mem.VMID, requester int) []mesh.NodeID {
 	if !f.DegradationEnabled {
 		return f.mapExcept(buf, vm, requester)
@@ -784,8 +751,6 @@ func (f *Filter) domainExcept(buf []mesh.NodeID, vm mem.VMID, requester int) []m
 // counterAugExcept appends to buf[:0] the map augmented with every core
 // whose residence counter says it still holds the VM's data — the level-1
 // degradation set: cheap to compute, strictly safer than the map alone.
-//
-//vsnoop:hotpath
 func (f *Filter) counterAugExcept(buf []mesh.NodeID, vm mem.VMID, s *vmSlot, requester int) []mesh.NodeID {
 	if s.scratch == nil {
 		s.scratch = make([]uint64, f.nw)
@@ -800,8 +765,6 @@ func (f *Filter) counterAugExcept(buf []mesh.NodeID, vm mem.VMID, s *vmSlot, req
 }
 
 // mapExcept appends vm's map, minus the requester, to buf[:0].
-//
-//vsnoop:hotpath
 func (f *Filter) mapExcept(buf []mesh.NodeID, vm mem.VMID, requester int) []mesh.NodeID {
 	return f.appendCores(buf[:0], f.words(f.mapBits, vm), requester)
 }

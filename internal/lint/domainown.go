@@ -289,7 +289,7 @@ func (s *ownScan) exprPV(fact pvFact, e ast.Expr) pv {
 	case *ast.SliceExpr:
 		return s.exprPV(fact, x.X)
 	case *ast.CallExpr:
-		if tv, ok := info.Types[unparen(x.Fun)]; ok && tv.IsType() && len(x.Args) == 1 {
+		if tv, ok := info.Types[ast.Unparen(x.Fun)]; ok && tv.IsType() && len(x.Args) == 1 {
 			return s.exprPV(fact, x.Args[0]) // conversion
 		}
 		return pv{owned: s.a.own.ownedType(info.TypeOf(x))}
@@ -377,7 +377,7 @@ func (s *ownScan) check(fact pvFact, ins *ir.Instr) {
 // owned state or into an ownership table at a foreign index. Const fields
 // are NOT exempt: identity is immutable.
 func (s *ownScan) checkWrite(fact pvFact, lhs ast.Expr) {
-	e := unparen(lhs)
+	e := ast.Unparen(lhs)
 	for {
 		switch x := e.(type) {
 		case *ast.SelectorExpr:
@@ -385,7 +385,7 @@ func (s *ownScan) checkWrite(fact pvFact, lhs ast.Expr) {
 				s.flag(x.Pos(), "writes field "+x.Sel.Name+" of a foreign domain-owned value"+transferHint)
 				return
 			}
-			e = unparen(x.X)
+			e = ast.Unparen(x.X)
 		case *ast.IndexExpr:
 			base := s.exprPV(fact, x.X)
 			if base.table && !s.indexIsSelf(fact, x.Index) {
@@ -396,13 +396,13 @@ func (s *ownScan) checkWrite(fact pvFact, lhs ast.Expr) {
 				s.flag(x.Pos(), "writes an element of a foreign domain-owned value"+transferHint)
 				return
 			}
-			e = unparen(x.X)
+			e = ast.Unparen(x.X)
 		case *ast.StarExpr:
 			if base := s.exprPV(fact, x.X); base.foreign && base.owned {
 				s.flag(x.Pos(), "writes through a pointer to a foreign domain-owned value"+transferHint)
 				return
 			}
-			e = unparen(x.X)
+			e = ast.Unparen(x.X)
 		default:
 			return
 		}
@@ -499,12 +499,12 @@ func (s *ownScan) nestedLit(fl *ast.FuncLit) {
 // for the interprocedural fixpoint.
 func (s *ownScan) checkCall(fact pvFact, call *ast.CallExpr) {
 	info := s.info()
-	tv, ok := info.Types[unparen(call.Fun)]
+	tv, ok := info.Types[ast.Unparen(call.Fun)]
 	if ok && (tv.IsType() || tv.IsBuiltin()) {
 		return // conversions and builtins (len, cap, append) do not leak
 	}
 	// Method call on a foreign owned receiver.
-	if sel, isSel := unparen(call.Fun).(*ast.SelectorExpr); isSel {
+	if sel, isSel := ast.Unparen(call.Fun).(*ast.SelectorExpr); isSel {
 		if _, isFn := info.Uses[sel.Sel].(*types.Func); isFn {
 			if base := s.exprPV(fact, sel.X); base.foreign && base.owned {
 				s.flag(sel.Pos(), "calls method "+sel.Sel.Name+" on a foreign domain-owned value"+transferHint)
@@ -543,13 +543,13 @@ func (s *ownScan) flag(pos token.Pos, msg string) {
 // isDepositCall matches the sanctioned ownership-transfer API by name:
 // Engine.ScheduleFnAtDom(at, dom, fn, arg, u).
 func isDepositCall(call *ast.CallExpr) bool {
-	sel, ok := unparen(call.Fun).(*ast.SelectorExpr)
+	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	return ok && sel.Sel.Name == "ScheduleFnAtDom" && len(call.Args) == 5
 }
 
 // staticCallee resolves a call to a module-level named function or method.
 func staticCallee(info *types.Info, call *ast.CallExpr) *types.Func {
-	switch f := unparen(call.Fun).(type) {
+	switch f := ast.Unparen(call.Fun).(type) {
 	case *ast.Ident:
 		if obj, ok := info.Uses[f].(*types.Func); ok {
 			return obj

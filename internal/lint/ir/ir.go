@@ -11,12 +11,12 @@
 //     analyzer can ask "which assignments can this identifier observe?"
 //     and trace a value through local aliases;
 //   - a generic forward dataflow solver and an interprocedural fixpoint
-//     engine, so client lattices (alias sets, provenance, escape state)
+//     engine, so client lattices (domainown's provenance facts)
 //     plug in without re-implementing worklists.
 //
 // Instructions keep pointers into the original AST rather than lowering to
-// an opcode soup: the analyzers built on top (domainown, shardsafe,
-// hotalloc) report at source positions and pattern-match on expressions,
+// an opcode soup: the analyzers built on top (maprange, domainown) report
+// at source positions and pattern-match on expressions,
 // so the AST is the natural operand representation. What the IR adds is
 // ORDER — a linearization of control flow the AST does not expose.
 package ir

@@ -1,6 +1,7 @@
 // Package lint implements vsnoop-lint, a from-scratch static-analysis
 // suite (stdlib only: go/parser, go/ast, go/types, go/importer) guarding
-// the two properties the simulator's correctness story rests on:
+// the two properties the simulator's correctness story rests on that no
+// run-time test can see whole:
 //
 //   - Determinism — a run is a pure function of its configuration. The
 //     #1 threat is Go map
@@ -10,19 +11,9 @@
 //     deterministic-only packages (the serving tier), whose
 //     content-addressed memoization and journal replay depend on the code
 //     around the simulator being order- and clock-independent too.
-//   - Hot-path allocation discipline — the PR-2 event kernel is zero-alloc
-//     at steady state, enforced at runtime by AllocsPerRun gates. The
-//     hotalloc analyzer enforces it at the syntax level for every function
-//     annotated `//vsnoop:hotpath`, so a regression is a lint error before
-//     it is a flaky benchmark.
-//   - Handler isolation — code reachable from event handlers must not
-//     communicate except through the internal/sim event API, and must
-//     not write package-level state, which runner.Map sweeps share across
-//     the machines they run concurrently. The shardsafe analyzer walks the
-//     static call graph from handler roots and flags goroutine launches,
-//     channel operations, and writes to package-level state. It also
-//     confines sync/atomic in the critical packages to internal/sim's
-//     Canceler, the one word another goroutine may set.
+//     wallclock also confines sync/atomic in the critical packages to
+//     internal/sim, whose Canceler is the one word another goroutine may
+//     set.
 //   - Domain confinement — the paper's isolation invariant, lifted to the
 //     code: state annotated //vsnoop:owned (filter replicas, COW overlays,
 //     RegionScout shards, directory homes) belongs to one domain, and the
@@ -32,18 +23,19 @@
 //     event API (Engine.ScheduleFnAtDom). See annot.go for the annotation
 //     grammar and DESIGN.md §14 for the proof argument.
 //
-// The shardsafe and hotalloc analyzers also run flow-sensitive passes over
-// the same IR: handler isolation catches writes to package-level state routed
-// through local pointer aliases, and the hot-path rules catch interface
-// boxing and heap escapes a syntax walk cannot see.
+// Hot-path allocation and handler isolation are guarded at run time
+// instead: allocation gates (TestSteadyStateAllocs and the per-package
+// AllocsPerRun tests) see every allocation form in every branch that
+// recurs, and go test -race over concurrent sweeps of every handler family
+// sees every write to shared state.
 //
 // Findings are suppressed only by an explicit waiver comment with a
 // mandatory reason, placed on the offending line or the line above:
 //
 //	//lint:<key> <reason>
 //
-// where <key> is the analyzer's waiver key (ordered, wallclock, alloc,
-// shardsafe, owned). A waiver without a reason is itself a finding and
+// where <key> is the analyzer's waiver key (ordered, wallclock, owned). A
+// waiver without a reason is itself a finding and
 // fails the build, and so is a stale waiver — one whose analyzer ran but
 // that suppressed nothing — so waivers document live judgment calls; they
 // neither hide problems nor outlive them.
@@ -84,7 +76,7 @@ type Analyzer struct {
 
 // Analyzers returns the full suite in reporting order.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{mapRangeAnalyzer, wallClockAnalyzer, hotAllocAnalyzer, shardSafeAnalyzer, domainOwnAnalyzer}
+	return []*Analyzer{mapRangeAnalyzer, wallClockAnalyzer, domainOwnAnalyzer}
 }
 
 // CriticalDirs are the sim-critical package directories (relative to the
@@ -110,12 +102,12 @@ func DefaultCritical(modPath string) func(pkgPath string) bool {
 // DeterministicDirs are the deterministic-only package directories: code
 // that must stay a pure function of its inputs (no map-order dependence, no
 // ambient clock/env reads) but legitimately uses goroutines, channels, and
-// atomics for its own concurrency, so the shard-isolation and hot-path
-// rules do not apply. The serving tier lives here: its memoization story is
+// atomics for its own concurrency, so the atomic confinement does not
+// apply. The serving tier lives here: its memoization story is
 // "same config hash ⇒ same stored bytes", which only holds if the code
 // around the simulator is as deterministic as the simulator itself — while
 // its worker pool, singleflight, and metrics are exactly the kind of
-// concurrency shardsafe exists to forbid in sim code. The runner (worker
+// concurrency sim code must not hold. The runner (worker
 // pool around whole simulations) and the three mains (vsnoop-sim,
 // vsnoop-sweep, vsnoop-report) are here too: they assemble configs, shard
 // plans, and reports whose bytes feed the golden files and the serve tier's
@@ -139,16 +131,17 @@ func DefaultDeterministic(modPath string) func(pkgPath string) bool {
 // Options configures a Run.
 type Options struct {
 	// Critical reports whether a package is sim-critical (maprange and
-	// wallclock apply there; shardsafe roots only there). Nil means
+	// wallclock apply there, atomic confinement included). Nil means
 	// DefaultCritical(mod.Path).
 	Critical func(pkgPath string) bool
 	// Deterministic reports whether a package is deterministic-only:
-	// maprange and wallclock apply, but shardsafe and hotalloc do not —
-	// the package may use goroutines, channels, and atomics freely. Nil
+	// maprange and wallclock apply, but not the atomic confinement — the
+	// package may use goroutines, channels, and atomics freely. Nil
 	// means DefaultDeterministic(mod.Path).
 	Deterministic func(pkgPath string) bool
 	// Selected filters which packages findings are reported for (the
-	// analysis itself is always whole-module, which shardsafe requires).
+	// analysis itself is always whole-module, which domainown's call-graph
+	// walk requires).
 	// Nil selects every package.
 	Selected func(pkgPath string) bool
 	// Disabled names analyzers to skip; Enabled, when non-empty, restricts

@@ -94,14 +94,12 @@ func checkFixtureWith(t *testing.T, name string, opts Options) {
 	}
 }
 
-func TestMapRangeFixture(t *testing.T)  { checkFixture(t, "maprange") }
-func TestWallClockFixture(t *testing.T) { checkFixture(t, "wallclock") }
-func TestHotAllocFixture(t *testing.T)  { checkFixture(t, "hotalloc") }
-func TestShardSafeFixture(t *testing.T) { checkFixture(t, "shardsafe") }
+func TestMapRangeFixture(t *testing.T) { checkFixture(t, "maprange") }
 
-// TestShardAtomicFixture covers the atomic-confinement half of shardsafe:
-// the allowlisted internal/sim structs pass, everything else is flagged.
-func TestShardAtomicFixture(t *testing.T) { checkFixture(t, "shardatomic") }
+// TestWallClockFixture covers ambient inputs and the atomic confinement:
+// sync/atomic is clean in the fixture's internal/sim package and flagged
+// everywhere else.
+func TestWallClockFixture(t *testing.T) { checkFixture(t, "wallclock") }
 
 // TestDomainOwnFixture covers the //vsnoop:owned annotation grammar and the
 // confinement proof: self-indexed and deposited access is clean; foreign
@@ -116,9 +114,8 @@ func TestDomainOwnFixture(t *testing.T) { checkFixture(t, "domainown") }
 // push through an alias are findings.
 func TestTimewarpFixture(t *testing.T) { checkFixture(t, "timewarp") }
 
-// TestIRFlowFixture covers the dataflow-IR corners: the verified key
-// harvest and its near misses, package-level writes through local aliases,
-// and hot-path allocations that escape on a later line.
+// TestIRFlowFixture covers the dataflow-IR corners of maprange: the
+// verified key harvest and its near misses.
 func TestIRFlowFixture(t *testing.T) { checkFixture(t, "irflow") }
 
 // TestStaleWaiverFixture covers stale-waiver detection: used waivers are
@@ -133,15 +130,15 @@ func TestStaleOnlyForRanAnalyzers(t *testing.T) {
 	opts := fixtureOptions()
 	opts.Enabled = map[string]bool{"wallclock": true}
 	if fs := Run(mod, opts); len(fs) != 0 {
-		t.Errorf("wallclock-only run must not report ordered/alloc waivers as stale, got %v", fs)
+		t.Errorf("wallclock-only run must not report ordered/owned waivers as stale, got %v", fs)
 	}
 }
 
-// TestDomainOwnSeesPastShardSafe is the analyzer-split proof: the seeded
+// TestOnlyDomainOwnSeesSeed is the analyzer-split proof: the seeded
 // cross-domain write (the SEED-marked line in the domainown fixture)
-// mutates instance state only, so the shardsafe call-graph walk — which
-// reaches the handler — reports nothing there, while domainown flags it.
-func TestDomainOwnSeesPastShardSafe(t *testing.T) {
+// mutates instance state only, so the rest of the suite reports nothing
+// there, while domainown flags it.
+func TestOnlyDomainOwnSeesSeed(t *testing.T) {
 	mod := loadFixture(t, "domainown")
 
 	seed := 0
@@ -161,10 +158,10 @@ func TestDomainOwnSeesPastShardSafe(t *testing.T) {
 	}
 
 	opts := fixtureOptions()
-	opts.Enabled = map[string]bool{"shardsafe": true}
+	opts.Disabled = map[string]bool{"domainown": true}
 	for _, f := range Run(mod, opts) {
 		if f.Line == seed {
-			t.Errorf("shardsafe unexpectedly sees the seeded write: %s", f)
+			t.Errorf("%s unexpectedly sees the seeded write: %s", f.Analyzer, f)
 		}
 	}
 
@@ -184,8 +181,8 @@ func TestDomainOwnSeesPastShardSafe(t *testing.T) {
 // TestSuiteComposition pins the analyzer roster and waiver keys the CI lint
 // job and the waiver grammar depend on.
 func TestSuiteComposition(t *testing.T) {
-	wantNames := []string{"maprange", "wallclock", "hotalloc", "shardsafe", "domainown"}
-	wantKeys := []string{"ordered", "wallclock", "alloc", "shardsafe", "owned"}
+	wantNames := []string{"maprange", "wallclock", "domainown"}
+	wantKeys := []string{"ordered", "wallclock", "owned"}
 	as := Analyzers()
 	if len(as) != len(wantNames) {
 		t.Fatalf("Analyzers() = %d entries, want %d", len(as), len(wantNames))
@@ -203,15 +200,13 @@ func TestSuiteComposition(t *testing.T) {
 // TestPartTransferFixture covers the cross-domain ownership-transfer
 // patterns from the graph-cut partitioner: prebound depart/arrive/ack
 // handlers rooted purely by their sim.HandlerFn shape (no scheduler call in
-// view), the deposit-only discipline they must follow, and the shortcuts —
-// goroutine hand-off, package-level counters, ack channels, overlay map
-// iteration — the suite must catch in that code.
+// view) and the overlay map iteration the suite must catch in that code.
 func TestPartTransferFixture(t *testing.T) { checkFixture(t, "parttransfer") }
 
 // TestServeScopeFixture covers the deterministic-only package class, the
 // scoping the real module applies to internal/serve: goroutines, channels,
 // mutexes, atomics on arbitrary structs, and package-level state draw no
-// findings (shardsafe and hotalloc do not apply), while map iteration and
+// findings (the atomic confinement does not apply), while map iteration and
 // ambient inputs are still flagged by maprange and wallclock.
 func TestServeScopeFixture(t *testing.T) {
 	checkFixtureWith(t, "servescope", Options{

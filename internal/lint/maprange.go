@@ -119,11 +119,11 @@ func verifiedHarvest(info *types.Info, fn *ir.Func, rs *ast.RangeStmt) bool {
 	if sliceVar == nil || isPackageLevel(sliceVar) {
 		return false
 	}
-	call, ok := unparen(as.Rhs[0]).(*ast.CallExpr)
+	call, ok := ast.Unparen(as.Rhs[0]).(*ast.CallExpr)
 	if !ok || call.Ellipsis != token.NoPos || len(call.Args) != 2 {
 		return false
 	}
-	if !isBuiltinCall(info, call, "append") {
+	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); !ok || info.Uses[id] != types.Universe.Lookup("append") {
 		return false
 	}
 	if identVar(info, call.Args[0]) != sliceVar || identVar(info, call.Args[1]) != keyVar {
@@ -143,7 +143,7 @@ func verifiedHarvest(info *types.Info, fn *ir.Func, rs *ast.RangeStmt) bool {
 	if first.Op != ir.OpEval {
 		return false
 	}
-	sortCall, ok := unparen(first.X).(*ast.CallExpr)
+	sortCall, ok := ast.Unparen(first.X).(*ast.CallExpr)
 	if !ok || len(sortCall.Args) == 0 {
 		return false
 	}
@@ -173,7 +173,7 @@ var sortFuncs = map[string]map[string]bool{
 
 // isSortCall matches a qualified call to one of sortFuncs.
 func isSortCall(info *types.Info, call *ast.CallExpr) bool {
-	sel, ok := unparen(call.Fun).(*ast.SelectorExpr)
+	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !ok {
 		return false
 	}
@@ -190,7 +190,7 @@ func isSortCall(info *types.Info, call *ast.CallExpr) bool {
 
 // identVar resolves a plain identifier expression to its variable object.
 func identVar(info *types.Info, e ast.Expr) *types.Var {
-	id, ok := unparen(e).(*ast.Ident)
+	id, ok := ast.Unparen(e).(*ast.Ident)
 	if !ok || id.Name == "_" {
 		return nil
 	}
@@ -201,4 +201,9 @@ func identVar(info *types.Info, e ast.Expr) *types.Var {
 		return v
 	}
 	return nil
+}
+
+// isPackageLevel reports whether v is declared at package scope.
+func isPackageLevel(v *types.Var) bool {
+	return v.Pkg() != nil && v.Parent() == v.Pkg().Scope()
 }

@@ -8,6 +8,14 @@ import (
 	"vsnoop/internal/lint/ir"
 )
 
+// schedulerFuncs are method/function names whose function-typed arguments
+// execute in handler context.
+var schedulerFuncs = map[string]bool{
+	"Schedule": true, "ScheduleAt": true,
+	"ScheduleFn": true, "ScheduleFnAt": true, "ScheduleFnAtDom": true,
+	"SetHandler": true, "Attach": true,
+}
+
 // funcIndex is the module-wide function registry shared by the IR-based
 // analyzers: every declared function with a body, keyed by its types
 // object, plus memoized IR for declarations and literals.
@@ -78,8 +86,8 @@ type handlerRoot struct {
 	dom domValue
 }
 
-// rootSet is the result of root collection, shared by shardsafe (which
-// only needs reachability) and domainown (which also uses the domains).
+// rootSet is the result of root collection: every handler root with its
+// static domain.
 type rootSet struct {
 	named map[*types.Func]*handlerRoot
 	lits  map[*ast.FuncLit]*handlerRoot
@@ -145,7 +153,7 @@ func collectRoots(ix *funcIndex, own *ownership) *rootSet {
 		mergeRootDom(r, dom, strong, weak)
 	}
 	addExpr := func(pkg *Package, e ast.Expr, dom domValue, strong bool) {
-		switch x := unparen(e).(type) {
+		switch x := ast.Unparen(e).(type) {
 		case *ast.FuncLit:
 			addLit(pkg, x, dom, strong)
 		case *ast.Ident:
@@ -176,7 +184,7 @@ func collectRoots(ix *funcIndex, own *ownership) *rootSet {
 					return true
 				}
 				for i, lhs := range as.Lhs {
-					sel, ok := unparen(lhs).(*ast.SelectorExpr)
+					sel, ok := ast.Unparen(lhs).(*ast.SelectorExpr)
 					if !ok {
 						continue
 					}
@@ -195,7 +203,7 @@ func collectRoots(ix *funcIndex, own *ownership) *rootSet {
 		ast.Inspect(body, func(n ast.Node) bool {
 			switch x := n.(type) {
 			case *ast.CallExpr:
-				sel, ok := unparen(x.Fun).(*ast.SelectorExpr)
+				sel, ok := ast.Unparen(x.Fun).(*ast.SelectorExpr)
 				if !ok || !schedulerFuncs[sel.Sel.Name] {
 					return true
 				}
@@ -211,7 +219,7 @@ func collectRoots(ix *funcIndex, own *ownership) *rootSet {
 					addExpr(pkg, arg, dom, true)
 					// Field-mediated: the arg names a handler field; root
 					// everything ever bound to that field at this domain.
-					if as, ok := unparen(arg).(*ast.SelectorExpr); ok {
+					if as, ok := ast.Unparen(arg).(*ast.SelectorExpr); ok {
 						if v, ok := pkg.Info.Uses[as.Sel].(*types.Var); ok && v.IsField() {
 							for _, b := range bindings[v] {
 								addExpr(b.pkg, b.e, dom, true)
@@ -222,7 +230,7 @@ func collectRoots(ix *funcIndex, own *ownership) *rootSet {
 					// definitions bind literals (fn = func(...){...}; ...;
 					// eng.ScheduleFnAtDom(at, 0, fn, ...)). Root each bound
 					// literal at this deposit's domain.
-					if id, ok := unparen(arg).(*ast.Ident); ok {
+					if id, ok := ast.Unparen(arg).(*ast.Ident); ok {
 						if _, isLocal := pkg.Info.Uses[id].(*types.Var); isLocal {
 							if fn := fnIR(); fn != nil {
 								for _, def := range fn.BuildDefUse().Defs(id) {
@@ -327,7 +335,7 @@ func engineDomain(pkg *Package, recv ast.Expr, fnIR func() *ir.Func) domValue {
 	if d := engineSelDomain(pkg, recv); d.state != 0 {
 		return d
 	}
-	id, ok := unparen(recv).(*ast.Ident)
+	id, ok := ast.Unparen(recv).(*ast.Ident)
 	if !ok {
 		return domMany()
 	}
@@ -363,11 +371,11 @@ func engineDomain(pkg *Package, recv ast.Expr, fnIR func() *ir.Func) domValue {
 
 // engineSelDomain matches `<x>[C].eng`-shaped expressions.
 func engineSelDomain(pkg *Package, e ast.Expr) domValue {
-	sel, ok := unparen(e).(*ast.SelectorExpr)
+	sel, ok := ast.Unparen(e).(*ast.SelectorExpr)
 	if !ok {
 		return domValue{}
 	}
-	idx, ok := unparen(sel.X).(*ast.IndexExpr)
+	idx, ok := ast.Unparen(sel.X).(*ast.IndexExpr)
 	if !ok {
 		return domValue{}
 	}
@@ -404,4 +412,34 @@ func constIntOf(info *types.Info, e ast.Expr) *int64 {
 		return &n
 	}
 	return nil
+}
+
+// isHandlerShape reports whether t is one of the two handler signatures:
+// func(interface{}) (mesh.Handler) or func(interface{}, uint64)
+// (sim.HandlerFn). Named types with those underlying shapes match too.
+func isHandlerShape(t types.Type) bool {
+	if t == nil {
+		return false
+	}
+	sig, ok := t.Underlying().(*types.Signature)
+	if !ok || sig.Results().Len() != 0 || sig.Recv() != nil {
+		return false
+	}
+	p := sig.Params()
+	switch p.Len() {
+	case 1:
+		return isEmptyInterface(p.At(0).Type())
+	case 2:
+		if !isEmptyInterface(p.At(0).Type()) {
+			return false
+		}
+		b, ok := p.At(1).Type().Underlying().(*types.Basic)
+		return ok && b.Kind() == types.Uint64
+	}
+	return false
+}
+
+func isEmptyInterface(t types.Type) bool {
+	i, ok := t.Underlying().(*types.Interface)
+	return ok && i.NumMethods() == 0
 }

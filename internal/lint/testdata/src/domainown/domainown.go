@@ -8,10 +8,10 @@
 // findings.
 //
 // The handleForeignWrite seed (marked SEED) is also the proof obligation
-// for the analyzer split: it mutates instance state only — no channel, no
-// goroutine, no package-level variable — so the shardsafe call-graph walk
-// reaches it and finds nothing, while domainown must flag it. The
-// TestDomainOwnSeesPastShardSafe test pins exactly that.
+// for the analyzer split: it mutates instance state only — no map range,
+// no ambient input, no package-level variable, nothing a -race run of one
+// machine would see — so only domainown can flag it. The
+// TestOnlyDomainOwnSeesSeed test pins exactly that.
 package domainown
 
 // handlerFn mirrors sim.HandlerFn.
@@ -46,7 +46,7 @@ type machine struct {
 var sentinel filter
 
 // prebind mirrors machine construction: the method values are handler
-// shaped, which is what roots them for the shardsafe call-graph walk.
+// shaped, which is what roots them for the domainown walk.
 func (m *machine) prebind() {
 	m.fns = []handlerFn{
 		m.handleSelf, m.handleForeignWrite, m.handleEnumerate,
@@ -128,12 +128,11 @@ func (m *machine) arrive(p interface{}, u uint64) {
 	d.live++
 }
 
-// touchGlobal writes package-level owned state: foreign to any domain, and
-// also a package-level write the shardsafe syntax walk flags on its own.
+// touchGlobal writes package-level owned state: foreign to any domain.
 //
 //vsnoop:handler dom=1
 func touchGlobal(p interface{}, u uint64) {
-	sentinel.hits++ // want "writes field hits of a foreign domain-owned value" "writes package-level variable sentinel"
+	sentinel.hits++ // want "writes field hits of a foreign domain-owned value"
 }
 
 // wire deposits a literal into a constant destination domain: the literal

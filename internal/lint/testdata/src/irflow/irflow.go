@@ -1,8 +1,7 @@
-// Package irflow is a lint fixture for the dataflow-IR corners: the
-// verified key-harvest exemption (and its near misses) in maprange, the
-// package-level alias tracking in shardsafe, and the escape pass in
-// hotalloc. Everything here turns on flow — loop joins, kills at
-// reassignment, def-use through locals — rather than on syntax shape.
+// Package irflow is a lint fixture for the dataflow-IR corners of
+// maprange: the verified key-harvest exemption and its near misses. Every
+// case turns on flow — the loop's join block, what runs between the loop
+// and the sort — rather than on syntax shape.
 package irflow
 
 import "sort"
@@ -64,123 +63,4 @@ func harvestExtraStmt(m map[int]int) []int {
 	}
 	sort.Ints(ks)
 	return ks
-}
-
-// ---------------------------------------------------------------------------
-// Shard-isolation alias pass: handler-reachable writes to package-level
-// storage routed through local pointers. The handlers are rooted by shape.
-
-type counters struct {
-	hits []int
-	n    int
-}
-
-var shared counters
-
-var table []*counters
-
-var handlers = []func(interface{}, uint64){
-	aliasWrite, aliasSlice, aliasKilled, aliasJoin, aliasRange, aliasClosure,
-}
-
-func aliasWrite(p interface{}, u uint64) {
-	c := &shared
-	c.n++ // want "writes package-level variable shared through local alias c"
-}
-
-func aliasSlice(p interface{}, u uint64) {
-	h := shared.hits
-	h[0] = 1 // want "writes package-level variable shared through local alias h"
-}
-
-func aliasKilled(p interface{}, u uint64) {
-	var local counters
-	c := &shared
-	c = &local
-	c.n = 5 // clean: the alias died at the reassignment
-	_ = c
-}
-
-func aliasJoin(p interface{}, u uint64) {
-	var local counters
-	c := &local
-	if u > 0 {
-		c = &shared
-	}
-	c.n++ // want "writes package-level variable shared through local alias c"
-}
-
-func aliasRange(p interface{}, u uint64) {
-	for _, c := range table {
-		c.n++ // want "writes package-level variable table through local alias c"
-	}
-}
-
-func aliasClosure(p interface{}, u uint64) {
-	c := &shared
-	bump := func() {
-		c.n-- // want "writes package-level variable shared through local alias c"
-	}
-	bump()
-}
-
-// ---------------------------------------------------------------------------
-// Hot-path escape pass: allocation sites whose pointer escapes on a later
-// line, reported at the allocation.
-
-type event struct{ t uint64 }
-
-type queue struct{ evs []*event }
-
-func (q *queue) push(e *event) { q.evs = append(q.evs, e) }
-
-type holder struct{ p *uint64 }
-
-func touch(p *uint64) {}
-
-//vsnoop:hotpath
-func escapeViaCall(q *queue, t uint64) {
-	e := &event{t: t} // want "address of composite literal escapes"
-	q.push(e)
-}
-
-//vsnoop:hotpath
-func escapeReturned(t uint64) *event {
-	e := &event{t: t} // want "address of composite literal escapes"
-	return e
-}
-
-//vsnoop:hotpath
-func escapeNew(t uint64) *event {
-	e := new(event) // want "new\(event\) escapes"
-	e.t = t
-	return e
-}
-
-//vsnoop:hotpath
-func staysLocal(t uint64) uint64 {
-	e := event{t: t}
-	pe := &e
-	return pe.t // clean: the pointer never leaves the frame
-}
-
-//vsnoop:hotpath
-func addrLocalToCall(e *event) uint64 {
-	t := e.t
-	touch(&t) // clean: &local handed to a callee commonly stays on the stack
-	return t
-}
-
-//vsnoop:hotpath
-func addrLocalStored(g *holder) {
-	x := uint64(1)
-	g.p = &x // want "address of local x escapes"
-}
-
-//vsnoop:hotpath
-func escapeInLoop(q *queue, n int) {
-	for i := 0; i < n; i++ {
-		e := &event{t: uint64(i)} // want "address of composite literal escapes"
-		q.push(e)
-	}
 }

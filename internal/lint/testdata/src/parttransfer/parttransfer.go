@@ -1,10 +1,14 @@
 // Package parttransfer is a lint fixture: the cross-domain ownership
 // transfer patterns introduced by the graph-cut partitioner — prebound
 // depart/arrive/ack handlers, package-level delta appliers, domain-local
-// overlay state — and the shortcuts such code must not take. Handlers here
-// are never passed to a scheduler call; they are rooted purely by their
-// shape (func(interface{}, uint64) ~ sim.HandlerFn) at the prebind
-// assignments, which is how the real machine wires its transfer pipeline.
+// overlay state. Handlers here are never passed to a scheduler call; they
+// are rooted purely by their shape (func(interface{}, uint64) ~
+// sim.HandlerFn) at the prebind assignments, which is how the real machine
+// wires its transfer pipeline. The statically visible shortcut such code
+// must not take is an order-dependent overlay walk (maprange); the
+// concurrency shortcuts — a goroutine hand-off, a package-level counter, an
+// ack channel — are caught at run time by go test -race over concurrent
+// sweeps.
 package parttransfer
 
 // handlerFn mirrors sim.HandlerFn.
@@ -35,8 +39,6 @@ type machine struct {
 	ackFn    handlerFn
 }
 
-var relocations int // package-level: transfer handlers must not touch it
-
 // prebind mirrors machine construction: method values of handler shape are
 // roots the moment they are assigned, with no scheduler call in sight.
 func (m *machine) prebind() {
@@ -53,17 +55,17 @@ func (m *machine) handleDepart(p interface{}, u uint64) {
 	m.eng.ScheduleFnAtDom(m.eng.now+m.crossHor[v.dom.idx], int(u), m.arriveFn, v, u)
 }
 
-// handleArrive takes the tempting shortcut of pushing the overlay rebuild
-// off the shard goroutine.
+// handleArrive rebuilds the destination's overlay in place.
 func (m *machine) handleArrive(p interface{}, u uint64) {
 	v := p.(*vcpu)
 	v.core = int(u)
-	go rebuildOverlay(v.dom) // want "launches a goroutine"
+	rebuildOverlay(v.dom)
 }
 
-// handleAck counts the finished move in the obvious — and wrong — place.
+// handleAck retires the move on instance state only.
 func (m *machine) handleAck(p interface{}, u uint64) {
-	relocations++ // want "writes package-level variable relocations"
+	v := p.(*vcpu)
+	v.dom.live++
 }
 
 // rebuildOverlay is reachable from a handler, and the fixture package is
@@ -76,12 +78,14 @@ func rebuildOverlay(d *domain) {
 }
 
 // wire shows a handler literal of the right shape being rooted at its use
-// site: the ack-wait inside is the cross-shard sin the deposit API exists
-// to replace.
-func (m *machine) wire(done chan struct{}) {
+// site: its overlay walk is flagged like any other.
+func (m *machine) wire() {
 	m.prebind()
 	var drain handlerFn = func(p interface{}, u uint64) {
-		<-done // want "receives from a channel"
+		d := p.(*domain)
+		for _, pr := range d.cow { // want "iteration over map d.cow"
+			d.live += int(pr & 1)
+		}
 	}
 	_ = drain
 }

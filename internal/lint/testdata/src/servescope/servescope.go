@@ -1,6 +1,6 @@
 // Package servescope is a lint fixture for the deterministic-only package
 // class (the serving tier): goroutines, channels, mutexes, atomics, and
-// package-level state are all legitimate here — shardsafe and hotalloc do
+// package-level state are all legitimate here — the atomic confinement does
 // not apply — but map iteration and ambient inputs (wall clock, env,
 // global rand) are still forbidden, because memoization and journal replay
 // depend on deterministic behavior around the simulator.
@@ -13,9 +13,9 @@ import (
 	"time"
 )
 
-// metrics-style counters: atomics on an arbitrary struct, which shardsafe
-// would confine to the internal/sim allowlist in a critical package. Not
-// flagged under deterministic-only scoping.
+// metrics-style counters: atomics on an arbitrary struct, which wallclock
+// would confine to internal/sim in a critical package. Not flagged under
+// deterministic-only scoping.
 type counters struct {
 	accepted atomic.Uint64
 	shed     atomic.Uint64
@@ -24,7 +24,7 @@ type counters struct {
 var stats counters // package-level mutable state: fine here
 
 // pool is a worker pool: goroutine launches, channel sends/receives, and a
-// mutex — all shardsafe findings in a critical package, none here.
+// mutex — the concurrency sim code must not hold, legitimate here.
 type pool struct {
 	tasks chan func()
 	mu    sync.Mutex

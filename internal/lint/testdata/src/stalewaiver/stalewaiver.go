@@ -29,10 +29,10 @@ func staleOrdered() int {
 	return x
 }
 
-// staleAlloc is stale for a different analyzer: hotalloc runs, finds
-// nothing here (the function is not even a hot path), so the waiver is
-// dead weight.
-func staleAlloc() []int {
-	var s []int //lint:alloc leftover note from a deleted append // want "stale waiver //lint:alloc suppresses no findings"
+// staleOwned is stale for a different analyzer: domainown runs, finds
+// nothing here (nothing is even domain-owned), so the waiver is dead
+// weight.
+func staleOwned() []int {
+	var s []int //lint:owned leftover note from a deleted cross-domain read // want "stale waiver //lint:owned suppresses no findings"
 	return s
 }

@@ -7,8 +7,8 @@
 // cross-domain checkpoint write poisons a future Restore silently. The
 // seeded handler (marked SEED) writes another shard's checkpoint slot, an
 // owned value nested in a foreign domain's array field; domainown must flag
-// it even though the write is pure instance-state mutation that the
-// shardsafe walk cannot see.
+// it even though the write is pure instance-state mutation that no other
+// check can see.
 package timewarp
 
 // handlerFn mirrors sim.HandlerFn.
@@ -53,7 +53,7 @@ type machine struct {
 }
 
 // prebind mirrors machine construction: handler-shaped method values root
-// the shardsafe walk and the domainown provenance pass.
+// the domainown provenance pass.
 func (m *machine) prebind() {
 	m.fns = []handlerFn{
 		m.handleSave, m.handleRollback, m.handleCommitDeposit,

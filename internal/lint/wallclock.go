@@ -3,6 +3,7 @@ package lint
 import (
 	"go/ast"
 	"go/types"
+	"strings"
 )
 
 // wallClockAnalyzer forbids ambient inputs in sim-critical and
@@ -19,9 +20,16 @@ import (
 // The serving tier follows the same discipline with an injected clock
 // (serve.Options.Now), which keeps quota refill and job timing testable
 // under a fake clock.
+//
+// In sim-critical packages other than internal/sim, sync/atomic is
+// forbidden too: an atomic word is state another goroutine can see, and
+// runner.Map runs many machines on concurrent goroutines. The only atomic a
+// machine needs is internal/sim's Canceler, the word another goroutine sets
+// to stop a run. (Deterministic-only packages run their own worker pools
+// and may use atomics freely.)
 var wallClockAnalyzer = &Analyzer{
 	Name:      "wallclock",
-	Doc:       "forbids time.Now/Since, os.Getenv, runtime.GOMAXPROCS, and global math/rand in sim-critical and deterministic-only packages",
+	Doc:       "forbids time.Now/Since, os.Getenv, runtime.GOMAXPROCS, and global math/rand in sim-critical and deterministic-only packages, and sync/atomic in sim-critical packages outside internal/sim",
 	WaiverKey: "wallclock",
 	Run:       runWallClock,
 }
@@ -61,9 +69,11 @@ var allowedRand = map[string]bool{
 
 func runWallClock(mod *Module, opts Options, report ReportFn) {
 	for _, pkg := range mod.Pkgs {
-		if !opts.Critical(pkg.Path) && !opts.Deterministic(pkg.Path) {
+		critical := opts.Critical(pkg.Path)
+		if !critical && !opts.Deterministic(pkg.Path) {
 			continue
 		}
+		noAtomics := critical && !strings.HasSuffix(pkg.Path, "internal/sim")
 		for _, f := range pkg.Files {
 			ast.Inspect(f, func(n ast.Node) bool {
 				sel, ok := n.(*ast.SelectorExpr)
@@ -79,6 +89,11 @@ func runWallClock(mod *Module, opts Options, report ReportFn) {
 					return true
 				}
 				path, name := pn.Imported().Path(), sel.Sel.Name
+				if path == "sync/atomic" && noAtomics {
+					report(pkg, sel.Pos(), path+"."+name+
+						" in a sim-critical package; atomics are confined to internal/sim, and machine state stays on its goroutine")
+					return true
+				}
 				if msg, bad := forbiddenWallClock[path][name]; bad {
 					report(pkg, sel.Pos(), path+"."+name+" "+msg)
 					return true

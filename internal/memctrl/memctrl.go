@@ -391,8 +391,6 @@ func (m *Ctrl) handleRelease(msg *token.Msg) {
 // addr, carrying tokens and the owner token if owner, after the given
 // processing latency. The slot is filled in place; the event carries its
 // hold until sendFn sends it.
-//
-//vsnoop:hotpath
 func (m *Ctrl) send(dst mesh.NodeID, kind token.Kind, addr mem.BlockAddr, tokens int, owner bool, latency sim.Cycle) {
 	bytes := m.P.CtrlBytes
 	if kind == token.MsgData {

@@ -160,8 +160,6 @@ func New(eng *sim.Engine, cfg Config) *Network {
 
 // linkID flattens a directed link (source router x,y plus direction) to a
 // dense table index.
-//
-//vsnoop:hotpath
 func (n *Network) linkID(x, y, dir int) int {
 	return (y*n.cfg.Width+x)<<2 | dir
 }
@@ -260,8 +258,6 @@ func (n *Network) Coords(id NodeID) (x, y int) {
 
 // Hops returns the XY-routing hop count between two endpoints (the
 // Manhattan distance between their routers).
-//
-//vsnoop:hotpath
 func (n *Network) Hops(src, dst NodeID) int {
 	a, b := n.nodes[src], n.nodes[dst]
 	return abs(a.x-b.x) + abs(a.y-b.y)
@@ -275,8 +271,6 @@ func abs(v int) int {
 }
 
 // serialization returns the cycles needed to push bytes through one link.
-//
-//vsnoop:hotpath
 func (n *Network) serialization(bytes int) sim.Cycle {
 	s := sim.Cycle((bytes + n.cfg.LinkBytesPerCycle - 1) / n.cfg.LinkBytesPerCycle)
 	if s == 0 {
@@ -288,16 +282,12 @@ func (n *Network) serialization(bytes int) sim.Cycle {
 // Latency returns the zero-load latency of a message (no contention):
 // router pipeline + wire delay per hop, plus one serialization term
 // (wormhole switching: the body streams behind the header).
-//
-//vsnoop:hotpath
 func (n *Network) Latency(src, dst NodeID, bytes int) sim.Cycle {
 	return n.latency(n.Hops(src, dst), n.serialization(bytes))
 }
 
 // latency is Latency for a route of hops hops and a per-link
 // serialization of ser cycles.
-//
-//vsnoop:hotpath
 func (n *Network) latency(hops int, ser sim.Cycle) sim.Cycle {
 	if hops == 0 {
 		// Local delivery still crosses the router once.
@@ -327,8 +317,6 @@ type fanout struct {
 // returns how many deliveries it queued, that is how many times a handler
 // will get the payload: 1, or 0 for a dropped message or one an elider
 // kept, and 2 for a duplicated one.
-//
-//vsnoop:hotpath
 func (n *Network) Send(src, dst NodeID, bytes int, payload interface{}) int {
 	one := [1]NodeID{dst}
 	return n.Multicast(src, one[:], bytes, payload)
@@ -339,8 +327,6 @@ func (n *Network) Send(src, dst NodeID, bytes int, payload interface{}) int {
 // elider calls, fault-hook calls and traffic charges, in the same order —
 // with the per-message invariants computed once. It returns the sum of
 // what those Sends would return: the number of deliveries queued.
-//
-//vsnoop:hotpath
 func (n *Network) Multicast(src NodeID, dsts []NodeID, bytes int, payload interface{}) int {
 	// f is built here, in a local, so its pointer fields are stack writes.
 	// Its fields are assigned one by one: a composite literal would build
@@ -390,8 +376,6 @@ func (n *Network) sendFaulted(f *fanout, dst NodeID) int {
 // transmit performs the actual routing, accounting, and delivery of one
 // message to dst, extra cycles late. It returns 1 if it queued the
 // delivery, 0 if the destination's elider kept it.
-//
-//vsnoop:hotpath
 func (n *Network) transmit(f *fanout, dst NodeID, extra sim.Cycle) int {
 	b := &n.nodes[dst]
 	hops := abs(f.x-b.x) + abs(f.y-b.y)

@@ -19,7 +19,7 @@
 // The package is lint-classified "deterministic-only": maprange and
 // wallclock gate it (no map iteration, no ambient clock — time is injected
 // via Options.Now), while the goroutine-heavy server machinery is exempt
-// from the sim-only shardsafe/hotalloc passes.
+// from wallclock's sim-only atomic confinement.
 package serve
 
 import (

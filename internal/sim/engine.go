@@ -184,8 +184,6 @@ func (e *Engine) CurKey() uint64 { return e.curKey }
 // Passed reports whether an event due at (at, key) lies before the
 // engine's position in queue order: it would already have fired. An event
 // that has not passed would fire later, at its own (at, key).
-//
-//vsnoop:hotpath
 func (e *Engine) Passed(at Cycle, key uint64) bool {
 	return at < e.now || at == e.now && key < e.curKey
 }
@@ -195,7 +193,7 @@ func (e *Engine) Pending() int { return e.nring + len(e.far) }
 
 // schedulePastPanic is the cold failure path shared by the ScheduleFn
 // variants. It exists so the fmt call (which allocates) stays out of the
-// annotated hot functions.
+// hot scheduling functions.
 func schedulePastPanic(at, now Cycle) {
 	panic(fmt.Sprintf("sim: schedule at %d before now %d", at, now))
 }
@@ -206,16 +204,12 @@ func schedulePastPanic(at, now Cycle) {
 // per-event state travels in (arg, u), so nothing escapes to the heap (arg
 // should be nil, an already-boxed interface value, or a pointer; u packs
 // any scalar state).
-//
-//vsnoop:hotpath
 func (e *Engine) ScheduleFn(delay Cycle, fn HandlerFn, arg interface{}, u uint64) {
 	e.ScheduleFnAt(e.now+delay, fn, arg, u)
 }
 
 // ScheduleFnAt is ScheduleFn with an absolute cycle, which must not be in
 // the past.
-//
-//vsnoop:hotpath
 func (e *Engine) ScheduleFnAt(at Cycle, fn HandlerFn, arg interface{}, u uint64) {
 	if at < e.now {
 		schedulePastPanic(at, e.now)
@@ -227,8 +221,6 @@ func (e *Engine) ScheduleFnAt(at Cycle, fn HandlerFn, arg interface{}, u uint64)
 // event fires in domain dom's event stream while its tie-break key still
 // comes from the current scheduling domain's counter. The mesh uses it for
 // cross-domain delivery.
-//
-//vsnoop:hotpath
 func (e *Engine) ScheduleFnAtDom(at Cycle, dom int32, fn HandlerFn, arg interface{}, u uint64) {
 	if at < e.now {
 		schedulePastPanic(at, e.now)
@@ -239,8 +231,6 @@ func (e *Engine) ScheduleFnAtDom(at Cycle, dom int32, fn HandlerFn, arg interfac
 // ScheduleTimer is ScheduleFn that returns a Timer for CancelTimer. A
 // timer that goes to the far heap (delay ringSize or more) returns a Timer
 // that is not cancellable.
-//
-//vsnoop:hotpath
 func (e *Engine) ScheduleTimer(delay Cycle, fn HandlerFn, arg interface{}, u uint64) Timer {
 	at, key := e.now+delay, e.nextKey()
 	i := e.insert(at, key, e.curDom, fn, arg, u)
@@ -256,8 +246,6 @@ func (e *Engine) ScheduleTimer(delay Cycle, fn HandlerFn, arg interface{}, u uin
 // key, and keys are unique. Position in (at, key) order cannot tell: a
 // delay-0 event scheduled by a same-cycle event with a larger key is
 // pending though it orders before the executing one.
-//
-//vsnoop:hotpath
 func (e *Engine) TimerPending(t Timer) bool {
 	if t.i == 0 {
 		return false
@@ -272,8 +260,6 @@ func (e *Engine) TimerPending(t Timer) bool {
 // that would have done nothing. It returns false, changing nothing, when
 // the Timer is not cancellable or its event is not pending (TimerPending):
 // it fired, is firing, or was cancelled already.
-//
-//vsnoop:hotpath
 func (e *Engine) CancelTimer(t Timer) bool {
 	if !e.TimerPending(t) {
 		return false
@@ -307,8 +293,6 @@ func (e *Engine) CancelTimer(t Timer) bool {
 // earlier by NextKey, so the event takes the queue position it would have
 // had if it had been scheduled when the key was drawn. at must not be in
 // the past.
-//
-//vsnoop:hotpath
 func (e *Engine) ScheduleKeyed(at Cycle, key uint64, dom int32, fn HandlerFn, arg interface{}, u uint64) {
 	if at < e.now {
 		schedulePastPanic(at, e.now)
@@ -318,15 +302,11 @@ func (e *Engine) ScheduleKeyed(at Cycle, key uint64, dom int32, fn HandlerFn, ar
 
 // NextKey draws the tie-break key the next scheduled event would get,
 // for a later ScheduleKeyed.
-//
-//vsnoop:hotpath
 func (e *Engine) NextKey() uint64 { return e.nextKey() }
 
 // nextKey draws the next tie-break key: the global schedule counter with
 // one domain, or the current domain's counter prefixed with the domain
 // index in domain mode.
-//
-//vsnoop:hotpath
 func (e *Engine) nextKey() uint64 {
 	if e.domSeq == nil {
 		e.seq++
@@ -341,8 +321,6 @@ func (e *Engine) nextKey() uint64 {
 // ring insert writes them straight into the node that link returns and
 // builds no event value. It returns the ring node's 1-based pool index, or
 // 0 for a far-heap event.
-//
-//vsnoop:hotpath
 func (e *Engine) insert(at Cycle, key uint64, dom int32, fn HandlerFn, arg interface{}, u uint64) int32 {
 	if at-e.now >= ringSize {
 		e.pushFar(event{at: at, key: key, dom: dom, fn2: fn, arg: arg, u: u})
@@ -372,8 +350,6 @@ func (e *Engine) SetCurDomain(d int32) { e.curDom = d }
 // and prev set, and its 1-based pool index. Same-cycle events mostly
 // arrive in key order and append at the tail; a domain-prefixed key from
 // another domain walks in from the head.
-//
-//vsnoop:hotpath
 func (e *Engine) link(at Cycle, key uint64) (*event, int32) {
 	i := e.free
 	if i != 0 {
@@ -420,8 +396,6 @@ func (e *Engine) link(at Cycle, key uint64) (*event, int32) {
 // first occupied bucket at or after now's, wrapping once, holds the
 // earliest cycle: first the rest of now's 64-bucket bitmap word, then the
 // words after it, ending with the low bits of now's own word.
-//
-//vsnoop:hotpath
 func (e *Engine) firstBucket() int {
 	s := int(e.now) & ringMask
 	if m := e.occ[s>>6] >> (s & 63); m != 0 {
@@ -440,8 +414,6 @@ func (e *Engine) firstBucket() int {
 // peek returns the earliest pending event and where it lives — its ring
 // bucket, or -1 for the far heap's root — or nil when the queue is empty.
 // The event is valid until the next push or fire.
-//
-//vsnoop:hotpath
 func (e *Engine) peek() (*event, int) {
 	b := e.firstBucket()
 	if len(e.far) > 0 && (b < 0 || e.far[0].before(&e.pool[e.head[b]-1])) {
@@ -455,8 +427,6 @@ func (e *Engine) peek() (*event, int) {
 
 // pushFar inserts ev into the far 4-ary heap (sift-up). The self-append
 // reuses the backing array, so steady-state pushes allocate nothing.
-//
-//vsnoop:hotpath
 func (e *Engine) pushFar(ev event) {
 	e.far = append(e.far, ev)
 	h := e.far
@@ -473,8 +443,6 @@ func (e *Engine) pushFar(ev event) {
 
 // popFar removes and returns the far heap's minimum (sift-down with a
 // hole).
-//
-//vsnoop:hotpath
 func (e *Engine) popFar() event {
 	h := e.far
 	root := h[0]
@@ -513,8 +481,6 @@ func (e *Engine) popFar() event {
 
 // Step executes the next event, advancing the clock to its cycle. It
 // returns false when no events remain.
-//
-//vsnoop:hotpath
 func (e *Engine) Step() bool {
 	ev, b := e.peek()
 	if ev == nil {
@@ -530,8 +496,6 @@ func (e *Engine) Step() bool {
 // and pushed on the free list, because the free list is LIFO: the
 // handler's first schedule reuses that very node. Only fn2 and arg are
 // cleared, so the pool holds no reference to a fired event's payload.
-//
-//vsnoop:hotpath
 func (e *Engine) fire(b int) {
 	if b < 0 {
 		ev := e.popFar()

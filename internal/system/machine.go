@@ -167,9 +167,6 @@ type Machine struct {
 	// Checker evaluates protocol invariants online (nil unless Checks or a
 	// fault plan is configured).
 	Checker *check.Checker
-	// ledgers holds one token-custody ledger per domain, so custody
-	// observations stay domain-local (conservation sums them).
-	ledgers []*check.Ledger
 
 	dom0 mem.VMID
 
@@ -560,26 +557,23 @@ func New(cfg Config) (*Machine, error) {
 		if ageLimit == 0 {
 			ageLimit = 500_000
 		}
-		// One token-custody ledger per domain: controllers report to their
-		// own domain's ledger (per-ledger balances may go negative on
-		// cross-domain transfers; conservation sums across ledgers). The
-		// checker runs at window starts against the published window
-		// clock.
-		m.ledgers = make([]*check.Ledger, len(m.doms))
-		for d := range m.ledgers {
-			m.ledgers[d] = check.NewLedger()
-		}
+		// One token-custody ledger for the machine: every controller
+		// reports to it, so a block's entry leaves the ledger as soon as
+		// its last token in flight lands. The checker runs at window
+		// starts against the published window clock.
+		led := check.NewLedger()
 		for i, cn := range m.cores {
-			cn.ctrl.Obs = m.ledgers[cn.dom.idx]
+			cn.ctrl.Obs = led
 			ctrls[i] = cn.ctrl
 		}
-		for i, mc := range m.mcs {
-			mc.Obs = m.ledgers[plan.MCDom[i]]
+		for _, mc := range m.mcs {
+			mc.Obs = led
 		}
 		nowFn := func() sim.Cycle { return m.chkNow }
 		m.Checker = &check.Checker{Now: nowFn}
-		m.Checker.Add(check.TokenConservation(cfg.P.TotalTokens, l2s, m.mcs, m.ledgers...))
-		m.Checker.Add(check.SingleWriter(cfg.P.TotalTokens, l2s))
+		cen := check.NewCensus(l2s, m.mcs, led)
+		m.Checker.Add(check.TokenConservation(cfg.P.TotalTokens, cen))
+		m.Checker.Add(check.SingleWriter(cfg.P.TotalTokens, cen))
 		m.Checker.Add(check.TxnCompletion(nowFn, ctrls, ageLimit))
 	}
 

@@ -76,8 +76,6 @@ func (m *Machine) vcpuAt(id hv.VCPU) *vcpu {
 // always precedes the chased continuation at every hop (both paths add the
 // same horizon, and the continuation was scheduled strictly after the
 // depart's cause).
-//
-//vsnoop:hotpath
 func (m *Machine) chase(v *vcpu, from uint64, fn sim.HandlerFn) {
 	nxt := m.fwd[int(from)*m.nv+v.vix]
 	m.Eng.ScheduleFnAtDom(m.Eng.Now()+m.crossHor[from], nxt, fn, v, uint64(nxt))
@@ -85,8 +83,6 @@ func (m *Machine) chase(v *vcpu, from uint64, fn sim.HandlerFn) {
 
 // broadcastDelta replays a register-file update of from's replica on every
 // other replica, one cross-domain horizon ahead in each target's stream.
-//
-//vsnoop:hotpath
 func (m *Machine) broadcastDelta(from *domain, op uint64, vm mem.VMID, coreIdx int) {
 	at := m.Eng.Now() + m.crossHor[from.idx]
 	u := op<<48 | uint64(uint16(vm))<<16 | uint64(uint16(coreIdx+1))
@@ -101,8 +97,6 @@ func (m *Machine) broadcastDelta(from *domain, op uint64, vm mem.VMID, coreIdx i
 // applyDelta replays one replica delta on the target replica (the event
 // arg). Apply* methods never fire hooks or count stats, so deltas cannot
 // loop and every event is counted exactly once, on its owning domain.
-//
-//vsnoop:hotpath
 func applyDelta(arg interface{}, u uint64) {
 	f := arg.(*core.Filter)
 	vm := mem.VMID(uint16(u >> 16))
@@ -317,8 +311,6 @@ func (m *Machine) scheduleFaultEvents() {
 
 // translate resolves a guest page through the domain's COW overlay first,
 // falling back to the (runtime-immutable) global page tables.
-//
-//vsnoop:hotpath
 func (m *Machine) translate(d *domain, vm mem.VMID, gp mem.GuestPage) mem.Translation {
 	if d.cow != nil {
 		if tr, ok := d.cow[mem.CowKey(vm, gp)]; ok {
@@ -416,8 +408,6 @@ func (m *Machine) getHolderProbe(d *domain) *holderProbe {
 }
 
 // scanHolder classifies the holders of addr among d's own caches.
-//
-//vsnoop:hotpath
 func (m *Machine) scanHolder(d *domain, addr mem.BlockAddr, vm mem.VMID) uint64 {
 	var bits uint64
 	var fr mem.VMID

@@ -10,7 +10,7 @@ import (
 
 // totalEvents accumulates EventsFired across every run in the process; the
 // CLI throughput footers read it via TotalEventsFired.
-var totalEvents atomic.Uint64 //lint:shardsafe process-wide CLI telemetry, written once per run at finalize, never read by sim code
+var totalEvents atomic.Uint64 //lint:wallclock process-wide CLI telemetry, written once per run at finalize, never read by sim code
 
 // TotalEventsFired returns the simulator events fired (parked snoop
 // deliveries and cancelled retry timeouts included) by all runs in this process so far. Monotone; each run adds its count as it finalizes.

@@ -195,7 +195,6 @@ func (c *CacheCtrl) Start(addr mem.BlockAddr, vm mem.VMID, page mem.PageType, wr
 	c.issueAttempt()
 }
 
-//vsnoop:hotpath
 func (c *CacheCtrl) issueAttempt() {
 	t := c.cur
 	t.Attempt++
@@ -303,15 +302,13 @@ func (c *CacheCtrl) arrive(addr mem.BlockAddr, tokens int, owner bool) {
 }
 
 // badCtrlMsgPanic is Handle's cold failure path; it keeps the fmt call out
-// of the annotated hot function.
+// of the hot handler.
 func badCtrlMsgPanic(k Kind) {
 	panic(fmt.Sprintf("token: cache ctrl got %v", k))
 }
 
 // Handle processes a delivered coherence message and releases the
 // delivery's hold on it; it is the mesh handler for this endpoint.
-//
-//vsnoop:hotpath
 func (c *CacheCtrl) Handle(payload interface{}) {
 	msg := payload.(*Msg)
 	switch msg.Kind {
@@ -330,8 +327,6 @@ func (c *CacheCtrl) Handle(payload interface{}) {
 }
 
 // handleRequest applies the TokenB snoop-response rules.
-//
-//vsnoop:hotpath
 func (c *CacheCtrl) handleRequest(msg *Msg) {
 	c.Stats.SnoopLookups++
 	b := c.L2.Lookup(msg.Addr)
@@ -374,8 +369,6 @@ func (c *CacheCtrl) handleRequest(msg *Msg) {
 // respond sends dst a response of kind (MsgData carries the data block)
 // for addr after the L2 access latency. The slot is filled in place; the
 // event carries its hold until sendFn sends it.
-//
-//vsnoop:hotpath
 func (c *CacheCtrl) respond(dst mesh.NodeID, kind Kind, addr mem.BlockAddr, tokens int, owner, dirty bool) {
 	bytes := c.P.CtrlBytes
 	if kind == MsgData {
@@ -388,8 +381,6 @@ func (c *CacheCtrl) respond(dst mesh.NodeID, kind Kind, addr mem.BlockAddr, toke
 // handleResponse accumulates arriving tokens/data into the outstanding
 // transaction, forwarding them if a persistent entry for another node is
 // active, or conserving them if no transaction wants them.
-//
-//vsnoop:hotpath
 func (c *CacheCtrl) handleResponse(msg *Msg) {
 	// The map is empty in every fault-free run: skip the lookup there.
 	if len(c.persistent) > 0 {
@@ -439,8 +430,6 @@ func (c *CacheCtrl) handleResponse(msg *Msg) {
 // gain runs before a response's tokens are added to the L2: a token gain
 // puts the block's parked snoop deliveries to this cache back into the
 // queue (ParkTable.putBack).
-//
-//vsnoop:hotpath
 func (c *CacheCtrl) gain(msg *Msg) {
 	if pt := c.pt; msg.Tokens > 0 && pt != nil {
 		pt.putBack(c, msg.Addr)
@@ -522,8 +511,6 @@ func (c *CacheCtrl) forward(dst mesh.NodeID, msg *Msg) {
 }
 
 // send sends m, a slot the caller holds, to dst now.
-//
-//vsnoop:hotpath
 func (c *CacheCtrl) send(dst mesh.NodeID, bytes int, m *Msg) {
 	m.Sent(c.Net.Send(c.Node, dst, bytes, m))
 }

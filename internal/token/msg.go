@@ -105,8 +105,6 @@ type Msg struct {
 // mesh.Network.Send or Multicast returned (0 when a fault dropped the
 // message or an elider kept it, 2 for a duplicate). With n == 0 the slot
 // goes back to its slab.
-//
-//vsnoop:hotpath
 func (m *Msg) Sent(n int) {
 	if m.refs += int32(n) - 1; m.refs <= 0 {
 		m.free()
@@ -115,8 +113,6 @@ func (m *Msg) Sent(n int) {
 
 // Release drops one hold: a handler calls it once it is done with a
 // delivered message. The last release returns the slot to its slab.
-//
-//vsnoop:hotpath
 func (m *Msg) Release() {
 	if m.refs--; m.refs <= 0 {
 		m.free()
@@ -126,8 +122,6 @@ func (m *Msg) Release() {
 // free runs when the holder count reaches zero: it poisons the slot and
 // puts it on its slab's free list. A count below zero is a release without
 // a hold, except on a Msg built by hand, whose count just restarts.
-//
-//vsnoop:hotpath
 func (m *Msg) free() {
 	s := m.slab
 	switch {
@@ -168,8 +162,6 @@ type Msgs struct {
 // New returns a slot holding a copy of m, with its Dests copied into the
 // slot's own buffer. The caller holds the slot once: it passes the hold to
 // the deliveries with Sent, or to an event that sends later.
-//
-//vsnoop:hotpath
 func (s *Msgs) New(m Msg) *Msg {
 	p := s.take()
 	dests := p.Dests[:0] // the slot's own buffer outlives its messages
@@ -183,8 +175,6 @@ func (s *Msgs) New(m Msg) *Msg {
 // block addr: kinds MsgData and MsgWBData carry the data block. The slot
 // is filled in place, so the message is never copied; the caller holds it
 // once, as with New.
-//
-//vsnoop:hotpath
 func (s *Msgs) Response(kind Kind, addr mem.BlockAddr, src mesh.NodeID, tokens int, owner, dirty bool) *Msg {
 	// Field by field: a composite literal would be built in a temporary
 	// and copied, since it reads the slot's own Dests.
@@ -198,8 +188,6 @@ func (s *Msgs) Response(kind Kind, addr mem.BlockAddr, src mesh.NodeID, tokens i
 }
 
 // take pops the most recently freed slot, or carves a new one.
-//
-//vsnoop:hotpath
 func (s *Msgs) take() *Msg {
 	if n := len(s.free); n > 0 {
 		p := s.free[n-1]

@@ -190,8 +190,6 @@ func (t *ParkTable) Elider(core int) mesh.Elider {
 
 // begin opens requester req's record for its multicast of snoop m, reading
 // the block's holder lane once. Done records leave the ring's head first.
-//
-//vsnoop:hotpath
 func (t *ParkTable) begin(req int, m *Msg) {
 	g := &t.rings[req]
 	if g.n > 0 {
@@ -216,8 +214,6 @@ func (t *ParkTable) begin(req int, m *Msg) {
 
 // end closes requester req's open record; a record that parked nothing
 // gives its ring slot back.
-//
-//vsnoop:hotpath
 func (t *ParkTable) end(req int) {
 	if r := t.open; len(r.d) > 0 {
 		t.rings[req].n++
@@ -229,8 +225,6 @@ func (t *ParkTable) end(req int) {
 // retire pops requester req's done records off its ring's head, clearing
 // the requester's bit in each one's block slot unless a record still in
 // the ring shares the slot.
-//
-//vsnoop:hotpath
 func (t *ParkTable) retire(g *parkRing, req int) {
 	mask := len(g.recs) - 1
 	for g.n > 0 {
@@ -266,8 +260,6 @@ func (g *parkRing) grow(cores int) {
 // park is core dst's elider: it parks a delivery of the open multicast due
 // at (at, key) in domain dom when dst's L2 holds no tokens for the block,
 // and reports whether it did. Outside a multicast it parks nothing.
-//
-//vsnoop:hotpath
 func (t *ParkTable) park(dst int32, at sim.Cycle, key uint64, dom int32) bool {
 	r := t.open
 	if r == nil {
@@ -298,8 +290,6 @@ func (t *ParkTable) park(dst int32, at sim.Cycle, key uint64, dom int32) bool {
 // (at, key), and its lookup and fired-event counts are withdrawn (the real
 // event counts itself). Only the requesters in addr's block slot are
 // visited.
-//
-//vsnoop:hotpath
 func (t *ParkTable) putBack(c *CacheCtrl, addr mem.BlockAddr) {
 	for reqs := t.slots[uint64(addr)%parkSlots]; reqs != 0; reqs &= reqs - 1 {
 		t.putBackFrom(&t.rings[bits.TrailingZeros64(reqs)], c, addr)
@@ -307,8 +297,6 @@ func (t *ParkTable) putBack(c *CacheCtrl, addr mem.BlockAddr) {
 }
 
 // putBackFrom puts back requester ring g's deliveries to c for addr.
-//
-//vsnoop:hotpath
 func (t *ParkTable) putBackFrom(g *parkRing, c *CacheCtrl, addr mem.BlockAddr) {
 	dst := int32(c.Core)
 	bit := uint64(1) << uint(dst)

@@ -39,8 +39,6 @@ func (c *CacheCtrl) CancelTimeouts(shadow bool) {
 // cancelTimeout runs when the open transaction completes, with cancellation
 // on: it cancels the pending timeout, or in shadow mode records the one it
 // would have cancelled for the check in shadowTimeout.
-//
-//vsnoop:hotpath
 func (c *CacheCtrl) cancelTimeout() {
 	t := c.timer
 	c.timer = sim.Timer{}
@@ -71,8 +69,6 @@ func timersAhead(eng *sim.Engine, l []sim.Timer) uint64 {
 
 // keepAhead moves the timers of l that have not passed eng's position to
 // its front, in order, and returns them: the passed ones are done.
-//
-//vsnoop:hotpath
 func keepAhead(eng *sim.Engine, l []sim.Timer) []sim.Timer {
 	keep := l[:0]
 	for _, t := range l {

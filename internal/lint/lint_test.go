@@ -96,10 +96,13 @@ func checkFixtureWith(t *testing.T, name string, opts Options) {
 
 func TestMapRangeFixture(t *testing.T) { checkFixture(t, "maprange") }
 
-// TestWallClockFixture covers ambient inputs and the atomic confinement:
-// sync/atomic is clean in the fixture's internal/sim package and flagged
-// everywhere else.
+// TestWallClockFixture covers the ambient inputs: wall clock, environment,
+// global rand, and host parallelism.
 func TestWallClockFixture(t *testing.T) { checkFixture(t, "wallclock") }
+
+// TestShardAtomicFixture covers wallclock's atomic confinement: sync/atomic
+// is clean in the fixture's internal/sim package and flagged everywhere else.
+func TestShardAtomicFixture(t *testing.T) { checkFixture(t, "shardatomic") }
 
 // TestDomainOwnFixture covers the //vsnoop:owned annotation grammar and the
 // confinement proof: self-indexed and deposited access is clean; foreign

@@ -1,4 +1,6 @@
-package wallclock
+// Package shardatomic is a lint fixture: sync/atomic in a sim-critical
+// package outside internal/sim, checked by the wallclock analyzer.
+package shardatomic
 
 import "sync/atomic"
 

@@ -1,17 +1,17 @@
-// Command vsnoop-lint runs the determinism and domain-confinement
-// static-analysis suite over the module. Usage:
+// Command vsnoop-lint runs the determinism static-analysis suite
+// (maprange, wallclock) over the module. Usage:
 //
 //	vsnoop-lint [flags] [patterns]
 //
 //	vsnoop-lint ./...                     # whole module (the CI invocation)
 //	vsnoop-lint ./internal/mesh           # report findings in one package
 //	vsnoop-lint -json ./...               # machine-readable findings
-//	vsnoop-lint -disable domainown ./...  # skip one analyzer
+//	vsnoop-lint -disable wallclock ./...  # skip one analyzer
 //	vsnoop-lint -enable maprange ./...    # run exactly one analyzer
 //
-// The analysis itself is always whole-module (the domainown call-graph walk
-// needs every package); patterns only filter which packages findings are
-// reported for. Exit codes: 0 clean, 1 findings, 2 load or usage error.
+// The module is always loaded and type-checked whole; patterns only filter
+// which packages findings are reported for. Exit codes: 0 clean,
+// 1 findings, 2 load or usage error.
 package main
 
 import (

@@ -99,8 +99,6 @@ type Config struct {
 // only touch the replica of the domain it executes in, and updates reach
 // the other replicas as ordered cross-domain delta events (Apply*
 // methods).
-//
-//vsnoop:owned
 type Filter struct {
 	cfg       Config
 	eng       *sim.Engine

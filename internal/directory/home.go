@@ -43,8 +43,6 @@ type HomeStats struct {
 // Home is the directory controller co-located with a memory controller.
 // In partitioned runs the planner assigns each home to the domain of its
 // mesh corner; its line directory is that domain's private state.
-//
-//vsnoop:owned
 type Home struct {
 	Eng  *sim.Engine
 	Net  *mesh.Network

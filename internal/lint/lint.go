@@ -1,40 +1,33 @@
 // Package lint implements vsnoop-lint, a from-scratch static-analysis
 // suite (stdlib only: go/parser, go/ast, go/types, go/importer) guarding
-// the two properties the simulator's correctness story rests on that no
-// run-time test can see whole:
+// determinism, the property the simulator's correctness story rests on
+// that no single run can see whole: a run is a pure function of its
+// configuration. Two analyzers, both plain type checks over the syntax:
 //
-//   - Determinism — a run is a pure function of its configuration. The
-//     #1 threat is Go map
-//     iteration order; the #2 is wall-clock time and ambient randomness
-//     leaking into simulation code. The maprange and wallclock analyzers
-//     forbid both in the sim-critical packages, and also in the
-//     deterministic-only packages (the serving tier), whose
-//     content-addressed memoization and journal replay depend on the code
-//     around the simulator being order- and clock-independent too.
-//     wallclock also confines sync/atomic in the critical packages to
-//     internal/sim, whose Canceler is the one word another goroutine may
-//     set.
-//   - Domain confinement — the paper's isolation invariant, lifted to the
-//     code: state annotated //vsnoop:owned (filter replicas, COW overlays,
-//     RegionScout shards, directory homes) belongs to one domain, and the
-//     domainown analyzer proves, flow-sensitively over the internal/lint/ir
-//     dataflow IR, that every handler-reachable access path to owned state
-//     stays within the owning domain or crosses through the internal/sim
-//     event API (Engine.ScheduleFnAtDom). See annot.go for the annotation
-//     grammar and DESIGN.md §14 for the proof argument.
+//   - maprange forbids iteration over a Go map, whose order the runtime
+//     randomizes per run.
+//   - wallclock forbids ambient inputs: wall-clock time, the environment,
+//     host parallelism and the global math/rand source. It also confines
+//     sync/atomic in the critical packages to internal/sim, whose Canceler
+//     is the one word another goroutine may set.
 //
-// Hot-path allocation and handler isolation are guarded at run time
-// instead: allocation gates (TestSteadyStateAllocs and the per-package
-// AllocsPerRun tests) see every allocation form in every branch that
-// recurs, and go test -race over concurrent sweeps of every handler family
-// sees every write to shared state.
+// Both apply to the sim-critical packages and to the deterministic-only
+// packages (the serving tier, the runner and the CLIs), whose
+// content-addressed memoization and journal replay depend on the code
+// around the simulator being order- and clock-independent too.
+//
+// Everything else is guarded at run time instead. Hot-path allocation is
+// held by allocation gates (TestSteadyStateAllocs and the per-package
+// AllocsPerRun tests), handler isolation by go test -race over concurrent
+// sweeps of every handler family, and the timing of cross-domain effects
+// by the pinned statistics digests (TestStatsDigests, TestGoldenResults).
 //
 // Findings are suppressed only by an explicit waiver comment with a
 // mandatory reason, placed on the offending line or the line above:
 //
 //	//lint:<key> <reason>
 //
-// where <key> is the analyzer's waiver key (ordered, wallclock, owned). A
+// where <key> is the analyzer's waiver key (ordered, wallclock). A
 // waiver without a reason is itself a finding and
 // fails the build, and so is a stale waiver — one whose analyzer ran but
 // that suppressed nothing — so waivers document live judgment calls; they
@@ -76,7 +69,7 @@ type Analyzer struct {
 
 // Analyzers returns the full suite in reporting order.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{mapRangeAnalyzer, wallClockAnalyzer, domainOwnAnalyzer}
+	return []*Analyzer{mapRangeAnalyzer, wallClockAnalyzer}
 }
 
 // CriticalDirs are the sim-critical package directories (relative to the
@@ -140,9 +133,8 @@ type Options struct {
 	// means DefaultDeterministic(mod.Path).
 	Deterministic func(pkgPath string) bool
 	// Selected filters which packages findings are reported for (the
-	// analysis itself is always whole-module, which domainown's call-graph
-	// walk requires).
-	// Nil selects every package.
+	// module is always loaded and type-checked whole). Nil selects every
+	// package.
 	Selected func(pkgPath string) bool
 	// Disabled names analyzers to skip; Enabled, when non-empty, restricts
 	// the run to exactly those analyzers.

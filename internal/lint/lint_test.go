@@ -104,21 +104,9 @@ func TestWallClockFixture(t *testing.T) { checkFixture(t, "wallclock") }
 // is clean in the fixture's internal/sim package and flagged everywhere else.
 func TestShardAtomicFixture(t *testing.T) { checkFixture(t, "shardatomic") }
 
-// TestDomainOwnFixture covers the //vsnoop:owned annotation grammar and the
-// confinement proof: self-indexed and deposited access is clean; foreign
-// indexes, table enumeration, alias chains, package-level owned state, and
-// call leaks are findings.
-func TestDomainOwnFixture(t *testing.T) { checkFixture(t, "domainown") }
-
-// TestTimewarpFixture covers optimistic-engine-shaped speculative state
-// under domainown: checkpoint saves and anti-message handling confined to
-// the owning domain are clean, while a seeded cross-domain checkpoint
-// write (an owned value nested in a foreign domain) and a foreign outbox
-// push through an alias are findings.
-func TestTimewarpFixture(t *testing.T) { checkFixture(t, "timewarp") }
-
-// TestIRFlowFixture covers the dataflow-IR corners of maprange: the
-// verified key harvest and its near misses.
+// TestIRFlowFixture covers maprange on the flow shapes a dataflow check
+// could call order-free: every map range is a finding, a collect-then-sort
+// key harvest included.
 func TestIRFlowFixture(t *testing.T) { checkFixture(t, "irflow") }
 
 // TestStaleWaiverFixture covers stale-waiver detection: used waivers are
@@ -127,65 +115,25 @@ func TestStaleWaiverFixture(t *testing.T) { checkFixture(t, "stalewaiver") }
 
 // TestStaleOnlyForRanAnalyzers pins the interaction with -enable/-disable:
 // a waiver is only stale relative to an analyzer that actually ran, so a
-// restricted run must not condemn waivers it never evaluated.
+// restricted run reports the stale waivers of its own key and must not
+// condemn waivers it never evaluated.
 func TestStaleOnlyForRanAnalyzers(t *testing.T) {
 	mod := loadFixture(t, "stalewaiver")
-	opts := fixtureOptions()
-	opts.Enabled = map[string]bool{"wallclock": true}
-	if fs := Run(mod, opts); len(fs) != 0 {
-		t.Errorf("wallclock-only run must not report ordered/owned waivers as stale, got %v", fs)
-	}
-}
-
-// TestOnlyDomainOwnSeesSeed is the analyzer-split proof: the seeded
-// cross-domain write (the SEED-marked line in the domainown fixture)
-// mutates instance state only, so the rest of the suite reports nothing
-// there, while domainown flags it.
-func TestOnlyDomainOwnSeesSeed(t *testing.T) {
-	mod := loadFixture(t, "domainown")
-
-	seed := 0
-	for _, pkg := range mod.Pkgs {
-		for _, f := range pkg.Files {
-			for _, cg := range f.Comments {
-				for _, c := range cg.List {
-					if strings.Contains(c.Text, "// SEED") {
-						seed = mod.Fset.Position(c.Pos()).Line
-					}
-				}
-			}
+	for _, a := range Analyzers() {
+		opts := fixtureOptions()
+		opts.Enabled = map[string]bool{a.Name: true}
+		fs := Run(mod, opts)
+		if len(fs) != 1 || !strings.Contains(fs[0].Message, "stale waiver //lint:"+a.WaiverKey+" ") {
+			t.Errorf("%s-only run: want exactly the stale //lint:%s waiver, got %v", a.Name, a.WaiverKey, fs)
 		}
-	}
-	if seed == 0 {
-		t.Fatal("domainown fixture lost its SEED marker")
-	}
-
-	opts := fixtureOptions()
-	opts.Disabled = map[string]bool{"domainown": true}
-	for _, f := range Run(mod, opts) {
-		if f.Line == seed {
-			t.Errorf("%s unexpectedly sees the seeded write: %s", f.Analyzer, f)
-		}
-	}
-
-	opts = fixtureOptions()
-	opts.Enabled = map[string]bool{"domainown": true}
-	hit := false
-	for _, f := range Run(mod, opts) {
-		if f.Line == seed && strings.Contains(f.Message, "domain confinement") {
-			hit = true
-		}
-	}
-	if !hit {
-		t.Errorf("domainown must flag the seeded cross-domain write on line %d", seed)
 	}
 }
 
 // TestSuiteComposition pins the analyzer roster and waiver keys the CI lint
 // job and the waiver grammar depend on.
 func TestSuiteComposition(t *testing.T) {
-	wantNames := []string{"maprange", "wallclock", "domainown"}
-	wantKeys := []string{"ordered", "wallclock", "owned"}
+	wantNames := []string{"maprange", "wallclock"}
+	wantKeys := []string{"ordered", "wallclock"}
 	as := Analyzers()
 	if len(as) != len(wantNames) {
 		t.Fatalf("Analyzers() = %d entries, want %d", len(as), len(wantNames))
@@ -202,8 +150,8 @@ func TestSuiteComposition(t *testing.T) {
 
 // TestPartTransferFixture covers the cross-domain ownership-transfer
 // patterns from the graph-cut partitioner: prebound depart/arrive/ack
-// handlers rooted purely by their sim.HandlerFn shape (no scheduler call in
-// view) and the overlay map iteration the suite must catch in that code.
+// handlers and a handler literal, and the overlay map iterations the suite
+// must catch in that code.
 func TestPartTransferFixture(t *testing.T) { checkFixture(t, "parttransfer") }
 
 // TestServeScopeFixture covers the deterministic-only package class, the

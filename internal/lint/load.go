@@ -39,9 +39,9 @@ type Package struct {
 func (m *Module) Lookup(path string) *Package { return m.byPath[path] }
 
 // LoadModule loads the module rooted at dir, reading the module path from
-// its go.mod. All packages are parsed (with comments — the waiver and
-// annotation grammar lives there) and type-checked; any parse or type error
-// fails the load, because the analyzers depend on complete type information.
+// its go.mod. All packages are parsed (with comments — the waiver grammar
+// lives there) and type-checked; any parse or type error fails the load,
+// because the analyzers depend on complete type information.
 func LoadModule(dir string) (*Module, error) {
 	path, err := moduleGoModPath(filepath.Join(dir, "go.mod"))
 	if err != nil {
@@ -198,12 +198,12 @@ func (imp *moduleImporter) Import(path string) (*types.Package, error) {
 	s.checking = true
 	defer func() { s.checking = false }()
 
+	// The analyzers need only what Info.TypeOf and identifier resolution
+	// read.
 	info := &types.Info{
-		Types:      make(map[ast.Expr]types.TypeAndValue),
-		Defs:       make(map[*ast.Ident]types.Object),
-		Uses:       make(map[*ast.Ident]types.Object),
-		Selections: make(map[*ast.SelectorExpr]*types.Selection),
-		Implicits:  make(map[ast.Node]types.Object),
+		Types: make(map[ast.Expr]types.TypeAndValue),
+		Defs:  make(map[*ast.Ident]types.Object),
+		Uses:  make(map[*ast.Ident]types.Object),
 	}
 	var firstErr error
 	conf := types.Config{

@@ -1,18 +1,19 @@
-// Package irflow is a lint fixture for the dataflow-IR corners of
-// maprange: the verified key-harvest exemption and its near misses. Every
-// case turns on flow — the loop's join block, what runs between the loop
-// and the sort — rather than on syntax shape.
+// Package irflow is a lint fixture for the flow corners of maprange: a
+// collect-then-sort key harvest and its near misses. A dataflow check
+// could prove the exact harvest order-free, but maprange is a plain type
+// check, so every map range here is a finding; an order-free loop carries
+// a //lint:ordered waiver that says why instead.
 package irflow
 
 import "sort"
 
 // ---------------------------------------------------------------------------
-// Verified harvest: collect-then-sort over map keys is order-free and
-// exempt; every deviation from the proven shape keeps the finding.
+// Harvests: collect-then-sort over map keys is order-free, but nothing
+// exempts it; its near misses are findings for the same reason.
 
 func harvestOK(m map[int]int) []int {
 	var ks []int
-	for k := range m {
+	for k := range m { // want "nondeterministic order"
 		ks = append(ks, k)
 	}
 	sort.Ints(ks)
@@ -21,7 +22,7 @@ func harvestOK(m map[int]int) []int {
 
 func harvestComparatorOK(m map[string]bool) []string {
 	var ks []string
-	for k := range m {
+	for k := range m { // want "nondeterministic order"
 		ks = append(ks, k)
 	}
 	sort.Slice(ks, func(i, j int) bool { return ks[i] < ks[j] })
@@ -50,7 +51,7 @@ func harvestUseBeforeSort(m map[int]int) []int {
 	for k := range m { // want "nondeterministic order"
 		ks = append(ks, k)
 	}
-	n = len(ks) // anything between loop and sort voids the proof
+	n = len(ks) // observes the harvest before the sort
 	sort.Ints(ks)
 	return ks[:n]
 }

@@ -2,13 +2,13 @@
 // transfer patterns introduced by the graph-cut partitioner — prebound
 // depart/arrive/ack handlers, package-level delta appliers, domain-local
 // overlay state. Handlers here are never passed to a scheduler call; they
-// are rooted purely by their shape (func(interface{}, uint64) ~
-// sim.HandlerFn) at the prebind assignments, which is how the real machine
-// wires its transfer pipeline. The statically visible shortcut such code
-// must not take is an order-dependent overlay walk (maprange); the
+// are prebound method values of sim.HandlerFn shape, which is how the real
+// machine wires its transfer pipeline. The statically visible shortcut such
+// code must not take is an order-dependent overlay walk (maprange); the
 // concurrency shortcuts — a goroutine hand-off, a package-level counter, an
 // ack channel — are caught at run time by go test -race over concurrent
-// sweeps.
+// sweeps, and a cross-domain effect applied without its horizon delay by
+// the pinned statistics digests.
 package parttransfer
 
 // handlerFn mirrors sim.HandlerFn.
@@ -40,7 +40,7 @@ type machine struct {
 }
 
 // prebind mirrors machine construction: method values of handler shape are
-// roots the moment they are assigned, with no scheduler call in sight.
+// assigned once, with no scheduler call in sight.
 func (m *machine) prebind() {
 	m.departFn = m.handleDepart
 	m.arriveFn = m.handleArrive
@@ -68,7 +68,7 @@ func (m *machine) handleAck(p interface{}, u uint64) {
 	v.dom.live++
 }
 
-// rebuildOverlay is reachable from a handler, and the fixture package is
+// rebuildOverlay runs inside a handler, and the fixture package is
 // sim-critical, so the map iteration is flagged by maprange even though the
 // rewrite happens to be idempotent.
 func rebuildOverlay(d *domain) {
@@ -77,8 +77,8 @@ func rebuildOverlay(d *domain) {
 	}
 }
 
-// wire shows a handler literal of the right shape being rooted at its use
-// site: its overlay walk is flagged like any other.
+// wire shows a handler literal of the right shape: its overlay walk is
+// flagged like any other.
 func (m *machine) wire() {
 	m.prebind()
 	var drain handlerFn = func(p interface{}, u uint64) {

@@ -29,10 +29,10 @@ func staleOrdered() int {
 	return x
 }
 
-// staleOwned is stale for a different analyzer: domainown runs, finds
-// nothing here (nothing is even domain-owned), so the waiver is dead
-// weight.
-func staleOwned() []int {
-	var s []int //lint:owned leftover note from a deleted cross-domain read // want "stale waiver //lint:owned suppresses no findings"
+// staleWallclock is stale for a different analyzer: wallclock runs, finds
+// nothing here (no clock, environment or global rand is read), so the
+// waiver is dead weight.
+func staleWallclock() []int {
+	var s []int //lint:wallclock leftover note from a deleted time.Now read // want "stale waiver //lint:wallclock suppresses no findings"
 	return s
 }

@@ -52,9 +52,8 @@ type Stats struct {
 	Knockouts   uint64 // NSRT entries invalidated by external requests
 }
 
-// nsrt is a small LRU table of not-shared regions.
-//
-//vsnoop:owned
+// nsrt is a small LRU table of not-shared regions, owned by its core's
+// snoop domain.
 type nsrt struct {
 	cap   int
 	items map[Region]uint64
@@ -116,28 +115,28 @@ type Filter struct {
 	coreNodes []mesh.NodeID
 	// present and tables are per-core state owned by the core's snoop
 	// domain (coreDom[i]).
-	present []map[Region]int //vsnoop:owned table
-	tables  []*nsrt          //vsnoop:owned table
+	present []map[Region]int
+	tables  []*nsrt
 
 	coreDom  []int32
 	domCores [][]int
 	eng      *sim.Engine
 	crossHor []sim.Cycle
-	stats    []Stats    //vsnoop:owned table
-	pools    [][]*probe //vsnoop:owned table
-	probeFn  sim.HandlerFn
-	replyFn  sim.HandlerFn
+	// stats and pools are indexed by domain; each entry is owned by that
+	// domain.
+	stats   []Stats
+	pools   [][]*probe
+	probeFn sim.HandlerFn
+	replyFn sim.HandlerFn
 }
 
 // probe is one in-flight cross-domain region scan. The immutable fields
 // (region, me, srcDom) are written before the probe is sent and only read
 // by remote handlers; remaining/shared are owned by the source domain.
-//
-//vsnoop:owned
 type probe struct {
-	region    Region //vsnoop:owned const
-	me        int    //vsnoop:owned const
-	srcDom    int32  //vsnoop:owned const
+	region    Region
+	me        int
+	srcDom    int32
 	remaining int
 	shared    bool
 }
@@ -294,9 +293,7 @@ func (f *Filter) handleReply(arg interface{}, u uint64) {
 
 // Route implements token.Router, appending the set to buf[:0]: it is
 // invoked through the interface from whichever domain's coherence
-// controller is requesting, so the static walk cannot see the call edge.
-//
-//vsnoop:handler
+// controller is requesting.
 func (f *Filter) Route(info token.RouteInfo, buf []mesh.NodeID) []mesh.NodeID {
 	r := f.RegionOf(info.Addr)
 	me := info.Requester

@@ -22,13 +22,12 @@ import (
 
 // coreNode is one core's hardware: private L1/L2 and the coherence
 // controller, plus the queue of vCPUs waiting for the controller.
-//
-//vsnoop:owned
 type coreNode struct {
 	idx  int
 	node mesh.NodeID
-	// dom is the snoop-domain partition owning this core.
-	dom    *domain //vsnoop:owned const
+	// dom is the snoop-domain partition owning this core; it is fixed at
+	// setup.
+	dom    *domain
 	l1, l2 *cache.Cache
 	tlb    *tlb.TLB
 	ctrl   *token.CacheCtrl     // token-protocol controller (nil in directory mode)
@@ -66,8 +65,6 @@ type RefSource interface {
 }
 
 // vcpu is one virtual CPU: its reference source, progress, and identity.
-//
-//vsnoop:owned
 type vcpu struct {
 	id hv.VCPU
 	// dom is the snoop-domain partition this vCPU executes in; it is only
@@ -106,8 +103,8 @@ type vcpu struct {
 	txnDom   *domain
 
 	// vix is this vCPU's index in m.vcpus — the column of the own/fwd
-	// ownership tables.
-	vix int //vsnoop:owned const
+	// ownership tables. It is fixed at setup.
+	vix int
 }
 
 // domain is one snoop-domain partition of the machine: the cores the
@@ -115,10 +112,8 @@ type vcpu struct {
 // and the run-time statistics its events record. A one-domain plan has
 // exactly one domain covering the whole machine, with no cross-domain
 // traffic and zero cross-domain horizons.
-//
-//vsnoop:owned
 type domain struct {
-	idx   int32 //vsnoop:owned const
+	idx   int32 // fixed at setup
 	st    *Stats
 	cores []int // core indexes owned by this domain
 	mcs   []int // token memory-controller indexes owned by this domain
@@ -153,11 +148,11 @@ type Machine struct {
 	// element's owner is its dom field (plan.CoreDom[i] for cores), so any
 	// index not derived from the executing handler's own inputs reaches
 	// foreign state.
-	cores []*coreNode //vsnoop:owned table
+	cores []*coreNode
 	rs    *regionscout.Filter
 	mcs   []*memctrl.Ctrl
 	homes []*directory.Home
-	vcpus []*vcpu //vsnoop:owned table
+	vcpus []*vcpu
 	// node2i maps a mesh endpoint to its core index (-1 for a memory
 	// controller).
 	node2i []int
@@ -186,7 +181,7 @@ type Machine struct {
 	parkTab *token.ParkTable
 
 	// doms holds the planner's snoop-domain partitions.
-	doms []*domain //vsnoop:owned table
+	doms []*domain
 	// chkNow is the window-start clock published to the invariant checker.
 	chkNow sim.Cycle
 
@@ -200,7 +195,7 @@ type Machine struct {
 	// replicas holds the per-domain filter replicas in syncMode (nil
 	// otherwise; m.Filter then is the single shared filter). replicas[0]
 	// doubles as m.Filter so external accessors keep working.
-	replicas []*core.Filter //vsnoop:owned table
+	replicas []*core.Filter
 
 	// cowTargets holds the setup-preallocated private host page a COW
 	// trap resolves to (content-sharing runs only), making the target a
@@ -227,8 +222,8 @@ type Machine struct {
 	// handlers — depart clears own and points fwd at the destination,
 	// arrive sets both — and the event-chase path hops along fwd one
 	// domain at a time, one cross-domain horizon per hop.
-	own []bool  //vsnoop:owned table
-	fwd []int32 //vsnoop:owned table
+	own []bool
+	fwd []int32
 	nv  int
 
 	// stepFn/resumeFn/missDoneFn are the prebound event handlers for the

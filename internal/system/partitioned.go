@@ -119,10 +119,7 @@ func applyDelta(arg interface{}, u uint64) {
 // The move is a three-leg transaction — depart in the old core's domain,
 // arrive in the new core's domain, ack back to dom0 — with the vCPU marked
 // inflight so the shuffler and storms never double-move it. Its callers
-// (the shuffle tick, storms, the relocation hook) all execute in domain 0,
-// which the static walk cannot always see through the hook indirection.
-//
-//vsnoop:handler dom=0
+// (the shuffle tick, storms, the relocation hook) all execute in domain 0.
 func (m *Machine) beginMove(id hv.VCPU, from, to int) {
 	v := m.vcpuAt(id)
 	m.inflight[m.vcpuIndex(id)] = true
@@ -380,12 +377,10 @@ func (m *Machine) onFillDom(d *domain, b *cache.Block, t *token.Txn) {
 // before the probe is sent and only read by remote handlers; bits and
 // remaining are owned by the source domain (remote scans travel back in
 // the reply's u payload).
-//
-//vsnoop:owned
 type holderProbe struct {
-	addr      mem.BlockAddr //vsnoop:owned const
-	vm        mem.VMID      //vsnoop:owned const
-	srcDom    int32         //vsnoop:owned const
+	addr      mem.BlockAddr
+	vm        mem.VMID
+	srcDom    int32
 	remaining int
 	bits      uint64
 }

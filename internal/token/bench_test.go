@@ -131,7 +131,10 @@ func TestMissTransactionAllocs(t *testing.T) {
 			if got, want := h.mc.Stats.DRAMReads, uint64(iters)*tc.dramReadsPerIter; got != want {
 				t.Fatalf("memory served %d DRAM reads, want %d", got, want)
 			}
-			if bytes := after.TotalAlloc - before.TotalAlloc; bytes != 0 {
+			// Under -race the runtime's scavenger goroutine can allocate
+			// 32 bytes in the window (runtime.(*timers).addHeap, re-arming
+			// its sleep timer); the non-race run holds the gate.
+			if bytes := after.TotalAlloc - before.TotalAlloc; bytes != 0 && !raceEnabled {
 				t.Fatalf("%d transactions allocated %d heap bytes, want 0", missRuns*tc.txns, bytes)
 			}
 		})

@@ -45,7 +45,7 @@ func (c Config) Validate() error {
 // owner and dirty flags; the classic MOESI letter is derived on demand.
 // Validity and the address live in the cache's tag array, not here: a
 // block is valid exactly while its way's tag is nonzero, and its address
-// is the tag joined with the set index. A block is 16 bytes.
+// is the tag joined with the set index. A block is 12 bytes.
 type Block struct {
 	// Tokens fits int16 because system.Config.Validate bounds the tokens
 	// per block, Cores+1, by math.MaxInt16.
@@ -57,7 +57,7 @@ type Block struct {
 	// RO-shared (content-shared) block, so intra-VM and friend-VM requests
 	// get exactly one cache response (paper Section VI.B).
 	Provider bool
-	lru      uint64
+	lru      uint32 // the cache's tick at the last use; see Cache.stamp
 }
 
 // State is the derived MOESI state of a block.
@@ -111,7 +111,7 @@ type EvictInfo struct {
 // occupies [s*ways, (s+1)*ways) of both. A tag word stores only the
 // address bits above the set index, plus one (0 = empty way); the index
 // bits are implied by the way's position, so a block keeps no copy of its
-// address. A way costs 20 bytes. Lookup scans only the tag words — half a
+// address. A way costs 16 bytes. Lookup scans only the tag words — half a
 // 64-byte line for an 8-way set — and touches the data array once, on a
 // hit.
 type Cache struct {
@@ -122,7 +122,7 @@ type Cache struct {
 	nSets   int
 	setBits uint
 	setMask uint64
-	tick    uint64
+	tick    uint32
 
 	// holders, when set (ShareHolders), is the presence bitset this cache
 	// shares with the other caches of its snoop domain; member is this
@@ -245,9 +245,42 @@ func (c *Cache) ShareHolders(h *Holders, member int) {
 }
 
 // Touch marks b most-recently used.
-func (c *Cache) Touch(b *Block) {
+func (c *Cache) Touch(b *Block) { b.lru = c.stamp() }
+
+// stamp advances the tick and returns it. LRU stamps are 32 bits: when the
+// tick wraps, renumber first makes every valid way's stamp its rank within
+// its set, which keeps every set's order, and so every victim choice, as
+// 64-bit stamps would have it.
+func (c *Cache) stamp() uint32 {
 	c.tick++
-	b.lru = c.tick
+	if c.tick == 0 {
+		c.renumber()
+	}
+	return c.tick
+}
+
+// renumber is stamp's cold wrap path. It ranks each set's valid ways 1..n
+// by stamp, ties in way order as Insert's victim scan breaks them, and
+// restarts the tick above every rank.
+func (c *Cache) renumber() {
+	ranks := make([]uint32, c.ways)
+	for base := 0; base < len(c.tags); base += c.ways {
+		tags, set := c.tags[base:base+c.ways], c.blocks[base:base+c.ways]
+		for i := range set {
+			ranks[i] = 1
+			for j := range set {
+				if tags[j] != 0 && (set[j].lru < set[i].lru || set[j].lru == set[i].lru && j < i) {
+					ranks[i]++
+				}
+			}
+		}
+		for i := range set {
+			if tags[i] != 0 {
+				set[i].lru = ranks[i]
+			}
+		}
+	}
+	c.tick = uint32(c.ways) + 1
 }
 
 // Resident returns the residence counter for vm: the number of valid
@@ -334,12 +367,12 @@ func (c *Cache) Insert(a mem.BlockAddr, vm mem.VMID) (b *Block, victim EvictInfo
 		victim = c.invalidateWay(slot, s)
 		evicted = true
 	}
-	c.tick++
+	lru := c.stamp()
 	c.tags[slot] = tag
 	if c.holders != nil {
 		c.holders.set(a, c.member)
 	}
-	c.blocks[slot] = Block{VM: vm, lru: c.tick}
+	c.blocks[slot] = Block{VM: vm, lru: lru}
 	c.incResident(vm)
 	if c.OnInsert != nil {
 		c.OnInsert(a, vm)

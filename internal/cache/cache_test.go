@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 	"unsafe"
@@ -38,11 +39,12 @@ func TestConfigValidate(t *testing.T) {
 	}
 }
 
-// TestWayLayout pins a simulated way at 20 host bytes: a 16-byte data
-// block with no copy of its address, and a 4-byte tag word.
+// TestWayLayout pins a simulated way at 16 host bytes: a 12-byte data
+// block with no copy of its address and a 32-bit LRU stamp, and a 4-byte
+// tag word.
 func TestWayLayout(t *testing.T) {
-	if got := unsafe.Sizeof(Block{}); got != 16 {
-		t.Fatalf("Block is %d bytes, want 16", got)
+	if got := unsafe.Sizeof(Block{}); got != 12 {
+		t.Fatalf("Block is %d bytes, want 12", got)
 	}
 	if got := unsafe.Sizeof(small().tags[0]); got != 4 {
 		t.Fatalf("tag word is %d bytes, want 4", got)
@@ -433,5 +435,89 @@ func TestSetInvariantProperty(t *testing.T) {
 	}, &quick.Config{MaxCount: 40})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// refWay is one way of lruRef, the 64-bit-stamp LRU model the wrap test
+// holds the cache to.
+type refWay struct {
+	addr  mem.BlockAddr
+	stamp uint64
+}
+
+// TestTickWrapKeepsVictims forces the 32-bit tick to wrap eight times in a
+// random access stream and checks every eviction against an LRU model
+// whose stamps are 64 bits and never wrap: renumbering must keep each
+// set's order, so the victims are the same.
+func TestTickWrapKeepsVictims(t *testing.T) {
+	r := sim.NewRand(7)
+	c := small()
+	nSets := uint64(c.NumSets())
+	ref := make([][]refWay, nSets)
+	var tick uint64
+	for round := 0; round < 8; round++ {
+		// Raising the tick keeps every stamp below it; the model's own
+		// tick keeps counting from where it was.
+		c.tick = math.MaxUint32 - 300
+		wraps := 0
+		for i := 0; i < 800; i++ {
+			before := c.tick
+			a := mem.BlockAddr(r.Intn(96))
+			set := &ref[uint64(a)&(nSets-1)]
+			k := -1
+			for j, w := range *set {
+				if w.addr == a {
+					k = j
+				}
+			}
+			tick++
+			switch b := c.Lookup(a); {
+			case b != nil && r.Bool(0.2):
+				c.Invalidate(a, b)
+				*set = append((*set)[:k], (*set)[k+1:]...)
+			case b != nil:
+				c.Touch(b)
+				(*set)[k].stamp = tick
+			default:
+				_, victim, evicted := c.Insert(a, 1)
+				want := -1
+				if len(*set) == 4 {
+					want = 0
+					for j, w := range *set {
+						if w.stamp < (*set)[want].stamp {
+							want = j
+						}
+					}
+				}
+				if evicted != (want >= 0) {
+					t.Fatalf("round %d op %d: evicted = %v with %d ways valid", round, i, evicted, len(*set))
+				}
+				if want >= 0 {
+					if victim.Addr != (*set)[want].addr {
+						t.Fatalf("round %d op %d: evicted %d, the 64-bit model evicts %d",
+							round, i, victim.Addr, (*set)[want].addr)
+					}
+					*set = append((*set)[:want], (*set)[want+1:]...)
+				}
+				*set = append(*set, refWay{a, tick})
+			}
+			if c.tick < before {
+				wraps++
+			}
+			// Stamps stay distinct within a set, so no victim choice
+			// falls to a tie.
+			for base := 0; base < len(c.tags); base += c.ways {
+				for x := base; x < base+c.ways; x++ {
+					for y := x + 1; y < base+c.ways; y++ {
+						if c.tags[x] != 0 && c.tags[y] != 0 && c.blocks[x].lru == c.blocks[y].lru {
+							t.Fatalf("round %d op %d: ways %d and %d share stamp %d", round, i, x, y, c.blocks[x].lru)
+						}
+					}
+				}
+			}
+		}
+		if wraps != 1 {
+			t.Fatalf("round %d: the tick wrapped %d times, want 1", round, wraps)
+		}
 	}
 }

@@ -14,13 +14,27 @@ import (
 	"vsnoop/internal/token"
 )
 
-// line is the controller's 4-byte per-block token account. present=false
-// is the reset state: memory holds all tokens including the owner token.
-type line struct {
-	tokens  int16
-	owner   bool
-	present bool
+// line is the controller's 2-byte per-block token account: the token count
+// shifted left one, with the low bit set while memory does not hold the
+// owner token. The owner token is one of the block's tokens, so an account
+// with the owner token and no tokens never occurs; its word, 0, is the reset
+// state instead: memory holds all tokens including the owner token. A new
+// chunk's zero fill is therefore all reset lines, and the largest account,
+// math.MaxInt16 tokens with the owner token, is the word 65534.
+type line uint16
+
+// mkLine encodes a present account; owner requires tokens >= 1.
+func mkLine(tokens int, owner bool) line {
+	l := line(tokens) << 1
+	if !owner {
+		l |= 1
+	}
+	return l
 }
+
+func (l line) present() bool { return l != 0 }
+func (l line) tokens() int   { return int(l >> 1) }
+func (l line) owner() bool   { return l&1 == 0 }
 
 // The token table is dense: the block at table index i (see Ctrl.Interleave)
 // lives in chunk i>>chunkShift, allocated whole on its first touch, so a
@@ -144,8 +158,8 @@ func (m *Ctrl) line(a mem.BlockAddr) *line {
 		m.chunks[c] = make([]line, chunkLines)
 		l = &m.chunks[c][i&(chunkLines-1)]
 	}
-	if !l.present {
-		*l = line{tokens: int16(m.P.TotalTokens), owner: true, present: true}
+	if !l.present() {
+		*l = mkLine(m.P.TotalTokens, true)
 	}
 	return l
 }
@@ -153,8 +167,8 @@ func (m *Ctrl) line(a mem.BlockAddr) *line {
 // Tokens returns memory's current token count and owner flag for a block
 // (for tests and invariant checks).
 func (m *Ctrl) Tokens(a mem.BlockAddr) (int, bool) {
-	l := m.line(a)
-	return int(l.tokens), l.owner
+	l := *m.line(a)
+	return l.tokens(), l.owner()
 }
 
 // Peek returns the token account for a block without allocating a line:
@@ -163,10 +177,10 @@ func (m *Ctrl) Tokens(a mem.BlockAddr) (int, bool) {
 // checking never perturbs controller state.
 func (m *Ctrl) Peek(a mem.BlockAddr) (tokens int, owner, present bool) {
 	l := m.slot(m.index(a))
-	if l == nil || !l.present {
+	if l == nil || !l.present() {
 		return 0, false, false
 	}
-	return int(l.tokens), l.owner, true
+	return l.tokens(), l.owner(), true
 }
 
 // ForEachLine calls fn for every materialized line in ascending block-addr
@@ -174,9 +188,9 @@ func (m *Ctrl) Peek(a mem.BlockAddr) (tokens int, owner, present bool) {
 func (m *Ctrl) ForEachLine(fn func(a mem.BlockAddr, tokens int, owner bool)) {
 	for c, chunk := range m.chunks {
 		for k := range chunk {
-			if l := &chunk[k]; l.present {
+			if l := chunk[k]; l.present() {
 				i := uint64(c)<<chunkShift | uint64(k)
-				fn(mem.BlockAddr(i*m.Interleave+m.Residue), int(l.tokens), l.owner)
+				fn(mem.BlockAddr(i*m.Interleave+m.Residue), l.tokens(), l.owner())
 			}
 		}
 	}
@@ -246,7 +260,7 @@ func (m *Ctrl) handleGetS(msg *token.Msg) {
 		// can always serve them. If a designated cache provider is among
 		// the snooped cores, send only the token and let the cache supply
 		// the data with a fast cache-to-cache transfer.
-		if l.tokens == 0 {
+		if l.tokens() == 0 {
 			return // everything is cached; a holder will be snooped
 		}
 		providerNearby := m.Oracle != nil && m.Oracle.ROProviderAmong(msg.Addr, msg.Dests)
@@ -263,7 +277,7 @@ func (m *Ctrl) handleGetS(msg *token.Msg) {
 	}
 	// Ordinary TokenB: memory responds only while it holds the owner token
 	// (otherwise a cache owner has the current data and responds).
-	if !l.owner || l.tokens == 0 {
+	if !l.owner() || l.tokens() == 0 {
 		return
 	}
 	tok, owner := m.takeOneToken(l)
@@ -275,13 +289,12 @@ func (m *Ctrl) handleGetS(msg *token.Msg) {
 // takeOneToken removes one token from the line, preferring to keep the
 // owner token; ownership transfers only with the last token.
 func (m *Ctrl) takeOneToken(l *line) (tokens int, owner bool) {
-	if l.tokens >= 2 || !l.owner {
-		l.tokens--
+	if l.tokens() >= 2 || !l.owner() {
+		*l = mkLine(l.tokens()-1, l.owner())
 		return 1, false
 	}
 	// Last token and it is the owner token.
-	l.tokens = 0
-	l.owner = false
+	*l = mkLine(0, false)
 	return 1, true
 }
 
@@ -290,11 +303,11 @@ func (m *Ctrl) handleGetX(msg *token.Msg) {
 		return
 	}
 	l := m.line(msg.Addr)
-	if l.tokens == 0 && !l.owner {
+	tok, owner := l.tokens(), l.owner()
+	if tok == 0 && !owner {
 		return
 	}
-	tok, owner := int(l.tokens), l.owner
-	l.tokens, l.owner = 0, false
+	*l = mkLine(0, false)
 	m.depart(msg.Addr, tok, owner)
 	if owner {
 		m.Stats.DRAMReads++
@@ -321,16 +334,21 @@ func (m *Ctrl) absorb(msg *token.Msg) {
 	}
 	m.arrive(msg.Addr, msg.Tokens, msg.Owner)
 	l := m.line(msg.Addr)
-	n := int(l.tokens) + msg.Tokens
-	if n > m.P.TotalTokens {
-		panic(fmt.Sprintf("memctrl: token overflow at block %d (%d > %d)",
-			msg.Addr, n, m.P.TotalTokens))
+	n, owner := l.tokens()+msg.Tokens, l.owner() || msg.Owner
+	if n > m.P.TotalTokens || owner && n == 0 {
+		badAccountPanic(msg.Addr, n, owner, m.P.TotalTokens)
 	}
-	l.tokens = int16(n)
-	l.owner = l.owner || msg.Owner
+	*l = mkLine(n, owner)
 	if msg.Dirty {
 		m.Stats.DRAMWrites++
 	}
+}
+
+// badAccountPanic is absorb's cold failure path: the returned tokens
+// overflow the block's total, or the owner token arrived without a token.
+func badAccountPanic(a mem.BlockAddr, tokens int, owner bool, total int) {
+	panic(fmt.Sprintf("memctrl: bad token account at block %d (%d tokens, owner %v, %d total)",
+		a, tokens, owner, total))
 }
 
 func (m *Ctrl) handlePersistentReq(msg *token.Msg) {
@@ -357,9 +375,8 @@ func (m *Ctrl) activate(p *persistentEntry, msg *token.Msg) {
 	act.Sent(m.Net.Multicast(m.Node, m.AllCaches, m.P.CtrlBytes, act))
 	// Memory forwards its own tokens too.
 	l := m.line(msg.Addr)
-	if l.tokens > 0 || l.owner {
-		tok, owner := int(l.tokens), l.owner
-		l.tokens, l.owner = 0, false
+	if tok, owner := l.tokens(), l.owner(); tok > 0 || owner {
+		*l = mkLine(0, false)
 		m.depart(msg.Addr, tok, owner)
 		if owner {
 			m.Stats.DRAMReads++

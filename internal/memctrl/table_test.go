@@ -1,9 +1,11 @@
 package memctrl
 
 import (
+	"math"
 	"testing"
 
 	"vsnoop/internal/mem"
+	"vsnoop/internal/token"
 )
 
 // homed returns the block at token-table index i of the interleaved()
@@ -18,11 +20,13 @@ func TestTokenTableChunkBoundary(t *testing.T) {
 	t.Run("journaled=false", func(t *testing.T) {
 		m, _, _ := interleaved()
 		low, high := homed(chunkLines-1), homed(chunkLines)
-		m.line(low).tokens = 3
+		l := m.line(low)
+		*l = mkLine(3, l.owner())
 		if len(m.chunks) != 1 {
 			t.Fatalf("chunks = %d after touching index %d, want 1", len(m.chunks), chunkLines-1)
 		}
-		m.line(high).owner = false
+		l = m.line(high)
+		*l = mkLine(l.tokens(), false)
 		if len(m.chunks) != 2 {
 			t.Fatalf("chunks = %d after touching index %d, want 2", len(m.chunks), chunkLines)
 		}
@@ -98,5 +102,51 @@ func TestLineAccessZeroAlloc(t *testing.T) {
 		i++
 	}); avg != 0 {
 		t.Fatalf("line access allocates %.2f times, want 0", avg)
+	}
+}
+
+// TestLineEncodingRoundTrip decodes every account a line can hold, up to
+// the math.MaxInt16 tokens system.Config.Validate allows, as it was
+// encoded, and keeps each distinct from the reset state.
+func TestLineEncodingRoundTrip(t *testing.T) {
+	if line(0).present() {
+		t.Fatal("the zero word reads as a present line")
+	}
+	for tokens := 0; tokens <= math.MaxInt16; tokens++ {
+		for _, owner := range []bool{false, true} {
+			if owner && tokens == 0 {
+				continue // the owner token is one of the tokens
+			}
+			l := mkLine(tokens, owner)
+			if !l.present() || l.tokens() != tokens || l.owner() != owner {
+				t.Fatalf("(%d, %v) reads back as (%d, %v, present %v)",
+					tokens, owner, l.tokens(), l.owner(), l.present())
+			}
+		}
+	}
+}
+
+// TestLargestAccountRoundTrip runs a controller at the largest token count
+// system.Config.Validate accepts: the reset line materializes as every
+// token with the owner token, and the account survives a GetX that takes it
+// all and the writeback that returns it.
+func TestLargestAccountRoundTrip(t *testing.T) {
+	r := newRig(t)
+	r.p.TotalTokens = math.MaxInt16
+	r.mc.P.TotalTokens = math.MaxInt16
+	if tok, own := r.mc.Tokens(70); tok != math.MaxInt16 || !own {
+		t.Fatalf("reset line reads (%d, %v), want (%d, true)", tok, own, math.MaxInt16)
+	}
+	r.send(token.Msg{Kind: token.MsgGetX, Addr: 70, Write: true})
+	if tok, own, ok := r.mc.Peek(70); !ok || tok != 0 || own {
+		t.Fatalf("after GetX: (%d, %v, %v), want (0, false, true)", tok, own, ok)
+	}
+	r.send(token.Msg{Kind: token.MsgWBData, Addr: 70,
+		Tokens: math.MaxInt16, Owner: true, Dirty: true, Data: true})
+	if tok, own, ok := r.mc.Peek(70); !ok || tok != math.MaxInt16 || !own {
+		t.Fatalf("after writeback: (%d, %v, %v), want (%d, true, true)", tok, own, ok, math.MaxInt16)
+	}
+	if got := r.got[0]; got.Tokens != math.MaxInt16 || !got.Owner {
+		t.Fatalf("GetX response carried (%d, %v), want (%d, true)", got.Tokens, got.Owner, math.MaxInt16)
 	}
 }

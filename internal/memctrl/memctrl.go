@@ -319,12 +319,24 @@ func (m *Ctrl) handleGetX(msg *token.Msg) {
 }
 
 // absorb folds returned tokens (writebacks or strays) back into the line,
-// or forwards them when a persistent entry is active.
+// or forwards them to the active requester when a persistent entry is
+// active. That holds for tokens whose Src is the requester too: a response
+// it sent to another core comes back here when the fault layer bounces it,
+// and memory forwards its own tokens only at activation, so keeping them
+// would leave the requester waiting for good.
 func (m *Ctrl) absorb(msg *token.Msg) {
-	if p := m.activeEntry(msg.Addr); p != nil && p.active != msg.Src {
+	if p := m.activeEntry(msg.Addr); p != nil {
 		// Relayed tokens stay in flight: no Arrive/Depart on the ledger.
 		out := m.msgs.New(*msg)
 		out.Src = m.Node
+		if out.Kind == token.MsgWBData || out.Kind == token.MsgWBTokens {
+			// A cache takes a writeback's tokens as a response, and the
+			// owner token travels with the data, which memory has.
+			out.Kind, out.Data = token.MsgTokens, out.Owner
+			if out.Owner {
+				out.Kind = token.MsgData
+			}
+		}
 		bytes := m.P.CtrlBytes
 		if out.Data {
 			bytes = m.P.DataBytes
@@ -358,13 +370,23 @@ func (m *Ctrl) handlePersistentReq(msg *token.Msg) {
 		m.persistent[msg.Addr] = p
 	}
 	if p.hasAct {
-		if p.active == msg.Src {
+		if p.active == msg.Src || p.queued(msg.Src) {
 			return // duplicate activation from a retry
 		}
 		p.waiters = append(p.waiters, *msg)
 		return
 	}
 	m.activate(p, msg)
+}
+
+// queued reports whether n waits in p's queue.
+func (p *persistentEntry) queued(n mesh.NodeID) bool {
+	for i := range p.waiters {
+		if p.waiters[i].Src == n {
+			return true
+		}
+	}
+	return false
 }
 
 func (m *Ctrl) activate(p *persistentEntry, msg *token.Msg) {
@@ -389,8 +411,20 @@ func (m *Ctrl) activate(p *persistentEntry, msg *token.Msg) {
 
 func (m *Ctrl) handleRelease(msg *token.Msg) {
 	p, ok := m.persistent[msg.Addr]
-	if !ok || !p.hasAct || p.active != msg.Src {
+	if !ok || !p.hasAct {
 		return // stale release
+	}
+	if p.active != msg.Src {
+		// A queued requester that completed before its activation
+		// withdraws: activating it later would pledge the block's tokens
+		// to a node that no longer wants them and will never release.
+		for i := range p.waiters {
+			if p.waiters[i].Src == msg.Src {
+				p.waiters = append(p.waiters[:i], p.waiters[i+1:]...)
+				break
+			}
+		}
+		return
 	}
 	deact := m.msgs.New(token.Msg{Kind: token.MsgPersistentDeactivate, Addr: msg.Addr, Src: m.Node})
 	deact.Sent(m.Net.Multicast(m.Node, m.AllCaches, m.P.CtrlBytes, deact))

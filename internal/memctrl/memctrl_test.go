@@ -222,3 +222,52 @@ func TestStaleReleaseIgnored(t *testing.T) {
 		t.Fatal("stale release changed state")
 	}
 }
+
+// TestPersistentRequesterGetsOwnTokens: tokens the active requester itself
+// sent reach memory when the fault layer bounces a response home, or as a
+// writeback sent before its activation; memory forwards them to it as a
+// response (the owner token with the data), instead of keeping them while
+// the requester waits.
+func TestPersistentRequesterGetsOwnTokens(t *testing.T) {
+	r := newRig(t)
+	r.send(token.Msg{Kind: token.MsgPersistentReq, Addr: 90})
+	r.got = r.got[:0]
+	r.send(token.Msg{Kind: token.MsgTokens, Addr: 90, Tokens: 2})
+	r.send(token.Msg{Kind: token.MsgWBTokens, Addr: 90, Tokens: 3, Owner: true})
+	var kinds []token.Kind
+	for _, m := range r.got {
+		if m.Kind != token.MsgPersistentActivate {
+			kinds = append(kinds, m.Kind)
+		}
+	}
+	if len(kinds) != 2 || kinds[0] != token.MsgTokens || kinds[1] != token.MsgData {
+		t.Fatalf("requester received %v, want [Tokens Data]", kinds)
+	}
+	if tok, own, _ := r.mc.Peek(90); tok != 0 || own {
+		t.Fatalf("memory kept (%d, %v) of the requester's tokens", tok, own)
+	}
+}
+
+// TestQueuedRequesterWithdraws: a requester queues once however often it
+// retries, and a release from a queued requester (it completed before its
+// turn) takes it off the queue, so the active requester's release leaves
+// the block with no persistent request.
+func TestQueuedRequesterWithdraws(t *testing.T) {
+	r := newRig(t)
+	other := r.net.Attach(2, 2, func(interface{}) {})
+	r.send(token.Msg{Kind: token.MsgPersistentReq, Addr: 95})
+	for i := 0; i < 3; i++ {
+		r.net.Send(other, r.node, r.p.CtrlBytes, &token.Msg{Kind: token.MsgPersistentReq, Addr: 95, Src: other})
+		r.eng.Run()
+	}
+	if n := len(r.mc.persistent[95].waiters); n != 1 {
+		t.Fatalf("%d queued requests after three retries, want 1", n)
+	}
+	r.net.Send(other, r.node, r.p.CtrlBytes, &token.Msg{Kind: token.MsgPersistentRelease, Addr: 95, Src: other})
+	r.eng.Run()
+	r.send(token.Msg{Kind: token.MsgPersistentRelease, Addr: 95})
+	if r.mc.Stats.Activations != 1 || len(r.mc.persistent) != 0 {
+		t.Fatalf("%d activations, %d persistent entries left; want 1 and 0",
+			r.mc.Stats.Activations, len(r.mc.persistent))
+	}
+}

@@ -19,10 +19,16 @@ var shapeScale = Scale{
 // shapeMigApps are the Figure 7/8 applications the shape test sweeps.
 var shapeMigApps = []string{"fft", "canneal", "specjbb"}
 
+// counterBand5ms bounds counter snoops at the 5 ms period, as a percentage
+// of TokenB's: 26.0-26.2% on every app of the quick report, near the
+// paper's ideal of one quadrant's four cores in sixteen (25%).
+var counterBand5ms = [2]float64{25, 28}
+
 // TestFigures78Shape pins the paper's Figure 7/8 ordering at every
 // migration period: the residence counters remove departed cores from a
 // VM's map, so counter snoops stay below base snoops, and the threshold
-// variant snoops no more than plain counters.
+// variant snoops no more than plain counters. At the slowest period, 5 ms,
+// counter snoops also stay inside counterBand5ms.
 func TestFigures78Shape(t *testing.T) {
 	rows := Figures78Periods(shapeScale, shapeMigApps, MigPeriods)
 	type cell struct {
@@ -50,13 +56,18 @@ func TestFigures78Shape(t *testing.T) {
 			if thresh > counter {
 				t.Errorf("%s at %g ms: counter-threshold snoops %.2f%% above counter %.2f%%", app, p, thresh, counter)
 			}
+			if p == 5 && (counter < counterBand5ms[0] || counter > counterBand5ms[1]) {
+				t.Errorf("%s at 5 ms: counter snoops %.2f%% outside %g-%g%%", app, counter, counterBand5ms[0], counterBand5ms[1])
+			}
 		}
 	}
 }
 
 // TestFigure10Shape pins the paper's Figure 10 ordering on the Table VI
 // applications: routing content-shared misses by memory-direct, intra-VM
-// or friend-VM lookups always snoops less than broadcasting them.
+// or friend-VM lookups always snoops less than broadcasting them. On every
+// Figure 10 application, memory-direct snoops least, or ties (radix ties
+// at 25.0%).
 func TestFigure10Shape(t *testing.T) {
 	f10, _ := Figure10Table6(shapeScale)
 	pct := make(map[string]map[core.ContentPolicy]float64)
@@ -81,6 +92,17 @@ func TestFigure10Shape(t *testing.T) {
 			}
 			if got >= bcast {
 				t.Errorf("%s: %v snoops %.2f%% not below content broadcast %.2f%%", app, cp, got, bcast)
+			}
+		}
+	}
+	for _, app := range ContentApps {
+		md, ok := pct[app][core.ContentMemoryDirect]
+		if !ok {
+			t.Fatalf("%s: no memory-direct row", app)
+		}
+		for _, cp := range ContentPolicies {
+			if got := pct[app][cp]; got < md {
+				t.Errorf("%s: %v snoops %.2f%%, below memory-direct %.2f%%", app, cp, got, md)
 			}
 		}
 	}

@@ -87,6 +87,7 @@ type digestCase struct {
 // statsDigests holds each case's statsDigest. They were captured from the
 // multi-goroutine engine, which produced each of them at K = 1 and K = 4
 // alike, so they pin the one-goroutine engine to that proven event order.
+// directory-writebacks came later, from the one-goroutine engine itself.
 var statsDigests = map[string]string{
 	"tokenB_vsnoop-broadcast":            "820e8f9293ac10b0",
 	"tokenB_memory-direct":               "820e8f9293ac10b0",
@@ -115,6 +116,7 @@ var statsDigests = map[string]string{
 	"content-sharing":                    "4565367e86455755",
 	"regionscout":                        "690dc74fd35d738d",
 	"directory":                          "a481640ecc2d2b89",
+	"directory-writebacks":               "6402ad7d19997a53",
 	"linear-placement":                   "473da98cd8e3dc30",
 	"fault-events":                       "1665cc307652e0e9",
 	"large-mesh":                         "9927c0822cec02f0",
@@ -205,6 +207,15 @@ func digestCases() []digestCase {
 		}, check: func(t *testing.T, st *Stats) {
 			if st.DirLookups == 0 {
 				t.Error("directory saw no lookups")
+			}
+		}},
+		digestCase{name: "directory-writebacks", named: true, set: func(c *Config) {
+			c.RefsPerVCPU, c.WarmupRefs = 1200, 200
+			c.Directory = true
+			c.L1.SizeBytes, c.L2.SizeBytes = 4*1024, 16*1024
+		}, check: func(t *testing.T, st *Stats) {
+			if st.Writebacks == 0 {
+				t.Error("directory wrote no owned block back")
 			}
 		}},
 		digestCase{name: "linear-placement", named: true, set: func(c *Config) {
@@ -329,6 +340,11 @@ func TestContentSharingBitIdentical(t *testing.T) { runNamedDigestCase(t, "conte
 // and presence state owned per domain, remote regions consulted via probe
 // events.
 func TestRegionScoutBitIdentical(t *testing.T) { runNamedDigestCase(t, "regionscout") }
+
+// TestDirectoryWritebacksBitIdentical pins the directory protocol's owned-
+// block writebacks: caches small enough that the run evicts owned blocks,
+// so a writeback's timing and effect at the home reach the digest.
+func TestDirectoryWritebacksBitIdentical(t *testing.T) { runNamedDigestCase(t, "directory-writebacks") }
 
 // TestDirectoryBitIdentical pins the directory protocol: home state is owned
 // by the MC's domain, and per-domain home counters fold into the run totals.

@@ -6,6 +6,8 @@ import (
 	"testing"
 
 	"vsnoop/internal/core"
+	"vsnoop/internal/mem"
+	"vsnoop/internal/workload"
 )
 
 // smallCfg returns a quick-running configuration for tests.
@@ -237,15 +239,38 @@ func TestContentPoliciesReduceSnoops(t *testing.T) {
 	}
 }
 
+// TestCopyOnWriteTriggersDuringRun runs canneal's content-shared layout on
+// the default machine, hypervisor included, with every vCPU writing a
+// content-shared page mid-run (the synthetic generators only read them):
+// each VM must take a copy-on-write trap, counted in the run's statistics,
+// and the filter invariant must hold afterwards.
 func TestCopyOnWriteTriggersDuringRun(t *testing.T) {
 	cfg := smallCfg()
 	cfg.Workloads = []string{"canneal"}
 	cfg.ContentSharing = true
-	st := runCfg(t, cfg)
-	// canneal's generator never writes content pages directly, but other
-	// regions do not COW either; expect zero. Use a synthetic check: COWs
-	// must be counted when they happen (0 is fine here).
-	_ = st.Cows
+	cfg.RefsPerVCPU, cfg.WarmupRefs = 600, 0
+	m, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lo, hi := workload.NewLayout(workload.MustGet("canneal"), cfg.VCPUsPerVM).ContentRange()
+	if hi <= lo+1 {
+		t.Fatalf("canneal has %d content-shared pages, want at least 2", hi-lo)
+	}
+	srcs := make([]RefSource, len(m.vcpus))
+	for i := range srcs {
+		srcs[i] = &cowWriter{read: mem.GuestPage(lo + 1), write: mem.GuestPage(lo), writeAt: 50 + 10*i}
+	}
+	if err := m.ReplaceSources(srcs); err != nil {
+		t.Fatal(err)
+	}
+	st := m.Run()
+	if err := m.CheckFilterInvariant(); err != nil {
+		t.Fatalf("filter invariant violated: %v", err)
+	}
+	if st.Cows < uint64(cfg.VMs) {
+		t.Fatalf("%d copy-on-write traps, want at least one per VM (%d)", st.Cows, cfg.VMs)
+	}
 }
 
 func TestDeterministicMachineRuns(t *testing.T) {

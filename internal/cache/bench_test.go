@@ -38,8 +38,8 @@ func BenchmarkLookupMiss(b *testing.B) {
 }
 
 // BenchmarkLookupSpread probes 16 full L2s (the Table II machine's private
-// caches, 4096 ways each) at random. At 20 bytes a way (a 4-byte tag word
-// and a 16-byte block) that is 16 x 4096 x 20 B = 1.25 MiB of tags and
+// caches, 4096 ways each) at random. At 16 bytes a way (a 4-byte tag word
+// and a 12-byte block) that is 16 x 4096 x 16 B = 1 MiB of tags and
 // blocks: far past a 32-48 KiB host L1d but inside a 2 MiB per-core host
 // L2, so it measures what a snoop or a miss probe pays when its set has
 // left the host L1 but not the host L2. Half the probes hit.

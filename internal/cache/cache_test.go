@@ -438,8 +438,8 @@ func TestSetInvariantProperty(t *testing.T) {
 	}
 }
 
-// refWay is one way of lruRef, the 64-bit-stamp LRU model the wrap test
-// holds the cache to.
+// refWay is one way of the LRU model with 64-bit stamps that
+// TestTickWrapKeepsVictims holds the cache to.
 type refWay struct {
 	addr  mem.BlockAddr
 	stamp uint64

@@ -370,7 +370,7 @@ func (m *Ctrl) handlePersistentReq(msg *token.Msg) {
 		m.persistent[msg.Addr] = p
 	}
 	if p.hasAct {
-		if p.active == msg.Src || p.queued(msg.Src) {
+		if p.active == msg.Src || p.waiting(msg.Src) >= 0 {
 			return // duplicate activation from a retry
 		}
 		p.waiters = append(p.waiters, *msg)
@@ -379,14 +379,14 @@ func (m *Ctrl) handlePersistentReq(msg *token.Msg) {
 	m.activate(p, msg)
 }
 
-// queued reports whether n waits in p's queue.
-func (p *persistentEntry) queued(n mesh.NodeID) bool {
+// waiting returns n's place in p's queue, or -1.
+func (p *persistentEntry) waiting(n mesh.NodeID) int {
 	for i := range p.waiters {
 		if p.waiters[i].Src == n {
-			return true
+			return i
 		}
 	}
-	return false
+	return -1
 }
 
 func (m *Ctrl) activate(p *persistentEntry, msg *token.Msg) {
@@ -418,11 +418,8 @@ func (m *Ctrl) handleRelease(msg *token.Msg) {
 		// A queued requester that completed before its activation
 		// withdraws: activating it later would pledge the block's tokens
 		// to a node that no longer wants them and will never release.
-		for i := range p.waiters {
-			if p.waiters[i].Src == msg.Src {
-				p.waiters = append(p.waiters[:i], p.waiters[i+1:]...)
-				break
-			}
+		if i := p.waiting(msg.Src); i >= 0 {
+			p.waiters = append(p.waiters[:i], p.waiters[i+1:]...)
 		}
 		return
 	}

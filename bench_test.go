@@ -26,7 +26,6 @@ var benchScale = exp.Scale{
 	SchedWorkMS: 600,
 	Warmup:      5000,
 	MigWarmup:   2000,
-	Seeds:       1,
 }
 
 // benchApps is the reduced workload set used by the heaviest sweeps.

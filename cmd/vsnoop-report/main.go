@@ -54,7 +54,7 @@ func main() {
 
 	w := os.Stdout
 	start := time.Now() //lint:wallclock wall-time trailer on stdout after all tables; golden comparisons stop before it
-	fmt.Fprintf(w, "virtual snooping reproduction — scale=%s\n", sc.Name)
+	fmt.Fprintf(w, "virtual snooping reproduction — scale=%s; each cell is one run at one config seed\n", sc.Name)
 
 	if sel("fig1") {
 		report.Figure1(w, exp.Figure1(sc))

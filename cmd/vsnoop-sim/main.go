@@ -40,7 +40,6 @@ func main() {
 	list := flag.Bool("list", false, "list workloads and exit")
 	check := flag.Bool("check", false, "enable online coherence invariant checking")
 	timeout := flag.Duration("timeout", 0, "wall-clock limit for the run (0 = none); a timed-out run exits nonzero")
-	dumpPartition := flag.Bool("dump-partition", false, "print the planner's snoop-domain cut (domain grid, cut edges, horizons) and exit")
 	maxSteps := flag.Uint64("max-steps", 0, "abort after this many simulation events (0 = unbounded)")
 	faultSeed := flag.Uint64("fault-seed", 0, "fault plan seed (mixed with -seed)")
 	faultDrop := flag.Float64("fault-drop", 0, "percent of transient requests destroyed (responses bounced home)")
@@ -141,16 +140,6 @@ func main() {
 		plan.DegradedLinks > 0 || len(plan.Events) > 0
 	if faultActive {
 		cfg.Fault = plan
-	}
-
-	if *dumpPartition {
-		info, err := vsnoop.PartitionInfo(cfg)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		fmt.Print(info)
-		return
 	}
 
 	if err := profiles.Start(); err != nil {

@@ -59,28 +59,25 @@ func goldenConfigs() []goldenRow {
 	faulted.Seed = 5
 	faulted.Fault = &FaultPlan{Seed: 9, DropPct: 1, DupPct: 0.5, DelayPct: 1}
 
-	// Every row runs on the domain-partitioned machine, the only machine
-	// (the graph-cut planner covers all four). ocean-threshold-pinned has
-	// carried the same values since the quadrant configs first moved to
-	// partitioned execution — the planner reproduces its quadrant cut
-	// exactly, so it pins engine continuity across the partitioner
-	// generalization. The migration, content-sharing, and faulted rows were
-	// regenerated when those classes moved from a since-deleted
-	// single-queue engine to partitioned semantics (ordered cross-domain
-	// relocation transactions, per-domain COW overlays, dom0-routed fault
-	// events).
+	// Every row is quadrant-placed, so each runs cut into the four quadrant
+	// domains. ocean-threshold-pinned has carried the same values since the
+	// quadrant configs first moved to partitioned execution, so it pins
+	// engine continuity across the planner's rise and removal. The
+	// migration, content-sharing, and faulted rows were regenerated when
+	// those classes moved from a since-deleted single-queue engine to
+	// partitioned semantics (ordered cross-domain relocation transactions).
 	return []goldenRow{
 		{"fft-counter-mig", mig,
-			"647cc876f8f8b2b1f7610e3e822ddc541829a125405bb4ed4a421bd26bb655aa",
+			"3ef264f973999e8bb83dc13336d0f28586798c49f68afaa6e1c6364bb642160b",
 			269816, "4.180799", 5802736, 14989, 14989, 1, 0, 2},
 		{"ocean-threshold-pinned", pinned,
-			"b62022292429cbfdbfaa6b3a8628f66fcc200bff0b1a679a8b4290a99c2723a2",
+			"579366ddffc069f468e33d288a6e3dcbb8eb0a57eaebe50655bad4ba49d3f7c1",
 			447681, "4.000000", 9986704, 27981, 27981, 0, 0, 0},
 		{"radix-base-content", content,
-			"feef856155517173d9b4189a8291a43865395a4cf7062a2ac976d480f5d0de20",
+			"7f91acff3043d3c120f4a7c4ad5b69d4f4461ae16296e3e8d1953e218b885881",
 			311646, "4.000000", 6861696, 19192, 19192, 0, 0, 0},
 		{"fft-flush-fault", faulted,
-			"9d2cbec7e45c98845ce56eab2a08bfb445ee51cd7a74239808e5a3097e5c3656",
+			"4880defc0192006675d6178df32e52d6fe76e313564fe1018ba6d2f5845e44fc",
 			224520, "5.519391", 5767696, 12944, 12944, 279, 0, 10},
 	}
 }

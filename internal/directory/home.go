@@ -41,8 +41,8 @@ type HomeStats struct {
 }
 
 // Home is the directory controller co-located with a memory controller.
-// In partitioned runs the planner assigns each home to the domain of its
-// mesh corner; its line directory is that domain's private state.
+// In partitioned runs each home belongs to the domain of its mesh corner;
+// its line directory is that domain's private state.
 type Home struct {
 	Eng  *sim.Engine
 	Net  *mesh.Network

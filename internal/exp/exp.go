@@ -29,8 +29,6 @@ type Scale struct {
 
 	Warmup    int // cache-warmup refs/vCPU excluded from statistics
 	MigWarmup int // warmup for the (smaller-cache) migration runs
-
-	Seeds int // independent seeds averaged per configuration
 }
 
 // Quick is the CI-sized scale.
@@ -40,7 +38,6 @@ var Quick = Scale{
 	SchedWorkMS: 600,
 	Warmup:      6000,
 	MigWarmup:   3000,
-	Seeds:       1,
 }
 
 // Full is the report-generation scale.
@@ -50,7 +47,6 @@ var Full = Scale{
 	SchedWorkMS: 3000,
 	Warmup:      8000,
 	MigWarmup:   4000,
-	Seeds:       1,
 }
 
 // SectionVApps are the ten applications of the Section V evaluation

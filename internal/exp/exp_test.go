@@ -12,7 +12,6 @@ var tiny = Scale{
 	RefsPinned: 800, RefsMig: 1500, RefsContent: 800, RefsFig1: 800,
 	SchedWorkMS: 200,
 	Warmup:      800, MigWarmup: 500,
-	Seeds: 1,
 }
 
 func TestFigure2Model(t *testing.T) {
@@ -41,7 +40,7 @@ func TestFigure2Model(t *testing.T) {
 }
 
 func TestFigure1Smoke(t *testing.T) {
-	rows := Figure1(Scale{RefsFig1: 1500, Warmup: 500, Seeds: 1})
+	rows := Figure1(Scale{RefsFig1: 1500, Warmup: 500})
 	if len(rows) != len(Fig1Apps) {
 		t.Fatalf("rows = %d", len(rows))
 	}
@@ -72,7 +71,7 @@ func TestFigure3Table1Smoke(t *testing.T) {
 }
 
 func TestTable4Smoke(t *testing.T) {
-	rows := Table4Figure6(Scale{RefsPinned: 1200, Warmup: 600, Seeds: 1})
+	rows := Table4Figure6(Scale{RefsPinned: 1200, Warmup: 600})
 	if len(rows) != len(SectionVApps) {
 		t.Fatalf("rows = %d", len(rows))
 	}
@@ -102,7 +101,7 @@ func TestFigures78Smoke(t *testing.T) {
 }
 
 func TestTable5Smoke(t *testing.T) {
-	rows := Table5(Scale{RefsContent: 1200, Warmup: 600, Seeds: 1})
+	rows := Table5(Scale{RefsContent: 1200, Warmup: 600})
 	if len(rows) != len(ContentApps) {
 		t.Fatalf("rows = %d", len(rows))
 	}
@@ -141,7 +140,7 @@ func TestMigRefsScaling(t *testing.T) {
 }
 
 func TestComparisonSmoke(t *testing.T) {
-	rows := Comparison(Scale{RefsPinned: 1000, Warmup: 500, Seeds: 1})
+	rows := Comparison(Scale{RefsPinned: 1000, Warmup: 500})
 	if len(rows) != 4*len(ComparisonApps) {
 		t.Fatalf("rows = %d", len(rows))
 	}
@@ -159,7 +158,7 @@ func TestComparisonSmoke(t *testing.T) {
 }
 
 func TestEnergySmoke(t *testing.T) {
-	rows := Energy(Scale{RefsPinned: 1000, Warmup: 500, Seeds: 1})
+	rows := Energy(Scale{RefsPinned: 1000, Warmup: 500})
 	if len(rows) != 2*len(EnergyApps) {
 		t.Fatalf("rows = %d", len(rows))
 	}

@@ -13,7 +13,6 @@ var shapeScale = Scale{
 	Name:    "shape",
 	RefsMig: 3000, MigWarmup: 1000,
 	RefsContent: 1500, Warmup: 1500,
-	Seeds: 1,
 }
 
 // shapeMigApps are the Figure 7/8 applications the shape test sweeps.

@@ -79,7 +79,7 @@ var CriticalDirs = []string{
 	"internal/sim", "internal/system", "internal/token", "internal/mesh",
 	"internal/cache", "internal/core", "internal/mem", "internal/memctrl",
 	"internal/stats", "internal/check", "internal/fault", "internal/hv",
-	"internal/partition", "internal/regionscout",
+	"internal/regionscout",
 }
 
 // DefaultCritical returns the critical-package predicate for a module: the

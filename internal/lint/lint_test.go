@@ -149,7 +149,7 @@ func TestSuiteComposition(t *testing.T) {
 }
 
 // TestPartTransferFixture covers the cross-domain ownership-transfer
-// patterns from the graph-cut partitioner: prebound depart/arrive/ack
+// patterns of the partitioned machine: prebound depart/arrive/ack
 // handlers and a handler literal, and the overlay map iterations the suite
 // must catch in that code.
 func TestPartTransferFixture(t *testing.T) { checkFixture(t, "parttransfer") }

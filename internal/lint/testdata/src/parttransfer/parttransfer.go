@@ -1,5 +1,5 @@
 // Package parttransfer is a lint fixture: the cross-domain ownership
-// transfer patterns introduced by the graph-cut partitioner — prebound
+// transfer patterns of the partitioned machine — prebound
 // depart/arrive/ack handlers, package-level delta appliers, domain-local
 // overlay state. Handlers here are never passed to a scheduler call; they
 // are prebound method values of sim.HandlerFn shape, which is how the real

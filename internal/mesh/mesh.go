@@ -136,7 +136,6 @@ type Network struct {
 // trafficSlot is one domain's traffic counters.
 type trafficSlot struct {
 	byteHops, bytes, messages uint64
-	crossMsgs                 uint64 // messages leaving the domain
 }
 
 // New creates a mesh network driven by eng.
@@ -203,10 +202,6 @@ func (n *Network) Partition(nodeDom []int32, nd int) {
 // protocol events (migration legs, filter deltas, holder probes) by these
 // horizons, so they stay part of its event order.
 func (n *Network) CrossHorizons() []sim.Cycle { return n.crossHor }
-
-// DomainCrossSends returns the number of messages domain d sent to other
-// domains (partitioned mode).
-func (n *Network) DomainCrossSends(d int) uint64 { return n.traf[d].crossMsgs }
 
 // TrafficTotals returns the whole-machine traffic counters, summing the
 // per-domain slots in partitioned mode.
@@ -388,9 +383,6 @@ func (n *Network) transmit(f *fanout, dst NodeID, extra sim.Cycle) int {
 		t.bytes += f.flitBytes
 		t.byteHops += byteHops
 		crossDom = f.sd != dd
-		if crossDom {
-			t.crossMsgs++
-		}
 	} else {
 		n.Messages++
 		n.Bytes += f.flitBytes

@@ -23,7 +23,6 @@ import (
 	"vsnoop/internal/cache"
 	"vsnoop/internal/mem"
 	"vsnoop/internal/mesh"
-	"vsnoop/internal/sim"
 	"vsnoop/internal/token"
 )
 
@@ -52,8 +51,7 @@ type Stats struct {
 	Knockouts   uint64 // NSRT entries invalidated by external requests
 }
 
-// nsrt is a small LRU table of not-shared regions, owned by its core's
-// snoop domain.
+// nsrt is a small LRU table of not-shared regions, one per core.
 type nsrt struct {
 	cap   int
 	items map[Region]uint64
@@ -98,47 +96,16 @@ func (t *nsrt) remove(r Region) bool {
 }
 
 // Filter is the RegionScout router. It maintains exact per-core region
-// presence counts via the cache insert/drop hooks.
-//
-// Every core's NSRT and presence map is owned by that core's snoop domain
-// (Partition; New starts with one domain holding every core): local-domain
-// presence checks and knockouts stay synchronous, while remote domains are
-// consulted through probe events, each delayed by its source domain's
-// cross-domain horizon (mesh.Network.CrossHorizons). The NSRT insert is
-// deferred until every probe replies — a stale not-shared belief is safe
-// because a memory-direct miss that finds the tokens elsewhere simply
-// retries attempt 2 as a broadcast. With one domain there are no probes,
-// and a broadcast learns the region at once.
+// presence counts via the cache insert/drop hooks. A broadcast scans every
+// other core's presence at once, so it learns a not-shared region, and
+// knocks the region out of the other NSRTs, as the request is sent.
 type Filter struct {
 	cfg       Config
 	shift     uint
 	coreNodes []mesh.NodeID
-	// present and tables are per-core state owned by the core's snoop
-	// domain (coreDom[i]).
-	present []map[Region]int
-	tables  []*nsrt
-
-	coreDom  []int32
-	domCores [][]int
-	eng      *sim.Engine
-	crossHor []sim.Cycle
-	// stats and pools are indexed by domain; each entry is owned by that
-	// domain.
-	stats   []Stats
-	pools   [][]*probe
-	probeFn sim.HandlerFn
-	replyFn sim.HandlerFn
-}
-
-// probe is one in-flight cross-domain region scan. The immutable fields
-// (region, me, srcDom) are written before the probe is sent and only read
-// by remote handlers; remaining/shared are owned by the source domain.
-type probe struct {
-	region    Region
-	me        int
-	srcDom    int32
-	remaining int
-	shared    bool
+	present   []map[Region]int
+	tables    []*nsrt
+	stats     Stats
 }
 
 // New builds the filter over the given cores and wires presence tracking
@@ -159,17 +126,13 @@ func New(cfg Config, coreNodes []mesh.NodeID, caches []*cache.Cache) *Filter {
 		present:   make([]map[Region]int, len(coreNodes)),
 		tables:    make([]*nsrt, len(coreNodes)),
 	}
-	all := make([]int, len(coreNodes))
 	for i := range coreNodes {
-		all[i] = i
 		f.present[i] = make(map[Region]int)
 		f.tables[i] = newNSRT(cfg.NSRTEntries)
 		if caches != nil && caches[i] != nil {
 			f.wire(i, caches[i])
 		}
 	}
-	// One domain sends no probes, so it needs no engine or horizons.
-	f.Partition(make([]int32, len(coreNodes)), [][]int{all}, nil, nil)
 	return f
 }
 
@@ -216,89 +179,14 @@ func (f *Filter) NSRTContains(i int, r Region) bool {
 	return ok
 }
 
-// Partition cuts the filter's state into domains: coreDom maps each core to
-// its snoop domain, domCores lists each domain's cores, eng is the
-// machine's engine and crossHor gives each domain's cross-domain horizon.
-// Call at setup, before any routing happens.
-func (f *Filter) Partition(coreDom []int32, domCores [][]int, eng *sim.Engine, crossHor []sim.Cycle) {
-	f.coreDom = coreDom
-	f.domCores = domCores
-	f.eng = eng
-	f.crossHor = crossHor
-	f.stats = make([]Stats, len(domCores))
-	f.pools = make([][]*probe, len(domCores))
-	f.probeFn = f.handleProbe
-	f.replyFn = f.handleReply
-}
+// Totals returns the whole-run counters.
+func (f *Filter) Totals() Stats { return f.stats }
 
-// Totals returns the whole-run counters, summed over the domains.
-func (f *Filter) Totals() Stats {
-	var t Stats
-	for i := range f.stats {
-		t.NSRTHits += f.stats[i].NSRTHits
-		t.Broadcasts += f.stats[i].Broadcasts
-		t.Discoveries += f.stats[i].Discoveries
-		t.Knockouts += f.stats[i].Knockouts
-	}
-	return t
-}
-
-// getProbe pops a probe from domain d's freelist (or allocates one).
-func (f *Filter) getProbe(d int32) *probe {
-	pool := f.pools[d]
-	if n := len(pool); n > 0 {
-		p := pool[n-1]
-		f.pools[d] = pool[:n-1]
-		return p
-	}
-	return &probe{}
-}
-
-// handleProbe runs in domain u: scan its cores for region presence, knock
-// the region out of their NSRTs, and reply to the source domain.
-func (f *Filter) handleProbe(arg interface{}, u uint64) {
-	p := arg.(*probe)
-	d := int(u)
-	st := &f.stats[d]
-	shared := uint64(0)
-	for _, i := range f.domCores[d] {
-		if f.present[i][p.region] > 0 {
-			shared = 1
-		}
-		if f.tables[i].remove(p.region) {
-			st.Knockouts++
-		}
-	}
-	f.eng.ScheduleFnAtDom(f.eng.Now()+f.crossHor[d], p.srcDom, f.replyFn, p, shared)
-}
-
-// handleReply runs in the probe's source domain: fold the remote shared
-// bit, and on the last reply learn the region (if nobody held it) and
-// recycle the probe.
-func (f *Filter) handleReply(arg interface{}, u uint64) {
-	p := arg.(*probe)
-	if u != 0 {
-		p.shared = true
-	}
-	p.remaining--
-	if p.remaining > 0 {
-		return
-	}
-	if !p.shared {
-		f.tables[p.me].insert(p.region)
-		f.stats[p.srcDom].Discoveries++
-	}
-	f.pools[p.srcDom] = append(f.pools[p.srcDom], p)
-}
-
-// Route implements token.Router, appending the set to buf[:0]: it is
-// invoked through the interface from whichever domain's coherence
-// controller is requesting.
+// Route implements token.Router, appending the set to buf[:0].
 func (f *Filter) Route(info token.RouteInfo, buf []mesh.NodeID) []mesh.NodeID {
 	r := f.RegionOf(info.Addr)
 	me := info.Requester
-	sd := f.coreDom[me]
-	st := &f.stats[sd]
+	st := &f.stats
 
 	if info.Attempt == 1 && f.tables[me].contains(r) {
 		// Known not-shared: memory can serve it without snooping.
@@ -310,21 +198,14 @@ func (f *Filter) Route(info token.RouteInfo, buf []mesh.NodeID) []mesh.NodeID {
 	// caches the region.
 	st.Broadcasts++
 	out := buf[:0]
+	shared := false
 	for i, n := range f.coreNodes {
-		if i != me {
-			out = append(out, n)
-		}
-	}
-
-	p := f.getProbe(sd)
-	p.region, p.me, p.srcDom = r, me, sd
-	p.remaining, p.shared = len(f.domCores)-1, false
-	for _, i := range f.domCores[sd] {
 		if i == me {
 			continue
 		}
+		out = append(out, n)
 		if f.present[i][r] > 0 {
-			p.shared = true
+			shared = true
 		}
 		// The external request invalidates this core's not-shared belief:
 		// the requester is about to cache the region.
@@ -332,19 +213,9 @@ func (f *Filter) Route(info token.RouteInfo, buf []mesh.NodeID) []mesh.NodeID {
 			st.Knockouts++
 		}
 	}
-	if p.remaining == 0 {
-		if !p.shared {
-			f.tables[me].insert(r)
-			st.Discoveries++
-		}
-		f.pools[sd] = append(f.pools[sd], p)
-		return out
-	}
-	at := f.eng.Now() + f.crossHor[sd]
-	for d := range f.domCores {
-		if int32(d) != sd {
-			f.eng.ScheduleFnAtDom(at, int32(d), f.probeFn, p, uint64(d))
-		}
+	if !shared {
+		f.tables[me].insert(r)
+		st.Discoveries++
 	}
 	return out
 }

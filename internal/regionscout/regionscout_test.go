@@ -7,7 +7,6 @@ import (
 	"vsnoop/internal/cache"
 	"vsnoop/internal/mem"
 	"vsnoop/internal/mesh"
-	"vsnoop/internal/sim"
 	"vsnoop/internal/token"
 )
 
@@ -133,24 +132,20 @@ func TestBadRegionSizePanics(t *testing.T) {
 	New(Config{RegionBlocks: 48, NSRTEntries: 4}, []mesh.NodeID{0}, nil)
 }
 
-// TestRouteAppendsIntoBuffer checks Route with New's one domain and with two
-// domains against the token.Router buffer contract: a broadcast is written
-// into the caller's buffer, not into a fresh slice.
+// TestRouteAppendsIntoBuffer checks Route against the token.Router buffer
+// contract: a broadcast is written into the caller's buffer, not into a
+// fresh slice, and the same call learns the unshared region at once.
 func TestRouteAppendsIntoBuffer(t *testing.T) {
-	for _, partitioned := range []bool{false, true} {
-		f, _ := rig(4)
-		if partitioned {
-			eng := sim.NewEngine()
-			f.Partition([]int32{0, 0, 1, 1}, [][]int{{0, 1}, {2, 3}},
-				eng, []sim.Cycle{1, 1})
-		}
-		buf := make([]mesh.NodeID, 0, 4)
-		got := f.Route(token.RouteInfo{Addr: 100, Requester: 1, Attempt: 1}, buf)
-		if want := []mesh.NodeID{0, 2, 3}; !slices.Equal(got, want) {
-			t.Fatalf("partitioned=%v: dests = %v, want %v", partitioned, got, want)
-		}
-		if &got[0] != &buf[:1][0] {
-			t.Fatalf("partitioned=%v: broadcast was not written into the caller's buffer", partitioned)
-		}
+	f, _ := rig(4)
+	buf := make([]mesh.NodeID, 0, 4)
+	got := f.Route(token.RouteInfo{Addr: 100, Requester: 1, Attempt: 1}, buf)
+	if want := []mesh.NodeID{0, 2, 3}; !slices.Equal(got, want) {
+		t.Fatalf("dests = %v, want %v", got, want)
+	}
+	if &got[0] != &buf[:1][0] {
+		t.Fatal("broadcast was not written into the caller's buffer")
+	}
+	if !f.NSRTContains(1, f.RegionOf(100)) {
+		t.Fatal("broadcast to an unshared region did not learn it")
 	}
 }

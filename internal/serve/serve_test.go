@@ -777,8 +777,9 @@ func TestStoreGCStartupRecovery(t *testing.T) {
 // TestStoreServesRecordsWithDroppedFields: a stored record written while
 // vsnoop.Config still had two execution knobs (a shard count and a
 // barrier-protocol switch; the record zeroed both and the hash never
-// covered them) still loads, answers its unchanged hash as a memoized
-// hit, is served byte for byte, and holds the result a fresh run computes.
+// covered them) still loads, answers its hash as a memoized hit, is served
+// byte for byte, and holds the result a fresh run computes. The record's
+// hash field is re-pinned when the hash encoding's version changes.
 func TestStoreServesRecordsWithDroppedFields(t *testing.T) {
 	cfg := quickConfig(61)
 	cfg.RefsPerVCPU, cfg.WarmupRefs = 200, 50

@@ -202,11 +202,6 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// PlannedDomains returns the snoop-domain count the partition planner
-// computes for this config. A one-domain plan runs the same machine, with
-// no cross-domain traffic.
-func (c Config) PlannedDomains() int { return c.PlanPartition().Domains }
-
 // sansControl returns the config with control-plane fields cleared. Stats
 // snapshots this form, so two runs of the same simulation compare deeply
 // equal no matter how they were driven (with or without a Canceler).

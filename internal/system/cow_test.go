@@ -3,6 +3,7 @@ package system
 import (
 	"testing"
 
+	"vsnoop/internal/hv"
 	"vsnoop/internal/mem"
 	"vsnoop/internal/workload"
 )
@@ -22,18 +23,15 @@ func (s *cowWriter) Next() workload.Ref {
 	return workload.Ref{Ctx: workload.CtxGuest, Page: s.read, Block: s.n % mem.BlocksPerPage}
 }
 
-// TestCopyOnWritePerDomain pins the copy-on-write overlay's ownership:
-// each snoop domain traps a VM's first write to a content-shared page into
-// its own overlay, so a VM whose vCPUs span d domains takes exactly d
-// traps, however many of its vCPUs write. A trap that also privatized the
-// page in the VM's other domains would take one: their vCPUs miss in the
-// TLB on that first touch and would find the private page.
-func TestCopyOnWritePerDomain(t *testing.T) {
-	// Two 16-vCPU VMs on an 8x4 mesh: the planner cuts four domains, and
-	// each VM spans two of them.
+// TestCopyOnWriteOncePerVMPage pins the copy-on-write overlay: a VM's
+// first write to a content-shared page traps once and privatizes the page
+// for every vCPU of that VM, wherever it runs, onto the preallocated
+// target, without touching the global page tables or other VMs' view of
+// the page. Relocations at setup spread each VM over several quadrant
+// domains first, so a per-domain overlay would trap once per (VM, domain)
+// pair instead.
+func TestCopyOnWriteOncePerVMPage(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.Cores, cfg.Mesh.Width, cfg.Mesh.Height = 32, 8, 4
-	cfg.VMs, cfg.VCPUsPerVM = 2, 16
 	cfg.ContentSharing = true
 	cfg.NoHypervisor = true
 	cfg.RefsPerVCPU, cfg.WarmupRefs = 400, 0
@@ -41,22 +39,49 @@ func TestCopyOnWritePerDomain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Swap vCPU 3 of each VM with vCPU 0 of the next VM.
+	for q := 0; q < cfg.VMs; q++ {
+		a := m.Mapper.CoreOf(hv.VCPU{VM: mem.VMID(q), Idx: 3})
+		b := m.Mapper.CoreOf(hv.VCPU{VM: mem.VMID((q + 1) % cfg.VMs), Idx: 0})
+		m.Mapper.Swap(a, b)
+	}
 	lo, _ := workload.NewLayout(workload.MustGet(cfg.workloadFor(0)), cfg.VCPUsPerVM).ContentRange()
+	write := mem.GuestPage(lo)
+	// The last VM only reads: its view of the page must stay shared.
+	const reader = mem.VMID(3)
 	srcs := make([]RefSource, len(m.vcpus))
 	spans := make(map[[2]int32]bool) // (VM, domain) pairs
 	for i, v := range m.vcpus {
-		srcs[i] = &cowWriter{read: mem.GuestPage(lo + 1), write: mem.GuestPage(lo), writeAt: 20 + 20*(i%cfg.VCPUsPerVM)}
-		spans[[2]int32{int32(v.id.VM), m.plan.CoreDom[v.core]}] = true
+		w := &cowWriter{read: write + 1, write: write, writeAt: 20 + 20*(i%cfg.VCPUsPerVM)}
+		if v.id.VM == reader {
+			w.writeAt = 0
+		}
+		srcs[i] = w
+		spans[[2]int32{int32(v.id.VM), m.coreDom[v.core]}] = true
 	}
-	want := len(spans)
-	if want <= cfg.VMs {
-		t.Fatalf("each VM spans one domain (%d VM-domain pairs); the test needs a VM across domains", want)
+	if len(spans) < 2*cfg.VMs {
+		t.Fatalf("%d VM-domain pairs; the test needs every VM across domains", len(spans))
 	}
 	if err := m.ReplaceSources(srcs); err != nil {
 		t.Fatal(err)
 	}
 	st := m.Run()
-	if st.Cows != uint64(want) {
-		t.Errorf("%d copy-on-write traps, want one per VM and domain (%d)", st.Cows, want)
+	if want := uint64(cfg.VMs - 1); st.Cows != want {
+		t.Errorf("%d copy-on-write traps, want one per writing VM (%d)", st.Cows, want)
+	}
+	for vm := mem.VMID(0); int(vm) < cfg.VMs; vm++ {
+		if tr := m.MM.Translate(vm, write); tr.Type != mem.PageROShared {
+			t.Fatalf("VM %d: global page tables mutated by the trap: %+v", vm, tr)
+		}
+		tr := m.translate(vm, write)
+		if vm == reader {
+			if tr.Type != mem.PageROShared {
+				t.Errorf("VM %d never wrote but translates to %+v", vm, tr)
+			}
+			continue
+		}
+		if target, _ := m.cowTargets.Target(vm, write); tr.Type != mem.PagePrivate || tr.Host != target {
+			t.Errorf("VM %d translates to %+v, want its private target %v", vm, tr, target)
+		}
 	}
 }

@@ -73,7 +73,7 @@ func statsDigest(st *Stats) string {
 	return hex.EncodeToString(h.Sum(nil))[:16]
 }
 
-// digestCase is one partitioned configuration whose statistics are pinned:
+// digestCase is one configuration whose statistics are pinned:
 // set adjusts DefaultConfig, and check asserts the run exercised what the
 // case is about. A named case runs under a top-level test of its own,
 // named for the protocol it drives, instead of under TestStatsDigests.
@@ -88,6 +88,10 @@ type digestCase struct {
 // multi-goroutine engine, which produced each of them at K = 1 and K = 4
 // alike, so they pin the one-goroutine engine to that proven event order.
 // directory-writebacks came later, from the one-goroutine engine itself.
+// linear-placement and large-mesh were re-pinned when machines without
+// quadrant placement became one domain, regionscout when its broadcasts
+// began to learn regions at once, and fault-events when map and counter
+// corruption began to apply as the event fires.
 var statsDigests = map[string]string{
 	"tokenB_vsnoop-broadcast":            "820e8f9293ac10b0",
 	"tokenB_memory-direct":               "820e8f9293ac10b0",
@@ -114,20 +118,21 @@ var statsDigests = map[string]string{
 	"migration":                          "b7ae9aaaca18dd1e",
 	"storm":                              "dee3bfaea5f8d593",
 	"content-sharing":                    "4565367e86455755",
-	"regionscout":                        "690dc74fd35d738d",
+	"regionscout":                        "a73de16ab3c7cbd4",
 	"directory":                          "a481640ecc2d2b89",
 	"directory-writebacks":               "6402ad7d19997a53",
-	"linear-placement":                   "473da98cd8e3dc30",
-	"fault-events":                       "1665cc307652e0e9",
-	"large-mesh":                         "9927c0822cec02f0",
+	"linear-placement":                   "811b7d4826baed06",
+	"fault-events":                       "17dd6d8132ac7e14",
+	"large-mesh":                         "ed4b138e9f5e2675",
 	"migration-content":                  "d0c44e58fe728d6e",
 }
 
 // digestCases lists every snoop policy x content policy pair, then the
-// configurations that drive each cross-domain protocol of the partitioned
-// machine: fault plans, hypervisor activity, migration and storms, content
-// sharing, RegionScout, the directory, linear VM placement, scheduled
-// fault events, a 16-domain mesh, and migration over content sharing.
+// configurations that drive each protocol of the machine: fault plans,
+// hypervisor activity, migration and storms, content sharing, RegionScout,
+// the directory, linear VM placement, scheduled fault events, an 8x8 mesh,
+// and migration over content sharing. Linear placement and the 8x8 mesh
+// run as one domain; every other case is cut into the four quadrants.
 func digestCases() []digestCase {
 	var cases []digestCase
 	for _, pol := range []core.Policy{core.PolicyBroadcast, core.PolicyBase, core.PolicyCounter,
@@ -292,16 +297,12 @@ func runNamedDigestCase(t *testing.T, name string) *Stats {
 	return nil
 }
 
-// runDigestCase runs tc on a partitioned machine, requires a clean checked
-// run and tc's own check, and compares the statistics with the pinned
-// digest.
+// runDigestCase runs tc, requires a clean checked run and tc's own check,
+// and compares the statistics with the pinned digest.
 func runDigestCase(t *testing.T, tc digestCase) *Stats {
 	t.Helper()
 	cfg := DefaultConfig()
 	tc.set(&cfg)
-	if d := cfg.PlanPartition().Domains; d <= 1 {
-		t.Fatalf("planned %d domain(s); the case must run partitioned", d)
-	}
 	m, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -331,14 +332,14 @@ func runDigestCase(t *testing.T, tc digestCase) *Stats {
 func TestMigrationBitIdentical(t *testing.T) { runNamedDigestCase(t, "migration") }
 
 // TestContentSharingBitIdentical pins the content-shared page machinery —
-// per-domain COW overlays onto preallocated targets, domain-local provider
+// the COW overlay onto preallocated targets, domain-local provider
 // designation, and the cross-domain holder-classification probes — under
 // the friend-VM snoop policy that consumes all of it.
 func TestContentSharingBitIdentical(t *testing.T) { runNamedDigestCase(t, "content-sharing") }
 
-// TestRegionScoutBitIdentical pins the per-domain RegionScout router: NSRT
-// and presence state owned per domain, remote regions consulted via probe
-// events.
+// TestRegionScoutBitIdentical pins the RegionScout router: a broadcast
+// scans every other core's region presence and learns a not-shared region
+// at once.
 func TestRegionScoutBitIdentical(t *testing.T) { runNamedDigestCase(t, "regionscout") }
 
 // TestDirectoryWritebacksBitIdentical pins the directory protocol's owned-
@@ -350,29 +351,20 @@ func TestDirectoryWritebacksBitIdentical(t *testing.T) { runNamedDigestCase(t, "
 // by the MC's domain, and per-domain home counters fold into the run totals.
 func TestDirectoryBitIdentical(t *testing.T) { runNamedDigestCase(t, "directory") }
 
-// TestLinearPlacementBitIdentical pins VM placements that span domains:
-// linear (row-major) placement puts VM 1 and VM 3 across the planner's cut,
-// so the run needs replicated filter state even without migration.
-func TestLinearPlacementBitIdentical(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.LinearPlacement = true
-	if plan := cfg.PlanPartition(); !cfg.needSync(plan) && plan.SpansVM {
-		t.Fatal("spanning plan did not require synchronized filter state")
-	}
-	runNamedDigestCase(t, "linear-placement")
-}
+// TestLinearPlacementBitIdentical pins linear (row-major) VM placement,
+// which runs as one domain with one shared filter.
+func TestLinearPlacementBitIdentical(t *testing.T) { runNamedDigestCase(t, "linear-placement") }
 
 // TestFaultEventsBitIdentical pins scheduled fault events with hypervisor
-// activity layered in: map and counter corruption fan out from domain 0 as
-// replica deltas and domain-local sub-events, and migration storms run as
-// ordered cross-domain relocations.
+// activity layered in: map and counter corruption apply when the event
+// fires, and migration storms run as ordered cross-domain relocations.
 func TestFaultEventsBitIdentical(t *testing.T) { runNamedDigestCase(t, "fault-events") }
 
 // TestLargeMeshBitIdentical pins an 8x8 mesh with 16 VMs placed linearly,
-// for which the planner must find a multi-domain guillotine cut.
+// which runs as one domain.
 func TestLargeMeshBitIdentical(t *testing.T) { runNamedDigestCase(t, "large-mesh") }
 
 // TestMigrationContentCombined is the everything-at-once pin: periodic
 // migration over content-shared pages, so relocation transactions, COW
-// overlays, holder probes, and filter deltas all interleave.
+// traps, holder probes, and filter deltas all interleave.
 func TestMigrationContentCombined(t *testing.T) { runNamedDigestCase(t, "migration-content") }

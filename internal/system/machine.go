@@ -12,7 +12,6 @@ import (
 	"vsnoop/internal/mem"
 	"vsnoop/internal/memctrl"
 	"vsnoop/internal/mesh"
-	"vsnoop/internal/partition"
 	"vsnoop/internal/regionscout"
 	"vsnoop/internal/sim"
 	"vsnoop/internal/tlb"
@@ -107,11 +106,11 @@ type vcpu struct {
 	vix int
 }
 
-// domain is one snoop-domain partition of the machine: the cores the
-// graph-cut planner assigned to it, the memory controllers at its corners,
-// and the run-time statistics its events record. A one-domain plan has
-// exactly one domain covering the whole machine, with no cross-domain
-// traffic and zero cross-domain horizons.
+// domain is one snoop-domain partition of the machine: the cores of one
+// mesh quadrant (Config.domainAt), the memory controllers at its corners,
+// and the run-time statistics its events record. A machine without
+// quadrant placement has exactly one domain covering the whole machine,
+// with no cross-domain traffic and zero cross-domain horizons.
 type domain struct {
 	idx   int32 // fixed at setup
 	st    *Stats
@@ -124,11 +123,6 @@ type domain struct {
 	warmLeft int  // vCPUs still inside the warmup phase
 	warmed   bool // statistics snapshot taken
 
-	// cow is this domain's private translation overlay for copy-on-write
-	// faulted pages (content-sharing runs only): the global page tables
-	// stay immutable at runtime, each domain traps its own writes onto the
-	// setup-preallocated target page.
-	cow map[uint64]mem.Translation
 	// probes is the freelist of holder-classification probes this domain
 	// originates.
 	probes []*holderProbe
@@ -145,9 +139,9 @@ type Machine struct {
 	Filter *core.Filter
 
 	// cores and vcpus are ownership tables keyed by core/vCPU index: the
-	// element's owner is its dom field (plan.CoreDom[i] for cores), so any
-	// index not derived from the executing handler's own inputs reaches
-	// foreign state.
+	// element's owner is its dom field (coreDom[i] for cores), so any index
+	// not derived from the executing handler's own inputs reaches foreign
+	// state.
 	cores []*coreNode
 	rs    *regionscout.Filter
 	mcs   []*memctrl.Ctrl
@@ -167,11 +161,11 @@ type Machine struct {
 
 	Stats Stats
 
-	// plan is the graph-cut snoop-domain partition computed for this config;
+	// coreDom maps each core to its snoop domain (Config.domainAt);
 	// crossHor holds the per-domain cross-domain horizons the mesh derived
 	// from the cut: the delay of every cross-domain protocol event the
 	// machine schedules itself.
-	plan     partition.Plan
+	coreDom  []int32
 	crossHor []sim.Cycle
 
 	// holders is the presence bitset every L2 shares (member = core index);
@@ -180,16 +174,16 @@ type Machine struct {
 	// parkTab is the snoop parking table (nil when parking is off).
 	parkTab *token.ParkTable
 
-	// doms holds the planner's snoop-domain partitions.
+	// doms holds the snoop-domain partitions.
 	doms []*domain
 	// chkNow is the window-start clock published to the invariant checker.
 	chkNow sim.Cycle
 
 	// syncMode marks a run whose filter state mutates at runtime (vCPU
-	// migration, a VM spanning domains, scheduled fault events): the
-	// machine builds one filter replica per domain and keeps them coherent
-	// with ordered cross-domain deltas. running distinguishes runtime
-	// relocations (cross-domain protocol) from setup placement.
+	// migration, scheduled fault events): the machine builds one filter
+	// replica per domain and keeps them coherent with ordered cross-domain
+	// deltas. running distinguishes runtime relocations (cross-domain
+	// protocol) from setup placement.
 	syncMode bool
 	running  bool
 	// replicas holds the per-domain filter replicas in syncMode (nil
@@ -199,8 +193,12 @@ type Machine struct {
 
 	// cowTargets holds the setup-preallocated private host page a COW
 	// trap resolves to (content-sharing runs only), making the target a
-	// pure function of the config.
+	// pure function of the config. cow is the machine's translation
+	// overlay of trapped pages, keyed by mem.CowKey(vm, page): the global
+	// page tables stay immutable at runtime, and a VM traps once per page
+	// wherever its vCPUs run.
 	cowTargets mem.CowTargets
+	cow        map[uint64]mem.Translation
 	// friendOf/hasFriend are the static post-merge friend tables, indexed
 	// by VM: the filter's friend-VM routing and holder classification both
 	// read them.
@@ -253,18 +251,15 @@ func New(cfg Config) (*Machine, error) {
 	}
 	m := &Machine{cfg: cfg}
 
-	// Domain topology. The graph-cut planner fixes the snoop-domain
-	// decomposition as a pure function of the config; every event carries
-	// its domain, and same-cycle ties break by (scheduling domain,
-	// per-domain order).
-	plan := cfg.PlanPartition()
-	m.plan = plan
+	// Domain topology: the quadrant cut under quadrant placement, one
+	// domain otherwise (Config.domainAt). Every event carries its domain,
+	// and same-cycle ties break by (scheduling domain, per-domain order).
 	m.Eng = sim.NewEngine()
-	m.Eng.SetDomains(plan.Domains)
-	for d := 0; d < plan.Domains; d++ {
+	m.Eng.SetDomains(cfg.domains())
+	for d := 0; d < cfg.domains(); d++ {
 		m.doms = append(m.doms, &domain{idx: int32(d), st: &Stats{cfg: cfg.sansControl()}})
 	}
-	m.syncMode = cfg.needSync(plan)
+	m.syncMode = cfg.needSync()
 
 	// stepFn/resumeFn carry the scheduled domain index in u: when a migrated
 	// vCPU's event fires in a domain that no longer owns it, the handler
@@ -323,29 +318,27 @@ func New(cfg Config) (*Machine, error) {
 		m.node2i[n] = i
 	}
 
-	// Domain ownership follows the plan's computed cut: cores by CoreDom,
-	// memory controllers by MCDom (nearest-corner assignment). Then hand
-	// the network the partition so intra-domain traffic keeps full
-	// contention while cross-domain messages are delivered at zero-load
-	// latency into the destination domain's queue.
+	// Domain ownership follows the cut: each core and each memory
+	// controller belongs to the domain of its router. Then hand the network
+	// the partition so intra-domain traffic keeps full contention while
+	// cross-domain messages are delivered at zero-load latency into the
+	// destination domain's queue.
+	m.coreDom = make([]int32, cfg.Cores)
+	nodeDom := make([]int32, cfg.Cores+cfg.MCs)
 	for i := 0; i < cfg.Cores; i++ {
-		d := plan.CoreDom[i]
+		d := cfg.domainAt(i%cfg.Mesh.Width, i/cfg.Mesh.Width)
+		m.coreDom[i] = d
+		nodeDom[coreNodes[i]] = d
 		m.doms[d].cores = append(m.doms[d].cores, i)
 	}
 	for i := 0; i < cfg.MCs; i++ {
-		d := plan.MCDom[i]
+		d := cfg.domainAt(cornerXY[i][0], cornerXY[i][1])
+		nodeDom[mcNodes[i]] = d
 		if cfg.Directory {
 			m.doms[d].homes = append(m.doms[d].homes, i)
 		} else {
 			m.doms[d].mcs = append(m.doms[d].mcs, i)
 		}
-	}
-	nodeDom := make([]int32, cfg.Cores+cfg.MCs)
-	for i := 0; i < cfg.Cores; i++ {
-		nodeDom[coreNodes[i]] = plan.CoreDom[i]
-	}
-	for i := 0; i < cfg.MCs; i++ {
-		nodeDom[mcNodes[i]] = plan.MCDom[i]
 	}
 	m.Net.Partition(nodeDom, len(m.doms))
 	m.crossHor = m.Net.CrossHorizons()
@@ -430,13 +423,6 @@ func New(cfg Config) (*Machine, error) {
 	// the L1-inclusion hooks so its presence tracking chains with them.
 	if cfg.UseRegionScout {
 		m.rs = regionscout.New(regionscout.DefaultConfig(), coreNodes, l2s)
-		// Domain-owned NSRTs and presence maps: remote domains are
-		// consulted through probe events one cross-domain horizon away.
-		domCores := make([][]int, len(m.doms))
-		for d, dom := range m.doms {
-			domCores[d] = dom.cores
-		}
-		m.rs.Partition(plan.CoreDom, domCores, m.Eng, m.crossHor)
 		for _, cn := range m.cores {
 			cn.ctrl.Router = m.rs
 		}
@@ -457,7 +443,7 @@ func New(cfg Config) (*Machine, error) {
 			// DRAM read). The controller homes the blocks the cache
 			// controllers' HomeMC interleaving sends it: addr % MCs == i.
 			mc := &memctrl.Ctrl{Eng: m.Eng, Net: m.Net, Node: mcNodes[i], P: cfg.P,
-				AllCaches: coreNodes, Oracle: domOracle{m: m, d: m.doms[plan.MCDom[i]]},
+				AllCaches: coreNodes, Oracle: domOracle{m: m, d: m.doms[nodeDom[mcNodes[i]]]},
 				Interleave: uint64(cfg.MCs), Residue: uint64(i)}
 			mc.Init()
 			m.Net.SetHandler(mcNodes[i], mc.Handle)
@@ -481,7 +467,7 @@ func New(cfg Config) (*Machine, error) {
 		}
 		if m.replicas != nil {
 			if from >= 0 {
-				ownFrom := m.plan.CoreDom[from]
+				ownFrom := m.coreDom[from]
 				m.replicas[ownFrom].RelocateDepart(id.VM, from)
 				for d, rep := range m.replicas {
 					if int32(d) != ownFrom {
@@ -489,7 +475,7 @@ func New(cfg Config) (*Machine, error) {
 					}
 				}
 			}
-			ownTo := m.plan.CoreDom[to]
+			ownTo := m.coreDom[to]
 			m.replicas[ownTo].RelocateArrive(id.VM, to)
 			for d, rep := range m.replicas {
 				if int32(d) != ownTo {
@@ -512,12 +498,8 @@ func New(cfg Config) (*Machine, error) {
 			cn.ctrl.FlushVM(vm)
 		}
 	}
-	if m.replicas != nil {
-		for _, rep := range m.replicas {
-			rep.OnFlushVM = flushVM
-		}
-	} else {
-		m.Filter.OnFlushVM = flushVM
+	for _, f := range m.filters() {
+		f.OnFlushVM = flushVM
 	}
 
 	// Fault injection: mesh hook, degradation, underflow recovery, and
@@ -525,12 +507,8 @@ func New(cfg Config) (*Machine, error) {
 	if cfg.Fault.Active() && !cfg.Directory {
 		m.Injector = fault.NewInjector(cfg.Fault, cfg.Seed, cfg.Cores+cfg.MCs)
 		m.Injector.Attach(m.Net, mcNodes)
-		if m.replicas != nil {
-			for _, rep := range m.replicas {
-				rep.DegradationEnabled = true
-			}
-		} else {
-			m.Filter.DegradationEnabled = true
+		for _, f := range m.filters() {
+			f.DegradationEnabled = true
 		}
 		for _, cn := range m.cores {
 			f := m.filterOf(cn.dom)
@@ -538,8 +516,7 @@ func New(cfg Config) (*Machine, error) {
 			cn.l2.OnResidenceUnderflow = f.NoteUnderflow
 		}
 		// Scheduled events (which imply syncMode) run in domain 0, the
-		// single writer for the injector's event counters, and fan out to
-		// the target domains one cross-domain horizon later.
+		// single writer for the injector's event counters.
 		m.scheduleFaultEvents()
 	}
 
@@ -583,9 +560,7 @@ func New(cfg Config) (*Machine, error) {
 	m.MM.PreallocateAll()
 	if cfg.ContentSharing {
 		m.cowTargets = m.MM.PrepareCowTargets()
-		for _, d := range m.doms {
-			d.cow = make(map[uint64]mem.Translation)
-		}
+		m.cow = make(map[uint64]mem.Translation)
 	}
 	if m.Injector != nil {
 		if m.replicas != nil {
@@ -596,9 +571,9 @@ func New(cfg Config) (*Machine, error) {
 			}
 		} else {
 			for q := 0; q < cfg.VMs; q++ {
-				// Without sync the VM never leaves its home domain
-				// (needSync would be true otherwise), so scope its
-				// degradation machinery to that domain alone.
+				// Without sync the VM never leaves its home domain (the
+				// cut never splits a VM), so scope its degradation
+				// machinery to that domain alone.
 				hd := m.domOfCore(m.Mapper.CoreOf(hv.VCPU{VM: mem.VMID(q), Idx: 0}))
 				m.Filter.SetVMScope(mem.VMID(q), hd.cores)
 			}
@@ -669,9 +644,9 @@ func (m *Machine) initLocationTables() {
 	}
 }
 
-// domOfCore returns the domain owning core i (per the computed cut).
+// domOfCore returns the domain owning core i.
 func (m *Machine) domOfCore(i int) *domain {
-	return m.doms[m.plan.CoreDom[i]]
+	return m.doms[m.coreDom[i]]
 }
 
 // ReplaceSources swaps every vCPU's reference source (e.g. with trace
@@ -722,7 +697,9 @@ func (m *Machine) setupVMs() {
 		m.initFriendTable()
 		for vm, friend := range m.friendOf {
 			if m.hasFriend[vm] {
-				m.Filter.SetFriend(mem.VMID(vm), friend)
+				for _, f := range m.filters() {
+					f.SetFriend(mem.VMID(vm), friend)
+				}
 			}
 		}
 	}
@@ -734,7 +711,7 @@ func (m *Machine) setupVMs() {
 // of Section V.B.
 func (m *Machine) placeVMs() {
 	cfg := m.cfg
-	if !cfg.LinearPlacement && cfg.Cores == 16 && cfg.VMs <= 4 && cfg.VCPUsPerVM == 4 && cfg.Mesh.Width == 4 {
+	if cfg.quadrantPlacement() {
 		for _, v := range m.vcpus {
 			q := int(v.id.VM)
 			x0, y0 := 2*(q%2), 2*(q/2)
@@ -936,22 +913,21 @@ func (m *Machine) execute(v *vcpu, cn *coreNode, ref workload.Ref) {
 	case workload.CtxGuest:
 		tr, hit := cn.tlb.Lookup(v.id.VM, ref.Page)
 		if !hit {
-			tr = m.translate(d, v.id.VM, ref.Page)
+			tr = m.translate(v.id.VM, ref.Page)
 			cn.tlb.Insert(v.id.VM, ref.Page, tr)
 			walk = sim.Cycle(cfg.TLB.WalkLatency)
 		}
 		if ref.Write && tr.Type == mem.PageROShared {
 			// Store to a content-shared page: hypervisor COW, then a TLB
-			// shootdown, then retry the access against the fresh private
-			// page. The trap lands in the domain's private overlay (the
-			// target host page was preallocated at setup) and shoots down
-			// only the domain's own cores — another domain writing the
-			// same page traps again there, onto the same target.
+			// shootdown on every core, then retry the access against the
+			// fresh private page. The trap lands in the machine's overlay
+			// (the target host page was preallocated at setup), so the
+			// VM's other vCPUs find the private page wherever they run.
 			target, _ := m.cowTargets.Target(v.id.VM, ref.Page)
-			d.cow[mem.CowKey(v.id.VM, ref.Page)] = mem.Translation{Host: target, Type: mem.PagePrivate}
+			m.cow[mem.CowKey(v.id.VM, ref.Page)] = mem.Translation{Host: target, Type: mem.PagePrivate}
 			st.Cows++
-			for _, ci := range d.cores {
-				m.cores[ci].tlb.Shootdown(v.id.VM, ref.Page)
+			for _, c := range m.cores {
+				c.tlb.Shootdown(v.id.VM, ref.Page)
 			}
 			v.pending = ref
 			m.Eng.ScheduleFn(cfg.CowLatency, m.resumeFn, v, uint64(d.idx))

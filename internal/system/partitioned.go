@@ -1,12 +1,13 @@
 package system
 
-// Cross-domain machinery of the machine: filter-replica deltas,
-// vCPU migration as an ordered depart/arrive transaction, domain-local
-// copy-on-write and provider designation, the holder-classification probe
-// protocol, and dom0-routed fault events. Every cross-domain effect lands
-// one cross-domain horizon (mesh.Network.CrossHorizons) after its cause,
-// the shortest latency a mesh message between the two domains could have.
-// These delays are part of the model: the golden results pin them.
+// Cross-domain machinery of the machine: filter-replica deltas, vCPU
+// migration as an ordered depart/arrive transaction, domain-local provider
+// designation, and the holder-classification probe protocol. Every
+// cross-domain effect lands one cross-domain horizon
+// (mesh.Network.CrossHorizons) after its cause, the shortest latency a
+// mesh message between the two domains could have. These delays are part
+// of the model: the golden results pin them. Scheduled fault events and
+// copy-on-write traps act on the whole machine at once.
 
 import (
 	"vsnoop/internal/cache"
@@ -20,13 +21,11 @@ import (
 )
 
 // Filter-replica delta opcodes, packed into the event's u payload as
-// op<<48 | vm<<16 | (core+1) — core+1 so the -1 "clear entirely" target of
-// CorruptMap survives the unsigned encoding.
+// op<<48 | vm<<16 | core.
 const (
 	opRunClear uint64 = iota + 1
 	opRunMapSet
 	opMapClear
-	opCorrupt
 )
 
 // filterOf returns the filter replica owned by domain d (the shared filter
@@ -36,6 +35,15 @@ func (m *Machine) filterOf(d *domain) *core.Filter {
 		return m.replicas[d.idx]
 	}
 	return m.Filter
+}
+
+// filters returns every filter the machine routes with: the replicas in
+// syncMode, the shared filter otherwise. Setup-time settings go to all.
+func (m *Machine) filters() []*core.Filter {
+	if m.replicas != nil {
+		return m.replicas
+	}
+	return []*core.Filter{m.Filter}
 }
 
 // filterContains reports whether core is in vm's map on any replica. The
@@ -85,7 +93,7 @@ func (m *Machine) chase(v *vcpu, from uint64, fn sim.HandlerFn) {
 // other replica, one cross-domain horizon ahead in each target's stream.
 func (m *Machine) broadcastDelta(from *domain, op uint64, vm mem.VMID, coreIdx int) {
 	at := m.Eng.Now() + m.crossHor[from.idx]
-	u := op<<48 | uint64(uint16(vm))<<16 | uint64(uint16(coreIdx+1))
+	u := op<<48 | uint64(uint16(vm))<<16 | uint64(uint16(coreIdx))
 	for d := range m.doms {
 		if int32(d) == from.idx {
 			continue
@@ -100,7 +108,7 @@ func (m *Machine) broadcastDelta(from *domain, op uint64, vm mem.VMID, coreIdx i
 func applyDelta(arg interface{}, u uint64) {
 	f := arg.(*core.Filter)
 	vm := mem.VMID(uint16(u >> 16))
-	coreIdx := int(uint16(u)) - 1
+	coreIdx := int(uint16(u))
 	switch u >> 48 {
 	case opRunClear:
 		f.ApplyRunClear(vm, coreIdx)
@@ -109,8 +117,6 @@ func applyDelta(arg interface{}, u uint64) {
 		f.ApplyMapSet(vm, coreIdx)
 	case opMapClear:
 		f.ApplyMapClear(vm, coreIdx)
-	case opCorrupt:
-		f.CorruptMap(vm, coreIdx)
 	}
 }
 
@@ -123,7 +129,7 @@ func applyDelta(arg interface{}, u uint64) {
 func (m *Machine) beginMove(id hv.VCPU, from, to int) {
 	v := m.vcpuAt(id)
 	m.inflight[m.vcpuIndex(id)] = true
-	m.Eng.ScheduleFnAtDom(m.Eng.Now()+m.crossHor[0], m.plan.CoreDom[from],
+	m.Eng.ScheduleFnAtDom(m.Eng.Now()+m.crossHor[0], m.coreDom[from],
 		m.departFn, v, uint64(from)<<16|uint64(to))
 }
 
@@ -248,23 +254,13 @@ func (m *Machine) migrationStorm(pairs int) int {
 	return int(m.Mapper.Relocations - before)
 }
 
-// applyCorruptResidence is the domain-local leg of a corrupt-counter fault
-// event: u carries vm<<16 | uint16(delta), arg is the target core.
-func applyCorruptResidence(arg interface{}, u uint64) {
-	cn := arg.(*coreNode)
-	cn.l2.CorruptResidence(mem.VMID(uint16(u>>16)), int(int16(uint16(u))))
-}
-
 // scheduleFaultEvents queues the plan's one-shot events (a plan with events
-// always runs in syncMode):
-// every event fires in domain 0 (single writer for the injector's event
-// counters and the mapper), then fans out to its target domain one
-// cross-domain horizon later — map corruption as replica deltas, counter
-// corruption as a domain-local sub-event, storms as ordinary cross-domain
-// migrations.
+// always runs in syncMode). Every event fires in domain 0, the single
+// writer for the injector's event counters and the mapper, and applies at
+// once: map corruption on every filter replica, counter corruption on the
+// target core's L2, and storms as ordinary cross-domain migrations.
 func (m *Machine) scheduleFaultEvents() {
-	eng := m.Eng
-	eng.SetCurDomain(0)
+	m.Eng.SetCurDomain(0)
 	for _, ev := range m.cfg.faultEvents() {
 		ev := ev
 		var fn sim.HandlerFn
@@ -272,12 +268,9 @@ func (m *Machine) scheduleFaultEvents() {
 		case fault.EvCorruptMap:
 			fn = func(_ interface{}, _ uint64) {
 				m.Injector.Stats.MapCorruptions++
-				target := ev.Core
-				if target < 0 {
-					target = -1
+				for _, rep := range m.replicas {
+					rep.CorruptMap(mem.VMID(ev.VM), ev.Core)
 				}
-				m.replicas[0].CorruptMap(mem.VMID(ev.VM), target)
-				m.broadcastDelta(m.doms[0], opCorrupt, mem.VMID(ev.VM), target)
 			}
 		case fault.EvCorruptCounter:
 			fn = func(_ interface{}, _ uint64) {
@@ -289,9 +282,7 @@ func (m *Machine) scheduleFaultEvents() {
 				if delta == 0 {
 					delta = -1
 				}
-				cn := m.cores[ev.Core]
-				u := uint64(uint16(mem.VMID(ev.VM)))<<16 | uint64(uint16(int16(delta)))
-				eng.ScheduleFnAtDom(eng.Now()+m.crossHor[0], cn.dom.idx, applyCorruptResidence, cn, u)
+				m.cores[ev.Core].l2.CorruptResidence(mem.VMID(ev.VM), delta)
 			}
 		case fault.EvMigrationStorm:
 			fn = func(_ interface{}, _ uint64) {
@@ -302,17 +293,15 @@ func (m *Machine) scheduleFaultEvents() {
 				m.Injector.Stats.StormRelocations += uint64(m.migrationStorm(pairs))
 			}
 		}
-		eng.ScheduleFnAtDom(ev.At, 0, fn, nil, 0)
+		m.Eng.ScheduleFnAt(ev.At, fn, nil, 0)
 	}
 }
 
-// translate resolves a guest page through the domain's COW overlay first,
-// falling back to the (runtime-immutable) global page tables.
-func (m *Machine) translate(d *domain, vm mem.VMID, gp mem.GuestPage) mem.Translation {
-	if d.cow != nil {
-		if tr, ok := d.cow[mem.CowKey(vm, gp)]; ok {
-			return tr
-		}
+// translate resolves a guest page through the machine's COW overlay
+// first, falling back to the (runtime-immutable) global page tables.
+func (m *Machine) translate(vm mem.VMID, gp mem.GuestPage) mem.Translation {
+	if tr, ok := m.cow[mem.CowKey(vm, gp)]; ok {
+		return tr
 	}
 	return m.MM.Translate(vm, gp)
 }
@@ -343,7 +332,7 @@ type domOracle struct {
 func (o domOracle) ROProviderAmong(addr mem.BlockAddr, cores []mesh.NodeID) bool {
 	for _, n := range cores {
 		i := o.m.node2i[n]
-		if i < 0 || o.m.plan.CoreDom[i] != o.d.idx {
+		if i < 0 || o.m.coreDom[i] != o.d.idx {
 			continue
 		}
 		if l2 := o.m.cores[i].l2; l2.Holds(addr) && l2.Lookup(addr).Provider {

@@ -1,62 +1,47 @@
 package system
 
 import (
+	"slices"
 	"testing"
 
 	"vsnoop/internal/core"
 	"vsnoop/internal/hv"
 	"vsnoop/internal/mem"
 	"vsnoop/internal/sim"
+	"vsnoop/internal/token"
 )
 
-// TestCowOverlayDomainLocal pins the partitioned copy-on-write semantics
-// directly (the synthetic workloads never store to content pages, so the
-// trap path needs a unit-level check): targets are preallocated at setup, a
-// trap installs the domain-local overlay without touching global page
-// tables, and other domains keep reading the shared translation until they
-// trap themselves — onto the same preallocated target.
-func TestCowOverlayDomainLocal(t *testing.T) {
+// TestFriendOnEveryReplica pins the friend-VM content policy in a
+// migrating machine: every filter replica, not only the first, routes a
+// content-shared read miss to the friend VM's cores.
+func TestFriendOnEveryReplica(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.ContentSharing = true
+	cfg.Filter.Policy, cfg.Filter.Content = core.PolicyCounter, core.ContentFriendVM
+	cfg.MigrationPeriodMs = 1
 	m, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(m.doms) <= 1 {
-		t.Fatal("content config planned a single domain")
+	if len(m.replicas) < 2 {
+		t.Fatalf("%d filter replicas; the test needs several", len(m.replicas))
 	}
-	if m.cowTargets.Len() == 0 {
-		t.Fatal("no COW targets preallocated for a content-sharing config")
+	const vm = mem.VMID(0)
+	if !m.hasFriend[vm] {
+		t.Fatal("VM 0 has no friend VM")
 	}
-	// The first (VM, guest page) with a target: a deterministic pick.
-	var (
-		vm     mem.VMID
-		gp     mem.GuestPage
-		target mem.HostPage
-	)
-find:
-	for vm = 0; int(vm) < cfg.VMs; vm++ {
-		for gp = 0; int(gp) < m.MM.Space(vm).Pages(); gp++ {
-			var ok bool
-			if target, ok = m.cowTargets.Target(vm, gp); ok {
-				break find
+	friendCores := m.Mapper.RunningCores(m.friendOf[vm])
+	if len(friendCores) == 0 {
+		t.Fatal("the friend VM runs on no core")
+	}
+	req := m.Mapper.CoreOf(hv.VCPU{VM: vm})
+	for d, rep := range m.replicas {
+		got := rep.Route(token.RouteInfo{VM: vm, Page: mem.PageROShared, Requester: req, Attempt: 1}, nil)
+		for _, c := range friendCores {
+			if !slices.Contains(got, m.cores[c].node) {
+				t.Errorf("replica %d routes VM %d's shared read to %v, without friend core %d", d, vm, got, c)
 			}
 		}
-	}
-	if tr := m.MM.Translate(vm, gp); tr.Type != mem.PageROShared {
-		t.Fatalf("target page not RO-shared before trap: %v", tr.Type)
-	}
-	d0, d1 := m.doms[0], m.doms[1]
-	d0.cow[mem.CowKey(vm, gp)] = mem.Translation{Host: target, Type: mem.PagePrivate}
-	got := m.translate(d0, vm, gp)
-	if got.Type != mem.PagePrivate || got.Host != target {
-		t.Fatalf("overlay translation = %+v, want private page %v", got, target)
-	}
-	if tr := m.translate(d1, vm, gp); tr.Type != mem.PageROShared {
-		t.Fatalf("other domain's translation changed: %+v", tr)
-	}
-	if tr := m.MM.Translate(vm, gp); tr.Type != mem.PageROShared {
-		t.Fatalf("global page tables mutated by overlay trap: %+v", tr)
 	}
 }
 

@@ -227,20 +227,20 @@ func (cfg Config) Validate() error {
 //
 // Every semantic field (workloads, policies, fault plan, seed, step
 // bounds, checks) is included. The encoding is versioned
-// ("vsnoop-config-v3"; v3 moved migrated-vCPU event chasing onto the
-// per-domain forwarding tables, re-timing multi-hop chases, and v2 moved
-// migration, content-sharing, and fault-event configurations onto the
-// partitioned cross-domain semantics — older stores must not serve either);
-// any future change to the encoded fields must bump it so stale stores are
-// never misread. The line "forceSerial=false" is a constant: it named the
-// deleted single-queue engine, which no valid Config ran (every one plans
-// at least two snoop domains), so every v3 hash still names the result the
-// partitioned machine computes, and stored v3 records stay valid.
+// ("vsnoop-config-v4"; v4 cut only quadrant-placed machines into snoop
+// domains and runs every other one as one domain, applies fault-event
+// corruption at once, gives copy-on-write one machine-wide overlay, and
+// tells every filter replica the friend VM; v3 moved migrated-vCPU event
+// chasing onto the per-domain forwarding tables, and v2 moved migration,
+// content-sharing, and fault-event configurations onto the partitioned
+// cross-domain semantics — older stores must not serve any of them); any
+// future change to the encoded fields or to the results they name must
+// bump it so stale stores are never misread.
 func (cfg Config) Hash() string {
 	h := sha256.New()
 	w := func(format string, args ...interface{}) { fmt.Fprintf(h, format, args...) }
 	f64 := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
-	w("vsnoop-config-v3\n")
+	w("vsnoop-config-v4\n")
 	w("cores=%d\nvms=%d\nvcpusPerVM=%d\n", cfg.Cores, cfg.VMs, cfg.VCPUsPerVM)
 	w("workload=%q\n", cfg.Workload)
 	w("workloadPerVM.len=%d\n", len(cfg.WorkloadPerVM))
@@ -251,7 +251,6 @@ func (cfg Config) Hash() string {
 	w("refsPerVCPU=%d\nwarmupRefs=%d\n", cfg.RefsPerVCPU, cfg.WarmupRefs)
 	w("migrationPeriodMs=%s\ncyclesPerMs=%d\n", f64(cfg.MigrationPeriodMs), cfg.CyclesPerMs)
 	w("contentSharing=%t\nhypervisor=%t\n", cfg.ContentSharing, cfg.Hypervisor)
-	w("forceSerial=false\n")
 	w("checks=%t\nmaxSteps=%d\nseed=%d\n", cfg.Checks, cfg.MaxSteps, cfg.Seed)
 	if p := cfg.Fault; p != nil {
 		w("fault.seed=%d\n", p.Seed)
@@ -324,29 +323,6 @@ type Result struct {
 // than Run). It is monotone and safe to read concurrently with in-flight
 // runs: each run adds its count when it finishes.
 func TotalEventsFired() uint64 { return system.TotalEventsFired() }
-
-// PlannedDomains returns the number of snoop domains the graph-cut
-// partition planner computes for cfg; invalid configurations report 1.
-func PlannedDomains(cfg Config) int {
-	sc, err := toSystem(cfg)
-	if err != nil {
-		return 1
-	}
-	return sc.PlannedDomains()
-}
-
-// PartitionInfo renders the partition planner's cut for cfg: the domain
-// grid, per-node domain assignment, cut edges, per-domain cross-domain
-// horizons (the delay of each domain's cross-domain protocol events), and
-// whether the run needs synchronized filter state. This is
-// the `-dump-partition` CLI view.
-func PartitionInfo(cfg Config) (string, error) {
-	sc, err := toSystem(cfg)
-	if err != nil {
-		return "", err
-	}
-	return sc.PartitionInfo(), nil
-}
 
 // Run executes one simulation.
 func Run(cfg Config) (*Result, error) {

@@ -23,14 +23,14 @@ func (s *cowWriter) Next() workload.Ref {
 	return workload.Ref{Ctx: workload.CtxGuest, Page: s.read, Block: s.n % mem.BlocksPerPage}
 }
 
-// TestCopyOnWriteOncePerVMPage pins the copy-on-write overlay: a VM's
-// first write to a content-shared page traps once and privatizes the page
-// for every vCPU of that VM, wherever it runs, onto the preallocated
-// target, without touching the global page tables or other VMs' view of
-// the page. Relocations at setup spread each VM over several quadrant
-// domains first, so a per-domain overlay would trap once per (VM, domain)
-// pair instead.
-func TestCopyOnWriteOncePerVMPage(t *testing.T) {
+// TestCopyOnWritePerDomain pins how copy-on-write traps count across snoop
+// domains: a VM's first write to a content-shared page traps once and
+// privatizes the page for every vCPU of that VM, whichever domain it runs
+// in, onto the preallocated target, without touching the global page
+// tables or other VMs' view of the page. Relocations at setup spread each
+// VM over several quadrant domains first, so a per-domain overlay would
+// trap once per (VM, domain) pair instead.
+func TestCopyOnWritePerDomain(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.ContentSharing = true
 	cfg.NoHypervisor = true
@@ -83,5 +83,56 @@ func TestCopyOnWriteOncePerVMPage(t *testing.T) {
 		if target, _ := m.cowTargets.Target(vm, write); tr.Type != mem.PagePrivate || tr.Host != target {
 			t.Errorf("VM %d translates to %+v, want its private target %v", vm, tr, target)
 		}
+	}
+}
+
+// TestCowOverlayDomainLocal pins the overlay's scope directly: targets are
+// preallocated at setup, and an overlay entry privatizes the page for its
+// VM in every domain alike (translate takes no domain) while another VM
+// sharing the page and the global page tables keep the shared
+// translation.
+func TestCowOverlayDomainLocal(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.ContentSharing = true
+	m, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(m.doms) <= 1 {
+		t.Fatal("content config planned a single domain")
+	}
+	if m.cowTargets.Len() == 0 {
+		t.Fatal("no COW targets preallocated for a content-sharing config")
+	}
+	// The first (VM, guest page) with a target: a deterministic pick.
+	var (
+		vm     mem.VMID
+		gp     mem.GuestPage
+		target mem.HostPage
+	)
+find:
+	for vm = 0; int(vm) < cfg.VMs; vm++ {
+		for gp = 0; int(gp) < m.MM.Space(vm).Pages(); gp++ {
+			var ok bool
+			if target, ok = m.cowTargets.Target(vm, gp); ok {
+				break find
+			}
+		}
+	}
+	other := (vm + 1) % mem.VMID(cfg.VMs)
+	for _, v := range []mem.VMID{vm, other} {
+		if tr := m.MM.Translate(v, gp); tr.Type != mem.PageROShared {
+			t.Fatalf("VM %d: page not RO-shared before the trap: %v", v, tr.Type)
+		}
+	}
+	m.cow[mem.CowKey(vm, gp)] = mem.Translation{Host: target, Type: mem.PagePrivate}
+	if got := m.translate(vm, gp); got.Type != mem.PagePrivate || got.Host != target {
+		t.Fatalf("overlay translation = %+v, want private page %v", got, target)
+	}
+	if tr := m.translate(other, gp); tr.Type != mem.PageROShared {
+		t.Fatalf("VM %d's translation changed: %+v", other, tr)
+	}
+	if tr := m.MM.Translate(vm, gp); tr.Type != mem.PageROShared {
+		t.Fatalf("global page tables mutated by overlay trap: %+v", tr)
 	}
 }

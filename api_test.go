@@ -13,7 +13,7 @@ import (
 // process, machine, and Go version must encode the default config to
 // exactly these bytes. If a Config change legitimately alters the
 // encoding, bump the version string in Hash and re-pin.
-const defaultHash = "14027c913b901e0e3dc1586fe14bb7295d11c3a873c09076bdf0b29fcd89ac87"
+const defaultHash = "7c7737a0092b31cb09e644e694d8973a1a91db0c42343edfd414863a76f4f522"
 
 func TestHashDefaultPinned(t *testing.T) {
 	if h := DefaultConfig().Hash(); h != defaultHash {

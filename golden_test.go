@@ -68,16 +68,16 @@ func goldenConfigs() []goldenRow {
 	// partitioned semantics (ordered cross-domain relocation transactions).
 	return []goldenRow{
 		{"fft-counter-mig", mig,
-			"3ef264f973999e8bb83dc13336d0f28586798c49f68afaa6e1c6364bb642160b",
+			"4acbbdc873486d2c4a68945b8355ff7d0ef26f80e97de2ca2eedab803ac7c122",
 			269816, "4.180799", 5802736, 14989, 14989, 1, 0, 2},
 		{"ocean-threshold-pinned", pinned,
-			"579366ddffc069f468e33d288a6e3dcbb8eb0a57eaebe50655bad4ba49d3f7c1",
+			"1fce6d09b42e48fc56b09ef4987e8073b8c7b97c8b35f99d164b1407f0018230",
 			447681, "4.000000", 9986704, 27981, 27981, 0, 0, 0},
 		{"radix-base-content", content,
-			"7f91acff3043d3c120f4a7c4ad5b69d4f4461ae16296e3e8d1953e218b885881",
+			"96792382c3fe2135520923827d164e936424048fd890dc5adc2810a960ffdac0",
 			311646, "4.000000", 6861696, 19192, 19192, 0, 0, 0},
 		{"fft-flush-fault", faulted,
-			"4880defc0192006675d6178df32e52d6fe76e313564fe1018ba6d2f5845e44fc",
+			"5b3437a383fbfb18cfdf810c7749d8e3509626b99f1fa82ac6d27af9ee4a5516",
 			224520, "5.519391", 5767696, 12944, 12944, 279, 0, 10},
 	}
 }

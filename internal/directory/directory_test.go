@@ -275,7 +275,8 @@ func TestDeterministicRuns(t *testing.T) {
 		issue(0)
 		h.eng.ScheduleFn(3, call, func() { issue(1) }, 0)
 		h.run()
-		return h.home.Stats.Lookups, h.net.ByteHops
+		byteHops, _, _ := h.net.TrafficTotals()
+		return h.home.Stats.Lookups, byteHops
 	}
 	a1, b1 := run()
 	a2, b2 := run()

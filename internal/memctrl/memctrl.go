@@ -53,12 +53,23 @@ type persistentEntry struct {
 	waiters []token.Msg
 }
 
-// Stats are the per-controller counters.
+// Stats are the per-controller counters. The last three count the
+// persistent arbitration paths that only faults reach.
 type Stats struct {
 	DRAMReads   uint64
 	DRAMWrites  uint64
 	TokenSends  uint64
 	Activations uint64
+	// OwnTokensForwarded counts messages whose tokens the active
+	// persistent requester had sent itself, bounced home and forwarded
+	// back to it.
+	OwnTokensForwarded uint64
+	// QueuedRetries counts persistent requests retried by a requester
+	// already queued behind the active one; each queues once.
+	QueuedRetries uint64
+	// Withdrawals counts releases that took a queued requester out of
+	// the queue before its turn.
+	Withdrawals uint64
 }
 
 // Ctrl is one memory controller endpoint. Blocks are assigned to
@@ -326,6 +337,9 @@ func (m *Ctrl) handleGetX(msg *token.Msg) {
 // would leave the requester waiting for good.
 func (m *Ctrl) absorb(msg *token.Msg) {
 	if p := m.activeEntry(msg.Addr); p != nil {
+		if msg.Src == p.active {
+			m.Stats.OwnTokensForwarded++
+		}
 		// Relayed tokens stay in flight: no Arrive/Depart on the ledger.
 		out := m.msgs.New(*msg)
 		out.Src = m.Node
@@ -370,8 +384,12 @@ func (m *Ctrl) handlePersistentReq(msg *token.Msg) {
 		m.persistent[msg.Addr] = p
 	}
 	if p.hasAct {
-		if p.active == msg.Src || p.waiting(msg.Src) >= 0 {
+		switch {
+		case p.active == msg.Src:
 			return // duplicate activation from a retry
+		case p.waiting(msg.Src) >= 0:
+			m.Stats.QueuedRetries++
+			return // a retry of a queued request queues once
 		}
 		p.waiters = append(p.waiters, *msg)
 		return
@@ -420,6 +438,7 @@ func (m *Ctrl) handleRelease(msg *token.Msg) {
 		// to a node that no longer wants them and will never release.
 		if i := p.waiting(msg.Src); i >= 0 {
 			p.waiters = append(p.waiters[:i], p.waiters[i+1:]...)
+			m.Stats.Withdrawals++
 		}
 		return
 	}

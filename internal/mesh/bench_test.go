@@ -65,10 +65,10 @@ func TestSendZeroAllocSteadyState(t *testing.T) {
 	}
 }
 
-// TestPartitionedSendZeroAllocSteadyState gates the partitioned-mode send
-// path: the per-domain traffic-slot accounting and the cross-domain
-// zero-load delivery (ScheduleFnAtDom) must allocate nothing at steady
-// state, same as the serial path TestSendZeroAllocSteadyState covers.
+// TestPartitionedSendZeroAllocSteadyState gates the send path of a network
+// cut into two domains: the per-domain traffic-slot accounting and the
+// cross-domain zero-load delivery must allocate nothing at steady state,
+// same as the one-domain network TestSendZeroAllocSteadyState covers.
 func TestPartitionedSendZeroAllocSteadyState(t *testing.T) {
 	eng, net, ids := benchNet(true)
 	nodeDom := make([]int32, len(ids))

@@ -115,30 +115,27 @@ type Network struct {
 	// otherwise.
 	degraded []int32
 
-	// Traffic statistics, flit-quantized: a message occupies whole flits
-	// of LinkBytesPerCycle bytes on every link it crosses (an 8-byte
-	// control message on a 16-byte link still costs one full flit), which
-	// matches how Garnet-style NoC models account traffic. In partitioned
-	// mode (Partition) these stay zero and traffic is charged to the
-	// sending domain's slot instead; read through TrafficTotals.
-	ByteHops uint64 // flit-quantized bytes x links traversed
-	Bytes    uint64 // flit-quantized bytes injected
-	Messages uint64
-
-	// Domain partition (nil outside partitioned runs): nodeDom maps
-	// endpoints to snoop domains, and traf is the per-domain traffic
-	// accounting.
+	// Domain partition: nodeDom maps endpoints to snoop domains (every
+	// endpoint is in domain 0 until Partition), traf is the per-domain
+	// traffic accounting, charged to the sending domain, and crossHor the
+	// per-domain minimum cross-domain latency.
 	nodeDom  []int32
 	traf     []trafficSlot
-	crossHor []sim.Cycle // per-domain minimum cross-domain latency
+	crossHor []sim.Cycle
 }
 
-// trafficSlot is one domain's traffic counters.
+// trafficSlot is one domain's traffic counters, flit-quantized: a message
+// occupies whole flits of LinkBytesPerCycle bytes on every link it crosses
+// (an 8-byte control message on a 16-byte link still costs one full flit),
+// which matches how Garnet-style NoC models account traffic.
 type trafficSlot struct {
-	byteHops, bytes, messages uint64
+	byteHops uint64 // flit-quantized bytes x links traversed
+	bytes    uint64 // flit-quantized bytes injected
+	messages uint64
 }
 
-// New creates a mesh network driven by eng.
+// New creates a mesh network driven by eng, with every endpoint in
+// domain 0 until Partition.
 func New(eng *sim.Engine, cfg Config) *Network {
 	if cfg.Width <= 0 || cfg.Height <= 0 || cfg.LinkBytesPerCycle <= 0 {
 		panic("mesh: invalid config")
@@ -148,6 +145,7 @@ func New(eng *sim.Engine, cfg Config) *Network {
 		cfg: cfg, eng: eng,
 		nextFree: make([]sim.Cycle, nLinks),
 		degraded: make([]int32, nLinks),
+		traf:     make([]trafficSlot, 1),
 	}
 	n.deliver = func(payload interface{}, dst uint64) {
 		if h := n.nodes[dst].handler; h != nil {
@@ -163,9 +161,9 @@ func (n *Network) linkID(x, y, dir int) int {
 	return (y*n.cfg.Width+x)<<2 | dir
 }
 
-// Partition switches the network to domain-partitioned mode over nd
-// domains: endpoint i belongs to snoop domain nodeDom[i], and every
-// delivery is scheduled in its destination's domain. Intra-domain messages
+// Partition cuts the network into nd domains: endpoint i belongs to snoop
+// domain nodeDom[i], and every delivery is scheduled in its destination's
+// domain. Intra-domain messages
 // keep the full link-contention model — XY routes between endpoints of an
 // axis-aligned domain never leave it. Cross-domain messages are delivered
 // at zero-load latency, with no link reservations (see transmit). Call
@@ -196,17 +194,16 @@ func (n *Network) Partition(nodeDom []int32, nd int) {
 }
 
 // CrossHorizons returns, per domain, the minimum zero-load latency of any
-// cross-domain message the domain can originate (partitioned mode; nil
-// otherwise). A zero entry means the domain has no cross-domain
-// destination. The partitioned machine delays its own cross-domain
-// protocol events (migration legs, filter deltas, holder probes) by these
-// horizons, so they stay part of its event order.
+// cross-domain message the domain can originate (nil before Partition). A
+// zero entry means the domain has no cross-domain destination. The
+// partitioned machine delays its own cross-domain protocol events
+// (migration legs, filter deltas, holder probes) by these horizons, so
+// they stay part of its event order.
 func (n *Network) CrossHorizons() []sim.Cycle { return n.crossHor }
 
 // TrafficTotals returns the whole-machine traffic counters, summing the
-// per-domain slots in partitioned mode.
+// per-domain slots.
 func (n *Network) TrafficTotals() (byteHops, bytes, messages uint64) {
-	byteHops, bytes, messages = n.ByteHops, n.Bytes, n.Messages
 	for i := range n.traf {
 		t := &n.traf[i]
 		byteHops += t.byteHops
@@ -216,7 +213,7 @@ func (n *Network) TrafficTotals() (byteHops, bytes, messages uint64) {
 	return
 }
 
-// DomainTraffic returns domain d's traffic counters (partitioned mode).
+// DomainTraffic returns domain d's traffic counters.
 func (n *Network) DomainTraffic(d int) (byteHops, bytes, messages uint64) {
 	t := &n.traf[d]
 	return t.byteHops, t.bytes, t.messages
@@ -233,6 +230,7 @@ func (n *Network) Attach(x, y int, h Handler) NodeID {
 		panic(fmt.Sprintf("mesh: attach at (%d,%d) outside %dx%d", x, y, n.cfg.Width, n.cfg.Height))
 	}
 	n.nodes = append(n.nodes, node{x: x, y: y, handler: h})
+	n.nodeDom = append(n.nodeDom, 0)
 	return NodeID(len(n.nodes) - 1)
 }
 
@@ -240,9 +238,7 @@ func (n *Network) Attach(x, y int, h Handler) NodeID {
 // endpoint object is constructed after the network).
 func (n *Network) SetHandler(id NodeID, h Handler) { n.nodes[id].handler = h }
 
-// SetElider installs an endpoint's elider (nil removes it). The network
-// consults it only in partitioned mode; outside it every delivery is
-// queued as usual.
+// SetElider installs an endpoint's elider (nil removes it).
 func (n *Network) SetElider(id NodeID, el Elider) { n.nodes[id].elide = el }
 
 // Coords returns the router coordinates of an endpoint.
@@ -301,8 +297,8 @@ type fanout struct {
 	flitBytes uint64
 	payload   interface{}
 	now       sim.Cycle
-	sd        int32        // source domain (partitioned mode)
-	traf      *trafficSlot // source domain's counters; nil outside partitioned mode
+	sd        int32        // source domain
+	traf      *trafficSlot // source domain's counters
 }
 
 // Send injects a message; the destination handler runs when the tail
@@ -332,10 +328,8 @@ func (n *Network) Multicast(src NodeID, dsts []NodeID, bytes int, payload interf
 	f.ser = n.serialization(bytes)
 	f.flitBytes = uint64(f.ser) * uint64(n.cfg.LinkBytesPerCycle)
 	f.payload = payload
-	if n.nodeDom != nil {
-		f.sd = n.nodeDom[src]
-		f.traf = &n.traf[f.sd]
-	}
+	f.sd = n.nodeDom[src]
+	f.traf = &n.traf[f.sd]
 	f.now = n.eng.Now()
 	queued := 0
 	if n.FaultHook != nil {
@@ -374,20 +368,12 @@ func (n *Network) sendFaulted(f *fanout, dst NodeID) int {
 func (n *Network) transmit(f *fanout, dst NodeID, extra sim.Cycle) int {
 	b := &n.nodes[dst]
 	hops := abs(f.x-b.x) + abs(f.y-b.y)
-	byteHops := f.flitBytes * uint64(maxInt(hops, 1))
-	crossDom := false
-	var dd int32
-	if t := f.traf; t != nil {
-		dd = n.nodeDom[dst]
-		t.messages++
-		t.bytes += f.flitBytes
-		t.byteHops += byteHops
-		crossDom = f.sd != dd
-	} else {
-		n.Messages++
-		n.Bytes += f.flitBytes
-		n.ByteHops += byteHops
-	}
+	t := f.traf
+	t.messages++
+	t.bytes += f.flitBytes
+	t.byteHops += f.flitBytes * uint64(maxInt(hops, 1))
+	dd := n.nodeDom[dst]
+	crossDom := f.sd != dd
 
 	// A cross-domain message travels at zero-load latency and reserves no
 	// links. That is a model choice, not a correctness need: the golden
@@ -442,19 +428,15 @@ func (n *Network) transmit(f *fanout, dst NodeID, extra sim.Cycle) int {
 	}
 	arrive += extra
 	eng := n.eng
-	if f.traf != nil {
-		if el := b.elide; el != nil {
-			key := eng.NextKey()
-			if el(arrive, key, dd, f.payload) {
-				return 0
-			}
-			eng.ScheduleKeyed(arrive, key, dd, n.deliver, f.payload, uint64(dst))
-			return 1
+	if el := b.elide; el != nil {
+		key := eng.NextKey()
+		if el(arrive, key, dd, f.payload) {
+			return 0
 		}
-		eng.ScheduleFnAtDom(arrive, dd, n.deliver, f.payload, uint64(dst))
-	} else {
-		eng.ScheduleFnAt(arrive, n.deliver, f.payload, uint64(dst))
+		eng.ScheduleKeyed(arrive, key, dd, n.deliver, f.payload, uint64(dst))
+		return 1
 	}
+	eng.ScheduleFnAtDom(arrive, dd, n.deliver, f.payload, uint64(dst))
 	return 1
 }
 

@@ -154,14 +154,15 @@ func TestTrafficAccounting(t *testing.T) {
 	_, net, ids := build(t, false)
 	net.Send(ids[0], ids[15], 72, nil) // 6 hops, 5 flits = 80 bytes
 	net.Send(ids[0], ids[1], 8, nil)   // 1 hop, 1 flit = 16 bytes
-	if net.Bytes != 96 {
-		t.Fatalf("bytes = %d, want 96 (flit-quantized)", net.Bytes)
+	byteHops, bytes, messages := net.TrafficTotals()
+	if bytes != 96 {
+		t.Fatalf("bytes = %d, want 96 (flit-quantized)", bytes)
 	}
-	if net.ByteHops != 80*6+16*1 {
-		t.Fatalf("byte-hops = %d, want %d", net.ByteHops, 80*6+16)
+	if byteHops != 80*6+16*1 {
+		t.Fatalf("byte-hops = %d, want %d", byteHops, 80*6+16)
 	}
-	if net.Messages != 2 {
-		t.Fatalf("messages = %d", net.Messages)
+	if messages != 2 {
+		t.Fatalf("messages = %d", messages)
 	}
 }
 
@@ -179,11 +180,12 @@ func TestMulticastChargesPerDestination(t *testing.T) {
 	if delivered != 3 {
 		t.Fatalf("delivered = %d", delivered)
 	}
-	if net.Messages != 3 {
-		t.Fatalf("messages = %d", net.Messages)
+	byteHops, _, messages := net.TrafficTotals()
+	if messages != 3 {
+		t.Fatalf("messages = %d", messages)
 	}
-	if net.ByteHops != 16*(1+2+3) {
-		t.Fatalf("byte-hops = %d, want %d (one flit per hop)", net.ByteHops, 16*6)
+	if byteHops != 16*(1+2+3) {
+		t.Fatalf("byte-hops = %d, want %d (one flit per hop)", byteHops, 16*6)
 	}
 }
 
@@ -239,7 +241,8 @@ func TestDeterministicDelivery(t *testing.T) {
 			net.Send(ids[r.Intn(16)], ids[r.Intn(16)], 8+r.Intn(64), nil)
 		}
 		eng.Run()
-		return last, net.ByteHops
+		byteHops, _, _ := net.TrafficTotals()
+		return last, byteHops
 	}
 	l1, b1 := run()
 	l2, b2 := run()

@@ -30,7 +30,7 @@ type twinSpec struct {
 	name       string
 	contention bool
 	degrade    bool
-	doms       int // snoop domains (1, 2 or 4); 0 = legacy unpartitioned
+	doms       int // snoop domains (1, 2 or 4); 0 = no Partition call, which is one domain
 	elide      int
 	fault      bool
 }
@@ -304,7 +304,7 @@ func FuzzMulticastMatchesSends(f *testing.F) {
 		if len(data) == 0 {
 			return
 		}
-		// data[0]: bits 0-1 partition (legacy, 1, 2 or 4 domains), bit 2
+		// data[0]: bits 0-1 partition (none, 1, 2 or 4 domains), bit 2
 		// contention, bit 3 degraded links, bits 4-5 elider, bit 6 fault
 		// hook. The rest is a stream of multicasts: a source byte, a
 		// destination-count byte, the destinations, then a size byte.

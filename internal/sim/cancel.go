@@ -9,9 +9,8 @@ import (
 // the simulation goroutine — a dead HTTP client, a CLI timeout, an admin
 // abort. It is a single atomic word: Cancel may be called from any
 // goroutine, any number of times, before or during the run. Engines poll it
-// on the StepChecked path (every cancelPollMask+1 events), so a tripped
-// Canceler surfaces as a CanceledError within microseconds of simulated
-// work.
+// in Drain (every cancelPollMask+1 events), so a tripped Canceler surfaces
+// as a CanceledError within microseconds of simulated work.
 //
 // Cancellation is a control-plane mechanism, not a simulation input: a run
 // that completes without the Canceler tripping is bit-identical to a run

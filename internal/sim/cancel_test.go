@@ -7,7 +7,7 @@ import (
 )
 
 // TestCancelStopsEngine trips the Canceler from inside an event handler and
-// checks that the bounded-step loop surfaces a CanceledError within one
+// checks that a bounded Drain surfaces a CanceledError within one
 // polling period instead of draining the rest of the chain.
 func TestCancelStopsEngine(t *testing.T) {
 	e := NewEngine()
@@ -26,10 +26,10 @@ func TestCancelStopsEngine(t *testing.T) {
 		}
 	}
 	e.ScheduleFn(1, call, step, 0)
-	err := e.RunBoundedSteps(2 * chain)
+	err := e.Drain(2*chain, 0, nil)
 	var ce *CanceledError
 	if !errors.As(err, &ce) {
-		t.Fatalf("RunBoundedSteps = %v, want *CanceledError", err)
+		t.Fatalf("Drain = %v, want *CanceledError", err)
 	}
 	if fired >= chain {
 		t.Fatalf("fired %d events, cancel never took effect", fired)
@@ -55,7 +55,7 @@ func TestCancelCompletedRunUnaffected(t *testing.T) {
 		for i := Cycle(1); i <= 600; i++ {
 			e.ScheduleFn(i, call, func() { trace = append(trace, e.Now()) }, 0)
 		}
-		if err := e.RunBoundedSteps(1000); err != nil {
+		if err := e.Drain(1000, 0, nil); err != nil {
 			t.Fatalf("run: %v", err)
 		}
 		return trace, e.Fired()
@@ -85,9 +85,10 @@ func TestCancelNilSafety(t *testing.T) {
 
 // cancelPingPong runs an endless 4-domain event chain with cross-domain
 // arrivals, attaches a Canceler, and cancels from another goroutine once
-// the chain has run a while. Covers the path vsnoop-serve uses: the HTTP
-// handler cancels, the simulation goroutine observes.
-func cancelPingPong(t *testing.T, windowed bool) error {
+// the chain has run a while; observed drains under an observer every L
+// cycles. Covers the path vsnoop-serve uses: the HTTP handler cancels, the
+// simulation goroutine observes.
+func cancelPingPong(t *testing.T, observed bool) error {
 	t.Helper()
 	const L, nd = 6, 4
 	e := NewEngine()
@@ -118,34 +119,32 @@ func cancelPingPong(t *testing.T, windowed bool) error {
 		e.SetCurDomain(int32(d))
 		e.ScheduleFnAt(Cycle(d), step, d, 0)
 	}
-	var onWindow func(Cycle) error
-	if windowed {
-		onWindow = func(Cycle) error { return nil }
+	var period Cycle
+	if observed {
+		period = L
 	}
 	errc := make(chan error, 1)
-	go func() {
-		_, err := e.RunWindows(L, 0, onWindow)
-		errc <- err
-	}()
+	go func() { errc <- e.Drain(0, period, func() {}) }()
 	<-started
 	c.Cancel()
 	return <-errc
 }
 
 // TestCancelDomainRun drives an endless domain-mode workload through
-// RunWindows, as one plain drain and in windows, and cancels mid-flight
-// from another goroutine. Both must stop promptly with a CanceledError.
+// Drain, plain ("drain") and under a periodic observer ("windowed"), and
+// cancels mid-flight from another goroutine. Both must stop promptly with
+// a CanceledError.
 func TestCancelDomainRun(t *testing.T) {
-	for _, windowed := range []bool{false, true} {
+	for _, observed := range []bool{false, true} {
 		name := "drain"
-		if windowed {
+		if observed {
 			name = "windowed"
 		}
 		t.Run(name, func(t *testing.T) {
-			err := cancelPingPong(t, windowed)
+			err := cancelPingPong(t, observed)
 			var ce *CanceledError
 			if !errors.As(err, &ce) {
-				t.Fatalf("RunWindows = %v, want *CanceledError", err)
+				t.Fatalf("Drain = %v, want *CanceledError", err)
 			}
 		})
 	}

@@ -11,7 +11,6 @@ package sim
 
 import (
 	"fmt"
-	"math"
 	"math/bits"
 )
 
@@ -133,15 +132,15 @@ type Engine struct {
 	domSeq []uint64
 	curDom int32
 
-	// No-forward-progress watchdog: when progressLimit > 0, StepChecked
-	// fails after that many events fire without a Progress() mark, turning a
+	// No-forward-progress watchdog: when progressLimit > 0, Drain fails
+	// after that many events fire without a Progress() mark, turning a
 	// protocol livelock into a diagnosable error instead of a hang. It
 	// counts executed events only, never parked ones: a livelock is made of
 	// real retry events, so it trips all the same.
 	progressLimit uint64
 	sinceProgress uint64
 
-	// cancel, when non-nil, is polled by StepChecked every cancelPollMask+1
+	// cancel, when non-nil, is polled by Drain every cancelPollMask+1
 	// events: a tripped Canceler turns into a CanceledError at the next poll,
 	// so a dead client or an admin abort stops the run promptly without
 	// adding per-event cost to the uncancelled hot path.
@@ -530,8 +529,8 @@ func (e *Engine) Run() {
 	}
 }
 
-// StepLimitError reports that a bounded run exhausted its event budget with
-// work still queued.
+// StepLimitError reports that a bounded Drain exhausted its event budget
+// with work still queued.
 type StepLimitError struct {
 	Limit   uint64 // the budget that was exhausted
 	Now     Cycle  // simulated time at exhaustion
@@ -557,13 +556,13 @@ func (e *NoProgressError) Error() string {
 		e.Now, e.Limit, e.Pending)
 }
 
-// SetCancel attaches a Canceler polled by StepChecked; nil detaches. The
+// SetCancel attaches a Canceler polled by Drain; nil detaches. The
 // caller may trip the Canceler from any goroutine (it is a single atomic
 // word) — the engine notices at the next poll boundary and fails the run
 // with a CanceledError.
 func (e *Engine) SetCancel(c *Canceler) { e.cancel = c }
 
-// SetProgressLimit arms the no-forward-progress watchdog: StepChecked fails
+// SetProgressLimit arms the no-forward-progress watchdog: Drain fails
 // once limit events fire without an intervening Progress() call. 0 disarms.
 func (e *Engine) SetProgressLimit(limit uint64) {
 	e.progressLimit = limit
@@ -574,28 +573,14 @@ func (e *Engine) SetProgressLimit(limit uint64) {
 // resetting the watchdog.
 func (e *Engine) Progress() { e.sinceProgress = 0 }
 
-// cancelPollMask sets the cancellation poll period: StepChecked consults
-// the Canceler once every mask+1 executed events. 256 events is a few
+// cancelPollMask sets the cancellation poll period: Drain consults the
+// Canceler once every mask+1 executed events. 256 events is a few
 // microseconds of simulation — prompt for any caller — while keeping the
 // atomic load off almost every step.
 const cancelPollMask = 255
 
-// StepChecked executes the next event like Step, but fails with a
-// NoProgressError when the watchdog limit is exceeded or a CanceledError
-// when an attached Canceler has tripped.
-func (e *Engine) StepChecked() (bool, error) {
-	if err := e.checkStep(); err != nil {
-		return false, err
-	}
-	if !e.Step() {
-		return false, nil
-	}
-	e.sinceProgress++
-	return true, nil
-}
-
-// checkStep is StepChecked's pre-step gate: the watchdog and the
-// cancellation poll.
+// checkStep is Drain's pre-step gate: the watchdog and the cancellation
+// poll.
 func (e *Engine) checkStep() error {
 	if e.progressLimit > 0 && e.sinceProgress >= e.progressLimit {
 		return &NoProgressError{Limit: e.progressLimit, Now: e.now, Pending: e.Pending()}
@@ -604,26 +589,6 @@ func (e *Engine) checkStep() error {
 		return &CanceledError{Now: e.now, Pending: e.Pending()}
 	}
 	return nil
-}
-
-// RunBoundedSteps executes events until the queue is empty, failing with a
-// StepLimitError if more than max events would be needed (or a
-// NoProgressError if the watchdog trips first). It is the hang-proof
-// replacement for Run in command-line drivers.
-func (e *Engine) RunBoundedSteps(max uint64) error {
-	for i := uint64(0); i < max; i++ {
-		ok, err := e.StepChecked()
-		if err != nil {
-			return err
-		}
-		if !ok {
-			return nil
-		}
-	}
-	if e.Pending() == 0 {
-		return nil
-	}
-	return &StepLimitError{Limit: max, Now: e.now, Pending: e.Pending()}
 }
 
 // RunUntil executes events with timestamps <= limit, then stops with the
@@ -642,69 +607,52 @@ func (e *Engine) RunUntil(limit Cycle) {
 	}
 }
 
-// RunFor executes events for the next d cycles (relative RunUntil).
-func (e *Engine) RunFor(d Cycle) { e.RunUntil(e.now + d) }
-
-// NextAt returns the timestamp of the earliest pending event; ok is false
-// when the queue is empty.
-func (e *Engine) NextAt() (Cycle, bool) {
-	ev, _ := e.peek()
-	if ev == nil {
-		return 0, false
+// Drain executes queued events until the queue is empty, stopping at the
+// first error. Before each event it checks the no-progress watchdog and
+// the cancellation poll, then, when maxSteps is nonzero, the step budget:
+// with maxSteps or more events fired (Fired) and work still queued, the
+// run fails with a StepLimitError. When period is nonzero, observe runs
+// before the first event at or after each multiple of period later than
+// the clock at the call, with the clock moved to that event's cycle: every
+// earlier event has fired and none at or after it. Multiples that no event
+// separates share one call. observe must not schedule events. With
+// neither a budget nor a period the loop does nothing per event beyond
+// the watchdog and the poll.
+func (e *Engine) Drain(maxSteps uint64, period Cycle, observe func()) error {
+	if maxSteps == 0 && period == 0 {
+		for {
+			ev, b := e.peek()
+			if ev == nil {
+				return nil
+			}
+			if err := e.checkStep(); err != nil {
+				return err
+			}
+			e.fire(b)
+			e.sinceProgress++
+		}
 	}
-	return ev.at, true
-}
-
-// RunWindow executes events with timestamps strictly below wend under the
-// watchdog, leaving later events queued.
-func (e *Engine) RunWindow(wend Cycle) error {
+	var next Cycle
+	if period > 0 {
+		next = (e.now/period + 1) * period
+	}
 	for {
 		ev, b := e.peek()
-		if ev == nil || ev.at >= wend {
+		if ev == nil {
 			return nil
 		}
 		if err := e.checkStep(); err != nil {
 			return err
 		}
+		if maxSteps > 0 && e.Fired() >= maxSteps {
+			return &StepLimitError{Limit: maxSteps, Now: e.now, Pending: e.Pending()}
+		}
+		if period > 0 && ev.at >= next {
+			e.now, e.curKey = ev.at, 0
+			observe()
+			next = (ev.at/period + 1) * period
+		}
 		e.fire(b)
 		e.sinceProgress++
-	}
-}
-
-// infCycle bounds a window that never ends.
-const infCycle = Cycle(math.MaxUint64)
-
-// RunWindows executes all queued work under the watchdog, stopping at the
-// first error. With neither onWindow nor maxSteps it is one plain drain.
-// Otherwise it runs in windows: each starts at the earliest pending cycle
-// w and executes the events strictly below w+width. onWindow(w) runs at
-// every window start, with every event below w executed and none at or
-// above; a non-nil error ends the run. maxSteps, when nonzero, fails the
-// run with a StepLimitError at the first window start at or past that many
-// fired events, so the trigger point has window granularity. RunWindows
-// returns the last window start (the final clock without windows).
-func (e *Engine) RunWindows(width Cycle, maxSteps uint64, onWindow func(now Cycle) error) (Cycle, error) {
-	if onWindow == nil && maxSteps == 0 {
-		err := e.RunWindow(infCycle)
-		return e.now, err
-	}
-	var w, wend Cycle // the first window is empty and finds the first event
-	for {
-		if err := e.RunWindow(wend); err != nil {
-			return w, err
-		}
-		at, ok := e.NextAt()
-		if !ok {
-			return w, nil
-		}
-		if maxSteps > 0 && e.Fired() >= maxSteps {
-			return w, &StepLimitError{Limit: maxSteps, Now: w, Pending: e.Pending()}
-		}
-		if onWindow != nil {
-			if err := onWindow(at); err != nil {
-				return w, err
-			}
-		}
-		w, wend = at, at+width
 	}
 }

@@ -74,9 +74,9 @@ func TestEngineRunUntilAdvancesIdleClock(t *testing.T) {
 	if e.Now() != 123 {
 		t.Fatalf("idle RunUntil left clock at %d, want 123", e.Now())
 	}
-	e.RunFor(7)
+	e.RunUntil(e.Now() + 7)
 	if e.Now() != 130 {
-		t.Fatalf("RunFor left clock at %d, want 130", e.Now())
+		t.Fatalf("second idle RunUntil left clock at %d, want 130", e.Now())
 	}
 }
 
@@ -231,52 +231,76 @@ func TestEngineManyEventsStaySorted(t *testing.T) {
 	}
 }
 
-// TestRunWindows pins the windowed drain: onWindow sees each window start
-// with every earlier event fired and none at or after it, windows start at
-// the earliest pending cycle and span width cycles, and a step bound
-// trips at the first window start past it, with work still queued.
-func TestRunWindows(t *testing.T) {
+// TestDrain pins the checked drain. The observer runs before the first
+// event at or after each multiple of the period later than the clock at
+// the call, with the clock moved to that event's cycle, every earlier event
+// fired and none at or after it; multiples no event separates share one
+// call. A step budget counts Fired, parked deliveries included, and trips
+// with work still queued.
+func TestDrain(t *testing.T) {
+	ats := []Cycle{3, 4, 9, 30, 31, 32, 80}
 	build := func() (*Engine, *[]Cycle) {
 		e := NewEngine()
 		var fired []Cycle
-		for _, at := range []Cycle{3, 4, 9, 30, 31, 32, 80} {
+		for _, at := range ats {
 			e.ScheduleFnAt(at, call, func() { fired = append(fired, e.Now()) }, 0)
 		}
 		return e, &fired
 	}
-	e, fired := build()
-	var starts []Cycle
-	last, err := e.RunWindows(5, 0, func(now Cycle) error {
-		for _, at := range *fired {
-			if at >= now {
-				t.Fatalf("window %d: event at %d already fired", now, at)
+	for _, c := range []struct {
+		period, from Cycle
+		want         []Cycle
+	}{
+		{10, 0, []Cycle{30, 80}},
+		{4, 0, []Cycle{4, 9, 30, 32, 80}},
+		{10, 35, []Cycle{80}},
+		{100, 0, nil},
+	} {
+		e, fired := build()
+		e.RunUntil(c.from)
+		var seen []Cycle
+		err := e.Drain(0, c.period, func() {
+			now := e.Now()
+			if e.CurKey() != 0 {
+				t.Fatalf("period %d: observer at %d with key %d, want the start of the cycle", c.period, now, e.CurKey())
+			}
+			below := 0
+			for _, at := range ats {
+				if at < now {
+					below++
+				}
+			}
+			if len(*fired) != below || below > 0 && (*fired)[below-1] >= now {
+				t.Fatalf("period %d: observer at %d after events %v", c.period, now, *fired)
+			}
+			seen = append(seen, now)
+		})
+		if err != nil || len(*fired) != len(ats) || len(seen) != len(c.want) {
+			t.Fatalf("period %d from %d: Drain = %v, fired %v, observed at %v; want nil, all %d, observed at %v",
+				c.period, c.from, err, *fired, seen, len(ats), c.want)
+		}
+		for i := range seen {
+			if seen[i] != c.want[i] {
+				t.Fatalf("period %d from %d: observed at %v, want %v", c.period, c.from, seen, c.want)
 			}
 		}
-		if at, _ := e.NextAt(); at != now {
-			t.Fatalf("window starts at %d, earliest pending event at %d", now, at)
-		}
-		starts = append(starts, now)
-		return nil
-	})
-	want := []Cycle{3, 9, 30, 80}
-	if err != nil || last != 80 || len(*fired) != 7 || len(starts) != len(want) {
-		t.Fatalf("RunWindows = %d, %v; fired %v, windows %v; want 80, nil, 7 events, windows %v", last, err, *fired, starts, want)
-	}
-	for i := range want {
-		if starts[i] != want[i] {
-			t.Fatalf("windows %v, want %v", starts, want)
-		}
 	}
 
-	e, fired = build()
-	_, err = e.RunWindows(5, 3, nil)
+	e, fired := build()
+	err := e.Drain(3, 0, nil)
 	var sl *StepLimitError
-	if !errors.As(err, &sl) || sl.Now != 9 || len(*fired) != 3 || sl.Pending != 4 {
-		t.Fatalf("bounded RunWindows = %v after %d events; want a StepLimitError at window 9 with 4 pending after 3", err, len(*fired))
+	if !errors.As(err, &sl) || sl.Limit != 3 || sl.Now != 9 || sl.Pending != 4 || len(*fired) != 3 {
+		t.Fatalf("Drain(3) = %v after %d events; want a StepLimitError at cycle 9 with 4 pending after 3", err, len(*fired))
 	}
 
 	e, fired = build()
-	if last, err := e.RunWindows(5, 0, nil); err != nil || last != 80 || len(*fired) != 7 {
-		t.Fatalf("plain RunWindows = %d, %v after %d events; want 80, nil, 7", last, err, len(*fired))
+	e.Park() // a parked delivery counts as fired
+	if err := e.Drain(3, 10, func() {}); !errors.As(err, &sl) || sl.Now != 4 || len(*fired) != 2 {
+		t.Fatalf("Drain(3) after a Park = %v after %d events; want a StepLimitError at cycle 4 after 2", err, len(*fired))
+	}
+
+	e, fired = build()
+	if err := e.Drain(uint64(len(ats)), 0, nil); err != nil || len(*fired) != len(ats) {
+		t.Fatalf("Drain(%d) = %v after %d events; a budget the run fits in must drain it", len(ats), err, len(*fired))
 	}
 }

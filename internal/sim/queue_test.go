@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"errors"
 	"sort"
 	"testing"
 )
@@ -10,9 +11,9 @@ import (
 // event order: a slice kept sorted by (at, key), where keys follow the
 // nextKey rule (the schedule counter, or the scheduling domain's counter
 // prefixed by the domain in domain mode). Whatever layout the engine's
-// queue uses, it must pop exactly this sequence and answer NextAt,
-// Pending, RunUntil and RunWindow as the sorted slice does. A cancelled
-// timer leaves the slice, and Fired counts it.
+// queue uses, it must pop exactly this sequence and answer Pending,
+// RunUntil and Drain as the sorted slice does. A cancelled timer leaves the
+// slice, and Fired counts it.
 
 // qDelays are the delays a queue op picks from: same-cycle, short protocol
 // latencies, the ring boundary on both sides, and far beyond it.
@@ -75,6 +76,10 @@ type qModel struct {
 	fired  int
 	// cancelled counts the timers CancelTimer took out.
 	cancelled uint64
+	// obsNext, during a Drain with a period, is the next multiple of the
+	// period whose observer call is due: no event at or after it may fire
+	// first. 0 outside such a Drain.
+	obsNext Cycle
 }
 
 func newQModel(t testing.TB, nd int) *qModel {
@@ -207,6 +212,9 @@ func (m *qModel) handle(arg interface{}, id uint64) {
 	if p, _ := arg.(*qPayload); p != want.p {
 		m.t.Fatalf("event %d fired with arg %v, want its own payload %p", id, arg, want.p)
 	}
+	if m.obsNext > 0 && want.at >= m.obsNext {
+		m.t.Fatalf("event %d at cycle %d fired before the observer of multiple %d", id, want.at, m.obsNext)
+	}
 	m.st.pend = m.st.pend[1:]
 	m.st.now, m.st.curDom = want.at, want.dom
 	m.fired++
@@ -223,10 +231,6 @@ func (m *qModel) check() {
 	m.t.Helper()
 	if got, want := m.e.Pending(), len(m.st.pend); got != want {
 		m.t.Fatalf("Pending() = %d, want %d", got, want)
-	}
-	at, ok := m.e.NextAt()
-	if ok != (len(m.st.pend) > 0) || ok && at != m.st.pend[0].at {
-		m.t.Fatalf("NextAt() = %d, %v; model head %+v", at, ok, m.st.pend)
 	}
 	if m.e.Now() != m.st.now {
 		m.t.Fatalf("Now() = %d, want %d", m.e.Now(), m.st.now)
@@ -253,12 +257,44 @@ func (m *qModel) runUntil(limit Cycle) {
 	}
 }
 
-func (m *qModel) runWindow(wend Cycle) {
-	if err := m.e.RunWindow(wend); err != nil {
-		m.t.Fatal(err)
+// drainChecked runs Drain with a period and a step budget decoded from
+// arg: the period is a qDelays entry (0 means no observer), and the budget
+// is 0 (none) when arg's top bit is set, else 0 to 7 events past Fired. The
+// observer must see the model's head at the moved clock, with no event due
+// before it; the run must stop exactly at the budget with work queued, or
+// drain.
+func (m *qModel) drainChecked(arg byte) {
+	period := qDelays[int(arg)%len(qDelays)]
+	start := m.e.Fired()
+	var budget uint64
+	if arg&0x80 == 0 {
+		budget = start + uint64(arg>>4&7)
 	}
-	if len(m.st.pend) > 0 && m.st.pend[0].at < wend {
-		m.t.Fatalf("RunWindow(%d) left event at %d queued", wend, m.st.pend[0].at)
+	var observe func()
+	if period > 0 {
+		m.obsNext = (m.st.now/period + 1) * period
+		observe = func() {
+			now := m.e.Now()
+			if len(m.st.pend) == 0 || m.st.pend[0].at != now || now < m.obsNext || m.e.CurKey() != 0 {
+				m.t.Fatalf("observer at (%d, %#x) for multiple %d of %d; model head %+v",
+					now, m.e.CurKey(), m.obsNext, period, m.st.pend)
+			}
+			m.st.now = now
+			m.obsNext = (now/period + 1) * period
+		}
+	}
+	err := m.e.Drain(budget, period, observe)
+	m.obsNext = 0
+	if len(m.st.pend) == 0 {
+		if err != nil {
+			m.t.Fatalf("Drain(%d, %d) = %v with the queue drained", budget, period, err)
+		}
+		return
+	}
+	var sl *StepLimitError
+	if budget == 0 || !errors.As(err, &sl) || sl.Pending != len(m.st.pend) || sl.Now != m.st.now ||
+		m.e.Fired() != max(budget, start) {
+		m.t.Fatalf("Drain(%d, %d) = %v with %d events queued and %d fired", budget, period, err, len(m.st.pend), m.e.Fired())
 	}
 }
 
@@ -290,7 +326,7 @@ func (m *qModel) apply(op, arg byte) {
 	case 7:
 		m.runUntil(m.st.now + d)
 	case 8:
-		m.runWindow(m.st.now + d)
+		m.drainChecked(arg)
 	case 9:
 		if arg&1 == 0 || len(m.st.held) == 0 {
 			m.drawKey()

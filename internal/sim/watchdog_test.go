@@ -5,14 +5,18 @@ import (
 	"testing"
 )
 
+// The TestRunBoundedSteps tests pin Drain's step budget: a run that fits
+// in it drains, one that does not fires exactly the budget and stops with
+// a StepLimitError, and a budget equal to the event count is completion.
+
 func TestRunBoundedStepsCompletes(t *testing.T) {
 	e := NewEngine()
 	fired := 0
 	for i := Cycle(1); i <= 5; i++ {
 		e.ScheduleFn(i, call, func() { fired++ }, 0)
 	}
-	if err := e.RunBoundedSteps(10); err != nil {
-		t.Fatalf("RunBoundedSteps: %v", err)
+	if err := e.Drain(10, 0, nil); err != nil {
+		t.Fatalf("Drain(10): %v", err)
 	}
 	if fired != 5 {
 		t.Fatalf("fired = %d, want 5", fired)
@@ -26,7 +30,7 @@ func TestRunBoundedStepsLimit(t *testing.T) {
 	var tick func()
 	tick = func() { fired++; e.ScheduleFn(1, call, tick, 0) }
 	e.ScheduleFn(1, call, tick, 0)
-	err := e.RunBoundedSteps(100)
+	err := e.Drain(100, 0, nil)
 	var sl *StepLimitError
 	if !errors.As(err, &sl) {
 		t.Fatalf("err = %v, want StepLimitError", err)
@@ -45,8 +49,8 @@ func TestRunBoundedStepsExactFinish(t *testing.T) {
 	e.ScheduleFn(2, call, func() {}, 0)
 	// Bound equals the event count: the queue drains on the last allowed
 	// step, which is completion, not a limit hit.
-	if err := e.RunBoundedSteps(2); err != nil {
-		t.Fatalf("RunBoundedSteps at exact bound: %v", err)
+	if err := e.Drain(2, 0, nil); err != nil {
+		t.Fatalf("Drain at exact bound: %v", err)
 	}
 }
 
@@ -56,14 +60,7 @@ func TestWatchdogFiresWithoutProgress(t *testing.T) {
 	var tick func()
 	tick = func() { e.ScheduleFn(1, call, tick, 0) }
 	e.ScheduleFn(1, call, tick, 0)
-	var err error
-	for {
-		var ok bool
-		ok, err = e.StepChecked()
-		if err != nil || !ok {
-			break
-		}
-	}
+	err := e.Drain(0, 0, nil)
 	var np *NoProgressError
 	if !errors.As(err, &np) {
 		t.Fatalf("err = %v, want NoProgressError", err)
@@ -88,14 +85,8 @@ func TestWatchdogResetByProgress(t *testing.T) {
 		}
 	}
 	e.ScheduleFn(1, call, tick, 0)
-	for {
-		ok, err := e.StepChecked()
-		if err != nil {
-			t.Fatalf("watchdog fired despite regular progress: %v", err)
-		}
-		if !ok {
-			break
-		}
+	if err := e.Drain(0, 0, nil); err != nil {
+		t.Fatalf("watchdog fired despite regular progress: %v", err)
 	}
 	if steps != 500 {
 		t.Fatalf("steps = %d, want 500", steps)
@@ -115,13 +106,7 @@ func TestWatchdogDisarm(t *testing.T) {
 		}
 	}
 	e.ScheduleFn(1, call, tick, 0)
-	for {
-		ok, err := e.StepChecked()
-		if err != nil {
-			t.Fatalf("disarmed watchdog fired: %v", err)
-		}
-		if !ok {
-			break
-		}
+	if err := e.Drain(0, 0, nil); err != nil {
+		t.Fatalf("disarmed watchdog fired: %v", err)
 	}
 }

@@ -1,63 +1,10 @@
 // Package stats provides the measurement primitives shared by all
-// simulators in this repository: named counters, fixed-bin histograms,
-// empirical CDFs, and normalization helpers used to produce the paper's
-// "normalized to baseline TokenB" series.
+// simulators in this repository: scalar samples, empirical CDFs, and the
+// normalization used to produce the paper's "normalized to baseline
+// TokenB" series.
 package stats
 
-import (
-	"fmt"
-	"sort"
-	"strings"
-)
-
-// Counters is a set of named uint64 counters. The zero value is ready to
-// use after a call to New, or construct with make via NewCounters.
-type Counters struct {
-	m     map[string]uint64
-	order []string
-}
-
-// NewCounters returns an empty counter set.
-func NewCounters() *Counters {
-	return &Counters{m: make(map[string]uint64)}
-}
-
-// Add increments counter name by delta, creating it at first use.
-func (c *Counters) Add(name string, delta uint64) {
-	if _, ok := c.m[name]; !ok {
-		c.order = append(c.order, name)
-	}
-	c.m[name] += delta
-}
-
-// Inc increments counter name by one.
-func (c *Counters) Inc(name string) { c.Add(name, 1) }
-
-// Get returns the current value of counter name (0 if never touched).
-func (c *Counters) Get(name string) uint64 { return c.m[name] }
-
-// Names returns counter names in first-use order.
-func (c *Counters) Names() []string {
-	out := make([]string, len(c.order))
-	copy(out, c.order)
-	return out
-}
-
-// Merge adds every counter from other into c.
-func (c *Counters) Merge(other *Counters) {
-	for _, n := range other.order {
-		c.Add(n, other.m[n])
-	}
-}
-
-// String renders the counters, one per line, in first-use order.
-func (c *Counters) String() string {
-	var b strings.Builder
-	for _, n := range c.order {
-		fmt.Fprintf(&b, "%-32s %d\n", n, c.m[n])
-	}
-	return b.String()
-}
+import "sort"
 
 // Sample accumulates scalar observations and reports summary statistics.
 type Sample struct {
@@ -212,46 +159,6 @@ func (c *CDF) Series(n int) (xs, ys []float64) {
 	return xs, ys
 }
 
-// Histogram is a fixed-width-bin histogram over [0, binWidth*len(bins)),
-// with an overflow bin for larger values.
-type Histogram struct {
-	binWidth float64
-	bins     []uint64
-	overflow uint64
-	total    uint64
-}
-
-// NewHistogram creates a histogram with nBins bins of width binWidth.
-func NewHistogram(binWidth float64, nBins int) *Histogram {
-	if binWidth <= 0 || nBins <= 0 {
-		panic("stats: invalid histogram shape")
-	}
-	return &Histogram{binWidth: binWidth, bins: make([]uint64, nBins)}
-}
-
-// Observe records one value.
-func (h *Histogram) Observe(v float64) {
-	h.total++
-	if v < 0 {
-		v = 0
-	}
-	i := int(v / h.binWidth)
-	if i >= len(h.bins) {
-		h.overflow++
-		return
-	}
-	h.bins[i]++
-}
-
-// Bin returns the count in bin i.
-func (h *Histogram) Bin(i int) uint64 { return h.bins[i] }
-
-// Overflow returns the count of observations beyond the last bin.
-func (h *Histogram) Overflow() uint64 { return h.overflow }
-
-// Total returns the number of observations.
-func (h *Histogram) Total() uint64 { return h.total }
-
 // Normalize returns 100*value/base, the paper's "normalized (%)"
 // convention; it returns 0 when base is 0.
 func Normalize(value, base float64) float64 {
@@ -259,13 +166,4 @@ func Normalize(value, base float64) float64 {
 		return 0
 	}
 	return 100 * value / base
-}
-
-// Reduction returns the percentage reduction of value versus base
-// (100*(1-value/base)); 0 when base is 0.
-func Reduction(value, base float64) float64 {
-	if base == 0 {
-		return 0
-	}
-	return 100 * (1 - value/base)
 }

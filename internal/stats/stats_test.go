@@ -6,32 +6,6 @@ import (
 	"testing/quick"
 )
 
-func TestCountersBasics(t *testing.T) {
-	c := NewCounters()
-	c.Inc("a")
-	c.Add("b", 5)
-	c.Inc("a")
-	if c.Get("a") != 2 || c.Get("b") != 5 || c.Get("missing") != 0 {
-		t.Fatalf("counter values wrong: a=%d b=%d", c.Get("a"), c.Get("b"))
-	}
-	names := c.Names()
-	if len(names) != 2 || names[0] != "a" || names[1] != "b" {
-		t.Fatalf("names order wrong: %v", names)
-	}
-}
-
-func TestCountersMerge(t *testing.T) {
-	a := NewCounters()
-	a.Add("x", 3)
-	b := NewCounters()
-	b.Add("x", 4)
-	b.Add("y", 1)
-	a.Merge(b)
-	if a.Get("x") != 7 || a.Get("y") != 1 {
-		t.Fatalf("merge wrong: x=%d y=%d", a.Get("x"), a.Get("y"))
-	}
-}
-
 func TestSampleSummary(t *testing.T) {
 	var s Sample
 	for _, v := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
@@ -127,36 +101,11 @@ func TestCDFSeries(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(10, 5)
-	for _, v := range []float64{0, 5, 9.99, 10, 49, 50, 1000} {
-		h.Observe(v)
-	}
-	if h.Bin(0) != 3 {
-		t.Fatalf("bin0 = %d, want 3", h.Bin(0))
-	}
-	if h.Bin(1) != 1 {
-		t.Fatalf("bin1 = %d, want 1", h.Bin(1))
-	}
-	if h.Bin(4) != 1 {
-		t.Fatalf("bin4 = %d, want 1", h.Bin(4))
-	}
-	if h.Overflow() != 2 {
-		t.Fatalf("overflow = %d, want 2", h.Overflow())
-	}
-	if h.Total() != 7 {
-		t.Fatalf("total = %d, want 7", h.Total())
-	}
-}
-
-func TestNormalizeReduction(t *testing.T) {
+func TestNormalize(t *testing.T) {
 	if Normalize(50, 200) != 25 {
 		t.Fatal("Normalize wrong")
 	}
-	if Reduction(50, 200) != 75 {
-		t.Fatal("Reduction wrong")
-	}
-	if Normalize(1, 0) != 0 || Reduction(1, 0) != 0 {
+	if Normalize(1, 0) != 0 {
 		t.Fatal("zero base must yield 0")
 	}
 }

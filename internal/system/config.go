@@ -114,7 +114,8 @@ type Config struct {
 	// canceler trips is bit-identical to one with no canceler attached.
 	Cancel *sim.Canceler
 
-	// MaxSteps bounds the run's executed event count; RunChecked returns a
+	// MaxSteps bounds the run's fired event count (Stats.EventsFired,
+	// parked and cancelled events included); RunChecked returns a
 	// sim.StepLimitError when exhausted (0 = unbounded).
 	MaxSteps uint64
 	// ProgressLimit arms the no-forward-progress watchdog: an error after

@@ -91,7 +91,11 @@ type digestCase struct {
 // linear-placement and large-mesh were re-pinned when machines without
 // quadrant placement became one domain, regionscout when its broadcasts
 // began to learn regions at once, and fault-events when map and counter
-// corruption began to apply as the event fires.
+// corruption began to apply as the event fires. storm and fault-events were
+// re-pinned again, with InvariantChecks the only field that moved, when the
+// checker began to sweep at the first event past each period instead of at
+// window starts, and to stop sweeping once every vCPU had finished.
+// persistent-arbitration came from the one-goroutine engine.
 var statsDigests = map[string]string{
 	"tokenB_vsnoop-broadcast":            "820e8f9293ac10b0",
 	"tokenB_memory-direct":               "820e8f9293ac10b0",
@@ -116,23 +120,25 @@ var statsDigests = map[string]string{
 	"fault-plan":                         "996952ed7d45d7d9",
 	"hypervisor":                         "b7ee0ba9ab084394",
 	"migration":                          "b7ae9aaaca18dd1e",
-	"storm":                              "dee3bfaea5f8d593",
+	"storm":                              "c414caf4ba0edaa0",
 	"content-sharing":                    "4565367e86455755",
 	"regionscout":                        "a73de16ab3c7cbd4",
 	"directory":                          "a481640ecc2d2b89",
 	"directory-writebacks":               "6402ad7d19997a53",
 	"linear-placement":                   "811b7d4826baed06",
-	"fault-events":                       "17dd6d8132ac7e14",
+	"fault-events":                       "29ecaf82c13e3ada",
 	"large-mesh":                         "ed4b138e9f5e2675",
 	"migration-content":                  "d0c44e58fe728d6e",
+	"persistent-arbitration":             "2817ee11312a30d6",
 }
 
 // digestCases lists every snoop policy x content policy pair, then the
 // configurations that drive each protocol of the machine: fault plans,
 // hypervisor activity, migration and storms, content sharing, RegionScout,
 // the directory, linear VM placement, scheduled fault events, an 8x8 mesh,
-// and migration over content sharing. Linear placement and the 8x8 mesh
-// run as one domain; every other case is cut into the four quadrants.
+// migration over content sharing, and the memory controllers' persistent
+// arbitration under heavy faults. Linear placement and the 8x8 mesh run as
+// one domain; every other case is cut into the four quadrants.
 func digestCases() []digestCase {
 	var cases []digestCase
 	for _, pol := range []core.Policy{core.PolicyBroadcast, core.PolicyBase, core.PolicyCounter,
@@ -257,6 +263,19 @@ func digestCases() []digestCase {
 				t.Errorf("%d relocations, %d content-page accesses", st.Relocations, st.L1AccessesContent)
 			}
 		}},
+		// Every miss that fails its first attempt goes persistent, and
+		// delays of up to 3,000 cycles keep requests in flight long
+		// enough for requesters of one content-shared block to queue
+		// behind each other and for a bounced response to come home
+		// while its sender's own persistent request is active.
+		digestCase{name: "persistent-arbitration", named: true, set: func(c *Config) {
+			c.Workloads = []string{"blackscholes"}
+			c.RefsPerVCPU, c.WarmupRefs = 800, 200
+			c.Filter.Policy = core.PolicyCounter
+			c.ContentSharing = true
+			c.P.RetriesBeforeBroadcast, c.P.RetriesBeforePersistent = 1, 1
+			c.Fault = &fault.Plan{Seed: 7, DropPct: 30, DelayPct: 50, DelayMax: 3000}
+		}},
 	)
 }
 
@@ -281,8 +300,9 @@ func TestStatsDigests(t *testing.T) {
 	}
 }
 
-// runNamedDigestCase runs the named digestCase called name.
-func runNamedDigestCase(t *testing.T, name string) *Stats {
+// runNamedDigestCase runs the named digestCase called name and returns
+// its machine.
+func runNamedDigestCase(t *testing.T, name string) *Machine {
 	t.Helper()
 	t.Parallel()
 	for _, tc := range digestCases() {
@@ -298,8 +318,8 @@ func runNamedDigestCase(t *testing.T, name string) *Stats {
 }
 
 // runDigestCase runs tc, requires a clean checked run and tc's own check,
-// and compares the statistics with the pinned digest.
-func runDigestCase(t *testing.T, tc digestCase) *Stats {
+// compares the statistics with the pinned digest and returns the machine.
+func runDigestCase(t *testing.T, tc digestCase) *Machine {
 	t.Helper()
 	cfg := DefaultConfig()
 	tc.set(&cfg)
@@ -323,7 +343,7 @@ func runDigestCase(t *testing.T, tc digestCase) *Stats {
 	if got, want := statsDigest(st), statsDigests[tc.name]; got != want {
 		t.Errorf("statistics digest %s, pinned %s (EventsFired %d)", got, want, st.EventsFired)
 	}
-	return st
+	return m
 }
 
 // TestMigrationBitIdentical pins runtime vCPU migration: the shuffler runs
@@ -368,3 +388,23 @@ func TestLargeMeshBitIdentical(t *testing.T) { runNamedDigestCase(t, "large-mesh
 // migration over content-shared pages, so relocation transactions, COW
 // traps, holder probes, and filter deltas all interleave.
 func TestMigrationContentCombined(t *testing.T) { runNamedDigestCase(t, "migration-content") }
+
+// TestPersistentArbitrationBitIdentical pins the memory controllers'
+// persistent arbitration at machine level and requires the run to take its
+// fault-only paths: a requester's own tokens bounced home while its
+// persistent request is active, which memory forwards back to it, and a
+// queued persistent request retried, which stays queued once. The third
+// path, a release withdrawing a queued requester, is left to
+// internal/memctrl and internal/token: no configuration of a bounded
+// search took it at machine level.
+func TestPersistentArbitrationBitIdentical(t *testing.T) {
+	m := runNamedDigestCase(t, "persistent-arbitration")
+	var own, retried uint64
+	for _, mc := range m.mcs {
+		own += mc.Stats.OwnTokensForwarded
+		retried += mc.Stats.QueuedRetries
+	}
+	if own == 0 || retried == 0 {
+		t.Errorf("%d own tokens forwarded, %d queued requests retried; want both nonzero", own, retried)
+	}
+}

@@ -176,8 +176,6 @@ type Machine struct {
 
 	// doms holds the snoop-domain partitions.
 	doms []*domain
-	// chkNow is the window-start clock published to the invariant checker.
-	chkNow sim.Cycle
 
 	// syncMode marks a run whose filter state mutates at runtime (vCPU
 	// migration, scheduled fault events): the machine builds one filter
@@ -531,8 +529,8 @@ func New(cfg Config) (*Machine, error) {
 		}
 		// One token-custody ledger for the machine: every controller
 		// reports to it, so a block's entry leaves the ledger as soon as
-		// its last token in flight lands. The checker runs at window
-		// starts against the published window clock.
+		// its last token in flight lands. The checker sweeps between
+		// events (RunChecked), so the engine clock is its clock.
 		led := check.NewLedger()
 		for i, cn := range m.cores {
 			cn.ctrl.Obs = led
@@ -541,12 +539,11 @@ func New(cfg Config) (*Machine, error) {
 		for _, mc := range m.mcs {
 			mc.Obs = led
 		}
-		nowFn := func() sim.Cycle { return m.chkNow }
-		m.Checker = &check.Checker{Now: nowFn}
+		m.Checker = &check.Checker{Now: m.Eng.Now}
 		cen := check.NewCensus(l2s, m.mcs, led)
 		m.Checker.Add(check.TokenConservation(cfg.P.TotalTokens, cen))
 		m.Checker.Add(check.SingleWriter(cfg.P.TotalTokens, cen))
-		m.Checker.Add(check.TxnCompletion(nowFn, ctrls, ageLimit))
+		m.Checker.Add(check.TxnCompletion(m.Eng.Now, ctrls, ageLimit))
 	}
 
 	m.parkSnoops(false)
@@ -596,17 +593,14 @@ func New(cfg Config) (*Machine, error) {
 // controllers and the shared holder bitset (token.NewParkTable; shadow
 // selects its checking mode) and installs each core's elider on its mesh
 // endpoint, so a snoop to an L2 holding no tokens for the block never
-// enters the event queue. Parking stays off under a fault plan (drops and
-// duplicates need real events), under a step budget (MaxSteps counts
-// executed events at window granularity) and on machines of more than
-// token.MaxParkCores cores (the table's masks are one word). Without a
-// fault plan or a step budget, and with no invariant checker, the same
-// call turns on retry-timeout cancellation at any core count
+// enters the event queue, and turns on retry-timeout cancellation
 // (token.CacheCtrl.CancelTimeouts), so a completed transaction's timeout
-// never runs either: the checker sweeps at window starts, which a run's
-// trailing timeouts can set.
+// never runs either. Both stay off under a fault plan (drops and
+// duplicates need real events) and under the directory protocol, and
+// parking also on machines of more than token.MaxParkCores cores (the
+// table's masks are one word).
 func (m *Machine) parkSnoops(shadow bool) {
-	if m.Injector != nil || m.cfg.MaxSteps > 0 || m.cfg.Directory {
+	if m.Injector != nil || m.cfg.Directory {
 		return
 	}
 	if len(m.cores) <= token.MaxParkCores {
@@ -619,10 +613,8 @@ func (m *Machine) parkSnoops(shadow bool) {
 			m.Net.SetElider(cn.node, m.parkTab.Elider(i))
 		}
 	}
-	if m.Checker == nil {
-		for _, cn := range m.cores {
-			cn.ctrl.CancelTimeouts(shadow)
-		}
+	for _, cn := range m.cores {
+		cn.ctrl.CancelTimeouts(shadow)
 	}
 }
 
@@ -749,8 +741,8 @@ func (m *Machine) Run() *Stats {
 }
 
 // RunChecked executes the run under the no-forward-progress watchdog and
-// (when configured) the step budget and invariant checker, both driven at
-// window starts (Engine.RunWindows). The returned Stats are valid even on
+// (when configured) the step budget and invariant checker, in one
+// Engine.Drain. The returned Stats are valid even on
 // error — they describe the run up to the failure, which is exactly what a
 // livelock diagnosis needs.
 func (m *Machine) RunChecked() (*Stats, error) {
@@ -787,28 +779,24 @@ func (m *Machine) RunChecked() (*Stats, error) {
 		m.Eng.SetCurDomain(v.dom.idx)
 		m.Eng.ScheduleFn(sim.Cycle(i), m.stepFn, v, uint64(v.dom.idx))
 	}
-	var onWindow func(now sim.Cycle) error
+	// The checker sweeps before the first event at or after each multiple
+	// of its period while any vCPU runs. Sweeping stops once every vCPU
+	// has finished, so events that only drain the run (retry timeouts, with
+	// cancellation on or off) add no sweep.
+	var period sim.Cycle
+	var sweep func()
 	if m.Checker != nil {
-		period := cfg.CheckPeriod
+		period = cfg.CheckPeriod
 		if period <= 0 {
 			period = 5000
 		}
-		next := period
-		onWindow = func(now sim.Cycle) error {
-			if now >= next {
-				m.chkNow = now
+		sweep = func() {
+			if m.liveVCPUs() > 0 {
 				m.Checker.CheckNow()
-				next = (now/period + 1) * period
 			}
-			return nil
 		}
 	}
-	// A window spans the shortest cross-domain message latency: one mesh
-	// hop (router + link) plus one flit. Window starts set when the checker
-	// sweeps and where the step budget trips, so the width is part of what
-	// a checked or bounded run reports.
-	width := cfg.Mesh.RouterDelay + cfg.Mesh.LinkDelay + 1
-	last, err := m.Eng.RunWindows(width, cfg.MaxSteps, onWindow)
+	err := m.Eng.Drain(cfg.MaxSteps, period, sweep)
 	if err != nil {
 		// The run stopped early: parked snoops and cancelled timeouts not
 		// yet due would never have fired, so their counts come off. After a
@@ -821,20 +809,24 @@ func (m *Machine) RunChecked() (*Stats, error) {
 		}
 	}
 	if err == nil {
-		live := 0
-		for _, d := range m.doms {
-			live += d.live
-		}
-		if live > 0 {
+		if live := m.liveVCPUs(); live > 0 {
 			err = fmt.Errorf("system: event queue drained with %d unfinished vCPUs", live)
 		}
 	}
 	if err == nil && m.Checker != nil {
-		m.chkNow = last
 		m.Checker.CheckNow() // final sweep at quiescence
 	}
 	m.finalizeStats()
 	return &m.Stats, err
+}
+
+// liveVCPUs returns how many vCPUs have not finished their streams.
+func (m *Machine) liveVCPUs() int {
+	live := 0
+	for _, d := range m.doms {
+		live += d.live
+	}
+	return live
 }
 
 // step issues the next reference of v on its current core.

@@ -15,8 +15,7 @@ import (
 // runParking runs cfg with snoop parking and timeout cancellation as wired
 // by New, or, with shadow set, in the controllers' shadow mode: every
 // delivery and timeout stays a real event, and each one parking or
-// cancellation would have skipped is checked to be a no-op. Without the
-// invariant checker New turns both on; with it, only parking. It returns the
+// cancellation would have skipped is checked to be a no-op. It returns the
 // stats, the shadow counters summed over the controllers with the parking
 // table's put-back count, and the parked snoops that straddled a warm-up
 // snapshot.
@@ -72,9 +71,11 @@ func sumShadow(m *Machine) (sh shadowCounts) {
 // have skipped, and every timeout a completion would have cancelled, to be
 // a no-op; and the parked run's statistics — EventsFired included — must
 // equal the shadow run's, which executes every delivery and timeout. Each
-// case runs twice: with the invariant checker, which must find no
-// violation in a parking run and turns cancellation off, and without it,
-// where both are on. Put-backs are rare (a token gain racing a snoop in
+// case runs twice, with and without the invariant checker; both passes park
+// and cancel. With the checker the parking run must find no violation and
+// sweep exactly as often as the shadow run, whose trailing no-op timeouts
+// run past the last vCPU's finish: sweeps stop once every vCPU has
+// finished, so those timeouts add none. Put-backs are rare (a token gain racing a snoop in
 // flight), so the blackscholes cases, where they occur, must see at least
 // one, and the parking run must put back through its requesters' records
 // exactly the deliveries the shadow run found.
@@ -123,8 +124,6 @@ func TestParkedSnoopsShadow(t *testing.T) {
 			cfg.UseRegionScout = tc.rs
 			cfg.ContentSharing = tc.sharing
 			cfg.MigrationPeriodMs = tc.period
-			// The checked pass runs the invariant checker, so it parks but
-			// cancels no timeout. The unchecked pass does both.
 			for _, checks := range []bool{true, false} {
 				cfg.Checks = checks
 				pass := fmt.Sprintf("checks=%v", checks)
@@ -138,10 +137,7 @@ func TestParkedSnoopsShadow(t *testing.T) {
 				if shadow.Sync.CancelledTimers != 0 || shadow.Sync.ParkedEvents != 0 {
 					t.Fatalf("%s: shadow run parked %d events and cancelled %d timers", pass, shadow.Sync.ParkedEvents, shadow.Sync.CancelledTimers)
 				}
-				if checks && sh.timersChecked != 0 {
-					t.Fatalf("%s: %d timeouts shadow-checked under the invariant checker, want 0", pass, sh.timersChecked)
-				}
-				if sh.checked == 0 || !checks && sh.timersChecked == 0 {
+				if sh.checked == 0 || sh.timersChecked == 0 {
 					t.Fatalf("%s: the shadow run checked %d deliveries and %d timeouts", pass, sh.checked, sh.timersChecked)
 				}
 				if tc.app == "blackscholes" && sh.putBacks == 0 {
@@ -158,10 +154,7 @@ func TestParkedSnoopsShadow(t *testing.T) {
 					t.Fatalf("%s: %d deliveries put back, %d in the shadow run (%d by its table); want equal",
 						pass, live.tablePutBacks, sh.putBacks, sh.tablePutBacks)
 				}
-				if checks && st.Sync.CancelledTimers != 0 {
-					t.Fatalf("%s: %d timers cancelled under the invariant checker, want 0", pass, st.Sync.CancelledTimers)
-				}
-				if st.Sync.ParkedEvents == 0 || !checks && st.Sync.CancelledTimers == 0 {
+				if st.Sync.ParkedEvents == 0 || st.Sync.CancelledTimers == 0 {
 					t.Fatalf("%s: %d events parked, %d timers cancelled", pass, st.Sync.ParkedEvents, st.Sync.CancelledTimers)
 				}
 				statsEqual(t, "parked "+pass, shadow, st)
@@ -189,36 +182,40 @@ func TestParkedSnoopsStraddleWarmup(t *testing.T) {
 	statsEqual(t, "warm-up straddle", shadow, st)
 }
 
-// TestParkingOffWhereIneligible checks the two configurations that must
-// neither park nor cancel timeouts: a fault plan (drops and duplicates need
-// real events) and a step budget (MaxSteps counts executed events).
-// TestParkedSnoopsShadow's checked pass covers the invariant checker, which
-// turns off cancellation alone.
+// TestParkingOffWhereIneligible checks where parking and timeout
+// cancellation go: a fault plan (drops and duplicates need real events)
+// turns both off, and a step budget does not. A budget of at least the
+// unbounded run's EventsFired never trips, counting the parked and
+// cancelled events it stands for, so the bounded run parks, cancels and
+// computes the unbounded run's statistics, EventsFired included.
 func TestParkingOffWhereIneligible(t *testing.T) {
-	base := func() Config {
-		cfg := DefaultConfig()
-		cfg.RefsPerVCPU = 500
-		cfg.Filter.Policy = core.PolicyCounter
-		return cfg
-	}
-	faulted := base()
+	cfg := DefaultConfig()
+	cfg.RefsPerVCPU = 500
+	cfg.Filter.Policy = core.PolicyCounter
+	free, _, _ := runParking(t, cfg, false)
+
+	faulted := cfg
 	faulted.Fault = fault.Moderate(3)
-	bounded := base()
-	bounded.MaxSteps = 1 << 40
-	for _, c := range []struct {
-		name string
-		cfg  Config
-	}{{"fault", faulted}, {"maxsteps", bounded}} {
-		st, sh, _ := runParking(t, c.cfg, true)
-		if st.Sync.ParkedEvents != 0 || sh.checked != 0 || sh.timersChecked != 0 {
-			t.Errorf("%s: %d events parked, %d delivery and %d timeout shadow checks; want none",
-				c.name, st.Sync.ParkedEvents, sh.checked, sh.timersChecked)
+	st, sh, _ := runParking(t, faulted, true)
+	if st.Sync.ParkedEvents != 0 || sh.checked != 0 || sh.timersChecked != 0 {
+		t.Errorf("fault: %d events parked, %d delivery and %d timeout shadow checks; want none",
+			st.Sync.ParkedEvents, sh.checked, sh.timersChecked)
+	}
+	st, _, _ = runParking(t, faulted, false)
+	if st.Sync.ParkedEvents != 0 || st.Sync.CancelledTimers != 0 {
+		t.Errorf("fault: %d events parked, %d timers cancelled; want 0, 0",
+			st.Sync.ParkedEvents, st.Sync.CancelledTimers)
+	}
+
+	for _, budget := range []uint64{free.EventsFired, 1 << 40} {
+		bounded := cfg
+		bounded.MaxSteps = budget
+		st, _, _ := runParking(t, bounded, false)
+		if st.Sync.ParkedEvents == 0 || st.Sync.CancelledTimers == 0 {
+			t.Errorf("maxsteps %d: %d events parked, %d timers cancelled; want both nonzero",
+				budget, st.Sync.ParkedEvents, st.Sync.CancelledTimers)
 		}
-		st, _, _ = runParking(t, c.cfg, false)
-		if st.Sync.ParkedEvents != 0 || st.Sync.CancelledTimers != 0 {
-			t.Errorf("%s: %d events parked, %d timers cancelled; want 0, 0",
-				c.name, st.Sync.ParkedEvents, st.Sync.CancelledTimers)
-		}
+		statsEqual(t, fmt.Sprintf("maxsteps %d", budget), free, st)
 	}
 }
 

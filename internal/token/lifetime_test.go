@@ -1,7 +1,6 @@
 package token_test
 
 import (
-	"math"
 	"testing"
 
 	"vsnoop/internal/mem"
@@ -175,10 +174,10 @@ func runLifetime(t *testing.T, ops, masks, faults []byte) {
 			c.Start(addrs[(op>>3)&3], 1, mem.PagePrivate, op&0x40 != 0, fn, nil)
 			started++
 		}
-		h.eng.RunFor(sim.Cycle(gap))
+		h.eng.RunUntil(h.eng.Now() + sim.Cycle(gap))
 	}
 	h.eng.SetProgressLimit(1_000_000)
-	if err := h.eng.RunWindow(math.MaxUint64); err != nil {
+	if err := h.eng.Drain(0, 0, nil); err != nil {
 		// A watchdog trip is a liveness failure: with faults limited
 		// to the first sends, persistent requests must finish every
 		// transaction.

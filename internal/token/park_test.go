@@ -11,25 +11,18 @@ import (
 )
 
 // parkAll builds a park table over h's controllers, with one holder bitset
-// shared by their L2s (member = core), and installs each core's elider. The
-// network is partitioned into one domain: the mesh offers deliveries to
-// eliders only in partitioned mode. Call it before any cache is used.
+// shared by their L2s (member = core), and installs each core's elider.
+// Call it before any cache is used.
 func (h *harness) parkAll(shadow bool) *token.ParkTable {
 	holders := cache.NewHolders(len(h.ctrls))
 	for i, c := range h.ctrls {
 		c.L2.ShareHolders(holders, i)
 	}
-	h.partition()
 	pt := token.NewParkTable(h.ctrls, holders, shadow)
 	for i, c := range h.ctrls {
 		h.net.SetElider(c.Node, pt.Elider(i))
 	}
 	return pt
-}
-
-// partition puts every endpoint of h's network in one domain.
-func (h *harness) partition() {
-	h.net.Partition(make([]int32, len(h.ctrls)+1), 1)
 }
 
 // park offers the delivery of snoop m from requester req to core dst, due
@@ -140,9 +133,7 @@ func newParkHarness(t *testing.T, mode parkMode, delay sim.Cycle) (*harness, *to
 	h := newHarness(t, 4, nil)
 	h.useStaticRouter()
 	var pt *token.ParkTable
-	if mode == parkNone {
-		h.partition()
-	} else {
+	if mode != parkNone {
 		pt = h.parkAll(mode == parkShadow)
 	}
 	h.net.FaultHook = delayHook(h.ctrls[1].Node, h.ctrls[0].Node, delay)
@@ -172,7 +163,7 @@ func runRace(t *testing.T, mode parkMode) (parkOutcome, *harness) {
 	done := 0
 	fn := func(interface{}, uint64) { done++ }
 	h.ctrls[0].Start(a, 1, mem.PagePrivate, false, fn, nil)
-	h.eng.RunFor(20) // core 0's GetS reaches memory first
+	h.eng.RunUntil(h.eng.Now() + 20) // core 0's GetS reaches memory first
 	h.ctrls[1].Start(a, 1, mem.PagePrivate, true, fn, nil)
 	h.run()
 	h.checkConservation(t, []mem.BlockAddr{a})

@@ -31,14 +31,8 @@ func TestCompletionResetsWatchdog(t *testing.T) {
 	}
 	start(0)
 
-	for {
-		ok, err := h.eng.StepChecked()
-		if err != nil {
-			t.Fatalf("watchdog tripped after %d/%d transactions: %v", completed, txns, err)
-		}
-		if !ok {
-			break
-		}
+	if err := h.eng.Drain(0, 0, nil); err != nil {
+		t.Fatalf("watchdog tripped after %d/%d transactions: %v", completed, txns, err)
 	}
 	if completed != txns {
 		t.Fatalf("completed %d of %d transactions", completed, txns)

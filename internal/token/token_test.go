@@ -452,7 +452,8 @@ func TestDeterministicRuns(t *testing.T) {
 		for _, c := range h.ctrls {
 			sn += c.Stats.SnoopLookups
 		}
-		return sn, h.net.ByteHops
+		byteHops, _, _ := h.net.TrafficTotals()
+		return sn, byteHops
 	}
 	s1, b1 := run()
 	s2, b2 := run()

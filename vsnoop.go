@@ -227,20 +227,25 @@ func (cfg Config) Validate() error {
 //
 // Every semantic field (workloads, policies, fault plan, seed, step
 // bounds, checks) is included. The encoding is versioned
-// ("vsnoop-config-v4"; v4 cut only quadrant-placed machines into snoop
-// domains and runs every other one as one domain, applies fault-event
-// corruption at once, gives copy-on-write one machine-wide overlay, and
-// tells every filter replica the friend VM; v3 moved migrated-vCPU event
-// chasing onto the per-domain forwarding tables, and v2 moved migration,
-// content-sharing, and fault-event configurations onto the partitioned
-// cross-domain semantics — older stores must not serve any of them); any
-// future change to the encoded fields or to the results they name must
-// bump it so stale stores are never misread.
+// ("vsnoop-config-v5"; v5 runs the invariant checker at the first event
+// past each period until every vCPU has finished, and counts a step
+// budget before each event, with snoop parking and timeout cancellation on
+// under a budget and cancellation on under the checker, so a checked
+// run's InvariantChecks and a bounded run's stop point may differ; v4 cut
+// only quadrant-placed machines into snoop domains and runs every other
+// one as one domain, applies fault-event corruption at once, gives
+// copy-on-write one machine-wide overlay, and tells every filter replica
+// the friend VM; v3 moved migrated-vCPU event chasing onto the per-domain
+// forwarding tables, and v2 moved migration, content-sharing, and
+// fault-event configurations onto the partitioned cross-domain semantics
+// — older stores must not serve any of them); any future change to the
+// encoded fields or to the results they name must bump it so stale stores
+// are never misread.
 func (cfg Config) Hash() string {
 	h := sha256.New()
 	w := func(format string, args ...interface{}) { fmt.Fprintf(h, format, args...) }
 	f64 := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
-	w("vsnoop-config-v4\n")
+	w("vsnoop-config-v5\n")
 	w("cores=%d\nvms=%d\nvcpusPerVM=%d\n", cfg.Cores, cfg.VMs, cfg.VCPUsPerVM)
 	w("workload=%q\n", cfg.Workload)
 	w("workloadPerVM.len=%d\n", len(cfg.WorkloadPerVM))

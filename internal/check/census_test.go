@@ -305,3 +305,34 @@ func TestCensusMatchesReference(t *testing.T) {
 		}
 	}
 }
+
+// TestRadixSort holds the census's key sort to a comparison sort: keys
+// whose low skip bits ascend (a census key's record index), high parts
+// unique or repeated, spans from one byte to the whole word, and a scratch
+// buffer reused across calls, shorter than the keys or long enough.
+func TestRadixSort(t *testing.T) {
+	rng := sim.NewRand(3)
+	var tmp []uint64
+	for _, tc := range []struct {
+		n          int
+		bits, skip uint
+		base       uint64
+	}{
+		{0, 8, 0, 0}, {1, 8, 1, 5}, {2, 8, 2, 0}, {100, 8, 7, 1 << 40}, {1000, 20, 10, 0},
+		{5000, 36, 13, 1 << 20}, {3000, 64, 0, 0}, {3000, 52, 12, 0}, {64, 1, 7, 7},
+	} {
+		keys := make([]uint64, tc.n)
+		for i := range keys {
+			high := tc.base + rng.Uint64()>>(64-tc.bits)
+			keys[i] = high<<tc.skip | uint64(i)&(1<<tc.skip-1)
+		}
+		want := append([]uint64(nil), keys...)
+		sort.SliceStable(want, func(i, j int) bool { return want[i]>>tc.skip < want[j]>>tc.skip })
+		tmp = check.RadixSort(keys, tmp, tc.skip)
+		for i := range keys {
+			if keys[i] != want[i] {
+				t.Fatalf("%d keys of %d bits above %d: key %d is %#x, want %#x", tc.n, tc.bits, tc.skip, i, keys[i], want[i])
+			}
+		}
+	}
+}

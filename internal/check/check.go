@@ -183,6 +183,7 @@ type Census struct {
 
 	raw     []record    // in holder order: caches by core, then ledgers
 	keys    []uint64    // addr<<n | index into raw, sorted
+	tmp     []uint64    // radixSort's scratch
 	recs    []record    // raw in (addr, holder) order
 	holders []int       // one block's holder list, for a report
 	viols   []violation // conservation reports, put in address order
@@ -240,11 +241,54 @@ func (cen *Census) take() {
 		}
 		cen.keys = append(cen.keys, uint64(r.addr)<<n|uint64(i))
 	}
-	slices.Sort(cen.keys)
+	cen.tmp = radixSort(cen.keys, cen.tmp, uint(n))
 	cen.recs = cen.recs[:0]
 	for _, k := range cen.keys {
 		cen.recs = append(cen.recs, cen.raw[k&(1<<n-1)])
 	}
+}
+
+// radixSort sorts keys, which must be in ascending order of their low
+// skip bits, in place, and returns tmp, grown to cap(keys) if it was
+// shorter than keys, which it uses as scratch. It is an LSD radix sort, 11
+// bits per pass, over the bits above skip in which the keys differ from
+// their minimum; each pass is stable, so the low bits need none. A census
+// sorts as many keys as the caches hold tokened lines, and a comparison
+// sort of them dominated a checked run.
+func radixSort(keys, tmp []uint64, skip uint) []uint64 {
+	const radixBits = 11
+	if len(keys) < 2 {
+		return tmp
+	}
+	lo, hi := keys[0]>>skip, keys[0]>>skip
+	for _, k := range keys {
+		lo, hi = min(lo, k>>skip), max(hi, k>>skip)
+	}
+	if cap(tmp) < len(keys) {
+		tmp = make([]uint64, cap(keys)) // grows as keys does, not one sweep at a time
+	}
+	src, dst := keys, tmp[:len(keys)]
+	for shift := uint(0); shift < 64 && (hi-lo)>>shift != 0; shift += radixBits {
+		var next [1 << radixBits]int
+		for _, k := range src {
+			next[(k>>skip-lo)>>shift&(1<<radixBits-1)]++
+		}
+		at := 0
+		for d, c := range next {
+			next[d] = at
+			at += c
+		}
+		for _, k := range src {
+			d := (k>>skip - lo) >> shift & (1<<radixBits - 1)
+			dst[next[d]] = k
+			next[d]++
+		}
+		src, dst = dst, src
+	}
+	if &src[0] != &keys[0] {
+		copy(keys, src)
+	}
+	return tmp
 }
 
 func b2i(b bool) int {

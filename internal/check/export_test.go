@@ -11,3 +11,6 @@ func LedgerAddrs(l *Ledger) []mem.BlockAddr {
 	}
 	return out
 }
+
+// RadixSort is the census's key sort.
+var RadixSort = radixSort

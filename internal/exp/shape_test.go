@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"math"
 	"testing"
 
 	"vsnoop/internal/core"
@@ -103,6 +104,30 @@ func TestFigure10Shape(t *testing.T) {
 			if got := pct[app][cp]; got < md {
 				t.Errorf("%s: %v snoops %.2f%%, below memory-direct %.2f%%", app, cp, got, md)
 			}
+		}
+	}
+}
+
+// TestFigure9Divergence pins the one Figure 9 result known to differ from
+// the paper as expected values, so that a change that moves it shows up.
+// The paper says blackscholes never removes a departed core: its residence
+// counters never reach zero. Here, with the scaled L2, its counters drain
+// and every pending removal completes (0.00% never removed), while lu ends
+// the run with 12.50% of its removals pending. At Quick scale the values
+// are exact.
+func TestFigure9Divergence(t *testing.T) {
+	want := map[string]struct {
+		neverPct float64
+		removals int
+	}{
+		"blackscholes": {0, 42},
+		"lu":           {12.5, 14},
+	}
+	for _, s := range Figure9(Quick, []string{"blackscholes", "lu"}) {
+		w := want[s.Workload]
+		if math.Abs(s.NeverRemovedPct-w.neverPct) > 0.005 || s.N != w.removals {
+			t.Errorf("%s: %.2f%% never removed after %d removals, want %.2f%% after %d",
+				s.Workload, s.NeverRemovedPct, s.N, w.neverPct, w.removals)
 		}
 	}
 }

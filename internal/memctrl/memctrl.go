@@ -412,7 +412,8 @@ func (m *Ctrl) activate(p *persistentEntry, msg *token.Msg) {
 	p.hasAct = true
 	m.Stats.Activations++
 	act := m.msgs.New(token.Msg{Kind: token.MsgPersistentActivate, Addr: msg.Addr, Src: msg.Src})
-	act.Sent(m.Net.Multicast(m.Node, m.AllCaches, m.P.CtrlBytes, act))
+	n, _ := m.Net.Multicast(m.Node, m.AllCaches, m.P.CtrlBytes, act, 0, nil)
+	act.Sent(n)
 	// Memory forwards its own tokens too.
 	l := m.line(msg.Addr)
 	if tok, owner := l.tokens(), l.owner(); tok > 0 || owner {
@@ -443,7 +444,8 @@ func (m *Ctrl) handleRelease(msg *token.Msg) {
 		return
 	}
 	deact := m.msgs.New(token.Msg{Kind: token.MsgPersistentDeactivate, Addr: msg.Addr, Src: m.Node})
-	deact.Sent(m.Net.Multicast(m.Node, m.AllCaches, m.P.CtrlBytes, deact))
+	n, _ := m.Net.Multicast(m.Node, m.AllCaches, m.P.CtrlBytes, deact, 0, nil)
+	deact.Sent(n)
 	p.hasAct = false
 	if len(p.waiters) > 0 {
 		next := p.waiters[0]

@@ -99,8 +99,8 @@ func TestPartitionedSendZeroAllocSteadyState(t *testing.T) {
 // TestPartitionedMulticastZeroAlloc gates Multicast the way
 // TestPartitionedSendZeroAllocSteadyState gates Send: a partitioned
 // broadcast, with intra-domain contention walks, cross-domain deliveries
-// and an elider that keeps half the deliveries, allocates nothing at
-// steady state.
+// and a keep mask that keeps half the deliveries in a reused buffer,
+// allocates nothing at steady state.
 func TestPartitionedMulticastZeroAlloc(t *testing.T) {
 	eng, net, ids := benchNet(true)
 	nodeDom := make([]int32, len(ids))
@@ -110,16 +110,17 @@ func TestPartitionedMulticastZeroAlloc(t *testing.T) {
 		}
 	}
 	net.Partition(nodeDom, 2)
-	for _, id := range ids {
-		net.SetElider(id, func(_ sim.Cycle, key uint64, _ int32, _ interface{}) bool { return key&1 == 0 })
-	}
+	const keep = 0x5555
+	kept := make([]Delivery, 0, len(ids))
 	for i := 0; i < 64; i++ {
-		net.Multicast(ids[i&15], ids, 8, nil)
+		net.Multicast(ids[i&15], ids, 8, nil, keep, kept[:0])
 	}
 	eng.Run()
 	avg := testing.AllocsPerRun(100, func() {
 		for i := 0; i < 8; i++ {
-			net.Multicast(ids[i&15], ids, 8, nil)
+			if _, k := net.Multicast(ids[i&15], ids, 8, nil, keep, kept[:0]); len(k) != 8 {
+				t.Fatalf("%d deliveries kept, want 8", len(k))
+			}
 		}
 		eng.Run()
 	})
@@ -149,7 +150,7 @@ func BenchmarkMulticast(b *testing.B) {
 	dests := ids[1:]
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		net.Multicast(ids[0], dests, 8, nil)
+		net.Multicast(ids[0], dests, 8, nil, 0, nil)
 		if eng.Pending() > 4096 {
 			eng.Run()
 		}

@@ -9,7 +9,8 @@
 // Multicasts are modeled as one unicast per destination, matching the
 // broadcast behaviour of the TokenB baseline; virtual snooping's savings
 // come from shrinking the destination set. Network.Multicast sends them in
-// one call, with the work every unicast shares done once.
+// one call, with the work every unicast shares done once, and hands back
+// the deliveries its caller's keep mask takes out of the queue.
 package mesh
 
 import (
@@ -43,19 +44,17 @@ type Handler func(payload interface{})
 type node struct {
 	x, y    int
 	handler Handler
-	elide   Elider
 }
 
-// Elider lets an endpoint take a delivery out of the event queue at send
-// time. The network has already reserved the links, charged the traffic
-// and drawn the delivery's tie-break key; the elider gets the delivery as
-// it would be queued — arrival cycle, key, executing domain, payload — and
-// returns true if it keeps the delivery itself (and owes the network
-// nothing more), false to have it queued as usual. An elider that keeps a
-// delivery must not keep the payload past its call: Send does not count
-// the delivery, so the sender may reuse the payload once the deliveries
-// it counted are handled.
-type Elider func(at sim.Cycle, key uint64, dom int32, payload interface{}) bool
+// Delivery is one message's delivery as the network would queue it: due
+// at (At, Key) in executing domain Dom, at endpoint Dst. Multicast hands
+// back the deliveries its keep mask keeps out of the queue in this form.
+type Delivery struct {
+	At  sim.Cycle
+	Key uint64
+	Dom int32
+	Dst int32
+}
 
 // Directed link directions. A link is identified by its source router
 // coordinates and direction, flattened to a dense id by linkID so the
@@ -112,7 +111,7 @@ type Network struct {
 
 	// degraded[linkID] is a serialization multiplier > 1 when the link is
 	// degraded (link-width fault: fewer bytes accepted per cycle), 0
-	// otherwise.
+	// otherwise; nil until DegradeLinks degrades one.
 	degraded []int32
 
 	// Domain partition: nodeDom maps endpoints to snoop domains (every
@@ -140,11 +139,9 @@ func New(eng *sim.Engine, cfg Config) *Network {
 	if cfg.Width <= 0 || cfg.Height <= 0 || cfg.LinkBytesPerCycle <= 0 {
 		panic("mesh: invalid config")
 	}
-	nLinks := cfg.Width * cfg.Height * 4
 	n := &Network{
 		cfg: cfg, eng: eng,
-		nextFree: make([]sim.Cycle, nLinks),
-		degraded: make([]int32, nLinks),
+		nextFree: make([]sim.Cycle, cfg.Width*cfg.Height*4),
 		traf:     make([]trafficSlot, 1),
 	}
 	n.deliver = func(payload interface{}, dst uint64) {
@@ -238,9 +235,6 @@ func (n *Network) Attach(x, y int, h Handler) NodeID {
 // endpoint object is constructed after the network).
 func (n *Network) SetHandler(id NodeID, h Handler) { n.nodes[id].handler = h }
 
-// SetElider installs an endpoint's elider (nil removes it).
-func (n *Network) SetElider(id NodeID, el Elider) { n.nodes[id].elide = el }
-
 // Coords returns the router coordinates of an endpoint.
 func (n *Network) Coords(id NodeID) (x, y int) {
 	nd := n.nodes[id]
@@ -287,8 +281,9 @@ func (n *Network) latency(hops int, ser sim.Cycle) sim.Cycle {
 	return sim.Cycle(hops)*(n.cfg.RouterDelay+n.cfg.LinkDelay) + ser
 }
 
-// fanout is what every message of one Multicast shares: computed once per
-// call, not once per destination.
+// fanout is what every message of one Multicast shares, computed once per
+// call, and what the call adds up as it goes: the traffic, charged to the
+// source domain once at the end, and the deliveries it queued or kept.
 type fanout struct {
 	src       NodeID
 	x, y      int // source router
@@ -297,8 +292,13 @@ type fanout struct {
 	flitBytes uint64
 	payload   interface{}
 	now       sim.Cycle
-	sd        int32        // source domain
-	traf      *trafficSlot // source domain's counters
+	sd        int32 // source domain
+	keep      uint64
+	kept      []Delivery
+	queued    int
+	// messages counts the messages injected, and links the links they
+	// crossed, a zero-hop message counting one.
+	messages, links uint64
 }
 
 // Send injects a message; the destination handler runs when the tail
@@ -306,19 +306,28 @@ type fanout struct {
 // installed it may drop, duplicate, delay, or redirect the message; the
 // hook runs once per Send (a duplicated copy is not re-faulted). Send
 // returns how many deliveries it queued, that is how many times a handler
-// will get the payload: 1, or 0 for a dropped message or one an elider
-// kept, and 2 for a duplicated one.
+// will get the payload: 1, or 0 for a dropped message, and 2 for a
+// duplicated one.
 func (n *Network) Send(src, dst NodeID, bytes int, payload interface{}) int {
 	one := [1]NodeID{dst}
-	return n.Multicast(src, one[:], bytes, payload)
+	queued, _ := n.Multicast(src, one[:], bytes, payload, 0, nil)
+	return queued
 }
 
 // Multicast sends payload from src to every node of dsts, in order. It is
 // exactly len(dsts) Sends — the same link reservations, tie-break keys,
-// elider calls, fault-hook calls and traffic charges, in the same order —
-// with the per-message invariants computed once. It returns the sum of
-// what those Sends would return: the number of deliveries queued.
-func (n *Network) Multicast(src NodeID, dsts []NodeID, bytes int, payload interface{}) int {
+// fault-hook calls and traffic, in the same order — with the per-message
+// invariants computed once and the traffic charged once.
+//
+// keep has bit i set for each endpoint i whose deliveries the caller takes
+// over (endpoints past 63 have no bit): such a delivery is routed, charged
+// and given its key like any other, but instead of being queued it is
+// appended to kept, and the returned slice holds them all. Under a
+// FaultHook the bit of each copy's final destination decides, after a
+// redirect or a duplication. Multicast returns how many deliveries it
+// queued, that is how many times a handler will get the payload: a kept
+// delivery is not one of them.
+func (n *Network) Multicast(src NodeID, dsts []NodeID, bytes int, payload interface{}, keep uint64, kept []Delivery) (int, []Delivery) {
 	// f is built here, in a local, so its pointer fields are stack writes.
 	// Its fields are assigned one by one: a composite literal would build
 	// a temporary and copy it over f on every call.
@@ -329,115 +338,114 @@ func (n *Network) Multicast(src NodeID, dsts []NodeID, bytes int, payload interf
 	f.flitBytes = uint64(f.ser) * uint64(n.cfg.LinkBytesPerCycle)
 	f.payload = payload
 	f.sd = n.nodeDom[src]
-	f.traf = &n.traf[f.sd]
 	f.now = n.eng.Now()
-	queued := 0
+	f.keep, f.kept = keep, kept
 	if n.FaultHook != nil {
 		for _, d := range dsts {
-			queued += n.sendFaulted(&f, d)
+			n.sendFaulted(&f, d)
 		}
-		return queued
+	} else {
+		n.fan(&f, dsts, 0)
 	}
-	for _, d := range dsts {
-		queued += n.transmit(&f, d, 0)
-	}
-	return queued
+	t := &n.traf[f.sd]
+	t.messages += f.messages
+	t.bytes += f.flitBytes * f.messages
+	t.byteHops += f.flitBytes * f.links
+	return f.queued, f.kept
 }
 
 // sendFaulted sends one message of a Multicast under the FaultHook, which
-// may drop, duplicate, delay, or redirect it, and returns how many
-// deliveries it queued.
-func (n *Network) sendFaulted(f *fanout, dst NodeID) int {
+// may drop, duplicate, delay, or redirect it.
+func (n *Network) sendFaulted(f *fanout, dst NodeID) {
 	out := n.FaultHook(f.src, dst, f.bytes, f.payload)
 	if out.Drop {
-		return 0
+		return
 	}
 	if out.Redirected {
 		dst = out.RedirectTo
 	}
-	queued := 0
+	one := [1]NodeID{dst}
 	if out.Duplicate {
-		queued = n.transmit(f, dst, out.Delay)
+		n.fan(f, one[:], out.Delay)
 	}
-	return queued + n.transmit(f, dst, out.Delay)
+	n.fan(f, one[:], out.Delay)
 }
 
-// transmit performs the actual routing, accounting, and delivery of one
-// message to dst, extra cycles late. It returns 1 if it queued the
-// delivery, 0 if the destination's elider kept it.
-func (n *Network) transmit(f *fanout, dst NodeID, extra sim.Cycle) int {
-	b := &n.nodes[dst]
-	hops := abs(f.x-b.x) + abs(f.y-b.y)
-	t := f.traf
-	t.messages++
-	t.bytes += f.flitBytes
-	t.byteHops += f.flitBytes * uint64(maxInt(hops, 1))
-	dd := n.nodeDom[dst]
-	crossDom := f.sd != dd
+// fan sends one message of f to each of dsts, in order, extra cycles
+// late: it adds each to f's traffic, reserves its links and queues its
+// delivery, or, if the destination's keep bit is set, appends the delivery
+// to f.kept. It reads f into locals once and writes its sums back once.
+//
+// A cross-domain message travels at zero-load latency and reserves no
+// links. That is a model choice, not a correctness need: the golden
+// results pin it, and full contention on cross-domain routes (which brings
+// back the Figure 6 slowdowns) is a separate, re-pinning change.
+func (n *Network) fan(f *fanout, dsts []NodeID, extra sim.Cycle) {
+	eng, nodes, nodeDom := n.eng, n.nodes, n.nodeDom
+	x, y, sd, ser, keep, payload := f.x, f.y, f.sd, f.ser, f.keep, f.payload
+	start, inject := f.now+extra, f.now+n.cfg.RouterDelay
+	contention := n.cfg.Contention
+	kept, queued, links := f.kept, f.queued, f.links
+	key := eng.NextKeys(uint64(len(dsts)))
+	for _, d := range dsts {
+		b := &nodes[d]
+		hops := abs(x-b.x) + abs(y-b.y)
+		links += uint64(max(hops, 1))
+		dd := nodeDom[d]
+		var at sim.Cycle
+		if dd != sd || !contention || hops == 0 {
+			at = start + n.latency(hops, ser)
+		} else {
+			at = n.walk(x, y, b.x, b.y, inject, ser) + extra
+		}
+		if keep>>uint(d)&1 != 0 {
+			kept = append(kept, Delivery{At: at, Key: key, Dom: dd, Dst: int32(d)})
+		} else {
+			eng.ScheduleKeyed(at, key, dd, n.deliver, payload, uint64(d))
+			queued++
+		}
+		key++
+	}
+	f.kept, f.queued, f.links = kept, queued, links
+	f.messages += uint64(len(dsts))
+}
 
-	// A cross-domain message travels at zero-load latency and reserves no
-	// links. That is a model choice, not a correctness need: the golden
-	// results pin it, and full contention on cross-domain routes (which
-	// brings back the Figure 6 slowdowns) is a separate, re-pinning change.
-	var arrive sim.Cycle
-	if crossDom || !n.cfg.Contention || hops == 0 {
-		arrive = f.now + n.latency(hops, f.ser)
-	} else {
-		// Walk the XY route inline (X moves first, then Y), reserving each
-		// directed link in the dense nextFree table — no per-message route
-		// slice is materialized.
-		lastSer := f.ser
-		t := f.now + n.cfg.RouterDelay // source injection pipeline
-		x, y := f.x, f.y
-		for x != b.x || y != b.y {
-			var dir int
-			switch {
-			case b.x > x:
-				dir = dirEast
-			case b.x < x:
-				dir = dirWest
-			case b.y > y:
-				dir = dirSouth
-			default:
-				dir = dirNorth
+// walk reserves, in the dense nextFree table, each directed link of the XY
+// route from router (x, y) to (bx, by), X moves first, for a message of
+// per-link serialization ser whose header leaves the source router's
+// injection pipeline at t, and returns the cycle its tail arrives. No
+// per-message route is materialized.
+func (n *Network) walk(x, y, bx, by int, t, ser sim.Cycle) sim.Cycle {
+	hop := n.cfg.LinkDelay + n.cfg.RouterDelay
+	lastSer := ser
+	// l is the link out of the current router in direction dir; a move
+	// east or west shifts it by one router, south or north by one row.
+	l := n.linkID(x, y, 0)
+	step, dir, moves := 4, dirEast, bx-x
+	if moves < 0 {
+		step, dir, moves = -4, dirWest, -moves
+	}
+	for leg := 0; leg < 2; leg++ {
+		for ; moves > 0; moves-- {
+			i := l | dir
+			serL := ser
+			if n.degraded != nil {
+				if d := n.degraded[i]; d > 1 {
+					serL = ser * sim.Cycle(d)
+				}
 			}
-			l := n.linkID(x, y, dir)
-			serL := f.ser
-			if d := n.degraded[l]; d > 1 {
-				serL = f.ser * sim.Cycle(d)
-			}
-			start := t
-			if nf := n.nextFree[l]; nf > start {
-				start = nf
-			}
-			n.nextFree[l] = start + serL
-			t = start + n.cfg.LinkDelay + n.cfg.RouterDelay
+			start := max(t, n.nextFree[i])
+			n.nextFree[i] = start + serL
+			t = start + hop
 			lastSer = serL
-			switch dir {
-			case dirEast:
-				x++
-			case dirWest:
-				x--
-			case dirSouth:
-				y++
-			default:
-				y--
-			}
+			l += step
 		}
-		arrive = t + lastSer - 1
-	}
-	arrive += extra
-	eng := n.eng
-	if el := b.elide; el != nil {
-		key := eng.NextKey()
-		if el(arrive, key, dd, f.payload) {
-			return 0
+		step, dir, moves = 4*n.cfg.Width, dirSouth, by-y
+		if moves < 0 {
+			step, dir, moves = -step, dirNorth, -moves
 		}
-		eng.ScheduleKeyed(arrive, key, dd, n.deliver, f.payload, uint64(dst))
-		return 1
 	}
-	eng.ScheduleFnAtDom(arrive, dd, n.deliver, f.payload, uint64(dst))
-	return 1
+	return t + lastSer - 1
 }
 
 // DegradeLinks marks count randomly chosen directed links as degraded: their
@@ -469,15 +477,11 @@ func (n *Network) DegradeLinks(count, factor int, rng *sim.Rand) int {
 	if count > len(all) {
 		count = len(all)
 	}
+	if n.degraded == nil {
+		n.degraded = make([]int32, len(n.nextFree))
+	}
 	for _, i := range rng.Perm(len(all))[:count] {
 		n.degraded[all[i]] = int32(factor)
 	}
 	return count
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

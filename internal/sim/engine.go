@@ -168,13 +168,13 @@ func (e *Engine) Cancelled() uint64 { return e.cancelled }
 // before the timer was due, so its event would never have fired.
 func (e *Engine) Uncancel() { e.cancelled-- }
 
-// Park counts one event a component holds back from the queue because it
-// would do nothing but count itself: the engine reports it as fired.
-func (e *Engine) Park() { e.parked++ }
+// Park counts n events a component holds back from the queue because they
+// would do nothing but count themselves: the engine reports them as fired.
+func (e *Engine) Park(n uint64) { e.parked += n }
 
-// Unpark withdraws one Park count: the component put the event back with
-// ScheduleKeyed after all, or dropped it unfired at an early exit.
-func (e *Engine) Unpark() { e.parked-- }
+// Unpark withdraws n Park counts: the component put the events back with
+// ScheduleKeyed after all, or dropped them unfired at an early exit.
+func (e *Engine) Unpark(n uint64) { e.parked -= n }
 
 // CurKey returns the key of the executing event (0 between firings after
 // RunUntil moved the clock).
@@ -289,7 +289,7 @@ func (e *Engine) CancelTimer(t Timer) bool {
 }
 
 // ScheduleKeyed runs fn(arg, u) at cycle at in domain dom under a key drawn
-// earlier by NextKey, so the event takes the queue position it would have
+// earlier by NextKeys, so the event takes the queue position it would have
 // had if it had been scheduled when the key was drawn. at must not be in
 // the past.
 func (e *Engine) ScheduleKeyed(at Cycle, key uint64, dom int32, fn HandlerFn, arg interface{}, u uint64) {
@@ -299,22 +299,24 @@ func (e *Engine) ScheduleKeyed(at Cycle, key uint64, dom int32, fn HandlerFn, ar
 	e.insert(at, key, dom, fn, arg, u)
 }
 
-// NextKey draws the tie-break key the next scheduled event would get,
-// for a later ScheduleKeyed.
-func (e *Engine) NextKey() uint64 { return e.nextKey() }
-
-// nextKey draws the next tie-break key: the global schedule counter with
-// one domain, or the current domain's counter prefixed with the domain
-// index in domain mode.
-func (e *Engine) nextKey() uint64 {
+// NextKeys draws the tie-break keys the next n scheduled events would get,
+// for ScheduleKeyed, and returns the first: the i-th key drawn is first+i.
+// A key is the global schedule counter with one domain, or the current
+// domain's counter prefixed with the domain index in domain mode.
+func (e *Engine) NextKeys(n uint64) (first uint64) {
 	if e.domSeq == nil {
-		e.seq++
-		return e.seq
+		first = e.seq + 1
+		e.seq += n
+		return first
 	}
 	d := e.curDom
-	e.domSeq[d]++
-	return uint64(d)<<48 | e.domSeq[d]
+	first = uint64(d)<<48 | (e.domSeq[d] + 1)
+	e.domSeq[d] += n
+	return first
 }
+
+// nextKey draws the next tie-break key.
+func (e *Engine) nextKey() uint64 { return e.NextKeys(1) }
 
 // insert queues an event. It takes the event's fields, not an event, so a
 // ring insert writes them straight into the node that link returns and

@@ -294,7 +294,7 @@ func TestDrain(t *testing.T) {
 	}
 
 	e, fired = build()
-	e.Park() // a parked delivery counts as fired
+	e.Park(1) // a parked delivery counts as fired
 	if err := e.Drain(3, 10, func() {}); !errors.As(err, &sl) || sl.Now != 4 || len(*fired) != 2 {
 		t.Fatalf("Drain(3) after a Park = %v after %d events; want a StepLimitError at cycle 4 after 2", err, len(*fired))
 	}

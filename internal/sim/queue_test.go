@@ -54,7 +54,7 @@ type qTimer struct {
 	ring bool
 }
 
-// qHeld is a key drawn ahead of its event (NextKey), with the domain that
+// qHeld is a key drawn ahead of its event (NextKeys), with the domain that
 // will execute the event: what a parked delivery holds until it is put
 // back.
 type qHeld struct {
@@ -141,13 +141,18 @@ func (m *qModel) schedule(delay Cycle, dom int32) {
 	}
 }
 
-// drawKey draws a key now in both worlds and holds it for putBack.
-func (m *qModel) drawKey() {
-	want := m.key()
-	if got := m.e.NextKey(); got != want {
-		m.t.Fatalf("NextKey() = %#x, want %#x", got, want)
+// drawKeys draws n keys at once in both worlds and holds them for
+// putBack: the engine's i-th key must be the model's i-th one-at-a-time
+// draw.
+func (m *qModel) drawKeys(n int) {
+	first := m.e.NextKeys(uint64(n))
+	for i := 0; i < n; i++ {
+		want := m.key()
+		if got := first + uint64(i); got != want {
+			m.t.Fatalf("key %d of NextKeys(%d) = %#x, want %#x", i, n, got, want)
+		}
+		m.st.held = append(m.st.held, qHeld{key: want, dom: m.st.curDom})
 	}
-	m.st.held = append(m.st.held, qHeld{key: want, dom: m.st.curDom})
 }
 
 // putBack inserts the event of held key i, delay cycles ahead of now, with
@@ -329,7 +334,7 @@ func (m *qModel) apply(op, arg byte) {
 		m.drainChecked(arg)
 	case 9:
 		if arg&1 == 0 || len(m.st.held) == 0 {
-			m.drawKey()
+			m.drawKeys(1)
 		} else {
 			m.putBack(int(arg>>1)%len(m.st.held), d)
 		}
@@ -386,6 +391,23 @@ func TestQueueOrderBoundaries(t *testing.T) {
 		if m.fired == 0 {
 			t.Fatal("nothing fired")
 		}
+	}
+}
+
+// TestNextKeysRange checks that a range of keys drawn at once, as a
+// multicast draws them, is the keys one-at-a-time draws would give, in
+// single-domain and domain mode, and that the draws after it go on from
+// its end.
+func TestNextKeysRange(t *testing.T) {
+	for _, nd := range []int{1, 4} {
+		m := newQModel(t, nd)
+		m.setDomain(int32(nd - 1))
+		m.drawKeys(5)
+		m.drawKeys(1)
+		m.setDomain(0)
+		m.drawKeys(3)
+		m.schedule(10, 1)
+		m.drain()
 	}
 }
 
@@ -466,7 +488,7 @@ func TestPutBackKeepsOrder(t *testing.T) {
 				e.ScheduleKeyed(at, held, 2, record, "parked", 0)
 			}
 			e.ScheduleFnAt(at, putBack, "gain", 0)
-			held = e.NextKey()
+			held = e.NextKeys(1)
 			e.ScheduleFnAt(at, record, "queued", 0)
 			e.ScheduleFnAt(5, record, "early", 0)
 			e.Run()

@@ -591,9 +591,9 @@ func New(cfg Config) (*Machine, error) {
 
 // parkSnoops builds the machine's snoop parking table over the token
 // controllers and the shared holder bitset (token.NewParkTable; shadow
-// selects its checking mode) and installs each core's elider on its mesh
-// endpoint, so a snoop to an L2 holding no tokens for the block never
-// enters the event queue, and turns on retry-timeout cancellation
+// selects its checking mode; core i is mesh endpoint i, as New attaches
+// them), so a snoop to an L2 holding no copy of the block never enters the
+// event queue, and turns on retry-timeout cancellation
 // (token.CacheCtrl.CancelTimeouts), so a completed transaction's timeout
 // never runs either. Both stay off under a fault plan (drops and
 // duplicates need real events) and under the directory protocol, and
@@ -609,9 +609,6 @@ func (m *Machine) parkSnoops(shadow bool) {
 			ctrls[i] = cn.ctrl
 		}
 		m.parkTab = token.NewParkTable(ctrls, m.holders, shadow)
-		for i, cn := range m.cores {
-			m.Net.SetElider(cn.node, m.parkTab.Elider(i))
-		}
 	}
 	for _, cn := range m.cores {
 		cn.ctrl.CancelTimeouts(shadow)

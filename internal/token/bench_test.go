@@ -140,3 +140,29 @@ func TestMissTransactionAllocs(t *testing.T) {
 		})
 	}
 }
+
+// BenchmarkParkedMulticast measures one snoop multicast with parking on
+// in which every delivery is parked: core 0 of a 16-core 4x4 harness, cut
+// into four quadrant domains as a machine is, sends a GetS to the other 15
+// cores, none of which holds the block (begin, the mesh multicast with the
+// keep mask, end). Each iteration then moves the clock past the
+// deliveries, so the record retires at the next multicast.
+func BenchmarkParkedMulticast(b *testing.B) {
+	h := newHarness(b, 16, nil)
+	h.eng.SetDomains(4)
+	nodeDom := make([]int32, len(h.ctrls)+1) // the memory controller sits at (0, 0)
+	for i := range h.ctrls {
+		nodeDom[i] = int32(i/8*2 + i%4/2)
+	}
+	h.net.Partition(nodeDom, 4)
+	h.parkAll(false)
+	c := h.ctrls[0]
+	m := &token.Msg{Kind: token.MsgGetS, Addr: 42, Src: c.Node}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, parked := c.Multicast(c.AllCores, m); len(parked) != len(c.AllCores) {
+			b.Fatalf("%d of %d deliveries parked", len(parked), len(c.AllCores))
+		}
+		h.eng.RunUntil(h.eng.Now() + 64)
+	}
+}

@@ -91,8 +91,10 @@ type CacheCtrl struct {
 
 	// msgs is the slab every message this controller sends is carved from.
 	msgs Msgs
-	// destBuf is the buffer handed to Router.Route. It is never replaced by
-	// a returned slice: that may be a router's shared broadcast set.
+	// destBuf is the buffer handed to Router.Route, and then the request's
+	// send list: the route with the home memory controller appended. It
+	// is never replaced by a returned slice: that may be a router's shared
+	// broadcast set.
 	destBuf []mesh.NodeID
 
 	// pt is the machine's snoop parking table (park.go; nil when parking
@@ -232,19 +234,28 @@ func (c *CacheCtrl) issueAttempt() {
 		req.Dests = dests // New copies it: the next attempt reuses destBuf
 	}
 	m := c.msgs.New(req)
-	// The parking table records the deliveries the destinations' eliders
-	// keep, at this requester.
-	pt := c.pt
-	if pt != nil {
-		pt.begin(c.Core, m)
-	}
-	n := c.Net.Multicast(c.Node, dests, c.P.CtrlBytes, m)
-	if pt != nil {
-		pt.end(c.Core)
-	}
-	m.Sent(n + c.Net.Send(c.Node, c.HomeMC(t.Addr), c.P.CtrlBytes, m))
+	// One multicast sends the request to the snooped cores, then to the
+	// home memory controller.
+	c.destBuf = append(append(c.destBuf[:0], dests...), c.HomeMC(t.Addr))
+	n, _ := c.multicast(c.destBuf, m)
+	m.Sent(n)
 
 	c.armTimeout(t)
+}
+
+// multicast sends snoop m to dsts in one mesh call. With parking on, the
+// deliveries to cores that hold no copy of the block stay out of the
+// queue, in a record at this requester (memory controllers have no keep
+// bit). It returns how many deliveries it queued and the ones it parked,
+// as the record holds them.
+func (c *CacheCtrl) multicast(dsts []mesh.NodeID, m *Msg) (int, []mesh.Delivery) {
+	pt := c.pt
+	if pt == nil {
+		return c.Net.Multicast(c.Node, dsts, c.P.CtrlBytes, m, 0, nil)
+	}
+	keep, buf := pt.begin(c.Core, m)
+	q, kept := c.Net.Multicast(c.Node, dsts, c.P.CtrlBytes, m, keep, buf)
+	return q + pt.end(c.Core, m, kept), kept
 }
 
 func (c *CacheCtrl) armTimeout(t *Txn) {

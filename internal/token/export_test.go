@@ -1,10 +1,10 @@
 package token
 
-// Multicast runs send, the mesh calls of one multicast of snoop m by
-// requester req, with req's parking record open: what issueAttempt does
-// around mesh.Network.Multicast.
-func (t *ParkTable) Multicast(req int, m *Msg, send func()) {
-	t.begin(req, m)
-	send()
-	t.end(req)
+import "vsnoop/internal/mesh"
+
+// Multicast is issueAttempt's multicast of snoop m from c to dests, with
+// parking on: it returns how many deliveries it queued and the ones it
+// parked, as c's record holds them.
+func (c *CacheCtrl) Multicast(dests []mesh.NodeID, m *Msg) (queued int, parked []mesh.Delivery) {
+	return c.multicast(dests, m)
 }

@@ -103,7 +103,7 @@ type Msg struct {
 
 // Sent swaps the sender's hold for one hold per queued delivery: n is what
 // mesh.Network.Send or Multicast returned (0 when a fault dropped the
-// message or an elider kept it, 2 for a duplicate). With n == 0 the slot
+// message or a keep mask kept it, 2 for a duplicate). With n == 0 the slot
 // goes back to its slab.
 func (m *Msg) Sent(n int) {
 	if m.refs += int32(n) - 1; m.refs <= 0 {

@@ -14,18 +14,25 @@ import (
 // A GetS or GetX delivered to an L2 that holds no tokens for the block does
 // two things in handleRequest: SnoopLookups++ and a Lookup with no side
 // effect. The snoop's count is the result; the event that delivers it is
-// only how the simulator computes that count. So when the mesh sends such a
-// snoop, the destination's elider keeps the delivery out of the event queue
-// and counts it as one lookup and one fired event at once.
+// only how the simulator computes that count. So the machine keeps such
+// deliveries out of the event queue and counts each one as one lookup and
+// one fired event at once.
 //
-// The machine keeps those deliveries in one ParkTable, at the requester:
-// issueAttempt opens the requester's record before its multicast and
-// closes it after. A record holds the snoop's fields (Kind, Addr, Src,
-// Page, all that handleRequest reads) once, the block's holder lane read
-// once, a mask of the destinations it parked a delivery for, and each
-// delivery's (at, key, dom, destination), contiguous. The destination's
-// own state is touched only when its holder bit is set, to read its tokens;
-// its parked lookups go into a per-core counter of the table.
+// Which ones is decided once per multicast, before the send, from the
+// block's holder lane alone: an L2 that holds no copy of the block holds no
+// tokens for it. issueAttempt opens the requester's record (begin), which
+// returns the keep mask of every core outside the lane; the mesh multicast
+// appends each kept delivery's (at, key, dom, destination) to the record
+// instead of queueing it; and end counts them in one pass. A lane holder
+// always gets a real delivery, also one that holds the block without
+// tokens: that delivery fires as a no-op and counts one lookup and one
+// fired event, as a parked one would.
+//
+// The machine keeps those deliveries in one ParkTable, at the requester. A
+// record holds the snoop's fields (Kind, Addr, Src, Page, all that
+// handleRequest reads) once, a mask of the destinations it parked a
+// delivery for, and each delivery, contiguous. Parked lookups go into a
+// per-core counter of the table.
 //
 // The delivery is a no-op only if the L2 still holds no tokens for the
 // block when it arrives. The only way a controller gains tokens is a
@@ -45,16 +52,8 @@ import (
 // pointers into message slots: a put-back carves a message with the
 // record's fields from the parking controller's slab.
 
-// parkedDelivery is one delivery a record kept out of the queue: due at
-// (at, key) in executing domain dom, at destination core dst. dst is
-// noDst once the delivery was put back, dropped or shadow-checked.
-type parkedDelivery struct {
-	at  sim.Cycle
-	key uint64
-	dom int32
-	dst int32
-}
-
+// noDst is a parked delivery's Dst once it was put back, dropped or
+// shadow-checked.
 const noDst = -1
 
 // parkRecord is one multicast's parked deliveries, kept at its requester.
@@ -63,9 +62,6 @@ type parkRecord struct {
 	page mem.PageType
 	addr mem.BlockAddr
 	src  mesh.NodeID
-	// lane is the block's holder lane when the record opened: bit c is set
-	// if core c's L2 held the block.
-	lane uint64
 	// mask has bit c set while the record may hold a delivery to core c
 	// that a token gain would put back.
 	mask uint64
@@ -73,7 +69,8 @@ type parkRecord struct {
 	// every delivery of the record has.
 	lastAt  sim.Cycle
 	lastKey uint64
-	d       []parkedDelivery
+	// d holds the deliveries to cores; core c is mesh endpoint c.
+	d []mesh.Delivery
 }
 
 // parkRing is one requester's records, oldest first, in a ring buffer
@@ -93,7 +90,11 @@ const parkSlots = 256
 type ParkTable struct {
 	eng     *sim.Engine
 	holders *cache.Holders
-	l2s     []*cache.Cache
+	// all has bit c set for every core c.
+	all uint64
+	// ctrls[c] is core c's controller: shadow mode queues a delivery to
+	// it through its snoopFn.
+	ctrls []*CacheCtrl
 	// lookups[c] counts the snoop lookups parked at core c and not
 	// withdrawn; CacheCtrl.SnoopLookups adds it to Stats.SnoopLookups.
 	lookups []uint64
@@ -102,20 +103,13 @@ type ParkTable struct {
 	// for a block in slot s. A bit is set when a record that parked
 	// something closes, and cleared when the record retires and no other
 	// record of the ring shares its slot.
-	slots [parkSlots]uint64
-	// coreOf maps a mesh endpoint to its core index (-1 for memory
-	// controllers): shadowDeliver finds a snoop's requester by its Src.
-	coreOf []int32
-	// open is the record of the multicast in progress (nil between
-	// multicasts); reqBit is its requester's bit.
-	open   *parkRecord
-	reqBit uint64
+	slots  [parkSlots]uint64
 	shadow bool
 
 	// putBacks counts the deliveries token gains put back (or, in shadow
-	// mode, would have), and kept the multicasts that found their
+	// mode, would have), and live the multicasts that found their
 	// requester's earlier records still live: the two rare paths.
-	putBacks, kept uint64
+	putBacks, live uint64
 }
 
 // MaxParkCores bounds the cores a ParkTable serves: masks, block slots
@@ -123,13 +117,12 @@ type ParkTable struct {
 const MaxParkCores = 64
 
 // NewParkTable builds the parking state of the token controllers ctrls,
-// where ctrls[i].Core == i, and hooks every controller to it. holders, if
-// not nil, is the presence bitset every L2 of ctrls shares with member =
-// core index; without it, every parking decision reads the tags. Install
-// each core's Elider on its mesh endpoint. Only a run whose every delivery
-// goes through mesh.Network.Send unfaulted and whose event budget is
-// unbounded may install them: a fault hook's drops and duplicates need real
-// events, and a step budget counts executed events.
+// where ctrls[i].Core == i and ctrls[i].Node is mesh endpoint i, and hooks
+// every controller to it. holders is the presence bitset every L2 of ctrls
+// shares with member = core index. Only a run whose every snoop goes
+// through issueAttempt unfaulted and whose event budget is unbounded may
+// park: a fault hook's drops and duplicates need real events, and a step
+// budget counts executed events.
 //
 // shadow selects a checking mode for tests: every delivery stays a real
 // event, and each one parking would have kept and no token gain would have
@@ -139,33 +132,22 @@ func NewParkTable(ctrls []*CacheCtrl, holders *cache.Holders, shadow bool) *Park
 	if n == 0 || n > MaxParkCores {
 		panic("token: a park table serves 1 to 64 cores")
 	}
-	if holders != nil && holders.Members() != n {
-		panic("token: holder bitset members differ from the core count")
+	if holders == nil || holders.Members() != n {
+		panic("token: a park table needs a holder bitset with one member per core")
 	}
 	t := &ParkTable{
 		eng: ctrls[0].Eng, holders: holders, shadow: shadow,
-		l2s:     make([]*cache.Cache, n),
+		all:     ^uint64(0) >> uint(MaxParkCores-n),
+		ctrls:   ctrls,
 		lookups: make([]uint64, n),
 		rings:   make([]parkRing, n),
 	}
-	maxNode := 0
 	for i, c := range ctrls {
-		if c.Core != i {
-			panic("token: park table controllers out of core order")
+		if c.Core != i || c.Node != mesh.NodeID(i) {
+			panic("token: park table controllers out of core and endpoint order")
 		}
-		t.l2s[i] = c.L2
 		c.pt, c.shadow = t, shadow
-		if int(c.Node) > maxNode {
-			maxNode = int(c.Node)
-		}
 		t.rings[i].recs = newParkRecords(2, n)
-	}
-	t.coreOf = make([]int32, maxNode+1)
-	for i := range t.coreOf {
-		t.coreOf[i] = -1
-	}
-	for i, c := range ctrls {
-		t.coreOf[c.Node] = int32(i)
 	}
 	return t
 }
@@ -174,52 +156,74 @@ func NewParkTable(ctrls []*CacheCtrl, holders *cache.Holders, shadow bool) *Park
 func newParkRecords(n, cores int) []parkRecord {
 	recs := make([]parkRecord, n)
 	for i := range recs {
-		recs[i].d = make([]parkedDelivery, 0, cores)
+		recs[i].d = make([]mesh.Delivery, 0, cores)
 	}
 	return recs
 }
 
-// Elider returns core's mesh elider, for mesh.Network.SetElider on that
-// core's endpoint.
-func (t *ParkTable) Elider(core int) mesh.Elider {
-	dst := int32(core)
-	return func(at sim.Cycle, key uint64, dom int32, _ interface{}) bool {
-		return t.park(dst, at, key, dom)
-	}
-}
-
-// begin opens requester req's record for its multicast of snoop m, reading
-// the block's holder lane once. Done records leave the ring's head first.
-func (t *ParkTable) begin(req int, m *Msg) {
+// begin opens requester req's record for its multicast of snoop m and
+// returns the multicast's keep mask, every core whose L2 holds no copy of
+// the block, and the record's delivery buffer for mesh.Network.Multicast.
+// Done records leave the ring's head first.
+func (t *ParkTable) begin(req int, m *Msg) (keep uint64, buf []mesh.Delivery) {
 	g := &t.rings[req]
 	if g.n > 0 {
 		t.retire(g, req)
 	}
 	if g.n > 0 {
-		t.kept++
+		t.live++
 		if g.n == len(g.recs) {
 			g.grow(len(t.rings))
 		}
 	}
-	r := &g.recs[(g.head+g.n)&(len(g.recs)-1)]
+	r := g.next()
 	r.kind, r.page, r.addr, r.src = m.Kind, m.Page, m.Addr, m.Src
-	r.lane = ^uint64(0)
-	if t.holders != nil {
-		r.lane = t.holders.Lane(m.Addr)
-	}
-	r.mask, r.lastAt, r.lastKey = 0, 0, 0
-	r.d = r.d[:0]
-	t.open, t.reqBit = r, 1<<uint(req)
+	return t.all &^ t.holders.Lane(m.Addr), r.d[:0]
 }
 
-// end closes requester req's open record; a record that parked nothing
-// gives its ring slot back.
-func (t *ParkTable) end(req int) {
-	if r := t.open; len(r.d) > 0 {
-		t.rings[req].n++
-		t.slots[uint64(r.addr)%parkSlots] |= t.reqBit
+// next returns the ring slot past its last record: the record a multicast
+// in progress fills, which joins the ring if it parks something.
+func (g *parkRing) next() *parkRecord {
+	return &g.recs[(g.head+g.n)&(len(g.recs)-1)]
+}
+
+// end closes requester req's open record of snoop m, whose multicast kept
+// the deliveries kept, and counts each one as a lookup at its destination
+// and a fired event. A record that kept nothing gives its ring slot back.
+// In shadow mode end queues the kept deliveries instead of counting them;
+// it returns how many it queued.
+func (t *ParkTable) end(req int, m *Msg, kept []mesh.Delivery) int {
+	g := &t.rings[req]
+	r := g.next()
+	r.d = kept
+	if len(kept) == 0 {
+		return 0
 	}
-	t.open = nil
+	// Keys grow in send order, so the latest (at, key) is the last
+	// delivery with the latest at.
+	var mask uint64
+	var lastAt sim.Cycle
+	var lastKey uint64
+	lookups, shadow := t.lookups, t.shadow
+	for _, p := range kept {
+		mask |= 1 << uint(p.Dst)
+		if p.At >= lastAt {
+			lastAt, lastKey = p.At, p.Key
+		}
+		if shadow {
+			t.eng.ScheduleKeyed(p.At, p.Key, p.Dom, t.ctrls[p.Dst].snoopFn, m, 0)
+			continue
+		}
+		lookups[p.Dst]++
+	}
+	r.mask, r.lastAt, r.lastKey = mask, lastAt, lastKey
+	g.n++
+	t.slots[uint64(r.addr)%parkSlots] |= 1 << uint(req)
+	if shadow {
+		return len(kept)
+	}
+	t.eng.Park(uint64(len(kept)))
+	return 0
 }
 
 // retire pops requester req's done records off its ring's head, clearing
@@ -257,34 +261,6 @@ func (g *parkRing) grow(cores int) {
 	g.recs, g.head = recs, 0
 }
 
-// park is core dst's elider: it parks a delivery of the open multicast due
-// at (at, key) in domain dom when dst's L2 holds no tokens for the block,
-// and reports whether it did. Outside a multicast it parks nothing.
-func (t *ParkTable) park(dst int32, at sim.Cycle, key uint64, dom int32) bool {
-	r := t.open
-	if r == nil {
-		return false
-	}
-	// Most snoops find the block absent: the holder lane answers those
-	// without touching the destination's tags.
-	if r.lane>>uint(dst)&1 != 0 {
-		if b := t.l2s[dst].Lookup(r.addr); b != nil && b.Tokens > 0 {
-			return false
-		}
-	}
-	r.d = append(r.d, parkedDelivery{at: at, key: key, dom: dom, dst: dst})
-	r.mask |= 1 << uint(dst)
-	if at > r.lastAt || at == r.lastAt && key > r.lastKey {
-		r.lastAt, r.lastKey = at, key
-	}
-	if t.shadow {
-		return false
-	}
-	t.lookups[dst]++
-	t.eng.Park()
-	return true
-}
-
 // putBack runs on a token gain for addr at c: every parked delivery to c
 // for addr that has not passed goes back into the queue at its original
 // (at, key), and its lookup and fired-event counts are withdrawn (the real
@@ -308,19 +284,19 @@ func (t *ParkTable) putBackFrom(g *parkRing, c *CacheCtrl, addr mem.BlockAddr) {
 		r.mask &^= bit
 		for j := range r.d {
 			p := &r.d[j]
-			if p.dst != dst || t.eng.Passed(p.at, p.key) {
+			if p.Dst != dst || t.eng.Passed(p.At, p.Key) {
 				continue
 			}
-			p.dst = noDst
+			p.Dst = noDst
 			t.putBacks++
 			if t.shadow {
 				c.shadowPutBacks++
 				continue
 			}
 			t.lookups[dst]--
-			t.eng.Unpark()
+			t.eng.Unpark(1)
 			m := c.msgs.New(Msg{Kind: r.kind, Addr: r.addr, Src: r.src, Page: r.page})
-			t.eng.ScheduleKeyed(p.at, p.key, p.dom, c.snoopFn, m, 0)
+			t.eng.ScheduleKeyed(p.At, p.Key, p.Dom, c.snoopFn, m, 0)
 		}
 	}
 }
@@ -328,7 +304,7 @@ func (t *ParkTable) putBackFrom(g *parkRing, c *CacheCtrl, addr mem.BlockAddr) {
 // Counts returns how many deliveries token gains have put back (in shadow
 // mode, would have), and how many multicasts found their requester's
 // earlier records still holding deliveries in flight.
-func (t *ParkTable) Counts() (putBacks, kept uint64) { return t.putBacks, t.kept }
+func (t *ParkTable) Counts() (putBacks, live uint64) { return t.putBacks, t.live }
 
 // ahead returns how many deliveries parked to dst have not passed the
 // engine's position, and with drop set forgets them.
@@ -343,10 +319,10 @@ func (t *ParkTable) ahead(dst int32, drop bool) uint64 {
 				continue
 			}
 			for j := range r.d {
-				if p := &r.d[j]; p.dst == dst && !t.eng.Passed(p.at, p.key) {
+				if p := &r.d[j]; p.Dst == dst && !t.eng.Passed(p.At, p.Key) {
 					n++
 					if drop {
-						p.dst = noDst
+						p.Dst = noDst
 					}
 				}
 			}
@@ -384,9 +360,7 @@ func (c *CacheCtrl) DropParked() uint64 {
 	}
 	n := c.pt.ahead(int32(c.Core), true)
 	c.pt.lookups[c.Core] -= n
-	for i := uint64(0); i < n; i++ {
-		c.Eng.Unpark()
-	}
+	c.Eng.Unpark(n)
 	return n
 }
 
@@ -395,24 +369,24 @@ func (c *CacheCtrl) DropParked() uint64 {
 // put it back, it must be a no-op.
 func (c *CacheCtrl) shadowDeliver(src mesh.NodeID, b *cache.Block) {
 	t := c.pt
-	if int(src) >= len(t.coreOf) || t.coreOf[src] < 0 {
-		return
+	if int(src) >= len(t.rings) {
+		return // a memory controller: core c is endpoint c
 	}
-	g := &t.rings[t.coreOf[src]]
+	g := &t.rings[src]
 	dst := int32(c.Core)
 	now, key := t.eng.Now(), t.eng.CurKey()
 	for i := 0; i < g.n; i++ {
 		r := &g.recs[(g.head+i)&(len(g.recs)-1)]
 		for j := range r.d {
 			p := &r.d[j]
-			if p.dst != dst || p.at != now || p.key != key {
+			if p.Dst != dst || p.At != now || p.Key != key {
 				continue
 			}
 			c.shadowChecked++
 			if b != nil && b.Tokens > 0 {
 				c.shadowViolations++
 			}
-			p.dst = noDst
+			p.Dst = noDst
 			return
 		}
 	}

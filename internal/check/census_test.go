@@ -164,7 +164,7 @@ func newDiffRig(cores, nmc int) *diffRig {
 	mcNodes := make([]mesh.NodeID, nmc)
 	for j := range mcNodes {
 		mcNodes[j] = net.Attach(3*(j%2), 3*(j/2), nil)
-		mc := &memctrl.Ctrl{Eng: eng, Net: net, Node: mcNodes[j], P: p, AllCaches: coreNodes,
+		mc := &memctrl.Ctrl{Eng: eng, Net: net, Node: mcNodes[j], P: p, Cores: cores,
 			Interleave: uint64(nmc), Residue: uint64(j)}
 		mc.Init()
 		mc.Obs = r.leds[j%2]
@@ -175,12 +175,7 @@ func newDiffRig(cores, nmc int) *diffRig {
 		l2 := cache.New(cache.Config{Name: "L2", SizeBytes: 4 * 1024, Ways: 4, BlockBytes: 64, HitLatency: 10})
 		c := &token.CacheCtrl{
 			Eng: eng, Net: net, Node: coreNodes[i], Core: i, L2: l2, P: p,
-			MCNodes: mcNodes, Router: broadcastRouter{all: coreNodes},
-		}
-		for j, nd := range coreNodes {
-			if j != i {
-				c.AllCores = append(c.AllCores, nd)
-			}
+			MCNodes: mcNodes, Router: &broadcastRouter{cores: cores}, Cores: cores,
 		}
 		c.Obs = r.leds[i%2]
 		c.Init()

@@ -30,24 +30,31 @@ func TestLedgerBookkeeping(t *testing.T) {
 	}
 }
 
-// broadcastRouter snoops every other core (TokenB baseline).
-type broadcastRouter struct{ all []mesh.NodeID }
+// broadcastRouter snoops every other of its cores cores (TokenB
+// baseline), routed into its own words.
+type broadcastRouter struct {
+	cores int
+	words []uint64
+}
 
-func (r broadcastRouter) Route(info token.RouteInfo, buf []mesh.NodeID) []mesh.NodeID {
-	out := buf[:0]
-	for _, n := range r.all {
-		if n != info.CoreNode {
-			out = append(out, n)
+func (r *broadcastRouter) Route(info token.RouteInfo) (first, second []uint64) {
+	if r.words == nil {
+		r.words = make([]uint64, (r.cores+63)/64)
+	}
+	clear(r.words)
+	for i := 0; i < r.cores; i++ {
+		if i != info.Requester {
+			r.words[i>>6] |= 1 << (uint(i) & 63)
 		}
 	}
-	return out
+	return r.words, nil
 }
 
 // blackholeRouter filters everything AND pairs with an unhandled MC node,
 // so a transaction can never complete (liveness-test rig).
 type blackholeRouter struct{}
 
-func (blackholeRouter) Route(_ token.RouteInfo, buf []mesh.NodeID) []mesh.NodeID { return buf[:0] }
+func (blackholeRouter) Route(token.RouteInfo) (first, second []uint64) { return nil, nil }
 
 type rig struct {
 	eng   *sim.Engine
@@ -72,7 +79,7 @@ func newRig(t *testing.T, n int, blackhole bool) *rig {
 		coreNodes[i] = net.Attach(i%4, i/4, nil)
 	}
 	mcNode := net.Attach(0, 0, nil)
-	mc := &memctrl.Ctrl{Eng: eng, Net: net, Node: mcNode, P: p, AllCaches: coreNodes}
+	mc := &memctrl.Ctrl{Eng: eng, Net: net, Node: mcNode, P: p, Cores: n}
 	mc.Init()
 	mc.Obs = led
 	if !blackhole {
@@ -84,20 +91,13 @@ func newRig(t *testing.T, n int, blackhole bool) *rig {
 		l2 := cache.New(cache.Config{Name: "L2", SizeBytes: 16 * 1024, Ways: 8, BlockBytes: 64, HitLatency: 10})
 		c := &token.CacheCtrl{
 			Eng: eng, Net: net, Node: coreNodes[i], Core: i, L2: l2, P: p,
-			MCNodes: []mesh.NodeID{mcNode},
+			MCNodes: []mesh.NodeID{mcNode}, Cores: n,
 		}
 		if blackhole {
 			c.Router = blackholeRouter{}
 		} else {
-			c.Router = broadcastRouter{all: coreNodes}
+			c.Router = &broadcastRouter{cores: n}
 		}
-		others := make([]mesh.NodeID, 0, n-1)
-		for j, nd := range coreNodes {
-			if j != i {
-				others = append(others, nd)
-			}
-		}
-		c.AllCores = others
 		c.Obs = led
 		c.Init()
 		net.SetHandler(coreNodes[i], c.Handle)

@@ -27,7 +27,6 @@ import (
 
 	"vsnoop/internal/cache"
 	"vsnoop/internal/mem"
-	"vsnoop/internal/mesh"
 	"vsnoop/internal/sim"
 	"vsnoop/internal/stats"
 	"vsnoop/internal/token"
@@ -92,18 +91,19 @@ type Config struct {
 // (Section IV.A): each VM's vCPU map is a bit-vector register with one bit
 // per physical core, kept here as words of a flat uint64 array indexed by
 // mem.DenseVM. Destination sets fall out of bitmask arithmetic (mask, or,
-// and-not, popcount) and bits enumerate in ascending core order, which is
-// the deterministic send order the simulator requires.
+// and-not, popcount) and leave the filter as words too: the mesh sends to
+// their bits in ascending core order, which is the deterministic send
+// order the simulator requires.
 //
 // In syncMode partitioned runs each domain owns one replica: a handler may
 // only touch the replica of the domain it executes in, and updates reach
 // the other replicas as ordered cross-domain delta events (Apply*
 // methods).
 type Filter struct {
-	cfg       Config
-	eng       *sim.Engine
-	coreNodes []mesh.NodeID // core index -> network endpoint
-	nw        int           // uint64 words per per-VM bit-vector
+	cfg   Config
+	eng   *sim.Engine
+	cores int // core i is mesh endpoint i
+	nw    int // uint64 words per per-VM bit-vector
 
 	// mapBits holds the canonical per-VM vCPU map registers: nw words per
 	// dense VM id, bit c set when core c is in the VM's map.
@@ -113,12 +113,12 @@ type Filter struct {
 	// pendBits/pendAt record departures awaiting counter-triggered removal
 	// (bit set + departure cycle), feeding the Figure 9 removal-period CDF.
 	pendBits []uint64
-	pendAt   []sim.Cycle // len(coreNodes) slots per dense VM id
+	pendAt   []sim.Cycle // cores slots per dense VM id
 
-	// allBut[i] is the precomputed broadcast destination set excluding core
-	// i. Route returns it shared and read-only (exact capacity: appending
-	// to it always copies).
-	allBut [][]mesh.NodeID
+	// all has bit c set for every core c; route holds the two sets Route
+	// returns, nw words each, overwritten by every call.
+	all   []uint64
+	route [2][]uint64
 
 	// caches[i] is core i's L2, consulted for residence counters
 	caches []*cache.Cache
@@ -177,9 +177,6 @@ type vmSlot struct {
 	rebuilds      uint64 // maps reconstructed from running + resident state
 	underflows    uint64 // residence-counter underflows recovered
 
-	// scratch is this VM's reusable word buffer for counter-augmented sets
-	// (lazily allocated).
-	scratch []uint64
 	// scanCores restricts residence scans to these cores (nil = all).
 	// Partitioned runs set a VM's domain, which is exact: its data can
 	// only reside in caches its vCPUs have run on.
@@ -189,10 +186,11 @@ type vmSlot struct {
 // suspectWindow is how long a suspicion lasts past its latest trigger.
 const suspectWindow sim.Cycle = 50_000
 
-// NewFilter builds a filter over the given cores. caches may be nil when
-// the counter policies are unused (e.g. the broadcast baseline).
-func NewFilter(eng *sim.Engine, cfg Config, coreNodes []mesh.NodeID, caches []*cache.Cache) *Filter {
-	return NewFilterScoped(eng, cfg, coreNodes, caches, nil)
+// NewFilter builds a filter over cores cores, core i being mesh endpoint
+// i. caches may be nil when the counter policies are unused (e.g. the
+// broadcast baseline).
+func NewFilter(eng *sim.Engine, cfg Config, cores int, caches []*cache.Cache) *Filter {
+	return NewFilterScoped(eng, cfg, cores, caches, nil)
 }
 
 // NewFilterScoped builds a filter replica that hooks residence-counter
@@ -201,29 +199,25 @@ func NewFilter(eng *sim.Engine, cfg Config, coreNodes []mesh.NodeID, caches []*c
 // each cache reports residence triggers to exactly one replica — the one
 // whose domain executes that cache's events — while the full register file
 // is replicated everywhere and kept coherent by cross-domain deltas.
-func NewFilterScoped(eng *sim.Engine, cfg Config, coreNodes []mesh.NodeID, caches []*cache.Cache, owned []int) *Filter {
+func NewFilterScoped(eng *sim.Engine, cfg Config, cores int, caches []*cache.Cache, owned []int) *Filter {
 	if cfg.Policy == PolicyCounterThreshold && cfg.Threshold <= 0 {
 		cfg.Threshold = 10
 	}
 	if cfg.Policy == PolicyCounterFlush && cfg.Threshold <= 0 {
 		cfg.Threshold = 10
 	}
+	nw := (cores + 63) / 64
 	f := &Filter{
-		cfg:       cfg,
-		eng:       eng,
-		coreNodes: coreNodes,
-		nw:        (len(coreNodes) + 63) / 64,
-		caches:    caches,
+		cfg:    cfg,
+		eng:    eng,
+		cores:  cores,
+		nw:     nw,
+		caches: caches,
+		all:    make([]uint64, nw),
+		route:  [2][]uint64{make([]uint64, nw), make([]uint64, nw)},
 	}
-	f.allBut = make([][]mesh.NodeID, len(coreNodes))
-	for i := range coreNodes {
-		s := make([]mesh.NodeID, 0, len(coreNodes)-1)
-		for j, n := range coreNodes {
-			if j != i {
-				s = append(s, n)
-			}
-		}
-		f.allBut[i] = s
+	for c := 0; c < cores; c++ {
+		setBit(f.all, c)
 	}
 	// Wire residence-counter callbacks for the owned cores.
 	hook := func(i int) {
@@ -283,7 +277,7 @@ func (f *Filter) ensure(vm mem.VMID) int {
 		f.mapBits = append(f.mapBits, make([]uint64, f.nw)...)
 		f.runBits = append(f.runBits, make([]uint64, f.nw)...)
 		f.pendBits = append(f.pendBits, make([]uint64, f.nw)...)
-		f.pendAt = append(f.pendAt, make([]sim.Cycle, len(f.coreNodes))...)
+		f.pendAt = append(f.pendAt, make([]sim.Cycle, f.cores)...)
 		f.slots = append(f.slots, vmSlot{})
 	}
 	return d
@@ -362,22 +356,6 @@ func popcount(w []uint64) int {
 	return n
 }
 
-// appendCores appends the endpoints of every set bit except requester, in
-// ascending core order (the deterministic send order).
-func (f *Filter) appendCores(out []mesh.NodeID, w []uint64, requester int) []mesh.NodeID {
-	for wi, word := range w {
-		base := wi << 6
-		for word != 0 {
-			c := base + bits.TrailingZeros64(word)
-			word &= word - 1
-			if c != requester {
-				out = append(out, f.coreNodes[c])
-			}
-		}
-	}
-	return out
-}
-
 // HandleRelocate is the hypervisor hook: vCPU v of a VM moved from core
 // `from` (-1 on first placement) to core `to`. The hypervisor adds the new
 // core to the VM's map before the VM runs there; the old core stays until
@@ -425,7 +403,7 @@ func (f *Filter) departCheck(vm mem.VMID, d, from int) {
 			return
 		}
 		setBit(f.pendBits[d*f.nw:(d+1)*f.nw], from)
-		f.pendAt[d*len(f.coreNodes)+from] = f.eng.Now()
+		f.pendAt[d*f.cores+from] = f.eng.Now()
 	}
 }
 
@@ -520,7 +498,7 @@ func (f *Filter) remove(vm mem.VMID, core int) {
 	f.MapSyncs++
 	pend := f.pendBits[d*f.nw : (d+1)*f.nw]
 	if testBit(pend, core) {
-		f.RemovalPeriods.Observe(float64(f.eng.Now() - f.pendAt[d*len(f.coreNodes)+core]))
+		f.RemovalPeriods.Observe(float64(f.eng.Now() - f.pendAt[d*f.cores+core]))
 		clearBit(pend, core)
 	}
 	if f.OnMapRemove != nil {
@@ -593,7 +571,7 @@ func (f *Filter) CorruptMap(vm mem.VMID, core int) {
 	for i := range m {
 		m[i] = 0
 	}
-	if core >= 0 && core < len(f.coreNodes) {
+	if core >= 0 && core < f.cores {
 		setBit(m, core)
 	}
 }
@@ -659,110 +637,88 @@ func unroutablePanic(p mem.PageType) {
 	panic(fmt.Sprintf("core: unroutable request page=%v", p))
 }
 
-// containsNode reports whether set holds n. Destination sets are bounded by
-// the core count, so a linear scan beats a map and allocates nothing.
-func containsNode(set []mesh.NodeID, n mesh.NodeID) bool {
-	for _, m := range set {
-		if m == n {
-			return true
-		}
-	}
-	return false
-}
-
 // Route implements token.Router: the destination set for one transaction
-// attempt, excluding the requester (which looks up its own cache anyway)
-// and excluding memory (the home controller is always addressed). Computed
-// sets are appended to buf[:0]; broadcast sets are the shared allBut.
-func (f *Filter) Route(info token.RouteInfo, buf []mesh.NodeID) []mesh.NodeID {
+// attempt as core-bit words, excluding the requester (which looks up its
+// own cache anyway) and excluding memory (the home controller is always
+// addressed). A friend-VM RO-shared route has a second set: the friend's
+// map minus the requester and the VM's own set. Both are the filter's
+// route words, valid until its next Route call.
+func (f *Filter) Route(info token.RouteInfo) (first, second []uint64) {
 	if f.cfg.Policy == PolicyBroadcast {
-		return f.allExcept(info.Requester)
+		return f.allExcept(info.Requester), nil
 	}
 	switch info.Page {
 	case mem.PagePrivate:
-		return f.domainExcept(buf, info.VM, info.Requester)
+		return f.domainExcept(info.VM, info.Requester), nil
 	case mem.PageRWShared:
-		return f.allExcept(info.Requester)
+		return f.allExcept(info.Requester), nil
 	case mem.PageROShared:
 		switch f.cfg.Content {
 		case ContentBroadcast:
-			return f.allExcept(info.Requester)
+			return f.allExcept(info.Requester), nil
 		case ContentMemoryDirect:
-			return buf[:0]
+			return nil, nil
 		case ContentIntraVM:
-			return f.domainExcept(buf, info.VM, info.Requester)
+			return f.domainExcept(info.VM, info.Requester), nil
 		case ContentFriendVM:
-			out := f.domainExcept(buf, info.VM, info.Requester)
+			first = f.domainExcept(info.VM, info.Requester)
 			if d := mem.DenseVM(info.VM); d < len(f.friends) && f.friends[d].set {
-				// The friend's map in ascending core order, minus the
-				// requester and the cores the VM's own set already holds.
-				for wi, word := range f.words(f.mapBits, f.friends[d].vm) {
-					base := wi << 6
-					for word != 0 {
-						c := base + bits.TrailingZeros64(word)
-						word &= word - 1
-						if n := f.coreNodes[c]; c != info.Requester && !containsNode(out, n) {
-							out = append(out, n)
-						}
-					}
+				second = f.except(1, f.words(f.mapBits, f.friends[d].vm), info.Requester)
+				for i := range second {
+					second[i] &^= first[i]
 				}
 			}
-			return out
+			return first, second
 		}
 	}
 	unroutablePanic(info.Page)
-	return nil
+	return nil, nil
+}
+
+// except copies the set w (nil for the empty set) into route words i,
+// minus the requester, and returns them.
+func (f *Filter) except(i int, w []uint64, requester int) []uint64 {
+	out := f.route[i]
+	clear(out)
+	copy(out, w)
+	clearBit(out, requester)
+	return out
 }
 
 // allExcept returns the broadcast destination set excluding the requester.
-// The returned slice is a shared precomputed set with exact capacity: callers
-// may read or append (append copies) but must never write in place.
-func (f *Filter) allExcept(requester int) []mesh.NodeID {
-	return f.allBut[requester]
+func (f *Filter) allExcept(requester int) []uint64 {
+	return f.except(0, f.all, requester)
 }
 
 // domainExcept is the degradation-aware destination set for a VM's own
 // snoop domain: the plain map normally, the counter-augmented map at
 // suspicion level 1, full broadcast at level 2. With degradation disabled
-// it is exactly mapExcept.
-func (f *Filter) domainExcept(buf []mesh.NodeID, vm mem.VMID, requester int) []mesh.NodeID {
+// it is exactly the map.
+func (f *Filter) domainExcept(vm mem.VMID, requester int) []uint64 {
 	if !f.DegradationEnabled {
-		return f.mapExcept(buf, vm, requester)
+		return f.except(0, f.words(f.mapBits, vm), requester)
 	}
 	d := mem.DenseVM(vm)
 	if d >= len(f.slots) {
-		return f.mapExcept(buf, vm, requester)
+		return f.except(0, f.words(f.mapBits, vm), requester)
 	}
 	s := &f.slots[d]
 	if s.level == 0 || f.eng.Now() > s.until {
 		s.level = 0 // suspicion decayed
-		return f.mapExcept(buf, vm, requester)
+		return f.except(0, f.words(f.mapBits, vm), requester)
 	}
 	if s.level >= 2 {
 		s.fallbackBroad++
 		return f.allExcept(requester)
 	}
 	s.fallbackAug++
-	return f.counterAugExcept(buf, vm, s, requester)
-}
-
-// counterAugExcept appends to buf[:0] the map augmented with every core
-// whose residence counter says it still holds the VM's data — the level-1
-// degradation set: cheap to compute, strictly safer than the map alone.
-func (f *Filter) counterAugExcept(buf []mesh.NodeID, vm mem.VMID, s *vmSlot, requester int) []mesh.NodeID {
-	if s.scratch == nil {
-		s.scratch = make([]uint64, f.nw)
-	}
-	w := s.scratch
-	for i := range w {
-		w[i] = 0
-	}
-	copy(w, f.words(f.mapBits, vm))
-	f.scanResident(vm, s, w)
-	return f.appendCores(buf[:0], w, requester)
-}
-
-// mapExcept appends vm's map, minus the requester, to buf[:0].
-func (f *Filter) mapExcept(buf []mesh.NodeID, vm mem.VMID, requester int) []mesh.NodeID {
-	return f.appendCores(buf[:0], f.words(f.mapBits, vm), requester)
+	// The level-1 degradation set: the map augmented with every core whose
+	// residence counter says it still holds the VM's data — cheap to
+	// compute, strictly safer than the map alone.
+	out := f.route[0]
+	clear(out)
+	copy(out, f.words(f.mapBits, vm))
+	f.scanResident(vm, s, out)
+	clearBit(out, requester)
+	return out
 }

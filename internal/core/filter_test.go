@@ -11,7 +11,7 @@ import (
 )
 
 // testRig builds a filter over n cores with per-core L2s.
-func testRig(t *testing.T, n int, cfg Config) (*sim.Engine, *Filter, []*cache.Cache, []mesh.NodeID) {
+func testRig(t testing.TB, n int, cfg Config) (*sim.Engine, *Filter, []*cache.Cache, []mesh.NodeID) {
 	t.Helper()
 	eng := sim.NewEngine()
 	nodes := make([]mesh.NodeID, n)
@@ -20,7 +20,7 @@ func testRig(t *testing.T, n int, cfg Config) (*sim.Engine, *Filter, []*cache.Ca
 		nodes[i] = mesh.NodeID(i)
 		caches[i] = cache.New(cache.Config{Name: "L2", SizeBytes: 4096, Ways: 4, BlockBytes: 64})
 	}
-	f := NewFilter(eng, cfg, nodes, caches)
+	f := NewFilter(eng, cfg, n, caches)
 	return eng, f, caches, nodes
 }
 
@@ -30,8 +30,10 @@ func place(f *Filter, vm mem.VMID, cores ...int) {
 	}
 }
 
+// route returns the filter's destination set for a first attempt, in
+// send order.
 func route(f *Filter, vm mem.VMID, page mem.PageType, req int) []mesh.NodeID {
-	return f.Route(token.RouteInfo{VM: vm, Page: page, Requester: req, CoreNode: mesh.NodeID(req), Attempt: 1}, nil)
+	return mesh.Endpoints(f.Route(token.RouteInfo{VM: vm, Page: page, Requester: req, CoreNode: mesh.NodeID(req), Attempt: 1}))
 }
 
 func TestBroadcastPolicySnoopsEveryone(t *testing.T) {

@@ -18,7 +18,7 @@ func interleaved() (*Ctrl, *sim.Engine, mesh.NodeID) {
 	p := token.DefaultParams(16)
 	req := net.Attach(3, 3, func(interface{}) {})
 	node := net.Attach(0, 0, nil)
-	m := &Ctrl{Eng: eng, Net: net, Node: node, P: p, AllCaches: []mesh.NodeID{req},
+	m := &Ctrl{Eng: eng, Net: net, Node: node, P: p, Cores: 1,
 		Interleave: 4, Residue: 1}
 	m.Init()
 	net.SetHandler(node, m.Handle)

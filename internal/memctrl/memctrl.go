@@ -80,9 +80,9 @@ type Ctrl struct {
 	Node mesh.NodeID
 	P    token.Params
 
-	// AllCaches lists every cache controller endpoint, for persistent
-	// activation broadcasts.
-	AllCaches []mesh.NodeID
+	// Cores is the machine's core count: cache controller i is mesh
+	// endpoint i, and persistent activation broadcasts go to all of them.
+	Cores int
 
 	// Oracle answers whether a designated RO provider exists among the
 	// snooped cores (see token.Oracle); nil disables the optimization and
@@ -108,6 +108,8 @@ type Ctrl struct {
 	// sendFn is the prebound event handler for delayed response sends
 	// (arg = *token.Msg, u = destination << 32 | bytes): zero-alloc arming.
 	sendFn sim.HandlerFn
+	// allCores is the broadcast set as core-bit words: cores 0 to Cores-1.
+	allCores []uint64
 
 	// msgs is the slab every message this controller sends is carved from.
 	msgs token.Msgs
@@ -123,6 +125,10 @@ func (m *Ctrl) Init() {
 		m.Interleave = 1
 	}
 	m.persistent = make(map[mem.BlockAddr]*persistentEntry)
+	m.allCores = make([]uint64, (m.Cores+63)/64)
+	for i := 0; i < m.Cores; i++ {
+		m.allCores[i>>6] |= 1 << (uint(i) & 63)
+	}
 	// The *token.Msg rides in arg with the sender's hold until the send
 	// hands it to the deliveries.
 	m.sendFn = func(arg interface{}, u uint64) {
@@ -412,8 +418,7 @@ func (m *Ctrl) activate(p *persistentEntry, msg *token.Msg) {
 	p.hasAct = true
 	m.Stats.Activations++
 	act := m.msgs.New(token.Msg{Kind: token.MsgPersistentActivate, Addr: msg.Addr, Src: msg.Src})
-	n, _ := m.Net.Multicast(m.Node, m.AllCaches, m.P.CtrlBytes, act, 0, nil)
-	act.Sent(n)
+	act.Sent(m.Net.Multicast(m.Node, m.allCores, nil, -1, m.P.CtrlBytes, act, nil))
 	// Memory forwards its own tokens too.
 	l := m.line(msg.Addr)
 	if tok, owner := l.tokens(), l.owner(); tok > 0 || owner {
@@ -444,8 +449,7 @@ func (m *Ctrl) handleRelease(msg *token.Msg) {
 		return
 	}
 	deact := m.msgs.New(token.Msg{Kind: token.MsgPersistentDeactivate, Addr: msg.Addr, Src: m.Node})
-	n, _ := m.Net.Multicast(m.Node, m.AllCaches, m.P.CtrlBytes, deact, 0, nil)
-	deact.Sent(n)
+	deact.Sent(m.Net.Multicast(m.Node, m.allCores, nil, -1, m.P.CtrlBytes, deact, nil))
 	p.hasAct = false
 	if len(p.waiters) > 0 {
 		next := p.waiters[0]

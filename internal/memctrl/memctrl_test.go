@@ -27,7 +27,7 @@ func newRig(t *testing.T) *rig {
 	r := &rig{eng: eng, net: net, p: token.DefaultParams(4)}
 	r.req = net.Attach(3, 3, func(p interface{}) { r.got = append(r.got, *p.(*token.Msg)) })
 	r.node = net.Attach(0, 0, nil)
-	r.mc = &Ctrl{Eng: eng, Net: net, Node: r.node, P: r.p, AllCaches: []mesh.NodeID{r.req}}
+	r.mc = &Ctrl{Eng: eng, Net: net, Node: r.node, P: r.p, Cores: 1}
 	r.mc.Init()
 	net.SetHandler(r.node, r.mc.Handle)
 	return r
@@ -152,11 +152,11 @@ func TestROSharedDataWithoutProvider(t *testing.T) {
 
 type oracleTrue struct{}
 
-func (oracleTrue) ROProviderAmong(mem.BlockAddr, []mesh.NodeID) bool { return true }
+func (oracleTrue) ROProviderAmong(mem.BlockAddr, []uint64) bool { return true }
 
 type oracleFalse struct{}
 
-func (oracleFalse) ROProviderAmong(mem.BlockAddr, []mesh.NodeID) bool { return false }
+func (oracleFalse) ROProviderAmong(mem.BlockAddr, []uint64) bool { return false }
 
 func TestPersistentActivationAndQueueing(t *testing.T) {
 	eng := sim.NewEngine()
@@ -180,7 +180,7 @@ func TestPersistentActivationAndQueueing(t *testing.T) {
 		gotB = append(gotB, msg)
 	})
 	node := net.Attach(0, 0, nil)
-	mc := &Ctrl{Eng: eng, Net: net, Node: node, P: p, AllCaches: []mesh.NodeID{a, b}}
+	mc := &Ctrl{Eng: eng, Net: net, Node: node, P: p, Cores: 2}
 	mc.Init()
 	net.SetHandler(node, mc.Handle)
 

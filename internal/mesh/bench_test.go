@@ -99,8 +99,9 @@ func TestPartitionedSendZeroAllocSteadyState(t *testing.T) {
 // TestPartitionedMulticastZeroAlloc gates Multicast the way
 // TestPartitionedSendZeroAllocSteadyState gates Send: a partitioned
 // broadcast, with intra-domain contention walks, cross-domain deliveries
-// and a keep mask that keeps half the deliveries in a reused buffer,
-// allocates nothing at steady state.
+// and a keep mask that keeps half the deliveries, listing the contended
+// ones in a reused buffer and deriving the others, allocates nothing at
+// steady state.
 func TestPartitionedMulticastZeroAlloc(t *testing.T) {
 	eng, net, ids := benchNet(true)
 	nodeDom := make([]int32, len(ids))
@@ -110,16 +111,17 @@ func TestPartitionedMulticastZeroAlloc(t *testing.T) {
 		}
 	}
 	net.Partition(nodeDom, 2)
-	const keep = 0x5555
-	kept := make([]Delivery, 0, len(ids))
+	all := Words(ids...)
+	k := Kept{Keep: 0x5555, Derive: true, List: make([]Delivery, 0, len(ids))}
 	for i := 0; i < 64; i++ {
-		net.Multicast(ids[i&15], ids, 8, nil, keep, kept[:0])
+		net.Multicast(ids[i&15], all, nil, -1, 8, nil, &k)
 	}
 	eng.Run()
 	avg := testing.AllocsPerRun(100, func() {
 		for i := 0; i < 8; i++ {
-			if _, k := net.Multicast(ids[i&15], ids, 8, nil, keep, kept[:0]); len(k) != 8 {
-				t.Fatalf("%d deliveries kept, want 8", len(k))
+			net.Multicast(ids[i&15], all, nil, -1, 8, nil, &k)
+			if k.Count() != 8 || k.Derived == 0 || len(k.List) == 0 {
+				t.Fatalf("%d deliveries kept, %d of them listed; want 8, some listed and some derived", k.Count(), len(k.List))
 			}
 		}
 		eng.Run()
@@ -147,10 +149,10 @@ func BenchmarkBroadcast(b *testing.B) {
 // BenchmarkMulticast is BenchmarkBroadcast through one Multicast call.
 func BenchmarkMulticast(b *testing.B) {
 	eng, net, ids := benchNet(true)
-	dests := ids[1:]
+	dests := Words(ids[1:]...)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		net.Multicast(ids[0], dests, 8, nil, 0, nil)
+		net.Multicast(ids[0], dests, nil, -1, 8, nil, nil)
 		if eng.Pending() > 4096 {
 			eng.Run()
 		}

@@ -9,12 +9,14 @@
 // Multicasts are modeled as one unicast per destination, matching the
 // broadcast behaviour of the TokenB baseline; virtual snooping's savings
 // come from shrinking the destination set. Network.Multicast sends them in
-// one call, with the work every unicast shares done once, and hands back
-// the deliveries its caller's keep mask takes out of the queue.
+// one call, to destination sets given as endpoint bit words, with the work
+// every unicast shares done once, and hands back the deliveries its
+// caller's keep mask takes out of the queue.
 package mesh
 
 import (
 	"fmt"
+	"math/bits"
 
 	"vsnoop/internal/sim"
 )
@@ -47,14 +49,82 @@ type node struct {
 }
 
 // Delivery is one message's delivery as the network would queue it: due
-// at (At, Key) in executing domain Dom, at endpoint Dst. Multicast hands
-// back the deliveries its keep mask keeps out of the queue in this form.
+// at (At, Key) in executing domain Dom, at endpoint Dst. Multicast lists
+// the kept deliveries it visits in this form, and DerivedDelivery
+// recomputes a derived one in it.
 type Delivery struct {
 	At  sim.Cycle
 	Key uint64
 	Dom int32
 	Dst int32
 }
+
+// Words returns the bit words of the endpoint set ids: endpoint i is bit
+// i%64 of word i/64, the form Multicast takes its destination sets in.
+func Words(ids ...NodeID) []uint64 {
+	var w []uint64
+	for _, id := range ids {
+		for int(id)>>6 >= len(w) {
+			w = append(w, 0)
+		}
+		w[id>>6] |= 1 << (uint(id) & 63)
+	}
+	return w
+}
+
+// Endpoints lists the endpoints of the sets of bit words in send order:
+// each set's endpoints ascending, set after set.
+func Endpoints(sets ...[]uint64) []NodeID {
+	var out []NodeID
+	for _, set := range sets {
+		for wi, w := range set {
+			for ; w != 0; w &= w - 1 {
+				out = append(out, NodeID(wi<<6|bits.TrailingZeros64(w)))
+			}
+		}
+	}
+	return out
+}
+
+// Kept is what a Multicast keeps out of the queue for its caller: every
+// delivery to an endpoint in Keep. The caller sets Keep and Derive; the
+// call overwrites the rest, reusing List's array.
+//
+// A kept delivery the network reaches at zero-load latency (Partition's
+// tables) is derived when Derive is set and no FaultHook is installed:
+// the call neither visits nor lists it, and its (at, key, dom) is a pure
+// function of the source, the destination, the send cycle, the call's
+// send sets and its first key, which DerivedDelivery recomputes. Every
+// other kept delivery is listed.
+type Kept struct {
+	// Keep has bit i set for each endpoint i whose deliveries the caller
+	// takes over (endpoints past 63 have no bit).
+	Keep uint64
+	// Derive lets the call derive zero-load kept deliveries.
+	Derive bool
+
+	// List holds the kept deliveries the call visited, in send order.
+	List []Delivery
+	// Mask has bit i set for each endpoint i with a kept delivery, and
+	// Derived for each one whose delivery was derived.
+	Mask, Derived uint64
+	// LastAt, LastKey is the latest (at, key) of every kept delivery,
+	// listed or derived.
+	LastAt  sim.Cycle
+	LastKey uint64
+
+	// What DerivedDelivery reads: the source, the send sets (one word
+	// each: derivation needs at most 64 endpoints), the send cycle, the
+	// call's first key and the per-link serialization.
+	src   NodeID
+	sets  [2]uint64
+	start sim.Cycle
+	key   uint64
+	ser   sim.Cycle
+}
+
+// Count returns how many deliveries k kept, listed and derived.
+func (k *Kept) Count() int { return len(k.List) + bits.OnesCount64(k.Derived) }
 
 // Directed link directions. A link is identified by its source router
 // coordinates and direction, flattened to a dense id by linkID so the
@@ -121,6 +191,31 @@ type Network struct {
 	nodeDom  []int32
 	traf     []trafficSlot
 	crossHor []sim.Cycle
+
+	// zero[src] has bit d set for each endpoint d that a message from src
+	// reaches at zero-load latency, and hopClasses[src] groups the
+	// endpoints by hop count from src, nearest first: the tables a
+	// multicast derives kept deliveries from. Partition builds them when
+	// the network has at most 64 endpoints; nil means no derivation.
+	zero       []uint64
+	hopClasses [][]hopClass
+
+	// route is the scratch a Multicast lists its visited destinations in,
+	// with their keys, before it sends to them.
+	route []hop
+}
+
+// hop is one destination of a Multicast's send sequence, with its key.
+type hop struct {
+	dst NodeID
+	key uint64
+}
+
+// hopClass is the set of endpoints at one hop count from a source.
+type hopClass struct {
+	mask  uint64
+	hops  int
+	links uint64 // links a message crossing hops hops is charged: one at least
 }
 
 // trafficSlot is one domain's traffic counters, flit-quantized: a message
@@ -185,6 +280,34 @@ func (n *Network) Partition(nodeDom []int32, nd int) {
 			l := n.Latency(NodeID(src), NodeID(dst), 1)
 			if h := n.crossHor[sd]; h == 0 || l < h {
 				n.crossHor[sd] = l
+			}
+		}
+	}
+	n.buildDeriveTables()
+}
+
+// buildDeriveTables builds zero and hopClasses from the partition, or
+// leaves them nil on a network of more than 64 endpoints.
+func (n *Network) buildDeriveTables() {
+	n.zero, n.hopClasses = nil, nil
+	if len(n.nodes) > 64 {
+		return
+	}
+	n.zero = make([]uint64, len(n.nodes))
+	n.hopClasses = make([][]hopClass, len(n.nodes))
+	byHops := make([]uint64, n.cfg.Width+n.cfg.Height-1)
+	for src := range n.nodes {
+		clear(byHops)
+		for d := range n.nodes {
+			hops := n.Hops(NodeID(src), NodeID(d))
+			byHops[hops] |= 1 << uint(d)
+			if n.zeroLoad(n.nodeDom[src], n.nodeDom[d], hops) {
+				n.zero[src] |= 1 << uint(d)
+			}
+		}
+		for hops, m := range byHops {
+			if m != 0 {
+				n.hopClasses[src] = append(n.hopClasses[src], hopClass{mask: m, hops: hops, links: uint64(max(hops, 1))})
 			}
 		}
 	}
@@ -295,6 +418,9 @@ type fanout struct {
 	sd        int32 // source domain
 	keep      uint64
 	kept      []Delivery
+	keptMask  uint64
+	lastAt    sim.Cycle
+	lastKey   uint64
 	queued    int
 	// messages counts the messages injected, and links the links they
 	// crossed, a zero-hop message counting one.
@@ -309,25 +435,54 @@ type fanout struct {
 // will get the payload: 1, or 0 for a dropped message, and 2 for a
 // duplicated one.
 func (n *Network) Send(src, dst NodeID, bytes int, payload interface{}) int {
-	one := [1]NodeID{dst}
-	queued, _ := n.Multicast(src, one[:], bytes, payload, 0, nil)
-	return queued
+	if n.FaultHook != nil {
+		return n.Multicast(src, nil, nil, dst, bytes, payload, nil)
+	}
+	// A multicast to dst alone, without the fan-out's set walk.
+	a, b := &n.nodes[src], &n.nodes[dst]
+	ser := n.serialization(bytes)
+	hops := abs(a.x-b.x) + abs(a.y-b.y)
+	sd, dd := n.nodeDom[src], n.nodeDom[dst]
+	now := n.eng.Now()
+	at := now + n.latency(hops, ser)
+	if !n.zeroLoad(sd, dd, hops) {
+		at = n.walk(a.x, a.y, b.x, b.y, now+n.cfg.RouterDelay, ser)
+	}
+	n.eng.ScheduleKeyed(at, n.eng.NextKeys(1), dd, n.deliver, payload, uint64(dst))
+	t := &n.traf[sd]
+	flit := uint64(ser) * uint64(n.cfg.LinkBytesPerCycle)
+	t.messages++
+	t.bytes += flit
+	t.byteHops += flit * uint64(max(hops, 1))
+	return 1
 }
 
-// Multicast sends payload from src to every node of dsts, in order. It is
-// exactly len(dsts) Sends — the same link reservations, tie-break keys,
-// fault-hook calls and traffic, in the same order — with the per-message
-// invariants computed once and the traffic charged once.
+// zeroLoad reports whether a message from domain sd to an endpoint in domain
+// dd, hops hops away, travels at zero-load latency, reserving no links: a
+// cross-domain one, any one when contention is off, and one that stays on
+// its router. Any other walks its route, reserving each link (walk). The
+// cross-domain rule is a model choice, not a correctness need: the golden
+// results pin it, and full contention on cross-domain routes (which brings
+// back the Figure 6 slowdowns) is a separate, re-pinning change.
+func (n *Network) zeroLoad(sd, dd int32, hops int) bool {
+	return dd != sd || !n.cfg.Contention || hops == 0
+}
+
+// Multicast sends payload from src to every endpoint of first, then to
+// every endpoint of second, each set in ascending endpoint order (endpoint
+// i is bit i%64 of word i/64; the two sets must not share an endpoint),
+// and then to last unless last is negative. It is exactly that sequence of
+// Sends — the same link reservations, tie-break keys, fault-hook calls and
+// traffic, in the same order — with the per-message invariants computed
+// once and the traffic charged once.
 //
-// keep has bit i set for each endpoint i whose deliveries the caller takes
-// over (endpoints past 63 have no bit): such a delivery is routed, charged
-// and given its key like any other, but instead of being queued it is
-// appended to kept, and the returned slice holds them all. Under a
-// FaultHook the bit of each copy's final destination decides, after a
-// redirect or a duplication. Multicast returns how many deliveries it
-// queued, that is how many times a handler will get the payload: a kept
-// delivery is not one of them.
-func (n *Network) Multicast(src NodeID, dsts []NodeID, bytes int, payload interface{}, keep uint64, kept []Delivery) (int, []Delivery) {
+// With k non-nil, a delivery to an endpoint in k.Keep is routed, charged
+// and given its key like any other, but kept out of the queue and recorded
+// in k instead (Kept). Under a FaultHook the bit of each copy's final
+// destination decides, after a redirect or a duplication. Multicast
+// returns how many deliveries it queued, that is how many times a handler
+// will get the payload: a kept delivery is not one of them.
+func (n *Network) Multicast(src NodeID, first, second []uint64, last NodeID, bytes int, payload interface{}, k *Kept) int {
 	// f is built here, in a local, so its pointer fields are stack writes.
 	// Its fields are assigned one by one: a composite literal would build
 	// a temporary and copy it over f on every call.
@@ -339,23 +494,132 @@ func (n *Network) Multicast(src NodeID, dsts []NodeID, bytes int, payload interf
 	f.payload = payload
 	f.sd = n.nodeDom[src]
 	f.now = n.eng.Now()
-	f.keep, f.kept = keep, kept
+	if k != nil {
+		f.keep, f.kept = k.Keep, k.List[:0]
+		k.Derived = 0
+	}
 	if n.FaultHook != nil {
-		for _, d := range dsts {
-			n.sendFaulted(&f, d)
+		n.sendSetFaulted(&f, first)
+		n.sendSetFaulted(&f, second)
+		if last >= 0 {
+			n.sendFaulted(&f, last)
 		}
 	} else {
-		n.fan(&f, dsts, 0)
+		n1 := popcount(first)
+		total := n1 + popcount(second)
+		if last >= 0 {
+			total++
+		}
+		key := n.eng.NextKeys(total)
+		var derived uint64
+		if k != nil && k.Derive && n.zero != nil {
+			s1, s2 := word0(first), word0(second)
+			if derived = f.keep & (s1 | s2) & n.zero[src]; derived != 0 {
+				n.derive(&f, k, derived, s1, s2, key)
+			}
+		}
+		route := appendSet(n.route[:0], first, derived, key)
+		if len(second) > 0 {
+			route = appendSet(route, second, derived, key+n1)
+		}
+		if last >= 0 {
+			route = append(route, hop{last, key + total - 1})
+		}
+		n.route = route
+		n.fan(&f, route, 0)
+	}
+	if k != nil {
+		k.List, k.Mask, k.LastAt, k.LastKey = f.kept, f.keptMask, f.lastAt, f.lastKey
 	}
 	t := &n.traf[f.sd]
 	t.messages += f.messages
 	t.bytes += f.flitBytes * f.messages
 	t.byteHops += f.flitBytes * f.links
-	return f.queued, f.kept
+	return f.queued
+}
+
+// popcount returns the number of endpoints in the set w.
+func popcount(w []uint64) uint64 {
+	var c int
+	for _, x := range w {
+		c += bits.OnesCount64(x)
+	}
+	return uint64(c)
+}
+
+// word0 returns the first word of the set w, 0 for an empty one.
+func word0(w []uint64) uint64 {
+	if len(w) == 0 {
+		return 0
+	}
+	return w[0]
+}
+
+// derive records in k the kept deliveries d of f's multicast, those of
+// its one-word send sets s1 and s2, whose first key is key, that the
+// network reaches at zero-load latency. It charges their messages and
+// links by hop class, without visiting one, and takes their latest
+// (at, key) from the farthest class: arrival grows with the hop count, and
+// the class's last-sent endpoint has the largest key.
+func (n *Network) derive(f *fanout, k *Kept, d, s1, s2, key uint64) {
+	classes := n.hopClasses[f.src]
+	var links uint64
+	for _, c := range classes {
+		links += uint64(bits.OnesCount64(d&c.mask)) * c.links
+	}
+	var far uint64
+	farHops := 0
+	for i := len(classes) - 1; far == 0; i-- {
+		far, farHops = d&classes[i].mask, classes[i].hops
+	}
+	f.links += links
+	f.messages += uint64(bits.OnesCount64(d))
+	k.Derived, k.src, k.sets, k.start, k.key, k.ser = d, f.src, [2]uint64{s1, s2}, f.now, key, f.ser
+	// far's last-sent endpoint is its highest in s2, or with none there,
+	// its highest in s1.
+	last := far & s2
+	if last == 0 {
+		last = far
+	}
+	f.keptMask |= d
+	f.lastAt = f.now + n.latency(farHops, f.ser)
+	f.lastKey = key + rank(s1, s2, 1<<uint(63-bits.LeadingZeros64(last)))
+}
+
+// rank returns the place in send order of the endpoint bit among the send
+// sets s1 and s2: s1's endpoints ascending, then s2's.
+func rank(s1, s2, bit uint64) uint64 {
+	if s1&bit != 0 {
+		return uint64(bits.OnesCount64(s1 & (bit - 1)))
+	}
+	return uint64(bits.OnesCount64(s1) + bits.OnesCount64(s2&(bit-1)))
+}
+
+// DerivedDelivery recomputes the delivery to endpoint dst that the last
+// Multicast into k derived (a bit of k.Derived): zero-load latency from
+// the send cycle, the call's first key plus dst's place in send order,
+// and dst's domain.
+func (n *Network) DerivedDelivery(k *Kept, dst NodeID) Delivery {
+	return Delivery{
+		At:  k.start + n.latency(n.Hops(k.src, dst), k.ser),
+		Key: k.key + rank(k.sets[0], k.sets[1], 1<<uint(dst)),
+		Dom: n.nodeDom[dst],
+		Dst: int32(dst),
+	}
+}
+
+// sendSetFaulted sends one message of a Multicast under the FaultHook to
+// each endpoint of set, in ascending order.
+func (n *Network) sendSetFaulted(f *fanout, set []uint64) {
+	for wi, w := range set {
+		for ; w != 0; w &= w - 1 {
+			n.sendFaulted(f, NodeID(wi<<6|bits.TrailingZeros64(w)))
+		}
+	}
 }
 
 // sendFaulted sends one message of a Multicast under the FaultHook, which
-// may drop, duplicate, delay, or redirect it.
+// may drop, duplicate, delay, or redirect it. Each copy draws its own key.
 func (n *Network) sendFaulted(f *fanout, dst NodeID) {
 	out := n.FaultHook(f.src, dst, f.bytes, f.payload)
 	if out.Drop {
@@ -364,50 +628,67 @@ func (n *Network) sendFaulted(f *fanout, dst NodeID) {
 	if out.Redirected {
 		dst = out.RedirectTo
 	}
-	one := [1]NodeID{dst}
 	if out.Duplicate {
+		one := [1]hop{{dst, n.eng.NextKeys(1)}}
 		n.fan(f, one[:], out.Delay)
 	}
+	one := [1]hop{{dst, n.eng.NextKeys(1)}}
 	n.fan(f, one[:], out.Delay)
 }
 
-// fan sends one message of f to each of dsts, in order, extra cycles
-// late: it adds each to f's traffic, reserves its links and queues its
-// delivery, or, if the destination's keep bit is set, appends the delivery
-// to f.kept. It reads f into locals once and writes its sums back once.
-//
-// A cross-domain message travels at zero-load latency and reserves no
-// links. That is a model choice, not a correctness need: the golden
-// results pin it, and full contention on cross-domain routes (which brings
-// back the Figure 6 slowdowns) is a separate, re-pinning change.
-func (n *Network) fan(f *fanout, dsts []NodeID, extra sim.Cycle) {
+// appendSet appends to route each endpoint of set, the bit words of a
+// send set, in ascending order, except those in skip (derived; word 0
+// only), with its key: key plus its place in set, skipped ones counted.
+func appendSet(route []hop, set []uint64, skip, key uint64) []hop {
+	for wi, w := range set {
+		send := w
+		if wi == 0 {
+			send &^= skip
+		}
+		for ; send != 0; send &= send - 1 {
+			bit := uint(bits.TrailingZeros64(send))
+			route = append(route, hop{NodeID(wi<<6 | int(bit)), key + uint64(bits.OnesCount64(w&(1<<bit-1)))})
+		}
+		key += uint64(bits.OnesCount64(w))
+	}
+	return route
+}
+
+// fan sends one message of f to each destination of route, in order,
+// extra cycles late, under the destination's key: it adds each to f's
+// traffic, reserves its links (zeroLoad) and queues its delivery, or, if
+// the destination's keep bit is set, appends the delivery to f.kept. It
+// reads f into locals once and writes its sums back once.
+func (n *Network) fan(f *fanout, route []hop, extra sim.Cycle) {
 	eng, nodes, nodeDom := n.eng, n.nodes, n.nodeDom
 	x, y, sd, ser, keep, payload := f.x, f.y, f.sd, f.ser, f.keep, f.payload
 	start, inject := f.now+extra, f.now+n.cfg.RouterDelay
-	contention := n.cfg.Contention
-	kept, queued, links := f.kept, f.queued, f.links
-	key := eng.NextKeys(uint64(len(dsts)))
-	for _, d := range dsts {
+	kept, keptMask, lastAt, lastKey := f.kept, f.keptMask, f.lastAt, f.lastKey
+	queued, links := f.queued, f.links
+	for _, h := range route {
+		d := h.dst
 		b := &nodes[d]
 		hops := abs(x-b.x) + abs(y-b.y)
 		links += uint64(max(hops, 1))
 		dd := nodeDom[d]
-		var at sim.Cycle
-		if dd != sd || !contention || hops == 0 {
-			at = start + n.latency(hops, ser)
-		} else {
+		at := start + n.latency(hops, ser)
+		if !n.zeroLoad(sd, dd, hops) {
 			at = n.walk(x, y, b.x, b.y, inject, ser) + extra
 		}
 		if keep>>uint(d)&1 != 0 {
-			kept = append(kept, Delivery{At: at, Key: key, Dom: dd, Dst: int32(d)})
+			kept = append(kept, Delivery{At: at, Key: h.key, Dom: dd, Dst: int32(d)})
+			keptMask |= 1 << uint(d)
+			if at > lastAt || at == lastAt && h.key > lastKey {
+				lastAt, lastKey = at, h.key
+			}
 		} else {
-			eng.ScheduleKeyed(at, key, dd, n.deliver, payload, uint64(d))
+			eng.ScheduleKeyed(at, h.key, dd, n.deliver, payload, uint64(d))
 			queued++
 		}
-		key++
 	}
-	f.kept, f.queued, f.links = kept, queued, links
-	f.messages += uint64(len(dsts))
+	f.kept, f.keptMask, f.lastAt, f.lastKey = kept, keptMask, lastAt, lastKey
+	f.queued, f.links = queued, links
+	f.messages += uint64(len(route))
 }
 
 // walk reserves, in the dense nextFree table, each directed link of the XY

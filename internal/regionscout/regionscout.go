@@ -22,7 +22,6 @@ package regionscout
 import (
 	"vsnoop/internal/cache"
 	"vsnoop/internal/mem"
-	"vsnoop/internal/mesh"
 	"vsnoop/internal/token"
 )
 
@@ -100,18 +99,20 @@ func (t *nsrt) remove(r Region) bool {
 // other core's presence at once, so it learns a not-shared region, and
 // knocks the region out of the other NSRTs, as the request is sent.
 type Filter struct {
-	cfg       Config
-	shift     uint
-	coreNodes []mesh.NodeID
-	present   []map[Region]int
-	tables    []*nsrt
-	stats     Stats
+	cfg     Config
+	shift   uint
+	present []map[Region]int
+	tables  []*nsrt
+	stats   Stats
+	// route holds the set Route returns, overwritten by every call.
+	route []uint64
 }
 
-// New builds the filter over the given cores and wires presence tracking
-// into their L2 caches. It must own the caches' OnInsert/OnDrop hooks;
-// pass chain functions if other subscribers exist.
-func New(cfg Config, coreNodes []mesh.NodeID, caches []*cache.Cache) *Filter {
+// New builds the filter over cores cores, core i being mesh endpoint i,
+// and wires presence tracking into their L2 caches. It must own the
+// caches' OnInsert/OnDrop hooks; pass chain functions if other subscribers
+// exist.
+func New(cfg Config, cores int, caches []*cache.Cache) *Filter {
 	if cfg.RegionBlocks <= 0 || cfg.RegionBlocks&(cfg.RegionBlocks-1) != 0 {
 		panic("regionscout: RegionBlocks must be a positive power of two")
 	}
@@ -120,13 +121,13 @@ func New(cfg Config, coreNodes []mesh.NodeID, caches []*cache.Cache) *Filter {
 		shift++
 	}
 	f := &Filter{
-		cfg:       cfg,
-		shift:     shift,
-		coreNodes: coreNodes,
-		present:   make([]map[Region]int, len(coreNodes)),
-		tables:    make([]*nsrt, len(coreNodes)),
+		cfg:     cfg,
+		shift:   shift,
+		present: make([]map[Region]int, cores),
+		tables:  make([]*nsrt, cores),
+		route:   make([]uint64, (cores+63)/64),
 	}
-	for i := range coreNodes {
+	for i := 0; i < cores; i++ {
 		f.present[i] = make(map[Region]int)
 		f.tables[i] = newNSRT(cfg.NSRTEntries)
 		if caches != nil && caches[i] != nil {
@@ -182,8 +183,10 @@ func (f *Filter) NSRTContains(i int, r Region) bool {
 // Totals returns the whole-run counters.
 func (f *Filter) Totals() Stats { return f.stats }
 
-// Route implements token.Router, appending the set to buf[:0].
-func (f *Filter) Route(info token.RouteInfo, buf []mesh.NodeID) []mesh.NodeID {
+// Route implements token.Router: memory only for a known not-shared
+// region, else every other core, as the filter's route words (valid until
+// its next Route call).
+func (f *Filter) Route(info token.RouteInfo) (first, second []uint64) {
 	r := f.RegionOf(info.Addr)
 	me := info.Requester
 	st := &f.stats
@@ -191,19 +194,20 @@ func (f *Filter) Route(info token.RouteInfo, buf []mesh.NodeID) []mesh.NodeID {
 	if info.Attempt == 1 && f.tables[me].contains(r) {
 		// Known not-shared: memory can serve it without snooping.
 		st.NSRTHits++
-		return buf[:0]
+		return nil, nil
 	}
 
 	// Broadcast; the responses' region bits tell us whether anyone else
 	// caches the region.
 	st.Broadcasts++
-	out := buf[:0]
+	out := f.route
+	clear(out)
 	shared := false
-	for i, n := range f.coreNodes {
+	for i := range f.present {
 		if i == me {
 			continue
 		}
-		out = append(out, n)
+		out[i>>6] |= 1 << (uint(i) & 63)
 		if f.present[i][r] > 0 {
 			shared = true
 		}
@@ -217,5 +221,5 @@ func (f *Filter) Route(info token.RouteInfo, buf []mesh.NodeID) []mesh.NodeID {
 		f.tables[me].insert(r)
 		st.Discoveries++
 	}
-	return out
+	return out, nil
 }

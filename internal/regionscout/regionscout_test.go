@@ -11,17 +11,15 @@ import (
 )
 
 func rig(n int) (*Filter, []*cache.Cache) {
-	nodes := make([]mesh.NodeID, n)
 	caches := make([]*cache.Cache, n)
-	for i := range nodes {
-		nodes[i] = mesh.NodeID(i)
+	for i := range caches {
 		caches[i] = cache.New(cache.Config{Name: "L2", SizeBytes: 8192, Ways: 4, BlockBytes: 64})
 	}
-	return New(DefaultConfig(), nodes, caches), caches
+	return New(DefaultConfig(), n, caches), caches
 }
 
 func route(f *Filter, req int, addr mem.BlockAddr) []mesh.NodeID {
-	return f.Route(token.RouteInfo{Addr: addr, Requester: req, Attempt: 1}, nil)
+	return mesh.Endpoints(f.Route(token.RouteInfo{Addr: addr, Requester: req, Attempt: 1}))
 }
 
 func TestFirstRequestBroadcastsThenLearns(t *testing.T) {
@@ -92,10 +90,9 @@ func TestPresenceTracksCache(t *testing.T) {
 
 func TestNSRTCapacityEviction(t *testing.T) {
 	cfg := Config{RegionBlocks: 64, NSRTEntries: 2}
-	nodes := []mesh.NodeID{0, 1}
-	f := New(cfg, nodes, nil)
+	f := New(cfg, 2, nil)
 	for i := 0; i < 3; i++ {
-		f.Route(token.RouteInfo{Addr: mem.BlockAddr(i * 64), Requester: 0, Attempt: 1}, nil)
+		f.Route(token.RouteInfo{Addr: mem.BlockAddr(i * 64), Requester: 0, Attempt: 1})
 	}
 	inNSRT := 0
 	for i := 0; i < 3; i++ {
@@ -117,7 +114,7 @@ func TestRetryBypassesNSRT(t *testing.T) {
 	route(f, 0, 100)
 	// A retry (attempt 2) must broadcast even with an NSRT hit available,
 	// mirroring the token protocol's safe-retry escalation.
-	dests := f.Route(token.RouteInfo{Addr: 100, Requester: 0, Attempt: 2}, nil)
+	dests := mesh.Endpoints(f.Route(token.RouteInfo{Addr: 100, Requester: 0, Attempt: 2}))
 	if len(dests) != 3 {
 		t.Fatalf("retry dests = %d, want broadcast", len(dests))
 	}
@@ -129,21 +126,25 @@ func TestBadRegionSizePanics(t *testing.T) {
 			t.Fatal("non-power-of-two region accepted")
 		}
 	}()
-	New(Config{RegionBlocks: 48, NSRTEntries: 4}, []mesh.NodeID{0}, nil)
+	New(Config{RegionBlocks: 48, NSRTEntries: 4}, 1, nil)
 }
 
-// TestRouteAppendsIntoBuffer checks Route against the token.Router buffer
-// contract: a broadcast is written into the caller's buffer, not into a
-// fresh slice, and the same call learns the unshared region at once.
-func TestRouteAppendsIntoBuffer(t *testing.T) {
+// TestRouteWritesOwnWords checks Route against the token.Router word
+// contract: a broadcast is written into the router's own words, the same
+// ones on every call, never holds the requester, and the same call learns
+// the unshared region at once.
+func TestRouteWritesOwnWords(t *testing.T) {
 	f, _ := rig(4)
-	buf := make([]mesh.NodeID, 0, 4)
-	got := f.Route(token.RouteInfo{Addr: 100, Requester: 1, Attempt: 1}, buf)
-	if want := []mesh.NodeID{0, 2, 3}; !slices.Equal(got, want) {
+	first, second := f.Route(token.RouteInfo{Addr: 200, Requester: 2, Attempt: 1})
+	if got := mesh.Endpoints(first, second); !slices.Equal(got, []mesh.NodeID{0, 1, 3}) {
+		t.Fatalf("dests = %v, want [0 1 3]", got)
+	}
+	again, second := f.Route(token.RouteInfo{Addr: 100, Requester: 1, Attempt: 1})
+	if got, want := mesh.Endpoints(again, second), []mesh.NodeID{0, 2, 3}; !slices.Equal(got, want) {
 		t.Fatalf("dests = %v, want %v", got, want)
 	}
-	if &got[0] != &buf[:1][0] {
-		t.Fatal("broadcast was not written into the caller's buffer")
+	if &first[0] != &again[0] {
+		t.Fatal("the second broadcast was not written into the router's words")
 	}
 	if !f.NSRTContains(1, f.RegionOf(100)) {
 		t.Fatal("broadcast to an unshared region did not learn it")

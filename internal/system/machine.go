@@ -147,9 +147,6 @@ type Machine struct {
 	mcs   []*memctrl.Ctrl
 	homes []*directory.Home
 	vcpus []*vcpu
-	// node2i maps a mesh endpoint to its core index (-1 for a memory
-	// controller).
-	node2i []int
 
 	// Injector applies the configured fault plan (nil without one).
 	Injector *fault.Injector
@@ -296,24 +293,22 @@ func New(cfg Config) (*Machine, error) {
 	m.dom0 = mem.VMID(0xFFFD)
 	m.Stats.init(cfg)
 
-	// Core endpoints, row-major on the mesh.
+	// Core endpoints, row-major on the mesh. Core i is endpoint i: the
+	// filters, the token controllers and the park table name cores by
+	// their bits in destination words, and the mesh sends to those bits.
 	coreNodes := make([]mesh.NodeID, cfg.Cores)
 	for i := 0; i < cfg.Cores; i++ {
 		x, y := i%cfg.Mesh.Width, i/cfg.Mesh.Width
 		coreNodes[i] = m.Net.Attach(x, y, nil)
+		if coreNodes[i] != mesh.NodeID(i) {
+			panic("system: core endpoints out of core order")
+		}
 	}
 	// Memory controllers at the corners, block-interleaved.
 	cornerXY := [4][2]int{{0, 0}, {cfg.Mesh.Width - 1, 0}, {0, cfg.Mesh.Height - 1}, {cfg.Mesh.Width - 1, cfg.Mesh.Height - 1}}
 	mcNodes := make([]mesh.NodeID, cfg.MCs)
 	for i := 0; i < cfg.MCs; i++ {
 		mcNodes[i] = m.Net.Attach(cornerXY[i][0], cornerXY[i][1], nil)
-	}
-	m.node2i = make([]int, cfg.Cores+cfg.MCs)
-	for _, n := range mcNodes {
-		m.node2i[n] = -1
-	}
-	for i, n := range coreNodes {
-		m.node2i[n] = i
 	}
 
 	// Domain ownership follows the cut: each core and each memory
@@ -359,7 +354,7 @@ func New(cfg Config) (*Machine, error) {
 	if m.syncMode {
 		m.replicas = make([]*core.Filter, len(m.doms))
 		for d := range m.doms {
-			m.replicas[d] = core.NewFilterScoped(m.Eng, cfg.Filter, coreNodes, l2s, m.doms[d].cores)
+			m.replicas[d] = core.NewFilterScoped(m.Eng, cfg.Filter, cfg.Cores, l2s, m.doms[d].cores)
 		}
 		m.Filter = m.replicas[0]
 		for d := range m.replicas {
@@ -369,7 +364,7 @@ func New(cfg Config) (*Machine, error) {
 			}
 		}
 	} else {
-		m.Filter = core.NewFilter(m.Eng, cfg.Filter, coreNodes, l2s)
+		m.Filter = core.NewFilter(m.Eng, cfg.Filter, cfg.Cores, l2s)
 	}
 
 	// Cache-side controllers.
@@ -388,16 +383,10 @@ func New(cfg Config) (*Machine, error) {
 			cn.dctrl.Init()
 			m.Net.SetHandler(coreNodes[i], cn.dctrl.Handle)
 		} else {
-			others := make([]mesh.NodeID, 0, cfg.Cores-1)
-			for j, n := range coreNodes {
-				if j != i {
-					others = append(others, n)
-				}
-			}
 			cn.ctrl = &token.CacheCtrl{
 				Eng: m.Eng, Net: m.Net, Node: coreNodes[i], Core: i,
 				L2: cn.l2, P: cfg.P, Router: m.filterOf(cn.dom),
-				AllCores: others, MCNodes: mcNodes,
+				Cores: cfg.Cores, MCNodes: mcNodes,
 				Rng: sim.NewRandTagged(cfg.Seed, fmt.Sprintf("ctrl%d", i)),
 			}
 			cn.ctrl.Init()
@@ -420,7 +409,7 @@ func New(cfg Config) (*Machine, error) {
 	// Optional RegionScout router (related-work comparison). Wired after
 	// the L1-inclusion hooks so its presence tracking chains with them.
 	if cfg.UseRegionScout {
-		m.rs = regionscout.New(regionscout.DefaultConfig(), coreNodes, l2s)
+		m.rs = regionscout.New(regionscout.DefaultConfig(), cfg.Cores, l2s)
 		for _, cn := range m.cores {
 			cn.ctrl.Router = m.rs
 		}
@@ -441,7 +430,7 @@ func New(cfg Config) (*Machine, error) {
 			// DRAM read). The controller homes the blocks the cache
 			// controllers' HomeMC interleaving sends it: addr % MCs == i.
 			mc := &memctrl.Ctrl{Eng: m.Eng, Net: m.Net, Node: mcNodes[i], P: cfg.P,
-				AllCaches: coreNodes, Oracle: domOracle{m: m, d: m.doms[nodeDom[mcNodes[i]]]},
+				Cores: cfg.Cores, Oracle: domOracle{m: m, d: m.doms[nodeDom[mcNodes[i]]]},
 				Interleave: uint64(cfg.MCs), Residue: uint64(i)}
 			mc.Init()
 			m.Net.SetHandler(mcNodes[i], mc.Handle)

@@ -10,12 +10,13 @@ package system
 // copy-on-write traps act on the whole machine at once.
 
 import (
+	"math/bits"
+
 	"vsnoop/internal/cache"
 	"vsnoop/internal/core"
 	"vsnoop/internal/fault"
 	"vsnoop/internal/hv"
 	"vsnoop/internal/mem"
-	"vsnoop/internal/mesh"
 	"vsnoop/internal/sim"
 	"vsnoop/internal/token"
 )
@@ -329,14 +330,19 @@ type domOracle struct {
 	d *domain
 }
 
-func (o domOracle) ROProviderAmong(addr mem.BlockAddr, cores []mesh.NodeID) bool {
-	for _, n := range cores {
-		i := o.m.node2i[n]
-		if i < 0 || o.m.coreDom[i] != o.d.idx {
-			continue
-		}
-		if l2 := o.m.cores[i].l2; l2.Holds(addr) && l2.Lookup(addr).Provider {
-			return true
+// ROProviderAmong reads the snooped cores' words against the holder
+// bitset (Holds): only a core of the domain that holds the block can hold
+// its provider copy.
+func (o domOracle) ROProviderAmong(addr mem.BlockAddr, cores []uint64) bool {
+	for wi, w := range cores {
+		for ; w != 0; w &= w - 1 {
+			i := wi<<6 | bits.TrailingZeros64(w)
+			if o.m.coreDom[i] != o.d.idx {
+				continue
+			}
+			if l2 := o.m.cores[i].l2; l2.Holds(addr) && l2.Lookup(addr).Provider {
+				return true
+			}
 		}
 	}
 	return false

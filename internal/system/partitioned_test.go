@@ -7,6 +7,7 @@ import (
 	"vsnoop/internal/core"
 	"vsnoop/internal/hv"
 	"vsnoop/internal/mem"
+	"vsnoop/internal/mesh"
 	"vsnoop/internal/sim"
 	"vsnoop/internal/token"
 )
@@ -36,7 +37,7 @@ func TestFriendOnEveryReplica(t *testing.T) {
 	}
 	req := m.Mapper.CoreOf(hv.VCPU{VM: vm})
 	for d, rep := range m.replicas {
-		got := rep.Route(token.RouteInfo{VM: vm, Page: mem.PageROShared, Requester: req, Attempt: 1}, nil)
+		got := mesh.Endpoints(rep.Route(token.RouteInfo{VM: vm, Page: mem.PageROShared, Requester: req, Attempt: 1}))
 		for _, c := range friendCores {
 			if !slices.Contains(got, m.cores[c].node) {
 				t.Errorf("replica %d routes VM %d's shared read to %v, without friend core %d", d, vm, got, c)

@@ -11,20 +11,31 @@ import (
 
 // staticRouter returns a precomputed destination set per requester, so
 // routing allocates nothing.
-type staticRouter struct{ dests [][]mesh.NodeID }
+type staticRouter struct{ dests [][]uint64 }
 
-func (r staticRouter) Route(info token.RouteInfo, _ []mesh.NodeID) []mesh.NodeID {
-	return r.dests[info.Requester]
+func (r staticRouter) Route(info token.RouteInfo) (first, second []uint64) {
+	return r.dests[info.Requester], nil
 }
 
 // useStaticRouter replaces every controller's router with a broadcast
 // staticRouter.
 func (h *harness) useStaticRouter() {
-	r := staticRouter{dests: make([][]mesh.NodeID, len(h.ctrls))}
+	r := staticRouter{dests: make([][]uint64, len(h.ctrls))}
 	for i, c := range h.ctrls {
-		r.dests[i] = c.AllCores
+		r.dests[i] = h.othersOf(i)
 		c.Router = r
 	}
+}
+
+// othersOf returns the words of every core of h but core i.
+func (h *harness) othersOf(i int) []uint64 {
+	var ids []mesh.NodeID
+	for j, c := range h.ctrls {
+		if j != i {
+			ids = append(ids, c.Node)
+		}
+	}
+	return mesh.Words(ids...)
 }
 
 // benchSnoop delivers GetS snoops from core 1 to core 0's controller
@@ -142,26 +153,21 @@ func TestMissTransactionAllocs(t *testing.T) {
 }
 
 // BenchmarkParkedMulticast measures one snoop multicast with parking on
-// in which every delivery is parked: core 0 of a 16-core 4x4 harness, cut
-// into four quadrant domains as a machine is, sends a GetS to the other 15
-// cores, none of which holds the block (begin, the mesh multicast with the
-// keep mask, end). Each iteration then moves the clock past the
-// deliveries, so the record retires at the next multicast.
+// in which every delivery is parked: core 0 of the 16-core quadrant
+// harness sends a GetS to the other 15 cores, none of which holds the
+// block (begin, the mesh multicast with the keep mask, end). The three
+// deliveries inside core 0's quadrant are listed, the other twelve
+// derived. Each iteration then moves the clock past the deliveries, so the
+// record retires at the next multicast.
 func BenchmarkParkedMulticast(b *testing.B) {
-	h := newHarness(b, 16, nil)
-	h.eng.SetDomains(4)
-	nodeDom := make([]int32, len(h.ctrls)+1) // the memory controller sits at (0, 0)
-	for i := range h.ctrls {
-		nodeDom[i] = int32(i/8*2 + i%4/2)
-	}
-	h.net.Partition(nodeDom, 4)
-	h.parkAll(false)
+	h, _ := newQuadHarness(b, false)
 	c := h.ctrls[0]
+	dests := h.othersOf(0)
 	m := &token.Msg{Kind: token.MsgGetS, Addr: 42, Src: c.Node}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, parked := c.Multicast(c.AllCores, m); len(parked) != len(c.AllCores) {
-			b.Fatalf("%d of %d deliveries parked", len(parked), len(c.AllCores))
+		if _, parked := c.Multicast(dests, m); parked != 15 {
+			b.Fatalf("%d of 15 deliveries parked", parked)
 		}
 		h.eng.RunUntil(h.eng.Now() + 64)
 	}

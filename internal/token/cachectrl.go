@@ -2,6 +2,7 @@ package token
 
 import (
 	"fmt"
+	"math/bits"
 
 	"vsnoop/internal/cache"
 	"vsnoop/internal/mem"
@@ -58,8 +59,9 @@ type CacheCtrl struct {
 	P      Params
 	Router Router
 
-	// AllCores lists every other core's endpoint (broadcast fallback).
-	AllCores []mesh.NodeID
+	// Cores is the machine's core count. Core i is mesh endpoint i, so a
+	// broadcast snoops cores 0 to Cores-1 but this one.
+	Cores int
 	// MCNodes are the memory controllers; the home is chosen by block
 	// address interleaving.
 	MCNodes []mesh.NodeID
@@ -91,11 +93,9 @@ type CacheCtrl struct {
 
 	// msgs is the slab every message this controller sends is carved from.
 	msgs Msgs
-	// destBuf is the buffer handed to Router.Route, and then the request's
-	// send list: the route with the home memory controller appended. It
-	// is never replaced by a returned slice: that may be a router's shared
-	// broadcast set.
-	destBuf []mesh.NodeID
+	// others is the broadcast set as core-bit words: every core but this
+	// one. union holds a two-set route's cores for Msg.Dests.
+	others, union []uint64
 
 	// pt is the machine's snoop parking table (park.go; nil when parking
 	// is off); snoopFn is the handler that delivers a snoop it puts back.
@@ -125,7 +125,16 @@ func (c *CacheCtrl) Init() {
 	if c.Rng == nil {
 		c.Rng = sim.NewRandTagged(0xC0DE, fmt.Sprintf("ctrl%d", c.Core))
 	}
-	c.destBuf = make([]mesh.NodeID, 0, len(c.AllCores)+1)
+	if c.Core < 0 || c.Core >= c.Cores {
+		panic(fmt.Sprintf("token: core %d of %d cores", c.Core, c.Cores))
+	}
+	nw := (c.Cores + 63) / 64
+	c.others, c.union = make([]uint64, nw), make([]uint64, nw)
+	for i := 0; i < c.Cores; i++ {
+		if i != c.Core {
+			c.others[i>>6] |= 1 << (uint(i) & 63)
+		}
+	}
 	c.cancelled = make([]sim.Timer, 0, 8)
 	// A put-back delivery holds its message like a mesh delivery does, and
 	// goes through Handle like one.
@@ -208,20 +217,20 @@ func (c *CacheCtrl) issueAttempt() {
 		return
 	}
 
-	var dests []mesh.NodeID
+	var first, second []uint64
 	if t.Attempt > c.P.RetriesBeforeBroadcast {
 		if t.Attempt == c.P.RetriesBeforeBroadcast+1 && c.Esc != nil {
 			c.Esc.NoteEscalation(t.VM, 1)
 		}
-		dests = c.AllCores
+		first = c.others
 	} else {
-		dests = c.Router.Route(RouteInfo{
+		first, second = c.Router.Route(RouteInfo{
 			Addr: t.Addr, VM: t.VM, Page: t.Page,
 			Requester: c.Core, CoreNode: c.Node,
 			Attempt: t.Attempt, Write: t.Write,
-		}, c.destBuf)
+		})
 	}
-	c.Stats.SnoopsIssued += uint64(len(dests)) + 1 // +1: the requester itself
+	c.Stats.SnoopsIssued += uint64(popcount(first)+popcount(second)) + 1 // +1: the requester itself
 
 	kind := MsgGetS
 	if t.Write {
@@ -231,31 +240,53 @@ func (c *CacheCtrl) issueAttempt() {
 	req := Msg{Kind: kind, Addr: t.Addr, Src: c.Node, VM: t.VM,
 		Page: t.Page, TID: t.TID, Write: t.Write}
 	if kind == MsgGetS && t.Page == mem.PageROShared {
-		req.Dests = dests // New copies it: the next attempt reuses destBuf
+		// New copies the words: the next Route may overwrite them.
+		req.Dests = first
+		if len(second) > 0 {
+			for i := range c.union {
+				c.union[i] = word(first, i) | word(second, i)
+			}
+			req.Dests = c.union
+		}
 	}
 	m := c.msgs.New(req)
 	// One multicast sends the request to the snooped cores, then to the
 	// home memory controller.
-	c.destBuf = append(append(c.destBuf[:0], dests...), c.HomeMC(t.Addr))
-	n, _ := c.multicast(c.destBuf, m)
-	m.Sent(n)
+	m.Sent(c.multicast(first, second, c.HomeMC(t.Addr), m))
 
 	c.armTimeout(t)
 }
 
-// multicast sends snoop m to dsts in one mesh call. With parking on, the
-// deliveries to cores that hold no copy of the block stay out of the
-// queue, in a record at this requester (memory controllers have no keep
-// bit). It returns how many deliveries it queued and the ones it parked,
-// as the record holds them.
-func (c *CacheCtrl) multicast(dsts []mesh.NodeID, m *Msg) (int, []mesh.Delivery) {
+// popcount returns the number of cores in the set w.
+func popcount(w []uint64) int {
+	n := 0
+	for _, x := range w {
+		n += bits.OnesCount64(x)
+	}
+	return n
+}
+
+// word returns word i of the set w, 0 past its end.
+func word(w []uint64, i int) uint64 {
+	if i < len(w) {
+		return w[i]
+	}
+	return 0
+}
+
+// multicast sends snoop m to the cores of first, then of second, then to
+// last (unless negative) in one mesh call. With parking on, the deliveries
+// to cores that hold no copy of the block stay out of the queue, in a
+// record at this requester (memory controllers have no keep bit). It
+// returns how many deliveries it queued.
+func (c *CacheCtrl) multicast(first, second []uint64, last mesh.NodeID, m *Msg) int {
 	pt := c.pt
 	if pt == nil {
-		return c.Net.Multicast(c.Node, dsts, c.P.CtrlBytes, m, 0, nil)
+		return c.Net.Multicast(c.Node, first, second, last, c.P.CtrlBytes, m, nil)
 	}
-	keep, buf := pt.begin(c.Core, m)
-	q, kept := c.Net.Multicast(c.Node, dsts, c.P.CtrlBytes, m, keep, buf)
-	return q + pt.end(c.Core, m, kept), kept
+	r := pt.begin(c.Core, m)
+	q := c.Net.Multicast(c.Node, first, second, last, c.P.CtrlBytes, m, &r.k)
+	return q + pt.end(c.Core, r, m)
 }
 
 func (c *CacheCtrl) armTimeout(t *Txn) {
@@ -294,7 +325,7 @@ func (c *CacheCtrl) activatePersistent(t *Txn) {
 		Page: t.Page, TID: t.TID, Write: t.Write,
 	}))
 	// The activation broadcast costs a snoop at every core.
-	c.Stats.SnoopsIssued += uint64(len(c.AllCores)) + 1
+	c.Stats.SnoopsIssued += uint64(c.Cores)
 	c.armTimeout(t) // re-arm in case activation itself races
 }
 

@@ -27,19 +27,20 @@ func (s *byteStream) next() byte {
 // maskRouter snoops the cores a fuzzed bitmask selects, never the
 // requester itself.
 type maskRouter struct {
-	cores []mesh.NodeID
+	cores int
 	masks *byteStream
+	words [1]uint64
 }
 
-func (r *maskRouter) Route(info token.RouteInfo, buf []mesh.NodeID) []mesh.NodeID {
-	out := buf[:0]
+func (r *maskRouter) Route(info token.RouteInfo) (first, second []uint64) {
 	mask := r.masks.next()
-	for i, n := range r.cores {
+	r.words[0] = 0
+	for i := 0; i < r.cores; i++ {
 		if i != info.Requester && mask&(1<<(i%8)) != 0 {
-			out = append(out, n)
+			r.words[0] |= 1 << uint(i)
 		}
 	}
-	return out
+	return r.words[:], nil
 }
 
 // liveKind reports whether k is a kind the protocol sends: a released slot
@@ -96,11 +97,8 @@ func runLifetime(t *testing.T, ops, masks, faults []byte) {
 		ops = ops[:256]
 	}
 	const nCores = 6
-	r := &maskRouter{masks: &byteStream{b: masks}}
+	r := &maskRouter{cores: nCores, masks: &byteStream{b: masks}}
 	h := newHarness(t, nCores, r)
-	for _, c := range h.ctrls {
-		r.cores = append(r.cores, c.Node)
-	}
 	h.parkAll(false)
 	for _, c := range h.ctrls {
 		c := c

@@ -94,11 +94,11 @@ type Msg struct {
 	Src    mesh.NodeID // sender endpoint
 	Tokens int
 	TID    uint64 // transaction id (matches responses to attempts)
-	// Dests is the snooped core set, carried only on RO-shared GetS (the
-	// memory controller's RO-provider oracle is its one reader). Msgs.New
-	// copies it into the slot's own buffer, never keeping the sender's
-	// route buffer.
-	Dests []mesh.NodeID
+	// Dests is the snooped core set as core-bit words (core i is bit i%64
+	// of word i/64), carried only on RO-shared GetS (the memory
+	// controller's RO-provider oracle is its one reader). Msgs.New copies
+	// it into the slot's own buffer, never keeping the router's words.
+	Dests []uint64
 }
 
 // Sent swaps the sender's hold for one hold per queued delivery: n is what
@@ -269,13 +269,13 @@ type RouteInfo struct {
 // snooping's destination-set policies implement this interface; the
 // baseline TokenB router returns every other core.
 //
-// Route appends the set to buf[:0] and returns it, or returns a shared
-// read-only set (such as a precomputed broadcast set). Either way the
-// caller only reads the result, and only until its next Route call: the
-// caller reuses buf, and must never adopt a returned slice as its buffer,
-// since writing into a shared set would corrupt every later user of it.
+// Route returns the set as core-bit words, core i being bit i%64 of word
+// i/64 (and mesh endpoint i), never holding the requester, in send order:
+// first's cores ascending, then second's, which holds none of first's
+// (nil for most routes). The words are the router's own: the caller reads
+// them only until the router's next Route call.
 type Router interface {
-	Route(info RouteInfo, buf []mesh.NodeID) []mesh.NodeID
+	Route(info RouteInfo) (first, second []uint64)
 }
 
 // Oracle gives the memory controller the global visibility a real design
@@ -283,7 +283,7 @@ type Router interface {
 // provider copy exists among the snooped cores, so memory sends a
 // token-only message instead of a redundant data block (Section VI.B).
 type Oracle interface {
-	ROProviderAmong(addr mem.BlockAddr, cores []mesh.NodeID) bool
+	ROProviderAmong(addr mem.BlockAddr, cores []uint64) bool
 }
 
 // Observer watches token custody changes at coherence controllers. Depart

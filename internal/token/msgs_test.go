@@ -20,10 +20,10 @@ func TestMsgsReuseReleasedSlots(t *testing.T) {
 	var s token.Msgs
 	msgs := make([]*token.Msg, n)
 	seen := make(map[*token.Msg]bool, n)
-	buf := make([]mesh.NodeID, 3)
+	buf := make([]uint64, 3)
 	for i := range msgs {
 		for j := range buf {
-			buf[j] = mesh.NodeID(3*i + j)
+			buf[j] = uint64(3*i + j)
 		}
 		m := s.New(token.Msg{Kind: token.MsgGetS, Addr: mem.BlockAddr(i), TID: uint64(i), Dests: buf})
 		if seen[m] {
@@ -32,14 +32,14 @@ func TestMsgsReuseReleasedSlots(t *testing.T) {
 		seen[m] = true
 		msgs[i] = m
 		for j := range buf {
-			buf[j] = -1 // the caller reuses its buffer
+			buf[j] = ^uint64(0) // the router reuses its words
 		}
 	}
 	if s.Held() != n {
 		t.Fatalf("%d slots held, want %d", s.Held(), n)
 	}
 	for i, m := range msgs {
-		want := []mesh.NodeID{mesh.NodeID(3 * i), mesh.NodeID(3*i + 1), mesh.NodeID(3*i + 2)}
+		want := []uint64{uint64(3 * i), uint64(3*i + 1), uint64(3*i + 2)}
 		if m.Kind != token.MsgGetS || m.Addr != mem.BlockAddr(i) || m.TID != uint64(i) || !slices.Equal(m.Dests, want) {
 			t.Fatalf("message %d overwritten: %+v", i, *m)
 		}
@@ -60,10 +60,10 @@ func TestMsgsReuseReleasedSlots(t *testing.T) {
 	}
 	// LIFO: the most recently freed slot comes back first, with its own
 	// Dests buffer.
-	dests := []mesh.NodeID{7, 8}
+	dests := []uint64{7, 8}
 	if got := s.New(token.Msg{Kind: token.MsgGetS, Dests: dests}); got != b {
 		t.Fatal("the most recently released slot was not reused first")
-	} else if dests[0] = -1; !slices.Equal(got.Dests, []mesh.NodeID{7, 8}) || &got.Dests[0] != &msgs[20].Dests[0] {
+	} else if dests[0] = 0; !slices.Equal(got.Dests, []uint64{7, 8}) || &got.Dests[0] != &msgs[20].Dests[0] {
 		t.Fatalf("reused slot's Dests = %v, not a copy in its own buffer", got.Dests)
 	}
 	if got := s.New(token.Msg{Kind: token.MsgTokens}); got != a || len(got.Dests) != 0 {
@@ -126,42 +126,43 @@ func TestKindString(t *testing.T) {
 	}
 }
 
-// cyclingRouter writes a different destination set into buf on every call
-// and remembers what it routed and which buffers it was handed.
+// cyclingRouter writes a different destination set into its own words on
+// every call and remembers what it routed and which words it returned.
 type cyclingRouter struct {
-	sets   [][]mesh.NodeID
+	sets   [][]uint64
 	calls  int
-	routed [][]mesh.NodeID
-	bufs   []*mesh.NodeID
+	words  []uint64
+	routed [][]uint64
+	bufs   []*uint64
 }
 
-func (r *cyclingRouter) Route(_ token.RouteInfo, buf []mesh.NodeID) []mesh.NodeID {
-	out := append(buf[:0], r.sets[r.calls%len(r.sets)]...)
+func (r *cyclingRouter) Route(token.RouteInfo) (first, second []uint64) {
+	r.words = append(r.words[:0], r.sets[r.calls%len(r.sets)]...)
 	r.calls++
-	r.routed = append(r.routed, slices.Clone(out))
-	r.bufs = append(r.bufs, &buf[:1][0])
-	return out
+	r.routed = append(r.routed, slices.Clone(r.words))
+	r.bufs = append(r.bufs, &r.words[0])
+	return r.words, nil
 }
 
 // oracleLog records, on arrival, the destination set each RO-shared GetS
 // carries to the memory controller.
-type oracleLog struct{ seen [][]mesh.NodeID }
+type oracleLog struct{ seen [][]uint64 }
 
-func (o *oracleLog) ROProviderAmong(_ mem.BlockAddr, cores []mesh.NodeID) bool {
+func (o *oracleLog) ROProviderAmong(_ mem.BlockAddr, cores []uint64) bool {
 	o.seen = append(o.seen, slices.Clone(cores))
 	return false
 }
 
 // TestRetryKeepsRoutedDests delays a transaction's first RO-shared request
-// to memory past its retry, so the retry routes into the same buffer before
+// to memory past its retry, so the retry routes into the same words before
 // the first request arrives. The memory controller's oracle must still see
 // each attempt's own destination set.
 func TestRetryKeepsRoutedDests(t *testing.T) {
-	r := &cyclingRouter{}
+	r := &cyclingRouter{words: make([]uint64, 0, 1)}
 	h := newHarness(t, 4, r)
-	r.sets = [][]mesh.NodeID{
-		{h.ctrls[1].Node},
-		{h.ctrls[2].Node, h.ctrls[3].Node},
+	r.sets = [][]uint64{
+		mesh.Words(h.ctrls[1].Node),
+		mesh.Words(h.ctrls[2].Node, h.ctrls[3].Node),
 	}
 	o := &oracleLog{}
 	h.mc.Oracle = o
@@ -181,11 +182,11 @@ func TestRetryKeepsRoutedDests(t *testing.T) {
 		t.Fatalf("%d routes, %d retries; want 2 and 1", r.calls, h.ctrls[0].Stats.Retries)
 	}
 	if r.bufs[0] != r.bufs[1] {
-		t.Fatal("the retry was not routed into the first attempt's buffer")
+		t.Fatal("the retry was not routed into the first attempt's words")
 	}
 	// The retry arrives first; the delayed first attempt arrives after the
-	// retry overwrote the buffer.
-	want := [][]mesh.NodeID{r.routed[1], r.routed[0]}
+	// retry overwrote the words.
+	want := [][]uint64{r.routed[1], r.routed[0]}
 	if len(o.seen) != len(want) {
 		t.Fatalf("oracle consulted %d times, want %d", len(o.seen), len(want))
 	}

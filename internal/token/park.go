@@ -20,19 +20,27 @@ import (
 //
 // Which ones is decided once per multicast, before the send, from the
 // block's holder lane alone: an L2 that holds no copy of the block holds no
-// tokens for it. issueAttempt opens the requester's record (begin), which
-// returns the keep mask of every core outside the lane; the mesh multicast
-// appends each kept delivery's (at, key, dom, destination) to the record
-// instead of queueing it; and end counts them in one pass. A lane holder
-// always gets a real delivery, also one that holds the block without
-// tokens: that delivery fires as a no-op and counts one lookup and one
-// fired event, as a parked one would.
+// tokens for it. issueAttempt opens the requester's record (begin), whose
+// mesh.Kept carries the keep mask of every core outside the lane; the mesh
+// multicast records each kept delivery there instead of queueing it; and
+// end counts them, the derived ones by mask. A lane holder always
+// gets a real delivery, also one that holds the block without tokens: that
+// delivery fires as a no-op and counts one lookup and one fired event, as
+// a parked one would.
+//
+// A kept delivery that travels at zero-load latency (cross-domain, or on
+// the source's own router) is derived: the multicast neither visits nor
+// lists it, and the record recomputes its (at, key, dom) when it needs it
+// (mesh.Network.DerivedDelivery) from the send cycle, the send sets and
+// the call's first key. Only the contended ones, intra-domain deliveries
+// whose route reserves links, are listed. Shadow mode and a fault hook
+// derive nothing.
 //
 // The machine keeps those deliveries in one ParkTable, at the requester. A
 // record holds the snoop's fields (Kind, Addr, Src, Page, all that
 // handleRequest reads) once, a mask of the destinations it parked a
-// delivery for, and each delivery, contiguous. Parked lookups go into a
-// per-core counter of the table.
+// delivery for, and its mesh.Kept. Parked lookups go into per-core
+// counters of the table.
 //
 // The delivery is a no-op only if the L2 still holds no tokens for the
 // block when it arrives. The only way a controller gains tokens is a
@@ -52,8 +60,8 @@ import (
 // pointers into message slots: a put-back carves a message with the
 // record's fields from the parking controller's slab.
 
-// noDst is a parked delivery's Dst once it was put back, dropped or
-// shadow-checked.
+// noDst is a listed parked delivery's Dst once it was put back, dropped
+// or shadow-checked.
 const noDst = -1
 
 // parkRecord is one multicast's parked deliveries, kept at its requester.
@@ -65,12 +73,11 @@ type parkRecord struct {
 	// mask has bit c set while the record may hold a delivery to core c
 	// that a token gain would put back.
 	mask uint64
-	// lastAt, lastKey is the latest (at, key) of d: once it has passed,
-	// every delivery of the record has.
-	lastAt  sim.Cycle
-	lastKey uint64
-	// d holds the deliveries to cores; core c is mesh endpoint c.
-	d []mesh.Delivery
+	// k holds the deliveries to cores, listed and derived (core c is mesh
+	// endpoint c), and their latest (at, key): once it has passed, every
+	// delivery of the record has. A put-back or dropped derived delivery
+	// leaves k.Derived.
+	k mesh.Kept
 }
 
 // parkRing is one requester's records, oldest first, in a ring buffer
@@ -89,6 +96,7 @@ const parkSlots = 256
 // at its requester, per-core parked lookup counts, and the block slots.
 type ParkTable struct {
 	eng     *sim.Engine
+	net     *mesh.Network
 	holders *cache.Holders
 	// all has bit c set for every core c.
 	all uint64
@@ -96,7 +104,8 @@ type ParkTable struct {
 	// it through its snoopFn.
 	ctrls []*CacheCtrl
 	// lookups[c] counts the snoop lookups parked at core c and not
-	// withdrawn; CacheCtrl.SnoopLookups adds it to Stats.SnoopLookups.
+	// withdrawn (put back or dropped); CacheCtrl.SnoopLookups adds it to
+	// Stats.SnoopLookups.
 	lookups []uint64
 	rings   []parkRing
 	// slots[s] has bit r set while requester r's ring may hold a record
@@ -136,7 +145,7 @@ func NewParkTable(ctrls []*CacheCtrl, holders *cache.Holders, shadow bool) *Park
 		panic("token: a park table needs a holder bitset with one member per core")
 	}
 	t := &ParkTable{
-		eng: ctrls[0].Eng, holders: holders, shadow: shadow,
+		eng: ctrls[0].Eng, net: ctrls[0].Net, holders: holders, shadow: shadow,
 		all:     ^uint64(0) >> uint(MaxParkCores-n),
 		ctrls:   ctrls,
 		lookups: make([]uint64, n),
@@ -152,20 +161,22 @@ func NewParkTable(ctrls []*CacheCtrl, holders *cache.Holders, shadow bool) *Park
 	return t
 }
 
-// newParkRecords makes n records with room for one delivery per core.
+// newParkRecords makes n records with room for one listed delivery per
+// core.
 func newParkRecords(n, cores int) []parkRecord {
 	recs := make([]parkRecord, n)
 	for i := range recs {
-		recs[i].d = make([]mesh.Delivery, 0, cores)
+		recs[i].k.List = make([]mesh.Delivery, 0, cores)
 	}
 	return recs
 }
 
 // begin opens requester req's record for its multicast of snoop m and
-// returns the multicast's keep mask, every core whose L2 holds no copy of
-// the block, and the record's delivery buffer for mesh.Network.Multicast.
-// Done records leave the ring's head first.
-func (t *ParkTable) begin(req int, m *Msg) (keep uint64, buf []mesh.Delivery) {
+// returns it; its mesh.Kept is for mesh.Network.Multicast: the keep mask
+// is every core whose L2 holds no copy of the block, and it derives what
+// it can unless the table is in shadow mode. Done records leave the
+// ring's head first.
+func (t *ParkTable) begin(req int, m *Msg) *parkRecord {
 	g := &t.rings[req]
 	if g.n > 0 {
 		t.retire(g, req)
@@ -178,7 +189,8 @@ func (t *ParkTable) begin(req int, m *Msg) (keep uint64, buf []mesh.Delivery) {
 	}
 	r := g.next()
 	r.kind, r.page, r.addr, r.src = m.Kind, m.Page, m.Addr, m.Src
-	return t.all &^ t.holders.Lane(m.Addr), r.d[:0]
+	r.k.Keep, r.k.Derive = t.all&^t.holders.Lane(m.Addr), !t.shadow
+	return r
 }
 
 // next returns the ring slot past its last record: the record a multicast
@@ -187,42 +199,33 @@ func (g *parkRing) next() *parkRecord {
 	return &g.recs[(g.head+g.n)&(len(g.recs)-1)]
 }
 
-// end closes requester req's open record of snoop m, whose multicast kept
-// the deliveries kept, and counts each one as a lookup at its destination
-// and a fired event. A record that kept nothing gives its ring slot back.
-// In shadow mode end queues the kept deliveries instead of counting them;
-// it returns how many it queued.
-func (t *ParkTable) end(req int, m *Msg, kept []mesh.Delivery) int {
-	g := &t.rings[req]
-	r := g.next()
-	r.d = kept
-	if len(kept) == 0 {
+// end closes requester req's open record r of snoop m, into which the
+// multicast kept its deliveries, and counts each one as a lookup at its
+// destination (the derived ones by mask) and a fired event. A record that kept nothing gives its ring slot back. In
+// shadow mode end queues the kept deliveries instead of counting them; it
+// returns how many it queued.
+func (t *ParkTable) end(req int, r *parkRecord, m *Msg) int {
+	k := &r.k
+	if k.Mask == 0 {
 		return 0
 	}
-	// Keys grow in send order, so the latest (at, key) is the last
-	// delivery with the latest at.
-	var mask uint64
-	var lastAt sim.Cycle
-	var lastKey uint64
-	lookups, shadow := t.lookups, t.shadow
-	for _, p := range kept {
-		mask |= 1 << uint(p.Dst)
-		if p.At >= lastAt {
-			lastAt, lastKey = p.At, p.Key
-		}
-		if shadow {
+	r.mask = k.Mask
+	t.rings[req].n++
+	t.slots[uint64(r.addr)%parkSlots] |= 1 << uint(req)
+	if t.shadow {
+		for _, p := range k.List {
 			t.eng.ScheduleKeyed(p.At, p.Key, p.Dom, t.ctrls[p.Dst].snoopFn, m, 0)
-			continue
 		}
+		return len(k.List)
+	}
+	lookups := t.lookups
+	for m := k.Derived; m != 0; m &= m - 1 {
+		lookups[bits.TrailingZeros64(m)]++
+	}
+	for _, p := range k.List {
 		lookups[p.Dst]++
 	}
-	r.mask, r.lastAt, r.lastKey = mask, lastAt, lastKey
-	g.n++
-	t.slots[uint64(r.addr)%parkSlots] |= 1 << uint(req)
-	if shadow {
-		return len(kept)
-	}
-	t.eng.Park(uint64(len(kept)))
+	t.eng.Park(uint64(k.Count()))
 	return 0
 }
 
@@ -233,7 +236,7 @@ func (t *ParkTable) retire(g *parkRing, req int) {
 	mask := len(g.recs) - 1
 	for g.n > 0 {
 		r := &g.recs[g.head]
-		if !t.eng.Passed(r.lastAt, r.lastKey) {
+		if !t.eng.Passed(r.k.LastAt, r.k.LastKey) {
 			return
 		}
 		g.head = (g.head + 1) & mask
@@ -282,23 +285,35 @@ func (t *ParkTable) putBackFrom(g *parkRing, c *CacheCtrl, addr mem.BlockAddr) {
 			continue
 		}
 		r.mask &^= bit
-		for j := range r.d {
-			p := &r.d[j]
+		if r.k.Derived&bit != 0 {
+			r.k.Derived &^= bit
+			if p := t.net.DerivedDelivery(&r.k, mesh.NodeID(dst)); !t.eng.Passed(p.At, p.Key) {
+				t.putBackOne(c, r, p)
+			}
+			continue
+		}
+		for j := range r.k.List {
+			p := &r.k.List[j]
 			if p.Dst != dst || t.eng.Passed(p.At, p.Key) {
 				continue
 			}
+			t.putBackOne(c, r, *p)
 			p.Dst = noDst
-			t.putBacks++
-			if t.shadow {
-				c.shadowPutBacks++
-				continue
-			}
-			t.lookups[dst]--
-			t.eng.Unpark(1)
-			m := c.msgs.New(Msg{Kind: r.kind, Addr: r.addr, Src: r.src, Page: r.page})
-			t.eng.ScheduleKeyed(p.At, p.Key, p.Dom, c.snoopFn, m, 0)
 		}
 	}
+}
+
+// putBackOne puts record r's parked delivery p to c back into the queue.
+func (t *ParkTable) putBackOne(c *CacheCtrl, r *parkRecord, p mesh.Delivery) {
+	t.putBacks++
+	if t.shadow {
+		c.shadowPutBacks++
+		return
+	}
+	t.lookups[c.Core]--
+	t.eng.Unpark(1)
+	m := c.msgs.New(Msg{Kind: r.kind, Addr: r.addr, Src: r.src, Page: r.page})
+	t.eng.ScheduleKeyed(p.At, p.Key, p.Dom, c.snoopFn, m, 0)
 }
 
 // Counts returns how many deliveries token gains have put back (in shadow
@@ -318,8 +333,17 @@ func (t *ParkTable) ahead(dst int32, drop bool) uint64 {
 			if r.mask&bit == 0 {
 				continue
 			}
-			for j := range r.d {
-				if p := &r.d[j]; p.Dst == dst && !t.eng.Passed(p.At, p.Key) {
+			if r.k.Derived&bit != 0 {
+				if p := t.net.DerivedDelivery(&r.k, mesh.NodeID(dst)); !t.eng.Passed(p.At, p.Key) {
+					n++
+					if drop {
+						r.k.Derived &^= bit
+					}
+				}
+				continue
+			}
+			for j := range r.k.List {
+				if p := &r.k.List[j]; p.Dst == dst && !t.eng.Passed(p.At, p.Key) {
 					n++
 					if drop {
 						p.Dst = noDst
@@ -377,8 +401,8 @@ func (c *CacheCtrl) shadowDeliver(src mesh.NodeID, b *cache.Block) {
 	now, key := t.eng.Now(), t.eng.CurKey()
 	for i := 0; i < g.n; i++ {
 		r := &g.recs[(g.head+i)&(len(g.recs)-1)]
-		for j := range r.d {
-			p := &r.d[j]
+		for j := range r.k.List {
+			p := &r.k.List[j]
 			if p.Dst != dst || p.At != now || p.Key != key {
 				continue
 			}

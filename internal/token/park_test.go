@@ -20,6 +20,25 @@ func (h *harness) parkAll(shadow bool) *token.ParkTable {
 	return token.NewParkTable(h.ctrls, holders, shadow)
 }
 
+// newQuadHarness builds a 16-core 4x4 harness cut into four quadrant
+// snoop domains, as a machine is (the memory controller shares core 0's
+// router), with a park table in shadow mode or not. Its multicasts list
+// the kept deliveries inside the sender's quadrant, whose routes reserve
+// links, and derive the others.
+func newQuadHarness(t testing.TB, shadow bool) (*harness, *token.ParkTable) {
+	h := newHarness(t, 16, nil)
+	h.eng.SetDomains(4)
+	nodeDom := make([]int32, len(h.ctrls)+1)
+	for i := range h.ctrls {
+		nodeDom[i] = quadOf(i)
+	}
+	h.net.Partition(nodeDom, 4)
+	return h, h.parkAll(shadow)
+}
+
+// quadOf returns core i's quadrant on the 4x4 mesh.
+func quadOf(i int) int32 { return int32(i/8*2 + i%4/2) }
+
 // TestTokenGainPutsBack covers both sites where a controller gains tokens
 // — a stray response absorbed into a resident block, and a response to its
 // own transaction — with a snoop for that block parked in a requester's
@@ -33,8 +52,8 @@ func TestTokenGainPutsBack(t *testing.T) {
 		c := h.ctrls[0]
 		a := mem.BlockAddr(5)
 		getS := &token.Msg{Kind: token.MsgGetS, Addr: a, Src: h.ctrls[1].Node}
-		if q, parked := h.ctrls[1].Multicast([]mesh.NodeID{c.Node}, getS); q != 0 || len(parked) != 1 {
-			t.Fatalf("snoop to an absent block: %d queued, %d parked; want 0, 1", q, len(parked))
+		if q, parked := h.ctrls[1].Multicast(mesh.Words(c.Node), getS); q != 0 || parked != 1 {
+			t.Fatalf("snoop to an absent block: %d queued, %d parked; want 0, 1", q, parked)
 		}
 		if c.SnoopLookups() != 1 || c.ParkedAhead() != 1 || c.Stats.SnoopLookups != 0 {
 			t.Fatalf("parked: %d lookups (%d executed), %d ahead; want 1 (0), 1",
@@ -61,7 +80,7 @@ func TestTokenGainPutsBack(t *testing.T) {
 		// Core 1's GetX, due long after memory's reply fills core 0.
 		h.net.FaultHook = delayHook(h.ctrls[1].Node, c.Node, 5000)
 		getX := &token.Msg{Kind: token.MsgGetX, Addr: a, Src: h.ctrls[1].Node, Write: true}
-		if _, parked := h.ctrls[1].Multicast([]mesh.NodeID{c.Node}, getX); len(parked) != 1 {
+		if _, parked := h.ctrls[1].Multicast(mesh.Words(c.Node), getX); parked != 1 {
 			t.Fatal("snoop to an absent block was not parked")
 		}
 		h.run()
@@ -74,6 +93,47 @@ func TestTokenGainPutsBack(t *testing.T) {
 			t.Fatalf("core 0 kept %d tokens: the put-back GetX never ran", b.Tokens)
 		}
 		h.checkConservation(t, []mem.BlockAddr{a})
+	})
+	t.Run("derived", func(t *testing.T) {
+		// On the quadrant harness core 5's snoops to cores 10 and 15
+		// cross quadrants, so both are derived. Core 15 gains a token
+		// before its snoop arrives: the snoop is put back and fires at its
+		// own (at, key). Core 10 gains one after its snoop arrived: the
+		// parked delivery passed as a no-op and is left alone.
+		h, pt := newQuadHarness(t, false)
+		req, c10, c15 := h.ctrls[5], h.ctrls[10], h.ctrls[15]
+		a := mem.BlockAddr(8)
+		getS := &token.Msg{Kind: token.MsgGetS, Addr: a, Src: req.Node}
+		if q, n := req.Multicast(mesh.Words(c10.Node, c15.Node), getS); q != 0 || n != 2 || req.Derived() != 2 {
+			t.Fatalf("%d queued, %d parked, %d derived; want 0, 2, 2", q, n, req.Derived())
+		}
+		p := req.LastParked()
+		if len(p) != 2 || p[0].Dst != 10 || p[1].Dst != 15 || p[0].At >= p[1].At {
+			t.Fatalf("parked %+v; want core 10's snoop, then core 15's, due later", p)
+		}
+		gain := func(c *token.CacheCtrl) {
+			c.L2.Insert(a, 1)
+			c.Handle(&token.Msg{Kind: token.MsgTokens, Addr: a, Src: h.ctrls[0].Node, Tokens: 1})
+		}
+		gain(c15)
+		if putBacks, _ := pt.Counts(); putBacks != 1 || h.eng.Parked() != 1 || c15.ParkedAhead() != 0 || c15.SnoopLookups() != 0 {
+			t.Fatalf("after the early gain: %d put back, %d parked, %d ahead and %d lookups at core 15; want 1, 1, 0, 0",
+				putBacks, h.eng.Parked(), c15.ParkedAhead(), c15.SnoopLookups())
+		}
+		h.eng.RunUntil(p[0].At + 1)
+		gain(c10)
+		if putBacks, _ := pt.Counts(); putBacks != 1 || h.eng.Parked() != 1 || c10.SnoopLookups() != 1 || c10.Stats.SnoopLookups != 0 {
+			t.Fatalf("after the late gain: %d put back, %d parked, core 10 %d lookups (%d executed); want 1, 1, 1 (0)",
+				putBacks, h.eng.Parked(), c10.SnoopLookups(), c10.Stats.SnoopLookups)
+		}
+		h.eng.RunUntil(p[1].At - 1)
+		if c15.Stats.SnoopLookups != 0 {
+			t.Fatal("core 15's put-back snoop fired before its cycle")
+		}
+		h.eng.RunUntil(p[1].At)
+		if c15.Stats.SnoopLookups != 1 || c15.SnoopLookups() != 1 {
+			t.Fatalf("core 15 executed %d of %d lookups at the snoop's cycle, want 1 of 1", c15.Stats.SnoopLookups, c15.SnoopLookups())
+		}
 	})
 }
 
@@ -92,9 +152,9 @@ func TestResidentWithoutTokensDelivered(t *testing.T) {
 			c.L2.Insert(a, 1)
 		}
 		getS := &token.Msg{Kind: token.MsgGetS, Addr: a, Src: h.ctrls[1].Node}
-		q, p := h.ctrls[1].Multicast([]mesh.NodeID{c.Node}, getS)
+		q, p := h.ctrls[1].Multicast(mesh.Words(c.Node), getS)
 		h.run()
-		return q, len(p), c.SnoopLookups(), h.eng.Fired()
+		return q, p, c.SnoopLookups(), h.eng.Fired()
 	}
 	aq, ap, alook, afired := snoop(false)
 	rq, rp, rlook, rfired := snoop(true)
@@ -115,8 +175,8 @@ func TestResidentWithoutTokensDelivered(t *testing.T) {
 	c.L2.Insert(a, 1)
 	h.ctrls[1].L2.Insert(a, 1)
 	getX := &token.Msg{Kind: token.MsgGetX, Addr: a, Src: h.ctrls[1].Node, Write: true}
-	if q, p := h.ctrls[1].Multicast([]mesh.NodeID{c.Node}, getX); q != 1 || len(p) != 0 {
-		t.Fatalf("GetX to a resident block: %d queued, %d parked; want 1, 0", q, len(p))
+	if q, p := h.ctrls[1].Multicast(mesh.Words(c.Node), getX); q != 1 || p != 0 {
+		t.Fatalf("GetX to a resident block: %d queued, %d parked; want 1, 0", q, p)
 	}
 	c.Handle(&token.Msg{Kind: token.MsgTokens, Addr: a, Src: h.ctrls[1].Node, Tokens: 1})
 	h.run()
@@ -322,7 +382,7 @@ func TestParkedAheadAndDrop(t *testing.T) {
 		m := &token.Msg{Kind: token.MsgGetS, Addr: mem.BlockAddr(900 + req), Src: r.Node}
 		for i := 1; i <= 3; i++ {
 			delay = sim.Cycle(1000*i + 100*req)
-			if _, parked := r.Multicast([]mesh.NodeID{c0.Node}, m); len(parked) != 1 {
+			if _, parked := r.Multicast(mesh.Words(c0.Node), m); parked != 1 {
 				t.Fatal("a snoop to an absent block was not parked")
 			}
 		}
@@ -330,7 +390,7 @@ func TestParkedAheadAndDrop(t *testing.T) {
 			continue
 		}
 		delay = 5000
-		if _, parked := r.Multicast([]mesh.NodeID{c2.Node}, m); len(parked) != 1 {
+		if _, parked := r.Multicast(mesh.Words(c2.Node), m); parked != 1 {
 			t.Fatal("a snoop to an absent block was not parked")
 		}
 	}
@@ -363,88 +423,111 @@ func TestParkedAheadAndDrop(t *testing.T) {
 }
 
 // TestParkZeroAlloc gates snoop parking at zero allocations in steady
-// state: opening records, multicasting with a keep mask into a record's
-// buffer, retiring done records and putting deliveries back into the
-// queue on a token gain all reuse the requesters' rings and the engine's
-// node pool. Each iteration has requester 1 multicast three snoops for a
-// block core 0 then gains a token for (put back and fired) and requester 2
+// state: opening records, multicasting with a keep mask into a record,
+// retiring done records and putting listed and derived deliveries back
+// into the queue on a token gain all reuse the requesters' rings and the
+// engine's node pool. On the quadrant harness, each iteration has
+// requester 0 (another quadrant: derived) and requester 10 (core 15's
+// quadrant: listed) each multicast three snoops to core 15 for a block
+// core 15 then gains a token for (put back and fired), and requester 5
 // three for one it never holds, each in a record of its own, so every ring
 // holds three live records; it checks the counts the parked and put-back
 // deliveries leave behind.
 func TestParkZeroAlloc(t *testing.T) {
-	h := newHarness(t, 3, nil)
-	h.parkAll(false)
-	c := h.ctrls[0]
+	h, pt := newQuadHarness(t, false)
+	c := h.ctrls[15]
 	gained, idle := mem.BlockAddr(7), mem.BlockAddr(9)
-	getS := &token.Msg{Kind: token.MsgGetS, Addr: gained, Src: h.ctrls[1].Node}
-	idleS := &token.Msg{Kind: token.MsgGetS, Addr: idle, Src: h.ctrls[2].Node}
+	reqs := [3]*token.CacheCtrl{h.ctrls[0], h.ctrls[10], h.ctrls[5]}
+	var snoops [3]*token.Msg
+	for i, r := range reqs {
+		a := gained
+		if i == 2 {
+			a = idle
+		}
+		snoops[i] = &token.Msg{Kind: token.MsgGetS, Addr: a, Src: r.Node}
+	}
 	tok := &token.Msg{Kind: token.MsgTokens, Addr: gained, Src: h.ctrls[1].Node, Tokens: 1}
-	dst := []mesh.NodeID{c.Node}
+	dst := mesh.Words(c.Node)
+	var derived, putBacks uint64
 	iter := func() {
 		now := h.eng.Now()
 		lookups, fired := c.SnoopLookups(), h.eng.Fired()
 		for i := 0; i < 3; i++ {
-			_, p1 := h.ctrls[1].Multicast(dst, getS)
-			_, p2 := h.ctrls[2].Multicast(dst, idleS)
-			if len(p1) != 1 || len(p2) != 1 {
-				t.Fatal("a snoop to an absent block was not parked")
+			for j, r := range reqs {
+				if _, p := r.Multicast(dst, snoops[j]); p != 1 {
+					t.Fatal("a snoop to an absent block was not parked")
+				}
+				derived += uint64(r.Derived())
 			}
 		}
+		before, _ := pt.Counts()
 		blk, _, _ := c.L2.Insert(gained, 1)
-		c.Handle(tok) // the token gain: puts getS's three deliveries back
+		c.Handle(tok) // the token gain: puts six deliveries back
+		after, _ := pt.Counts()
+		putBacks += after - before
 		h.eng.RunUntil(now + 100)
 		c.L2.Invalidate(gained, blk)
-		if got := c.SnoopLookups() - lookups; got != 6 {
-			t.Fatalf("%d snoop lookups per iteration, want 6", got)
+		if got := c.SnoopLookups() - lookups; got != 9 {
+			t.Fatalf("%d snoop lookups per iteration, want 9", got)
 		}
-		if got := h.eng.Fired() - fired; got != 6 {
-			t.Fatalf("%d events fired per iteration, want 6 (3 parked, 3 put back)", got)
+		if got := h.eng.Fired() - fired; got != 9 {
+			t.Fatalf("%d events fired per iteration, want 9 (3 parked, 6 put back)", got)
 		}
 	}
 	iter() // grows the rings and the engine's node pool
+	if derived != 6 || putBacks != 6 {
+		t.Fatalf("%d deliveries derived, %d put back; want 6 derived (requesters 0 and 5) and 6 put back", derived, putBacks)
+	}
 	if avg := testing.AllocsPerRun(200, iter); avg != 0 {
 		t.Fatalf("parking allocates %.2f times per iteration, want 0", avg)
 	}
 }
 
 // FuzzParkTable drives several requesters' multicasts, token gains, clock
-// advances and early stops through one ParkTable on a four-core harness.
-// It keeps the per-destination list of deliveries the table's records
-// replace, and after every step requires each core's ParkedAhead and
-// SnoopLookups, and the engine's parked count, to match that list: a
-// delivery parked and not put back or dropped counts one lookup at once,
-// and a put-back or queued one counts when it fires. Every multicast must
-// park exactly its deliveries to cores whose L2 holds no copy of the
-// block, in destination order.
+// advances and early stops through one ParkTable on the quadrant harness,
+// whose records mix listed deliveries (inside the sender's quadrant) and
+// derived ones (across quadrants). It keeps the per-destination list of
+// deliveries the table's records replace, and after every step requires
+// each core's ParkedAhead and SnoopLookups, and the engine's parked count,
+// to match that list: a delivery parked and not put back or dropped counts
+// one lookup at once, and a put-back or queued one counts when it fires, so
+// a token gain must put back exactly the deliveries to its core for its
+// block that have not arrived. Every multicast must park exactly its
+// deliveries to cores whose L2 holds no copy of the block, in destination
+// order.
 //
 // ops is read three bytes at a time, (op, x, y):
-//   - op%4 < 2: requester op>>2 multicasts a GetS for block x%3 to the
-//     cores in y's low four bits (never itself), the delivery to core d
-//     delayed by x>>2 + d*(y>>4) cycles;
-//   - op%4 == 2: core x%4 gains a token for block y%3 (the block is made
+//   - op%4 < 2: requester op>>2&15 multicasts a GetS for block (op>>6)%3
+//     to the cores of the mask y<<8|x (never itself);
+//   - op%4 == 2: core x%16 gains a token for block y%3 (the block is made
 //     resident first), and gives it up again if x&0x80 is set, keeping the
 //     block without tokens, or drops the block if x&0x40 is set;
-//   - op%4 == 3: the clock moves y cycles on, or with x&1 set every core
-//     drops what it has parked, as a run that stops early does.
+//   - op%4 == 3: the clock moves y%64 cycles on (a delivery takes up to
+//     about 40), or with x&1 set every core drops what it has parked, as a
+//     run that stops early does.
 func FuzzParkTable(f *testing.F) {
-	f.Add([]byte{0x04, 0x10, 0x3f, 0x02, 0x00, 0x01, 0x03, 0x00, 0x08, 0x03, 0x01, 0x00})
-	f.Add([]byte{0x00, 0x41, 0x2e, 0x04, 0x41, 0x2d, 0x08, 0x42, 0x1b, 0x02, 0x82, 0x01, 0x03, 0x00, 0x30, 0x02, 0x00, 0x01})
-	// Requester 1 parks block 40 (due soon) then block 296 (due late) at
-	// core 0, multicasts again once 40's record has passed, and core 0
-	// gains a token for 296: the put-back needs the slot bit the retired
+	// Requester 1 parks block 40 at every core, core 15 (derived) and
+	// core 4 (listed) gain a token for it at once, and the clock moves.
+	f.Add([]byte{0x04, 0xff, 0xff, 0x02, 0x0f, 0x00, 0x02, 0x04, 0x00, 0x03, 0x00, 0x30})
+	// Core 0 keeps block 41 without tokens, so requester 5's snoop to it
+	// is delivered; core 0 then drops the block, and the next one parks.
+	f.Add([]byte{0x02, 0x80, 0x01, 0x54, 0x01, 0x00, 0x03, 0x00, 0x40, 0x02, 0x40, 0x01, 0x54, 0x01, 0x00})
+	// Requester 1 parks block 40 (derived to cores 8-15) and then 296
+	// while 40's record is live, and core 12 gains a token for 296 after
+	// 40's record has passed: the put-back needs the slot bit the retired
 	// record shared.
-	f.Add([]byte{0x04, 0x0c, 0x01, 0x04, 0xfe, 0x01, 0x03, 0x00, 0x10, 0x04, 0x01, 0x04, 0x02, 0x00, 0x02})
-	f.Add([]byte{0x0c, 0xfe, 0xff, 0x00, 0xfd, 0xf1, 0x04, 0xfc, 0xf2, 0x03, 0x01, 0x00, 0x02, 0x80, 0x00, 0x03, 0x00, 0xff})
-	// Core 0 keeps block 40 without tokens, so requester 1's snoop is
-	// delivered; core 0 then drops the block, and the next one parks.
-	f.Add([]byte{0x02, 0x80, 0x00, 0x04, 0x40, 0x01, 0x03, 0x00, 0x80, 0x02, 0x40, 0x00, 0x04, 0x40, 0x01})
+	f.Add([]byte{0x04, 0x00, 0xff, 0x84, 0x00, 0xff, 0x03, 0x00, 0x0c, 0x04, 0x00, 0x01, 0x02, 0x0c, 0x02, 0x03, 0x00, 0x3f})
+	// Gains after the arrivals leave the deliveries alone; an early stop
+	// drops what is ahead.
+	f.Add([]byte{0x3c, 0xff, 0xff, 0x03, 0x00, 0x3f, 0x02, 0x05, 0x00, 0x3d, 0xf0, 0x0f, 0x03, 0x01, 0x00, 0x02, 0x06, 0x00})
+	// Several requesters of all four quadrants, interleaved.
+	f.Add([]byte{0x00, 0xfe, 0xff, 0x14, 0xff, 0x7f, 0x28, 0x0f, 0xf0, 0x3d, 0x33, 0x33, 0x02, 0x09, 0x00, 0x03, 0x00, 0x05, 0x02, 0x8a, 0x00, 0x03, 0x00, 0x3f})
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		if len(ops) > 300 {
 			ops = ops[:300]
 		}
-		const nCores = 4
-		h := newHarness(t, nCores, nil)
-		h.parkAll(false)
+		const nCores = 16
+		h, _ := newQuadHarness(t, false)
 		// Blocks 40 and 296 share a block slot: a record retiring must not
 		// clear the slot bit another live record of its ring still needs.
 		addrs := [3]mem.BlockAddr{40, 41, 296}
@@ -453,10 +536,6 @@ func FuzzParkTable(f *testing.F) {
 			for i, a := range addrs {
 				msgs[r][i] = &token.Msg{Kind: token.MsgGetS, Addr: a, Src: h.ctrls[r].Node}
 			}
-		}
-		var delays [nCores]sim.Cycle
-		h.net.FaultHook = func(_, dst mesh.NodeID, _ int, _ interface{}) mesh.FaultOutcome {
-			return mesh.FaultOutcome{Delay: delays[dst]}
 		}
 		// delivered[c] counts the queued snoops the mesh delivered to core
 		// c; a put-back one is handled without the mesh.
@@ -521,29 +600,33 @@ func FuzzParkTable(f *testing.F) {
 			switch op % 4 {
 			case 0, 1:
 				req := int(op>>2) % nCores
-				m := msgs[req][x%3]
+				m := msgs[req][int(op>>6)%3]
 				var dsts []mesh.NodeID
 				var wantParked, wantQueued []int
+				mask := int(y)<<8 | int(x)
 				for dst := 0; dst < nCores; dst++ {
-					if y>>dst&1 == 0 || dst == req {
+					if mask>>dst&1 == 0 || dst == req {
 						continue
 					}
 					dsts = append(dsts, h.ctrls[dst].Node)
-					delays[dst] = sim.Cycle(x>>2) + sim.Cycle(dst)*sim.Cycle(y>>4)
 					if h.ctrls[dst].L2.Lookup(m.Addr) == nil {
 						wantParked = append(wantParked, dst)
 					} else {
 						wantQueued = append(wantQueued, dst)
 					}
 				}
-				q, kept := h.ctrls[req].Multicast(dsts, m)
-				if q != len(wantQueued) || len(kept) != len(wantParked) {
+				q, n := h.ctrls[req].Multicast(mesh.Words(dsts...), m)
+				if q != len(wantQueued) || n != len(wantParked) {
 					t.Fatalf("step %d: %d queued, %d parked; want %d (cores %v), %d (cores %v)",
-						i/3, q, len(kept), len(wantQueued), wantQueued, len(wantParked), wantParked)
+						i/3, q, n, len(wantQueued), wantQueued, len(wantParked), wantParked)
 				}
+				if n == 0 {
+					break
+				}
+				kept := h.ctrls[req].LastParked()
 				for j, p := range kept {
-					if int(p.Dst) != wantParked[j] {
-						t.Fatalf("step %d: parked delivery %d went to core %d, want %d", i/3, j, p.Dst, wantParked[j])
+					if int(p.Dst) != wantParked[j] || p.Dom != quadOf(int(p.Dst)) {
+						t.Fatalf("step %d: parked delivery %d went to core %d in domain %d, want core %d", i/3, j, p.Dst, p.Dom, wantParked[j])
 					}
 					refs[p.Dst] = append(refs[p.Dst], delivery{at: p.At, key: p.Key, addr: m.Addr, state: parked})
 				}
@@ -568,7 +651,7 @@ func FuzzParkTable(f *testing.F) {
 				}
 			case 3:
 				if x&1 == 0 {
-					h.eng.RunUntil(h.eng.Now() + sim.Cycle(y))
+					h.eng.RunUntil(h.eng.Now() + sim.Cycle(y%64))
 					break
 				}
 				for dst, c := range h.ctrls {
@@ -589,6 +672,23 @@ func FuzzParkTable(f *testing.F) {
 		h.run()
 		check(len(ops) / 3)
 	})
+}
+
+// TestQuadParkMixesDerivedAndListed checks that the quadrant harness the
+// park tests run on exercises both kinds of parked delivery: a broadcast
+// from core 5 lists the three deliveries inside its quadrant and derives
+// the twelve across quadrants, each in its destination's domain.
+func TestQuadParkMixesDerivedAndListed(t *testing.T) {
+	h, _ := newQuadHarness(t, false)
+	c := h.ctrls[5]
+	if q, n := c.Multicast(h.othersOf(5), &token.Msg{Kind: token.MsgGetS, Addr: 3, Src: c.Node}); q != 0 || n != 15 || c.Derived() != 12 {
+		t.Fatalf("%d queued, %d parked, %d derived; want 0, 15, 12", q, n, c.Derived())
+	}
+	for i, p := range c.LastParked() {
+		if p.Dom != quadOf(int(p.Dst)) || i > 0 && p.Dst <= c.LastParked()[i-1].Dst {
+			t.Fatalf("parked delivery %d: %+v, out of order or in the wrong domain", i, p)
+		}
+	}
 }
 
 // TestSameCycleRecordRetiresLast covers a record whose latest deliveries
@@ -619,8 +719,9 @@ func TestSameCycleRecordRetiresLast(t *testing.T) {
 	// arrival; the real run delays each to one common cycle.
 	var delays [4]sim.Cycle
 	scout, _ := build(&delays)
-	dsts := []mesh.NodeID{0, 2, 3}
-	_, parked := scout.ctrls[1].Multicast(dsts, getS(scout, a))
+	dsts := mesh.Words(0, 2, 3)
+	scout.ctrls[1].Multicast(dsts, getS(scout, a))
+	parked := scout.ctrls[1].LastParked()
 	var due sim.Cycle
 	for _, p := range parked {
 		due = max(due, p.At+10)
@@ -639,14 +740,14 @@ func TestSameCycleRecordRetiresLast(t *testing.T) {
 			return
 		}
 		fired = true
-		if _, parked := h.ctrls[1].Multicast([]mesh.NodeID{0}, getS(h, other)); len(parked) != 1 {
+		if _, parked := h.ctrls[1].Multicast(mesh.Words(0), getS(h, other)); parked != 1 {
 			t.Fatal("the second multicast parked nothing")
 		}
 		c3.L2.Insert(a, 1)
 		c3.Handle(&token.Msg{Kind: token.MsgTokens, Addr: a, Src: h.ctrls[0].Node, Tokens: 1})
 	})
-	q, parked := h.ctrls[1].Multicast(dsts, getS(h, a))
-	if q != 1 || len(parked) != 2 || parked[0].At != due || parked[1].At != due {
+	q, _ := h.ctrls[1].Multicast(dsts, getS(h, a))
+	if parked := h.ctrls[1].LastParked(); q != 1 || len(parked) != 2 || parked[0].At != due || parked[1].At != due {
 		t.Fatalf("%d queued, parked %+v; want 1 queued and cores 0 and 3 parked at cycle %d", q, parked, due)
 	}
 	h.run()

@@ -1,6 +1,7 @@
 package token_test
 
 import (
+	"slices"
 	"testing"
 
 	"vsnoop/internal/cache"
@@ -11,17 +12,24 @@ import (
 	"vsnoop/internal/token"
 )
 
-// broadcastRouter is the TokenB baseline: snoop every other core.
-type broadcastRouter struct{ all []mesh.NodeID }
+// broadcastRouter is the TokenB baseline: snoop every other of its cores
+// cores, routed into its own words.
+type broadcastRouter struct {
+	cores int
+	words []uint64
+}
 
-func (r broadcastRouter) Route(info token.RouteInfo, buf []mesh.NodeID) []mesh.NodeID {
-	out := buf[:0]
-	for _, n := range r.all {
-		if n != info.CoreNode {
-			out = append(out, n)
+func (r *broadcastRouter) Route(info token.RouteInfo) (first, second []uint64) {
+	if r.words == nil {
+		r.words = make([]uint64, (r.cores+63)/64)
+	}
+	clear(r.words)
+	for i := 0; i < r.cores; i++ {
+		if i != info.Requester {
+			r.words[i>>6] |= 1 << (uint(i) & 63)
 		}
 	}
-	return out
+	return r.words, nil
 }
 
 // call is the completion handler the tests pass to Start: it runs the
@@ -31,7 +39,7 @@ var call sim.HandlerFn = func(arg interface{}, _ uint64) { arg.(func())() }
 // emptyRouter filters everything out (forces retries/persistent fallback).
 type emptyRouter struct{}
 
-func (emptyRouter) Route(_ token.RouteInfo, buf []mesh.NodeID) []mesh.NodeID { return buf[:0] }
+func (emptyRouter) Route(token.RouteInfo) (first, second []uint64) { return nil, nil }
 
 type harness struct {
 	eng   *sim.Engine
@@ -44,16 +52,20 @@ type harness struct {
 func newHarness(t testing.TB, nCores int, router token.Router) *harness {
 	t.Helper()
 	eng := sim.NewEngine()
-	net := mesh.New(eng, mesh.DefaultConfig())
+	cfg := mesh.DefaultConfig()
+	if nCores > 16 {
+		cfg.Width, cfg.Height = 10, (nCores+9)/10
+	}
+	net := mesh.New(eng, cfg)
 	p := token.DefaultParams(nCores)
 
 	coreNodes := make([]mesh.NodeID, nCores)
 	for i := 0; i < nCores; i++ {
-		coreNodes[i] = net.Attach(i%4, i/4, nil)
+		coreNodes[i] = net.Attach(i%cfg.Width, i/cfg.Width, nil)
 	}
 	mcNode := net.Attach(0, 0, nil)
 
-	mc := &memctrl.Ctrl{Eng: eng, Net: net, Node: mcNode, P: p, AllCaches: coreNodes}
+	mc := &memctrl.Ctrl{Eng: eng, Net: net, Node: mcNode, P: p, Cores: nCores}
 	mc.Init()
 	net.SetHandler(mcNode, mc.Handle)
 
@@ -62,18 +74,11 @@ func newHarness(t testing.TB, nCores int, router token.Router) *harness {
 		l2 := cache.New(cache.Config{Name: "L2", SizeBytes: 16 * 1024, Ways: 8, BlockBytes: 64, HitLatency: 10})
 		c := &token.CacheCtrl{
 			Eng: eng, Net: net, Node: coreNodes[i], Core: i, L2: l2, P: p,
-			Router: router, MCNodes: []mesh.NodeID{mcNode},
+			Router: router, MCNodes: []mesh.NodeID{mcNode}, Cores: nCores,
 		}
 		if router == nil {
-			c.Router = broadcastRouter{all: coreNodes}
+			c.Router = &broadcastRouter{cores: nCores}
 		}
-		others := make([]mesh.NodeID, 0, nCores-1)
-		for j, n := range coreNodes {
-			if j != i {
-				others = append(others, n)
-			}
-		}
-		c.AllCores = others
 		c.Init()
 		net.SetHandler(coreNodes[i], c.Handle)
 		h.ctrls = append(h.ctrls, c)
@@ -262,6 +267,49 @@ func TestFilteredRouterFallsBackToBroadcast(t *testing.T) {
 	h.checkConservation(t, []mem.BlockAddr{500})
 }
 
+// TestEscalationSnoopsEveryOtherCore checks the send order of a request
+// escalated past RetriesBeforeBroadcast, on 16 cores and on 80 (two words
+// of cores): the router filters everything and memory never hears the
+// first attempts, so the third goes to every other core in ascending
+// order, then to the home memory controller.
+func TestEscalationSnoopsEveryOtherCore(t *testing.T) {
+	for _, n := range []int{16, 80} {
+		h := newHarness(t, n, emptyRouter{})
+		const req = 7
+		var sent []mesh.NodeID
+		h.net.FaultHook = func(src, dst mesh.NodeID, _ int, payload interface{}) mesh.FaultOutcome {
+			m := payload.(*token.Msg)
+			if src != h.ctrls[req].Node || m.Kind != token.MsgGetS {
+				return mesh.FaultOutcome{}
+			}
+			if int(m.TID) <= h.p.RetriesBeforeBroadcast {
+				return mesh.FaultOutcome{Drop: true}
+			}
+			if int(m.TID) == h.p.RetriesBeforeBroadcast+1 {
+				sent = append(sent, dst)
+			}
+			return mesh.FaultOutcome{}
+		}
+		done := false
+		h.ctrls[req].Start(900, 1, mem.PagePrivate, false, call, func() { done = true })
+		h.run()
+		var want []mesh.NodeID
+		for i, c := range h.ctrls {
+			if i != req {
+				want = append(want, c.Node)
+			}
+		}
+		want = append(want, h.mc.Node)
+		if !done || !slices.Equal(sent, want) {
+			t.Fatalf("%d cores: done %v, the escalated request went to %v, want %v", n, done, sent, want)
+		}
+		if got := h.ctrls[req].Stats.SnoopsIssued; got != uint64(h.p.RetriesBeforeBroadcast+n) {
+			t.Fatalf("%d cores: %d snoops issued, want %d (the requester per attempt, then every core)",
+				n, got, h.p.RetriesBeforeBroadcast+n)
+		}
+	}
+}
+
 func TestPersistentRequestGuaranteesProgress(t *testing.T) {
 	h := newHarness(t, 4, emptyRouter{})
 	// Never broadcast transiently: force the persistent path.
@@ -351,7 +399,7 @@ func TestROSharedMemoryDirect(t *testing.T) {
 
 type fixedOracle bool
 
-func (f fixedOracle) ROProviderAmong(mem.BlockAddr, []mesh.NodeID) bool { return bool(f) }
+func (f fixedOracle) ROProviderAmong(mem.BlockAddr, []uint64) bool { return bool(f) }
 
 func TestROSharedProviderSuppliesData(t *testing.T) {
 	h := newHarness(t, 4, nil)
